@@ -1,7 +1,7 @@
 # Same commands CI runs — `make ci` is exactly the PR gate.
 GO ?= go
 
-.PHONY: all build vet lint test short race bench bench-alloc cover loadtest nightly ci clean
+.PHONY: all build vet lint test short race bench bench-alloc ledger-smoke cover loadtest nightly ci clean
 
 all: build vet lint test
 
@@ -40,6 +40,15 @@ bench-alloc:
 	$(GO) test -run '^$$' -bench 'BenchmarkAlloc' -benchmem -benchtime 10000x \
 		./server/ ./internal/shard/ ./internal/store/logstore/ | tee bench-alloc.txt
 	$(GO) run ./cmd/allocgate bench-alloc.txt
+
+# The benchmark's own gate. bench/ledger is a module of its own, so
+# `go test ./...` here never reaches it: run all four workloads at 1/20
+# size against a real pglserve (oracle, crash, recover, readback), then the
+# ledger's unit tests. A structure or engine change that breaks the oracle
+# or the crash readback fails here, not at the next benchmark run.
+ledger-smoke:
+	bash bench/ledger/run.sh smoke
+	cd bench/ledger && $(GO) test ./...
 
 cover:
 	$(GO) test -short -covermode atomic -coverprofile coverage.out ./...

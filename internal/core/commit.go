@@ -15,10 +15,18 @@ import (
 // micro-buffer and the matching old NVMM bytes (for parity deltas and
 // incremental checksums).
 type applyRange struct {
-	off uint64
-	new []byte
-	old []byte
+	off   uint64
+	new   []byte
+	old   []byte
+	fresh bool // range of an object this transaction allocated
 }
+
+// zeroRunMin is the block size at which a fresh object's zero bytes are
+// logged as a recZero run instead of data, so allocating a large zeroed
+// object (a hash table, a sparse node) costs log space in proportion to
+// what the transaction wrote into it, not to its size. A run record is 32
+// log bytes; below a few hundred bytes eliding saves little.
+const zeroRunMin = 256
 
 // Commit makes the transaction durable and applies it. For Pangolin modes
 // this is the paper's protocol (§3.4): verify canaries, refresh checksums
@@ -82,12 +90,6 @@ func (tx *Tx) commitPangolin() error {
 		tx.abortReleasing()
 		return err
 	}
-	if e.mode.Checksums() {
-		if err := tx.refreshChecksums(work, &ranges); err != nil {
-			tx.abortReleasing()
-			return err
-		}
-	}
 
 	// Enter the commit section: recovery freezes commits here.
 	e.waitUnfrozen()
@@ -96,21 +98,10 @@ func (tx *Tx) commitPangolin() error {
 
 	// Log: data records, allocator ops, root update; then the commit
 	// flag — the durability point.
-	maxP := e.lm.MaxPayload() - 8
 	for _, r := range ranges {
-		off, data := r.off, r.new
-		for len(data) > 0 {
-			n := min(uint64(len(data)), maxP)
-			payload := make([]byte, 8+n)
-			binary.LittleEndian.PutUint64(payload, off)
-			copy(payload[8:], data[:n])
-			if err := tx.w.Append(recData, payload); err != nil {
-				tx.abortReleasing()
-				return err
-			}
-			e.stats.LoggedBytes.Add(8 + n)
-			off += n
-			data = data[n:]
+		if err := tx.logRange(r); err != nil {
+			tx.abortReleasing()
+			return err
 		}
 	}
 	for _, res := range tx.allocs {
@@ -144,9 +135,10 @@ func (tx *Tx) commitPangolin() error {
 	e.dev.Fence()
 	if e.mode.Parity() {
 		for _, r := range ranges {
-			delta := make([]byte, len(r.new))
-			xor.Delta(delta, r.old, r.new)
-			e.updateParitySegments(r.off, delta)
+			// The old bytes have served the checksum refresh; turn
+			// them into the parity patch in place.
+			xor.Delta(r.old, r.old, r.new)
+			e.updateParitySegments(r.off, r.old)
 		}
 		e.dev.Fence()
 	}
@@ -197,98 +189,166 @@ func (tx *Tx) gatherWork() []*mbuf.Buf {
 	return work
 }
 
-// collectRanges materializes every modified range with its old NVMM bytes.
+// collectRanges materializes every modified range with its old NVMM bytes
+// and, in checksumming modes, refreshes each buffer's stored checksum
+// incrementally from its own ranges (§3.5: cost proportional to the
+// modified size, not the object size), adding the checksum field itself as
+// a modified range. The whole pass is linear in the ranges: each buffer's
+// ranges are emitted contiguously, so its checksum folds exactly that
+// slice, and the range list and every old-byte copy come from two
+// allocations sized up front.
 func (tx *Tx) collectRanges(work []*mbuf.Buf) ([]applyRange, error) {
 	e := tx.e
-	var out []applyRange
+	csums := e.mode.Checksums()
+	var nRanges int
+	var nBytes uint64
+	for _, b := range work {
+		nRanges += len(b.Ranges())
+		for _, r := range b.Ranges() {
+			nBytes += r.Len
+		}
+		if csums && b.Flags&mbuf.FlagAllocated == 0 {
+			nRanges++
+			nBytes += 4
+		}
+	}
+	out := make([]applyRange, 0, nRanges)
+	arena := make([]byte, nBytes)
+	// take carves the next n old bytes at off out of the arena. Freshly
+	// allocated slots hold arbitrary prior bytes, read for the parity
+	// delta all the same; a media fault is repaired like any other.
+	take := func(off, n uint64) ([]byte, error) {
+		old := arena[:n:n]
+		arena = arena[n:]
+		return old, e.readRepairing(old, off)
+	}
+	var err error
 	for _, b := range work {
 		base := b.OID.HeaderOff()
 		img := b.Image()
 		fresh := b.Flags&mbuf.FlagAllocated != 0
 		for _, r := range b.Ranges() {
-			ar := applyRange{
-				off: base + r.Off,
-				new: img[r.Off : r.Off+r.Len],
-				old: make([]byte, r.Len),
-			}
-			if fresh {
-				// Newly allocated slots hold arbitrary prior bytes;
-				// read them for the parity delta (no recovery needed:
-				// freshly reserved space is not user data). A media
-				// fault here is repaired like any other.
-				if err := e.dev.ReadAt(ar.old, ar.off); err != nil {
-					if rerr := e.faultRepair(ar.off, r.Len, err); rerr != nil {
-						return nil, rerr
-					}
-					if err := e.dev.ReadAt(ar.old, ar.off); err != nil {
-						return nil, err
-					}
-				}
-			} else {
-				if err := e.dev.ReadAt(ar.old, ar.off); err != nil {
-					if rerr := e.faultRepair(ar.off, r.Len, err); rerr != nil {
-						return nil, rerr
-					}
-					if err := e.dev.ReadAt(ar.old, ar.off); err != nil {
-						return nil, err
-					}
-				}
+			ar := applyRange{off: base + r.Off, new: img[r.Off : r.Off+r.Len], fresh: fresh}
+			if ar.old, err = take(ar.off, r.Len); err != nil {
+				return nil, err
 			}
 			out = append(out, ar)
 		}
 	}
+	if !csums {
+		return out, nil
+	}
+	start := 0
+	for _, b := range work {
+		mine := out[start : start+len(b.Ranges())]
+		start += len(mine)
+		img := b.Image()
+		hdr := b.Header()
+		if b.Flags&mbuf.FlagAllocated != 0 {
+			hdr.Csum = layout.ObjChecksum(img)
+			b.SetHeader(hdr)
+			continue
+		}
+		base := b.OID.HeaderOff()
+		sum := b.OrigCsum
+		for _, ar := range mine {
+			sum = csum.Update(sum, b.Size(), ar.off-base, ar.old, ar.new)
+		}
+		hdr.Csum = sum
+		b.SetHeader(hdr)
+		// The checksum field (image bytes [12,16)) becomes part of the
+		// write-back set. It is excluded from the checksum domain, so no
+		// recursive refresh is needed. The old bytes feed the parity
+		// delta, so a failed read must go through online recovery like
+		// any other — substituting zeros would fold a wrong delta into
+		// the zone's parity column.
+		ar := applyRange{off: base + 12, new: img[12:16]}
+		if ar.old, err = take(ar.off, 4); err != nil {
+			return nil, err
+		}
+		out = append(out, ar)
+	}
 	return out, nil
 }
 
-// refreshChecksums updates each modified buffer's stored checksum
-// incrementally from its modified ranges (§3.5: cost proportional to the
-// modified size, not the object size), then adds the checksum field itself
-// as a modified range.
-func (tx *Tx) refreshChecksums(work []*mbuf.Buf, ranges *[]applyRange) error {
-	for _, b := range work {
-		img := b.Image()
-		var newSum uint32
-		if b.Flags&mbuf.FlagAllocated != 0 {
-			newSum = layout.ObjChecksum(img)
+// readRepairing reads NVMM bytes at off into buf, running online recovery
+// and retrying once on a fault.
+func (e *Engine) readRepairing(buf []byte, off uint64) error {
+	err := e.dev.ReadAt(buf, off)
+	if err == nil {
+		return nil
+	}
+	if rerr := e.faultRepair(off, uint64(len(buf)), err); rerr != nil {
+		return rerr
+	}
+	return e.dev.ReadAt(buf, off)
+}
+
+// logRange appends the redo records for one range: data records of at most
+// one log payload each, with a fresh object's long zero runs elided to
+// recZero records.
+func (tx *Tx) logRange(r applyRange) error {
+	off, data := r.off, r.new
+	if !r.fresh || len(data) < zeroRunMin {
+		return tx.logData(off, data)
+	}
+	for len(data) > 0 {
+		n := 0
+		for n+zeroRunMin <= len(data) && allZero(data[n:n+zeroRunMin]) {
+			n += zeroRunMin
+		}
+		if n > 0 {
+			var p [16]byte
+			binary.LittleEndian.PutUint64(p[0:], off)
+			binary.LittleEndian.PutUint64(p[8:], uint64(n))
+			if err := tx.w.Append(recZero, p[:]); err != nil {
+				return err
+			}
+			tx.e.stats.LoggedBytes.Add(uint64(len(p)))
 		} else {
-			sum := b.OrigCsum
-			base := b.OID.HeaderOff()
-			for _, ar := range *ranges {
-				if ar.off < base || ar.off >= base+b.Size() {
-					continue
-				}
-				sum = csum.Update(sum, b.Size(), ar.off-base, ar.old, ar.new)
+			// Data up to the next zero block (a short tail is data).
+			n = min(zeroRunMin, len(data))
+			for n+zeroRunMin <= len(data) && !allZero(data[n:n+zeroRunMin]) {
+				n += zeroRunMin
 			}
-			newSum = sum
-		}
-		hdr := b.Header()
-		hdr.Csum = newSum
-		b.SetHeader(hdr)
-		if b.Flags&mbuf.FlagAllocated == 0 {
-			// The checksum field (image bytes [12,16)) becomes part of
-			// the write-back set. It is excluded from the checksum
-			// domain, so no recursive refresh is needed. The old bytes
-			// feed the parity delta, so a failed read must go through
-			// online recovery like any other — substituting zeros would
-			// fold a wrong delta into the zone's parity column.
-			var old [4]byte
-			off := b.OID.HeaderOff() + 12
-			if err := tx.e.dev.ReadAt(old[:], off); err != nil {
-				if rerr := tx.e.faultRepair(off, 4, err); rerr != nil {
-					return rerr
-				}
-				if err := tx.e.dev.ReadAt(old[:], off); err != nil {
-					return err
-				}
+			if len(data)-n < zeroRunMin {
+				n = len(data)
 			}
-			*ranges = append(*ranges, applyRange{
-				off: off,
-				new: img[12:16],
-				old: old[:],
-			})
+			if err := tx.logData(off, data[:n]); err != nil {
+				return err
+			}
 		}
+		off += uint64(n)
+		data = data[n:]
 	}
 	return nil
+}
+
+// logData appends recData records (absolute offset + bytes) for data.
+func (tx *Tx) logData(off uint64, data []byte) error {
+	maxP := tx.e.lm.MaxPayload() - 8
+	for len(data) > 0 {
+		n := min(uint64(len(data)), maxP)
+		var at [8]byte
+		binary.LittleEndian.PutUint64(at[:], off)
+		if err := tx.w.AppendVec(recData, at[:], data[:n]); err != nil {
+			return err
+		}
+		tx.e.stats.LoggedBytes.Add(8 + n)
+		off += n
+		data = data[n:]
+	}
+	return nil
+}
+
+// allZero reports whether b (a multiple of 8 bytes) holds only zeros.
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // updateParitySegments folds a delta at absolute offset off into zone
@@ -320,14 +380,12 @@ func (e *Engine) applyAllocOp(op alloc.Op) error {
 	})
 }
 
-// abortReleasing is the internal abort used on commit failures after
-// tx.done is set.
+// abortReleasing undoes a finished (tx.done) transaction: Abort, and
+// commit failures before the durability point.
 func (tx *Tx) abortReleasing() {
 	e := tx.e
-	for _, res := range tx.allocs {
-		if _, live := tx.allocOffs[res.UserOff]; live {
-			e.heap.Release(res)
-		}
+	for _, res := range tx.allocs { // cancelled ones moved to lateRelease
+		e.heap.Release(res)
 	}
 	if tx.undoSpan != nil {
 		tx.rollbackDirect()

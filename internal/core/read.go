@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/pangolin-go/pangolin/internal/layout"
+	"github.com/pangolin-go/pangolin/internal/mbuf"
 	"github.com/pangolin-go/pangolin/internal/nvm"
 )
 
@@ -65,21 +66,23 @@ func (e *Engine) readHeaderChecked(oid layout.OID, repair bool) (layout.ObjHeade
 	}
 }
 
-// readImage reads an object's full image (header + data), optionally
-// verifying the checksum, with online recovery on faults (§3.3, §3.6).
-func (e *Engine) readImage(oid layout.OID, verify bool) ([]byte, layout.ObjHeader, error) {
+// readImage loads an object's full image (header + data) into the slice
+// dst returns for its size, optionally verifying the checksum there, with
+// online recovery on faults (§3.3, §3.6). dst is asked again when a repair
+// changes the header's size.
+func (e *Engine) readImage(oid layout.OID, verify bool, dst func(size uint64) []byte) (layout.ObjHeader, error) {
 	for attempt := 0; ; attempt++ {
 		hdr, err := e.readHeaderChecked(oid, true)
 		if err != nil {
-			return nil, layout.ObjHeader{}, err
+			return layout.ObjHeader{}, err
 		}
-		img := make([]byte, hdr.Size)
+		img := dst(hdr.Size)
 		if err := e.dev.ReadAt(img, oid.HeaderOff()); err != nil {
 			if attempt >= 2 {
-				return nil, layout.ObjHeader{}, err
+				return layout.ObjHeader{}, err
 			}
 			if rerr := e.faultRepair(oid.HeaderOff(), hdr.Size, err); rerr != nil {
-				return nil, layout.ObjHeader{}, rerr
+				return layout.ObjHeader{}, rerr
 			}
 			continue
 		}
@@ -88,10 +91,10 @@ func (e *Engine) readImage(oid layout.OID, verify bool) ([]byte, layout.ObjHeade
 				cerr := &CorruptionError{OID: oid,
 					Reason: fmt.Sprintf("checksum %#x, stored %#x", got, hdr.Csum)}
 				if attempt >= 2 {
-					return nil, layout.ObjHeader{}, cerr
+					return layout.ObjHeader{}, cerr
 				}
 				if rerr := e.faultRepair(oid.HeaderOff(), hdr.Size, cerr); rerr != nil {
-					return nil, layout.ObjHeader{}, rerr
+					return layout.ObjHeader{}, rerr
 				}
 				continue
 			}
@@ -99,8 +102,37 @@ func (e *Engine) readImage(oid layout.OID, verify bool) ([]byte, layout.ObjHeade
 		} else {
 			e.stats.UnverifiedBytes.Add(hdr.UserSize())
 		}
-		return img, hdr, nil
+		return hdr, nil
 	}
+}
+
+// verifyImage runs readImage's checks on a throwaway copy.
+func (e *Engine) verifyImage(oid layout.OID) (layout.ObjHeader, error) {
+	var img []byte
+	return e.readImage(oid, true, func(size uint64) []byte {
+		if uint64(cap(img)) < size {
+			img = make([]byte, size)
+		}
+		return img[:size]
+	})
+}
+
+// loadBuf opens oid into a fresh micro-buffer (§3.2): the image is read
+// straight into the buffer and verified there — one allocation and one
+// copy of the object, however large.
+func (e *Engine) loadBuf(oid layout.OID) (*mbuf.Buf, error) {
+	var b *mbuf.Buf
+	hdr, err := e.readImage(oid, e.mode.Checksums(), func(size uint64) []byte {
+		if b == nil || b.Size() != size {
+			b = mbuf.New(oid, size, e.canary)
+		}
+		return b.Image()
+	})
+	if err != nil {
+		return nil, err
+	}
+	b.OrigCsum = hdr.Csum
+	return b, nil
 }
 
 // Get returns read-only direct access to an object's user data without
@@ -113,11 +145,11 @@ func (e *Engine) Get(oid layout.OID) ([]byte, error) {
 	}
 	verify := e.opts.Policy == VerifyConservative && e.mode.Checksums()
 	if verify {
-		img, hdr, err := e.readImage(oid, true)
+		// The verification pass reads a copy; hand out the live bytes.
+		hdr, err := e.verifyImage(oid)
 		if err != nil {
 			return nil, err
 		}
-		_ = img // verification pass reads a copy; hand out the live bytes
 		return e.dev.Slice(oid.Off, hdr.UserSize()), nil
 	}
 	hdr, err := e.readHeaderChecked(oid, true)
@@ -229,7 +261,7 @@ func (e *Engine) CheckObject(oid layout.OID) error {
 	if !e.mode.Checksums() {
 		return fmt.Errorf("core: mode %v maintains no object checksums", e.mode)
 	}
-	_, _, err := e.readImage(oid, true)
+	_, err := e.verifyImage(oid)
 	return err
 }
 

@@ -239,6 +239,14 @@ func (e *Engine) recoverAtOpen() error {
 					if e.geo.InZoneData(off) {
 						noteRange(off, uint64(len(data)))
 					}
+				case recZero:
+					off := binary.LittleEndian.Uint64(rec.Payload)
+					n := binary.LittleEndian.Uint64(rec.Payload[8:])
+					e.dev.Memset(off, 0, n)
+					e.dev.Persist(off, n)
+					if e.geo.InZoneData(off) {
+						noteRange(off, n)
+					}
 				case recAllocOp:
 					op, err := alloc.DecodeOp(rec.Payload)
 					if err != nil {

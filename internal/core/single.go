@@ -19,13 +19,10 @@ func (e *Engine) OpenSingle(oid layout.OID) (*mbuf.Buf, error) {
 	if !e.mode.MicroBuffered() {
 		return nil, fmt.Errorf("core: OpenSingle requires a micro-buffered mode, not %v", e.mode)
 	}
-	img, hdr, err := e.readImage(oid, e.mode.Checksums())
+	b, err := e.loadBuf(oid)
 	if err != nil {
 		return nil, err
 	}
-	b := mbuf.New(oid, hdr.Size, e.canary)
-	copy(b.Image(), img)
-	b.OrigCsum = hdr.Csum
 	e.stats.mbufAdd(int64(b.Footprint()))
 	return b, nil
 }
@@ -42,19 +39,15 @@ func (e *Engine) CommitSingle(b *mbuf.Buf) error {
 		return err
 	}
 	old := make([]byte, b.Size())
-	if err := e.dev.ReadAt(old, b.OID.HeaderOff()); err != nil {
-		if rerr := e.faultRepair(b.OID.HeaderOff(), b.Size(), err); rerr != nil {
-			return rerr
-		}
-		if err := e.dev.ReadAt(old, b.OID.HeaderOff()); err != nil {
-			return err
-		}
+	if err := e.readRepairing(old, b.OID.HeaderOff()); err != nil {
+		return err
 	}
 	img := b.Image()
 	// Diff at 8-byte granularity, skipping the header (the commit path
 	// owns the checksum field).
 	const gran = 8
 	size := b.Size()
+	var modified uint64
 	i := uint64(layout.ObjHeaderSize)
 	for i < size {
 		end := min(i+gran, size)
@@ -71,7 +64,7 @@ func (e *Engine) CommitSingle(b *mbuf.Buf) error {
 			}
 			j = je
 		}
-		b.MarkModified(i, j-i)
+		modified += b.MarkModified(i, j-i)
 		i = j
 	}
 	tx, err := e.Begin()
@@ -80,17 +73,9 @@ func (e *Engine) CommitSingle(b *mbuf.Buf) error {
 	}
 	tx.bufs.Insert(b)
 	e.stats.mbufAdd(int64(b.Footprint())) // table ownership (released at commit)
-	tx.statModBytes = sumRanges(b)
+	tx.statModBytes = modified
 	tx.statObjs[b.OID.Off] = true
 	return tx.Commit()
-}
-
-func sumRanges(b *mbuf.Buf) uint64 {
-	var n uint64
-	for _, r := range b.Ranges() {
-		n += r.Len
-	}
-	return n
 }
 
 func bytesEqual(a, b []byte) bool {

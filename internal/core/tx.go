@@ -17,6 +17,7 @@ const (
 	recAllocOp  uint16 = 2 // redo: allocator op (idempotent)
 	recSnapshot uint16 = 3 // undo: absolute offset + old bytes
 	recRoot     uint16 = 4 // redo: root OID + size
+	recZero     uint16 = 5 // redo: absolute offset + length of a zero-filled run
 )
 
 // Tx is a transaction. A Tx belongs to one goroutine; concurrent
@@ -30,9 +31,8 @@ type Tx struct {
 	bufs *mbuf.Table // pangolin modes
 
 	allocs      []alloc.Reservation
-	allocOffs   map[uint64]alloc.Reservation // user-off → reservation (this tx)
-	allocSizes  map[uint64]uint64            // user-off → requested user size
-	lateRelease []alloc.Reservation          // cancelled allocs, freed at tx end
+	allocIdx    map[uint64]txAlloc  // user-off → this tx's live allocation
+	lateRelease []alloc.Reservation // cancelled allocs, freed at tx end
 	frees       []alloc.Op
 	freed       map[uint64]bool
 
@@ -51,6 +51,14 @@ type Tx struct {
 	done bool
 }
 
+// txAlloc locates one of the transaction's own allocations: its index in
+// Tx.allocs (so cancelling it is O(1)) and the user size requested (the
+// allocator cannot size an extent until its op commits).
+type txAlloc struct {
+	idx  int
+	size uint64
+}
+
 type rootRec struct {
 	oid  layout.OID
 	size uint64
@@ -61,15 +69,6 @@ type span struct{ off, n uint64 }
 type undoRec struct {
 	off uint64
 	old []byte
-}
-
-// markedBytes sums a buffer's declared modified ranges.
-func markedBytes(b *mbuf.Buf) uint64 {
-	var n uint64
-	for _, r := range b.Ranges() {
-		n += r.Len
-	}
-	return n
 }
 
 // Begin starts a transaction. It blocks while the pool is frozen for
@@ -84,16 +83,16 @@ func (e *Engine) Begin() (*Tx, error) {
 		return nil, err
 	}
 	tx := &Tx{
-		e:          e,
-		w:          w,
-		allocOffs:  make(map[uint64]alloc.Reservation),
-		allocSizes: make(map[uint64]uint64),
-		freed:      make(map[uint64]bool),
-		statObjs:   make(map[uint64]bool),
-		directOpen: make(map[uint64]bool),
+		e:        e,
+		w:        w,
+		allocIdx: make(map[uint64]txAlloc),
+		freed:    make(map[uint64]bool),
+		statObjs: make(map[uint64]bool),
 	}
 	if e.mode.MicroBuffered() {
 		tx.bufs = mbuf.NewTable()
+	} else {
+		tx.directOpen = make(map[uint64]bool)
 	}
 	return tx, nil
 }
@@ -149,9 +148,8 @@ func (tx *Tx) Alloc(size uint64, typ uint32) (layout.OID, []byte, error) {
 	}
 	oid := layout.OID{Pool: tx.e.uuid, Off: res.UserOff}
 	hdr := layout.ObjHeader{Size: size + layout.ObjHeaderSize, Type: typ}
+	tx.allocIdx[oid.Off] = txAlloc{idx: len(tx.allocs), size: size}
 	tx.allocs = append(tx.allocs, res)
-	tx.allocOffs[oid.Off] = res
-	tx.allocSizes[oid.Off] = size
 	tx.statAllocBytes += size
 	tx.statObjs[oid.Off] = true
 
@@ -196,18 +194,24 @@ func (tx *Tx) Free(oid layout.OID) error {
 	if err := tx.checkOID(oid); err != nil {
 		return err
 	}
-	if res, ok := tx.allocOffs[oid.Off]; ok {
+	if a, ok := tx.allocIdx[oid.Off]; ok {
 		// Allocated here: cancel the allocation. The reservation is
 		// released only when the transaction ends, so no concurrent
 		// transaction can write the slot while this one still holds
 		// snapshots or parity state referring to its bytes.
-		delete(tx.allocOffs, oid.Off)
-		for i := range tx.allocs {
-			if tx.allocs[i].UserOff == oid.Off {
-				tx.allocs = append(tx.allocs[:i], tx.allocs[i+1:]...)
-				break
-			}
+		res := tx.allocs[a.idx]
+		last := len(tx.allocs) - 1
+		if a.idx != last {
+			// Swap-remove: allocator ops are independent, so their
+			// order in the log carries no meaning.
+			moved := tx.allocs[last]
+			tx.allocs[a.idx] = moved
+			m := tx.allocIdx[moved.UserOff]
+			m.idx = a.idx
+			tx.allocIdx[moved.UserOff] = m
 		}
+		tx.allocs = tx.allocs[:last]
+		delete(tx.allocIdx, oid.Off)
 		tx.lateRelease = append(tx.lateRelease, res)
 		if tx.bufs != nil {
 			if b, ok := tx.bufs.Lookup(oid); ok {
@@ -215,8 +219,7 @@ func (tx *Tx) Free(oid layout.OID) error {
 				tx.bufs.Remove(oid)
 			}
 		}
-		tx.statAllocBytes -= tx.allocSizes[oid.Off]
-		delete(tx.allocSizes, oid.Off)
+		tx.statAllocBytes -= a.size
 		return nil
 	}
 	hdr, err := tx.e.readHeaderChecked(oid, true)
@@ -272,23 +275,40 @@ func (tx *Tx) openBuf(oid layout.OID) (*mbuf.Buf, error) {
 	if b, ok := tx.bufs.Lookup(oid); ok {
 		return b, nil
 	}
-	verify := tx.e.mode.Checksums() // both Default and Conservative verify at open
-	img, hdr, err := tx.e.readImage(oid, verify)
+	b, err := tx.e.loadBuf(oid) // both Default and Conservative verify at open
 	if err != nil {
 		return nil, err
 	}
-	b := mbuf.New(oid, hdr.Size, tx.e.canary)
-	copy(b.Image(), img)
-	b.OrigCsum = hdr.Csum
 	tx.bufs.Insert(b)
 	tx.e.stats.mbufAdd(int64(b.Footprint()))
 	tx.statObjs[oid.Off] = true
 	return b, nil
 }
 
+// ownDirect returns the in-place user data of an object this transaction
+// allocated (pmemobj modes). Its size comes from the transaction's own
+// reservation — the allocator cannot size an extent before its op commits
+// — and it needs no undo snapshot: fresh space is unreachable until then
+// (Pmemobj-P, whose parity patches need the pre-init bytes, snapshotted it
+// at Alloc), and Alloc already queued the whole object for commit-time
+// persistence.
+func (tx *Tx) ownDirect(oid layout.OID) ([]byte, bool) {
+	if tx.bufs != nil {
+		return nil, false
+	}
+	a, ok := tx.allocIdx[oid.Off]
+	if !ok {
+		return nil, false
+	}
+	return tx.e.dev.Slice(oid.Off, a.size), true
+}
+
 // openDirect is the pmemobj path: undo-snapshot the object, return its
 // in-place bytes.
 func (tx *Tx) openDirect(oid layout.OID) ([]byte, error) {
+	if data, ok := tx.ownDirect(oid); ok {
+		return data, nil
+	}
 	hdr, err := tx.e.readHeaderChecked(oid, true)
 	if err != nil {
 		return nil, err
@@ -332,14 +352,19 @@ func (tx *Tx) AddRange(oid layout.OID, off, n uint64) ([]byte, error) {
 		if off+n > b.Header().UserSize() {
 			return nil, fmt.Errorf("core: range [%d,%d) exceeds object size %d", off, off+n, b.Header().UserSize())
 		}
-		before := markedBytes(b)
-		b.MarkModified(layout.ObjHeaderSize+off, n)
+		added := b.MarkModified(layout.ObjHeaderSize+off, n)
 		if b.Flags&mbuf.FlagAllocated == 0 {
 			// Count only newly declared bytes (re-adding a range is
 			// free, like pmemobj_tx_add_range on a snapshotted range).
-			tx.statModBytes += markedBytes(b) - before
+			tx.statModBytes += added
 		}
 		return b.UserData(), nil
+	}
+	if data, ok := tx.ownDirect(oid); ok {
+		if off+n > uint64(len(data)) {
+			return nil, fmt.Errorf("core: range [%d,%d) exceeds object size %d", off, off+n, len(data))
+		}
+		return data, nil
 	}
 	hdr, err := tx.e.readHeaderChecked(oid, true)
 	if err != nil {
@@ -484,6 +509,9 @@ func (tx *Tx) Get(oid layout.OID) ([]byte, error) {
 			return b.UserData(), nil
 		}
 	}
+	if data, ok := tx.ownDirect(oid); ok {
+		return data, nil
+	}
 	return tx.e.Get(oid)
 }
 
@@ -504,17 +532,7 @@ func (tx *Tx) Abort() {
 	if tx.bufs != nil {
 		e.stats.mbufAdd(-int64(tx.bufs.Bytes()))
 	}
-	for _, res := range tx.allocs {
-		if _, live := tx.allocOffs[res.UserOff]; live {
-			e.heap.Release(res)
-		}
-	}
-	if tx.undoSpan != nil {
-		tx.rollbackDirect()
-	}
-	tx.releaseLate()
-	tx.w.Clear()
-	e.stats.Aborts.Add(1)
+	tx.abortReleasing()
 }
 
 func (tx *Tx) releaseLate() {

@@ -15,7 +15,7 @@ func TestAdlerMatchesStdlib(t *testing.T) {
 		{0},
 		{255},
 		[]byte("hello, pangolin"),
-		bytes.Repeat([]byte{0xAB}, 10000), // exceeds nmax: exercises chunked reduction
+		bytes.Repeat([]byte{0xFF}, maxChunk+4321), // worst-case bytes across a chunked reduction
 	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20; i++ {
@@ -28,6 +28,72 @@ func TestAdlerMatchesStdlib(t *testing.T) {
 			t.Fatalf("case %d (len %d): Adler32 = %#x, stdlib = %#x", i, len(c), got, want)
 		}
 	}
+}
+
+// stdlibContinue is Continue by definition: the stdlib digest resumed from
+// sum's (a, b) state.
+func stdlibContinue(sum uint32, data []byte) uint32 {
+	d := adler32.New()
+	state := []byte{'a', 'd', 'l', 0x01, byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)}
+	if err := d.(interface{ UnmarshalBinary([]byte) error }).UnmarshalBinary(state); err != nil {
+		panic(err)
+	}
+	d.Write(data)
+	return d.Sum32()
+}
+
+// TestContinueMatchesStdlib is the block kernel's differential test:
+// random lengths (so every tail length 0..31 follows every block count),
+// random start offsets into the buffer (so the 8-byte loads are unaligned
+// every way), random contents including the all-0xFF worst case, and a
+// random valid starting state.
+func TestContinueMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	buf := make([]byte, 70000)
+	for round := 0; round < 3000; round++ {
+		off := rng.Intn(64)
+		n := rng.Intn(300)
+		if round%10 == 0 {
+			n = rng.Intn(len(buf) - off)
+		}
+		data := buf[off : off+n]
+		if round%7 == 0 {
+			for i := range data {
+				data[i] = 0xFF
+			}
+		} else {
+			rng.Read(data)
+		}
+		sum := uint32(rng.Intn(adlerMod))<<16 | uint32(rng.Intn(adlerMod))
+		if got, want := Continue(sum, data), stdlibContinue(sum, data); got != want {
+			t.Fatalf("round %d: Continue(%#x, len %d at +%d) = %#x, stdlib %#x", round, sum, n, off, got, want)
+		}
+	}
+}
+
+// TestContinueSplits checks streaming concatenation at every split of a
+// buffer a few blocks long.
+func TestContinueSplits(t *testing.T) {
+	data := make([]byte, 200)
+	rand.New(rand.NewSource(9)).Read(data)
+	want := adler32.Checksum(data)
+	for i := 0; i <= len(data); i++ {
+		if got := Continue(Adler32(data[:i]), data[i:]); got != want {
+			t.Fatalf("split at %d: %#x, want %#x", i, got, want)
+		}
+	}
+}
+
+func FuzzContinue(f *testing.F) {
+	f.Add(uint32(1), []byte("hello, pangolin"))
+	f.Add(uint32(0xfff0fff0), bytes.Repeat([]byte{0xFF}, 97))
+	f.Add(uint32(0x12345678), make([]byte, 33))
+	f.Fuzz(func(t *testing.T, sum uint32, data []byte) {
+		sum = sum>>16%adlerMod<<16 | sum&0xffff%adlerMod // a valid state
+		if got, want := Continue(sum, data), stdlibContinue(sum, data); got != want {
+			t.Fatalf("Continue(%#x, %x) = %#x, stdlib %#x", sum, data, got, want)
+		}
+	})
 }
 
 func TestUpdateBasic(t *testing.T) {

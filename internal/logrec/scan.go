@@ -111,7 +111,7 @@ func scanRegion(seq uint64, buf []byte) (jump bool, recs []Record) {
 		n := uint64(le.Uint32(buf[off+4:]))
 		sum := le.Uint32(buf[off+8:])
 		if kind == jumpKind {
-			if sum == recordChecksum(seq, jumpKind, nil) && n == 0 {
+			if sum == recordChecksum(seq, jumpKind, nil, nil) && n == 0 {
 				return true, recs
 			}
 			return false, recs
@@ -120,7 +120,7 @@ func scanRegion(seq uint64, buf []byte) (jump bool, recs []Record) {
 			return false, recs
 		}
 		payload := buf[off+recHeaderSize : off+recHeaderSize+n]
-		if sum != recordChecksum(seq, kind, payload) {
+		if sum != recordChecksum(seq, kind, payload, nil) {
 			return false, recs
 		}
 		recs = append(recs, Record{Kind: kind, Payload: append([]byte(nil), payload...)})

@@ -108,26 +108,17 @@ func (w *Writer) replicaBase(region int) uint64 {
 }
 
 // recordChecksum salts the record checksum with the lane sequence so bytes
-// from earlier lane uses never validate.
-func recordChecksum(seq uint64, kind uint16, payload []byte) uint32 {
+// from earlier lane uses never validate. The payload is head||body.
+func recordChecksum(seq uint64, kind uint16, head, body []byte) uint32 {
 	var hdr [10]byte
 	binary.LittleEndian.PutUint64(hdr[0:], seq)
 	binary.LittleEndian.PutUint16(hdr[8:], kind)
-	return csum.Continue(csum.Adler32(hdr[:]), payload)
+	return csum.Continue(csum.Continue(csum.Adler32(hdr[:]), head), body)
 }
 
-func encodeRecordHeader(seq uint64, kind uint16, payload []byte) []byte {
-	b := make([]byte, recHeaderSize)
-	le := binary.LittleEndian
-	le.PutUint16(b[0:], kind)
-	le.PutUint32(b[4:], uint32(len(payload)))
-	le.PutUint32(b[8:], recordChecksum(seq, kind, payload))
-	return b
-}
-
-// write stores bytes at the current region offset (primary + replica),
-// tracking spans for deferred persistence.
-func (w *Writer) write(b []byte) {
+// put stores bytes at the current region offset (primary + replica) and
+// advances it, returning the primary offset written.
+func (w *Writer) put(b []byte) uint64 {
 	base, payloadOff, _ := w.regionBase(w.region)
 	off := base + payloadOff + w.off
 	w.m.dev.WriteAt(off, b)
@@ -137,8 +128,14 @@ func (w *Writer) write(b []byte) {
 	if mr := w.m.mirror; mr != nil {
 		mr.WriteAt(off, b)
 	}
-	w.spans = append(w.spans, span{off: off, n: uint64(len(b))})
 	w.off += uint64(len(b))
+	return off
+}
+
+// write is put plus a span for deferred persistence.
+func (w *Writer) write(b []byte) {
+	off := w.put(b)
+	w.spans = append(w.spans, span{off: off, n: uint64(len(b))})
 }
 
 // roomLeft returns the free payload bytes in the current region, keeping
@@ -154,13 +151,22 @@ func (w *Writer) roomLeft() uint64 {
 // The record is written but not persisted; call persistSpans via Commit
 // (redo) or use AppendDurable (undo).
 func (w *Writer) Append(kind uint16, payload []byte) error {
+	return w.AppendVec(kind, payload, nil)
+}
+
+// AppendVec is Append with the payload given as head||body, so a caller
+// prefixing bulk data with a small header need not assemble the two in a
+// scratch buffer. The log bytes and persistence work are those of Append
+// on the concatenation.
+func (w *Writer) AppendVec(kind uint16, head, body []byte) error {
 	if kind == endKind || kind == jumpKind {
 		return fmt.Errorf("logrec: record kind %#x is reserved", kind)
 	}
-	if uint64(len(payload)) > w.m.MaxPayload() {
-		return fmt.Errorf("logrec: payload %d exceeds max %d", len(payload), w.m.MaxPayload())
+	n := uint64(len(head) + len(body))
+	if n > w.m.MaxPayload() {
+		return fmt.Errorf("logrec: payload %d exceeds max %d", n, w.m.MaxPayload())
 	}
-	need := uint64(recHeaderSize + len(payload))
+	need := recHeaderSize + n
 	if need%8 != 0 {
 		need += 8 - need%8
 	}
@@ -169,9 +175,17 @@ func (w *Writer) Append(kind uint16, payload []byte) error {
 			return err
 		}
 	}
-	hdr := encodeRecordHeader(w.seq, kind, payload)
-	w.write(hdr)
-	w.write(payload)
+	var hdr [recHeaderSize]byte
+	le := binary.LittleEndian
+	le.PutUint16(hdr[0:], kind)
+	le.PutUint32(hdr[4:], uint32(n))
+	le.PutUint32(hdr[8:], recordChecksum(w.seq, kind, head, body))
+	w.write(hdr[:])
+	off := w.put(head)
+	if len(body) > 0 {
+		w.put(body)
+	}
+	w.spans = append(w.spans, span{off: off, n: n})
 	if pad := w.off % 8; pad != 0 {
 		w.off += 8 - pad
 	}
@@ -198,7 +212,7 @@ func (w *Writer) spill() error {
 	jmp := make([]byte, recHeaderSize)
 	le := binary.LittleEndian
 	le.PutUint16(jmp[0:], jumpKind)
-	le.PutUint32(jmp[8:], recordChecksum(w.seq, jumpKind, nil))
+	le.PutUint32(jmp[8:], recordChecksum(w.seq, jumpKind, nil, nil))
 	w.write(jmp)
 
 	// Chain pointer: lane header firstExt or previous extent's next.

@@ -11,7 +11,7 @@ package mbuf
 
 import (
 	"fmt"
-	"slices"
+	"sort"
 
 	"github.com/pangolin-go/pangolin/internal/layout"
 )
@@ -47,6 +47,7 @@ type Buf struct {
 	backing []uint64 // head canary ⋯ image ⋯ tail canary, 8-aligned
 	size    uint64   // image bytes (header + data)
 	ranges  []Range  // modified ranges, sorted, coalesced
+	pos     int      // index in the owning Table's open-order list
 }
 
 // CanaryError reports a clobbered canary: the application overran (or
@@ -110,54 +111,48 @@ func (b *Buf) CheckCanaries() error {
 	return nil
 }
 
-// MarkModified records that image bytes [off, off+n) changed. Overlapping
-// and adjacent ranges coalesce.
-func (b *Buf) MarkModified(off, n uint64) {
+// MarkModified records that image bytes [off, off+n) changed and returns
+// how many of them were not marked before. Overlapping and adjacent ranges
+// coalesce. The range is merged into the sorted list in place —
+// binary-search the merge window, fold every overlapping or adjacent
+// range into one, shift the tail once — so a buffer collecting k ranges
+// costs O(k log k) plus the shifts, not a re-sort per call.
+func (b *Buf) MarkModified(off, n uint64) (added uint64) {
 	if n == 0 {
-		return
+		return 0
 	}
 	if off+n > b.size {
 		panic(fmt.Sprintf("mbuf: modified range [%d,%d) exceeds object size %d", off, off+n, b.size))
 	}
-	b.ranges = append(b.ranges, Range{Off: off, Len: n})
-	b.coalesce()
+	rs := b.ranges
+	start, end := off, off+n
+	// lo: first range whose end reaches start (adjacency merges, hence >=).
+	lo := sort.Search(len(rs), func(i int) bool { return rs[i].Off+rs[i].Len >= start })
+	hi := lo
+	var had uint64
+	for hi < len(rs) && rs[hi].Off <= end {
+		start = min(start, rs[hi].Off)
+		end = max(end, rs[hi].Off+rs[hi].Len)
+		had += rs[hi].Len
+		hi++
+	}
+	merged := Range{Off: start, Len: end - start}
+	if hi == lo {
+		rs = append(rs, Range{})
+		copy(rs[lo+1:], rs[lo:])
+		rs[lo] = merged
+		b.ranges = rs
+		return n
+	}
+	rs[lo] = merged
+	b.ranges = append(rs[:lo+1], rs[hi:]...)
+	return merged.Len - had
 }
 
 // MarkAllModified marks the entire image modified (allocations).
 func (b *Buf) MarkAllModified() {
 	b.ranges = b.ranges[:0]
 	b.ranges = append(b.ranges, Range{Off: 0, Len: b.size})
-}
-
-func (b *Buf) coalesce() {
-	if len(b.ranges) < 2 {
-		return
-	}
-	// slices.SortFunc, not sort.Slice: the latter builds a reflection
-	// swapper per call, one heap allocation on every multi-range
-	// MarkModified — pure overhead on the commit hot path.
-	slices.SortFunc(b.ranges, func(a, b Range) int {
-		switch {
-		case a.Off < b.Off:
-			return -1
-		case a.Off > b.Off:
-			return 1
-		default:
-			return 0
-		}
-	})
-	out := b.ranges[:1]
-	for _, r := range b.ranges[1:] {
-		last := &out[len(out)-1]
-		if r.Off <= last.Off+last.Len {
-			if end := r.Off + r.Len; end > last.Off+last.Len {
-				last.Len = end - last.Off
-			}
-			continue
-		}
-		out = append(out, r)
-	}
-	b.ranges = out
 }
 
 // Ranges returns the modified ranges, sorted and coalesced. The slice is
@@ -176,7 +171,8 @@ func (b *Buf) ResetRanges() { b.ranges = b.ranges[:0] }
 // buffers also linked in open order.
 type Table struct {
 	bufs  map[uint64]*Buf
-	order []*Buf
+	order []*Buf // open order; removed buffers leave nil holes until All compacts
+	holes int
 	bytes uint64
 }
 
@@ -194,12 +190,14 @@ func (t *Table) Lookup(oid layout.OID) (*Buf, bool) {
 // Insert adds a buffer.
 func (t *Table) Insert(b *Buf) {
 	t.bufs[b.OID.Off] = b
+	b.pos = len(t.order)
 	t.order = append(t.order, b)
 	t.bytes += b.Footprint()
 }
 
 // Remove drops the buffer for oid (used when a transaction frees an object
-// it had open).
+// it had open). It is O(1): the buffer's slot in the open-order list is
+// blanked and squeezed out by the next All.
 func (t *Table) Remove(oid layout.OID) {
 	b, ok := t.bufs[oid.Off]
 	if !ok {
@@ -207,19 +205,28 @@ func (t *Table) Remove(oid layout.OID) {
 	}
 	delete(t.bufs, oid.Off)
 	t.bytes -= b.Footprint()
-	for i, x := range t.order {
-		if x == b {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
-	}
+	t.order[b.pos] = nil
+	t.holes++
 }
 
 // All returns the buffers in open order. The slice is owned by the table.
-func (t *Table) All() []*Buf { return t.order }
+func (t *Table) All() []*Buf {
+	if t.holes > 0 {
+		live := t.order[:0]
+		for _, b := range t.order {
+			if b != nil {
+				b.pos = len(live)
+				live = append(live, b)
+			}
+		}
+		clear(t.order[len(live):])
+		t.order, t.holes = live, 0
+	}
+	return t.order
+}
 
 // Len returns the number of open buffers.
-func (t *Table) Len() int { return len(t.order) }
+func (t *Table) Len() int { return len(t.bufs) }
 
 // Bytes returns the table's DRAM footprint.
 func (t *Table) Bytes() uint64 { return t.bytes }

@@ -127,9 +127,18 @@ func TestCoalesceCorrectness(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			off := uint64(rng.Intn(size))
 			n := uint64(rng.Intn(size - int(off)))
-			b.MarkModified(off, n)
+			if i%2 == 0 {
+				n = min(n, 8) // small ranges too, so some stay disjoint
+			}
+			var fresh uint64
 			for j := off; j < off+n; j++ {
+				if !model[j] {
+					fresh++
+				}
 				model[j] = true
+			}
+			if added := b.MarkModified(off, n); added != fresh {
+				return false // must report exactly the newly marked bytes
 			}
 		}
 		got := make([]bool, size)
@@ -186,4 +195,38 @@ func TestTable(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatal("phantom remove changed table")
 	}
+}
+
+// Removal is O(1) and lazy: whatever is removed, All still lists the
+// survivors in open order, and removing after a compaction still works.
+func TestTableRemoveKeepsOpenOrder(t *testing.T) {
+	tbl := NewTable()
+	var bufs []*Buf
+	for i := 0; i < 10; i++ {
+		b := New(layout.OID{Pool: 1, Off: uint64(100 + i)}, 32, testCanary)
+		bufs = append(bufs, b)
+		tbl.Insert(b)
+	}
+	check := func(want ...int) {
+		t.Helper()
+		all := tbl.All()
+		if len(all) != len(want) || tbl.Len() != len(want) {
+			t.Fatalf("All has %d buffers, Len %d, want %d", len(all), tbl.Len(), len(want))
+		}
+		for i, w := range want {
+			if all[i] != bufs[w] {
+				t.Fatalf("position %d holds buffer %#x, want %#x", i, all[i].OID.Off, bufs[w].OID.Off)
+			}
+		}
+	}
+	for _, i := range []int{0, 4, 9, 5} {
+		tbl.Remove(bufs[i].OID)
+	}
+	check(1, 2, 3, 6, 7, 8)
+	tbl.Remove(bufs[6].OID) // positions were renumbered by the compaction
+	tbl.Remove(bufs[1].OID)
+	extra := New(layout.OID{Pool: 1, Off: 500}, 32, testCanary)
+	bufs = append(bufs, extra)
+	tbl.Insert(extra)
+	check(2, 3, 7, 8, 10)
 }

@@ -19,6 +19,18 @@ import (
 // a torn read is detectable from a single Get.
 func encode(seq, k uint64) uint64 { return seq<<32 | (k & 0xFFFFFFFF) }
 
+// settle waits out the tail of every worker's last group. A worker
+// delivers a write's reply just before it releases the reader gate, so a
+// read issued the instant that reply arrives can still find the gate held
+// and, correctly, fall back to the queue; tests that count fast-path reads
+// exactly start from a released gate.
+func settle(s *Set) {
+	for _, w := range s.workers {
+		w.gate.Lock()
+		w.gate.Unlock()
+	}
+}
+
 // TestFastPathEngagesWhenIdle: with no writer running, every read must
 // be served on the fast path — zero worker round-trips.
 func TestFastPathEngagesWhenIdle(t *testing.T) {
@@ -28,6 +40,7 @@ func TestFastPathEngagesWhenIdle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	settle(s)
 	for k := uint64(0); k < 64; k++ {
 		v, ok, err := s.Get(k)
 		if err != nil || !ok || v != encode(0, k) {
@@ -57,6 +70,7 @@ func TestFastPathMGetBatch(t *testing.T) {
 	for i := range ops {
 		ops[i] = BatchOp{Kind: BatchGet, K: uint64(i)}
 	}
+	settle(s)
 	res := s.Batch(ops)
 	for i, r := range res {
 		if r.Err != nil || !r.OK || r.V != encode(0, uint64(i)) {
@@ -125,6 +139,7 @@ func TestFastPathFaultFallsBackToRepair(t *testing.T) {
 	w := s.workers[0]
 	ps := w.st.(*pangolinstore.Store)
 	ps.Pool().InjectMediaError(ps.Map().Anchor().Off)
+	settle(s)
 	if v, ok, err := s.Get(3); err != nil || !ok || v != encode(0, 3) {
 		t.Fatalf("get across media error = (%#x,%v,%v)", v, ok, err)
 	}
@@ -132,6 +147,7 @@ func TestFastPathFaultFallsBackToRepair(t *testing.T) {
 		t.Fatal("fault was not observed by the fast path")
 	}
 	// Repaired: subsequent reads are fast again.
+	settle(s)
 	before := w.fastGets.Load()
 	if v, ok, err := s.Get(3); err != nil || !ok || v != encode(0, 3) {
 		t.Fatalf("get after repair = (%#x,%v,%v)", v, ok, err)

@@ -1,6 +1,7 @@
 package kvtest
 
 import (
+	"maps"
 	"sort"
 	"testing"
 
@@ -61,16 +62,16 @@ func crashPreModel() map[uint64]uint64 {
 	return m
 }
 
-// crashCase is one swept operation: run mutates the live structure,
-// post applies the same mutation to a model copy.
-type crashCase struct {
-	name string
-	run  func(p *pangolin.Pool, m kv.Map) error
-	post func(model map[uint64]uint64)
+// CrashStep is one swept operation: Run mutates the live structure, Post
+// applies the same mutation to a model copy.
+type CrashStep struct {
+	Name string
+	Run  func(p *pangolin.Pool, m kv.Map) error
+	Post func(model map[uint64]uint64)
 }
 
-func crashCases() []crashCase {
-	return []crashCase{
+func crashCases() []CrashStep {
+	return []CrashStep{
 		{"Insert",
 			func(p *pangolin.Pool, m kv.Map) error { return m.Insert(100, 4242) },
 			func(mod map[uint64]uint64) { mod[100] = 4242 }},
@@ -115,25 +116,71 @@ func crashCases() []crashCase {
 func RunCrashSweep(t *testing.T, h Harness) {
 	for _, c := range crashCases() {
 		c := c
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			sweepCase(t, h, c)
 		})
 	}
 }
 
-func sweepCase(t *testing.T, h Harness, c crashCase) {
-	pre := crashPreModel()
-	post := crashPreModel()
-	c.post(post)
-	keys := unionKeys(pre, post)
+func sweepCase(t *testing.T, h Harness, c CrashStep) {
+	RunCrashSequence(t, h, CrashSequence{
+		Prefill: func(tx *pangolin.Tx, m kv.Map) error {
+			for k := uint64(0); k < crashPrefill; k++ {
+				if err := m.InsertTx(tx, k, k*7+1); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		Base:  crashPreModel(),
+		Steps: []CrashStep{c},
+		Modes: []pangolin.CrashMode{pangolin.CrashEvictRandom},
+	})
+}
+
+// CrashSequence describes a window of a structure's life to sweep: the
+// committed starting state (Prefill builds it inside one transaction, Base
+// is its model), the operations that follow, and the crash modes to reopen
+// under.
+type CrashSequence struct {
+	Geometry pangolin.Geometry // zero value: the suite's 12-zone pool
+	Prefill  func(tx *pangolin.Tx, m kv.Map) error
+	Base     map[uint64]uint64
+	Steps    []CrashStep
+	Modes    []pangolin.CrashMode
+}
+
+// RunCrashSequence sweeps every persistence point of a whole sequence of
+// operations — a window that spans transactions, such as a table growth,
+// the migration steps after it, and the transaction that frees the old
+// table. A crash during step i must recover to the model after i steps or
+// after i+1, under every listed crash mode, with Scan agreeing with
+// Lookup key for key, and scrub clean.
+func RunCrashSequence(t *testing.T, h Harness, seq CrashSequence) {
+	steps := seq.Steps
+	// models[i] is the state after i completed steps.
+	models := []map[uint64]uint64{seq.Base}
+	for _, st := range steps {
+		next := maps.Clone(models[len(models)-1])
+		st.Post(next)
+		models = append(models, next)
+	}
+	everKey := make(map[uint64]uint64)
+	for _, mod := range models {
+		maps.Copy(everKey, mod)
+	}
+	keys := unionKeys(everKey, nil)
 
 	stride, seeds := 1, int64(2)
 	if testing.Short() {
 		// PR CI samples the sweep; nightly visits every crash point.
 		stride, seeds = 5, 1
 	}
-	cfg := pangolin.Config{Mode: pangolin.ModePangolinMLPC, Geometry: testGeometry()}
+	cfg := pangolin.Config{Mode: pangolin.ModePangolinMLPC, Geometry: seq.Geometry}
+	if cfg.Geometry == (pangolin.Geometry{}) {
+		cfg.Geometry = testGeometry()
+	}
 	for crashAt := 1; ; crashAt += stride {
 		p, err := pangolin.Create(cfg)
 		if err != nil {
@@ -143,59 +190,75 @@ func sweepCase(t *testing.T, h Harness, c crashCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deterministic prefill (sorted keys, one transaction) so the
-		// swept operation sees the same structure shape — and the same
+		// Deterministic prefill (one transaction) so the swept
+		// operations see the same structure shape — and the same
 		// persist-point sequence — at every crashAt.
-		if err := p.Run(func(tx *pangolin.Tx) error {
-			for k := uint64(0); k < crashPrefill; k++ {
-				if err := m.InsertTx(tx, k, k*7+1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
+		if err := p.Run(func(tx *pangolin.Tx) error { return seq.Prefill(tx, m) }); err != nil {
 			t.Fatal(err)
 		}
 		anchor := m.Anchor()
 
+		done := 0 // steps completed before the crash
 		var opErr error
 		crashed, completed := runUntilCrash(p.Device(), crashAt, func() {
-			opErr = c.run(p, m)
+			for _, st := range steps {
+				if opErr = st.Run(p, m); opErr != nil {
+					return
+				}
+				done++
+			}
 		})
 		if completed && opErr != nil {
-			t.Fatalf("crashAt=%d: op failed without crashing: %v", crashAt, opErr)
+			t.Fatalf("crashAt=%d: step %d (%s) failed without crashing: %v", crashAt, done, steps[done].Name, opErr)
 		}
 		if !crashed && !completed {
 			t.Fatalf("crashAt=%d: neither crashed nor completed", crashAt)
 		}
+		pre, post := models[done], models[min(done+1, len(steps))]
 
-		for seed := int64(0); seed < seeds; seed++ {
-			img := p.Device().CrashCopy(pangolin.CrashEvictRandom, int64(crashAt)*31+seed)
-			p2, err := pangolin.OpenDevice(img, pangolin.Config{Mode: pangolin.ModePangolinMLPC}, nil)
-			if err != nil {
-				t.Fatalf("crashAt=%d seed=%d: reopen: %v", crashAt, seed, err)
+		for _, mode := range seq.Modes {
+			for seed := int64(0); seed < seeds; seed++ {
+				if mode == pangolin.CrashStrict && seed > 0 {
+					break // a strict image does not depend on the seed
+				}
+				img := p.Device().CrashCopy(mode, int64(crashAt)*31+seed)
+				p2, err := pangolin.OpenDevice(img, pangolin.Config{Mode: pangolin.ModePangolinMLPC}, nil)
+				if err != nil {
+					t.Fatalf("crashAt=%d mode=%d seed=%d: reopen: %v", crashAt, mode, seed, err)
+				}
+				m2, err := h.Attach(p2, anchor)
+				if err != nil {
+					t.Fatalf("crashAt=%d mode=%d seed=%d: attach: %v", crashAt, mode, seed, err)
+				}
+				got := readState(t, m2, keys)
+				switch {
+				case completed && !modelsEqual(got, post):
+					t.Fatalf("crashAt=%d mode=%d seed=%d: committed op lost or mangled:\n got %v\nwant %v",
+						crashAt, mode, seed, got, post)
+				case !completed && !modelsEqual(got, pre) && !modelsEqual(got, post):
+					t.Fatalf("crashAt=%d mode=%d seed=%d: crash in step %d: recovered state is neither pre- nor post-image:\n got %v\n pre %v\npost %v",
+						crashAt, mode, seed, done, got, pre, post)
+				}
+				scanned := make(map[uint64]uint64)
+				if err := m2.Scan(0, ^uint64(0), func(k, v uint64) bool {
+					if _, dup := scanned[k]; dup {
+						t.Fatalf("crashAt=%d mode=%d seed=%d: scan visited key %d twice", crashAt, mode, seed, k)
+					}
+					scanned[k] = v
+					return true
+				}); err != nil || !modelsEqual(scanned, got) {
+					t.Fatalf("crashAt=%d mode=%d seed=%d: scan after recovery disagrees with lookups (%v):\n scan %v\n  get %v",
+						crashAt, mode, seed, err, scanned, got)
+				}
+				if rep, err := p2.Scrub(); err != nil || rep.Unrecovered != 0 {
+					t.Fatalf("crashAt=%d mode=%d seed=%d: scrub after recovery: %+v, %v", crashAt, mode, seed, rep, err)
+				}
+				p2.Close()
 			}
-			m2, err := h.Attach(p2, anchor)
-			if err != nil {
-				t.Fatalf("crashAt=%d seed=%d: attach: %v", crashAt, seed, err)
-			}
-			got := readState(t, m2, keys)
-			switch {
-			case completed && !modelsEqual(got, post):
-				t.Fatalf("crashAt=%d seed=%d: committed op lost or mangled:\n got %v\nwant %v",
-					crashAt, seed, got, post)
-			case !completed && !modelsEqual(got, pre) && !modelsEqual(got, post):
-				t.Fatalf("crashAt=%d seed=%d: recovered state is neither pre- nor post-image:\n got %v\n pre %v\npost %v",
-					crashAt, seed, got, pre, post)
-			}
-			if rep, err := p2.Scrub(); err != nil || rep.Unrecovered != 0 {
-				t.Fatalf("crashAt=%d seed=%d: scrub after recovery: %+v, %v", crashAt, seed, rep, err)
-			}
-			p2.Close()
 		}
 		p.Close()
 		if !crashed {
-			return // swept past the operation's last persistence point
+			return // swept past the last operation's last persistence point
 		}
 		if crashAt > 20000 {
 			t.Fatal("sweep did not terminate")
