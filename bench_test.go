@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (§4) under testing.B.
 // One benchmark family exists per figure and table; cmd/pglbench prints
 // the same experiments as formatted rows at larger scales. See
-// EXPERIMENTS.md for the paper-vs-measured comparison.
+// bench/ledger/README.md for the paper-vs-measured comparison.
 package pangolin_test
 
 import (
@@ -15,6 +15,7 @@ import (
 	"github.com/pangolin-go/pangolin/internal/layout"
 	"github.com/pangolin-go/pangolin/internal/nvm"
 	"github.com/pangolin-go/pangolin/internal/parity"
+	"github.com/pangolin-go/pangolin/structures/btree"
 	"github.com/pangolin-go/pangolin/structures/kv"
 )
 
@@ -517,4 +518,43 @@ func BenchmarkChecksumAblation(b *testing.B) {
 			csum.Adler32(obj)
 		}
 	})
+}
+
+// BenchmarkViewGet measures one verified lookup through a ReadView — the
+// concurrent read path's per-GET cost below the shard gate: a btree of
+// 100,000 keys, so a lookup touches about six objects, each located,
+// validated against its slot and checked against the verified-read table.
+func BenchmarkViewGet(b *testing.B) {
+	const keys = 100_000
+	p := mustPool(b, pangolin.ModePangolinMLPC, benchGeo(384, keys/4))
+	t, err := btree.New(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := uint64(0); k < keys; k += 64 {
+		err := p.Run(func(tx *pangolin.Tx) error {
+			for i := k; i < min(k+64, keys); i++ {
+				if err := t.InsertTx(tx, i*2654435761%keys, i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	view, err := btree.Attach(p.ReadView(), t.Anchor())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k := uint64(0)
+	for i := 0; i < b.N; i++ {
+		k = (k*2654435761 + 1) % keys
+		if _, ok, err := view.Lookup(k); err != nil || !ok {
+			b.Fatalf("lookup %d = (%v, %v)", k, ok, err)
+		}
+	}
 }

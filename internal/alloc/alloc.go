@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/pangolin-go/pangolin/internal/layout"
 	"github.com/pangolin-go/pangolin/internal/nvm"
@@ -61,9 +62,42 @@ func (c *chunkVol) slotSize() uint32 {
 	return 0
 }
 
+// free reports whether the chunk can be carved into a new run or extent:
+// free on media and not claimed by an in-flight transaction. A chunk whose
+// run collapsed on media while reservations into it are outstanding keeps
+// its class as a pending run (see Apply), so it is not free.
+func (c *chunkVol) free() bool {
+	return c.entry.State == ChunkFree && !c.pendingSpan && c.pendingRun == 0
+}
+
+// chunkWord is everything SlotSizeOf needs to know about a chunk, packed
+// into one word so the concurrent read path can load it atomically instead
+// of taking the zone lock the committing transaction holds: state in bits
+// 0-7, pendingSpan in bit 8, pendingRun in bits 16-31 (slot sizes stop at
+// 32 KB), Aux in bits 32-63.
+type chunkWord uint64
+
+const chunkWordSpan chunkWord = 1 << 8
+
+func (c *chunkVol) word() chunkWord {
+	w := chunkWord(c.entry.State&0xff) | chunkWord(c.pendingRun)<<16 | chunkWord(c.entry.Aux)<<32
+	if c.pendingSpan {
+		w |= chunkWordSpan
+	}
+	return w
+}
+
+func (w chunkWord) state() uint32      { return uint32(w & 0xff) }
+func (w chunkWord) pendingSpan() bool  { return w&chunkWordSpan != 0 }
+func (w chunkWord) pendingRun() uint32 { return uint32(w>>16) & 0xffff }
+func (w chunkWord) aux() uint32        { return uint32(w >> 32) }
+
 type zoneState struct {
 	mu     sync.Mutex
 	chunks []chunkVol
+	// words[c] is chunks[c].word(), republished (under mu) after every
+	// change to the chunk's entry or pending state and read without it.
+	words []atomic.Uint64
 	// classRuns indexes chunks usable per slot size (persistent runs and
 	// pending runs with availability); entries may be stale and are
 	// validated on use.
@@ -71,14 +105,22 @@ type zoneState struct {
 	freeHint  uint64 // first index that might be free
 }
 
+// publish makes chunk c's current state visible to SlotSizeOf. Caller
+// holds zs.mu.
+func (zs *zoneState) publish(c uint64) {
+	zs.words[c].Store(uint64(zs.chunks[c].word()))
+}
+
 // Allocator manages the persistent heap of a pool.
 type Allocator struct {
-	dev     *nvm.Device
-	geo     layout.Geometry
-	classes []uint64
-	zones   []*zoneState
-	next    uint64 // round-robin zone cursor (mutated under zone locks only loosely)
-	nextMu  sync.Mutex
+	dev      *nvm.Device
+	geo      layout.Geometry
+	lay      layout.Resolved
+	cmChunks uint64 // chunks at the start of each zone holding its CM array
+	classes  []uint64
+	zones    []*zoneState
+	next     uint64 // round-robin zone cursor (mutated under zone locks only loosely)
+	nextMu   sync.Mutex
 }
 
 // Reservation describes space reserved for an allocation. The reservation
@@ -143,12 +185,13 @@ func Open(dev *nvm.Device, geo layout.Geometry) (*Allocator, error) {
 	if err := checkGeometry(geo); err != nil {
 		return nil, err
 	}
-	a := &Allocator{dev: dev, geo: geo, classes: sizeClasses(geo.ChunkSize)}
+	a := &Allocator{dev: dev, geo: geo, lay: geo.Resolve(), cmChunks: geo.CMChunks(), classes: sizeClasses(geo.ChunkSize)}
 	a.zones = make([]*zoneState, geo.NumZones)
 	buf := make([]byte, layout.CMEntrySize)
 	for z := uint64(0); z < geo.NumZones; z++ {
 		zs := &zoneState{
 			chunks:    make([]chunkVol, geo.ChunksPerZone()),
+			words:     make([]atomic.Uint64, geo.ChunksPerZone()),
 			classRuns: make(map[uint32]map[uint64]struct{}),
 		}
 		for c := uint64(0); c < geo.ChunksPerZone(); c++ {
@@ -165,6 +208,7 @@ func Open(dev *nvm.Device, geo layout.Geometry) (*Allocator, error) {
 				return nil, err
 			}
 			zs.chunks[c] = chunkVol{entry: e}
+			zs.publish(c)
 			if e.State == ChunkRun && e.Free > 0 {
 				addClassRun(zs, e.Aux, c)
 			}
@@ -247,9 +291,8 @@ func (a *Allocator) reserveSlot(z uint64, slotSize uint32) (Reservation, bool) {
 		if !ok {
 			return Reservation{}, false
 		}
-		cv := &zs.chunks[c]
-		cv.pendingRun = slotSize
-		cv.reserved = make(map[uint32]struct{})
+		zs.chunks[c].pendingRun = slotSize
+		zs.publish(c)
 		addClassRun(zs, slotSize, c)
 		chunk = c
 	}
@@ -275,7 +318,7 @@ func (a *Allocator) reserveSlot(z uint64, slotSize uint32) (Reservation, bool) {
 	if cv.avail(a.geo.ChunkSize) == 0 {
 		delete(zs.classRuns[slotSize], chunk)
 	}
-	base := a.geo.ChunkBase(z, chunk) + uint64(slot)*uint64(slotSize)
+	base := a.lay.ChunkBase(z, chunk) + uint64(slot)*uint64(slotSize)
 	return Reservation{
 		Op:      Op{Kind: OpAllocSlot, Zone: z, Chunk: chunk, Slot: slot, SlotSize: slotSize},
 		Base:    base,
@@ -284,14 +327,13 @@ func (a *Allocator) reserveSlot(z uint64, slotSize uint32) (Reservation, bool) {
 	}, true
 }
 
-// findFreeChunk locates n contiguous free, unreserved chunks, returning the
-// first index. Caller holds zs.mu.
+// findFreeChunk locates n contiguous free, unclaimed chunks (chunkVol.free),
+// returning the first index. Caller holds zs.mu.
 func (a *Allocator) findFreeChunk(zs *zoneState, n uint64) (uint64, bool) {
 	total := uint64(len(zs.chunks))
 	run := uint64(0)
 	for c := zs.freeHint; c < total; c++ {
-		cv := &zs.chunks[c]
-		if cv.entry.State == ChunkFree && !cv.pendingSpan && cv.pendingRun == 0 {
+		if zs.chunks[c].free() {
 			run++
 			if run == n {
 				first := c - n + 1
@@ -307,8 +349,7 @@ func (a *Allocator) findFreeChunk(zs *zoneState, n uint64) (uint64, bool) {
 	// Retry from the beginning (hint may have skipped freed chunks).
 	run = 0
 	for c := uint64(0); c < zs.freeHint && c < total; c++ {
-		cv := &zs.chunks[c]
-		if cv.entry.State == ChunkFree && !cv.pendingSpan && cv.pendingRun == 0 {
+		if zs.chunks[c].free() {
 			run++
 			if run == n {
 				return c - n + 1, true
@@ -330,8 +371,9 @@ func (a *Allocator) reserveChunks(z, n uint64) (Reservation, bool) {
 	}
 	for c := first; c < first+n; c++ {
 		zs.chunks[c].pendingSpan = true
+		zs.publish(c)
 	}
-	base := a.geo.ChunkBase(z, first)
+	base := a.lay.ChunkBase(z, first)
 	return Reservation{
 		Op:      Op{Kind: OpAllocChunks, Zone: z, Chunk: first, NChunks: n},
 		Base:    base,
@@ -353,6 +395,7 @@ func (a *Allocator) Release(r Reservation) {
 		if cv.pendingRun != 0 && len(cv.reserved) == 0 {
 			// Nobody committed into the pending run: back to free.
 			cv.pendingRun = 0
+			zs.publish(r.Op.Chunk)
 			delete(zs.classRuns[r.Op.SlotSize], r.Op.Chunk)
 			if r.Op.Chunk < zs.freeHint {
 				zs.freeHint = r.Op.Chunk
@@ -363,6 +406,7 @@ func (a *Allocator) Release(r Reservation) {
 	case OpAllocChunks:
 		for c := r.Op.Chunk; c < r.Op.Chunk+r.Op.NChunks; c++ {
 			zs.chunks[c].pendingSpan = false
+			zs.publish(c)
 		}
 		if r.Op.Chunk < zs.freeHint {
 			zs.freeHint = r.Op.Chunk
@@ -376,10 +420,11 @@ func (a *Allocator) Release(r Reservation) {
 // It consults persistent CM state to classify the object; the Op is applied
 // at commit (freeing is deferred so aborts keep the object intact).
 func (a *Allocator) StageFree(base uint64) (Op, error) {
-	z, c, rel, err := a.locateChunk(base)
+	loc, err := a.locateChunk(base)
 	if err != nil {
 		return Op{}, err
 	}
+	z, c, rel := loc.Zone, loc.Chunk, loc.Rel
 	zs := a.zones[z]
 	zs.mu.Lock()
 	defer zs.mu.Unlock()
@@ -408,22 +453,31 @@ func (a *Allocator) StageFree(base uint64) (Op, error) {
 // SlotSizeOf returns the reserved capacity (slot or extent bytes) of the
 // object whose header is at base.
 func (a *Allocator) SlotSizeOf(base uint64) (uint64, error) {
-	z, c, rel, err := a.locateChunk(base)
+	loc, err := a.locateChunk(base)
 	if err != nil {
 		return 0, err
 	}
-	zs := a.zones[z]
-	zs.mu.Lock()
-	defer zs.mu.Unlock()
-	cv := &zs.chunks[c]
+	return a.SlotSizeAt(base, loc)
+}
+
+// SlotSizeAt is SlotSizeOf for a caller that has already located base in
+// zone data (loc must be base's location). It takes no lock: the chunk's
+// state is one atomically loaded word, so concurrent readers never wait
+// behind a committing transaction, and the answer is the chunk's state
+// either before or after any mutation racing with the call.
+func (a *Allocator) SlotSizeAt(base uint64, loc layout.ChunkLoc) (uint64, error) {
+	if loc.Chunk < a.cmChunks {
+		return 0, fmt.Errorf("alloc: %#x is inside the CM area", base)
+	}
+	w := chunkWord(a.zones[loc.Zone].words[loc.Chunk].Load())
 	switch {
-	case cv.entry.State == ChunkRun:
-		return uint64(cv.entry.Aux), nil
-	case cv.entry.State == ChunkUsedFirst && rel == 0:
-		return uint64(cv.entry.Aux) * a.geo.ChunkSize, nil
-	case cv.pendingRun != 0:
-		return uint64(cv.pendingRun), nil
-	case cv.pendingSpan:
+	case w.state() == ChunkRun:
+		return uint64(w.aux()), nil
+	case w.state() == ChunkUsedFirst && loc.Rel == 0:
+		return uint64(w.aux()) * a.geo.ChunkSize, nil
+	case w.pendingRun() != 0:
+		return uint64(w.pendingRun()), nil
+	case w.pendingSpan():
 		// In-flight extent: length unknown here; callers track it via
 		// the reservation instead.
 		return 0, fmt.Errorf("alloc: extent at %#x not yet committed", base)
@@ -432,18 +486,14 @@ func (a *Allocator) SlotSizeOf(base uint64) (uint64, error) {
 	}
 }
 
-// locateChunk maps an object header offset to (zone, chunk, offset within
-// chunk).
-func (a *Allocator) locateChunk(base uint64) (z, c, rel uint64, err error) {
-	if !a.geo.InZoneData(base) {
-		return 0, 0, 0, fmt.Errorf("alloc: %#x outside zone data", base)
+// locateChunk maps an object header offset to its chunk location.
+func (a *Allocator) locateChunk(base uint64) (layout.ChunkLoc, error) {
+	loc, ok := a.lay.LocateChunk(base)
+	if !ok {
+		return loc, fmt.Errorf("alloc: %#x outside zone data", base)
 	}
-	loc := a.geo.Locate(base)
-	byteIdx := loc.Row*a.geo.RowSize() + loc.Col
-	c = byteIdx / a.geo.ChunkSize
-	rel = byteIdx % a.geo.ChunkSize
-	if c < a.geo.CMChunks() {
-		return 0, 0, 0, fmt.Errorf("alloc: %#x is inside the CM area", base)
+	if loc.Chunk < a.cmChunks {
+		return loc, fmt.Errorf("alloc: %#x is inside the CM area", base)
 	}
-	return loc.Zone, c, rel, nil
+	return loc, nil
 }

@@ -146,8 +146,8 @@ func (a *Allocator) Apply(op Op, onRange RangeFn) error {
 		if err != nil {
 			return err
 		}
-		cv := &zs.chunks[c]
-		cv.entry = e
+		zs.chunks[c].entry = e
+		zs.publish(c)
 		return nil
 	}
 	switch op.Kind {
@@ -168,12 +168,22 @@ func (a *Allocator) Apply(op Op, onRange RangeFn) error {
 		if err := refresh(op.Chunk); err != nil {
 			return err
 		}
-		if cv.entry.State == ChunkFree {
+		switch {
+		case cv.entry.State == ChunkFree && len(cv.reserved) > 0:
+			// The run's last live slot went while other transactions
+			// still hold reservations into it. On media the chunk is
+			// free; here it keeps its class as a pending run until those
+			// reservations commit (re-creating the run) or are released,
+			// or findFreeChunk would hand the chunk out a second time.
+			cv.pendingRun = op.SlotSize
+			zs.publish(op.Chunk)
+			addClassRun(zs, op.SlotSize, op.Chunk)
+		case cv.entry.State == ChunkFree:
 			delete(zs.classRuns[op.SlotSize], op.Chunk)
 			if op.Chunk < zs.freeHint {
 				zs.freeHint = op.Chunk
 			}
-		} else if cv.avail(a.geo.ChunkSize) > 0 {
+		case cv.avail(a.geo.ChunkSize) > 0:
 			addClassRun(zs, op.SlotSize, op.Chunk)
 		}
 	case OpAllocChunks, OpFreeChunks:

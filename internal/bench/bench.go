@@ -7,7 +7,7 @@
 // Absolute numbers differ from the paper — the substrate is a simulated
 // NVMM device, not Optane silicon — but the comparative shape (which mode
 // wins, by roughly what factor, where crossovers fall) is the
-// reproduction target. See EXPERIMENTS.md.
+// reproduction target. See bench/ledger/README.md.
 package bench
 
 import (

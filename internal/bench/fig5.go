@@ -22,7 +22,7 @@ type kvFactory struct {
 	// perObj estimates allocated bytes per insert, for pool sizing.
 	perObj uint64
 	// opCap bounds the operation count (rtree's 4 KB nodes make
-	// paper-scale runs exceed laptop memory; see EXPERIMENTS.md).
+	// paper-scale runs exceed laptop memory; see bench/ledger/README.md).
 	opCap int
 	make  func(p *pangolin.Pool, n int) (kv.Map, error)
 }

@@ -156,19 +156,18 @@ func (tx *Tx) commitPangolin() error {
 	if tx.root != nil {
 		e.applyRoot(tx.root.oid, tx.root.size)
 	}
-	// Advance the per-object modification clock to the epoch this commit
-	// establishes, invalidating exactly the verified-read cache entries
-	// whose objects changed (freed slots count: their offsets may be
-	// reused by a later allocation).
-	epoch := e.stats.Commits.Load() + 1
-	for _, b := range work {
-		e.noteModified(b.OID.Off, epoch)
-	}
-	for _, res := range tx.allocs {
-		e.noteModified(res.UserOff, epoch)
-	}
-	for off := range tx.freed {
-		e.noteModified(off, epoch)
+	// Clear the verified-read bit of every object whose bytes this commit
+	// changed (freed slots count: a later allocation may reuse them).
+	if e.verified != nil {
+		for _, b := range work {
+			e.noteModified(b.OID.Off)
+		}
+		for _, res := range tx.allocs {
+			e.noteModified(res.UserOff)
+		}
+		for off := range tx.freed {
+			e.noteModified(off)
+		}
 	}
 	tx.releaseLate()
 	tx.w.Clear()
@@ -352,14 +351,26 @@ func allZero(b []byte) bool {
 }
 
 // updateParitySegments folds a delta at absolute offset off into zone
-// parity, splitting at row boundaries (objects may span rows).
+// parity. off must lie in zone data.
 func (e *Engine) updateParitySegments(off uint64, delta []byte) {
+	loc, ok := e.lay.Locate(off)
+	if !ok {
+		panic(fmt.Sprintf("core: parity update at %#x, outside zone data", off))
+	}
+	e.foldParity(loc, delta)
+}
+
+// foldParity folds a delta starting at loc into zone parity, splitting at
+// row boundaries (objects may span rows, never zones).
+func (e *Engine) foldParity(loc layout.Loc, delta []byte) {
 	for len(delta) > 0 {
-		loc := e.geo.Locate(off)
-		n := min(uint64(len(delta)), e.geo.RowSize()-loc.Col)
+		if loc.Row >= e.geo.DataRows() {
+			panic(fmt.Sprintf("core: parity update runs past zone %d's data rows", loc.Zone))
+		}
+		n := min(uint64(len(delta)), e.lay.RowSize()-loc.Col)
 		e.par.Update(loc.Zone, loc.Col, delta[:n])
-		off += n
 		delta = delta[n:]
+		loc.Row, loc.Col = loc.Row+1, 0
 	}
 }
 
@@ -427,12 +438,13 @@ func (tx *Tx) commitPmemobj() error {
 	// for these columns; after the flag both are already consistent.
 	if e.mode.Parity() {
 		for _, rec := range tx.undoRecs {
-			if !e.geo.InZoneData(rec.off) {
+			loc, ok := e.lay.Locate(rec.off)
+			if !ok {
 				continue
 			}
 			delta := make([]byte, len(rec.old))
 			xor.Delta(delta, rec.old, e.dev.Slice(rec.off, uint64(len(rec.old))))
-			e.updateParitySegments(rec.off, delta)
+			e.foldParity(loc, delta)
 		}
 		e.dev.Fence()
 	}

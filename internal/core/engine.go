@@ -13,6 +13,7 @@ import (
 	"github.com/pangolin-go/pangolin/internal/logrec"
 	"github.com/pangolin-go/pangolin/internal/nvm"
 	"github.com/pangolin-go/pangolin/internal/parity"
+	"github.com/pangolin-go/pangolin/internal/striped"
 )
 
 // ErrNeedReopen reports a fault the engine cannot repair online (e.g. a
@@ -25,8 +26,8 @@ var ErrNeedReopen = errors.New("core: unrecoverable online; reopen the pool to r
 // ErrClosed reports use of a closed engine.
 var ErrClosed = errors.New("core: pool is closed")
 
-// Stats aggregates engine activity counters. All fields are atomics and
-// safe to read concurrently.
+// Stats aggregates engine activity counters. All fields are safe to read
+// concurrently.
 type Stats struct {
 	Commits    atomic.Uint64
 	Aborts     atomic.Uint64
@@ -39,9 +40,10 @@ type Stats struct {
 	LoggedBytes atomic.Uint64
 
 	// Checksum-verification accounting (Table 4): object bytes read with
-	// and without verification.
-	VerifiedBytes   atomic.Uint64
-	UnverifiedBytes atomic.Uint64
+	// and without verification. Striped: concurrent readers on several
+	// cores add to one of them on every object access.
+	VerifiedBytes   striped.Counter
+	UnverifiedBytes striped.Counter
 
 	// Micro-buffer DRAM accounting (§4.2).
 	MBufBytes     atomic.Int64
@@ -59,8 +61,8 @@ type Stats struct {
 // ResetAccounting zeroes the verification and transaction-size counters
 // (benchmark phase boundaries).
 func (s *Stats) ResetAccounting() {
-	s.VerifiedBytes.Store(0)
-	s.UnverifiedBytes.Store(0)
+	s.VerifiedBytes.Reset()
+	s.UnverifiedBytes.Reset()
 	s.TxCount.Store(0)
 	s.TxAllocBytes.Store(0)
 	s.TxModBytes.Store(0)
@@ -84,6 +86,7 @@ type Engine struct {
 	dev     *nvm.Device
 	replica *nvm.Device // Pmemobj-R replica pool; nil otherwise
 	geo     layout.Geometry
+	lay     layout.Resolved // geo's zone arithmetic, resolved once
 	mode    Mode
 	opts    Options
 	uuid    uint64
@@ -110,45 +113,36 @@ type Engine struct {
 	scrubDone chan struct{}
 	closed    atomic.Bool
 
-	// modClock records, per object (hashed by offset into a fixed
-	// table), the commit epoch that last modified it. The verified-read
-	// cache (Pool.ReadView) consults it so a commit only invalidates
-	// the objects it actually wrote, not every cached verification in
-	// the pool. Collisions round up — they can only force a redundant
-	// re-verification, never mask a modification. Maintained for
-	// micro-buffered modes (the only ones with checksums to verify).
-	modClock [modClockSlots]atomic.Uint64
+	// verified is the verified-read table: one bit per 64-byte heap slot
+	// (pool size / 512 bytes), indexed by an object's header offset. A
+	// concurrent reader (GetRO) sets an object's bit once it has checked
+	// the object's checksum, and later reads of the object skip the check
+	// while the bit stands; a commit clears the bit of every object it
+	// writes, allocates or frees (noteModified). Object bytes change only
+	// inside commits, and GetRO's contract excludes commits while it runs,
+	// so a set bit means exactly "verified since the last modification":
+	// no commit to another object ever clears it and no commit to this one
+	// leaves it set. All read views share the table. Nil in modes without
+	// checksums.
+	verified []atomic.Uint64
 
 	stats Stats
 }
 
-// modClockSlots sizes the modification clock (64 KB per pool).
-const modClockSlots = 1 << 13
-
-// modSlot hashes an object offset into the clock table (splitmix64
-// finalizer: neighboring slots must not collide systematically).
-func modSlot(off uint64) uint64 {
-	return mix64(off) & (modClockSlots - 1)
+// verifiedBit returns the table word and mask for the object whose header
+// is at hoff (slots are 64-byte aligned, so hoff/64 numbers them).
+func (e *Engine) verifiedBit(hoff uint64) (*atomic.Uint64, uint64) {
+	slot := hoff / 64
+	return &e.verified[slot/64], 1 << (slot % 64)
 }
 
-// noteModified records that the object at off is modified by the commit
-// bringing the commit count to epoch. Monotonic (concurrent commits on
-// distinct objects may share a slot).
-func (e *Engine) noteModified(off, epoch uint64) {
-	s := &e.modClock[modSlot(off)]
-	for {
-		cur := s.Load()
-		if cur >= epoch || s.CompareAndSwap(cur, epoch) {
-			return
-		}
+// noteModified records that a commit changed (or allocated, or freed) the
+// object at OID offset off: its next concurrent read verifies it afresh.
+func (e *Engine) noteModified(off uint64) {
+	w, bit := e.verifiedBit(off - layout.ObjHeaderSize)
+	if w.Load()&bit != 0 {
+		w.And(^bit)
 	}
-}
-
-// ModEpoch returns the latest commit epoch that may have modified the
-// object (conservative under hash collisions). A verification performed
-// at CommitEpoch E is still current iff E >= ModEpoch(oid).
-func (e *Engine) ModEpoch(oid layout.OID) uint64 {
-	return e.modClock[modSlot(oid.Off)].Load()
 }
 
 // Create formats a pool on dev with the given geometry and opens it.
@@ -285,12 +279,16 @@ func newEngineForRecovery(dev *nvm.Device, hdr layout.PoolHeader, opts Options, 
 		dev:     dev,
 		replica: replica,
 		geo:     hdr.Geo,
+		lay:     hdr.Geo.Resolve(),
 		mode:    opts.Mode,
 		opts:    opts,
 		uuid:    hdr.UUID,
 		hdr:     hdr,
 	}
 	e.frozenCond = sync.NewCond(&e.frozenMu)
+	if e.mode.Checksums() {
+		e.verified = make([]atomic.Uint64, (hdr.Geo.PoolSize()/64+63)/64)
+	}
 	var cb [8]byte
 	if _, err := rand.Read(cb[:]); err != nil {
 		return nil, err

@@ -38,10 +38,11 @@ func (e *Engine) readHeaderChecked(oid layout.OID, repair bool) (layout.ObjHeade
 		return layout.ObjHeader{}, &CorruptionError{OID: oid, Reason: "invalid OID for this pool"}
 	}
 	hoff := oid.HeaderOff()
-	if !e.geo.InZoneData(hoff) {
+	loc, ok := e.lay.LocateChunk(hoff)
+	if !ok {
 		return layout.ObjHeader{}, &CorruptionError{OID: oid, Reason: "OID outside zone data"}
 	}
-	cap_, err := e.heap.SlotSizeOf(hoff)
+	cap_, err := e.heap.SlotSizeAt(hoff, loc)
 	if err != nil {
 		return layout.ObjHeader{}, &CorruptionError{OID: oid, Reason: err.Error()}
 	}
@@ -172,22 +173,16 @@ func (e *Engine) Get(oid layout.OID) ([]byte, error) {
 // out.
 var ErrReadBusy = errors.New("core: pool frozen or freezing; route the read through the owner path")
 
-// CommitEpoch returns a counter that advances on every committed
-// transaction. In micro-buffered modes NVMM object bytes change only
-// inside commits, so two reads of an object at the same epoch (with no
-// concurrent commit — the GetRO contract) observe identical bytes; the
-// verified-read cache keys on it.
-func (e *Engine) CommitEpoch() uint64 { return e.stats.Commits.Load() }
-
 // GetRO is the concurrent verified-read fast path (§3.3: readers verify
 // per-object checksums straight from NVMM and do not serialize against
 // each other). It returns read-only direct access to an object's user
-// data, verifying the object checksum first unless skipVerify is set
-// (the caller has already verified this object and ModEpoch shows it
-// unmodified since) or the object exceeds Options.ReadVerifyLimit
-// (whole-object verification of large array objects would make reads
-// cost O(object); they keep header + poison checks and rely on
-// scrubbing, as under the default verify policy).
+// data, verifying the object checksum first unless the verified-read
+// table (Engine.verified) shows the object verified since it was last
+// modified, or the object exceeds Options.ReadVerifyLimit (whole-object
+// verification of large array objects would make reads cost O(object);
+// they keep header + poison checks and rely on scrubbing, as under the
+// default verify policy). A scribble landing after a verification is
+// windowed the same way: the next modification or scrub pass catches it.
 //
 // Unlike Get it NEVER mutates the pool: media faults, checksum
 // mismatches, and freeze windows fail fast — poison and corruption with
@@ -197,7 +192,7 @@ func (e *Engine) CommitEpoch() uint64 { return e.stats.Commits.Load() }
 // guarantee no transaction commits concurrently (internal/shard's reader
 // gate provides that exclusion) and, on any error, retry through the
 // owning goroutine's repairing path.
-func (e *Engine) GetRO(oid layout.OID, skipVerify bool) ([]byte, error) {
+func (e *Engine) GetRO(oid layout.OID) ([]byte, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -217,20 +212,24 @@ func (e *Engine) GetRO(oid layout.OID, skipVerify bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.dev.CheckPoison(oid.HeaderOff(), hdr.Size); err != nil {
+	hoff := oid.HeaderOff()
+	if err := e.dev.CheckPoison(hoff, hdr.Size); err != nil {
 		return nil, err
 	}
-	if e.mode.Checksums() && !skipVerify && hdr.Size <= e.opts.roVerifyLimit() {
-		// Checksum the live bytes in place: the caller excludes commits
-		// and the commit gate excludes repairs, so the range is stable —
-		// no image copy needed (the repairing readImage must copy
-		// because it may retry; this path fails fast instead).
-		if got := layout.ObjChecksum(e.dev.Slice(oid.HeaderOff(), hdr.Size)); got != hdr.Csum {
-			return nil, &CorruptionError{OID: oid,
-				Reason: fmt.Sprintf("checksum %#x, stored %#x", got, hdr.Csum)}
+	if e.mode.Checksums() && hdr.Size <= e.opts.roVerifyLimit() {
+		if w, bit := e.verifiedBit(hoff); w.Load()&bit == 0 {
+			// Checksum the live bytes in place: the caller excludes
+			// commits and the commit gate excludes repairs, so the range
+			// is stable — no image copy needed (the repairing readImage
+			// must copy because it may retry; this path fails fast).
+			if got := layout.ObjChecksum(e.dev.Slice(hoff, hdr.Size)); got != hdr.Csum {
+				return nil, &CorruptionError{OID: oid,
+					Reason: fmt.Sprintf("checksum %#x, stored %#x", got, hdr.Csum)}
+			}
+			w.Or(bit)
+			e.stats.VerifiedBytes.Add(hdr.UserSize())
+			return e.dev.Slice(oid.Off, hdr.UserSize()), nil
 		}
-		e.stats.VerifiedBytes.Add(hdr.UserSize())
-		return e.dev.Slice(oid.Off, hdr.UserSize()), nil
 	}
 	e.stats.UnverifiedBytes.Add(hdr.UserSize())
 	return e.dev.Slice(oid.Off, hdr.UserSize()), nil

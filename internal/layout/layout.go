@@ -277,6 +277,95 @@ func (g Geometry) Locate(off uint64) Loc {
 	return Loc{Zone: z, Row: rel / g.RowSize(), Col: rel % g.RowSize()}
 }
 
+// Resolved is a Geometry with the derived offsets of its zone arithmetic
+// computed once. Geometry's own methods re-derive ZonesOff, ZoneSize and
+// PoolSize from the nine fields on every call, which is fine for format,
+// recovery and scrub code but not for the per-object paths (reads, commit
+// write-back, parity folds); those build a Resolved when the engine,
+// allocator or parity manager is constructed and locate through it. The
+// Geometry methods stay the reference the tests hold this form against.
+type Resolved struct {
+	zonesOff  uint64 // first zone's base
+	poolSize  uint64
+	zoneSize  uint64
+	dataSize  uint64 // bytes of data rows per zone
+	rowSize   uint64
+	chunkSize uint64
+}
+
+// zoneDataOff is the zone-relative offset of data row 0: past the zone
+// header and its replica.
+const zoneDataOff = 2 * PageSize
+
+// Resolve computes g's derived offsets. g must be valid.
+func (g Geometry) Resolve() Resolved {
+	return Resolved{
+		zonesOff:  g.ZonesOff(),
+		poolSize:  g.PoolSize(),
+		zoneSize:  g.ZoneSize(),
+		dataSize:  g.ZoneDataSize(),
+		rowSize:   g.RowSize(),
+		chunkSize: g.ChunkSize,
+	}
+}
+
+// zoneData maps a pool offset to its zone and its byte index within that
+// zone's data rows, reporting false when off is not zone data (pool
+// metadata, a zone header, a parity row, or past the pool).
+func (r *Resolved) zoneData(off uint64) (z, idx uint64, ok bool) {
+	if off < r.zonesOff || off >= r.poolSize {
+		return 0, 0, false
+	}
+	d := off - r.zonesOff
+	z = d / r.zoneSize
+	// Below the first data row the subtraction wraps past dataSize.
+	idx = d - z*r.zoneSize - zoneDataOff
+	return z, idx, idx < r.dataSize
+}
+
+// Locate is Geometry.Locate with the InZoneData gate folded in: ok is
+// false, instead of a panic, when off lies outside every zone's data rows.
+func (r *Resolved) Locate(off uint64) (loc Loc, ok bool) {
+	z, idx, ok := r.zoneData(off)
+	if !ok {
+		return Loc{}, false
+	}
+	row := idx / r.rowSize
+	return Loc{Zone: z, Row: row, Col: idx - row*r.rowSize}, true
+}
+
+// ChunkLoc identifies a byte inside a zone's data rows in chunk form, the
+// allocator's addressing (chunks run contiguously across rows).
+type ChunkLoc struct {
+	Zone  uint64
+	Chunk uint64 // 0-based across the zone's data rows
+	Rel   uint64 // byte offset within the chunk
+}
+
+// LocateChunk is Locate in chunk form.
+func (r *Resolved) LocateChunk(off uint64) (loc ChunkLoc, ok bool) {
+	z, idx, ok := r.zoneData(off)
+	if !ok {
+		return ChunkLoc{}, false
+	}
+	c := idx / r.chunkSize
+	return ChunkLoc{Zone: z, Chunk: c, Rel: idx - c*r.chunkSize}, true
+}
+
+// RowSize returns the bytes in one chunk row.
+func (r *Resolved) RowSize() uint64 { return r.rowSize }
+
+// ChunkBase returns the offset of chunk c of zone z.
+func (r *Resolved) ChunkBase(z, c uint64) uint64 {
+	return r.zonesOff + z*r.zoneSize + zoneDataOff + c*r.chunkSize
+}
+
+// ParityOff returns the pool offset of the parity byte covering column col
+// of zone z.
+func (r *Resolved) ParityOff(z, col uint64) uint64 {
+	return r.zonesOff + z*r.zoneSize + zoneDataOff + r.dataSize + col
+}
+
 // RowByteOff is the inverse of Locate: the pool offset of (zone, row, col).
 func (g Geometry) RowByteOff(z, row, col uint64) uint64 {
 	return g.RowsBase(z) + row*g.RowSize() + col

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,95 @@ func TestLocatePanicsOutsideData(t *testing.T) {
 		}
 	}()
 	g.Locate(0)
+}
+
+// randomGeometry draws a valid geometry small enough to probe densely.
+func randomGeometry(rng *rand.Rand) Geometry {
+	for {
+		g := Geometry{
+			ChunkSize:       uint64(1+rng.Intn(5)) * PageSize, // not only powers of two
+			ChunksPerRow:    uint64(1 + rng.Intn(7)),
+			RowsPerZone:     uint64(3 + rng.Intn(40)),
+			NumZones:        uint64(1 + rng.Intn(5)),
+			NumLanes:        uint64(1 + rng.Intn(8)),
+			LaneSize:        uint64(1+rng.Intn(3)) * PageSize,
+			OverflowExts:    uint64(rng.Intn(4)),
+			OverflowExtSize: uint64(rng.Intn(3)) * PageSize,
+			RangeLockBytes:  uint64(1+rng.Intn(64)) * 8,
+		}
+		if g.Validate() == nil {
+			return g
+		}
+	}
+}
+
+// TestResolvedMatchesReference holds the resolved geometry to the
+// reference methods it replaces on the hot paths: for Default, Paper(n) and
+// random valid geometries, at every region boundary and one byte either
+// side of it and at random offsets, Locate's ok equals InZoneData, its
+// location equals Geometry.Locate, LocateChunk names the same byte in
+// chunk form, and ChunkBase/ParityOff/RowSize agree.
+func TestResolvedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	geos := []Geometry{Default(), Paper(1), Paper(3)}
+	for i := 0; i < 40; i++ {
+		geos = append(geos, randomGeometry(rng))
+	}
+	for _, g := range geos {
+		r := g.Resolve()
+		if r.RowSize() != g.RowSize() {
+			t.Fatalf("%+v: RowSize %d != %d", g, r.RowSize(), g.RowSize())
+		}
+		check := func(off uint64) {
+			t.Helper()
+			loc, ok := r.Locate(off)
+			cl, cok := r.LocateChunk(off)
+			if want := g.InZoneData(off); ok != want || cok != want {
+				t.Fatalf("%+v: off %#x: Locate ok=%v LocateChunk ok=%v, InZoneData=%v", g, off, ok, cok, want)
+			}
+			if !ok {
+				if loc != (Loc{}) || cl != (ChunkLoc{}) {
+					t.Fatalf("%+v: off %#x: non-zero location outside zone data", g, off)
+				}
+				return
+			}
+			if want := g.Locate(off); loc != want {
+				t.Fatalf("%+v: off %#x: Locate = %+v, reference %+v", g, off, loc, want)
+			}
+			if cl.Zone != loc.Zone || cl.Rel >= g.ChunkSize || cl.Chunk >= g.ChunksPerZone() ||
+				g.ChunkBase(cl.Zone, cl.Chunk)+cl.Rel != off {
+				t.Fatalf("%+v: off %#x: LocateChunk = %+v", g, off, cl)
+			}
+		}
+		var edges []uint64
+		edges = append(edges, 0, PageSize, g.LanesOff(), g.OverflowOff(), g.ZonesOff(), g.PoolSize(), ^uint64(0))
+		for z := uint64(0); z < g.NumZones; z++ {
+			edges = append(edges, g.ZoneBase(z), g.ZoneHeaderReplicaOff(z), g.RowsBase(z),
+				g.ParityBase(z), g.ZoneBase(z)+g.ZoneSize())
+			for row := uint64(0); row < g.DataRows(); row += 1 + g.DataRows()/4 {
+				edges = append(edges, g.RowByteOff(z, row, 0))
+			}
+			for c := uint64(0); c < g.ChunksPerZone(); c += 1 + g.ChunksPerZone()/5 {
+				edges = append(edges, g.ChunkBase(z, c))
+				if r.ChunkBase(z, c) != g.ChunkBase(z, c) {
+					t.Fatalf("%+v: ChunkBase(%d,%d) = %#x, reference %#x", g, z, c, r.ChunkBase(z, c), g.ChunkBase(z, c))
+				}
+			}
+			for _, col := range []uint64{0, 1, g.RowSize() - 1} {
+				if r.ParityOff(z, col) != g.ParityOff(z, col) {
+					t.Fatalf("%+v: ParityOff(%d,%d) = %#x, reference %#x", g, z, col, r.ParityOff(z, col), g.ParityOff(z, col))
+				}
+			}
+		}
+		for _, e := range edges {
+			check(e - 1) // wraps to the top of the address space at 0
+			check(e)
+			check(e + 1)
+		}
+		for i := 0; i < 2000; i++ {
+			check(uint64(rng.Int63n(int64(g.PoolSize() + 2*PageSize))))
+		}
+	}
 }
 
 func TestObjHeaderRoundTrip(t *testing.T) {
@@ -295,3 +385,36 @@ func TestReadReplicatedSurvivesPoisonedPrimary(t *testing.T) {
 		t.Fatal("expected failure with both copies poisoned")
 	}
 }
+
+// BenchmarkLocate measures the per-access address arithmetic: the resolved
+// form the read and commit paths use, beside the reference pair it
+// replaced there.
+func BenchmarkLocate(b *testing.B) {
+	g := Paper(8)
+	span := g.PoolSize() - g.ZonesOff()
+	b.Run("resolved", func(b *testing.B) {
+		r := g.Resolve()
+		var sink uint64
+		off := g.ZonesOff()
+		for i := 0; i < b.N; i++ {
+			off = g.ZonesOff() + (off*2654435761+64)%span
+			if loc, ok := r.LocateChunk(off); ok {
+				sink += loc.Chunk
+			}
+		}
+		locateSink = sink
+	})
+	b.Run("reference", func(b *testing.B) {
+		var sink uint64
+		off := g.ZonesOff()
+		for i := 0; i < b.N; i++ {
+			off = g.ZonesOff() + (off*2654435761+64)%span
+			if g.InZoneData(off) {
+				sink += g.Locate(off).Row
+			}
+		}
+		locateSink = sink
+	})
+}
+
+var locateSink uint64

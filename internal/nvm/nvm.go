@@ -33,6 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"github.com/pangolin-go/pangolin/internal/striped"
 )
 
 const (
@@ -76,11 +78,13 @@ func (e *PoisonError) Error() string {
 }
 
 // Stats counts device operations. All fields are updated atomically and may
-// be read concurrently with device use.
+// be read concurrently with device use. The read counters are striped: every
+// object access on every reader core bumps them, and one shared word would
+// bounce between those cores.
 type Stats struct {
-	Reads        atomic.Uint64
+	Reads        striped.Counter
 	Writes       atomic.Uint64
-	BytesRead    atomic.Uint64
+	BytesRead    striped.Counter
 	BytesWritten atomic.Uint64
 	Flushes      atomic.Uint64
 	Fences       atomic.Uint64

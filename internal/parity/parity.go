@@ -31,6 +31,7 @@ const DefaultThreshold = 8 * 1024
 type Parity struct {
 	dev       *nvm.Device
 	geo       layout.Geometry
+	lay       layout.Resolved // geo's zone arithmetic, for the per-commit Update
 	threshold uint64
 	locks     [][]sync.RWMutex // [zone][rangeLock]
 	nLocks    uint64
@@ -47,7 +48,7 @@ func New(dev *nvm.Device, geo layout.Geometry, threshold int) *Parity {
 	for z := range locks {
 		locks[z] = make([]sync.RWMutex, n)
 	}
-	return &Parity{dev: dev, geo: geo, threshold: t, locks: locks, nLocks: n}
+	return &Parity{dev: dev, geo: geo, lay: geo.Resolve(), threshold: t, locks: locks, nLocks: n}
 }
 
 // NumRangeLocks returns the number of parity range-locks per zone.
@@ -75,11 +76,11 @@ func (p *Parity) Update(z, col uint64, delta []byte) {
 	if n == 0 {
 		return
 	}
-	if col+n > p.geo.RowSize() {
-		panic(fmt.Sprintf("parity: update [%d,%d) exceeds row size %d", col, col+n, p.geo.RowSize()))
+	if col+n > p.lay.RowSize() {
+		panic(fmt.Sprintf("parity: update [%d,%d) exceeds row size %d", col, col+n, p.lay.RowSize()))
 	}
 	first, last := p.lockRange(col, n)
-	off := p.geo.ParityOff(z, col)
+	off := p.lay.ParityOff(z, col)
 	if n < p.threshold {
 		for i := first; i <= last; i++ {
 			p.locks[z][i].RLock()

@@ -70,3 +70,36 @@ func BenchmarkAllocSnapshotScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAllocViewGet is one fast-path GET: the caller's goroutine takes
+// the shard's reader gate and runs a verified btree lookup against the
+// store's read view. Nothing on that path may allocate — the verified-read
+// table is a bitmap, the type check a map read, the counters plain words —
+// which is what lets GETs scale with reader cores instead of with the GC.
+func BenchmarkAllocViewGet(b *testing.B) {
+	s, err := Create(b.TempDir(), 1, Options{Structure: "btree"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Abandon)
+	const keys = 4096
+	for k := uint64(0); k < keys; k++ {
+		if err := s.Put(k, k*3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	settle(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k := uint64(0)
+	for i := 0; i < b.N; i++ {
+		k = (k*2654435761 + 1) % keys
+		if v, ok, err := s.Get(k); err != nil || !ok || v != k*3 {
+			b.Fatalf("get %d = (%d, %v, %v)", k, v, ok, err)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.FastGets < uint64(b.N) {
+		b.Fatalf("only %d of %d GETs took the fast path", st.FastGets, b.N)
+	}
+}

@@ -142,6 +142,7 @@ func TestScanFastPathEngages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	settle(s) // the last Put's reply lands just before its worker drops the gate
 	if _, _, _, err := s.Scan(0, ^uint64(0), 1000); err != nil {
 		t.Fatal(err)
 	}

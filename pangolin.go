@@ -166,8 +166,8 @@ func (c *Config) geometry() Geometry {
 // ReadView shares the engine but serves Get through the concurrent
 // verified-read path; see ReadView for the contract.
 type Pool struct {
-	e  *core.Engine
-	rv *readViewState // non-nil only on ReadView handles
+	e        *core.Engine
+	readView bool // a ReadView handle: Get runs the concurrent verified-read path
 
 	// Built-in incremental scrubber (ScrubStep), created lazily with the
 	// Config.Scrub bounds. Guarded by scrubMu: steps are serialized, per
@@ -278,11 +278,11 @@ func (p *Pool) Run(fn func(*Tx) error) error {
 // Get returns read-only access to an object's user data without
 // micro-buffering (pgl_get). See VerifyPolicy for the checking rules.
 // On a ReadView handle, Get instead runs the concurrent verified-read
-// path: checksum verification cached per commit epoch, no online
+// path: each object's checksum verified once per modification, no online
 // recovery, ErrReadBusy during freeze windows.
 func (p *Pool) Get(oid OID) ([]byte, error) {
-	if p.rv != nil {
-		return p.rv.getRO(p.e, oid)
+	if p.readView {
+		return p.e.GetRO(oid)
 	}
 	return p.e.Get(oid)
 }

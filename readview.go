@@ -2,8 +2,6 @@ package pangolin
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"github.com/pangolin-go/pangolin/internal/core"
 	"github.com/pangolin-go/pangolin/internal/nvm"
@@ -43,35 +41,24 @@ func IsPoison(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// readViewState is the per-view verified-object cache. Pangolin's
-// headline read design (§3.3) has readers verify per-object checksums
-// straight from NVMM; verifying every object on every traversal would
-// make hot objects cost O(object) per read, so the view remembers which
-// objects it verified at which commit epoch and consults the engine's
-// per-object modification clock: a cached verification stays valid
-// until a commit actually writes that object (hash collisions in the
-// clock only force redundant re-verification). Object bytes only change
-// inside commits — the view requires the caller's writer exclusion — so
-// an unmodified object needs no second verification. Scribbles that
-// land after a verification are windowed exactly like the default
-// verify policy: the next modification or scrub pass catches them.
-type readViewState struct {
-	verified sync.Map // OID → uint64 commit epoch of last verification
-	stores   atomic.Uint64
-}
-
-// vcacheClearEvery bounds cache DRAM: after this many insertions the map
-// is dropped wholesale (entries for freed OIDs would otherwise accrete
-// forever in a churning pool). Re-verification after a clear is the same
-// cost as after any commit.
-const vcacheClearEvery = 1 << 20
-
 // ReadView returns a read-only handle onto the same pool for concurrent
 // verified reads. Get (and GetFromPool, and any structure Lookup running
 // against the view) executes on the caller's goroutine, verifies object
-// checksums — cached per commit epoch — and never mutates the pool:
-// media faults and checksum mismatches return their errors instead of
-// triggering online recovery, and freeze windows return ErrReadBusy.
+// checksums, and never mutates the pool: media faults and checksum
+// mismatches return their errors instead of triggering online recovery,
+// and freeze windows return ErrReadBusy.
+//
+// Pangolin's headline read design (§3.3) has readers verify per-object
+// checksums straight from NVMM; verifying every object on every traversal
+// would make hot objects cost O(object) per read, so the engine keeps a
+// verified-read table — one bit per 64-byte heap slot, shared by every
+// view of the pool — that a reader sets after checking an object and a
+// commit clears for exactly the objects it wrote, allocated or freed.
+// Object bytes only change inside commits — the view requires the
+// caller's writer exclusion — so an unmodified object needs no second
+// verification, and a view holds no state of its own. Scribbles that land
+// after a verification are windowed exactly like the default verify
+// policy: the next modification or scrub pass catches them.
 //
 // Concurrency contract: any number of goroutines may read through the
 // view simultaneously, and view reads may overlap Scrub and online
@@ -84,35 +71,11 @@ const vcacheClearEvery = 1 << 20
 // Only Get/ObjectSize/ObjectType-style reads are meaningful on a view;
 // transactional methods still work but follow the owner-path rules.
 func (p *Pool) ReadView() *Pool {
-	return &Pool{e: p.e, rv: &readViewState{}, scrubCfg: p.scrubCfg}
+	return &Pool{e: p.e, readView: true, scrubCfg: p.scrubCfg}
 }
 
 // IsReadView reports whether this handle is a concurrent read view.
-func (p *Pool) IsReadView() bool { return p.rv != nil }
-
-// getRO serves Pool.Get on a read view.
-func (rv *readViewState) getRO(e *core.Engine, oid OID) ([]byte, error) {
-	// A verification performed at epoch E stays valid while no later
-	// commit modified the object: E >= ModEpoch(oid). Sample the current
-	// epoch before reading — no commit may run concurrently, per the
-	// contract, so the bytes read are the bytes of this epoch.
-	epoch := e.CommitEpoch()
-	skip := false
-	if v, ok := rv.verified.Load(oid); ok && v.(uint64) >= e.ModEpoch(oid) {
-		skip = true
-	}
-	data, err := e.GetRO(oid, skip)
-	if err != nil {
-		return nil, err
-	}
-	if !skip && e.Mode().Checksums() {
-		if rv.stores.Add(1)%vcacheClearEvery == 0 {
-			rv.verified.Clear()
-		}
-		rv.verified.Store(oid, epoch)
-	}
-	return data, nil
-}
+func (p *Pool) IsReadView() bool { return p.readView }
 
 // ReadBusy reports whether err is the transient "pool frozen or
 // freezing" condition that a read-view caller should resolve by routing

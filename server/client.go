@@ -339,8 +339,11 @@ func (c *Client) submit(ctx context.Context, req Request) *clientOp {
 	} else {
 		c.fifo = append(c.fifo, op)
 	}
+	// Queued under the lock so the wire order is the registration order:
+	// v1 matches replies to c.fifo by position. Cannot block: sendq
+	// capacity == window, and op holds a slot.
+	c.sendq <- op
 	c.mu.Unlock()
-	c.sendq <- op // cannot block: sendq capacity == window, op holds a slot
 	return op
 }
 

@@ -50,9 +50,10 @@
 // readers share the gate and run in parallel; the worker takes the
 // write side around every pool access, so the group commit — still the
 // shard's linearization point — excludes readers only while it runs.
-// Verification is cached per object against the engine's modification
-// clock (an object is re-verified only after a commit actually wrote
-// it) and capped by size (very large array objects keep header + poison
+// Verification is remembered per object in the engine's verified-read
+// table, one bit per heap slot that a reader sets and a commit clears
+// for exactly the objects it wrote (an object is re-verified only after
+// a commit actually wrote it), and capped by size (very large array objects keep header + poison
 // checks and rely on scrubbing, as under the default verify policy).
 //
 // Readers never block on the gate. If it is unavailable — a commit,

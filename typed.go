@@ -3,7 +3,7 @@ package pangolin
 import (
 	"fmt"
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -19,25 +19,39 @@ import (
 //	n, _ := pangolin.Open[Node](tx, oid)
 //	n.Value = 42
 
-var podCache sync.Map // reflect.Type → error (nil if valid)
+// podVerdict is checkPOD's cached answer for one type.
+type podVerdict struct {
+	t   reflect.Type
+	err error // nil if the type may live in persistent memory
+}
+
+// podCache holds every verdict so far as an immutable slice, swapped in
+// whole when a new type is first seen. Every View[T] call consults it, so
+// the lookup is one atomic load and a scan of a program's handful of
+// persistent types: no lock, no hashing, no boxing.
+var podCache atomic.Pointer[[]podVerdict]
 
 // checkPOD verifies that T is safe to overlay on persistent bytes: fixed
 // size and free of Go pointers (pointers, maps, slices, strings, chans,
 // funcs, interfaces). The result is cached per type.
 func checkPOD(t reflect.Type) error {
-	if v, ok := podCache.Load(t); ok {
-		if v == nil {
-			return nil
+	for {
+		var seen []podVerdict
+		old := podCache.Load()
+		if old != nil {
+			seen = *old
 		}
-		return v.(error)
+		for i := range seen {
+			if seen[i].t == t {
+				return seen[i].err
+			}
+		}
+		err := validatePOD(t)
+		next := append(seen[:len(seen):len(seen)], podVerdict{t, err})
+		if podCache.CompareAndSwap(old, &next) {
+			return err
+		}
 	}
-	err := validatePOD(t)
-	if err == nil {
-		podCache.Store(t, nil)
-	} else {
-		podCache.Store(t, err)
-	}
-	return err
 }
 
 func validatePOD(t reflect.Type) error {
@@ -65,27 +79,29 @@ func validatePOD(t reflect.Type) error {
 // data must come from this library (micro-buffer or device views are
 // 8-byte aligned).
 func View[T any](data []byte) (*T, error) {
-	var zero T
-	t := reflect.TypeOf(zero)
+	// Every object access of every structure comes through here, so T is
+	// named through a nil *T: no zero T is built or boxed per call.
+	var p *T
+	t := reflect.TypeOf(p).Elem()
 	if err := checkPOD(t); err != nil {
-		return nil, fmt.Errorf("pangolin: type %T: %w", zero, err)
+		return nil, fmt.Errorf("pangolin: type %v: %w", t, err)
 	}
-	if uint64(t.Size()) > uint64(len(data)) {
-		return nil, fmt.Errorf("pangolin: type %T (%d B) exceeds object data (%d B)", zero, t.Size(), len(data))
+	if size := unsafe.Sizeof(*p); uint64(size) > uint64(len(data)) {
+		return nil, fmt.Errorf("pangolin: type %v (%d B) exceeds object data (%d B)", t, size, len(data))
 	}
 	if len(data) == 0 {
 		return nil, fmt.Errorf("pangolin: empty data")
 	}
-	if uintptr(unsafe.Pointer(&data[0]))%uintptr(t.Align()) != 0 {
-		return nil, fmt.Errorf("pangolin: data misaligned for %T", zero)
+	if uintptr(unsafe.Pointer(&data[0]))%unsafe.Alignof(*p) != 0 {
+		return nil, fmt.Errorf("pangolin: data misaligned for %v", t)
 	}
 	return (*T)(unsafe.Pointer(&data[0])), nil
 }
 
 // SizeOf returns T's persistent size.
 func SizeOf[T any]() uint64 {
-	var zero T
-	return uint64(reflect.TypeOf(zero).Size())
+	var p *T
+	return uint64(unsafe.Sizeof(*p))
 }
 
 // Alloc allocates an object sized for T and returns a typed view of its
