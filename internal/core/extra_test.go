@@ -75,6 +75,10 @@ func TestScrubPolicyRepairsInBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.InjectScribble(victim.Off, 8, 3)
+	var ce *CorruptionError
+	if _, err := e.GetRO(victim); !errors.As(err, &ce) {
+		t.Fatalf("read of the scribbled object: %v, want a checksum mismatch", err)
+	}
 	// Commit enough unrelated transactions to trigger a scrub.
 	for i := 0; i < 10; i++ {
 		if err := e.Run(func(tx *Tx) error {
@@ -88,10 +92,12 @@ func TestScrubPolicyRepairsInBackground(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Poll with GetRO: it never repairs, so a success is the scrubber's
+	// work, and it holds the commit gate a repair's freeze excludes — a
+	// raw device read here would race the scrubber rewriting the page.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		img := make([]byte, 19)
-		if err := e.dev.ReadAt(img, victim.Off); err == nil && string(img) == "healed by scrubbing" {
+		if data, err := e.GetRO(victim); err == nil && string(data[:19]) == "healed by scrubbing" {
 			break
 		}
 		if time.Now().After(deadline) {

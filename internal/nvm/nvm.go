@@ -15,7 +15,11 @@
 // never made persistent (or, in CrashEvictRandom mode, keeping an arbitrary
 // subset of them — legal on real hardware because caches may evict lines at
 // any time). Crash-consistency tests sweep crash points systematically via
-// the persist hook.
+// the persist hook. What it takes to know which lines those are — the
+// pre-image of every line stored to since it was last persistent, and
+// whether it has been flushed since — lives in a table indexed by page
+// (track.go), so tracking costs a store, flush or fence one lock and mask
+// arithmetic per 4 KB page, not a map operation per line.
 //
 // The package also models the error machinery of §2.2 of the paper:
 //
@@ -92,50 +96,6 @@ type Stats struct {
 	PoisonFaults atomic.Uint64
 }
 
-// lineRec tracks one dirty cache line: the last persistent image of its
-// bytes and whether a flush has been issued since the last store.
-type lineRec struct {
-	old     [CacheLineSize]byte
-	flushed bool
-}
-
-type shard struct {
-	mu      sync.Mutex
-	lines   map[uint64]*lineRec
-	flushed []uint64   // line indices with a flush issued; drained by Fence
-	free    []*lineRec // retired recs reused by capture; bounded by maxFreeRecs
-}
-
-// maxFreeRecs bounds each shard's lineRec free list (64 shards × 256 recs
-// × ~72 B ≈ 1.2 MB worst case). Fence retires a line's rec here instead
-// of dropping it to the GC, and capture reuses it for the next dirty
-// line — the commit hot path then tracks lines with no allocation at all
-// once the free lists warm up.
-const maxFreeRecs = 256
-
-// getRec pops a free rec (resetting it for reuse) or allocates. Caller
-// holds s.mu.
-func (s *shard) getRec() *lineRec {
-	if n := len(s.free); n > 0 {
-		rec := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		rec.flushed = false
-		return rec
-	}
-	return &lineRec{}
-}
-
-// putRec retires a rec for reuse. Caller holds s.mu and must have removed
-// every reference to rec from s.lines.
-func (s *shard) putRec(rec *lineRec) {
-	if len(s.free) < maxFreeRecs {
-		s.free = append(s.free, rec)
-	}
-}
-
-const numShards = 64
-
 // Device is a simulated NVMM module. The zero value is not usable; create
 // devices with New.
 //
@@ -148,11 +108,7 @@ type Device struct {
 	words []uint64 // backing store; kept as words to guarantee alignment
 	mem   []byte   // byte view of words
 
-	track  bool
-	shards [numShards]*shard
-	// flushedShards has bit i set when shard i holds flushed-but-
-	// unfenced lines, so Fence visits only dirty shards.
-	flushedShards atomic.Uint64
+	trk *tracker // nil without Options.TrackPersistence
 
 	poisonMu sync.RWMutex
 	poisoned map[uint64]struct{} // page indices
@@ -168,10 +124,10 @@ type Device struct {
 
 // Options configures a Device.
 type Options struct {
-	// TrackPersistence enables per-line dirty tracking so CrashCopy can
-	// compute post-crash states. Disabling it makes Flush/Fence pure
-	// counters; use only for throughput experiments that never simulate
-	// crashes.
+	// TrackPersistence enables dirty-line tracking (see tracker) so
+	// CrashCopy can compute post-crash states. Disabling it makes
+	// Flush/Fence pure counters; use only for throughput experiments that
+	// never simulate crashes.
 	TrackPersistence bool
 }
 
@@ -182,12 +138,11 @@ func New(size uint64, opts Options) *Device {
 	d := &Device{
 		size:     size,
 		words:    make([]uint64, size/8),
-		track:    opts.TrackPersistence,
 		poisoned: make(map[uint64]struct{}),
 	}
 	d.mem = unsafe.Slice((*byte)(unsafe.Pointer(&d.words[0])), size)
-	for i := range d.shards {
-		d.shards[i] = &shard{lines: make(map[uint64]*lineRec)}
+	if opts.TrackPersistence {
+		d.trk = newTracker(size)
 	}
 	return d
 }
@@ -220,44 +175,14 @@ func (d *Device) checkRange(off, n uint64) {
 	}
 }
 
-// lineShard maps a cache-line index to its tracking shard. Consecutive
-// groups of 8 lines (512 B) share a shard so range operations take few
-// locks.
-func lineShard(line uint64) uint64 { return (line >> 3) % numShards }
+// capture saves the persistent image of every line in [off, off+n) that
+// is not already dirty, and marks those lines dirty, ahead of a plain store.
+func (d *Device) capture(off, n uint64) { d.trk.capture(d.mem, nil, off, n) }
 
-// capture records the current (persistent) image of every line in
-// [off, off+n) that is not already tracked, and marks those lines dirty.
-func (d *Device) capture(off, n uint64) {
-	if !d.track || n == 0 {
-		return
-	}
-	first := off / CacheLineSize
-	last := (off + n - 1) / CacheLineSize
-	var cur *shard
-	curIdx := uint64(numShards) // sentinel: no shard locked
-	for line := first; line <= last; line++ {
-		si := lineShard(line)
-		if si != curIdx {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			cur = d.shards[si]
-			cur.mu.Lock()
-			curIdx = si
-		}
-		rec, ok := cur.lines[line]
-		if !ok {
-			rec = cur.getRec()
-			copy(rec.old[:], d.mem[line*CacheLineSize:(line+1)*CacheLineSize])
-			cur.lines[line] = rec
-		} else {
-			rec.flushed = false // overwritten since last flush
-		}
-	}
-	if cur != nil {
-		cur.mu.Unlock()
-	}
-}
+// captureAtomic is capture ahead of the atomic 8-byte stores, which may be
+// running on the same line from another goroutine: the image is read with
+// the primitive they write with.
+func (d *Device) captureAtomic(off, n uint64) { d.trk.capture(d.mem, d.words, off, n) }
 
 // ReadAt copies len(buf) bytes at off into buf. It fails with *PoisonError
 // if any page in the range is poisoned, without transferring data — the
@@ -290,7 +215,7 @@ func (d *Device) WriteAt(off uint64, data []byte) {
 // persistence). Pangolin uses NT stores for object write-back (§4.3).
 func (d *Device) WriteNT(off uint64, data []byte) {
 	d.WriteAt(off, data)
-	d.markFlushed(off, uint64(len(data)))
+	d.trk.markFlushed(off, uint64(len(data)))
 	d.stats.Flushes.Add(1)
 	d.stats.BytesFlushed.Add(uint64(len(data)))
 }
@@ -315,15 +240,7 @@ func (d *Device) ZeroAll() {
 	for i := range d.words {
 		d.words[i] = 0
 	}
-	if d.track {
-		for _, s := range d.shards {
-			s.mu.Lock()
-			clear(s.lines)
-			s.flushed = s.flushed[:0]
-			s.mu.Unlock()
-		}
-		d.flushedShards.Store(0)
-	}
+	d.trk.reset()
 	d.stats.Writes.Add(1)
 	d.stats.BytesWritten.Add(d.size)
 }
@@ -348,74 +265,21 @@ func (d *Device) MarkDirty(off, n uint64) {
 	d.stats.BytesWritten.Add(n)
 }
 
-func (d *Device) markFlushed(off, n uint64) {
-	if !d.track || n == 0 {
-		return
-	}
-	first := off / CacheLineSize
-	last := (off + n - 1) / CacheLineSize
-	var cur *shard
-	curIdx := uint64(numShards)
-	for line := first; line <= last; line++ {
-		si := lineShard(line)
-		if si != curIdx {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			cur = d.shards[si]
-			cur.mu.Lock()
-			curIdx = si
-		}
-		if rec, ok := cur.lines[line]; ok && !rec.flushed {
-			rec.flushed = true
-			cur.flushed = append(cur.flushed, line)
-			d.flushedShards.Or(1 << si)
-		}
-	}
-	if cur != nil {
-		cur.mu.Unlock()
-	}
-}
-
 // Flush issues write-backs (CLWB) for every cache line overlapping
 // [off, off+n). Lines become persistent only after a subsequent Fence.
 func (d *Device) Flush(off, n uint64) {
 	d.checkRange(off, n)
 	d.runHook()
-	d.markFlushed(off, n)
+	d.trk.markFlushed(off, n)
 	d.stats.Flushes.Add(1)
 	d.stats.BytesFlushed.Add(n)
 }
 
-// Fence makes every previously flushed line persistent (SFENCE). Only
-// shards holding flushed lines are visited, keeping the simulated fence
-// near the cost of the real (per-core) instruction.
+// Fence makes every previously flushed line persistent (SFENCE).
 func (d *Device) Fence() {
 	d.runHook()
 	d.stats.Fences.Add(1)
-	if !d.track {
-		return
-	}
-	pending := d.flushedShards.Swap(0)
-	for pending != 0 {
-		i := uint(0)
-		for ; i < numShards; i++ {
-			if pending&(1<<i) != 0 {
-				break
-			}
-		}
-		pending &^= 1 << i
-		s := d.shards[i]
-		s.mu.Lock()
-		for _, line := range s.flushed {
-			if rec, ok := s.lines[line]; ok && rec.flushed {
-				delete(s.lines, line)
-				s.putRec(rec)
-			}
-		}
-		s.flushed = s.flushed[:0]
-		s.mu.Unlock()
-	}
+	d.trk.fence()
 }
 
 // Persist flushes [off, off+n) and fences: the common "make this range
@@ -445,7 +309,7 @@ func (d *Device) Load64(off uint64) uint64 {
 // 8-byte stores update NVMM atomically (§2.3); this is the primitive
 // libpmemobj's atomic-style updates and Pangolin's commit flags rely on.
 func (d *Device) Store64(off uint64, v uint64) {
-	d.capture(off, 8)
+	d.captureAtomic(off, 8)
 	atomic.StoreUint64(d.word(off), v)
 	d.stats.Writes.Add(1)
 	d.stats.BytesWritten.Add(8)
@@ -455,7 +319,7 @@ func (d *Device) Store64(off uint64, v uint64) {
 // the atomic XOR instruction Pangolin uses for lock-free small parity
 // updates (§3.5).
 func (d *Device) Xor64(off uint64, v uint64) {
-	d.capture(off, 8)
+	d.captureAtomic(off, 8)
 	d.xorWord(off, v)
 	d.stats.Writes.Add(1)
 	d.stats.BytesWritten.Add(8)
@@ -483,7 +347,7 @@ func (d *Device) AtomicXorRange(off uint64, delta []byte) {
 		panic("nvm: AtomicXorRange requires 8-byte alignment")
 	}
 	d.checkRange(off, n)
-	d.capture(off, n)
+	d.captureAtomic(off, n)
 	for i := uint64(0); i < n; i += 8 {
 		w := uint64(delta[i]) | uint64(delta[i+1])<<8 | uint64(delta[i+2])<<16 |
 			uint64(delta[i+3])<<24 | uint64(delta[i+4])<<32 | uint64(delta[i+5])<<40 |
@@ -593,40 +457,13 @@ func (d *Device) Scribble(off, n uint64, rng *rand.Rand) {
 	for i := range s {
 		s[i] = byte(rng.Intn(256))
 	}
-	d.dropTracking(off, n)
-}
-
-// dropTracking forgets persistence tracking for the lines overlapping
-// [off, off+n), making their current contents the persistent image.
-func (d *Device) dropTracking(off, n uint64) {
-	if !d.track || n == 0 {
-		return
-	}
-	first := off / CacheLineSize
-	last := (off + n - 1) / CacheLineSize
-	for line := first; line <= last; line++ {
-		s := d.shards[lineShard(line)]
-		s.mu.Lock()
-		if rec, ok := s.lines[line]; ok {
-			delete(s.lines, line)
-			s.putRec(rec)
-		}
-		s.mu.Unlock()
-	}
+	d.trk.drop(off, n)
 }
 
 // DirtyLines reports how many cache lines are currently tracked as not yet
 // persistent. Useful in tests asserting that commit paths persist
 // everything they write.
-func (d *Device) DirtyLines() int {
-	total := 0
-	for _, s := range d.shards {
-		s.mu.Lock()
-		total += len(s.lines)
-		s.mu.Unlock()
-	}
-	return total
-}
+func (d *Device) DirtyLines() int { return d.trk.dirtyLines() }
 
 // CrashCopy returns a new Device holding the state the media would have
 // after a power failure at this instant. In CrashStrict mode every
@@ -636,25 +473,12 @@ func (d *Device) DirtyLines() int {
 // Poison marks survive the crash, as real bad-page records do. The source
 // device is not modified.
 func (d *Device) CrashCopy(mode CrashMode, seed int64) *Device {
-	if !d.track {
+	if d.trk == nil {
 		panic("nvm: CrashCopy requires TrackPersistence")
 	}
 	nd := New(d.size, Options{TrackPersistence: true})
 	copy(nd.mem, d.mem)
-	rng := rand.New(rand.NewSource(seed))
-	for _, s := range d.shards {
-		s.mu.Lock()
-		for line, rec := range s.lines {
-			revert := true
-			if mode == CrashEvictRandom {
-				revert = rng.Intn(2) == 0
-			}
-			if revert {
-				copy(nd.mem[line*CacheLineSize:(line+1)*CacheLineSize], rec.old[:])
-			}
-		}
-		s.mu.Unlock()
-	}
+	d.trk.revert(nd.mem, mode, seed)
 	d.poisonMu.RLock()
 	for p := range d.poisoned {
 		nd.poisoned[p] = struct{}{}

@@ -333,6 +333,56 @@ func TestConcurrentXor64(t *testing.T) {
 	}
 }
 
+// TestConcurrentXorRangeAndPersist is small parity updates sharing a
+// range-lock (§3.5): workers XOR words of the same lines, and each one's
+// Persist retires lines the others are still XOR-ing, so the next update
+// captures a line's pre-image while a neighbour's word of it is mid-CAS.
+// The capture reads with atomic loads; under -race this is the test that a
+// plain copy there fails.
+func TestConcurrentXorRangeAndPersist(t *testing.T) {
+	d := newTestDev(t, PageSize)
+	const workers, iters = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			delta := make([]byte, 2*CacheLineSize)
+			for i := range delta {
+				delta[i] = byte(1 << w)
+			}
+			for i := 0; i < iters; i++ {
+				off := uint64(i%3) * 8
+				d.AtomicXorRange(off, delta)
+				d.Persist(off, uint64(len(delta)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := d.DirtyLines(); n != 0 {
+		t.Fatalf("%d dirty lines after everyone persisted", n)
+	}
+	got := d.CrashCopy(CrashStrict, 0).Slice(0, 3*CacheLineSize)
+	for i, b := range got {
+		// Each worker XOR-ed its bit into byte i once per update covering
+		// it: those at offset o (0, 8, 16) with o <= i < o+128, made 167,
+		// 167 and 166 times.
+		n := 0
+		for k, times := range []int{167, 167, 166} {
+			if o := k * 8; o <= i && i < o+2*CacheLineSize {
+				n += times
+			}
+		}
+		want := byte(0)
+		if n%2 == 1 {
+			want = 1<<workers - 1
+		}
+		if b != want {
+			t.Fatalf("byte %d = %#x after %d updates per worker, want %#x", i, b, n, want)
+		}
+	}
+}
+
 func TestConcurrentDisjointWritesAndPersist(t *testing.T) {
 	d := newTestDev(t, 1<<20)
 	var wg sync.WaitGroup

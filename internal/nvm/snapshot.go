@@ -17,24 +17,28 @@ const snapshotMagic = 0x50474c4e564d3031 // "PGLNVM01"
 // poison set) to w. Only persistent contents are saved: lines that were
 // never flushed+fenced are written as their last persistent image, exactly
 // as if the machine lost power now. This is how example programs keep pools
-// across process runs, standing in for a real NVMM-backed file.
+// across process runs, standing in for a real NVMM-backed file. The image
+// is streamed from the device's own bytes (tracker.writeStrict), not built
+// as a second device first. Like CrashCopy it requires TrackPersistence.
 func (d *Device) WriteSnapshot(w io.Writer) error {
-	// Snapshot the post-crash (strict) view so that what we save is what
-	// durability promised.
-	img := d.CrashCopy(CrashStrict, 0)
+	if d.trk == nil {
+		panic("nvm: WriteSnapshot requires TrackPersistence")
+	}
+	d.poisonMu.RLock()
+	pages := make([]uint64, 0, len(d.poisoned))
+	for p := range d.poisoned {
+		pages = append(pages, p)
+	}
+	d.poisonMu.RUnlock()
+	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	bw := bufio.NewWriter(w)
 	var hdr [24]byte
 	binary.LittleEndian.PutUint64(hdr[0:], snapshotMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], img.size)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(img.poisoned)))
+	binary.LittleEndian.PutUint64(hdr[8:], d.size)
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(pages)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	pages := make([]uint64, 0, len(img.poisoned))
-	for p := range img.poisoned {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	var pb [8]byte
 	for _, p := range pages {
 		binary.LittleEndian.PutUint64(pb[:], p)
@@ -42,7 +46,9 @@ func (d *Device) WriteSnapshot(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := bw.Write(img.mem); err != nil {
+	// The post-crash (strict) view, so that what we save is what durability
+	// promised; streamed, not built as a second device.
+	if err := d.trk.writeStrict(bw, d.mem); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -1,36 +1,55 @@
 // Package hashmap implements a persistent chained hash table over uint64
-// keys, one of the six PMDK data-structure benchmarks (§4.5). It has two
-// object kinds, like the paper's hashmap (Table 3): a large bucket-array
-// table object (10 MB at paper scale; smaller here and grown by
-// rehashing) and 40-byte chain entries.
+// keys, one of the six PMDK data-structure benchmarks (§4.5), with the
+// paper's 40-byte chain entries (Table 3).
 //
-// Bucket-pointer updates modify 16 bytes of the multi-kilobyte table
-// object via AddRange — the workload where Pangolin's incremental
-// checksums and range-limited logging matter most (§3.5).
+// # Layout
+//
+// The paper's table is one bucket-array object (10 MB at its scale). Here
+// the array is cut into pieces, because a transaction opens — copies and
+// verifies — every object it modifies in full (§3.2), and changing one
+// 16-byte bucket should not cost the whole array:
+//
+//	anchor (48 B)   {Table, Old, Cursor, Count}
+//	directory       16-byte header (bucket count, reserved) + one OID per segment
+//	segment (1008 B) 63 buckets, each the OID of its chain's first entry
+//	entry (40 B)    {Next, Key, Value, pad}
+//
+// Bucket i is slot i%63 of segment i/63. 63 because 63 buckets and the
+// 16-byte object header fill a 1,024-byte allocator slot exactly; 64 would
+// spill into the next size class and waste nearly half of it. A bucket
+// update opens one segment and declares 16 bytes of it (§3.5: logging,
+// checksum refresh and parity then cost those 16 bytes).
+//
+// A segment is allocated by the transaction that first writes one of its
+// buckets. Until then its directory slot is nil, which reads as 63 empty
+// buckets, so a fresh table of any size is one zeroed directory. A segment
+// is freed only by a migration leaving it (below); emptying its buckets by
+// removals does not free it. No object grows with the map except the
+// directory, at 16 bytes per 63 buckets.
 //
 // # Growth
 //
 // The table doubles at load factor 2, and the rehash is incremental: no
 // transaction does work in proportion to the table. The transaction whose
-// insert crosses the load factor only allocates the new (zeroed) table and
-// records {old table, migration cursor} in the anchor. From then on every
-// InsertTx and RemoveTx first moves migrateStep old buckets into the new
-// table inside its own transaction — each moved entry declares only its
-// 16-byte Next — and the transaction that moves the last bucket frees the
-// old table. Because the size doubles, old bucket i splits into new
-// buckets i and i+oldN, so while a migration runs every key lives in
-// exactly one place decided by the cursor: in the old table when its old
-// bucket is at or beyond the cursor, in the new table otherwise. Lookup,
-// LookupTx and Scan follow that rule and stay pure reads. A migration
-// takes oldN/migrateStep mutations and the next doubling is 2·oldN inserts
-// away, so at most one old table ever exists; a growth that nonetheless
-// came due mid-migration would drain it first. Crash consistency needs no
-// extra mechanism: each step is part of an ordinary transaction.
+// insert crosses the load factor only allocates the new (zeroed) directory
+// and records {old directory, migration cursor} in the anchor. From then on
+// every InsertTx and RemoveTx first moves migrateStep old buckets into the
+// new table inside its own transaction — each moved entry declares only its
+// 16-byte Next — freeing an old segment when the cursor leaves it, and the
+// transaction that moves the last bucket frees the old directory. Because
+// the size doubles, old bucket i splits into new buckets i and i+oldN, so
+// while a migration runs every key lives in exactly one place decided by
+// the cursor: in the old table when its old bucket is at or beyond the
+// cursor, in the new table otherwise. Lookup, LookupTx and Scan follow that
+// rule and stay pure reads. A migration takes oldN/migrateStep mutations
+// and the next doubling is 2·oldN inserts away, so at most one old table
+// ever exists; a growth that nonetheless came due mid-migration would drain
+// it first. Crash consistency needs no extra mechanism: each step is part
+// of an ordinary transaction.
 //
-// The anchor is 48 bytes: {Table, Count, Old, Cursor}. Anchors written
-// before incremental growth were 24 bytes ({Table, Count}); Attach refuses
-// them with ErrAnchorFormat rather than guess at fields that are not
-// there.
+// Attach refuses, with ErrAnchorFormat, anchors of another size (before
+// incremental growth they were 24 bytes) and anchors whose table is not a
+// directory (before segments it was the bucket array itself).
 package hashmap
 
 import (
@@ -43,8 +62,10 @@ import (
 )
 
 const (
-	typeTable = 0x68 // 'h'
-	typeEntry = 0x65 // 'e'
+	typeAnchor  = 0x68 // 'h'; the pre-segment bucket-array table shared this code
+	typeEntry   = 0x65 // 'e'
+	typeDir     = 0x64 // 'd'
+	typeSegment = 0x73 // 's'
 )
 
 // entry is the persistent chain node: 40 bytes (Table 3).
@@ -55,18 +76,18 @@ type entry struct {
 	_     uint64
 }
 
-// The table object is a 16-byte header (bucket count, reserved word)
-// followed by the bucket array, one OID per bucket.
 const (
-	tableHeaderSize = 16
-	bucketSize      = 16
+	dirHeaderSize = 16 // bucket count, reserved word
+	oidSize       = 16 // a directory slot and a bucket are each one OID
+	segBuckets    = 63
+	segSize       = segBuckets * oidSize
 )
 
 // anchor is the map's persistent root. Cursor and Count sit side by side so
 // the two words a migrating insert writes are one declared range.
 type anchor struct {
-	Table  pangolin.OID // current table; the migration target while Old is set
-	Old    pangolin.OID // table being migrated out of, nil when none
+	Table  pangolin.OID // current directory; the migration target while Old is set
+	Old    pangolin.OID // directory being migrated out of, nil when none
 	Cursor uint64       // old buckets below this index have moved to Table
 	Count  uint64
 }
@@ -86,10 +107,11 @@ const (
 // next doubling.
 const migrateStep = 2
 
-// ErrAnchorFormat reports an anchor whose size is not this version's: a
-// map written before incremental growth (24-byte anchor) or not a hashmap
-// anchor at all. Such a map must be rebuilt; reading it as the current
-// layout would invent a migration state.
+// ErrAnchorFormat reports an anchor that is not this version's: a map
+// written before incremental growth (24-byte anchor) or before segments
+// (its table is a bucket array, not a directory), or not a hashmap anchor
+// at all. Such a map must be rebuilt; reading it as the current layout
+// would follow bucket bytes as segment pointers.
 var ErrAnchorFormat = errors.New("hashmap: unsupported anchor format")
 
 // Map is a handle to a persistent hash map.
@@ -114,16 +136,12 @@ func NewWithBuckets(p *pangolin.Pool, buckets uint64) (*Map, error) {
 	err := p.Run(func(tx *pangolin.Tx) error {
 		var err error
 		var a *anchor
-		aOID, a, err = pangolin.Alloc[anchor](tx, typeTable)
+		aOID, a, err = pangolin.Alloc[anchor](tx, typeAnchor)
 		if err != nil {
 			return err
 		}
-		tOID, err := allocTable(tx, buckets)
-		if err != nil {
-			return err
-		}
-		a.Table = tOID
-		return nil
+		a.Table, err = allocDir(tx, buckets)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -131,9 +149,10 @@ func NewWithBuckets(p *pangolin.Pool, buckets uint64) (*Map, error) {
 	return &Map{p: p, anchor: aOID}, nil
 }
 
-func allocTable(tx *pangolin.Tx, buckets uint64) (pangolin.OID, error) {
-	size := tableHeaderSize + buckets*bucketSize
-	oid, data, err := tx.Alloc(size, typeTable)
+// allocDir allocates the directory of an empty table: every slot nil.
+func allocDir(tx *pangolin.Tx, buckets uint64) (pangolin.OID, error) {
+	segs := (buckets + segBuckets - 1) / segBuckets
+	oid, data, err := tx.Alloc(dirHeaderSize+segs*oidSize, typeDir)
 	if err != nil {
 		return pangolin.NilOID, err
 	}
@@ -142,7 +161,7 @@ func allocTable(tx *pangolin.Tx, buckets uint64) (pangolin.OID, error) {
 }
 
 // Attach reconnects to an existing map. It fails with ErrAnchorFormat if
-// the anchor is not this version's 48-byte layout.
+// the anchor is not this version's 48-byte layout over a directory.
 func Attach(p *pangolin.Pool, anchorOID pangolin.OID) (*Map, error) {
 	size, err := p.ObjectSize(anchorOID)
 	if err != nil {
@@ -150,6 +169,17 @@ func Attach(p *pangolin.Pool, anchorOID pangolin.OID) (*Map, error) {
 	}
 	if size != anchorSize {
 		return nil, fmt.Errorf("%w: anchor is %d bytes, want %d", ErrAnchorFormat, size, anchorSize)
+	}
+	a, err := pangolin.GetFromPool[anchor](p, anchorOID)
+	if err != nil {
+		return nil, err
+	}
+	typ, err := p.ObjectType(a.Table)
+	if err != nil {
+		return nil, err
+	}
+	if typ != typeDir {
+		return nil, fmt.Errorf("%w: table object has type %#x, want a directory (%#x)", ErrAnchorFormat, typ, typeDir)
 	}
 	return &Map{p: p, anchor: anchorOID}, nil
 }
@@ -169,48 +199,95 @@ func (m *Map) Len() (uint64, error) {
 // hash is Fibonacci hashing over the key.
 func hash(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 }
 
-// nBuckets reads a table image's bucket count.
-func nBuckets(table []byte) uint64 { return binary.LittleEndian.Uint64(table[0:]) }
+// nBuckets reads a directory image's bucket count.
+func nBuckets(dir []byte) uint64 { return binary.LittleEndian.Uint64(dir[0:]) }
 
-// bucketOff is bucket i's offset in the table's user data.
-func bucketOff(i uint64) uint64 { return tableHeaderSize + i*bucketSize }
+// segOff is segment s's slot offset in a directory's user data.
+func segOff(s uint64) uint64 { return dirHeaderSize + s*oidSize }
 
-// bucketOID reads bucket i of a table image.
-func bucketOID(table []byte, i uint64) pangolin.OID {
-	off := bucketOff(i)
+// oidAt reads the OID at off: a directory slot or a segment's bucket.
+func oidAt(image []byte, off uint64) pangolin.OID {
 	return pangolin.OID{
-		Pool: binary.LittleEndian.Uint64(table[off:]),
-		Off:  binary.LittleEndian.Uint64(table[off+8:]),
+		Pool: binary.LittleEndian.Uint64(image[off:]),
+		Off:  binary.LittleEndian.Uint64(image[off+8:]),
 	}
 }
 
-func putBucketOID(table []byte, i uint64, oid pangolin.OID) {
-	off := bucketOff(i)
-	binary.LittleEndian.PutUint64(table[off:], oid.Pool)
-	binary.LittleEndian.PutUint64(table[off+8:], oid.Off)
+func putOID(image []byte, off uint64, oid pangolin.OID) {
+	binary.LittleEndian.PutUint64(image[off:], oid.Pool)
+	binary.LittleEndian.PutUint64(image[off+8:], oid.Off)
 }
 
 // getFn reads an object: Pool.Get outside a transaction, Tx.Get inside one.
 type getFn func(pangolin.OID) ([]byte, error)
 
-// home returns the table and bucket holding k's chain: the old table while
-// k's old bucket has not migrated yet, the current table otherwise.
-func home(get getFn, a *anchor, k uint64) (oid pangolin.OID, table []byte, idx uint64, err error) {
+// bucket is one located bucket of a table.
+type bucket struct {
+	dir   pangolin.OID // the table's directory
+	n     uint64       // the table's bucket count
+	slot  uint64       // offset of the segment's slot in dir
+	seg   pangolin.OID // the segment; nil while none of its buckets was ever written
+	image []byte       // seg's user data, nil with seg
+	off   uint64       // the bucket's offset in image
+}
+
+// locate points b at bucket i of the table under dirOID, whose image is
+// dir, reading the segment if there is one.
+func (b *bucket) locate(get getFn, dirOID pangolin.OID, dir []byte, i uint64) (err error) {
+	*b = bucket{dir: dirOID, n: nBuckets(dir), slot: segOff(i / segBuckets), off: i % segBuckets * oidSize}
+	if b.seg = oidAt(dir, b.slot); !b.seg.IsNil() {
+		b.image, err = get(b.seg)
+	}
+	return err
+}
+
+// head is the first entry of the bucket's chain.
+func (b *bucket) head() pangolin.OID {
+	if b.image == nil {
+		return pangolin.NilOID
+	}
+	return oidAt(b.image, b.off)
+}
+
+// setHead points the bucket at oid, declaring its 16 bytes modified — or,
+// when this is the first write to any bucket of the segment, allocating the
+// segment and declaring its directory slot.
+func (b *bucket) setHead(tx *pangolin.Tx, oid pangolin.OID) error {
+	var err error
+	if b.seg.IsNil() {
+		if b.seg, b.image, err = tx.Alloc(segSize, typeSegment); err != nil {
+			return err
+		}
+		dir, err := tx.AddRange(b.dir, b.slot, oidSize)
+		if err != nil {
+			return err
+		}
+		putOID(dir, b.slot, b.seg)
+	} else if b.image, err = tx.AddRange(b.seg, b.off, oidSize); err != nil {
+		return err
+	}
+	putOID(b.image, b.off, oid)
+	return nil
+}
+
+// home points b at the bucket holding k's chain: in the old table while k's
+// old bucket has not migrated yet, in the current table otherwise.
+func (b *bucket) home(get getFn, a *anchor, k uint64) error {
 	h := hash(k)
 	if !a.Old.IsNil() {
 		old, err := get(a.Old)
 		if err != nil {
-			return pangolin.NilOID, nil, 0, err
+			return err
 		}
 		if i := h % nBuckets(old); i >= a.Cursor {
-			return a.Old, old, i, nil
+			return b.locate(get, a.Old, old, i)
 		}
 	}
-	table, err = get(a.Table)
+	dir, err := get(a.Table)
 	if err != nil {
-		return pangolin.NilOID, nil, 0, err
+		return err
 	}
-	return a.Table, table, h % nBuckets(table), nil
+	return b.locate(get, a.Table, dir, h%nBuckets(dir))
 }
 
 // lookup walks k's chain with get.
@@ -223,11 +300,11 @@ func (m *Map) lookup(get getFn, k uint64) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	_, table, idx, err := home(get, a, k)
-	if err != nil {
+	var b bucket
+	if err := b.home(get, a, k); err != nil {
 		return 0, false, err
 	}
-	for cur := bucketOID(table, idx); !cur.IsNil(); {
+	for cur := b.head(); !cur.IsNil(); {
 		data, err := get(cur)
 		if err != nil {
 			return 0, false, err
@@ -250,9 +327,9 @@ func (m *Map) lookup(get getFn, k uint64) (uint64, bool, error) {
 // against commits by the caller.
 func (m *Map) Lookup(k uint64) (uint64, bool, error) { return m.lookup(m.p.Get, k) }
 
-// LookupTx is Lookup inside the caller's transaction: the table and chain
-// reads come from the transaction's micro-buffers when open, so the
-// caller's own uncommitted inserts and removes are visible.
+// LookupTx is Lookup inside the caller's transaction: the directory,
+// segment and chain reads come from the transaction's micro-buffers when
+// open, so the caller's own uncommitted inserts and removes are visible.
 func (m *Map) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
 	return m.lookup(tx.Get, k)
 }
@@ -297,37 +374,49 @@ func (m *Map) openAnchor(tx *pangolin.Tx) (*anchor, error) {
 // current table. Old bucket i splits into new buckets i and i+oldN, both
 // empty until now, so each entry is pushed onto its new chain by rewriting
 // its Next and the bucket head — the only bytes declared. The old buckets
-// are left as they are: nothing reads below the cursor. Moving the last
-// bucket frees the old table.
+// and directory slots are left as they are: nothing reads below the cursor.
+// An old segment is freed with its last bucket, the old directory with the
+// last bucket of all.
 func (m *Map) migrate(tx *pangolin.Tx, a *anchor, limit uint64) error {
 	old, err := tx.Get(a.Old)
 	if err != nil {
 		return err
 	}
-	table, err := tx.Get(a.Table)
-	if err != nil {
-		return err
-	}
-	oldN, n := nBuckets(old), nBuckets(table)
+	oldN := nBuckets(old)
 	end := oldN
 	if limit < oldN-a.Cursor {
 		end = a.Cursor + limit
 	}
+	var from, to bucket
 	for i := a.Cursor; i < end; i++ {
-		for cur := bucketOID(old, i); !cur.IsNil(); {
+		if err := from.locate(tx.Get, a.Old, old, i); err != nil {
+			return err
+		}
+		for cur := from.head(); !cur.IsNil(); {
 			e, err := entryRW(tx, cur, 0, nextSize)
 			if err != nil {
 				return err
 			}
-			next := e.Next
-			idx := hash(e.Key) % n
-			wTable, err := tx.AddRange(a.Table, bucketOff(idx), bucketSize)
+			// Re-read the directory per entry: the first write to one of
+			// its segments moves it into a micro-buffer.
+			dir, err := tx.Get(a.Table)
 			if err != nil {
 				return err
 			}
-			e.Next = bucketOID(wTable, idx)
-			putBucketOID(wTable, idx, cur)
+			if err := to.locate(tx.Get, a.Table, dir, hash(e.Key)%nBuckets(dir)); err != nil {
+				return err
+			}
+			next := e.Next
+			e.Next = to.head()
+			if err := to.setHead(tx, cur); err != nil {
+				return err
+			}
 			cur = next
+		}
+		if last := i%segBuckets == segBuckets-1 || i == oldN-1; last && !from.seg.IsNil() {
+			if err := tx.Free(from.seg); err != nil {
+				return err
+			}
 		}
 	}
 	if end < oldN {
@@ -345,8 +434,9 @@ func (m *Map) migrate(tx *pangolin.Tx, a *anchor, limit uint64) error {
 	return tx.Free(done)
 }
 
-// grow starts a migration into a table of twice the buckets: allocate it,
-// make it current, and leave the rehash to the operations that follow.
+// grow starts a migration into a table of twice the buckets: allocate its
+// directory, make it current, and leave the rehash to the operations that
+// follow.
 func (m *Map) grow(tx *pangolin.Tx, a *anchor, buckets uint64) error {
 	if !a.Old.IsNil() {
 		// Unreachable while migrateStep >= 1 (see the package comment);
@@ -355,14 +445,14 @@ func (m *Map) grow(tx *pangolin.Tx, a *anchor, buckets uint64) error {
 			return err
 		}
 	}
-	table, err := allocTable(tx, buckets)
+	dir, err := allocDir(tx, buckets)
 	if err != nil {
 		return err
 	}
 	if _, err := tx.AddRange(m.anchor, 0, countOff); err != nil {
 		return err
 	}
-	a.Old, a.Table, a.Cursor = a.Table, table, 0
+	a.Old, a.Table, a.Cursor = a.Table, dir, 0
 	return nil
 }
 
@@ -372,11 +462,11 @@ func (m *Map) InsertTx(tx *pangolin.Tx, k, v uint64) error {
 	if err != nil {
 		return err
 	}
-	tOID, table, idx, err := home(tx.Get, a, k)
-	if err != nil {
+	var b bucket
+	if err := b.home(tx.Get, a, k); err != nil {
 		return err
 	}
-	for cur := bucketOID(table, idx); !cur.IsNil(); {
+	for cur := b.head(); !cur.IsNil(); {
 		e, err := pangolin.Get[entry](tx, cur)
 		if err != nil {
 			return err
@@ -391,29 +481,30 @@ func (m *Map) InsertTx(tx *pangolin.Tx, k, v uint64) error {
 		}
 		cur = e.Next
 	}
-	// New entry at the chain head; only 16 bytes of the table object and
-	// 8 of the anchor are declared modified.
+	// New entry at the chain head; only 16 bytes of one segment and 8 of
+	// the anchor are declared modified.
 	eOID, e, err := pangolin.Alloc[entry](tx, typeEntry)
 	if err != nil {
 		return err
 	}
 	e.Key, e.Value = k, v
-	e.Next = bucketOID(table, idx)
-	wTable, err := tx.AddRange(tOID, bucketOff(idx), bucketSize)
-	if err != nil {
+	e.Next = b.head()
+	if err := b.setHead(tx, eOID); err != nil {
 		return err
 	}
-	putBucketOID(wTable, idx, eOID)
 	if _, err := tx.AddRange(m.anchor, countOff, 8); err != nil {
 		return err
 	}
 	a.Count++
-	if tOID != a.Table {
-		if table, err = tx.Get(a.Table); err != nil {
+	n := b.n
+	if b.dir != a.Table {
+		dir, err := tx.Get(a.Table)
+		if err != nil {
 			return err
 		}
+		n = nBuckets(dir)
 	}
-	if n := nBuckets(table); a.Count > 2*n {
+	if a.Count > 2*n {
 		return m.grow(tx, a, 2*n)
 	}
 	return nil
@@ -436,12 +527,12 @@ func (m *Map) RemoveTx(tx *pangolin.Tx, k uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	tOID, table, idx, err := home(tx.Get, a, k)
-	if err != nil {
+	var b bucket
+	if err := b.home(tx.Get, a, k); err != nil {
 		return false, err
 	}
 	prev := pangolin.NilOID
-	for cur := bucketOID(table, idx); !cur.IsNil(); {
+	for cur := b.head(); !cur.IsNil(); {
 		e, err := pangolin.Get[entry](tx, cur)
 		if err != nil {
 			return false, err
@@ -452,11 +543,9 @@ func (m *Map) RemoveTx(tx *pangolin.Tx, k uint64) (bool, error) {
 		}
 		next := e.Next
 		if prev.IsNil() {
-			wTable, err := tx.AddRange(tOID, bucketOff(idx), bucketSize)
-			if err != nil {
+			if err := b.setHead(tx, next); err != nil {
 				return false, err
 			}
-			putBucketOID(wTable, idx, next)
 		} else {
 			wp, err := entryRW(tx, prev, 0, nextSize)
 			if err != nil {
@@ -504,23 +593,35 @@ func (m *Map) Scan(lo, hi uint64, fn func(k, v uint64) bool) error {
 	return err
 }
 
-// scanTable visits the chains of table's buckets from index from on,
-// reporting false once fn asked to stop.
-func (m *Map) scanTable(table pangolin.OID, from, lo, hi uint64, fn func(k, v uint64) bool) (more bool, err error) {
-	buckets, err := m.p.Get(table)
+// scanTable visits the chains of a table's buckets from index from on,
+// segment by segment — one read per segment that exists, none for the
+// buckets of one that does not — reporting false once fn asked to stop.
+func (m *Map) scanTable(dirOID pangolin.OID, from, lo, hi uint64, fn func(k, v uint64) bool) (more bool, err error) {
+	dir, err := m.p.Get(dirOID)
 	if err != nil {
 		return false, err
 	}
-	for i, n := from, nBuckets(buckets); i < n; i++ {
-		for cur := bucketOID(buckets, i); !cur.IsNil(); {
-			e, err := pangolin.GetFromPool[entry](m.p, cur)
-			if err != nil {
-				return false, err
+	// The last segment's slots past the bucket count are never written.
+	for s, off := from/segBuckets, from%segBuckets*oidSize; segOff(s) < uint64(len(dir)); s, off = s+1, 0 {
+		seg := oidAt(dir, segOff(s))
+		if seg.IsNil() {
+			continue
+		}
+		buckets, err := m.p.Get(seg)
+		if err != nil {
+			return false, err
+		}
+		for ; off < segSize; off += oidSize {
+			for cur := oidAt(buckets, off); !cur.IsNil(); {
+				e, err := pangolin.GetFromPool[entry](m.p, cur)
+				if err != nil {
+					return false, err
+				}
+				if e.Key >= lo && e.Key <= hi && !fn(e.Key, e.Value) {
+					return false, nil
+				}
+				cur = e.Next
 			}
-			if e.Key >= lo && e.Key <= hi && !fn(e.Key, e.Value) {
-				return false, nil
-			}
-			cur = e.Next
 		}
 	}
 	return true, nil
