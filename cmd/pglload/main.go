@@ -53,8 +53,9 @@
 // so it counts as snap_evictions in the report, not as an error.
 //
 // Two standalone modes exercise the backup path end to end. -backup
-// FILE streams a snapshot-consistent BACKUP of the whole keyspace to
-// FILE (16-byte little-endian key,value records) — run it while a
+// FILE pages a snapshot-consistent image of the whole keyspace
+// (server.Backup, a SNAPSCAN loop on its own connection) to FILE
+// (16-byte little-endian key,value records) — run it while a
 // separate pglload drives writes to prove one generation-consistent
 // image emerges from under them; the report's versions_retained is the
 // peak the server's version buffers reached while the stream ran.
@@ -169,7 +170,7 @@ func main() {
 	faults := flag.Int("faults", 0, "live faults to INJECT while the load runs (corruption-healing phase); the run then waits for the server's background scrubber to report bg_repairs > 0")
 	faultEvery := flag.Duration("fault-every", 50*time.Millisecond, "pause between INJECT frames")
 	healWait := flag.Duration("heal-wait", 15*time.Second, "how long to wait, after the load, for bg_repairs > 0 (with -faults)")
-	backupFile := flag.String("backup", "", "standalone mode: stream a snapshot-consistent BACKUP of the whole keyspace to this file and exit")
+	backupFile := flag.String("backup", "", "standalone mode: write a snapshot-consistent image of the whole keyspace (a SNAPSCAN loop) to this file and exit")
 	restoreFile := flag.String("restore", "", "standalone mode: load a -backup file back into the server via MPUT batches, SYNC, and exit")
 	flag.Parse()
 	if *backupFile != "" {
@@ -543,9 +544,10 @@ func main() {
 	}
 }
 
-// runBackup implements -backup: one BACKUP stream written to a file of
-// 16-byte little-endian (key, value) records, with a side connection
-// polling STATS while the stream runs so the report can show the peak
+// runBackup implements -backup: one server.Backup (a SNAPSCAN loop on
+// its own connection) written to a file of 16-byte little-endian (key,
+// value) records, with a side connection polling STATS while the
+// snapshot is open so the report can show the peak
 // versions_retained and snapshot_pins the server reached — the
 // version-buffer cost of holding one consistent image open while
 // writers proceed.

@@ -66,7 +66,7 @@
 #                         counters land in compare.json as a recorded
 #                         trajectory, not a gate; both runs must be
 #                         error-free
-#   9. backup/restore:    a BACKUP stream is taken while a background
+#   9. backup/restore:    a Backup (SNAPSCAN loop) runs while a background
 #                         batch load keeps committing, written to a
 #                         file, and replayed (-restore) into a FRESH
 #                         data directory; after the run every restored
@@ -231,7 +231,7 @@ SERVE_DIR="$WORKDIR/kvset"
 echo "# phase 9: backup under sustained writes, restore into a fresh set" >&2
 stop_server
 start_server serve-backup
-# The background load keeps group commits landing while the BACKUP
+# The background load keeps group commits landing while the Backup
 # stream pins its snapshot and pages the whole keyspace; its client
 # errors when killed are expected and not gated.
 ./bin/pglload -addr "$ADDR" -clients "$CLIENTS" -ops 10000000 -seed 13 -batch "$BATCH" \

@@ -94,30 +94,3 @@ func BenchmarkAllocPipelinedGetPut(b *testing.B) {
 		i += n
 	}
 }
-
-// BenchmarkAllocV1GetPut measures the legacy in-order protocol loop
-// (satellite: serveV1's per-connection encode/decode buffer reuse) on
-// a lockstep connection — every op is a full synchronous round trip.
-func BenchmarkAllocV1GetPut(b *testing.B) {
-	addr := benchServerAddr(b)
-	c, err := Dial(context.Background(), addr, WithProtocolV1())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	benchPreload(b, c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i) % benchKeys
-		if i%2 == 0 {
-			if _, _, err := c.Get(k); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			if err := c.Put(k, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}

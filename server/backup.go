@@ -1,81 +1,47 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"net"
 )
 
 // Backup streams a snapshot-consistent image of the whole keyspace from
-// the server at addr, calling fn for every pair; fn returning false
-// stops the stream early (the connection is simply dropped, which
-// releases the server-side pins). The server pins one generation per
-// shard when the request arrives, so the image is exactly the set's
-// committed state at that moment — a backup taken under sustained
-// writes restores to one consistent state, not a smear of mid-backup
-// commits.
+// the server at addr, calling fn for every pair in ascending key order;
+// fn returning false stops the stream early. The first page pins one
+// generation per shard, so the image is exactly the set's committed
+// state at that moment — a backup taken under sustained writes restores
+// to one consistent state, not a smear of mid-backup commits.
 //
-// BACKUP is a multi-frame streaming op, which the pipelined Client's
-// one-reply-per-request matching cannot carry; Backup therefore speaks
-// the v1 protocol on a dedicated connection it dials and closes itself.
+// Backup is a SNAPSCAN loop over full pages on a Client it dials and
+// closes itself; closing the connection (on completion, early stop, or
+// failure) releases any pins the server still holds for it.
 // Server-side failures arrive as typed errors (ErrSnapshotUnsupported
 // when a shard backend cannot snapshot, ErrSnapshotTooOld when the pins
 // were evicted mid-stream); either way the stream ends with the error,
-// never with a silently truncated image. ctx bounds the whole stream.
+// never with a silently truncated image. ctx bounds the whole stream:
+// cancelling it closes the connection, and the error wraps ctx.Err().
 func Backup(ctx context.Context, addr string, fn func(k, v uint64) bool) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	c, err := Dial(ctx, addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer c.Close()
+	stop := context.AfterFunc(ctx, func() { c.Close() })
 	defer stop()
-	bw := bufio.NewWriter(conn)
-	payload, err := EncodeRequest(nil, Request{Op: OpBackup})
-	if err != nil {
-		return err
-	}
-	if err := WriteFrame(bw, payload); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	br := bufio.NewReader(conn)
-	var buf []byte
-	for {
-		frame, err := ReadFrame(br, buf)
+	sc := c.SnapScan(0, ^uint64(0))
+	for !sc.Done() {
+		pairs, err := sc.Next(0)
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("server: backup stream: %w", cerr)
+		}
 		if err != nil {
-			if ctx.Err() != nil {
-				return fmt.Errorf("server: backup stream: %w", ctx.Err())
-			}
 			return fmt.Errorf("server: backup stream: %w", err)
 		}
-		buf = frame
-		if len(frame) < 1 {
-			return fmt.Errorf("server: empty backup frame")
-		}
-		if frame[0] != StatusOK {
-			return statusError(frame[0], frame[1:])
-		}
-		if len(frame) < 2 || (len(frame)-2)%16 != 0 {
-			return fmt.Errorf("server: backup frame of %d bytes", len(frame))
-		}
-		for off := 2; off < len(frame); off += 16 {
-			k := binary.BigEndian.Uint64(frame[off:])
-			v := binary.BigEndian.Uint64(frame[off+8:])
-			if !fn(k, v) {
+		for _, p := range pairs {
+			if !fn(p.K, p.V) {
 				return nil
 			}
 		}
-		if frame[1] == 0 {
-			return nil
-		}
 	}
+	return nil
 }

@@ -17,7 +17,6 @@ type options struct {
 	depth       int           // requested in-flight window (0 → server default)
 	dialTimeout time.Duration // connect timeout (0 → ctx only)
 	reqTimeout  time.Duration // per-op wait ceiling when ctx has no deadline
-	v1          bool          // speak legacy protocol v1 (no HELLO, in-order)
 }
 
 // Option configures a Client at Dial time.
@@ -33,7 +32,7 @@ func WithPipelineDepth(n int) Option {
 	return func(o *options) { o.depth = n }
 }
 
-// WithDialTimeout bounds the TCP connect (and v2 handshake) time,
+// WithDialTimeout bounds the TCP connect (and HELLO handshake) time,
 // composing with any deadline already on the Dial context.
 func WithDialTimeout(d time.Duration) Option {
 	return func(o *options) { o.dialTimeout = d }
@@ -48,15 +47,6 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(o *options) { o.reqTimeout = d }
 }
 
-// WithProtocolV1 skips the HELLO handshake and speaks the legacy
-// in-order protocol. The client still pipelines — v1 replies arrive in
-// request order, so matching is FIFO instead of by sequence number —
-// but all failures collapse to untyped errors, as v1 servers report
-// them. Mainly a compatibility and test hook.
-func WithProtocolV1() Option {
-	return func(o *options) { o.v1 = true }
-}
-
 // clientOp is one in-flight operation: its encoded request frame on the
 // way out, and its resolution (status+body or error) on the way back.
 // done closes exactly once, after which status/body/err are immutable.
@@ -69,7 +59,7 @@ func WithProtocolV1() Option {
 // valid forever.
 type clientOp struct {
 	seq     uint64
-	frame   *frameBuf // [len][seq?][request], ready for one Write
+	frame   *frameBuf // [len][seq][request], ready for one Write
 	status  uint8
 	body    []byte // owned copy; valid forever
 	err     error
@@ -94,7 +84,6 @@ type Client struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	v2         bool
 	window     int           // granted in-flight window
 	reqTimeout time.Duration // see WithRequestTimeout
 
@@ -104,8 +93,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	seq     uint64
-	pending map[uint64]*clientOp // v2: seq → op
-	fifo    []*clientOp          // v1: replies arrive in request order
+	pending map[uint64]*clientOp // seq → op
 	err     error                // fatal error; nil while healthy
 	closed  bool
 
@@ -113,11 +101,10 @@ type Client struct {
 	writerDone chan struct{}
 }
 
-// Dial connects to a KV server and, unless WithProtocolV1 is given,
-// performs the HELLO handshake that switches the connection to the
-// pipelined v2 protocol. ctx bounds the connect and handshake;
-// per-operation deadlines come from the operation contexts (or
-// WithRequestTimeout).
+// Dial connects to a KV server and performs the HELLO handshake that
+// negotiates the protocol version and the in-flight window. ctx bounds
+// the connect and handshake; per-operation deadlines come from the
+// operation contexts (or WithRequestTimeout).
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	var o options
 	for _, fn := range opts {
@@ -132,25 +119,15 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 		conn:       conn,
 		br:         bufio.NewReader(conn),
 		bw:         bufio.NewWriter(conn),
-		v2:         !o.v1,
 		reqTimeout: o.reqTimeout,
 		fatal:      make(chan struct{}),
 		pending:    make(map[uint64]*clientOp),
 		readerDone: make(chan struct{}),
 		writerDone: make(chan struct{}),
 	}
-	if c.v2 {
-		win, err := c.hello(ctx, o)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		c.window = win
-	} else {
-		c.window = o.depth
-		if c.window <= 0 {
-			c.window = DefaultWindow
-		}
+	if c.window, err = c.hello(ctx, o); err != nil {
+		conn.Close()
+		return nil, err
 	}
 	// Capacity invariant: every op in sendq holds a window slot, so a
 	// submit that owns a slot can always enqueue without blocking.
@@ -161,9 +138,9 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// hello runs the v2 handshake on the fresh connection: one HELLO frame
-// out, one v1-framed ACK back carrying the negotiated version and the
-// granted window.
+// hello runs the handshake on the fresh connection: one seqless HELLO
+// frame out, one seqless ACK back carrying the negotiated version and
+// the granted window.
 func (c *Client) hello(ctx context.Context, o options) (int, error) {
 	if o.dialTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(o.dialTimeout))
@@ -207,17 +184,8 @@ func (c *Client) hello(ctx context.Context, o options) (int, error) {
 	return int(win), nil
 }
 
-// ProtocolVersion reports the negotiated wire protocol: 2 after a HELLO
-// handshake, 1 under WithProtocolV1.
-func (c *Client) ProtocolVersion() uint64 {
-	if c.v2 {
-		return ProtocolV2
-	}
-	return 1
-}
-
-// Window reports the in-flight window this connection operates under —
-// the server's grant on v2, the requested depth on v1.
+// Window reports the in-flight window the server granted this
+// connection.
 func (c *Client) Window() int { return c.window }
 
 // Err reports the connection's fatal error: nil while the client is
@@ -266,16 +234,10 @@ func (c *Client) fail(err error) {
 	c.err = err
 	pend := c.pending
 	c.pending = nil
-	fifo := c.fifo
-	c.fifo = nil
 	close(c.fatal)
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, op := range pend {
-		op.err = err
-		close(op.done)
-	}
-	for _, op := range fifo {
 		op.err = err
 		close(op.done)
 	}
@@ -289,14 +251,8 @@ func (c *Client) fail(err error) {
 func (c *Client) submit(ctx context.Context, req Request) *clientOp {
 	op := &clientOp{done: make(chan struct{})}
 	f := getFrame()
-	b := beginFrame(f)
-	var err error
-	if c.v2 {
-		// Seq placeholder up front; patched once the seq is assigned.
-		b, err = EncodeRequestSeq(b, 0, req)
-	} else {
-		b, err = EncodeRequest(b, req)
-	}
+	// Seq placeholder up front; patched once the seq is assigned.
+	b, err := EncodeRequestSeq(beginFrame(f), 0, req)
 	if err != nil {
 		putFrame(f)
 		op.err = err
@@ -333,15 +289,9 @@ func (c *Client) submit(ctx context.Context, req Request) *clientOp {
 	}
 	op.seq = c.seq
 	c.seq++
-	if c.v2 {
-		binary.BigEndian.PutUint64(op.frame.b[frameHeaderLen:], op.seq)
-		c.pending[op.seq] = op
-	} else {
-		c.fifo = append(c.fifo, op)
-	}
-	// Queued under the lock so the wire order is the registration order:
-	// v1 matches replies to c.fifo by position. Cannot block: sendq
-	// capacity == window, and op holds a slot.
+	binary.BigEndian.PutUint64(op.frame.b[frameHeaderLen:], op.seq)
+	c.pending[op.seq] = op
+	// Cannot block: sendq capacity == window, and op holds a slot.
 	c.sendq <- op
 	c.mu.Unlock()
 	return op
@@ -379,10 +329,9 @@ func (c *Client) writeLoop() {
 }
 
 // readLoop is the connection's reader goroutine: it decodes reply
-// frames, matches each to its op — by echoed sequence number on v2,
-// FIFO on v1 — resolves the op, and releases its window slot. Any
-// decode or matching failure is a protocol error and kills the
-// connection.
+// frames, matches each to its op by echoed sequence number, resolves
+// the op, and releases its window slot. Any decode or matching failure
+// is a protocol error and kills the connection.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	var buf []byte
@@ -393,40 +342,18 @@ func (c *Client) readLoop() {
 			return
 		}
 		buf = frame
-		var op *clientOp
-		var status uint8
-		var body []byte
-		if c.v2 {
-			seq, st, bd, err := DecodeResponseSeq(frame)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.mu.Lock()
-			op = c.pending[seq]
-			delete(c.pending, seq)
-			c.mu.Unlock()
-			if op == nil {
-				c.fail(fmt.Errorf("server: reply for unknown sequence %d", seq))
-				return
-			}
-			status, body = st, bd
-		} else {
-			st, bd, err := DecodeResponse(frame)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.mu.Lock()
-			if len(c.fifo) == 0 {
-				c.mu.Unlock()
-				c.fail(errors.New("server: unsolicited reply"))
-				return
-			}
-			op = c.fifo[0]
-			c.fifo = c.fifo[1:]
-			c.mu.Unlock()
-			status, body = st, bd
+		seq, status, body, err := DecodeResponseSeq(frame)
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		c.mu.Lock()
+		op := c.pending[seq]
+		delete(c.pending, seq)
+		c.mu.Unlock()
+		if op == nil {
+			c.fail(fmt.Errorf("server: reply for unknown sequence %d", seq))
+			return
 		}
 		op.status = status
 		if len(body) > 0 {
@@ -441,13 +368,7 @@ func (c *Client) readLoop() {
 				op.body = append([]byte(nil), body...)
 			}
 		}
-		if c.v2 {
-			op.err = statusError(status, body)
-		} else if status == StatusErr {
-			op.err = fmt.Errorf("server: %s", body)
-		} else if status == StatusNotFound {
-			op.err = ErrNotFound
-		}
+		op.err = statusError(status, body)
 		close(op.done)
 		<-c.sem
 	}

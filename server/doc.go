@@ -94,8 +94,8 @@
 // images taken at different moments — a pair committed behind the
 // cursor after its chunk ran is missed, and a pair committed ahead of
 // the cursor appears. When the whole scan must observe exactly one
-// committed state while writes proceed, use SNAPSCAN (or BACKUP for a
-// full-pool stream): it pins a generation per shard at open and every
+// committed state while writes proceed, use SNAPSCAN (or Backup for the
+// whole keyspace): it pins a generation per shard at open and every
 // page resolves at those generations — see "Snapshots and backup"
 // below.
 //
@@ -121,8 +121,8 @@
 //
 // # Snapshots and backup
 //
-// SNAPSCAN (op 14) and BACKUP (op 15) read one committed state of the
-// whole set while group commits proceed. Opening a snapshot pins every
+// SNAPSCAN (op 14) reads one committed state of the whole set while
+// group commits proceed. Opening a snapshot pins every
 // shard's current committed generation — each pin is serialized onto
 // its shard's worker, so it lands between group commits, never inside
 // one — and the pins together form the set-level snapshot vector. From
@@ -130,9 +130,15 @@
 // commit overwrites in a bounded per-shard version buffer, and every
 // snapshot read resolves at exactly the pinned generation: superseded
 // versions win over live bytes, keys inserted after the pin are masked
-// out, keys deleted after the pin are restored. A paginated SNAPSCAN or
-// a BACKUP stream therefore sees one state end to end, no matter how
-// many commits land while it pages.
+// out, keys deleted after the pin are restored. A paginated SNAPSCAN
+// therefore sees one state end to end, no matter how many commits land
+// while it pages.
+//
+// Backup is a SNAPSCAN loop on its own connection: it dials a Client,
+// pages SnapScan(0, ^uint64(0)) in full MaxScanPairs frames, and hands
+// every pair to its callback in ascending key order. The terminal page
+// releases the pins; an early stop, a cancelled context, or a failure
+// closes the connection, which releases them too.
 //
 // The contract's edges are typed, never silent:
 //
@@ -141,8 +147,7 @@
 //     connection releases whatever is still open — an abandoned scan
 //     cannot leak pins past its connection. A connection holds at most
 //     MaxConnSnapshots (4) snapshots at once; further opens are
-//     refused until one finishes. BACKUP owns its snapshot internally
-//     and releases it when the stream ends, either way.
+//     refused until one finishes.
 //   - Bounded retention. Preserved versions cost memory on the write
 //     path, so each shard caps them (store.DefaultMaxPins distinct
 //     pinned generations, store.DefaultMaxVersions preserved
@@ -170,7 +175,7 @@
 // snapshot reads per shard, and the gauges snapshot_pins and
 // versions_retained expose the live cost of open pins, so an operator
 // can see a leaked or long-lived snapshot as a versions_retained
-// plateau. scripts/loadtest.sh gates on the whole path: a BACKUP taken
+// plateau. scripts/loadtest.sh gates on the whole path: a Backup taken
 // under sustained writes is restored into a fresh set and must pass
 // `pglpool check`.
 //
@@ -257,22 +262,20 @@
 // # Wire protocol
 //
 // The protocol is length-prefixed binary over TCP. Every message is one
-// frame, and two payload layouts exist, negotiated per connection by
-// the first frame:
+// frame; a connection opens with one seqless HELLO exchange, after which
+// every request and response carries a sequence number:
 //
-//	frame       := length(uint32 BE) payload       length excludes itself
-//	v1 request  := op(1 B) field*                  field = uint64 BE
-//	v1 response := status(1 B) body*               in request order
-//	v2 request  := seq(uint64 BE) op(1 B) field*   client-chosen sequence
-//	v2 response := seq(uint64 BE) status(1 B) body*  any order
+//	frame    := length(uint32 BE) payload        length excludes itself
+//	hello    := 13(1 B) magic version window     seqless, first frame only
+//	ack      := status(1 B) version window        seqless
+//	request  := seq(uint64 BE) op(1 B) field*    field = uint64 BE
+//	response := seq(uint64 BE) status(1 B) body*  any order
 //
-// A connection whose first frame is HELLO (op 13) carrying HelloMagic
-// speaks v2 — the pipelined protocol, below — from the next frame on.
-// Any other first frame selects v1, the original one-op-per-frame
-// in-order protocol, kept as the degenerate case so old clients work
-// unchanged against new servers. (The magic guard means a v1 request
-// that happens to carry opcode 13 is answered with ERR, never silently
-// promoted.)
+// The first frame must be a HELLO (op 13) carrying HelloMagic and
+// offering ProtocolV2; the ack grants the in-flight window (see
+// "Pipelining" below). Any other first frame — a plain request, opcode
+// 13 without the magic, garbage — is answered with one seqless ERR and
+// the connection is closed.
 //
 // Requests (field layout after the opcode byte):
 //
@@ -290,13 +293,12 @@
 //	                               pass (incremental, traffic interleaved)
 //	INJECT(12) seed count          corrupt count random live objects
 //	                               (fault-injection test hook, like CRASH)
-//	HELLO (13) magic version window  first frame only: negotiate v2 with a
-//	                               requested in-flight window (0 = default)
+//	HELLO (13) magic version window  first frame only, seqless: negotiate
+//	                               the protocol with a requested
+//	                               in-flight window (0 = default)
 //	SNAPSCAN (14) lo hi limit cursor snapid  snapshot-consistent scan page;
 //	                               snapid 0 + cursor 0 opens a snapshot,
 //	                               later pages carry the returned snapid
-//	BACKUP (15) —                  v1 only: stream every pair of one
-//	                               pinned snapshot as multiple frames
 //
 // Batch ops carry no explicit count — the frame length delimits them — but
 // the payload must be a whole number of ops, at least 1 and at most
@@ -321,18 +323,14 @@
 //	                          next-cursor(uint64 BE)
 //	                          (key(uint64 BE) value(uint64 BE))*,
 //	                          the terminal page (more 0) releases the
-//	                          snapshot;
-//	               BACKUP → a SEQUENCE of frames, each
-//	                        status(1 B) more(1 B)
-//	                        (key(uint64 BE) value(uint64 BE))*,
-//	                        ending with more 0 (or a non-OK status frame)
+//	                          snapshot
 //	NOT_FOUND (1)  GET or DEL of an absent key; empty body
 //	ERR       (2)  body is a UTF-8 error message
-//	CORRUPT   (3)  v2 only: the op failed on detected, unrepaired
-//	               corruption (pangolin.IsCorruption server-side)
-//	POISON    (4)  v2 only: the op failed on a media error
+//	CORRUPT   (3)  the op failed on detected, unrepaired corruption
+//	               (pangolin.IsCorruption server-side)
+//	POISON    (4)  the op failed on a media error
 //	               (pangolin.IsPoison server-side)
-//	SHUTDOWN  (5)  v2 only: the shard set is shutting down
+//	SHUTDOWN  (5)  the shard set is shutting down
 //	SNAP_TOO_OLD     (6)  the snapshot's pinned generation was evicted
 //	                      or released (ErrSnapshotTooOld)
 //	SNAP_UNSUPPORTED (7)  a shard backend lacks the snapshot capability
@@ -340,15 +338,11 @@
 //	CURSOR_MODE      (8)  cursor presented to the wrong scan mode
 //	                      (ErrCursorMode)
 //
-// v1 connections collapse every failure to ERR — the statuses old
-// clients understand — while v2 classifies them so the client rebuilds
-// the in-process error taxonomy across the network: errors.Is(err,
-// ErrShuttingDown), pangolin.IsCorruption(err), and
-// pangolin.IsPoison(err) hold on a Client exactly as they would
-// in-process. The snapshot statuses (6-8) belong to ops newer than the
-// version split, so they are used on BOTH protocol versions — there is
-// no older client to protect. The body is a UTF-8 message for every
-// status >= ERR.
+// Failures are classified so the client rebuilds the in-process error
+// taxonomy across the network: errors.Is(err, ErrShuttingDown),
+// pangolin.IsCorruption(err), and pangolin.IsPoison(err) hold on a
+// Client exactly as they would in-process. The body is a UTF-8 message
+// for every status >= ERR.
 //
 // Batch responses answer every op: records are in request order, one per
 // op, each carrying a per-op status — 0 (OK), 1 (not found: MGET/MDEL of
@@ -358,29 +352,25 @@
 // malformed batch (ragged payload, zero ops, > MaxBatchOps) is rejected
 // whole with ERR.
 //
-// Requests on a v1 connection are answered in order; concurrency comes
-// from concurrent connections, which matches the original closed-loop
-// client model (one in-flight request per connection).
-//
 // Frames are capped at 1 MB (MaxFrame); a larger length prefix is treated
 // as a corrupt stream and the connection is dropped.
 //
-// # Pipelining (protocol v2)
+// # Pipelining
 //
 // One in-flight request per connection caps a connection's throughput
 // at the network round trip, and — worse for this design — it keeps
 // the shard workers' queues shallow, so the group commit has nothing
 // to group: the per-fence amortization the workers were built for
-// needs a standing supply of queued operations. Protocol v2 exists to
-// keep that supply full from a single connection.
+// needs a standing supply of queued operations. The sequence-numbered
+// protocol exists to keep that supply full from a single connection.
 //
-// After the HELLO handshake (the reply to a HELLO is a v1-framed OK
-// whose body is version(uint64 BE) window(uint64 BE) — the negotiated
+// After the HELLO handshake (the reply to a HELLO is a seqless OK whose
+// body is version(uint64 BE) window(uint64 BE) — the negotiated
 // protocol and the granted in-flight window, min(requested, MaxWindow),
 // DefaultWindow when 0 is requested), every request carries a
 // client-chosen 8-byte sequence number and every response echoes one.
 // Replies arrive in completion order, not request order; the sequence
-// number is the only correlation. The server splits each v2 connection
+// number is the only correlation. The server splits each connection
 // into independent stages:
 //
 //   - a reader goroutine decodes frames and dispatches them: PUT and
@@ -391,8 +381,7 @@
 //     concurrent verified-read fast path inline, falling back to the
 //     worker queue; the multi-shard verbs (batches, SCAN, SNAPSCAN,
 //     STATS, SYNC, SCRUB, INJECT, CRASH) each run on their own bounded
-//     goroutine (BACKUP streams multiple frames, which one-reply-per-
-//     sequence cannot carry, so it remains v1-only);
+//     goroutine;
 //   - a writer goroutine streams completed replies to the wire in
 //     completion order, flushing when the queue goes empty, so replies
 //     coalesce into few syscalls under load.
@@ -414,11 +403,11 @@
 // operation's effect is visible to everything submitted after its reply
 // resolves; pipeline only independent operations, and sequence a
 // dependent one by waiting on its predecessor's reply (or future)
-// first. v1 connections keep strict request-order execution.
+// first.
 //
 // # Buffer ownership
 //
-// Every hot-path wire buffer — v2 completion frames on the server,
+// Every hot-path wire buffer — completion frames on the server,
 // request frames on the client — comes from one sync.Pool of frame
 // buffers (pool.go), laid out as [4-byte length][payload] so header and
 // payload leave in a single write. Recycling only works because frame
@@ -473,9 +462,8 @@
 //
 // # Client
 //
-// Dial(ctx, addr, opts...) returns a pipelined Client speaking v2 (or
-// v1 under WithProtocolV1 — same machinery, FIFO reply matching, since
-// v1 replies are in order). A Client is safe for concurrent use by any
+// Dial(ctx, addr, opts...) returns a pipelined Client, its HELLO
+// handshake done. A Client is safe for concurrent use by any
 // number of goroutines and is designed to be shared: concurrent calls
 // interleave on the one connection's window, which is exactly what
 // keeps server-side group commits deep. The synchronous methods (Get,

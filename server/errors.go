@@ -27,7 +27,7 @@ var ErrNotFound = errors.New("server: key not found")
 // silent drop. Compare with errors.Is.
 var ErrShuttingDown = shard.ErrShuttingDown
 
-// ErrSnapshotTooOld reports a snapshot scan (or backup) whose pinned
+// ErrSnapshotTooOld reports a snapshot scan (or Backup) whose pinned
 // generation was evicted on the server — the snapshot outlived the
 // version buffer's pin or retention caps, or was invalidated — so its
 // pages can no longer be proven consistent. Reopen and rescan. Compare
@@ -62,9 +62,9 @@ func (e *remoteError) Error() string { return e.msg }
 
 func (e *remoteError) Unwrap() error { return e.cause }
 
-// errStatus classifies a server-side error as a v2 wire status. v1
-// connections never use it — they collapse every failure to StatusErr,
-// which v1 clients understand.
+// errStatus classifies a server-side error as a wire status; every
+// failed request's reply carries it, so statusError can rebuild the
+// typed error on the client.
 func errStatus(err error) uint8 {
 	switch {
 	case errors.Is(err, shard.ErrShuttingDown):

@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -105,9 +107,9 @@ func TestGrantWindow(t *testing.T) {
 	}
 }
 
-// FuzzDecodeV2 throws arbitrary payloads at the v2 decoders: they must
-// never panic, and anything they accept must re-encode to the identical
-// bytes (the wire forms are canonical).
+// FuzzDecodeV2 throws arbitrary payloads at the wire decoders, HELLO's
+// included: they must never panic, and anything they accept must
+// re-encode to the identical bytes (the wire forms are canonical).
 func FuzzDecodeV2(f *testing.F) {
 	req, _ := EncodeRequestSeq(nil, 7, Request{Op: OpPut, Key: 1, Val: 2})
 	f.Add(req)
@@ -133,7 +135,17 @@ func FuzzDecodeV2(f *testing.F) {
 				t.Fatalf("response not canonical: %x → %x", p, enc)
 			}
 		}
-		DecodeHello(p)
+		// DecodeHello is the only gate between a socket and the request
+		// loop: whatever it admits is exactly a magic-carrying HELLO.
+		if version, window, ok := DecodeHello(p); ok {
+			if len(p) < 9 || p[0] != OpHello || binary.BigEndian.Uint64(p[1:]) != HelloMagic {
+				t.Fatalf("DecodeHello admitted %x without HelloMagic", p)
+			}
+			enc, err := EncodeRequest(nil, Request{Op: OpHello, Key: HelloMagic, Val: version, Limit: window})
+			if err != nil || !bytes.Equal(enc, p) {
+				t.Fatalf("HELLO not canonical: %x → %x (%v)", p, enc, err)
+			}
+		}
 	})
 }
 
@@ -145,8 +157,8 @@ func TestHelloNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ProtocolVersion() != ProtocolV2 || c.Window() != DefaultWindow {
-		t.Fatalf("default dial: version %d window %d", c.ProtocolVersion(), c.Window())
+	if c.Window() != DefaultWindow {
+		t.Fatalf("default dial: window %d", c.Window())
 	}
 	c.Close()
 
@@ -187,117 +199,53 @@ func TestHelloNegotiation(t *testing.T) {
 	}
 }
 
-// TestOpcode13WithoutMagicStaysV1: a first frame carrying the HELLO
-// opcode but not the magic must not hijack the connection into v2 — it
-// is answered as a (failed) v1 request and the connection keeps
-// speaking v1.
-func TestOpcode13WithoutMagicStaysV1(t *testing.T) {
+// TestFirstFrameMustBeHello: a connection whose first frame is anything
+// but a HELLO gets exactly one seqless ERR and is closed, and the server
+// keeps accepting fresh connections.
+func TestFirstFrameMustBeHello(t *testing.T) {
 	_, addr := startServer(t, t.TempDir(), 2)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	notHello, _ := EncodeRequest(nil, Request{Op: OpHello, Key: 999, Val: ProtocolV2})
-	if err := WriteFrame(conn, notHello); err != nil {
-		t.Fatal(err)
-	}
-	p, err := ReadFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, _, _ := DecodeResponse(p); status != StatusErr {
-		t.Fatalf("magicless opcode 13 answered with status %d, want StatusErr", status)
-	}
-	// Still v1: a plain request gets a plain in-order reply.
 	put, _ := EncodeRequest(nil, Request{Op: OpPut, Key: 6, Val: 60})
-	if err := WriteFrame(conn, put); err != nil {
-		t.Fatal(err)
-	}
-	if p, err = ReadFrame(br, nil); err != nil {
-		t.Fatal(err)
-	}
-	if status, _, _ := DecodeResponse(p); status != StatusOK {
-		t.Fatalf("v1 PUT after magicless 13: status %d", status)
-	}
-}
-
-// TestV1ClientAgainstV2Server: the compatibility path end to end — a
-// WithProtocolV1 client (seqless frames, FIFO reply matching) drives a
-// current server through the full verb surface, including concurrent
-// pipelined use of one connection.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	_, addr := startServer(t, t.TempDir(), 2)
-	c, err := Dial(t.Context(), addr, WithProtocolV1(), WithPipelineDepth(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.ProtocolVersion() != 1 {
-		t.Fatalf("ProtocolVersion = %d, want 1", c.ProtocolVersion())
-	}
-	if err := c.Put(5, 50); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := c.Get(5); err != nil || !ok || v != 50 {
-		t.Fatalf("get 5 = (%d,%v,%v)", v, ok, err)
-	}
-	if _, ok, err := c.Get(99); err != nil || ok {
-		t.Fatalf("get absent = (%v,%v)", ok, err)
-	}
-	if err := c.MPut([]uint64{10, 11, 12}, []uint64{100, 110, 120}); err != nil {
-		t.Fatal(err)
-	}
-	if vals, found, err := c.MGet([]uint64{10, 11, 99}); err != nil || !found[0] || vals[1] != 110 || found[2] {
-		t.Fatalf("MGET = %v/%v/%v", vals, found, err)
-	}
-	if pairs, _, _, err := c.Scan(0, ^uint64(0), 100, 0); err != nil || len(pairs) != 4 {
-		t.Fatalf("scan = %d pairs, %v", len(pairs), err)
-	}
-	if present, err := c.MDel([]uint64{12, 99}); err != nil || !present[0] || present[1] {
-		t.Fatalf("MDEL = %v/%v", present, err)
-	}
-	if ok, err := c.Del(5); err != nil || !ok {
-		t.Fatalf("del = %v/%v", ok, err)
-	}
-	if _, err := c.Scrub(false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stats(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Concurrent use of the one v1 connection: replies arrive in request
-	// order, and FIFO matching must hand each worker its own answer.
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for id := 0; id < 8; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			base := uint64(id+1) << 32
-			for i := uint64(0); i < 50; i++ {
-				if err := c.Put(base+i, base^i); err != nil {
-					errs <- err
-					return
-				}
-				v, ok, err := c.Get(base + i)
-				if err != nil || !ok || v != base^i {
-					//pgllint:ignore errwrap test diagnostic renders the whole (v,ok,err) tuple; err may be nil here and nothing unwraps it
-					errs <- fmt.Errorf("worker %d: get %d = (%d,%v,%v)", id, base+i, v, ok, err)
-					return
-				}
+	noMagic, _ := EncodeRequest(nil, Request{Op: OpHello, Key: 999, Val: ProtocolV2})
+	for _, tc := range []struct {
+		name  string
+		first []byte
+	}{
+		{"plain PUT", put},
+		{"op 13 without magic", noMagic},
+		{"op 15", []byte{15}},
+		{"empty payload", []byte{}},
+		{"garbage", []byte{0xDE, 0xAD, 0xBE}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(id)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if err := WriteFrame(conn, tc.first); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(conn)
+			p, err := ReadFrame(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status, body, _ := DecodeResponse(p); status != StatusErr || !bytes.Contains(body, []byte("HELLO")) {
+				t.Fatalf("first frame answered %x, want a seqless ERR naming HELLO", p)
+			}
+			if _, err := ReadFrame(br, nil); !errors.Is(err, io.EOF) {
+				t.Fatalf("after the refusal: %v, want EOF", err)
+			}
+			c, err := Dial(t.Context(), addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Put(1, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -155,68 +154,4 @@ func TestPoisonedFrameTorture(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-}
-
-// TestPoisonedFramesV1 repeats the torture over the v1 protocol, whose
-// server side reuses one per-connection encode buffer (serveConn) and
-// whose client side pools request frames like v2. v1 is lockstep per
-// connection, so the storm uses several connections to keep frames
-// cycling.
-func TestPoisonedFramesV1(t *testing.T) {
-	poisonFrames.Store(true)
-	defer poisonFrames.Store(false)
-
-	_, addr := startServer(t, t.TempDir(), 2)
-	setup, err := Dial(t.Context(), addr, WithProtocolV1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer setup.Close()
-
-	const roKeys = 128
-	for k := uint64(1); k <= roKeys; k++ {
-		if err := setup.Put(k, k*3); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	iters := 200
-	if testing.Short() {
-		iters = 40
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			c, err := Dial(context.Background(), addr, WithProtocolV1())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < iters; i++ {
-				if i%3 == 0 {
-					if err := c.Put(uint64(20_000+rng.Intn(500)), rand.Uint64()); err != nil {
-						t.Error(err)
-						return
-					}
-					continue
-				}
-				k := uint64(rng.Intn(roKeys)) + 1
-				v, ok, err := c.Get(k)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !ok || v != k*3 {
-					t.Errorf("v1 GET %d = %d, %v; want %d (stale frame memory?)", k, v, ok, k*3)
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // The frame pool backs every hot-path wire buffer on both sides of a
-// connection: v2 completion frames on the server, request frames on
+// connection: completion frames on the server, request frames on
 // the client. Pooling them converts the per-op frame allocation into a
 // pointer swap, which is where most of the protocol layer's GC
 // pressure lived before this pool existed.
@@ -14,7 +14,7 @@ import (
 // Ownership contract (the long form lives in doc.go):
 //
 //   - A frame fetched with getFrame is owned exclusively by the getter
-//     until it hands the frame to the connection's writer (the v2
+//     until it hands the frame to the connection's writer (the
 //     writeLoop on the server, the client writeLoop on the client).
 //   - The writer releases the frame back to the pool immediately after
 //     the bytes reach the bufio layer. Nothing may retain a pointer

@@ -10,20 +10,17 @@ import (
 //
 //	frame   := length(uint32 BE) payload
 //
-// Two payload layouts exist, negotiated per connection by the first frame
-// (see doc.go for the full grammar; the frame length covers the payload
-// only, not the 4-byte prefix):
+// A connection opens with one seqless exchange, then carries
+// sequence-numbered frames (see doc.go for the full grammar; the frame
+// length covers the payload only, not the 4-byte prefix):
 //
-//	v1 request  := op(1 B) fields…                 fields are uint64 BE
-//	v1 response := status(1 B) body…               in request order
+//	hello    := op(1 B) magic version window     seqless, first frame only
+//	ack      := status(1 B) version window        seqless
+//	request  := seq(uint64 BE) op(1 B) fields…   fields are uint64 BE
+//	response := seq(uint64 BE) status(1 B) body…  may arrive out of order
 //
-//	v2 request  := seq(uint64 BE) op(1 B) fields…  client-chosen sequence
-//	v2 response := seq(uint64 BE) status(1 B) body…  may arrive out of order
-//
-// A connection whose first frame is a HELLO (OpHello with the magic)
-// speaks v2 from the next frame on; any other first frame selects v1 —
-// the original one-op-per-frame, in-order protocol, kept as the
-// degenerate case.
+// A first frame that is not a HELLO (OpHello with the magic) gets one
+// seqless ERR and the connection closes.
 
 // Request opcodes.
 const (
@@ -39,7 +36,7 @@ const (
 	OpScan   uint8 = 10 // lo, hi, limit, cursor → more, next-cursor, (key value)*
 	OpScrub  uint8 = 11 // mode (0 health only, 1 run a full pass) → JSON body
 	OpInject uint8 = 12 // seed, count → injected, capable, total (fault-injection test hook)
-	OpHello  uint8 = 13 // magic, version, window → negotiate protocol v2
+	OpHello  uint8 = 13 // magic, version, window → negotiate the protocol (first frame only)
 	// OpSnapScan is OpScan at a pinned generation: the first page (snapid
 	// 0, cursor 0) opens a connection-owned snapshot and the reply names
 	// it; continuations carry that snapid with the reply's next-cursor.
@@ -47,15 +44,10 @@ const (
 	// continuation without its snapid is a cursor-mode violation
 	// (StatusCursorMode), never a silently-live page.
 	OpSnapScan uint8 = 14 // lo, hi, limit, cursor, snapid → snapid, more, next-cursor, (key value)*
-	// OpBackup streams the whole keyspace at one pinned snapshot as a
-	// multi-frame response; v1 connections only (the v2 one-reply-per-seq
-	// contract cannot carry a stream).
-	OpBackup uint8 = 15 // → (status, more, (key value)*)* frames
 )
 
-// HelloMagic guards HELLO frames against a v1 client whose first request
-// happens to carry opcode 13: without the magic the frame is (rejected
-// as) a v1 request, never a protocol switch.
+// HelloMagic marks a genuine HELLO: a first frame carrying opcode 13
+// without it is refused like any other non-HELLO first frame.
 const HelloMagic uint64 = 0x50474c2d50495045 // "PGL-PIPE"
 
 // ProtocolV2 is the pipelined protocol version HELLO negotiates.
@@ -88,25 +80,23 @@ const MaxBatchOps = 4096
 // with the response's next-cursor.
 const MaxScanPairs = 4096
 
-// Response status codes. v1 connections only ever see the first three
-// (errors collapse to StatusErr, which old clients understand); v2
-// responses classify failures so the client can rebuild typed errors —
-// the body is a UTF-8 message for every status ≥ StatusErr.
+// Response status codes. Failures are classified so the client can
+// rebuild typed errors — the body is a UTF-8 message for every status
+// ≥ StatusErr.
 const (
 	StatusOK       uint8 = 0
 	StatusNotFound uint8 = 1
 	StatusErr      uint8 = 2 // body is a UTF-8 message
-	StatusCorrupt  uint8 = 3 // v2: pangolin.IsCorruption on the server side
-	StatusPoison   uint8 = 4 // v2: pangolin.IsPoison on the server side
-	StatusShutdown uint8 = 5 // v2: the shard set is shutting down
-	// Snapshot statuses, used on both protocol versions (the ops that
-	// produce them postdate v1 clients, so there is no old decoder to
-	// protect). SnapTooOld: the pinned generation was evicted (caps,
-	// release, engine invalidation) — reopen and rescan. SnapUnsupported:
-	// a shard backend lacks the snapshot capability; the server refuses
-	// rather than silently serving a weaker scan. CursorMode: a cursor
-	// was presented to the wrong scan mode (a snapshot continuation
-	// without its snapid, or a snapid nobody opened).
+	StatusCorrupt  uint8 = 3 // pangolin.IsCorruption on the server side
+	StatusPoison   uint8 = 4 // pangolin.IsPoison on the server side
+	StatusShutdown uint8 = 5 // the shard set is shutting down
+	// Snapshot statuses. SnapTooOld: the pinned generation was evicted
+	// (caps, release, engine invalidation) — reopen and rescan.
+	// SnapUnsupported: a shard backend lacks the snapshot capability; the
+	// server refuses rather than silently serving a weaker scan.
+	// CursorMode: a cursor was presented to the wrong scan mode (a
+	// snapshot continuation without its snapid, or a snapid nobody
+	// opened).
 	StatusSnapTooOld      uint8 = 6
 	StatusSnapUnsupported uint8 = 7
 	StatusCursorMode      uint8 = 8
@@ -193,7 +183,7 @@ func fieldCount(op uint8) (int, error) {
 		return 1, nil
 	case OpPut:
 		return 2, nil
-	case OpStats, OpSync, OpBackup:
+	case OpStats, OpSync:
 		return 0, nil
 	case OpCrash, OpScrub:
 		return 1, nil
@@ -308,59 +298,6 @@ func DecodeRequest(p []byte) (Request, error) {
 	return req, nil
 }
 
-// decodeRequestInto parses a request payload into *req, reusing the
-// capacity of req.Keys and req.Vals from the previous decode. The
-// decoded slices are valid only until the next decodeRequestInto on
-// the same req, so the caller must fully consume one request before
-// decoding the next — the synchronous v1 loop does. Concurrent
-// handlers (the v2 dispatch goroutines, which outlive the reader's
-// next frame) must keep using DecodeRequest, whose slices are freshly
-// allocated.
-func decodeRequestInto(p []byte, req *Request) error {
-	if len(p) < 1 {
-		return fmt.Errorf("server: empty request")
-	}
-	keys, vals := req.Keys[:0], req.Vals[:0]
-	*req = Request{Op: p[0]}
-	n, err := fieldCount(req.Op)
-	if err != nil {
-		return err
-	}
-	if n < 0 {
-		stride := batchStride(req.Op)
-		if (len(p)-1)%stride != 0 {
-			return fmt.Errorf("server: op %d payload of %d bytes is not a whole number of %d-byte ops",
-				req.Op, len(p), stride)
-		}
-		count := (len(p) - 1) / stride
-		if err := checkBatchLen(req.Op, count); err != nil {
-			return err
-		}
-		for i := 0; i < count; i++ {
-			off := 1 + i*stride
-			keys = append(keys, binary.BigEndian.Uint64(p[off:]))
-			if req.Op == OpMPut {
-				vals = append(vals, binary.BigEndian.Uint64(p[off+8:]))
-			}
-		}
-		req.Keys = keys
-		if req.Op == OpMPut {
-			req.Vals = vals
-		}
-		return nil
-	}
-	if len(p) != 1+8*n {
-		return fmt.Errorf("server: op %d wants %d bytes, got %d", req.Op, 1+8*n, len(p))
-	}
-	for i, f := range req.fields() {
-		if i >= n {
-			break
-		}
-		*f = binary.BigEndian.Uint64(p[1+8*i:])
-	}
-	return nil
-}
-
 // EncodeResponse appends a response payload to b: status, then body.
 func EncodeResponse(b []byte, status uint8, body []byte) []byte {
 	b = append(b, status)
@@ -375,7 +312,7 @@ func DecodeResponse(p []byte) (uint8, []byte, error) {
 	return p[0], p[1:], nil
 }
 
-// EncodeRequestSeq appends req's v2 wire form — seq, then the v1 request
+// EncodeRequestSeq appends req's wire form — seq, then the EncodeRequest
 // layout — to b.
 func EncodeRequestSeq(b []byte, seq uint64, req Request) ([]byte, error) {
 	b = appendU64(b, seq)
@@ -386,7 +323,7 @@ func EncodeRequestSeq(b []byte, seq uint64, req Request) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeRequestSeq parses a v2 request payload: the sequence number, then
+// DecodeRequestSeq parses a request payload: the sequence number, then
 // the request. A payload too short to carry a sequence number cannot be
 // answered at all (there is no seq to echo), so the caller must treat
 // that error as a corrupt stream and drop the connection.
@@ -399,14 +336,14 @@ func DecodeRequestSeq(p []byte) (uint64, Request, error) {
 	return seq, req, err
 }
 
-// EncodeResponseSeq appends a v2 response payload to b: the echoed
+// EncodeResponseSeq appends a response payload to b: the echoed
 // sequence number, then status and body.
 func EncodeResponseSeq(b []byte, seq uint64, status uint8, body []byte) []byte {
 	b = appendU64(b, seq)
 	return EncodeResponse(b, status, body)
 }
 
-// DecodeResponseSeq splits a v2 response payload into its echoed
+// DecodeResponseSeq splits a response payload into its echoed
 // sequence number, status, and body.
 func DecodeResponseSeq(p []byte) (uint64, uint8, []byte, error) {
 	if len(p) < 9 {
@@ -415,9 +352,10 @@ func DecodeResponseSeq(p []byte) (uint64, uint8, []byte, error) {
 	return binary.BigEndian.Uint64(p), p[8], p[9:], nil
 }
 
-// DecodeHello reports whether a first frame is a v2 HELLO: a well-formed
-// OpHello request carrying the magic. Anything else — including opcode
-// 13 without the magic — leaves the connection on protocol v1.
+// DecodeHello reports whether a first frame is a HELLO: a well-formed,
+// seqless OpHello request carrying HelloMagic. It is the only gate
+// between a fresh socket and the request loop; anything it rejects —
+// including opcode 13 without the magic — is refused.
 func DecodeHello(p []byte) (version, window uint64, ok bool) {
 	req, err := DecodeRequest(p)
 	if err != nil || req.Op != OpHello || req.Key != HelloMagic {

@@ -209,11 +209,11 @@ func (cs *connSnaps) releaseAll() {
 	}
 }
 
-// serveConn handles one connection. The first frame selects the
-// protocol: a HELLO switches the connection to the pipelined v2 loop
-// (sequence-numbered frames, out-of-order completion); anything else is
-// served as v1 — the original one-op-per-frame, in-order protocol, kept
-// as the degenerate case so old clients keep working unchanged.
+// serveConn handles one connection. The first frame must be a HELLO
+// offering ProtocolV2; the connection then runs the pipelined loop
+// (sequence-numbered frames, out-of-order completion). Any other first
+// frame — a plain request, opcode 13 without the magic, garbage — is
+// answered with one seqless ERR and the connection closes.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	cs := &connSnaps{}
@@ -224,82 +224,26 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil {
 		return // EOF or broken conn; nothing to answer
 	}
-	if version, window, ok := DecodeHello(first); ok {
-		s.servePipelined(br, bw, version, window, cs)
-		return
-	}
-	s.serveV1(br, bw, first, cs)
-}
-
-// serveV1 runs the in-order request loop: decode, execute, reply, one
-// request at a time. first is the already-read opening frame. Requests
-// on a v1 connection are answered in order; concurrency comes from
-// concurrent connections.
-//
-// The loop owns three reusable per-connection buffers — the inbound
-// frame, the decoded request's key/value slices, and the outbound
-// frame (length prefix included, so each response is one Write) — so a
-// long-lived v1 connection's steady state allocates nothing in this
-// loop. The reuse is sound only because the loop is synchronous:
-// handleReq returns before the next decode overwrites the request's
-// slices, mirroring the pool's ownership contract (doc.go).
-func (s *Server) serveV1(br *bufio.Reader, bw *bufio.Writer, first []byte, cs *connSnaps) {
-	in := first
-	var (
-		out []byte
-		req Request
-	)
-	for {
-		if len(in) > 0 && in[0] == OpBackup {
-			// BACKUP streams multiple frames, which only the v1 loop's
-			// direct writer access can carry; it owns the connection until
-			// the terminal frame.
-			if err := s.handleBackup(bw, in); err != nil {
-				return
-			}
-			payload, err := ReadFrame(br, in)
-			if err != nil {
-				return
-			}
-			in = payload
-			continue
-		}
-		var crashed bool
-		out = append(out[:0], 0, 0, 0, 0)
-		if err := decodeRequestInto(in, &req); err != nil {
-			out = EncodeResponse(out, StatusErr, []byte(err.Error()))
-		} else {
-			out, crashed = s.handleReq(out, req, false, cs)
-		}
-		if len(out)-frameHeaderLen > MaxFrame {
-			return
-		}
-		if _, err := bw.Write(finishFrame(out)); err != nil {
-			return
-		}
-		// Flush eagerly unless the client has already pipelined more
-		// requests onto the wire; always flush before announcing a
-		// crash, since the announcement tears connections down.
-		if br.Buffered() == 0 || crashed {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-		if crashed {
-			// Signal only after the OK response is on the wire, so
-			// the requesting client sees its answer before the
-			// process owner starts killing connections.
-			s.crashOnce.Do(func() { close(s.crashed) })
-		}
-		payload, err := ReadFrame(br, in)
-		if err != nil {
-			return
-		}
-		in = payload
+	version, window, ok := DecodeHello(first)
+	switch {
+	case !ok:
+		refuse(bw, "server: the first frame must be a HELLO (op 13 carrying HelloMagic)")
+	case version != ProtocolV2:
+		refuse(bw, fmt.Sprintf("server: unsupported protocol version %d", version))
+	default:
+		s.servePipelined(br, bw, GrantWindow(window), cs)
 	}
 }
 
-// completion is one finished v2 request on its way to the wire. The
+// refuse answers a connection that cannot be served with one seqless
+// ERR frame; the caller then closes it.
+func refuse(bw *bufio.Writer, msg string) {
+	if WriteFrame(bw, EncodeResponse(nil, StatusErr, []byte(msg))) == nil {
+		bw.Flush()
+	}
+}
+
+// completion is one finished request on its way to the wire. The
 // frame is pooled: it is owned by the completing goroutine until it
 // lands on the completions channel, then by the writer, which recycles
 // it the moment the bytes reach the bufio layer (see pool.go and the
@@ -309,7 +253,7 @@ type completion struct {
 	crash bool      // a successful OpCrash: flush, then announce
 }
 
-// pipeConn is the per-connection state of a pipelined v2 session: the
+// pipeConn is the per-connection state of a pipelined session: the
 // in-flight window semaphore the reader acquires per request (and the
 // writer releases once the reply is on the wire) and the completion
 // channel between op completion and the writer goroutine. The channel's
@@ -372,10 +316,9 @@ func (pc *pipeConn) writeLoop(bw *bufio.Writer, done chan struct{}) {
 			crash := c.crash
 			putFrame(c.f)
 			if crash && !dead {
-				// As on the v1 path: announce only after the OK response
-				// is on the wire, so the requesting client sees its
-				// answer before the process owner starts killing
-				// connections.
+				// Announce only after the OK response is on the wire,
+				// so the requesting client sees its answer before the
+				// process owner starts killing connections.
 				if err := bw.Flush(); err != nil {
 					dead = true
 				} else {
@@ -408,24 +351,16 @@ func (pc *pipeConn) writeLoop(bw *bufio.Writer, done chan struct{}) {
 	}
 }
 
-// servePipelined runs one v2 session after its HELLO: a reader loop
-// (this goroutine) that decodes frames and dispatches them for
-// asynchronous completion, and a writer goroutine that streams replies
-// as they complete. The in-flight window is the negotiated one: when a
-// connection has window ops outstanding the reader simply stops reading
-// — TCP backpressure is the overload behavior, and the window bounds
-// the per-connection completion memory. On connection loss or server
-// shutdown every dispatched op still resolves (the writer drains what
-// it cannot send), so no completion callback is ever left dangling.
-func (s *Server) servePipelined(br *bufio.Reader, bw *bufio.Writer, version, reqWindow uint64, cs *connSnaps) {
-	if version != ProtocolV2 {
-		resp := EncodeResponse(nil, StatusErr, []byte(fmt.Sprintf("server: unsupported protocol version %d", version)))
-		if WriteFrame(bw, resp) == nil {
-			bw.Flush()
-		}
-		return
-	}
-	win := GrantWindow(reqWindow)
+// servePipelined acks a HELLO with the granted window win and runs the
+// session: a reader loop (this goroutine) that decodes frames and
+// dispatches them for asynchronous completion, and a writer goroutine
+// that streams replies as they complete. When a connection has win ops
+// outstanding the reader simply stops reading — TCP backpressure is the
+// overload behavior, and the window bounds the per-connection
+// completion memory. On connection loss or server shutdown every
+// dispatched op still resolves (the writer drains what it cannot send),
+// so no completion callback is ever left dangling.
+func (s *Server) servePipelined(br *bufio.Reader, bw *bufio.Writer, win int, cs *connSnaps) {
 	ack := appendU64(appendU64(nil, ProtocolV2), uint64(win))
 	if WriteFrame(bw, EncodeResponse(nil, StatusOK, ack)) != nil {
 		return
@@ -467,7 +402,7 @@ func (s *Server) servePipelined(br *bufio.Reader, bw *bufio.Writer, version, req
 	<-writerDone
 }
 
-// dispatch routes one v2 request for asynchronous completion. Single-key
+// dispatch routes one request for asynchronous completion. Single-key
 // data ops feed the shard layer directly: writes go straight into the
 // shard worker queue (whose group-commit drain folds queued ops into
 // one transaction — the reason deep pipelines produce big groups), and
@@ -513,24 +448,19 @@ func (s *Server) dispatch(pc *pipeConn, seq uint64, req Request, cs *connSnaps) 
 		go func() {
 			f := getFrame()
 			b := appendU64(beginFrame(f), seq)
-			b, crashed := s.handleReq(b, req, true, cs)
+			b, crashed := s.handleReq(b, req, cs)
 			f.b = finishFrame(b)
 			pc.push(f, crashed)
 		}()
 	}
 }
 
-// handleReq executes one decoded request. typed selects the v2 failure
-// statuses (shutdown/corruption/poison classified for the client's
-// typed-error mapping); v1 connections collapse every failure to
-// StatusErr, which old clients understand.
-func (s *Server) handleReq(out []byte, req Request, typed bool, cs *connSnaps) ([]byte, bool) {
+// handleReq executes one decoded request, appending its response to out;
+// the bool reports a successful OpCrash. Failures carry the status
+// errStatus classifies, so the client rebuilds the typed error.
+func (s *Server) handleReq(out []byte, req Request, cs *connSnaps) ([]byte, bool) {
 	fail := func(err error) []byte {
-		status := StatusErr
-		if typed {
-			status = errStatus(err)
-		}
-		return EncodeResponse(out, status, []byte(err.Error()))
+		return EncodeResponse(out, errStatus(err), []byte(err.Error()))
 	}
 	switch req.Op {
 	case OpGet:
@@ -563,14 +493,7 @@ func (s *Server) handleReq(out []byte, req Request, typed bool, cs *connSnaps) (
 	case OpScan:
 		return s.handleScan(out, req, fail), false
 	case OpSnapScan:
-		// New op, so every failure uses the typed statuses on both
-		// protocol versions — no pre-existing v1 decoder to protect.
-		return s.handleSnapScan(out, req, cs), false
-	case OpBackup:
-		// The v1 loop intercepts BACKUP before handleReq; reaching it here
-		// means a v2 connection asked, whose one-reply-per-sequence
-		// contract cannot carry a multi-frame stream.
-		return EncodeResponse(out, StatusErr, []byte("server: BACKUP streams multiple frames and requires a v1 connection")), false
+		return s.handleSnapScan(out, req, cs, fail), false
 	case OpScrub:
 		return s.handleScrub(out, req, fail), false
 	case OpInject:
@@ -604,8 +527,8 @@ func (s *Server) handleReq(out []byte, req Request, typed bool, cs *connSnaps) (
 		}
 		return EncodeResponse(out, StatusOK, nil), true
 	case OpHello:
-		// A HELLO after the first frame (or on a v1 connection) is a
-		// protocol violation, not a switch point.
+		// A HELLO after the first frame is a protocol violation, not a
+		// renegotiation.
 		return EncodeResponse(out, StatusErr, []byte("server: HELLO only negotiates as a connection's first frame")), false
 	default:
 		return EncodeResponse(out, StatusErr, []byte(fmt.Sprintf("unknown op %d", req.Op))), false
@@ -656,10 +579,7 @@ func (s *Server) handleScan(out []byte, req Request, fail func(error) []byte) []
 //
 // Response body: snapid(8 B), more(1 B), next-cursor(8 B), then the
 // pairs as (key value) uint64 BE records.
-func (s *Server) handleSnapScan(out []byte, req Request, cs *connSnaps) []byte {
-	fail := func(err error) []byte {
-		return EncodeResponse(out, errStatus(err), []byte(err.Error()))
-	}
+func (s *Server) handleSnapScan(out []byte, req Request, cs *connSnaps, fail func(error) []byte) []byte {
 	lo, hi := req.Key, req.Val
 	limit := int(req.Limit)
 	if req.Limit == 0 || req.Limit > MaxScanPairs {
@@ -710,67 +630,6 @@ func (s *Server) handleSnapScan(out []byte, req Request, cs *connSnaps) []byte {
 		out = binary.BigEndian.AppendUint64(out, pr.V)
 	}
 	return out
-}
-
-// backupFramePairs caps the pairs per BACKUP stream frame, sized so a
-// frame stays well under MaxFrame (16 bytes a pair plus the 2-byte
-// status/more header).
-const backupFramePairs = 4096
-
-// handleBackup streams the whole keyspace at one pinned snapshot as a
-// sequence of frames on a v1 connection: each frame is status(1 B),
-// more(1 B), then (key value) pairs; the terminal frame carries more=0.
-// The snapshot opens when the request arrives and releases when the
-// stream ends (complete or failed), so a full-pool backup taken under
-// sustained writes is one generation-consistent image — restoring it
-// yields exactly the committed state at the moment the backup began. A
-// failure mid-stream ends the stream with a typed non-OK frame, never a
-// silent truncation. The returned error reports wire failures only (the
-// caller drops the connection); server-side failures travel in-band.
-func (s *Server) handleBackup(bw *bufio.Writer, payload []byte) error {
-	sendErr := func(err error) error {
-		frame := EncodeResponse(nil, errStatus(err), []byte(err.Error()))
-		if werr := WriteFrame(bw, frame); werr != nil {
-			return werr
-		}
-		return bw.Flush()
-	}
-	if _, err := DecodeRequest(payload); err != nil {
-		return sendErr(err)
-	}
-	sn, err := s.set.OpenSnapshot()
-	if err != nil {
-		return sendErr(err)
-	}
-	defer sn.Release()
-	var (
-		cursor uint64
-		out    []byte
-	)
-	for {
-		pairs, next, more, err := sn.Scan(cursor, ^uint64(0), backupFramePairs)
-		if err != nil {
-			return sendErr(err)
-		}
-		out = out[:0]
-		out = append(out, StatusOK)
-		if more {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-		for _, pr := range pairs {
-			out = binary.BigEndian.AppendUint64(out, pr.K)
-			out = binary.BigEndian.AppendUint64(out, pr.V)
-		}
-		if err := WriteFrame(bw, out); err != nil {
-			return err
-		}
-		if !more {
-			return bw.Flush()
-		}
-		cursor = next
-	}
 }
 
 // handleScrub executes one SCRUB. Mode 0 reads the maintenance

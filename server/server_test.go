@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/pangolin-go/pangolin/internal/shard"
 )
@@ -228,38 +230,68 @@ func TestServerBatchOps(t *testing.T) {
 	}
 }
 
-func TestServerRejectsMalformedFrame(t *testing.T) {
-	_, addr := startServer(t, t.TempDir(), 2)
+// rawConn is a hand-rolled connection past its HELLO, for frames the
+// Client cannot emit by construction.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+// dialRaw connects to addr and completes the HELLO handshake by hand.
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := WriteFrame(conn, []byte{99, 1, 2, 3}); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	hello, _ := EncodeRequest(nil, Request{Op: OpHello, Key: HelloMagic, Val: ProtocolV2})
+	if err := WriteFrame(conn, hello); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ReadFrame(conn, nil)
+	r := &rawConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+	p, err := ReadFrame(r.br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, _, err := DecodeResponse(p)
-	if err != nil {
-		t.Fatal(err)
+	if status, _, _ := DecodeResponse(p); status != StatusOK {
+		t.Fatalf("HELLO answered with status %d", status)
 	}
-	if status != StatusErr {
-		t.Fatalf("status = %d, want StatusErr", status)
+	return r
+}
+
+// roundTrip sends one request payload (its seq included) and returns the
+// reply's echoed seq and status.
+func (r *rawConn) roundTrip(payload []byte) (uint64, uint8) {
+	r.t.Helper()
+	if err := WriteFrame(r.conn, payload); err != nil {
+		r.t.Fatal(err)
+	}
+	p, err := ReadFrame(r.br, nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	seq, status, _, err := DecodeResponseSeq(p)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return seq, status
+}
+
+func TestServerRejectsMalformedFrame(t *testing.T) {
+	_, addr := startServer(t, t.TempDir(), 2)
+	r := dialRaw(t, addr)
+	bad := appendU64(nil, 7)
+	bad = append(bad, 99, 1, 2, 3)
+	if seq, status := r.roundTrip(bad); seq != 7 || status != StatusErr {
+		t.Fatalf("malformed frame answered seq %d status %d, want seq 7 StatusErr", seq, status)
 	}
 	// The server answers good requests on the same connection afterwards.
-	req, _ := EncodeRequest(nil, Request{Op: OpPut, Key: 1, Val: 2})
-	if err := WriteFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	p, err = ReadFrame(conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, _, _ = DecodeResponse(p); status != StatusOK {
-		t.Fatalf("put after bad frame: status %d", status)
+	put, _ := EncodeRequestSeq(nil, 8, Request{Op: OpPut, Key: 1, Val: 2})
+	if seq, status := r.roundTrip(put); seq != 8 || status != StatusOK {
+		t.Fatalf("put after bad frame: seq %d status %d", seq, status)
 	}
 }
 

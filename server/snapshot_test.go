@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"math/rand"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -103,13 +101,7 @@ func TestSnapScanConnCloseReleasesPins(t *testing.T) {
 		t.Fatal("no pins held mid-scan")
 	}
 	c.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for set.Stats().SnapshotPins != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("connection close leaked %d pins", set.Stats().SnapshotPins)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitNoPins(t, set)
 }
 
 // TestSnapScanCursorModeAndCap pins the cursor contract on the wire: a
@@ -130,34 +122,23 @@ func TestSnapScanCursorModeAndCap(t *testing.T) {
 		}
 	}
 
-	// Hand-rolled v1 frames (the pipelined client cannot emit these
-	// shapes by construction).
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
+	// Hand-rolled frames (the pipelined client cannot emit these shapes
+	// by construction). Each refusal echoes its seq and leaves the
+	// connection serving.
+	r := dialRaw(t, addr)
+	seq := uint64(100)
 	rawStatus := func(req Request) uint8 {
 		t.Helper()
-		payload, err := EncodeRequest(nil, req)
+		seq++
+		payload, err := EncodeRequestSeq(nil, seq, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(bw, payload); err != nil {
-			t.Fatal(err)
+		got, status := r.roundTrip(payload)
+		if got != seq {
+			t.Fatalf("reply echoed seq %d, want %d", got, seq)
 		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := ReadFrame(br, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(frame) == 0 {
-			t.Fatal("empty response frame")
-		}
-		return frame[0]
+		return status
 	}
 	// Continuation cursor with no snapshot id: which snapshot is this?
 	if s := rawStatus(Request{Op: OpSnapScan, Key: 0, Val: ^uint64(0), Limit: 10, Cursor: 5}); s != StatusCursorMode {
@@ -167,6 +148,9 @@ func TestSnapScanCursorModeAndCap(t *testing.T) {
 	// into snapshot mode, or a stale id from another connection).
 	if s := rawStatus(Request{Op: OpSnapScan, Key: 0, Val: ^uint64(0), Limit: 10, Cursor: 5, SnapID: 424242}); s != StatusCursorMode {
 		t.Fatalf("unknown-snapid status = %d, want StatusCursorMode", s)
+	}
+	if s := rawStatus(Request{Op: OpGet, Key: 7}); s != StatusOK {
+		t.Fatalf("GET after cursor-mode refusals: status %d", s)
 	}
 	// The typed error round-trips through the client's status decoding.
 	if err := statusError(StatusCursorMode, []byte("x")); !errors.Is(err, ErrCursorMode) {
@@ -198,7 +182,80 @@ func TestSnapScanCursorModeAndCap(t *testing.T) {
 	}
 }
 
-// TestBackupUnderWritesRestores: BACKUP taken while writers commit must
+// waitNoPins polls until the set holds no snapshot pins: a closed
+// connection's pins fall when the server notices the close.
+func waitNoPins(t *testing.T, set *shard.Set) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for set.Stats().SnapshotPins != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d snapshot pins still held", set.Stats().SnapshotPins)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// putRange loads keys [0, n) with v = k through MPUT batches.
+func putRange(t *testing.T, c *Client, n uint64) {
+	t.Helper()
+	ks := make([]uint64, 0, MaxBatchOps)
+	for k := uint64(0); k < n; k++ {
+		ks = append(ks, k)
+		if len(ks) == MaxBatchOps || k == n-1 {
+			if err := c.MPut(ks, ks); err != nil {
+				t.Fatal(err)
+			}
+			ks = ks[:0]
+		}
+	}
+}
+
+// TestBackupEarlyStop: fn returning false ends Backup cleanly, and
+// dropping its connection releases the pins it held mid-stream.
+func TestBackupEarlyStop(t *testing.T) {
+	addr, set := startMaintServer(t, shard.Options{Structure: "btree"})
+	c, err := Dial(t.Context(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putRange(t, c, MaxScanPairs+100) // two pages: the first stops mid-scan
+	calls := 0
+	if err := Backup(t.Context(), addr, func(k, v uint64) bool {
+		calls++
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("fn called %d times after returning false", calls)
+	}
+	waitNoPins(t, set)
+}
+
+// TestBackupCancelled: cancelling ctx mid-stream fails Backup with an
+// error wrapping context.Canceled and leaks no pins.
+func TestBackupCancelled(t *testing.T) {
+	addr, set := startMaintServer(t, shard.Options{Structure: "btree"})
+	c, err := Dial(t.Context(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putRange(t, c, MaxScanPairs+100)
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	err = Backup(ctx, addr, func(k, v uint64) bool {
+		cancel()
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Backup returned %v, want context.Canceled", err)
+	}
+	waitNoPins(t, set)
+}
+
+// TestBackupUnderWritesRestores: Backup taken while writers commit must
 // stream one generation-consistent image — every record satisfies the
 // writers' per-key invariant, no key twice, ascending — and replaying
 // it into a fresh set reproduces exactly that image, which then scrubs
