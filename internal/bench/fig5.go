@@ -43,15 +43,18 @@ var Factories = []kvFactory{
 	{"btree", 128, 1 << 31, func(p *pangolin.Pool, n int) (kv.Map, error) { return btree.New(p) }},
 	{"skiplist", 448, 400_000, func(p *pangolin.Pool, n int) (kv.Map, error) { return skiplist.New(p) }},
 	{"rtree", 12 * 1024, 50_000, func(p *pangolin.Pool, n int) (kv.Map, error) { return rtree.New(p) }},
-	{"hashmap", 64, 1 << 31, func(p *pangolin.Pool, n int) (kv.Map, error) {
-		buckets := uint64(n)/2 + 64
+	// Pairs live inline, 61 to a 1 KB segment; the table is pre-sized to
+	// stay under its ¾-full growth point for all n keys, so a key costs
+	// about 22 bytes of segment.
+	{"hashmap", 32, 1 << 31, func(p *pangolin.Pool, n int) (kv.Map, error) {
+		buckets := uint64(n)*4/3 + 64
 		return hashmap.NewWithBuckets(p, buckets)
 	}},
 }
 
 // kvPool builds a pool sized for n operations of factory f.
 func kvPool(f kvFactory, mode pangolin.Mode, n int, policy pangolin.VerifyPolicy, scrubEvery uint64) (*pangolin.Pool, error) {
-	need := f.perObj*uint64(n) + uint64(n)*16 // objects + hashmap table slack
+	need := f.perObj*uint64(n) + uint64(n)*16 // objects + slack
 	return newPool(mode, geoFor(need), policy, scrubEvery)
 }
 

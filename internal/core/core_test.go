@@ -433,11 +433,22 @@ func TestOIDValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Abort()
-	if _, err := tx.Open(layout.NilOID); err == nil {
-		t.Fatal("nil OID accepted")
+	var ce *CorruptionError
+	if _, err := tx.Open(layout.NilOID); err == nil || errors.As(err, &ce) {
+		t.Fatalf("nil OID: %v, want a plain caller error", err)
 	}
-	if _, err := tx.Open(layout.OID{Pool: e.uuid + 1, Off: 4096}); err == nil {
-		t.Fatal("foreign pool OID accepted")
+	// A foreign pool's OID can only have been read from a scribbled
+	// pointer: typed, on every transaction entry point, so owner paths heal.
+	foreign := layout.OID{Pool: e.uuid + 1, Off: 4096}
+	for name, call := range map[string]func() error{
+		"Open":     func() error { _, err := tx.Open(foreign); return err },
+		"Get":      func() error { _, err := tx.Get(foreign); return err },
+		"AddRange": func() error { _, err := tx.AddRange(foreign, 0, 8); return err },
+		"Free":     func() error { return tx.Free(foreign) },
+	} {
+		if err := call(); !errors.As(err, &ce) || ce.OID != foreign {
+			t.Fatalf("%s of a foreign pool OID: %v, want a CorruptionError naming it", name, err)
+		}
 	}
 	if _, err := tx.Open(layout.OID{Pool: e.uuid, Off: 64}); err == nil {
 		t.Fatal("OID outside zone data accepted")

@@ -118,12 +118,17 @@ func (tx *Tx) checkActive() error {
 	return nil
 }
 
+// checkOID rejects an OID no transaction may use. A nil OID, or one this
+// transaction freed, is the caller's bug. An OID from another pool was read
+// from this one — a live pool never stores a foreign pointer — so it is a
+// scribble the caller followed unverified (the Table 4 window), typed like
+// readHeaderChecked's so owner paths repair and retry.
 func (tx *Tx) checkOID(oid layout.OID) error {
 	if oid.IsNil() {
 		return fmt.Errorf("core: nil OID")
 	}
 	if oid.Pool != tx.e.uuid {
-		return fmt.Errorf("core: OID from pool %#x used in pool %#x", oid.Pool, tx.e.uuid)
+		return &CorruptionError{OID: oid, Reason: "invalid OID for this pool"}
 	}
 	if tx.freed[oid.Off] {
 		return fmt.Errorf("core: object %#x freed by this transaction", oid.Off)

@@ -90,6 +90,10 @@ type Manager struct {
 	freeLanes []uint64
 	freeExts  []uint64
 	seq       uint64
+	// laneSpans[l] is lane l's span list, emptied, kept between the
+	// transactions that hold the lane in turn so that a commit's records
+	// do not regrow it every time. Only the lane's holder touches it.
+	laneSpans [][]span
 
 	pending []RecoveredLog // discovered at open, drained by Recover
 }
@@ -103,7 +107,7 @@ func (m *Manager) SetMirror(dev *nvm.Device) { m.mirror = dev }
 // volatile lane/extent free lists. replicate selects log replication
 // (Table 2 "+ML").
 func NewManager(dev *nvm.Device, geo layout.Geometry, replicate bool) (*Manager, error) {
-	m := &Manager{dev: dev, geo: geo, replicate: replicate}
+	m := &Manager{dev: dev, geo: geo, replicate: replicate, laneSpans: make([][]span, geo.NumLanes)}
 	usedExts := make(map[uint64]bool)
 	var maxSeq uint64
 	for l := uint64(0); l < geo.NumLanes; l++ {

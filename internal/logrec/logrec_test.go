@@ -126,6 +126,38 @@ func TestClearedLogDoesNotReplay(t *testing.T) {
 	}
 }
 
+// TestLaneSpansPassToNextHolder: a cleared writer hands its lane's span
+// list to the lane's next holder, emptied, and keeps no reference to it;
+// the next holder's records are persisted by its own commit.
+func TestLaneSpansPassToNextHolder(t *testing.T) {
+	dev, geo, m := newLog(t, false)
+	a, _ := m.Begin()
+	for i := 0; i < 40; i++ {
+		if err := a.Append(kindData, []byte("first holder")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Commit()
+	a.Clear()
+	if a.spans != nil {
+		t.Fatal("a cleared writer still holds its lane's span list")
+	}
+	b, _ := m.Begin()
+	if b.lane != a.lane || len(b.spans) != 0 || cap(b.spans) < 80 {
+		t.Fatalf("lane %d -> %d: next holder's span list len %d cap %d, want the first's, emptied",
+			a.lane, b.lane, len(b.spans), cap(b.spans))
+	}
+	p := []byte("second holder")
+	if err := b.Append(kindData, p); err != nil {
+		t.Fatal(err)
+	}
+	b.Commit()
+	logs := reopen(t, dev.CrashCopy(nvm.CrashStrict, 3), geo, false).Recover()
+	if len(logs) != 1 || len(logs[0].Records) != 1 || !bytes.Equal(logs[0].Records[0].Payload, p) {
+		t.Fatalf("recovered %+v, want the second holder's one record", logs)
+	}
+}
+
 func TestUndoValidPrefix(t *testing.T) {
 	dev, geo, m := newLog(t, true)
 	w, _ := m.Begin()

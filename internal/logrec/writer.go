@@ -42,9 +42,10 @@ func (m *Manager) Begin() (*Writer, error) {
 	m.freeLanes = m.freeLanes[:len(m.freeLanes)-1]
 	m.seq++
 	seq := m.seq
+	spans := m.laneSpans[lane]
 	m.mu.Unlock()
 
-	w := &Writer{m: m, lane: lane, seq: seq, region: -1}
+	w := &Writer{m: m, lane: lane, seq: seq, region: -1, spans: spans}
 	// Prepare the header: idle state, new seq, no extents. Persist before
 	// any record so stale records from the lane's previous life can never
 	// validate against the new seq.
@@ -331,15 +332,17 @@ func (w *Writer) Clear() {
 		return
 	}
 	w.setState(StateIdle, false)
-	w.m.release(w.lane, w.exts)
+	w.m.release(w.lane, w.exts, w.spans)
+	w.spans = nil // the lane's next holder owns the list now
 	w.done = true
 }
 
-func (m *Manager) release(lane uint64, exts []uint64) {
+func (m *Manager) release(lane uint64, exts []uint64, spans []span) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.freeLanes = append(m.freeLanes, lane)
 	m.freeExts = append(m.freeExts, exts...)
+	m.laneSpans[lane] = spans[:0]
 }
 
 // ClearRecovered clears a lane returned by Recover after the engine has

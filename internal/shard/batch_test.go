@@ -1,10 +1,14 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"github.com/pangolin-go/pangolin"
+	"github.com/pangolin-go/pangolin/internal/store/pangolinstore"
 )
 
 // TestBatchMatchesModel drives Batch with mixed GET/PUT/DEL slices and
@@ -139,6 +143,85 @@ func TestOversizedBatchSplitsIntoWindows(t *testing.T) {
 	}
 	if st.GroupFallbacks != 0 {
 		t.Fatalf("unexpected fallbacks: %+v", st)
+	}
+}
+
+// TestMigrationGroupFitsLog commits one full MaxBatch group of new keys
+// right after the default hashmap doubled from 68 to 136 segments, so every
+// op of the group migrates an old chain and logs two fresh segments whole:
+// the largest log a group writes, well past one lane. It must spill into
+// the pool's overflow extents and commit as one group, with no
+// "transaction log full" and no per-op fallback.
+func TestMigrationGroupFitsLog(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{})
+	defer s.Abandon()
+	ps := s.workers[0].st.(*pangolinstore.Store)
+	p := ps.Pool()
+	// The anchor is {Table, Old OID; Cursor, Count uint64}.
+	le := binary.LittleEndian
+	anchor := func() (old pangolin.OID, cursor uint64) {
+		a, err := p.Get(ps.Map().Anchor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pangolin.OID{Pool: le.Uint64(a[16:]), Off: le.Uint64(a[24:])}, le.Uint64(a[32:])
+	}
+	ops := make([]BatchOp, 0, 64)
+	k := uint64(0)
+	for ; k < 3000; k++ { // under the 68-segment table's growth point
+		if ops = append(ops, BatchOp{Kind: BatchPut, K: k, V: k}); len(ops) == cap(ops) || k == 2999 {
+			for i, r := range s.Batch(ops) {
+				if r.Err != nil {
+					t.Fatalf("preload op %d: %v", i, r.Err)
+				}
+			}
+			ops = ops[:0]
+		}
+	}
+	for old, _ := anchor(); old.IsNil(); old, _ = anchor() {
+		if k == 4000 {
+			t.Fatal("no growth by 4,000 keys")
+		}
+		if err := s.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}
+	old, _ := anchor()
+	dir, err := p.Get(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs := le.Uint64(dir); segs < 64 {
+		t.Fatalf("old table has %d segments, fewer than a group's 64 migration steps", segs)
+	}
+	before, logged := s.Stats(), p.Stats().LoggedBytes.Load()
+	for i := range cap(ops) {
+		ops = append(ops, BatchOp{Kind: BatchPut, K: k + uint64(i), V: uint64(i)})
+	}
+	for i, r := range s.Batch(ops) {
+		if r.Err != nil {
+			t.Fatalf("op %d of the migrating group: %v", i, r.Err)
+		}
+	}
+	after := s.Stats()
+	if after.Batches != before.Batches+1 || after.GroupFallbacks != before.GroupFallbacks {
+		t.Fatalf("batches %d -> %d, fallbacks %d -> %d: want one group and no fallback",
+			before.Batches, after.Batches, before.GroupFallbacks, after.GroupFallbacks)
+	}
+	if _, cursor := anchor(); cursor != uint64(cap(ops)) {
+		t.Fatalf("cursor %d after the group, want %d migration steps", cursor, cap(ops))
+	}
+	lane := pangolin.DefaultGeometry().LaneSize
+	if n := p.Stats().LoggedBytes.Load() - logged; n <= lane {
+		t.Fatalf("the group logged %d bytes, within one %d-byte lane: overflow not exercised", n, lane)
+	} else {
+		t.Logf("the group logged %d bytes (lane %d)", n, lane)
+	}
+	for _, op := range ops {
+		if v, ok, err := s.Get(op.K); err != nil || !ok || v != op.V {
+			t.Fatalf("key %d = (%d,%v,%v), want %d", op.K, v, ok, err, op.V)
+		}
 	}
 }
 

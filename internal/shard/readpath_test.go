@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/pangolin-go/pangolin"
 	"github.com/pangolin-go/pangolin/internal/store/pangolinstore"
 )
 
@@ -154,6 +156,58 @@ func TestFastPathFaultFallsBackToRepair(t *testing.T) {
 	}
 	if w.fastGets.Load() != before+1 {
 		t.Fatal("fast path did not resume after online repair")
+	}
+}
+
+// TestScribbledPointerHealsOnPut: a scribble over the pool word of a
+// written hashmap directory slot makes its segment pointer a foreign
+// pool's. A PUT routed to that segment follows the pointer unverified
+// inside its transaction (VerifyDefault checks a directory only when it is
+// opened — Table 4's window), so the transaction's OID check is what meets
+// it. That must be typed corruption: the worker runs a heal pass, which
+// rebuilds the directory from parity, and the retried PUT succeeds. The
+// client sees no error and the repair is counted.
+func TestScribbledPointerHealsOnPut(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{})
+	defer s.Abandon()
+	const k = 7
+	if err := s.Put(k, 1); err != nil { // the map's only key: one directory slot written
+		t.Fatal(err)
+	}
+	ps := s.workers[0].st.(*pangolinstore.Store)
+	p := ps.Pool()
+	anchor, err := p.Get(ps.Map().Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The anchor starts with the directory's OID; the directory's 16-byte
+	// header is followed by one OID per segment.
+	le := binary.LittleEndian
+	dirOID := pangolin.OID{Pool: le.Uint64(anchor), Off: le.Uint64(anchor[8:])}
+	dir, err := p.Get(dirOID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slot uint64
+	for slot = 16; slot < uint64(len(dir)) && le.Uint64(dir[slot:]) == 0; slot += 16 {
+	}
+	if slot == uint64(len(dir)) {
+		t.Fatal("no directory slot written")
+	}
+	settle(s)
+	p.InjectScribble(dirOID.Off+slot, 8, 1)
+	if le.Uint64(dir[slot:]) == p.UUID() {
+		t.Fatal("scribble left the pool word intact")
+	}
+	before := s.Stats().BgRepairs
+	if err := s.Put(k, 2); err != nil {
+		t.Fatalf("put through a scribbled segment pointer: %v", err)
+	}
+	if v, ok, err := s.Get(k); err != nil || !ok || v != 2 {
+		t.Fatalf("get after the healed put = (%d,%v,%v), want 2", v, ok, err)
+	}
+	if after := s.Stats().BgRepairs; after <= before {
+		t.Fatalf("bg_repairs %d -> %d: the heal pass repaired nothing", before, after)
 	}
 }
 

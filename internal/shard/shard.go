@@ -897,9 +897,11 @@ type ShardStats struct {
 	ScanFaults    uint64 `json:"scan_faults"`
 	// Maintenance health. ScrubSteps counts bounded scrub steps executed
 	// on this shard (scheduler ticks, full passes, and heal-retry
-	// passes); BgRepairs counts the objects/pages/parity columns the
-	// scheduler's steps repaired; ScrubBackoffs counts steps skipped
-	// because the worker was busy (traffic wins); ScrubErrors counts
+	// passes); BgRepairs counts the objects/pages/parity columns repaired
+	// without a client asking for a scrub — by the scheduler's steps and
+	// by the heal passes a corrupt read or write triggers; ScrubBackoffs
+	// counts steps skipped because the worker was busy (traffic wins);
+	// ScrubErrors counts
 	// steps and passes that FAILED — a growing value with a stuck
 	// LastFullPass is the signal that the cursor cannot advance;
 	// LastFullPass is the unix time the shard last completed a full

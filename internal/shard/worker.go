@@ -231,7 +231,7 @@ type worker struct {
 
 	// Maintenance state, touched only by the worker goroutine.
 	scrubSteps       uint64 // scrub steps executed (scheduler + full passes)
-	bgRepairs        uint64 // repairs made by scheduler-driven steps
+	bgRepairs        uint64 // repairs made by scheduler-driven steps and heal passes
 	scrubErrs        uint64 // scrub steps/passes that failed
 	lastFullPassUnix int64  // wall time the last full pass completed; 0 = never
 	fullScrub        *fullScrubJob
@@ -1049,6 +1049,7 @@ func (w *worker) withHeal(fn func() error) error {
 		return err
 	}
 	rep, herr := w.healPass()
+	w.bgRepairs += uint64(rep.Fixed())
 	if herr != nil || rep.Fixed() == 0 {
 		w.noteFutileHeal(key)
 	} else {

@@ -77,8 +77,10 @@ type Result struct {
 type Stats struct {
 	// Backend is the store's backend name ("pangolin", "logstore").
 	Backend string
-	// Objects counts live keys (pangolin: committed live objects, which
-	// includes structure-internal nodes; logstore: index entries).
+	// Objects counts live objects (pangolin: committed live allocator
+	// objects — a node per key for the trees, one per 61-pair segment
+	// for the hashmap, plus structure-internal ones; logstore: index
+	// entries, one per live key).
 	Objects int
 	// Bytes is the store's occupied bytes (pangolin: reserved heap
 	// bytes; logstore: on-disk segment bytes including dead records).

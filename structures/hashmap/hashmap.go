@@ -1,117 +1,116 @@
-// Package hashmap implements a persistent chained hash table over uint64
-// keys, one of the six PMDK data-structure benchmarks (§4.5), with the
-// paper's 40-byte chain entries (Table 3).
+// Package hashmap implements a persistent hash table over uint64 keys, one
+// of the six PMDK data-structure benchmarks (§4.5), with its pairs inline
+// in the table's segments.
 //
 // # Layout
 //
-// The paper's table is one bucket-array object (10 MB at its scale). Here
-// the array is cut into pieces, because a transaction opens — copies and
-// verifies — every object it modifies in full (§3.2), and changing one
-// 16-byte bucket should not cost the whole array:
+//	anchor (48 B)     {Table, Old, Cursor, Count}
+//	directory         16-byte header (segment count, reserved) + one OID per segment
+//	segment (1008 B)  32-byte header {occupancy bitmap, its complement, overflow OID}
+//	                  + 61 inline slots of {Key, Value}
 //
-//	anchor (48 B)   {Table, Old, Cursor, Count}
-//	directory       16-byte header (bucket count, reserved) + one OID per segment
-//	segment (1008 B) 63 buckets, each the OID of its chain's first entry
-//	entry (40 B)    {Next, Key, Value, pad}
+// The paper's table is one 10 MB object; here it is cut into 1 KB segments,
+// because a transaction opens — copies and verifies — every object it
+// modifies in full (§3.2). Key k, with h = hash(k), belongs to segment
+// h % S and probes from home slot (h>>32) % 61 there, so keys sharing a
+// segment still spread over its slots. 61 because 61 pairs and both headers
+// fill a 1,024-byte allocator slot exactly and one word maps them; 62 would
+// spill into the next size class. A segment is allocated by the first
+// transaction that writes it; until then its directory slot is nil and
+// reads as empty. The bitmap's complement is a check word: reads that skip
+// checksum verification (VerifyDefault, §3.3) still refuse a segment whose
+// words disagree, so a scribbled bitmap fails as typed corruption instead
+// of reviving the stale pairs removals and migrations leave in free slots.
 //
-// Bucket i is slot i%63 of segment i/63. 63 because 63 buckets and the
-// 16-byte object header fill a 1,024-byte allocator slot exactly; 64 would
-// spill into the next size class and waste nearly half of it. A bucket
-// update opens one segment and declares 16 bytes of it (§3.5: logging,
-// checksum refresh and parity then cost those 16 bytes).
+// This departs from the paper's 40-byte chain entries (Table 3): each cost
+// a 64-byte allocator slot and header, pgl_alloc and its log records on
+// insert, and a third object read on lookup. Fig 5's and Table 3's hashmap
+// rows measure the inline layout.
 //
-// A segment is allocated by the transaction that first writes one of its
-// buckets. Until then its directory slot is nil, which reads as 63 empty
-// buckets, so a fresh table of any size is one zeroed directory. A segment
-// is freed only by a migration leaving it (below); emptying its buckets by
-// removals does not free it. No object grows with the map except the
-// directory, at 16 bytes per 63 buckets.
+// # Probing, overflow and deletion
+//
+// A lookup probes linearly from the home slot, wrapping, up to the first
+// empty slot or a full wrap, and on a miss follows the overflow link to a
+// further segment. An insert checks the whole chain for k and, if there,
+// rewrites its Value; otherwise it fills the first free slot, in probe
+// order, of the first segment with room — declaring that slot, the bitmap
+// words and Count — and only when the whole chain is full does it link a
+// new overflow segment, which colliding hashes need and the load factor
+// otherwise keeps rare. A remove backward-shifts within its segment
+// (Knuth's Algorithm R): each later pair of the probe run whose home does
+// not lie strictly between the hole and itself moves into the hole, so
+// every pair stays reachable from its home without tombstones.
 //
 // # Growth
 //
-// The table doubles at load factor 2, and the rehash is incremental: no
-// transaction does work in proportion to the table. The transaction whose
-// insert crosses the load factor only allocates the new (zeroed) directory
-// and records {old directory, migration cursor} in the anchor. From then on
-// every InsertTx and RemoveTx first moves migrateStep old buckets into the
-// new table inside its own transaction — each moved entry declares only its
-// 16-byte Next — freeing an old segment when the cursor leaves it, and the
-// transaction that moves the last bucket frees the old directory. Because
-// the size doubles, old bucket i splits into new buckets i and i+oldN, so
-// while a migration runs every key lives in exactly one place decided by
-// the cursor: in the old table when its old bucket is at or beyond the
-// cursor, in the new table otherwise. Lookup, LookupTx and Scan follow that
-// rule and stay pure reads. A migration takes oldN/migrateStep mutations
-// and the next doubling is 2·oldN inserts away, so at most one old table
-// ever exists; a growth that nonetheless came due mid-migration would drain
-// it first. Crash consistency needs no extra mechanism: each step is part
-// of an ordinary transaction.
+// When Count exceeds ¾ of the table's S·61 slots, the inserting transaction
+// only allocates a nil directory of 2S segments and records {old directory,
+// cursor 0} in the anchor. Every later InsertTx and RemoveTx first migrates
+// the old chain at the cursor: its pairs are rehashed into new segments s
+// and s+S — nil until then, since no other key maps to them — written as
+// fresh objects, and the old chain is freed, the old directory with the
+// last one. A key lives in the old table iff h % S_old >= Cursor; Lookup,
+// LookupTx and Scan follow that rule and stay pure reads. A migration takes
+// S_old mutations and the next doubling is about 46·S_old inserts away, so
+// at most one old table exists. Each step is an ordinary transaction.
 //
-// Attach refuses, with ErrAnchorFormat, anchors of another size (before
-// incremental growth they were 24 bytes) and anchors whose table is not a
-// directory (before segments it was the bucket array itself).
+// Attach refuses, with ErrAnchorFormat, anchors of another size (24 bytes
+// before incremental growth), tables that are not a directory (a bucket
+// array before segments) and directories of the chained layout, whose
+// header counts buckets and whose segments (type 0x73) hold chain heads.
 package hashmap
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"github.com/pangolin-go/pangolin"
 )
 
 const (
-	typeAnchor  = 0x68 // 'h'; the pre-segment bucket-array table shared this code
-	typeEntry   = 0x65 // 'e'
-	typeDir     = 0x64 // 'd'
-	typeSegment = 0x73 // 's'
+	typeAnchor       = 0x68 // 'h'; the pre-segment bucket-array table shared this code
+	typeDir          = 0x64 // 'd'
+	typeSegment      = 0x69 // 'i': inline pairs
+	typeChainSegment = 0x73 // 's': the chained layout's segment of chain heads
 )
-
-// entry is the persistent chain node: 40 bytes (Table 3).
-type entry struct {
-	Next  pangolin.OID
-	Key   uint64
-	Value uint64
-	_     uint64
-}
 
 const (
-	dirHeaderSize = 16 // bucket count, reserved word
-	oidSize       = 16 // a directory slot and a bucket are each one OID
-	segBuckets    = 63
-	segSize       = segBuckets * oidSize
+	dirHeaderSize = 16 // segment count, reserved word
+	oidSize       = 16 // a directory slot and an overflow link are each one OID
+	segHeaderSize = 32 // occupancy bitmap, its complement, overflow OID
+	occSize       = 16 // the bitmap and its complement
+	ovfOff        = 16 // the overflow link's offset in a segment
+	pairSize      = 16 // {Key, Value}
+	segSlots      = 61
+	segSize       = segHeaderSize + segSlots*pairSize
+	slotMask      = 1<<segSlots - 1
 )
+
+// The table grows when Count exceeds growNum/growDen of its slots.
+const growNum, growDen = 3, 4
 
 // anchor is the map's persistent root. Cursor and Count sit side by side so
 // the two words a migrating insert writes are one declared range.
 type anchor struct {
 	Table  pangolin.OID // current directory; the migration target while Old is set
 	Old    pangolin.OID // directory being migrated out of, nil when none
-	Cursor uint64       // old buckets below this index have moved to Table
+	Cursor uint64       // old segments below this index have moved to Table
 	Count  uint64
 }
 
-// Declared-range offsets: operations mark only the fields they write.
-const (
+const ( // declared-range offsets: operations mark only the fields they write
 	anchorSize = uint64(unsafe.Sizeof(anchor{}))
 	oldOff     = uint64(unsafe.Offsetof(anchor{}.Old))
 	cursorOff  = uint64(unsafe.Offsetof(anchor{}.Cursor))
 	countOff   = uint64(unsafe.Offsetof(anchor{}.Count))
-	nextSize   = uint64(unsafe.Sizeof(entry{}.Next)) // Next is the entry's first field
-	valueOff   = uint64(unsafe.Offsetof(entry{}.Value))
 )
 
-// migrateStep is how many old buckets each InsertTx/RemoveTx moves while a
-// migration runs. At 2 a migration is over a quarter of the way to the
-// next doubling.
-const migrateStep = 2
-
-// ErrAnchorFormat reports an anchor that is not this version's: a map
-// written before incremental growth (24-byte anchor) or before segments
-// (its table is a bucket array, not a directory), or not a hashmap anchor
-// at all. Such a map must be rebuilt; reading it as the current layout
-// would follow bucket bytes as segment pointers.
+// ErrAnchorFormat reports an anchor that is not this version's — a map
+// written before incremental growth, before segments or before inline
+// pairs, or not a hashmap at all. Such a map must be rebuilt.
 var ErrAnchorFormat = errors.New("hashmap: unsupported anchor format")
 
 // Map is a handle to a persistent hash map.
@@ -120,17 +119,15 @@ type Map struct {
 	anchor pangolin.OID
 }
 
-// InitialBuckets is the bucket count of a fresh table. The paper's table
-// object is 10 MB; the default here is laptop-scale and grows by
-// rehashing at load factor 2.
+// InitialBuckets is the slot count of a fresh table (17 segments): the
+// paper's table is 10 MB, this one is laptop-scale and grows by doubling.
 const InitialBuckets = 1024
 
-// New allocates a fresh map with InitialBuckets buckets.
+// New allocates a fresh map sized for InitialBuckets slots.
 func New(p *pangolin.Pool) (*Map, error) { return NewWithBuckets(p, InitialBuckets) }
 
-// NewWithBuckets allocates a fresh map with a chosen initial bucket count
-// (benchmarks pre-size the table the way the paper's 10 MB table does, so
-// the insert path is not dominated by rehashing).
+// NewWithBuckets allocates a fresh map of ⌈buckets/61⌉ segments: at least
+// buckets slots (benchmarks pre-size it, as the paper does its table).
 func NewWithBuckets(p *pangolin.Pool, buckets uint64) (*Map, error) {
 	var aOID pangolin.OID
 	err := p.Run(func(tx *pangolin.Tx) error {
@@ -140,7 +137,7 @@ func NewWithBuckets(p *pangolin.Pool, buckets uint64) (*Map, error) {
 		if err != nil {
 			return err
 		}
-		a.Table, err = allocDir(tx, buckets)
+		a.Table, err = allocDir(tx, max(1, (buckets+segSlots-1)/segSlots))
 		return err
 	})
 	if err != nil {
@@ -150,18 +147,17 @@ func NewWithBuckets(p *pangolin.Pool, buckets uint64) (*Map, error) {
 }
 
 // allocDir allocates the directory of an empty table: every slot nil.
-func allocDir(tx *pangolin.Tx, buckets uint64) (pangolin.OID, error) {
-	segs := (buckets + segBuckets - 1) / segBuckets
-	oid, data, err := tx.Alloc(dirHeaderSize+segs*oidSize, typeDir)
+func allocDir(tx *pangolin.Tx, segs uint64) (pangolin.OID, error) {
+	oid, data, err := tx.Alloc(segOff(segs), typeDir)
 	if err != nil {
 		return pangolin.NilOID, err
 	}
-	binary.LittleEndian.PutUint64(data[0:], buckets)
+	binary.LittleEndian.PutUint64(data[0:], segs)
 	return oid, nil
 }
 
-// Attach reconnects to an existing map. It fails with ErrAnchorFormat if
-// the anchor is not this version's 48-byte layout over a directory.
+// Attach reconnects to an existing map, or fails with ErrAnchorFormat if
+// the anchor is not this version's layout (see the package comment).
 func Attach(p *pangolin.Pool, anchorOID pangolin.OID) (*Map, error) {
 	size, err := p.ObjectSize(anchorOID)
 	if err != nil {
@@ -174,12 +170,28 @@ func Attach(p *pangolin.Pool, anchorOID pangolin.OID) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The current table decides: an old one is only ever this layout's.
 	typ, err := p.ObjectType(a.Table)
 	if err != nil {
 		return nil, err
 	}
 	if typ != typeDir {
 		return nil, fmt.Errorf("%w: table object has type %#x, want a directory (%#x)", ErrAnchorFormat, typ, typeDir)
+	}
+	t, err := readTable(p.Get, a.Table)
+	if err != nil {
+		return nil, fmt.Errorf("%w: directory header does not count its segments (%v)", ErrAnchorFormat, err)
+	}
+	for s := uint64(0); s < t.n && err == nil; s++ { // the first written segment's type
+		if seg := oidAt(t.dir, segOff(s)); !seg.IsNil() {
+			if typ, err = p.ObjectType(seg); err == nil && typ != typeSegment {
+				err = fmt.Errorf("%w: segment has type %#x, want %#x", ErrAnchorFormat, typ, typeSegment)
+			}
+			break
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Map{p: p, anchor: anchorOID}, nil
 }
@@ -199,13 +211,16 @@ func (m *Map) Len() (uint64, error) {
 // hash is Fibonacci hashing over the key.
 func hash(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 }
 
-// nBuckets reads a directory image's bucket count.
-func nBuckets(dir []byte) uint64 { return binary.LittleEndian.Uint64(dir[0:]) }
+// homeSlot is the slot a key with hash h probes from.
+func homeSlot(h uint64) uint64 { return (h >> 32) % segSlots }
 
 // segOff is segment s's slot offset in a directory's user data.
 func segOff(s uint64) uint64 { return dirHeaderSize + s*oidSize }
 
-// oidAt reads the OID at off: a directory slot or a segment's bucket.
+// slotOff is inline slot i's offset in a segment's user data.
+func slotOff(i uint64) uint64 { return segHeaderSize + i*pairSize }
+
+// oidAt reads the OID at off: a directory slot or an overflow link.
 func oidAt(image []byte, off uint64) pangolin.OID {
 	return pangolin.OID{
 		Pool: binary.LittleEndian.Uint64(image[off:]),
@@ -218,79 +233,143 @@ func putOID(image []byte, off uint64, oid pangolin.OID) {
 	binary.LittleEndian.PutUint64(image[off+8:], oid.Off)
 }
 
-// getFn reads an object: Pool.Get outside a transaction, Tx.Get inside one.
-type getFn func(pangolin.OID) ([]byte, error)
-
-// bucket is one located bucket of a table.
-type bucket struct {
-	dir   pangolin.OID // the table's directory
-	n     uint64       // the table's bucket count
-	slot  uint64       // offset of the segment's slot in dir
-	seg   pangolin.OID // the segment; nil while none of its buckets was ever written
-	image []byte       // seg's user data, nil with seg
-	off   uint64       // the bucket's offset in image
-}
-
-// locate points b at bucket i of the table under dirOID, whose image is
-// dir, reading the segment if there is one.
-func (b *bucket) locate(get getFn, dirOID pangolin.OID, dir []byte, i uint64) (err error) {
-	*b = bucket{dir: dirOID, n: nBuckets(dir), slot: segOff(i / segBuckets), off: i % segBuckets * oidSize}
-	if b.seg = oidAt(dir, b.slot); !b.seg.IsNil() {
-		b.image, err = get(b.seg)
+// setOID points the OID at off of an object (a directory slot or an
+// overflow link) at oid, declaring its 16 bytes.
+func setOID(tx *pangolin.Tx, obj pangolin.OID, off uint64, oid pangolin.OID) error {
+	image, err := tx.AddRange(obj, off, oidSize)
+	if err == nil {
+		putOID(image, off, oid)
 	}
 	return err
 }
 
-// head is the first entry of the bucket's chain.
-func (b *bucket) head() pangolin.OID {
-	if b.image == nil {
-		return pangolin.NilOID
-	}
-	return oidAt(b.image, b.off)
+// occupied is a segment's bitmap.
+func occupied(seg []byte) uint64 { return binary.LittleEndian.Uint64(seg) }
+
+// setOccupied writes a segment's bitmap and its check word.
+func setOccupied(seg []byte, occ uint64) {
+	binary.LittleEndian.PutUint64(seg, occ)
+	binary.LittleEndian.PutUint64(seg[8:], ^occ)
 }
 
-// setHead points the bucket at oid, declaring its 16 bytes modified — or,
-// when this is the first write to any bucket of the segment, allocating the
-// segment and declaring its directory slot.
-func (b *bucket) setHead(tx *pangolin.Tx, oid pangolin.OID) error {
-	var err error
-	if b.seg.IsNil() {
-		if b.seg, b.image, err = tx.Alloc(segSize, typeSegment); err != nil {
-			return err
-		}
-		dir, err := tx.AddRange(b.dir, b.slot, oidSize)
-		if err != nil {
-			return err
-		}
-		putOID(dir, b.slot, b.seg)
-	} else if b.image, err = tx.AddRange(b.seg, b.off, oidSize); err != nil {
-		return err
-	}
-	putOID(b.image, b.off, oid)
-	return nil
+func keyAt(seg []byte, i uint64) uint64 { return binary.LittleEndian.Uint64(seg[slotOff(i):]) }
+func valAt(seg []byte, i uint64) uint64 { return binary.LittleEndian.Uint64(seg[slotOff(i)+8:]) }
+
+// pair is one slot's contents.
+type pair struct{ k, v uint64 }
+
+// put writes p into slot i of a segment image and marks the slot occupied.
+func put(seg []byte, i uint64, p pair) {
+	binary.LittleEndian.PutUint64(seg[slotOff(i):], p.k)
+	binary.LittleEndian.PutUint64(seg[slotOff(i)+8:], p.v)
+	setOccupied(seg, occupied(seg)|1<<i)
 }
 
-// home points b at the bucket holding k's chain: in the old table while k's
-// old bucket has not migrated yet, in the current table otherwise.
-func (b *bucket) home(get getFn, a *anchor, k uint64) error {
+// probe looks for k in a segment image from home on. It returns k's slot
+// and true; or the first free slot in probe order and false; or segSlots
+// and false when the segment is full and does not hold k.
+func probe(seg []byte, k, home uint64) (uint64, bool) {
+	occ := occupied(seg)
+	for i, n := home, 0; n < segSlots; n++ {
+		if occ&(1<<i) == 0 {
+			return i, false
+		}
+		if keyAt(seg, i) == k {
+			return i, true
+		}
+		if i++; i == segSlots {
+			i = 0
+		}
+	}
+	return segSlots, false
+}
+
+// getFn reads an object: Pool.Get outside a transaction, Tx.Get inside one.
+type getFn func(pangolin.OID) ([]byte, error)
+
+// table is a directory as read for one operation.
+type table struct {
+	oid pangolin.OID
+	dir []byte
+	n   uint64 // segments
+}
+
+// readTable reads the directory at oid. A pointer that lands on some other
+// object is reported as corruption naming it, like any other unusable OID.
+func readTable(get getFn, oid pangolin.OID) (table, error) {
+	dir, err := get(oid)
+	if err != nil {
+		return table{}, err
+	}
+	n := uint64(len(dir)-dirHeaderSize) / oidSize
+	if len(dir) < dirHeaderSize || segOff(n) != uint64(len(dir)) || n == 0 || binary.LittleEndian.Uint64(dir) != n {
+		return table{}, &pangolin.CorruptionError{OID: oid, Reason: "not a hashmap directory"}
+	}
+	return table{oid: oid, dir: dir, n: n}, nil
+}
+
+// readSeg reads the segment at oid, checked the same way and by its check word.
+func readSeg(get getFn, oid pangolin.OID) ([]byte, error) {
+	seg, err := get(oid)
+	if err != nil {
+		return nil, err
+	}
+	if len(seg) != segSize {
+		return nil, &pangolin.CorruptionError{OID: oid, Reason: "not a hashmap segment"}
+	}
+	if occ := occupied(seg); occ&^slotMask != 0 || binary.LittleEndian.Uint64(seg[8:]) != ^occ {
+		return nil, &pangolin.CorruptionError{OID: oid, Reason: "hashmap segment bitmap fails its check word"}
+	}
+	return seg, nil
+}
+
+// spot is what locate learned about a key: where its chain is and, when
+// found, its segment and slot; otherwise the chain's first free slot (room
+// is nil when the chain is full) and its last segment (nil when empty).
+type spot struct {
+	t               table  // the table holding the chain, by the location rule
+	s               uint64 // the chain's directory slot
+	found           bool
+	seg, room, last pangolin.OID
+	img             []byte // seg's image
+	slot, free      uint64
+}
+
+// locate finds k's chain — in the old table while its old segment has not
+// migrated yet, in the current table otherwise — and walks it for k.
+func locate(get getFn, a *anchor, k uint64) (sp spot, err error) {
 	h := hash(k)
 	if !a.Old.IsNil() {
-		old, err := get(a.Old)
+		if sp.t, err = readTable(get, a.Old); err != nil {
+			return sp, err
+		}
+		sp.s = h % sp.t.n
+	}
+	if a.Old.IsNil() || sp.s < a.Cursor {
+		if sp.t, err = readTable(get, a.Table); err != nil {
+			return sp, err
+		}
+		sp.s = h % sp.t.n
+	}
+	for seg := oidAt(sp.t.dir, segOff(sp.s)); !seg.IsNil(); {
+		img, err := readSeg(get, seg)
 		if err != nil {
-			return err
+			return sp, err
 		}
-		if i := h % nBuckets(old); i >= a.Cursor {
-			return b.locate(get, a.Old, old, i)
+		i, found := probe(img, k, homeSlot(h))
+		if found {
+			sp.found, sp.seg, sp.img, sp.slot = true, seg, img, i
+			return sp, nil
 		}
+		if i < segSlots && sp.room.IsNil() {
+			sp.room, sp.free = seg, i
+		}
+		sp.last, seg = seg, oidAt(img, ovfOff)
 	}
-	dir, err := get(a.Table)
-	if err != nil {
-		return err
-	}
-	return b.locate(get, a.Table, dir, h%nBuckets(dir))
+	return sp, nil
 }
 
-// lookup walks k's chain with get.
+// lookup finds k with get.
 func (m *Map) lookup(get getFn, k uint64) (uint64, bool, error) {
 	data, err := get(m.anchor)
 	if err != nil {
@@ -300,25 +379,11 @@ func (m *Map) lookup(get getFn, k uint64) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	var b bucket
-	if err := b.home(get, a, k); err != nil {
+	sp, err := locate(get, a, k)
+	if err != nil || !sp.found {
 		return 0, false, err
 	}
-	for cur := b.head(); !cur.IsNil(); {
-		data, err := get(cur)
-		if err != nil {
-			return 0, false, err
-		}
-		e, err := pangolin.View[entry](data)
-		if err != nil {
-			return 0, false, err
-		}
-		if e.Key == k {
-			return e.Value, true, nil
-		}
-		cur = e.Next
-	}
-	return 0, false, nil
+	return valAt(sp.img, sp.slot), true, nil
 }
 
 // Lookup finds k with direct reads. It is a pure read (no pool writes,
@@ -327,32 +392,20 @@ func (m *Map) lookup(get getFn, k uint64) (uint64, bool, error) {
 // against commits by the caller.
 func (m *Map) Lookup(k uint64) (uint64, bool, error) { return m.lookup(m.p.Get, k) }
 
-// LookupTx is Lookup inside the caller's transaction: the directory,
-// segment and chain reads come from the transaction's micro-buffers when
-// open, so the caller's own uncommitted inserts and removes are visible.
+// LookupTx is Lookup inside the caller's transaction: the directory and
+// segment reads come from the transaction's micro-buffers when open, so
+// the caller's own uncommitted inserts and removes are visible.
 func (m *Map) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
 	return m.lookup(tx.Get, k)
 }
 
-// Insert adds or updates k in one transaction, growing the table at load
-// factor 2.
+// Insert adds or updates k in one transaction.
 func (m *Map) Insert(k, v uint64) error {
 	return m.p.Run(func(tx *pangolin.Tx) error { return m.InsertTx(tx, k, v) })
 }
 
-// entryRW declares bytes [off, off+n) of an entry modified and returns its
-// writable view.
-func entryRW(tx *pangolin.Tx, oid pangolin.OID, off, n uint64) (*entry, error) {
-	data, err := tx.AddRange(oid, off, n)
-	if err != nil {
-		return nil, err
-	}
-	return pangolin.View[entry](data)
-}
-
-// openAnchor opens the anchor for writing (verified, nothing declared yet)
-// and advances a running migration by one step. Writers then declare the
-// fields they change with tx.AddRange(m.anchor, …).
+// openAnchor opens the anchor for writing, nothing declared yet, and
+// migrates one old segment chain if a migration is running.
 func (m *Map) openAnchor(tx *pangolin.Tx) (*anchor, error) {
 	data, err := tx.Open(m.anchor)
 	if err != nil {
@@ -363,89 +416,101 @@ func (m *Map) openAnchor(tx *pangolin.Tx) (*anchor, error) {
 		return nil, err
 	}
 	if !a.Old.IsNil() {
-		if err := m.migrate(tx, a, migrateStep); err != nil {
+		if err := m.migrate(tx, a); err != nil {
 			return nil, err
 		}
 	}
 	return a, nil
 }
 
-// migrate moves up to limit old buckets, from the cursor on, into the
-// current table. Old bucket i splits into new buckets i and i+oldN, both
-// empty until now, so each entry is pushed onto its new chain by rewriting
-// its Next and the bucket head — the only bytes declared. The old buckets
-// and directory slots are left as they are: nothing reads below the cursor.
-// An old segment is freed with its last bucket, the old directory with the
-// last bucket of all.
-func (m *Map) migrate(tx *pangolin.Tx, a *anchor, limit uint64) error {
-	old, err := tx.Get(a.Old)
+// newChain allocates a chain of fresh segments, written whole without
+// declared ranges, holding pairs 61 to a segment, and returns its head.
+func newChain(tx *pangolin.Tx, pairs []pair) (pangolin.OID, error) {
+	next := pangolin.NilOID
+	for len(pairs) > 0 { // tail first, so each segment is born linked
+		tail := pairs[(len(pairs)-1)/segSlots*segSlots:]
+		oid, img, err := tx.Alloc(segSize, typeSegment)
+		if err != nil {
+			return pangolin.NilOID, err
+		}
+		putOID(img, ovfOff, next)
+		for _, p := range tail {
+			i, _ := probe(img, p.k, homeSlot(hash(p.k)))
+			put(img, i, p)
+		}
+		next, pairs = oid, pairs[:len(pairs)-len(tail)]
+	}
+	return next, nil
+}
+
+// migrate moves the old chain at the cursor into new segments s and s+S_old
+// as fresh chains, and frees it, the old directory with the last one; old
+// slots below the cursor are never read again, so they are left as they are.
+func (m *Map) migrate(tx *pangolin.Tx, a *anchor) error {
+	old, err := readTable(tx.Get, a.Old)
 	if err != nil {
 		return err
 	}
-	oldN := nBuckets(old)
-	end := oldN
-	if limit < oldN-a.Cursor {
-		end = a.Cursor + limit
+	cur, err := readTable(tx.Get, a.Table)
+	if err != nil {
+		return err
 	}
-	var from, to bucket
-	for i := a.Cursor; i < end; i++ {
-		if err := from.locate(tx.Get, a.Old, old, i); err != nil {
+	s := a.Cursor
+	var split [2][]pair // to new segments s and s+old.n
+	for seg := oidAt(old.dir, segOff(s)); !seg.IsNil(); {
+		img, err := readSeg(tx.Get, seg)
+		if err != nil {
 			return err
 		}
-		for cur := from.head(); !cur.IsNil(); {
-			e, err := entryRW(tx, cur, 0, nextSize)
-			if err != nil {
-				return err
-			}
-			// Re-read the directory per entry: the first write to one of
-			// its segments moves it into a micro-buffer.
-			dir, err := tx.Get(a.Table)
-			if err != nil {
-				return err
-			}
-			if err := to.locate(tx.Get, a.Table, dir, hash(e.Key)%nBuckets(dir)); err != nil {
-				return err
-			}
-			next := e.Next
-			e.Next = to.head()
-			if err := to.setHead(tx, cur); err != nil {
-				return err
-			}
-			cur = next
+		for occ := occupied(img); occ != 0; occ &= occ - 1 {
+			i := uint64(bits.TrailingZeros64(occ))
+			j := hash(keyAt(img, i)) % cur.n / old.n
+			split[j] = append(split[j], pair{keyAt(img, i), valAt(img, i)})
 		}
-		if last := i%segBuckets == segBuckets-1 || i == oldN-1; last && !from.seg.IsNil() {
-			if err := tx.Free(from.seg); err != nil {
-				return err
-			}
+		next := oidAt(img, ovfOff)
+		if err := tx.Free(seg); err != nil {
+			return err
+		}
+		seg = next
+	}
+	for j, pairs := range split {
+		ns := s + uint64(j)*old.n
+		if len(pairs) == 0 {
+			continue
+		}
+		if !oidAt(cur.dir, segOff(ns)).IsNil() {
+			return fmt.Errorf("hashmap: new segment %d written before old segment %d migrated", ns, s)
+		}
+		head, err := newChain(tx, pairs)
+		if err != nil {
+			return err
+		}
+		if err := setOID(tx, a.Table, segOff(ns), head); err != nil {
+			return err
 		}
 	}
-	if end < oldN {
+	if s+1 < old.n {
 		if _, err := tx.AddRange(m.anchor, cursorOff, 8); err != nil {
 			return err
 		}
-		a.Cursor = end
+		a.Cursor = s + 1
 		return nil
 	}
 	if _, err := tx.AddRange(m.anchor, oldOff, countOff-oldOff); err != nil {
 		return err
 	}
-	done := a.Old
 	a.Old, a.Cursor = pangolin.NilOID, 0
-	return tx.Free(done)
+	return tx.Free(old.oid)
 }
 
-// grow starts a migration into a table of twice the buckets: allocate its
-// directory, make it current, and leave the rehash to the operations that
-// follow.
-func (m *Map) grow(tx *pangolin.Tx, a *anchor, buckets uint64) error {
-	if !a.Old.IsNil() {
-		// Unreachable while migrateStep >= 1 (see the package comment);
-		// kept so "one old table at most" does not rest on arithmetic.
-		if err := m.migrate(tx, a, ^uint64(0)); err != nil {
+// grow starts a migration into a new, nil directory of segs segments.
+func (m *Map) grow(tx *pangolin.Tx, a *anchor, segs uint64) error {
+	for !a.Old.IsNil() { // unreachable (package comment), but never stack two old tables
+		if err := m.migrate(tx, a); err != nil {
 			return err
 		}
 	}
-	dir, err := allocDir(tx, buckets)
+	dir, err := allocDir(tx, segs)
 	if err != nil {
 		return err
 	}
@@ -462,50 +527,50 @@ func (m *Map) InsertTx(tx *pangolin.Tx, k, v uint64) error {
 	if err != nil {
 		return err
 	}
-	var b bucket
-	if err := b.home(tx.Get, a, k); err != nil {
+	sp, err := locate(tx.Get, a, k)
+	switch {
+	case err != nil:
 		return err
-	}
-	for cur := b.head(); !cur.IsNil(); {
-		e, err := pangolin.Get[entry](tx, cur)
+	case sp.found:
+		data, err := tx.AddRange(sp.seg, slotOff(sp.slot)+8, 8)
+		if err == nil {
+			binary.LittleEndian.PutUint64(data[slotOff(sp.slot)+8:], v)
+		}
+		return err
+	case !sp.room.IsNil():
+		if _, err := tx.AddRange(sp.room, 0, occSize); err != nil {
+			return err
+		}
+		data, err := tx.AddRange(sp.room, slotOff(sp.free), pairSize)
 		if err != nil {
 			return err
 		}
-		if e.Key == k {
-			we, err := entryRW(tx, cur, valueOff, 8)
-			if err != nil {
-				return err
-			}
-			we.Value = v
-			return nil
+		put(data, sp.free, pair{k, v})
+	default: // a new chain, or an overflow segment for a full one
+		seg, err := newChain(tx, []pair{{k, v}})
+		if err != nil {
+			return err
 		}
-		cur = e.Next
-	}
-	// New entry at the chain head; only 16 bytes of one segment and 8 of
-	// the anchor are declared modified.
-	eOID, e, err := pangolin.Alloc[entry](tx, typeEntry)
-	if err != nil {
-		return err
-	}
-	e.Key, e.Value = k, v
-	e.Next = b.head()
-	if err := b.setHead(tx, eOID); err != nil {
-		return err
+		obj, off := sp.t.oid, segOff(sp.s)
+		if !sp.last.IsNil() {
+			obj, off = sp.last, ovfOff
+		}
+		if err := setOID(tx, obj, off, seg); err != nil {
+			return err
+		}
 	}
 	if _, err := tx.AddRange(m.anchor, countOff, 8); err != nil {
 		return err
 	}
 	a.Count++
-	n := b.n
-	if b.dir != a.Table {
-		dir, err := tx.Get(a.Table)
-		if err != nil {
+	t := sp.t
+	if t.oid != a.Table {
+		if t, err = readTable(tx.Get, a.Table); err != nil {
 			return err
 		}
-		n = nBuckets(dir)
 	}
-	if a.Count > 2*n {
-		return m.grow(tx, a, 2*n)
+	if a.Count*growDen > growNum*t.n*segSlots {
+		return m.grow(tx, a, 2*t.n)
 	}
 	return nil
 }
@@ -527,39 +592,46 @@ func (m *Map) RemoveTx(tx *pangolin.Tx, k uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	var b bucket
-	if err := b.home(tx.Get, a, k); err != nil {
+	sp, err := locate(tx.Get, a, k)
+	if err != nil || !sp.found {
 		return false, err
 	}
-	prev := pangolin.NilOID
-	for cur := b.head(); !cur.IsNil(); {
-		e, err := pangolin.Get[entry](tx, cur)
-		if err != nil {
-			return false, err
-		}
-		if e.Key != k {
-			prev, cur = cur, e.Next
-			continue
-		}
-		next := e.Next
-		if prev.IsNil() {
-			if err := b.setHead(tx, next); err != nil {
-				return false, err
-			}
-		} else {
-			wp, err := entryRW(tx, prev, 0, nextSize)
-			if err != nil {
-				return false, err
-			}
-			wp.Next = next
-		}
-		if _, err := tx.AddRange(m.anchor, countOff, 8); err != nil {
-			return false, err
-		}
-		a.Count--
-		return true, tx.Free(cur)
+	if err := unset(tx, sp.seg, sp.slot); err != nil {
+		return false, err
 	}
-	return false, nil
+	if _, err := tx.AddRange(m.anchor, countOff, 8); err != nil {
+		return false, err
+	}
+	a.Count--
+	return true, nil
+}
+
+// steps is how many probe steps lead from slot from to slot to.
+func steps(from, to uint64) uint64 { return (to + segSlots - from) % segSlots }
+
+// unset empties slot hole of a segment by backward-shift deletion: along the
+// probe run after the hole, a pair whose home is at least as many steps
+// behind it as the hole moves into the hole, which moves to where the pair
+// was. The run ends at an empty slot, at the latest the hole after a wrap.
+func unset(tx *pangolin.Tx, seg pangolin.OID, hole uint64) error {
+	img, err := tx.AddRange(seg, 0, occSize)
+	if err != nil {
+		return err
+	}
+	occ := occupied(img) &^ (1 << hole)
+	for j := (hole + 1) % segSlots; occ&(1<<j) != 0; j = (j + 1) % segSlots {
+		if steps(homeSlot(hash(keyAt(img, j))), j) < steps(hole, j) {
+			continue // its home lies past the hole: moving it back would strand it
+		}
+		if img, err = tx.AddRange(seg, slotOff(hole), pairSize); err != nil {
+			return err
+		}
+		copy(img[slotOff(hole):slotOff(hole)+pairSize], img[slotOff(j):])
+		occ = occ&^(1<<j) | 1<<hole
+		hole = j
+	}
+	setOccupied(img, occ)
+	return nil
 }
 
 // Range calls fn for every key/value pair in unspecified order, stopping
@@ -570,13 +642,11 @@ func (m *Map) Range(fn func(k, v uint64) bool) error {
 }
 
 // Scan calls fn for every pair with lo <= k <= hi in unspecified order
-// (hash order gives no cheaper option than enumerating every chain and
-// filtering), stopping early if fn returns false. It is complete: every
-// in-range pair is visited unless fn stops early — during a migration
-// that is every chain of the current table plus the old table's chains
-// from the cursor on, which hold each key exactly once between them. It
-// follows the kv.Map iteration contract: a mid-scan read fault aborts the
-// walk and returns its error.
+// (hash order gives no cheaper option than reading every segment and
+// filtering), stopping early if fn returns false. It is complete — during
+// a migration the current table's chains and the old table's from the
+// cursor on hold each key exactly once — and a mid-scan read fault aborts
+// the walk with its error (the kv.Map iteration contract).
 func (m *Map) Scan(lo, hi uint64, fn func(k, v uint64) bool) error {
 	if lo > hi {
 		return nil
@@ -593,35 +663,27 @@ func (m *Map) Scan(lo, hi uint64, fn func(k, v uint64) bool) error {
 	return err
 }
 
-// scanTable visits the chains of a table's buckets from index from on,
-// segment by segment — one read per segment that exists, none for the
-// buckets of one that does not — reporting false once fn asked to stop.
+// scanTable visits the chains of a table's segments from index from on —
+// one read per segment that exists, none for a nil slot — reporting false
+// once fn asked to stop.
 func (m *Map) scanTable(dirOID pangolin.OID, from, lo, hi uint64, fn func(k, v uint64) bool) (more bool, err error) {
-	dir, err := m.p.Get(dirOID)
+	t, err := readTable(m.p.Get, dirOID)
 	if err != nil {
 		return false, err
 	}
-	// The last segment's slots past the bucket count are never written.
-	for s, off := from/segBuckets, from%segBuckets*oidSize; segOff(s) < uint64(len(dir)); s, off = s+1, 0 {
-		seg := oidAt(dir, segOff(s))
-		if seg.IsNil() {
-			continue
-		}
-		buckets, err := m.p.Get(seg)
-		if err != nil {
-			return false, err
-		}
-		for ; off < segSize; off += oidSize {
-			for cur := oidAt(buckets, off); !cur.IsNil(); {
-				e, err := pangolin.GetFromPool[entry](m.p, cur)
-				if err != nil {
-					return false, err
-				}
-				if e.Key >= lo && e.Key <= hi && !fn(e.Key, e.Value) {
+	for s := from; s < t.n; s++ {
+		for seg := oidAt(t.dir, segOff(s)); !seg.IsNil(); {
+			img, err := readSeg(m.p.Get, seg)
+			if err != nil {
+				return false, err
+			}
+			for occ := occupied(img); occ != 0; occ &= occ - 1 {
+				i := uint64(bits.TrailingZeros64(occ))
+				if k := keyAt(img, i); k >= lo && k <= hi && !fn(k, valAt(img, i)) {
 					return false, nil
 				}
-				cur = e.Next
 			}
+			seg = oidAt(img, ovfOff)
 		}
 	}
 	return true, nil
