@@ -11,13 +11,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific invariants (see internal/lint/doc.go): pgllint runs
-# as a vettool so findings gate exactly like vet's.
-bin/pgllint: $(wildcard cmd/pgllint/*.go internal/lint/*.go)
-	$(GO) build -o bin/pgllint ./cmd/pgllint
-
-lint: bin/pgllint
-	$(GO) vet -vettool=$(abspath bin/pgllint) ./...
+# Project-specific invariants (see internal/lint/doc.go). go run builds
+# pgllint from the current source, so an edit anywhere is picked up.
+lint:
+	$(GO) run ./cmd/pgllint ./...
 
 test:
 	$(GO) test ./...

@@ -2,16 +2,17 @@
 // concurrency invariants (see internal/lint/doc.go for the rule
 // catalogue).
 //
-// It runs two ways:
+//	pgllint [packages]
 //
-//	pgllint [packages]        # standalone: re-execs `go vet -vettool=pgllint`
-//	go vet -vettool=$(which pgllint) ./...
+// It lists the packages (default ./...) and their tests with go list,
+// type-checks them, runs every analyzer over each file once, and prints
+// one line per finding:
 //
-// Standalone invocation with package patterns (default ./...) wraps
-// `go vet`, so both forms run the identical unitchecker driver over
-// fully type-checked packages with facts and the build cache. Any
-// flag-shaped or .cfg argument means go vet is driving us and we speak
-// the vet tool protocol directly.
+//	file:line:col: analyzer: message
+//
+// It exits 0 when there is nothing to report, 1 on any finding, and 2
+// when go list reports a package error or a package does not
+// type-check: no package is ever skipped silently.
 //
 // Intentional exceptions are suppressed in-code, never out-of-band:
 //
@@ -21,58 +22,74 @@
 package main
 
 import (
+	"cmp"
+	"flag"
 	"fmt"
+	"go/token"
+	"io"
 	"os"
-	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
-
-	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"github.com/pangolin-go/pangolin/internal/lint"
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) == 0 || !vetProtocol(args) {
-		os.Exit(standalone(args))
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: pgllint [packages]\n")
 	}
-	unitchecker.Main(lint.Analyzers()...)
+	flag.Parse()
+	os.Exit(run(".", flag.Args(), os.Stdout, os.Stderr))
 }
 
-// vetProtocol reports whether go vet is driving us: every unitchecker
-// invocation passes flags (-V=full, -flags, analyzer flags) or a
-// package .cfg file.
-func vetProtocol(args []string) bool {
-	for _, a := range args {
-		if strings.HasPrefix(a, "-") || strings.HasSuffix(a, ".cfg") {
-			return true
-		}
-	}
-	return false
+// finding is one diagnostic, resolved to its file position.
+type finding struct {
+	pos      token.Position
+	analyzer string
+	message  string
 }
 
-// standalone re-runs this binary under go vet so package loading,
-// export data, and caching all come from the go command.
-func standalone(patterns []string) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pgllint: %v\n", err)
-		return 2
-	}
+// run lints patterns, listed from dir, and returns the exit status.
+// File names print relative to dir when they lie under it.
+func run(dir string, patterns []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"vet", "-vettool=" + exe}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
-		}
-		fmt.Fprintf(os.Stderr, "pgllint: %v\n", err)
+	pkgs, err := lint.Load(dir, patterns...)
+	if err != nil {
+		fmt.Fprintf(stderr, "pgllint: %v\n", err)
 		return 2
+	}
+	var found []finding
+	for _, p := range pkgs {
+		for _, d := range p.Run(lint.Analyzers()...) {
+			found = append(found, finding{p.Fset.Position(d.Pos), d.Analyzer, d.Message})
+		}
+	}
+	slices.SortFunc(found, func(a, b finding) int {
+		return cmp.Or(
+			cmp.Compare(a.pos.Filename, b.pos.Filename),
+			cmp.Compare(a.pos.Line, b.pos.Line),
+			cmp.Compare(a.pos.Column, b.pos.Column),
+			cmp.Compare(a.analyzer, b.analyzer),
+			cmp.Compare(a.message, b.message),
+		)
+	})
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		fmt.Fprintf(stderr, "pgllint: %v\n", err)
+		return 2
+	}
+	for _, f := range found {
+		name := f.pos.Filename
+		if rel, err := filepath.Rel(abs, name); err == nil && !strings.HasPrefix(rel, "..") {
+			name = rel
+		}
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", name, f.pos.Line, f.pos.Column, f.analyzer, f.message)
+	}
+	if len(found) > 0 {
+		return 1
 	}
 	return 0
 }

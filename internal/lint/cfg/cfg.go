@@ -39,21 +39,21 @@
 // edges, nor the short-circuit semantics of the && and || operators,
 // nor abnormal control flow caused by panic.  If you need this
 // information, use golang.org/x/tools/go/ssa instead.
+//
+// This is a copy of golang.org/x/tools/go/cfg (BSD-licensed, see
+// LICENSE) for the gatepair analyzer, without its Format and Dot
+// debugging printers.
 package cfg
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/format"
-	"go/token"
 )
 
 // A CFG represents the control-flow graph of a single function.
 //
 // The entry point is Blocks[0]; there may be multiple return blocks.
 type CFG struct {
-	fset   *token.FileSet
 	Blocks []*Block // block[0] is entry; order otherwise undefined
 }
 
@@ -168,15 +168,7 @@ func New(body *ast.BlockStmt, mayReturn func(*ast.CallExpr) bool) *CFG {
 }
 
 func (b *Block) String() string {
-	return fmt.Sprintf("block %d (%s)", b.Index, b.comment(nil))
-}
-
-func (b *Block) comment(fset *token.FileSet) string {
-	s := b.Kind.String()
-	if fset != nil && b.Stmt != nil {
-		s = fmt.Sprintf("%s@L%d", s, fset.Position(b.Stmt.Pos()).Line)
-	}
-	return s
+	return fmt.Sprintf("block %d (%s)", b.Index, b.Kind)
 }
 
 // Return returns the return statement at the end of this block if present, nil
@@ -189,59 +181,4 @@ func (b *Block) Return() (ret *ast.ReturnStmt) {
 		ret, _ = b.Nodes[len(b.Nodes)-1].(*ast.ReturnStmt)
 	}
 	return
-}
-
-// Format formats the control-flow graph for ease of debugging.
-func (g *CFG) Format(fset *token.FileSet) string {
-	var buf bytes.Buffer
-	for _, b := range g.Blocks {
-		fmt.Fprintf(&buf, ".%d: # %s\n", b.Index, b.comment(fset))
-		for _, n := range b.Nodes {
-			fmt.Fprintf(&buf, "\t%s\n", formatNode(fset, n))
-		}
-		if len(b.Succs) > 0 {
-			fmt.Fprintf(&buf, "\tsuccs:")
-			for _, succ := range b.Succs {
-				fmt.Fprintf(&buf, " %d", succ.Index)
-			}
-			buf.WriteByte('\n')
-		}
-		buf.WriteByte('\n')
-	}
-	return buf.String()
-}
-
-// Dot returns the control-flow graph in the [Dot graph description language].
-// Use a command such as 'dot -Tsvg' to render it in a form viewable in a browser.
-// This method is provided as a debugging aid; the details of the
-// output are unspecified and may change.
-//
-// [Dot graph description language]: ​​https://en.wikipedia.org/wiki/DOT_(graph_description_language)
-func (g *CFG) Dot(fset *token.FileSet) string {
-	var buf bytes.Buffer
-	buf.WriteString("digraph CFG {\n")
-	buf.WriteString("  node [shape=box];\n")
-	for _, b := range g.Blocks {
-		// node label
-		var text bytes.Buffer
-		text.WriteString(b.comment(fset))
-		for _, n := range b.Nodes {
-			fmt.Fprintf(&text, "\n%s", formatNode(fset, n))
-		}
-
-		// node and edges
-		fmt.Fprintf(&buf, "  n%d [label=%q];\n", b.Index, &text)
-		for _, succ := range b.Succs {
-			fmt.Fprintf(&buf, "  n%d -> n%d;\n", b.Index, succ.Index)
-		}
-	}
-	buf.WriteString("}\n")
-	return buf.String()
-}
-
-func formatNode(fset *token.FileSet, n ast.Node) string {
-	var buf bytes.Buffer
-	format.Node(&buf, fset, n)
-	// Indent secondary lines by a tab.
-	return string(bytes.Replace(buf.Bytes(), []byte("\n"), []byte("\n\t"), -1))
 }

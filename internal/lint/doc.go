@@ -1,4 +1,4 @@
-// Package lint implements pgllint, a go/analysis suite that
+// Package lint implements pgllint, a suite of analyzers that
 // machine-checks the persistence and concurrency invariants this
 // codebase depends on but the Go compiler cannot see.
 //
@@ -64,8 +64,12 @@
 //
 // # Running
 //
-// `make lint` builds cmd/pgllint and runs it over ./... via
-// `go vet -vettool`, which is also how the CI lint job gates merges.
-// See cmd/pgllint for the standalone/vettool invocation modes and
-// linttest for the analysistest-style test harness.
+// `make lint` runs cmd/pgllint over ./..., which is also how the CI lint
+// job gates merges; `go vet` runs separately (`make vet`). Load is the
+// one loader: `go list -test -export -deps` lists the packages, their
+// dependencies come from the export data go list compiles, and each
+// package, its in-package tests and its external test package are
+// type-checked from source for the target GOARCH, so every file is
+// analyzed once. cmd/pgllint prints the findings; linttest checks them
+// against the testdata want comments through the same loader.
 package lint

@@ -5,13 +5,9 @@ import (
 	"go/constant"
 	"go/token"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
-var ErrWrap = &analysis.Analyzer{
+var ErrWrap = &Analyzer{
 	Name: "errwrap",
 	Doc: `enforce error wrapping and comparison discipline in internal/ and server/
 
@@ -24,29 +20,29 @@ store Apply path), and == against a typed error stops matching the
 moment anyone wraps it. The analyzer flags fmt.Errorf calls that format
 an error value with a verb other than %w, and ==/!= comparisons where
 both operands are errors (nil checks excluded).`,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runErrWrap,
+	Run: runErrWrap,
 }
 
-func runErrWrap(pass *analysis.Pass) (any, error) {
+func runErrWrap(pass *Pass) {
 	path := pass.Pkg.Path()
 	if !strings.Contains(path, "/internal/") &&
 		!strings.HasPrefix(path, "internal/") &&
 		!strings.HasSuffix(path, "/server") &&
 		!strings.Contains(path, "/server/") {
-		return nil, nil
+		return
 	}
 	r := newReporter(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil), (*ast.BinaryExpr)(nil)}, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			checkErrorfWrap(r, n)
-		case *ast.BinaryExpr:
-			checkErrCompare(r, n)
-		}
-	})
-	return nil, nil
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				checkErrorfWrap(r, n)
+			case *ast.BinaryExpr:
+				checkErrCompare(r, n)
+			}
+			return true
+		})
+	}
 }
 
 // checkErrorfWrap flags fmt.Errorf calls that pass an error value under

@@ -4,13 +4,9 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
-var FsyncRename = &analysis.Analyzer{
+var FsyncRename = &Analyzer{
 	Name: "fsyncrename",
 	Doc: `flag os.Rename of data files without the fsync-temp/rename/fsync-dir pattern
 
@@ -22,35 +18,42 @@ in PR 7). The analyzer flags any os.Rename whose enclosing function
 does not fsync a file before the rename and fsync the parent directory
 (a File.Sync call or a syncDir-style helper) after it. Test files are
 exempt: fixture shuffling does not need crash durability.`,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runFsyncRename,
+	Run: runFsyncRename,
 }
 
-func runFsyncRename(pass *analysis.Pass) (any, error) {
+func runFsyncRename(pass *Pass) {
 	r := newReporter(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
+	for _, f := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
 		}
-		call := n.(*ast.CallExpr)
-		if !isPkgFunc(pass.TypesInfo, call, "os", "Rename") {
-			return true
-		}
-		if strings.HasSuffix(pass.Fset.Position(call.Pos()).Filename, "_test.go") {
-			return true
-		}
-		var enclosing *ast.FuncDecl
-		for _, s := range stack {
-			if fd, ok := s.(*ast.FuncDecl); ok {
-				enclosing = fd
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					checkRenames(r, n.Body)
+				}
+				return false
+			case *ast.CallExpr:
+				if isPkgFunc(pass.TypesInfo, n, "os", "Rename") {
+					r.reportf(n.Pos(), "os.Rename outside a function cannot implement the fsync-temp/rename/fsync-dir pattern; use nvm.Device.SaveFile or a helper that does")
+				}
 			}
-		}
-		if enclosing == nil {
-			r.reportf(call.Pos(), "os.Rename outside a function cannot implement the fsync-temp/rename/fsync-dir pattern; use nvm.Device.SaveFile or a helper that does")
+			return true
+		})
+	}
+}
+
+// checkRenames checks every os.Rename in one top-level function body
+// against the sync calls around it in that body.
+func checkRenames(r *reporter, body *ast.BlockStmt) {
+	info := r.pass.TypesInfo
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !isPkgFunc(info, call, "os", "Rename") {
 			return true
 		}
-		syncBefore, dirSyncAfter := renameDiscipline(pass.TypesInfo, enclosing.Body, call)
+		syncBefore, dirSyncAfter := renameDiscipline(info, body, call)
 		switch {
 		case !syncBefore && !dirSyncAfter:
 			r.reportf(call.Pos(), "raw os.Rename of a data file: fsync the temp file before the rename and the parent directory after it (see nvm.Device.SaveFile)")
@@ -61,7 +64,6 @@ func runFsyncRename(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
 }
 
 // renameDiscipline scans the enclosing function for a File.Sync call

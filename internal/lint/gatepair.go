@@ -5,11 +5,10 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/cfg"
+	"github.com/pangolin-go/pangolin/internal/lint/cfg"
 )
 
-var GatePair = &analysis.Analyzer{
+var GatePair = &Analyzer{
 	Name: "gatepair",
 	Doc: `check shard reader/writer gate discipline
 
@@ -93,7 +92,7 @@ const (
 	evReturn
 )
 
-func runGatePair(pass *analysis.Pass) (any, error) {
+func runGatePair(pass *Pass) {
 	r := newReporter(pass)
 	for _, f := range pass.Files {
 		funcsOf(f, func(node ast.Node, body *ast.BlockStmt) {
@@ -102,7 +101,6 @@ func runGatePair(pass *analysis.Pass) (any, error) {
 			}
 		})
 	}
-	return nil, nil
 }
 
 // mentionsGate is a cheap prefilter: does the body reference an

@@ -1,23 +1,53 @@
-// Package lint holds pgllint's go/analysis analyzers: machine checks
-// for the persistence and concurrency invariants this codebase relies
-// on but the compiler cannot see. See doc.go for the catalogue of
-// rules, the bug class each one prevents, and the PR where that class
-// last appeared in review.
+// Package lint holds pgllint's analyzers: machine checks for the
+// persistence and concurrency invariants this codebase relies on but
+// the compiler cannot see. See doc.go for the catalogue of rules, the
+// bug class each one prevents, and the PR where that class last
+// appeared in review.
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
+// An Analyzer is one pgllint rule. Run inspects one package and reports
+// what it finds through the pass.
+type Analyzer struct {
+	Name string // names the rule in diagnostics and //pgllint:ignore
+	Doc  string
+	Run  func(*Pass)
+}
+
+// A Pass is one analyzer's view of one type-checked package.
+type Pass struct {
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	Report    func(Diagnostic)
+}
+
+// A Diagnostic is one finding.
+type Diagnostic struct {
+	Pos      token.Pos
+	Analyzer string
+	Message  string
+}
+
+// Reportf reports a finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
+}
+
 // Analyzers returns every pgllint analyzer, in the order cmd/pgllint
-// registers them.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+// runs them.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{
 		ErrWrap,
 		FsyncRename,
 		GatePair,
@@ -46,13 +76,13 @@ type ignoreSite struct {
 // reporter wraps a pass with //pgllint:ignore handling for one
 // analyzer. Every analyzer reports through one of these.
 type reporter struct {
-	pass     *analysis.Pass
+	pass     *Pass
 	name     string
 	sites    map[string]map[int]*ignoreSite // filename -> line -> site
 	reported map[*ignoreSite]bool           // bad sites already diagnosed
 }
 
-func newReporter(pass *analysis.Pass) *reporter {
+func newReporter(pass *Pass) *reporter {
 	r := &reporter{
 		pass:     pass,
 		name:     pass.Analyzer.Name,

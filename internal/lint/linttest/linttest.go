@@ -1,13 +1,10 @@
-// Package linttest runs a go/analysis analyzer over a testdata package
-// and checks its diagnostics against // want comments, in the style of
+// Package linttest runs a pgllint analyzer over a testdata package and
+// checks its diagnostics against // want comments, in the style of
 // golang.org/x/tools/go/analysis/analysistest.
 //
-// The x/tools analysistest package depends on go/packages, which is
-// not vendorable from the toolchain's own x/tools snapshot, so this is
-// a minimal reimplementation over `go list -export`: dependencies are
-// imported from compiled export data, the target package is parsed and
-// type-checked from source, and the analyzer (plus its Requires
-// closure) runs over the result.
+// Packages load through lint.Load, the loader cmd/pgllint runs, so the
+// tests exercise the same listing, export-data import and type-checking
+// path as `make lint`.
 //
 // Expectations use analysistest syntax: a comment
 //
@@ -19,25 +16,13 @@
 package linttest
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"github.com/pangolin-go/pangolin/internal/lint"
 )
 
 // TestData returns the absolute path of the calling test's testdata
@@ -52,156 +37,38 @@ func TestData() string {
 
 // Run loads each package directory testdata/src/<pkg>, applies a, and
 // compares the diagnostics against the packages' want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
+func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
 		dir := filepath.Join(testdata, "src", pkg)
 		t.Run(a.Name+"/"+pkg, func(t *testing.T) {
 			t.Helper()
-			diags, fset, files, err := analyze(a, dir)
+			loaded, err := lint.Load(dir, ".")
 			if err != nil {
-				t.Fatalf("analyzing %s: %v", dir, err)
+				t.Fatalf("loading %s: %v", dir, err)
 			}
-			checkWants(t, fset, files, diags)
+			if len(loaded) == 0 {
+				t.Fatalf("loading %s: no packages", dir)
+			}
+			for _, p := range loaded {
+				checkWants(t, p, p.Run(a))
+			}
 		})
 	}
-}
-
-// listPkg is the subset of `go list -json` output the loader needs.
-type listPkg struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	ImportMap  map[string]string
-	Standard   bool
-}
-
-// analyze loads, type-checks, and analyzes the package in dir,
-// returning the analyzer's diagnostics.
-func analyze(a *analysis.Analyzer, dir string) ([]analysis.Diagnostic, *token.FileSet, []*ast.File, error) {
-	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,ImportMap,Standard", dir)
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		return nil, nil, nil, fmt.Errorf("go list %s: %w\n%s", dir, err, errb.String())
-	}
-	exports := map[string]string{}
-	importMap := map[string]string{}
-	var target *listPkg
-	dec := json.NewDecoder(&out)
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			return nil, nil, nil, err
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		for from, to := range p.ImportMap {
-			importMap[from] = to
-		}
-		target = &p
-	}
-	if target == nil {
-		return nil, nil, nil, fmt.Errorf("go list %s: no packages", dir)
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range target.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(target.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		files = append(files, f)
-	}
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
-		exp, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(exp)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	pkg, err := conf.Check(target.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("type-checking %s: %w", target.ImportPath, err)
-	}
-
-	var diags []analysis.Diagnostic
-	results := map[*analysis.Analyzer]any{}
-	var run func(a *analysis.Analyzer, root bool) error
-	run = func(a *analysis.Analyzer, root bool) error {
-		if _, done := results[a]; done && !root {
-			return nil
-		}
-		for _, req := range a.Requires {
-			if err := run(req, false); err != nil {
-				return err
-			}
-		}
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      files,
-			Pkg:        pkg,
-			TypesInfo:  info,
-			TypesSizes: types.SizesFor("gc", "amd64"),
-			ResultOf:   results,
-			ReadFile:   func(name string) ([]byte, error) { return os.ReadFile(name) },
-			Report: func(d analysis.Diagnostic) {
-				if root {
-					diags = append(diags, d)
-				}
-			},
-			ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-			ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-			ExportObjectFact:  func(types.Object, analysis.Fact) {},
-			ExportPackageFact: func(analysis.Fact) {},
-			AllPackageFacts:   func() []analysis.PackageFact { return nil },
-			AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.Name, err)
-		}
-		results[a] = res
-		return nil
-	}
-	if err := run(a, true); err != nil {
-		return nil, nil, nil, err
-	}
-	return diags, fset, files, nil
 }
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // checkWants diffs diagnostics against want comments.
-func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, pkg *lint.Package, diags []lint.Diagnostic) {
 	t.Helper()
 	type key struct {
 		file string
 		line int
 	}
 	wants := map[key][]*regexp.Regexp{}
-	for _, f := range files {
+	fset := pkg.Fset
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRE.FindStringSubmatch(c.Text)

@@ -4,13 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
-var StopBool = &analysis.Analyzer{
+var StopBool = &Analyzer{
 	Name: "stopbool",
 	Doc: `check that iteration callbacks' bool (continue) results are propagated
 
@@ -22,13 +18,11 @@ the snapshot merge paths, where overlay leftovers were flushed to fn
 after it returned false. The analyzer flags any call to a func-typed
 parameter returning bool whose result is discarded (expression
 statement, blank assignment, go, or defer).`,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runStopBool,
+	Run: runStopBool,
 }
 
-func runStopBool(pass *analysis.Pass) (any, error) {
+func runStopBool(pass *Pass) {
 	r := newReporter(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	// Every parameter (of any function or closure) whose type is a
 	// func returning exactly one bool is an iteration callback.
@@ -53,57 +47,50 @@ func runStopBool(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			collect(n.Type)
-		case *ast.FuncLit:
-			collect(n.Type)
+	// callbackName names the callback parameter e calls, or is "".
+	callbackName := func(e ast.Expr) string {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return ""
 		}
-	})
-	if len(callbacks) == 0 {
-		return nil, nil
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && callbacks[pass.TypesInfo.ObjectOf(id)] {
+			return id.Name
+		}
+		return ""
 	}
-
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
+	async := func(call *ast.CallExpr) {
+		if name := callbackName(call); name != "" {
+			r.reportf(call.Pos(), "callback %s called via go/defer discards its bool (continue) result: the early stop can never be propagated", name)
 		}
-		call := n.(*ast.CallExpr)
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || !callbacks[pass.TypesInfo.ObjectOf(id)] {
-			return true
-		}
-		if len(stack) < 2 {
-			return true
-		}
-		switch parent := stack[len(stack)-2].(type) {
-		case *ast.ExprStmt:
-			r.reportf(call.Pos(), "callback %s's bool (continue) result discarded: false means the caller asked the iteration to stop (see stopbool, PR 8)", id.Name)
-		case *ast.GoStmt, *ast.DeferStmt:
-			r.reportf(call.Pos(), "callback %s called via go/defer discards its bool (continue) result: the early stop can never be propagated", id.Name)
-		case *ast.AssignStmt:
-			if resultOfCallBlank(parent, call) {
-				r.reportf(call.Pos(), "callback %s's bool (continue) result assigned to _: false means the caller asked the iteration to stop (see stopbool, PR 8)", id.Name)
+	}
+	// Preorder visits a function's parameters before its body, so every
+	// callback is known before the first call to it.
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				collect(n.Type)
+			case *ast.FuncLit:
+				collect(n.Type)
+			case *ast.ExprStmt:
+				if name := callbackName(n.X); name != "" {
+					r.reportf(n.X.Pos(), "callback %s's bool (continue) result discarded: false means the caller asked the iteration to stop", name)
+				}
+			case *ast.GoStmt:
+				async(n.Call)
+			case *ast.DeferStmt:
+				async(n.Call)
+			case *ast.AssignStmt:
+				if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+					break
+				}
+				for i, rhs := range n.Rhs {
+					if name := callbackName(rhs); name != "" && i < len(n.Lhs) && allBlank(n.Lhs[i:i+1]) {
+						r.reportf(rhs.Pos(), "callback %s's bool (continue) result assigned to _: false means the caller asked the iteration to stop", name)
+					}
+				}
 			}
-		}
-		return true
-	})
-	return nil, nil
-}
-
-// resultOfCallBlank reports whether the assignment discards call's
-// result into the blank identifier.
-func resultOfCallBlank(as *ast.AssignStmt, call *ast.CallExpr) bool {
-	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
-		return false
+			return true
+		})
 	}
-	for i, rhs := range as.Rhs {
-		if ast.Unparen(rhs) == ast.Node(call) && i < len(as.Lhs) {
-			if id, ok := as.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -3,13 +3,9 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
-var TxWrite = &analysis.Analyzer{
+var TxWrite = &Analyzer{
 	Name: "txwrite",
 	Doc: `flag undeclared stores to transaction snapshots and discarded commits
 
@@ -20,21 +16,18 @@ read-only snapshot: writing through it corrupts checksums and parity
 silently. The analyzer flags element writes, copy/append/clear, through
 byte slices obtained from a Tx.Get call, and Commit calls whose error
 result is discarded.`,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runTxWrite,
+	Run: runTxWrite,
 }
 
-func runTxWrite(pass *analysis.Pass) (any, error) {
+func runTxWrite(pass *Pass) {
 	r := newReporter(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkTxFunc(r, fd.Body)
+			}
 		}
-		checkTxFunc(r, fd.Body)
-	})
-	return nil, nil
+	}
 }
 
 // checkTxFunc walks one top-level function body (including nested
