@@ -10,7 +10,7 @@ import (
 // server package's alloc benchmarks for the end-to-end numbers).
 
 // BenchmarkAllocGroupCommit drives one shard's worker through the
-// asynchronous Submit path with a deep backlog, so the loop's
+// asynchronous SubmitPut path with a deep backlog, so the loop's
 // opportunistic drain folds the queue into group commits — the same
 // shape the pipelined server produces. allocs/op covers the request's
 // whole shard-layer life: submit, drain scratch, flatten, store

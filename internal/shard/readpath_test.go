@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,66 +97,163 @@ func TestFastPathMGetBatch(t *testing.T) {
 	}
 }
 
-// TestFastPathFallsBackWhenGateHeld: while the worker side of the gate
-// is held (as during a commit, save, scrub, or crash window), fastGet
-// must decline — counting a fallback — rather than block or race.
-func TestFastPathFallsBackWhenGateHeld(t *testing.T) {
-	s := newSet(t, t.TempDir(), 1, Options{})
-	if err := s.Put(1, encode(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	w := s.workers[0]
-	w.gate.Lock()
-	if _, _, _, served := w.fastGet(1); served {
-		w.gate.Unlock()
-		t.Fatal("fastGet served a read while the writer gate was held")
-	}
-	if _, ok := w.fastGetBatch([]BatchOp{{Kind: BatchGet, K: 1}}); ok {
-		w.gate.Unlock()
-		t.Fatal("fastGetBatch served a slice while the writer gate was held")
-	}
-	w.gate.Unlock()
-	if n := w.fastFallbacks.Load(); n != 2 {
-		t.Fatalf("fallbacks = %d, want 2", n)
-	}
-	// After release the fast path resumes.
-	if v, ok, err := s.Get(1); err != nil || !ok || v != encode(0, 1) {
-		t.Fatalf("get after gate release = (%#x,%v,%v)", v, ok, err)
-	}
-	if w.fastGets.Load() == 0 {
-		t.Fatal("fast path did not resume after gate release")
-	}
-}
+// gatedKeys is how many keys gatedSet writes; gatedCallers read them.
+const gatedKeys = 8
 
-// TestFastPathFaultFallsBackToRepair: a poisoned page under the
-// structure must bounce the read to the worker — whose repairing path
-// fixes it online — and be counted as a fast fault; the caller still
-// gets the right answer with no error.
-func TestFastPathFaultFallsBackToRepair(t *testing.T) {
+// gatedSet is a one-shard set holding encode(0, k) for every k below
+// gatedKeys, and a snapshot of it for the snapshot caller, with the
+// writer gate released.
+func gatedSet(t *testing.T) (*Set, *SetSnapshot) {
+	t.Helper()
 	s := newSet(t, t.TempDir(), 1, Options{})
-	for k := uint64(0); k < 8; k++ {
+	t.Cleanup(s.Abandon)
+	for k := uint64(0); k < gatedKeys; k++ {
 		if err := s.Put(k, encode(0, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w := s.workers[0]
-	ps := w.st.(*pangolinstore.Store)
-	ps.Pool().InjectMediaError(ps.Map().Anchor().Off)
+	sn, err := s.OpenSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sn.Release)
 	settle(s)
-	if v, ok, err := s.Get(3); err != nil || !ok || v != encode(0, 3) {
-		t.Fatalf("get across media error = (%#x,%v,%v)", v, ok, err)
+	return s, sn
+}
+
+// checkPairs reports pairs that are not exactly gatedSet's contents.
+func checkPairs(pairs []Pair) error {
+	if len(pairs) != gatedKeys {
+		return fmt.Errorf("%d pairs, want %d", len(pairs), gatedKeys)
 	}
-	if w.fastFaults.Load() == 0 {
-		t.Fatal("fault was not observed by the fast path")
+	for i, pr := range pairs {
+		if pr.K != uint64(i) || pr.V != encode(0, pr.K) {
+			return fmt.Errorf("pair %d = %+v", i, pr)
+		}
 	}
-	// Repaired: subsequent reads are fast again.
-	settle(s)
-	before := w.fastGets.Load()
-	if v, ok, err := s.Get(3); err != nil || !ok || v != encode(0, 3) {
-		t.Fatalf("get after repair = (%#x,%v,%v)", v, ok, err)
+	return nil
+}
+
+// gatedCallers are the gated read's four public callers, each making one
+// gated read of a gatedSet: read returns the caller's own error, or a
+// plain one for a wrong answer. gets tells which counter family the
+// caller counts into: fast_* for GETs, scan_* for scan chunks.
+var gatedCallers = []struct {
+	name  string
+	gets  bool
+	reads func(w *worker) *readGroup
+	read  func(s *Set, sn *SetSnapshot) error
+}{
+	{"Get", true, func(w *worker) *readGroup { return &w.getReads }, func(s *Set, _ *SetSnapshot) error {
+		v, ok, err := s.Get(3)
+		if err == nil && (!ok || v != encode(0, 3)) {
+			err = fmt.Errorf("get 3 = (%#x, %v)", v, ok)
+		}
+		return err
+	}},
+	{"Batch", true, func(w *worker) *readGroup { return &w.getReads }, func(s *Set, _ *SetSnapshot) error {
+		ops := make([]BatchOp, gatedKeys)
+		for i := range ops {
+			ops[i] = BatchOp{Kind: BatchGet, K: uint64(i)}
+		}
+		for i, r := range s.Batch(ops) {
+			if r.Err != nil {
+				return r.Err
+			}
+			if !r.OK || r.V != encode(0, uint64(i)) {
+				return fmt.Errorf("batch get %d = %+v", i, r)
+			}
+		}
+		return nil
+	}},
+	{"Scan", false, func(w *worker) *readGroup { return &w.scanReads }, func(s *Set, _ *SetSnapshot) error {
+		pairs, _, _, err := s.Scan(0, ^uint64(0), 100)
+		if err != nil {
+			return err
+		}
+		return checkPairs(pairs)
+	}},
+	{"SnapshotScan", false, func(w *worker) *readGroup { return &w.snapReads }, func(_ *Set, sn *SetSnapshot) error {
+		pairs, _, _, err := sn.Scan(0, ^uint64(0), 100)
+		if err != nil {
+			return err
+		}
+		return checkPairs(pairs)
+	}},
+}
+
+// bounces returns a caller family's fallback and fault counts, and the
+// other family's.
+func bounces(st Stats, gets bool) (fallbacks, faults, otherFallbacks, otherFaults uint64) {
+	if gets {
+		return st.FastFallbacks, st.FastFaults, st.ScanFallbacks, st.ScanFaults
 	}
-	if w.fastGets.Load() != before+1 {
-		t.Fatal("fast path did not resume after online repair")
+	return st.ScanFallbacks, st.ScanFaults, st.FastFallbacks, st.FastFaults
+}
+
+// TestFastPathFallsBackWhenGateHeld: while the worker side of the gate
+// is held (as during a commit, save, scrub, or crash window), every
+// gated read must decline — counting one fallback in its own family and
+// none in the other — rather than block or race, and the worker must
+// still serve the right answer once the gate is released.
+func TestFastPathFallsBackWhenGateHeld(t *testing.T) {
+	for _, c := range gatedCallers {
+		t.Run(c.name, func(t *testing.T) {
+			s, sn := gatedSet(t)
+			w := s.workers[0]
+			w.gate.Lock()
+			done := make(chan error, 1)
+			go func() { done <- c.read(s, sn) }()
+			waitFor(t, 10*time.Second, "the read to bounce off the held gate", func() bool {
+				return c.reads(w).fallbacks.Load() > 0
+			})
+			w.gate.Unlock()
+			if err := <-done; err != nil {
+				t.Fatalf("read under a held gate: %v", err)
+			}
+			st := s.Stats()
+			fallbacks, faults, otherFallbacks, otherFaults := bounces(st, c.gets)
+			if fallbacks != 1 || faults != 0 || otherFallbacks != 0 || otherFaults != 0 {
+				t.Fatalf("bounces: own %d/%d, other %d/%d; want one own fallback", fallbacks, faults, otherFallbacks, otherFaults)
+			}
+			if st.FastGets != 0 || st.FastScans != 0 {
+				t.Fatalf("the fast path served a read under a held gate: %+v", st.Counters)
+			}
+			if served := st.Gets + st.Scans + st.SnapScans; served == 0 {
+				t.Fatalf("the worker served nothing: %+v", st.Counters)
+			}
+		})
+	}
+}
+
+// TestFastPathFaultFallsBackToRepair: a poisoned page under the
+// structure must bounce every gated read to the worker — whose repairing
+// path fixes it online — and be counted as a fault of the caller's
+// family; the caller still gets the right answer with no error, and the
+// next read is fast again.
+func TestFastPathFaultFallsBackToRepair(t *testing.T) {
+	for _, c := range gatedCallers {
+		t.Run(c.name, func(t *testing.T) {
+			s, sn := gatedSet(t)
+			w := s.workers[0]
+			ps := w.st.(*pangolinstore.Store)
+			ps.Pool().InjectMediaError(ps.Map().Anchor().Off)
+			if err := c.read(s, sn); err != nil {
+				t.Fatalf("read across a media error: %v", err)
+			}
+			st := s.Stats()
+			if _, faults, _, _ := bounces(st, c.gets); faults == 0 {
+				t.Fatal("the fault was not observed by the fast path")
+			}
+			settle(s)
+			before := c.reads(w).served.Load()
+			if err := c.read(s, sn); err != nil {
+				t.Fatalf("read after repair: %v", err)
+			}
+			if c.reads(w).served.Load() == before {
+				t.Fatal("the fast path did not resume after online repair")
+			}
+		})
 	}
 }
 
@@ -211,24 +309,21 @@ func TestScribbledPointerHealsOnPut(t *testing.T) {
 	}
 }
 
-// TestGetShuttingDownTyped: after Abandon, Get (and Batch) report the
-// typed ErrShuttingDown — distinguishable from a real lookup error.
+// TestGetShuttingDownTyped: after Abandon, Put and every gated read
+// report the typed ErrShuttingDown — distinguishable from a real lookup
+// error.
 func TestGetShuttingDownTyped(t *testing.T) {
-	s := newSet(t, t.TempDir(), 2, Options{})
-	if err := s.Put(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	s.Abandon()
-	if _, _, err := s.Get(1); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("Get after Abandon = %v, want ErrShuttingDown", err)
-	}
-	if err := s.Put(1, 3); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("Put after Abandon = %v, want ErrShuttingDown", err)
-	}
-	for _, r := range s.Batch([]BatchOp{{Kind: BatchGet, K: 1}}) {
-		if !errors.Is(r.Err, ErrShuttingDown) {
-			t.Fatalf("Batch after Abandon = %v, want ErrShuttingDown", r.Err)
-		}
+	for _, c := range gatedCallers {
+		t.Run(c.name, func(t *testing.T) {
+			s, sn := gatedSet(t)
+			s.Abandon()
+			if err := c.read(s, sn); !errors.Is(err, ErrShuttingDown) {
+				t.Fatalf("read after Abandon = %v, want ErrShuttingDown", err)
+			}
+			if err := s.Put(1, 3); !errors.Is(err, ErrShuttingDown) {
+				t.Fatalf("Put after Abandon = %v, want ErrShuttingDown", err)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"fmt"
 	"sync"
+
+	"github.com/pangolin-go/pangolin/internal/store"
 )
 
 // Pair is one key/value pair in a scan result.
@@ -20,25 +22,40 @@ type Pair struct {
 const ScanChunkPairs = 256
 
 // shardStream pulls one shard's in-range pairs in ascending chunks and
-// feeds them to the merge. fetch abstracts the chunk source: a live
-// Set.Scan binds the worker's scanChunk, a SetSnapshot.Scan binds
-// snapScanChunk with that shard's pinned snapshot — the merge is
-// identical either way.
+// feeds them to the merge: live pairs for Set.Scan, pairs as of the
+// shard's pinned snapshot for SetSnapshot.Scan — the merge is identical
+// either way.
 type shardStream struct {
-	idx   int // shard index, for error attribution
-	fetch func(lo, hi uint64, max int) ([]Pair, error)
-	buf   []Pair
-	pos   int
-	next  uint64 // next key to fetch from
-	hi    uint64
-	done  bool // no further pairs in [next, hi] on this shard
+	w    *worker
+	snap *store.Snapshot // nil: a live scan
+	buf  []Pair
+	pos  int
+	next uint64 // next key to fetch from
+	hi   uint64
+	done bool // no further pairs in [next, hi] on this shard
 }
 
-// fill pulls the next chunk. A chunk shorter than requested means the
-// shard is exhausted in the range, as is a chunk ending at the top of
-// the key space.
+// fill pulls the next chunk: on the gated read path when it can, so the
+// reader gate is held for the chunk only and a long scan never starves
+// the worker's group commits; through the worker queue's repairing read
+// path otherwise. A chunk shorter than requested means the shard is
+// exhausted in the range, as is a chunk ending at the top of the key
+// space.
 func (st *shardStream) fill(chunk int) error {
-	pairs, err := st.fetch(st.next, st.hi, chunk)
+	w, reads := st.w, &st.w.scanReads
+	if st.snap != nil {
+		reads = &w.snapReads
+	}
+	var pairs []Pair
+	served, err := w.gatedRead(reads, func(view store.View) (uint64, uint64, error) {
+		var err error
+		pairs, err = scanCollect(view, w.ordered, st.snap, st.next, st.hi, chunk)
+		return 1, uint64(len(pairs)), err
+	})
+	if !served {
+		r := w.do(request{op: opScan, snap: st.snap, k: st.next, v: st.hi, max: chunk})
+		pairs, err = r.pairs, r.err
+	}
 	if err != nil {
 		return err
 	}
@@ -86,22 +103,25 @@ func (h *scanHeap) Pop() any          { old := *h; n := len(old); x := old[n-1];
 //
 // A shutdown surfaces as ErrShuttingDown (errors.Is), matching Get.
 func (s *Set) Scan(lo, hi uint64, limit int) (pairs []Pair, next uint64, more bool, err error) {
+	return s.scan(nil, lo, hi, limit)
+}
+
+// scan runs the k-way heap merge over every shard's ascending stream —
+// at snaps' pinned generations when snaps is set: the page assembly
+// shared by live scans and snapshot scans. Initial fills run in
+// parallel across shards; refills happen inline as the merge drains a
+// stream.
+func (s *Set) scan(snaps []*store.Snapshot, lo, hi uint64, limit int) (pairs []Pair, next uint64, more bool, err error) {
 	if limit <= 0 || lo > hi {
 		return nil, 0, false, nil
 	}
 	streams := make([]*shardStream, len(s.workers))
 	for i, w := range s.workers {
-		w := w
-		streams[i] = &shardStream{idx: i, fetch: w.scanChunk, next: lo, hi: hi}
+		streams[i] = &shardStream{w: w, next: lo, hi: hi}
+		if snaps != nil {
+			streams[i].snap = snaps[i]
+		}
 	}
-	return mergeStreams(streams, limit)
-}
-
-// mergeStreams runs the k-way heap merge over per-shard ascending
-// streams: the page assembly shared by live scans and snapshot scans.
-// Initial fills run in parallel across shards; refills happen inline as
-// the merge drains a stream.
-func mergeStreams(streams []*shardStream, limit int) (pairs []Pair, next uint64, more bool, err error) {
 	chunk := min(ScanChunkPairs, limit)
 	errs := make([]error, len(streams))
 	var wg sync.WaitGroup
@@ -144,7 +164,7 @@ func mergeStreams(streams []*shardStream, limit int) (pairs []Pair, next uint64,
 				// Mid-page the error is authoritative: the page is
 				// genuinely incomplete, so surface it rather than hand
 				// back a truncated range that looks done.
-				return nil, 0, false, fmt.Errorf("shard %d: %w", st.idx, err)
+				return nil, 0, false, fmt.Errorf("shard %d: %w", st.w.idx, err)
 			}
 		}
 		if st.pos < len(st.buf) {

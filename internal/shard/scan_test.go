@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // Tests for the cross-shard ordered scan: global ordering and
@@ -169,38 +168,6 @@ func TestScanFastPathEngages(t *testing.T) {
 	st = ser.Stats()
 	if st.FastScans != 0 || st.Scans == 0 {
 		t.Fatalf("serial-reads scan used the fast path: fast=%d worker=%d", st.FastScans, st.Scans)
-	}
-}
-
-// TestScanFallsBackWhenGateHeld: a scan issued while the worker holds
-// the reader gate must be served via the worker queue, not fail.
-func TestScanFallsBackWhenGateHeld(t *testing.T) {
-	s := newSet(t, t.TempDir(), 1, Options{Structure: "btree"})
-	defer s.Abandon()
-	for k := uint64(0); k < 32; k++ {
-		if err := s.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w := s.workers[0]
-	w.gate.Lock()
-	done := make(chan error, 1)
-	go func() {
-		pairs, _, _, err := s.Scan(0, ^uint64(0), 100)
-		if err == nil && len(pairs) != 32 {
-			err = errors.New("short scan under contention")
-		}
-		done <- err
-	}()
-	// Give the scan time to bounce off the held gate and queue behind the
-	// worker, then release.
-	time.Sleep(10 * time.Millisecond)
-	w.gate.Unlock()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.ScanFallbacks == 0 || st.Scans == 0 {
-		t.Fatalf("contended scan did not fall back: fallbacks=%d worker=%d", st.ScanFallbacks, st.Scans)
 	}
 }
 

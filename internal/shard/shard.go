@@ -37,6 +37,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -236,59 +238,32 @@ func Create(dir string, n int, opts Options) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pgIdx []int
-	for i, b := range backends {
-		if b == store.BackendPangolin {
-			pgIdx = append(pgIdx, i)
-		}
-	}
+	o := newOpening(backends)
 	// NewPoolSetShards defers the snapshot writes: the Sync below
 	// persists the pools once, with their roots already initialized.
-	var pools *pangolin.PoolSet
-	if len(pgIdx) > 0 {
-		pools, err = pangolin.NewPoolSetShards(dir, n, pgIdx, cfg)
-		if err != nil {
+	if len(o.pgIdx) > 0 {
+		if o.pools, err = pangolin.NewPoolSetShards(dir, n, o.pgIdx, cfg); err != nil {
 			return nil, err
 		}
 	} else if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
-	stores := make([]store.Store, n)
-	fail := func(upto int, err error) (*Set, error) {
-		for k := 0; k < upto; k++ {
-			stores[k].Close()
-		}
-		if pools != nil {
-			// Pangolin pools not yet wrapped in a store still need closing.
-			for _, pi := range pgIdx {
-				if pi >= upto {
-					pools.Pool(pi).Close()
-				}
-			}
-		}
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
+	for i := range o.stores {
 		var st store.Store
 		switch backends[i] {
 		case store.BackendPangolin:
-			st, err = pangolinstore.Create(pools, i, structure, cfg.Scrub)
+			st, err = pangolinstore.Create(o.pools, i, structure, cfg.Scrub)
 		case store.BackendLog:
 			st, err = logstore.Create(logstore.ShardDir(dir, i), opts.logOptions(structure.Name, i, n))
 		}
 		if err != nil {
-			return fail(i, fmt.Errorf("shard %d (%s): %w", i, backends[i], err))
+			return o.fail(i, fmt.Errorf("shard %d (%s): %w", i, backends[i], err))
 		}
-		stores[i] = st
+		o.stores[i] = st
 	}
-	s := &Set{dir: dir, stores: stores, structure: structure}
-	for i, st := range stores {
-		view, err := readView(st, opts)
-		if err != nil {
-			s.Abandon()
-			return nil, fmt.Errorf("shard %d: attach read view: %w", i, err)
-		}
-		s.workers = append(s.workers, newWorker(i, st, view, opts.queueLen(), opts.maxBatch(), opts.commitWait()))
+	s, err := o.start(dir, structure, opts)
+	if err != nil {
+		return nil, err
 	}
 	// Persist the freshly initialized shards (pangolin roots and
 	// anchors; log manifests and empty tails).
@@ -314,62 +289,82 @@ func Open(dir string, opts Options) (*Set, error) {
 		return nil, err
 	}
 	n := len(backends)
-	var pgIdx []int
-	for i, b := range backends {
-		if b == store.BackendPangolin {
-			pgIdx = append(pgIdx, i)
-		}
-	}
-	var pools *pangolin.PoolSet
-	if len(pgIdx) > 0 {
-		pools, err = pangolin.OpenPoolSetShards(dir, n, pgIdx, cfg)
-		if err != nil {
+	o := newOpening(backends)
+	if len(o.pgIdx) > 0 {
+		if o.pools, err = pangolin.OpenPoolSetShards(dir, n, o.pgIdx, cfg); err != nil {
 			return nil, err
 		}
 	}
-	stores := make([]store.Store, n)
-	fail := func(upto int, err error) (*Set, error) {
-		for k := 0; k < upto; k++ {
-			stores[k].Close()
-		}
-		if pools != nil {
-			for _, pi := range pgIdx {
-				if pi >= upto {
-					pools.Pool(pi).Close()
-				}
-			}
-		}
-		return nil, err
-	}
 	var structure registry.Structure
-	for i := 0; i < n; i++ {
+	for i := range o.stores {
 		var name string
 		switch backends[i] {
 		case store.BackendPangolin:
-			st, err := pangolinstore.Open(pools, i, cfg.Scrub)
+			st, err := pangolinstore.Open(o.pools, i, cfg.Scrub)
 			if err != nil {
-				return fail(i, fmt.Errorf("shard %d: %w", i, err))
+				return o.fail(i, fmt.Errorf("shard %d: %w", i, err))
 			}
-			stores[i] = st
-			name = st.Structure().Name
+			o.stores[i], name = st, st.Structure().Name
 		case store.BackendLog:
 			st, err := logstore.Open(logstore.ShardDir(dir, i), opts.logOptions("", i, n))
 			if err != nil {
-				return fail(i, fmt.Errorf("shard %d: %w", i, err))
+				return o.fail(i, fmt.Errorf("shard %d: %w", i, err))
 			}
-			stores[i] = st
-			name = st.Structure()
+			o.stores[i], name = st, st.Structure()
 		}
 		if i == 0 {
 			if structure, err = registry.ByName(name); err != nil {
-				return fail(i+1, fmt.Errorf("shard %d: %w", i, err))
+				return o.fail(i+1, fmt.Errorf("shard %d: %w", i, err))
 			}
 		} else if name != structure.Name {
-			return fail(i+1, fmt.Errorf("shard %d holds %s but shard 0 holds %s", i, name, structure.Name))
+			return o.fail(i+1, fmt.Errorf("shard %d holds %s but shard 0 holds %s", i, name, structure.Name))
 		}
 	}
-	s := &Set{dir: dir, stores: stores, structure: structure}
-	for i, st := range stores {
+	s, err := o.start(dir, structure, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.startMaint(opts.ScrubInterval)
+	return s, nil
+}
+
+// opening is a set's storage while Create or Open brings it up.
+type opening struct {
+	stores []store.Store
+	pools  *pangolin.PoolSet // the pangolin shards' pools; nil when there are none
+	pgIdx  []int             // the pangolin shards' indexes
+}
+
+func newOpening(backends []string) *opening {
+	o := &opening{stores: make([]store.Store, len(backends))}
+	for i, b := range backends {
+		if b == store.BackendPangolin {
+			o.pgIdx = append(o.pgIdx, i)
+		}
+	}
+	return o
+}
+
+// fail closes the first upto stores, and the pangolin pools not yet
+// wrapped in a store, and returns err.
+func (o *opening) fail(upto int, err error) (*Set, error) {
+	for _, st := range o.stores[:upto] {
+		st.Close()
+	}
+	if o.pools != nil {
+		for _, pi := range o.pgIdx {
+			if pi >= upto {
+				o.pools.Pool(pi).Close()
+			}
+		}
+	}
+	return nil, err
+}
+
+// start attaches each store's read view and starts its worker.
+func (o *opening) start(dir string, structure registry.Structure, opts Options) (*Set, error) {
+	s := &Set{dir: dir, stores: o.stores, structure: structure}
+	for i, st := range o.stores {
 		view, err := readView(st, opts)
 		if err != nil {
 			s.Abandon()
@@ -377,7 +372,6 @@ func Open(dir string, opts Options) (*Set, error) {
 		}
 		s.workers = append(s.workers, newWorker(i, st, view, opts.queueLen(), opts.maxBatch(), opts.commitWait()))
 	}
-	s.startMaint(opts.ScrubInterval)
 	return s, nil
 }
 
@@ -485,8 +479,9 @@ func (s *Set) Put(k, v uint64) error {
 // (fast_gets vs gets, plus fast_fallbacks/fast_faults).
 func (s *Set) Get(k uint64) (uint64, bool, error) {
 	w := s.workers[s.ShardOf(k)]
-	if v, ok, err, served := w.fastGet(k); served {
-		return v, ok, err
+	var res [1]BatchResult
+	if served, err := w.readGets([]BatchOp{{Kind: BatchGet, K: k}}, res[:]); served {
+		return res[0].V, res[0].OK, err
 	}
 	r := w.do(request{op: opGet, k: k})
 	return r.v, r.ok, r.err
@@ -498,42 +493,24 @@ func (s *Set) Del(k uint64) (bool, error) {
 	return r.ok, r.err
 }
 
-// Submit queues one operation for asynchronous completion: done is
-// invoked exactly once with the result, from the shard worker goroutine
-// when the op executes (or synchronously, when it can be served or
-// rejected without the worker). done must not block: it runs inside the
-// shard's commit loop, so a blocking callback would stall every other
-// op on the shard. This is the path the server's pipelined connections
-// feed — submitted writes flow straight into the shard worker queue,
-// where the group-commit drain folds every queued op into one
-// store batch, so deeper pipelines directly produce bigger groups.
+// SubmitGet queues one read for asynchronous completion: done is invoked
+// exactly once with the result, from the shard worker goroutine when the
+// op executes (or synchronously, when it can be served or rejected
+// without the worker). done must not block: it runs inside the shard's
+// commit loop, so a blocking callback would stall every other op on the
+// shard. If the shard is shutting down, done receives a typed
+// ErrShuttingDown result — an in-flight op never disappears silently.
 //
-// A BatchGet first tries the concurrent verified-read fast path on the
-// caller's goroutine (same rules as Get) and completes inline when it
-// is served; only fallback reads take the queue. If the submitting
-// shard is shutting down, done receives a typed ErrShuttingDown result
-// — an in-flight op never disappears silently.
-func (s *Set) Submit(op BatchOp, done func(BatchResult)) {
-	switch op.Kind {
-	case BatchGet:
-		s.SubmitGet(op.K, done)
-	case BatchPut:
-		s.SubmitPut(op.K, op.V, done)
-	case BatchDel:
-		s.SubmitDel(op.K, done)
-	default:
-		done(BatchResult{Err: fmt.Errorf("shard: unknown batch kind %d", op.Kind)})
-	}
-}
-
-// SubmitGet is Submit for a read: the verified-read fast path runs
-// inline on the caller's goroutine when it can (completing done before
-// SubmitGet returns), and gate-busy or faulting reads fall back to the
-// worker queue's repairing path.
+// The verified-read fast path runs inline on the caller's goroutine when
+// it can (same rules as Get, completing done before SubmitGet returns),
+// and gate-busy or faulting reads fall back to the worker queue's
+// repairing path.
 func (s *Set) SubmitGet(k uint64, done func(BatchResult)) {
 	w := s.workers[s.ShardOf(k)]
-	if v, ok, err, served := w.fastGet(k); served {
-		done(BatchResult{V: v, OK: ok, Err: err})
+	var res [1]BatchResult
+	if served, err := w.readGets([]BatchOp{{Kind: BatchGet, K: k}}, res[:]); served {
+		res[0].Err = err
+		done(res[0])
 		return
 	}
 	w.submit(request{op: opGet, k: k, done: func(r response) {
@@ -541,14 +518,18 @@ func (s *Set) SubmitGet(k uint64, done func(BatchResult)) {
 	}})
 }
 
-// SubmitPut is Submit for an insert/update.
+// SubmitPut is SubmitGet for an insert/update. This is the path the
+// server's pipelined connections feed: submitted writes flow straight
+// into the shard worker queue, where the group-commit drain folds every
+// queued op into one store batch, so deeper pipelines directly produce
+// bigger groups.
 func (s *Set) SubmitPut(k, v uint64, done func(BatchResult)) {
 	s.workers[s.ShardOf(k)].submit(request{op: opPut, k: k, v: v, done: func(r response) {
 		done(BatchResult{OK: r.err == nil, Err: r.err})
 	}})
 }
 
-// SubmitDel is Submit for a delete; the result's OK reports presence.
+// SubmitDel is SubmitPut for a delete; the result's OK reports presence.
 func (s *Set) SubmitDel(k uint64, done func(BatchResult)) {
 	s.workers[s.ShardOf(k)].submit(request{op: opDel, k: k, done: func(r response) {
 		done(BatchResult{OK: r.ok, Err: r.err})
@@ -573,6 +554,18 @@ func (s *Set) Batch(ops []BatchOp) []BatchResult {
 		perShard[sh] = append(perShard[sh], op)
 		perIdx[sh] = append(perIdx[sh], i)
 	}
+	// settle copies shard sh's per-op results into out; a shard that
+	// rejected its slice outright (closed) gives every op err.
+	settle := func(sh int, res []BatchResult, err error) {
+		for j, i := range perIdx[sh] {
+			if err != nil {
+				out[i] = BatchResult{Err: err}
+			} else {
+				out[i] = res[j]
+			}
+		}
+		putBatchResults(res)
+	}
 	results := make([]chan response, len(s.workers))
 	for sh, sub := range perShard {
 		if len(sub) == 0 {
@@ -584,13 +577,12 @@ func (s *Set) Batch(ops []BatchOp) []BatchResult {
 		// per-op), so the semantics are identical; mixed or mutating
 		// slices go to the worker as before.
 		if allGets(sub) {
-			if res, ok := s.workers[sh].fastGetBatch(sub); ok {
-				for j, i := range perIdx[sh] {
-					out[i] = res[j]
-				}
-				putBatchResults(res)
+			res := getBatchResults(len(sub))
+			if served, err := s.workers[sh].readGets(sub, res); served {
+				settle(sh, res, err)
 				continue
 			}
+			putBatchResults(res)
 		}
 		results[sh] = s.workers[sh].send(request{op: opBatch, ops: sub})
 	}
@@ -600,18 +592,7 @@ func (s *Set) Batch(ops []BatchOp) []BatchResult {
 		}
 		r := <-ch
 		putReply(ch)
-		if r.err != nil {
-			// The worker rejected the request outright (closed shard):
-			// every op in the slice gets the same verdict.
-			for _, i := range perIdx[sh] {
-				out[i] = BatchResult{Err: r.err}
-			}
-			continue
-		}
-		for j, i := range perIdx[sh] {
-			out[i] = r.batch[j]
-		}
-		putBatchResults(r.batch)
+		settle(sh, r.batch, r.err)
 	}
 	return out
 }
@@ -626,63 +607,63 @@ func allGets(ops []BatchOp) bool {
 	return true
 }
 
-// fanOut runs op on every worker concurrently and returns the first error.
-func (s *Set) fanOut(op uint8, seed int64) error {
-	results := make([]chan response, len(s.workers))
+// broadcast sends req to every shard at once, so the shards run it in
+// parallel, and returns their responses in shard order.
+func (s *Set) broadcast(req request) []response {
+	chans := make([]chan response, len(s.workers))
 	for i, w := range s.workers {
-		results[i] = w.send(request{op: op, seed: seed + int64(i)})
+		chans[i] = w.send(req)
 	}
-	var first error
-	for i, ch := range results {
-		r := <-ch
+	out := make([]response, len(chans))
+	for i, ch := range chans {
+		out[i] = <-ch
 		putReply(ch)
-		if r.err != nil && first == nil {
-			first = fmt.Errorf("shard %d: %w", i, r.err)
+	}
+	return out
+}
+
+// firstErr returns the first shard's failure among rs, naming the shard.
+func firstErr(rs []response) error {
+	for i, r := range rs {
+		if r.err != nil {
+			return fmt.Errorf("shard %d: %w", i, r.err)
 		}
 	}
-	return first
+	return nil
 }
 
 // Sync saves every shard durably. Each save runs on the shard's worker
 // goroutine, so it never races a batch; shards save in parallel.
-func (s *Set) Sync() error { return s.fanOut(opSync, 0) }
+func (s *Set) Sync() error { return firstErr(s.broadcast(request{op: opSync})) }
 
 // CrashSave simulates a whole-machine power failure: every shard
 // records a crash image of its state (unpersisted writes randomly
 // evicted, reverted, or cut, per backend). The live set keeps running;
 // reopening the directory recovers the crash state.
-func (s *Set) CrashSave(seed int64) error { return s.fanOut(opCrash, seed) }
+func (s *Set) CrashSave(seed int64) error {
+	return firstErr(s.broadcast(request{op: opCrash, seed: seed}))
+}
 
 // Scrub runs a full scrubbing pass on every shard and returns the
 // merged report. Each shard's pass executes as bounded incremental
 // steps interleaved with its queued client requests, never as a
 // stop-the-world sweep; concurrent passes on one shard coalesce.
 func (s *Set) Scrub() (pangolin.ScrubReport, error) {
-	results := make([]chan response, len(s.workers))
-	for i, w := range s.workers {
-		results[i] = w.send(request{op: opScrub})
-	}
+	rs := s.broadcast(request{op: opScrub})
 	// Merge with ScrubReport.Add — a field-by-field merge here silently
 	// dropped new report fields once already.
 	total := pangolin.ScrubReport{ChecksumsVerified: true}
 	merged := false
-	var first error
-	for i, ch := range results {
-		r := <-ch
-		putReply(ch)
-		if r.err != nil {
-			if first == nil {
-				first = fmt.Errorf("shard %d: %w", i, r.err)
-			}
-			continue
+	for _, r := range rs {
+		if r.err == nil {
+			total.Add(r.scrub)
+			merged = true
 		}
-		total.Add(r.scrub)
-		merged = true
 	}
 	if !merged {
 		total.ChecksumsVerified = false
 	}
-	return total, first
+	return total, firstErr(rs)
 }
 
 // InjectFaults corrupts count pseudo-randomly chosen live objects,
@@ -720,37 +701,8 @@ func (s *Set) InjectFaults(seed int64, count int) (injected, capable int, err er
 	return injected, capable, err
 }
 
-// ScrubHealth summarizes the maintenance subsystem's state across the
-// set: how many bounded steps have run, how much corruption they
-// repaired, how often backpressure skipped a step, how many steps or
-// passes failed (a growing value with a stuck LastFullPass means the
-// cursor cannot advance), and the oldest shard's last completed full
-// pass (the set-wide "verified clean as of" bound — 0 while any shard
-// has yet to finish a pass). Quarantined counts log segments parked by
-// a corrupt-record merge abort: their data stays readable but is held
-// back from compaction until an operator intervenes, so a nonzero
-// value is a health signal, not a curiosity.
-type ScrubHealth struct {
-	ScrubSteps    uint64 `json:"scrub_steps"`
-	BgRepairs     uint64 `json:"bg_repairs"`
-	ScrubBackoffs uint64 `json:"scrub_backoffs"`
-	ScrubErrors   uint64 `json:"scrub_errors"`
-	LastFullPass  int64  `json:"last_full_pass_unix"`
-	Quarantined   int    `json:"quarantined_segments"`
-}
-
 // ScrubHealth snapshots the set's maintenance counters.
-func (s *Set) ScrubHealth() ScrubHealth {
-	st := s.Stats()
-	return ScrubHealth{
-		ScrubSteps:    st.ScrubSteps,
-		BgRepairs:     st.BgRepairs,
-		ScrubBackoffs: st.ScrubBackoffs,
-		ScrubErrors:   st.ScrubErrors,
-		LastFullPass:  st.LastFullPass,
-		Quarantined:   st.Quarantined,
-	}
-}
+func (s *Set) ScrubHealth() ScrubHealth { return s.Stats().ScrubHealth }
 
 // Stats snapshots per-shard and aggregate counters.
 func (s *Set) Stats() Stats {
@@ -759,66 +711,23 @@ func (s *Set) Stats() Stats {
 		NumShards: len(s.workers),
 		Shards:    make([]ShardStats, len(s.workers)),
 	}
-	results := make([]chan response, len(s.workers))
-	for i, w := range s.workers {
-		results[i] = w.send(request{op: opStats})
-	}
 	var backends []string
-	for i, ch := range results {
-		r := <-ch
-		putReply(ch)
-		st.Shards[i] = r.stats
-		seen := false
-		for _, b := range backends {
-			if b == r.stats.Backend {
-				seen = true
-				break
-			}
+	var oldest int64
+	for i, r := range s.broadcast(request{op: opStats}) {
+		sh := r.stats
+		st.Shards[i] = sh
+		if !slices.Contains(backends, sh.Backend) {
+			backends = append(backends, sh.Backend)
 		}
-		if !seen {
-			backends = append(backends, r.stats.Backend)
+		st.add(&sh.Counters)
+		if i == 0 || sh.LastFullPass < oldest {
+			oldest = sh.LastFullPass
 		}
-		st.ScrubSteps += r.stats.ScrubSteps
-		st.BgRepairs += r.stats.BgRepairs
-		st.ScrubBackoffs += r.stats.ScrubBackoffs
-		st.ScrubErrors += r.stats.ScrubErrors
-		// The aggregate last-full-pass is the OLDEST shard's: the whole
-		// set is only as freshly verified as its most stale shard, and 0
-		// (never) while any shard has yet to complete a pass.
-		if i == 0 || r.stats.LastFullPass < st.LastFullPass {
-			st.LastFullPass = r.stats.LastFullPass
-		}
-		st.Gets += r.stats.Gets
-		st.Puts += r.stats.Puts
-		st.Dels += r.stats.Dels
-		st.Hits += r.stats.Hits
-		st.FastGets += r.stats.FastGets
-		st.FastHits += r.stats.FastHits
-		st.FastFallbacks += r.stats.FastFallbacks
-		st.FastFaults += r.stats.FastFaults
-		st.Errors += r.stats.Errors
-		st.Batches += r.stats.Batches
-		st.BatchedOps += r.stats.BatchedOps
-		st.GroupFallbacks += r.stats.GroupFallbacks
-		st.CommitWaits += r.stats.CommitWaits
-		st.Scans += r.stats.Scans
-		st.ScanPairs += r.stats.ScanPairs
-		st.FastScans += r.stats.FastScans
-		st.FastScanPairs += r.stats.FastScanPairs
-		st.ScanFallbacks += r.stats.ScanFallbacks
-		st.ScanFaults += r.stats.ScanFaults
-		st.SnapScans += r.stats.SnapScans
-		st.SnapScanPairs += r.stats.SnapScanPairs
-		st.SnapshotPins += r.stats.SnapshotPins
-		st.VersionsHeld += r.stats.VersionsHeld
-		st.Objects += r.stats.Objects
-		st.Bytes += r.stats.Bytes
-		st.Segments += r.stats.Segments
-		st.Compactions += r.stats.Compactions
-		st.MergedRecords += r.stats.MergedRecords
-		st.DeadRecords += r.stats.DeadRecords
-		st.Quarantined += r.stats.Quarantined
 	}
+	// The aggregate last-full-pass is the OLDEST shard's, not a sum: the
+	// whole set is only as freshly verified as its most stale shard, and
+	// 0 (never) while any shard has yet to complete a pass.
+	st.LastFullPass = oldest
 	st.Backends = strings.Join(backends, ",")
 	return st
 }
@@ -845,12 +754,40 @@ func (s *Set) Abandon() {
 	s.stores = nil
 }
 
-// ShardStats carries one shard's counters.
-type ShardStats struct {
-	Index int `json:"index"`
-	// Backend names this shard's storage backend ("pangolin" or
-	// "logstore").
-	Backend string `json:"backend"`
+// ScrubHealth is the maintenance subsystem's state: how many bounded
+// steps have run, how much corruption they repaired, how often
+// backpressure skipped a step, how many steps or passes failed, and when
+// the last full pass completed. Set-wide, LastFullPass is the oldest
+// shard's (the "verified clean as of" bound — 0 while any shard has yet
+// to finish a pass) and every other field sums over the shards.
+type ScrubHealth struct {
+	// ScrubSteps counts bounded scrub steps executed (scheduler ticks,
+	// full passes, and heal-retry passes); BgRepairs counts the
+	// objects/pages/parity columns repaired without a client asking for
+	// a scrub — by the scheduler's steps and by the heal passes a
+	// corrupt read or write triggers; ScrubBackoffs counts steps skipped
+	// because the worker was busy (traffic wins); ScrubErrors counts
+	// steps and passes that FAILED — a growing value with a stuck
+	// LastFullPass is the signal that the cursor cannot advance;
+	// LastFullPass is the unix time of the last completed full pass (0 =
+	// never).
+	ScrubSteps    uint64 `json:"scrub_steps"`
+	BgRepairs     uint64 `json:"bg_repairs"`
+	ScrubBackoffs uint64 `json:"scrub_backoffs"`
+	ScrubErrors   uint64 `json:"scrub_errors"`
+	LastFullPass  int64  `json:"last_full_pass_unix"`
+	// Quarantined counts log segments parked by a corrupt-record merge
+	// abort: still scanned on recovery, never compacted, their data
+	// readable but held back until an operator intervenes. A nonzero
+	// value is the signal that detected corruption is pinned in place
+	// (detect-only backend, nothing to rebuild from).
+	Quarantined int `json:"quarantined_segments"`
+}
+
+// Counters is what one shard counts and what the set aggregates: both
+// ShardStats and Stats embed it. Set.Stats sums every field over the
+// shards (Counters.add) except LastFullPass, which is the oldest shard's.
+type Counters struct {
 	// Gets counts reads served by the worker goroutine; FastGets counts
 	// reads served on the concurrent fast path (callers' goroutines,
 	// checksum-verified, no worker hop). Total reads = Gets + FastGets.
@@ -884,58 +821,66 @@ type ShardStats struct {
 	// Scan chunk accounting, mirroring the Get split: FastScans counts
 	// chunks served on the concurrent fast path (view scans under the
 	// reader gate, no worker hop) and Scans counts chunks served by the
-	// worker's repairing path; ScanFallbacks/ScanFaults count chunks
-	// bounced to the worker by cause (gate busy/freeze vs a fault
-	// needing repair). Pairs are the key/value pairs the chunks
-	// returned. Tests assert FastScans > 0 to prove fast-path scans
-	// engage.
+	// worker's repairing path; ScanFallbacks/ScanFaults count chunks —
+	// live and snapshot — bounced to the worker by cause (gate
+	// busy/freeze vs a fault needing repair). Pairs are the key/value
+	// pairs the chunks returned. Tests assert FastScans > 0 to prove
+	// fast-path scans engage.
 	Scans         uint64 `json:"scans"`
 	ScanPairs     uint64 `json:"scan_pairs"`
 	FastScans     uint64 `json:"fast_scans"`
 	FastScanPairs uint64 `json:"fast_scan_pairs"`
 	ScanFallbacks uint64 `json:"scan_fallbacks"`
 	ScanFaults    uint64 `json:"scan_faults"`
-	// Maintenance health. ScrubSteps counts bounded scrub steps executed
-	// on this shard (scheduler ticks, full passes, and heal-retry
-	// passes); BgRepairs counts the objects/pages/parity columns repaired
-	// without a client asking for a scrub — by the scheduler's steps and
-	// by the heal passes a corrupt read or write triggers; ScrubBackoffs
-	// counts steps skipped because the worker was busy (traffic wins);
-	// ScrubErrors counts
-	// steps and passes that FAILED — a growing value with a stuck
-	// LastFullPass is the signal that the cursor cannot advance;
-	// LastFullPass is the unix time the shard last completed a full
-	// pass (0 = never).
-	ScrubSteps    uint64 `json:"scrub_steps"`
-	BgRepairs     uint64 `json:"bg_repairs"`
-	ScrubBackoffs uint64 `json:"scrub_backoffs"`
-	ScrubErrors   uint64 `json:"scrub_errors"`
-	LastFullPass  int64  `json:"last_full_pass_unix"`
+	ScrubHealth
 	// Snapshot accounting. SnapScans counts pinned-generation scan chunks
 	// served on either path (fast readers and the worker fallback);
-	// SnapshotPins is the shard's currently pinned distinct generations
-	// and VersionsHeld the superseded versions its version buffer retains
+	// SnapshotPins is the currently pinned distinct generations and
+	// VersionsHeld the superseded versions the version buffer retains
 	// for them — both fall back to zero when the last snapshot releases.
 	SnapScans     uint64 `json:"snap_scans"`
 	SnapScanPairs uint64 `json:"snap_scan_pairs"`
-	SnapshotPins  int    `json:"snapshot_pins,omitempty"`
-	VersionsHeld  int    `json:"versions_retained,omitempty"`
+	SnapshotPins  int    `json:"snapshot_pins"`
+	VersionsHeld  int    `json:"versions_retained"`
 	Objects       int    `json:"objects"`
 	Bytes         uint64 `json:"bytes"`
 	// Log-backend counters, zero on pangolin shards: Segments is the
-	// shard's current segment file count; Compactions counts merged
-	// (deleted) segments; MergedRecords counts live records compaction
-	// copied forward; DeadRecords is the currently reclaimable record
-	// count (overwritten or deleted entries still occupying log space);
-	// Quarantined counts segments parked by a corrupt-record merge abort —
-	// still scanned on recovery, never compacted, invisible to no one:
-	// a nonzero value is the operator's signal that detected corruption
-	// is pinned in place (detect-only backend, nothing to rebuild from).
-	Segments      int    `json:"segments,omitempty"`
-	Compactions   uint64 `json:"compactions,omitempty"`
-	MergedRecords uint64 `json:"merged_records,omitempty"`
-	DeadRecords   uint64 `json:"dead_records,omitempty"`
-	Quarantined   int    `json:"quarantined_segments,omitempty"`
+	// current segment file count; Compactions counts merged (deleted)
+	// segments; MergedRecords counts live records compaction copied
+	// forward; DeadRecords is the currently reclaimable record count
+	// (overwritten or deleted entries still occupying log space).
+	Segments      int    `json:"segments"`
+	Compactions   uint64 `json:"compactions"`
+	MergedRecords uint64 `json:"merged_records"`
+	DeadRecords   uint64 `json:"dead_records"`
+}
+
+// add sums o into c, every numeric field including the embedded
+// ScrubHealth's, so a counter added to Counters needs no edit here.
+func (c *Counters) add(o *Counters) {
+	addFields(reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem())
+}
+
+func addFields(dst, src reflect.Value) {
+	for i := range dst.NumField() {
+		switch d, s := dst.Field(i), src.Field(i); d.Kind() {
+		case reflect.Struct:
+			addFields(d, s)
+		case reflect.Uint64:
+			d.SetUint(d.Uint() + s.Uint())
+		case reflect.Int, reflect.Int64:
+			d.SetInt(d.Int() + s.Int())
+		}
+	}
+}
+
+// ShardStats carries one shard's counters.
+type ShardStats struct {
+	Index int `json:"index"`
+	// Backend names this shard's storage backend ("pangolin" or
+	// "logstore").
+	Backend string `json:"backend"`
+	Counters
 }
 
 // Stats aggregates the set's counters.
@@ -943,42 +888,8 @@ type Stats struct {
 	Structure string `json:"structure"`
 	// Backends lists the distinct shard backends in shard order
 	// ("pangolin", "logstore", or "pangolin,logstore" for a mixed set).
-	Backends       string       `json:"backends"`
-	NumShards      int          `json:"num_shards"`
-	Gets           uint64       `json:"gets"`
-	Puts           uint64       `json:"puts"`
-	Dels           uint64       `json:"dels"`
-	Hits           uint64       `json:"hits"`
-	FastGets       uint64       `json:"fast_gets"`
-	FastHits       uint64       `json:"fast_hits"`
-	FastFallbacks  uint64       `json:"fast_fallbacks"`
-	FastFaults     uint64       `json:"fast_faults"`
-	Errors         uint64       `json:"errors"`
-	Batches        uint64       `json:"batches"`
-	BatchedOps     uint64       `json:"batched_ops"`
-	GroupFallbacks uint64       `json:"group_fallbacks"`
-	CommitWaits    uint64       `json:"commit_waits"`
-	Scans          uint64       `json:"scans"`
-	ScanPairs      uint64       `json:"scan_pairs"`
-	FastScans      uint64       `json:"fast_scans"`
-	FastScanPairs  uint64       `json:"fast_scan_pairs"`
-	ScanFallbacks  uint64       `json:"scan_fallbacks"`
-	ScanFaults     uint64       `json:"scan_faults"`
-	ScrubSteps     uint64       `json:"scrub_steps"`
-	BgRepairs      uint64       `json:"bg_repairs"`
-	ScrubBackoffs  uint64       `json:"scrub_backoffs"`
-	ScrubErrors    uint64       `json:"scrub_errors"`
-	LastFullPass   int64        `json:"last_full_pass_unix"` // oldest shard's; 0 while any shard has no pass
-	SnapScans      uint64       `json:"snap_scans"`
-	SnapScanPairs  uint64       `json:"snap_scan_pairs"`
-	SnapshotPins   int          `json:"snapshot_pins"`
-	VersionsHeld   int          `json:"versions_retained"`
-	Objects        int          `json:"objects"`
-	Bytes          uint64       `json:"bytes"`
-	Segments       int          `json:"segments"`
-	Compactions    uint64       `json:"compactions"`
-	MergedRecords  uint64       `json:"merged_records"`
-	DeadRecords    uint64       `json:"dead_records"`
-	Quarantined    int          `json:"quarantined_segments"`
-	Shards         []ShardStats `json:"shards"`
+	Backends  string `json:"backends"`
+	NumShards int    `json:"num_shards"`
+	Counters
+	Shards []ShardStats `json:"shards"`
 }

@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"encoding/json"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -337,5 +340,118 @@ func TestUseAfterClose(t *testing.T) {
 	}
 	if _, _, err := s.Get(1); err == nil {
 		t.Fatal("Get on closed set succeeded")
+	}
+}
+
+// The STATS and SCRUB key sets before Counters replaced the hand-summed
+// fields, sorted. A shard entry used to omit the gauges in
+// shardOmittedKeys while they were zero; it may now carry them, but no
+// key may disappear from any of the three.
+var (
+	statsKeys = []string{"backends", "batched_ops", "batches", "bg_repairs", "bytes", "commit_waits",
+		"compactions", "dead_records", "dels", "errors", "fast_fallbacks", "fast_faults", "fast_gets",
+		"fast_hits", "fast_scan_pairs", "fast_scans", "gets", "group_fallbacks", "hits",
+		"last_full_pass_unix", "merged_records", "num_shards", "objects", "puts", "quarantined_segments",
+		"scan_fallbacks", "scan_faults", "scan_pairs", "scans", "scrub_backoffs", "scrub_errors",
+		"scrub_steps", "segments", "shards", "snap_scan_pairs", "snap_scans", "snapshot_pins",
+		"structure", "versions_retained"}
+	shardKeys = []string{"backend", "batched_ops", "batches", "bg_repairs", "bytes", "commit_waits",
+		"dels", "errors", "fast_fallbacks", "fast_faults", "fast_gets", "fast_hits", "fast_scan_pairs",
+		"fast_scans", "gets", "group_fallbacks", "hits", "index", "last_full_pass_unix", "objects", "puts",
+		"scan_fallbacks", "scan_faults", "scan_pairs", "scans", "scrub_backoffs", "scrub_errors",
+		"scrub_steps", "snap_scan_pairs", "snap_scans"}
+	shardOmittedKeys = []string{"compactions", "dead_records", "merged_records", "quarantined_segments",
+		"segments", "snapshot_pins", "versions_retained"}
+	healthKeys = []string{"bg_repairs", "last_full_pass_unix", "quarantined_segments", "scrub_backoffs",
+		"scrub_errors", "scrub_steps"}
+)
+
+// TestStatsShape pins the JSON shape of STATS (Set.Stats) and of SCRUB's
+// health block (Set.ScrubHealth), and the aggregate last_full_pass_unix:
+// the oldest shard's, 0 while any shard has yet to finish a pass.
+func TestStatsShape(t *testing.T) {
+	s := newSet(t, t.TempDir(), 2, Options{})
+	defer s.Abandon()
+	if err := s.Put(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	type statsJSON struct {
+		LastFullPass int64                        `json:"last_full_pass_unix"`
+		Shards       []map[string]json.RawMessage `json:"shards"`
+	}
+	check := func() statsJSON {
+		t.Helper()
+		body, err := json.Marshal(s.Stats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var agg map[string]json.RawMessage
+		var st statsJSON
+		if err := json.Unmarshal(body, &agg); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Sorted(maps.Keys(agg)); !slices.Equal(got, statsKeys) {
+			t.Fatalf("STATS keys = %q, want %q", got, statsKeys)
+		}
+		for i, sh := range st.Shards {
+			for _, k := range shardKeys {
+				if _, ok := sh[k]; !ok {
+					t.Fatalf("shard %d lost key %q", i, k)
+				}
+			}
+			for k := range sh {
+				if !slices.Contains(shardKeys, k) && !slices.Contains(shardOmittedKeys, k) {
+					t.Fatalf("shard %d has new key %q", i, k)
+				}
+			}
+		}
+		body, err = json.Marshal(s.ScrubHealth())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var health map[string]json.RawMessage
+		if err := json.Unmarshal(body, &health); err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Sorted(maps.Keys(health)); !slices.Equal(got, healthKeys) {
+			t.Fatalf("SCRUB health keys = %q, want %q", got, healthKeys)
+		}
+		return st
+	}
+	lastPass := func(sh map[string]json.RawMessage) int64 {
+		var v int64
+		if err := json.Unmarshal(sh["last_full_pass_unix"], &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	// Shard 0 alone completes a pass: the aggregate stays 0.
+	for i := 0; ; i++ {
+		r := s.workers[0].do(request{op: opScrubStep})
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.ok {
+			break
+		}
+		if i == 1<<16 {
+			t.Fatal("shard 0's scrub pass never completed")
+		}
+	}
+	st := check()
+	if lastPass(st.Shards[0]) == 0 || lastPass(st.Shards[1]) != 0 || st.LastFullPass != 0 {
+		t.Fatalf("last passes: shards %d, %d, aggregate %d; want >0, 0, 0",
+			lastPass(st.Shards[0]), lastPass(st.Shards[1]), st.LastFullPass)
+	}
+	if _, err := s.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	st = check()
+	if oldest := min(lastPass(st.Shards[0]), lastPass(st.Shards[1])); oldest == 0 || st.LastFullPass != oldest {
+		t.Fatalf("aggregate last pass %d, want the oldest shard's %d", st.LastFullPass, oldest)
 	}
 }

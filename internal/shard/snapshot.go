@@ -44,21 +44,13 @@ type SetSnapshot struct {
 // alternative, a "snapshot" that pins some shards and reads the others
 // live, is exactly the silent downgrade this API exists to forbid.
 func (s *Set) OpenSnapshot() (*SetSnapshot, error) {
-	results := make([]chan response, len(s.workers))
-	for i, w := range s.workers {
-		results[i] = w.send(request{op: opSnapOpen})
-	}
 	snaps := make([]*store.Snapshot, len(s.workers))
 	var first error
-	for i, ch := range results {
-		r := <-ch
-		if r.err != nil {
-			if first == nil {
-				first = r.err
-			}
-			continue
-		}
+	for i, r := range s.broadcast(request{op: opSnapOpen}) {
 		snaps[i] = r.snap
+		if r.err != nil && first == nil {
+			first = r.err
+		}
 	}
 	if first != nil {
 		for _, sn := range snaps {
@@ -110,20 +102,5 @@ func (sn *SetSnapshot) Scan(lo, hi uint64, limit int) (pairs []Pair, next uint64
 	if sn.released.Load() {
 		return nil, 0, false, fmt.Errorf("shard: released snapshot: %w", store.ErrSnapshotTooOld)
 	}
-	if limit <= 0 || lo > hi {
-		return nil, 0, false, nil
-	}
-	streams := make([]*shardStream, len(sn.set.workers))
-	for i, w := range sn.set.workers {
-		w, shardSnap := w, sn.snaps[i]
-		streams[i] = &shardStream{
-			idx: i,
-			fetch: func(lo, hi uint64, max int) ([]Pair, error) {
-				return w.snapScanChunk(shardSnap, lo, hi, max)
-			},
-			next: lo,
-			hi:   hi,
-		}
-	}
-	return mergeStreams(streams, limit)
+	return sn.set.scan(sn.snaps, lo, hi, limit)
 }

@@ -12,13 +12,24 @@ import (
 	"github.com/pangolin-go/pangolin/internal/store"
 )
 
-// Worker operations.
+// Batch op kinds (BatchOp.Kind): the store's own op kinds.
 const (
-	opPut uint8 = iota + 1
-	opGet
-	opDel
-	opBatch // a client-supplied group of Get/Put/Del for this shard
-	opScan  // one scan chunk on the owner (repairing) read path
+	BatchGet = store.OpGet
+	BatchPut = store.OpPut
+	BatchDel = store.OpDel
+)
+
+// Worker operations. A single data op's request carries its BatchOp kind
+// as its op, so the worker runs it exactly as it runs one batch op.
+const (
+	opGet = BatchGet
+	opPut = BatchPut
+	opDel = BatchDel
+)
+
+const (
+	opBatch uint8 = iota + BatchDel + 1 // a client-supplied group of Get/Put/Del for this shard
+	opScan                              // one scan chunk on the owner (repairing) read path
 	opStats
 	opSync      // save this shard durably
 	opCrash     // persist a crash image of this shard
@@ -26,14 +37,6 @@ const (
 	opScrubStep // one bounded step of the shard's background maintenance
 	opInject    // corrupt a random live object (fault-injection hook)
 	opSnapOpen  // pin the shard's current generation (store.SnapshotViewer)
-	opSnapScan  // one snapshot scan chunk on the owner (repairing) read path
-)
-
-// Batch op kinds (BatchOp.Kind).
-const (
-	BatchGet uint8 = 1
-	BatchPut uint8 = 2
-	BatchDel uint8 = 3
 )
 
 // BatchOp is one operation inside a batch.
@@ -58,9 +61,9 @@ type request struct {
 	max   int    // opScan: chunk pair cap
 	seed  int64
 	ops   []BatchOp       // opBatch
-	snap  *store.Snapshot // opSnapScan: the pinned snapshot to resolve reads at
+	snap  *store.Snapshot // opScan: the pinned snapshot to resolve reads at; nil reads live
 	reply chan response
-	// done is the asynchronous completion path: when set (Submit), the
+	// done is the asynchronous completion path: when set (submit), the
 	// worker invokes it exactly once with the response instead of
 	// sending on reply. It runs on the worker goroutine (or the
 	// submitter's, when the shard is already closed), so it must be
@@ -80,12 +83,22 @@ func (req *request) deliver(r response) {
 	req.reply <- r
 }
 
+// dataOps returns the data operations req carries: its batch, or its one
+// op staged in one.
+func (req *request) dataOps(one *[1]BatchOp) []BatchOp {
+	if req.op == opBatch {
+		return req.ops
+	}
+	one[0] = BatchOp{Kind: req.op, K: req.k, V: req.v}
+	return one[:]
+}
+
 type response struct {
 	v     uint64
 	ok    bool
 	err   error
 	batch []BatchResult   // opBatch
-	pairs []Pair          // opScan / opSnapScan
+	pairs []Pair          // opScan
 	snap  *store.Snapshot // opSnapOpen
 	stats ShardStats
 	scrub pangolin.ScrubReport
@@ -132,6 +145,19 @@ func putBatchResults(s []BatchResult) {
 	batchResPool.Put(&s)
 }
 
+// readGroup counts one family of gated reads (GETs, scan chunks, snapshot
+// scan chunks), touched from many reader goroutines.
+type readGroup struct {
+	served    atomic.Uint64 // reads or chunks served on the fast path
+	items     atomic.Uint64 // what they carried: hits (GETs) or pairs (chunks)
+	fallbacks atomic.Uint64 // bounced to the worker: gate busy / freeze
+	faults    atomic.Uint64 // bounced to the worker: fault needing repair
+}
+
+func (g *readGroup) load() (served, items, fallbacks, faults uint64) {
+	return g.served.Load(), g.items.Load(), g.fallbacks.Load(), g.faults.Load()
+}
+
 // worker owns one shard: its store.Store and the only goroutine that
 // ever mutates it (§3.4 single-writer discipline, generalized — every
 // backend's Store belongs to one owner goroutine). It also owns the
@@ -162,37 +188,20 @@ type worker struct {
 	injector store.FaultInjector
 	snapper  store.SnapshotViewer
 
-	// Concurrent verified-read fast path. view is the store's ReadView
-	// capability handle; callers' goroutines run verified reads on it
-	// directly, holding gate's read side. The worker takes the write
-	// side around every store access (batches, saves, crash images,
+	// Concurrent verified-read fast path (gatedRead). view is the store's
+	// ReadView capability handle; callers' goroutines run verified reads
+	// on it directly, holding gate's read side. The worker takes the
+	// write side around every store access (batches, saves, crash images,
 	// scrubs), so readers run in parallel with each other and never
-	// overlap a mutation. Readers only ever TryRLock: if the worker
-	// holds or wants the gate — a group commit, a save, a scrub or
-	// recovery window — the read falls back to the worker queue instead
-	// of blocking, which is also what keeps the fast path deadlock-free.
-	// view is nil when Options.SerialReads disabled the fast path or the
-	// backend lacks store.ReadViewer.
+	// overlap a mutation. view is nil when Options.SerialReads disabled
+	// the fast path or the backend lacks store.ReadViewer.
 	gate sync.RWMutex
 	view store.View
 
-	// Fast-path counters, touched from many reader goroutines.
-	fastGets      atomic.Uint64 // reads served on the fast path
-	fastHits      atomic.Uint64 // of those, key present
-	fastFallbacks atomic.Uint64 // reads bounced to the worker: gate busy / freeze
-	fastFaults    atomic.Uint64 // reads bounced to the worker: fault needing repair
-
-	// Scan chunk counters, touched from many reader goroutines (fast)
-	// and the worker (serial; scans/scanPairs below).
-	fastScans     atomic.Uint64 // scan chunks served on the fast path
-	fastScanPairs atomic.Uint64 // pairs those chunks carried
-	scanFallbacks atomic.Uint64 // chunks bounced to the worker: gate busy / freeze
-	scanFaults    atomic.Uint64 // chunks bounced to the worker: fault needing repair
-
-	// Snapshot scan chunk counters: chunks resolved at a pinned
-	// generation, on either path (fast readers and worker fallback).
-	snapScans     atomic.Uint64
-	snapScanPairs atomic.Uint64
+	// Gated-read counters per caller family. Snapshot chunks served by
+	// the worker count into snapReads.served too: snap_scans covers both
+	// paths.
+	getReads, scanReads, snapReads readGroup
 
 	// scrubBackoffs counts maintenance steps the scheduler skipped
 	// because this worker was busy (queued requests, or the enqueue
@@ -200,25 +209,23 @@ type worker struct {
 	// wins over the scrubber. Touched from the scheduler goroutine.
 	scrubBackoffs atomic.Uint64
 
-	// Shutdown protocol: the lock covers only the closed flag and
+	// Shutdown protocol: mu covers only the closed flag's transition and
 	// sender registration — never a channel send — so stop() cannot
 	// wedge behind a full queue, and senders cannot wedge behind a
-	// stop() that is waiting for the queue to drain.
+	// stop() that is waiting for the queue to drain. closed is atomic so
+	// gated readers check it without taking mu.
 	mu      sync.RWMutex
-	closed  bool
+	closed  atomic.Bool
 	senders sync.WaitGroup
 	reqs    chan request
 	exited  chan struct{}
 
-	// Counters, touched only by the worker goroutine.
-	gets, puts, dels, hits, errs        uint64
-	batches, batchedOps, groupFallbacks uint64
-	commitWaits                         uint64     // adaptive-commit windows taken
-	scans, scanPairs                    uint64     // worker-path scan chunks
-	scratch                             []request  // loop-local drain buffer
-	opsBuf                              []store.Op // flattenGroup scratch, reused per group
-	oneReq                              [1]request // single-request flatten scratch
-	oneOp                               [1]store.Op
+	// c holds the counters only the worker goroutine touches; opStats
+	// adds the readers' atomics and the store's gauges to a copy.
+	c       Counters
+	scratch []request  // loop-local drain buffer
+	opsBuf  []store.Op // flattenGroup scratch, reused per group
+	oneOp   [1]store.Op
 
 	// Adaptive group commit (see the loop): commitWait caps the bounded
 	// micro-window the drain may wait for more ops when the queue has
@@ -229,12 +236,7 @@ type worker struct {
 	ewma       float64
 	waitTimer  *time.Timer
 
-	// Maintenance state, touched only by the worker goroutine.
-	scrubSteps       uint64 // scrub steps executed (scheduler + full passes)
-	bgRepairs        uint64 // repairs made by scheduler-driven steps and heal passes
-	scrubErrs        uint64 // scrub steps/passes that failed
-	lastFullPassUnix int64  // wall time the last full pass completed; 0 = never
-	fullScrub        *fullScrubJob
+	fullScrub *fullScrubJob // touched only by the worker goroutine
 
 	// withHeal futility throttle: when a heal pass fixes nothing, the
 	// corruption at that locus is beyond the backend's redundancy and
@@ -278,246 +280,121 @@ func newWorker(idx int, st store.Store, view store.View, queueLen, maxBatch int,
 	return w
 }
 
-// isClosed reports whether stop() has begun.
-func (w *worker) isClosed() bool {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.closed
+// errShuttingDown is a stopped worker's typed refusal.
+func (w *worker) errShuttingDown() error {
+	return fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown)
 }
 
-// fastGet attempts to serve a Get on the concurrent fast path: a
-// verified read against the store's view from the caller's goroutine,
-// under the reader gate. served=false means the caller must route the
-// request through the worker (gate contended, freeze window, or a fault
-// that needs the worker's repairing read path).
-func (w *worker) fastGet(k uint64) (v uint64, ok bool, err error, served bool) {
+// gatedRead runs read against the store's view on the caller's
+// goroutine, under the reader gate's read side — Pangolin's concurrent
+// verified read (§3.3) — and counts it into g. read reports how many
+// reads or chunks it served and the hits or pairs they carried.
+//
+// served=false sends the caller to the worker queue, whose repairing
+// read path serializes with everything else: the fast path is off (no
+// view), the worker holds or wants the gate (a group commit, save,
+// scrub or recovery window), or read failed — busy (a freeze) or on a
+// fault only the worker may repair. Readers only ever TryRLock, which
+// is what keeps the fast path deadlock-free. A stopped worker is served
+// with the typed ErrShuttingDown, and a typed snapshot verdict
+// (ErrSnapshotTooOld) as is: the worker cannot improve on either.
+func (w *worker) gatedRead(g *readGroup, read func(store.View) (n, items uint64, err error)) (served bool, err error) {
 	if w.view == nil {
-		return 0, false, nil, false
+		return false, nil
 	}
-	if w.isClosed() {
-		return 0, false, fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown), true
+	if w.closed.Load() {
+		return true, w.errShuttingDown()
 	}
 	if !w.gate.TryRLock() {
-		w.fastFallbacks.Add(1)
-		return 0, false, nil, false
+		g.fallbacks.Add(1)
+		return false, nil
 	}
-	v, ok, err = w.view.Get(k)
+	n, items, err := read(w.view)
 	w.gate.RUnlock()
-	if err != nil {
-		if pangolin.ReadBusy(err) {
-			w.fastFallbacks.Add(1)
-		} else {
-			w.fastFaults.Add(1)
-		}
-		return 0, false, nil, false
+	switch {
+	case err == nil:
+		g.served.Add(n)
+		g.items.Add(items)
+		return true, nil
+	case errors.Is(err, store.ErrSnapshotTooOld):
+		return true, err
+	case pangolin.ReadBusy(err):
+		g.fallbacks.Add(1)
+	default:
+		g.faults.Add(1)
 	}
-	w.fastGets.Add(1)
-	if ok {
-		w.fastHits.Add(1)
-	}
-	return v, ok, nil, true
+	return false, nil
 }
 
-// fastGetBatch serves an all-GET batch slice on the fast path, taking
-// the reader gate once for the whole slice. Like the worker's own
-// handling of read-only groups, the lookups are per-op (a read-only
-// batch has no transaction and no group atomicity to preserve). Any
-// error bounces the entire slice to the worker.
-func (w *worker) fastGetBatch(ops []BatchOp) ([]BatchResult, bool) {
-	if w.view == nil || w.isClosed() {
-		return nil, false
-	}
-	if !w.gate.TryRLock() {
-		w.fastFallbacks.Add(1)
-		return nil, false
-	}
-	res := getBatchResults(len(ops))
-	hits := uint64(0)
-	for i, op := range ops {
-		v, ok, err := w.view.Get(op.K)
-		if err != nil {
-			w.gate.RUnlock()
-			putBatchResults(res)
-			if pangolin.ReadBusy(err) {
-				w.fastFallbacks.Add(1)
-			} else {
-				w.fastFaults.Add(1)
+// readGets serves an all-GET slice on the gated read path with one gate
+// hold, writing every element of res. Like the worker's read-only
+// groups, the lookups are per-op (a read-only slice has no transaction
+// and no group atomicity to preserve); any error bounces the entire
+// slice to the worker.
+func (w *worker) readGets(ops []BatchOp, res []BatchResult) (served bool, err error) {
+	return w.gatedRead(&w.getReads, func(view store.View) (n, hits uint64, err error) {
+		for i, op := range ops {
+			v, ok, err := view.Get(op.K)
+			if err != nil {
+				return 0, 0, err
 			}
-			return nil, false
+			res[i] = BatchResult{V: v, OK: ok}
+			if ok {
+				hits++
+			}
 		}
-		res[i] = BatchResult{V: v, OK: ok}
-		if ok {
-			hits++
-		}
-	}
-	w.gate.RUnlock()
-	w.fastGets.Add(uint64(len(ops)))
-	w.fastHits.Add(hits)
-	return res, true
+		return uint64(len(ops)), hits, nil
+	})
 }
 
-// scanChunk returns the up-to-max smallest pairs with keys in [lo, hi],
-// ascending. It first attempts the concurrent fast path (a view scan
-// under the reader gate on the caller's goroutine); a gate-busy, freeze,
-// or fault chunk falls back to the worker queue, whose repairing read
-// path serializes with everything else. len(result) < max means the
-// shard holds no further pairs in the range.
-func (w *worker) scanChunk(lo, hi uint64, max int) ([]Pair, error) {
-	if pairs, err, served := w.fastScanChunk(lo, hi, max); served {
-		return pairs, err
-	}
-	r := w.do(request{op: opScan, k: lo, v: hi, max: max})
-	return r.pairs, r.err
-}
-
-// fastScanChunk attempts one scan chunk on the concurrent fast path,
-// holding the reader gate's read side for the duration of the chunk —
-// and only the chunk, so a long Set.Scan releases and re-acquires the
-// gate every chunk and never starves the worker's group commits.
-// served=false means the caller must route the chunk through the worker.
-func (w *worker) fastScanChunk(lo, hi uint64, max int) (pairs []Pair, err error, served bool) {
-	if w.view == nil {
-		return nil, nil, false
-	}
-	if w.isClosed() {
-		return nil, fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown), true
-	}
-	if !w.gate.TryRLock() {
-		w.scanFallbacks.Add(1)
-		return nil, nil, false
-	}
-	pairs, err = scanCollect(w.view, w.ordered, lo, hi, max)
-	w.gate.RUnlock()
-	if err != nil {
-		if pangolin.ReadBusy(err) {
-			w.scanFallbacks.Add(1)
-		} else {
-			w.scanFaults.Add(1)
-		}
-		return nil, nil, false
-	}
-	w.fastScans.Add(1)
-	w.fastScanPairs.Add(uint64(len(pairs)))
-	return pairs, nil, true
-}
-
-// snapScanChunk returns one chunk of a pinned-generation scan — the
-// same two-population split as scanChunk: the fast path resolves the
-// chunk against the shard's ReadView under the reader gate on the
-// caller's goroutine, and a gate-busy, freeze, or fault chunk falls
-// back to the worker queue, where the snapshot resolves against the
-// owner store's repairing reads.
-func (w *worker) snapScanChunk(sn *store.Snapshot, lo, hi uint64, max int) ([]Pair, error) {
-	if pairs, err, served := w.fastSnapScanChunk(sn, lo, hi, max); served {
-		return pairs, err
-	}
-	r := w.do(request{op: opSnapScan, snap: sn, k: lo, v: hi, max: max})
-	return r.pairs, r.err
-}
-
-// fastSnapScanChunk attempts one snapshot chunk on the concurrent fast
-// path. A typed snapshot verdict (ErrSnapshotTooOld) is served
-// directly — the worker cannot improve on it — while read faults
-// bounce to the worker's repairing path as usual.
-func (w *worker) fastSnapScanChunk(sn *store.Snapshot, lo, hi uint64, max int) (pairs []Pair, err error, served bool) {
-	if w.view == nil {
-		return nil, nil, false
-	}
-	if w.isClosed() {
-		return nil, fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown), true
-	}
-	if !w.gate.TryRLock() {
-		w.scanFallbacks.Add(1)
-		return nil, nil, false
-	}
-	pairs, err = scanCollect(snapScanner{sn: sn, live: w.view}, sn.Ordered(), lo, hi, max)
-	w.gate.RUnlock()
-	if err != nil {
-		if errors.Is(err, store.ErrSnapshotTooOld) {
-			return nil, err, true
-		}
-		if pangolin.ReadBusy(err) {
-			w.scanFallbacks.Add(1)
-		} else {
-			w.scanFaults.Add(1)
-		}
-		return nil, nil, false
-	}
-	w.snapScans.Add(1)
-	w.snapScanPairs.Add(uint64(len(pairs)))
-	return pairs, nil, true
-}
-
-// scanner is the ranged-iteration surface scanCollect consumes; both
-// store.Store and store.View provide it.
-type scanner interface {
-	Scan(lo, hi uint64, fn func(k, v uint64) bool) error
-}
-
-// snapScanner binds a pinned snapshot to a live read source, giving
-// scanCollect the plain ranged-iteration surface it expects while every
-// pair resolves at the pinned generation.
-type snapScanner struct {
-	sn   *store.Snapshot
-	live store.View
-}
-
-func (s snapScanner) Scan(lo, hi uint64, fn func(k, v uint64) bool) error {
-	return s.sn.Scan(s.live, lo, hi, fn)
-}
-
-// scanCollect gathers the up-to-max smallest in-range pairs from one
-// scan source, ascending. Ordered sources stream ascending already, so
-// the scan early-stops at max pairs; unordered sources (hashmap, the
-// log backend's index) must visit the whole range, so the collector
-// keeps a sorted bound of the max smallest seen (bounded memory, one
-// full pass per chunk).
-func scanCollect(m scanner, ordered bool, lo, hi uint64, max int) ([]Pair, error) {
+// scanCollect gathers the up-to-max smallest in-range pairs from live —
+// as of sn's pinned generation when sn is set — ascending. Ordered
+// sources stream ascending already, so the scan early-stops at max
+// pairs; unordered sources (hashmap, the log backend's index) must visit
+// the whole range, so the collector keeps a sorted bound of the max
+// smallest seen (bounded memory, one full pass per chunk).
+func scanCollect(live store.View, ordered bool, sn *store.Snapshot, lo, hi uint64, max int) ([]Pair, error) {
 	if max <= 0 || lo > hi {
 		return nil, nil
 	}
-	if ordered {
-		out := make([]Pair, 0, min(max, 64))
-		err := m.Scan(lo, hi, func(k, v uint64) bool {
-			out = append(out, Pair{K: k, V: v})
-			return len(out) < max
-		})
-		return out, err
+	if sn != nil {
+		ordered = sn.Ordered()
 	}
 	out := make([]Pair, 0, min(max, 64))
-	err := m.Scan(lo, hi, func(k, v uint64) bool {
-		i := sort.Search(len(out), func(i int) bool { return out[i].K >= k })
-		if len(out) == max {
-			if i == max {
-				return true // larger than every kept pair
-			}
-			out = out[:max-1] // drop the current largest
+	var fn func(k, v uint64) bool
+	if ordered {
+		fn = func(k, v uint64) bool {
+			out = append(out, Pair{K: k, V: v})
+			return len(out) < max
 		}
-		out = append(out, Pair{})
-		copy(out[i+1:], out[i:])
-		out[i] = Pair{K: k, V: v}
-		return true
-	})
+	} else {
+		fn = func(k, v uint64) bool {
+			i := sort.Search(len(out), func(i int) bool { return out[i].K >= k })
+			if len(out) == max {
+				if i == max {
+					return true // larger than every kept pair
+				}
+				out = out[:max-1] // drop the current largest
+			}
+			out = append(out, Pair{})
+			copy(out[i+1:], out[i:])
+			out[i] = Pair{K: k, V: v}
+			return true
+		}
+	}
+	var err error
+	if sn != nil {
+		err = sn.Scan(live, lo, hi, fn)
+	} else {
+		err = live.Scan(lo, hi, fn)
+	}
 	return out, err
 }
 
-// send enqueues req and returns its reply channel. The closed check and
-// the enqueue are decoupled: the read lock registers this sender while
-// the worker is still open, then is released before the (possibly
-// blocking) channel send. stop() waits for registered senders after
-// flagging closed, so the channel is never closed under a send.
+// send enqueues req and returns its reply channel (see submit).
 func (w *worker) send(req request) chan response {
 	req.reply = getReply()
-	w.mu.RLock()
-	if w.closed {
-		w.mu.RUnlock()
-		req.reply <- response{err: fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown)}
-		return req.reply
-	}
-	w.senders.Add(1)
-	w.mu.RUnlock()
-	w.reqs <- req // may block on a full queue; the loop keeps draining
-	w.senders.Done()
+	w.submit(req)
 	return req.reply
 }
 
@@ -530,17 +407,20 @@ func (w *worker) do(req request) response {
 	return r
 }
 
-// submit enqueues req for asynchronous completion: req.done is invoked
-// exactly once with the result — on the worker goroutine when the
-// request executes, or synchronously here when the shard is already
-// shutting down (typed ErrShuttingDown, never a silent drop). Like
-// send, the enqueue may block on a full queue; that is the backpressure
-// signal the server's pipelined reader relies on.
+// submit enqueues req; the worker answers it exactly once (deliver) when
+// it executes, or submit does at once, with a typed ErrShuttingDown —
+// never a silent drop — when the shard is already shutting down. The
+// closed check and the enqueue are decoupled: the read lock registers
+// this sender while the worker is still open, then is released before
+// the (possibly blocking) channel send. stop() waits for registered
+// senders after flagging closed, so the channel is never closed under a
+// send. A full queue blocks the send; that is the backpressure signal
+// the server's pipelined reader relies on.
 func (w *worker) submit(req request) {
 	w.mu.RLock()
-	if w.closed {
+	if w.closed.Load() {
 		w.mu.RUnlock()
-		req.done(response{err: fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown)})
+		req.deliver(response{err: w.errShuttingDown()})
 		return
 	}
 	w.senders.Add(1)
@@ -556,7 +436,7 @@ func (w *worker) submit(req request) {
 func (w *worker) trySend(req request) (chan response, bool) {
 	req.reply = getReply()
 	w.mu.RLock()
-	if w.closed {
+	if w.closed.Load() {
 		w.mu.RUnlock()
 		putReply(req.reply)
 		return nil, false
@@ -577,12 +457,12 @@ func (w *worker) trySend(req request) (chan response, bool) {
 // answered; the store is safe to close once stop returns.
 func (w *worker) stop() {
 	w.mu.Lock()
-	if w.closed {
+	if w.closed.Load() {
 		w.mu.Unlock()
 		<-w.exited
 		return
 	}
-	w.closed = true
+	w.closed.Store(true)
 	w.mu.Unlock()
 	// In-flight senders finish their enqueues (the loop is still
 	// draining, so none of them blocks forever), then the channel close
@@ -609,12 +489,13 @@ func opCount(req request) int {
 func (w *worker) loop() {
 	defer close(w.exited)
 	defer w.failScrubWaiters()
-	var carry *request // drained request that would overfill its group
+	var next request // a drained request that starts the next round
+	hasNext := false
 	for {
 		var req request
 		switch {
-		case carry != nil:
-			req, carry = *carry, nil
+		case hasNext:
+			req, hasNext = next, false
 		case w.fullScrub != nil:
 			// A full scrub pass is in progress: queued client requests
 			// always run first (traffic wins), and only an idle moment
@@ -639,37 +520,37 @@ func (w *worker) loop() {
 		if !groupable(req.op) {
 			if req.op == opScrub {
 				w.startFullScrub(req.reply)
-				continue
+			} else {
+				req.deliver(w.handleLocked(req))
 			}
-			req.deliver(w.handleLocked(req))
 			continue
 		}
 		// Opportunistic group: drain whatever is already queued, up to
-		// maxBatch ops, stopping at a barrier op. A request that would
-		// push the group past the window is carried into the next round
-		// instead, so no transaction ever exceeds maxBatch operations.
+		// maxBatch ops. A barrier op ends the group and, like a request
+		// that would push the group past the window, starts the next
+		// round instead — so the barrier runs after the group, and no
+		// transaction ever exceeds maxBatch operations.
 		group := append(w.scratch[:0], req)
-		var barrier request
-		hasBarrier := false
 		n := opCount(req)
+		admit := func(r request, open bool) bool {
+			if !open {
+				return false
+			}
+			if !groupable(r.op) || n+opCount(r) > w.maxBatch {
+				next, hasNext = r, true
+				return false
+			}
+			group = append(group, r)
+			n += opCount(r)
+			return true
+		}
 	drain:
 		for n < w.maxBatch {
 			select {
-			case r2, ok := <-w.reqs:
-				if !ok {
+			case r, open := <-w.reqs:
+				if !admit(r, open) {
 					break drain
 				}
-				if !groupable(r2.op) {
-					barrier, hasBarrier = r2, true
-					break drain
-				}
-				if n+opCount(r2) > w.maxBatch {
-					r2 := r2
-					carry = &r2
-					break drain
-				}
-				group = append(group, r2)
-				n += opCount(r2)
 			default:
 				break drain
 			}
@@ -682,9 +563,9 @@ func (w *worker) loop() {
 		// batch exactly when it pays: the per-commit transaction cost
 		// amortizes over more ops. Lockstep load keeps the EWMA near 1,
 		// so an idle connection's op commits with zero added latency.
-		if carry == nil && !hasBarrier && n < w.maxBatch && w.fullScrub == nil {
+		if !hasNext && n < w.maxBatch && w.fullScrub == nil {
 			if win := w.commitWindow(); win > 0 {
-				w.commitWaits++
+				w.c.CommitWaits++
 				if w.waitTimer == nil {
 					w.waitTimer = time.NewTimer(win)
 				} else {
@@ -694,21 +575,10 @@ func (w *worker) loop() {
 			await:
 				for n < w.maxBatch {
 					select {
-					case r2, ok := <-w.reqs:
-						if !ok {
+					case r, open := <-w.reqs:
+						if !admit(r, open) {
 							break await
 						}
-						if !groupable(r2.op) {
-							barrier, hasBarrier = r2, true
-							break await
-						}
-						if n+opCount(r2) > w.maxBatch {
-							r2 := r2
-							carry = &r2
-							break await
-						}
-						group = append(group, r2)
-						n += opCount(r2)
 					case <-w.waitTimer.C:
 						fired = true
 						break await
@@ -724,13 +594,6 @@ func (w *worker) loop() {
 		w.gate.Unlock()
 		w.ewma = 0.75*w.ewma + 0.25*float64(n)
 		w.scratch = group[:0]
-		if hasBarrier {
-			if barrier.op == opScrub {
-				w.startFullScrub(barrier.reply)
-			} else {
-				barrier.deliver(w.handleLocked(barrier))
-			}
-		}
 	}
 }
 
@@ -763,13 +626,13 @@ func (w *worker) stepFullScrub() {
 	w.gate.Unlock()
 	job.total.Add(rep)
 	if err == nil {
-		w.scrubSteps++
+		w.c.ScrubSteps++
 		if !done {
 			return
 		}
-		w.lastFullPassUnix = time.Now().Unix()
+		w.c.LastFullPass = time.Now().Unix()
 	} else {
-		w.scrubErrs++
+		w.c.ScrubErrors++
 	}
 	w.fullScrub = nil
 	for _, reply := range job.waiters {
@@ -783,7 +646,7 @@ func (w *worker) failScrubWaiters() {
 		return
 	}
 	for _, reply := range w.fullScrub.waiters {
-		reply <- response{err: fmt.Errorf("shard %d: %w", w.idx, ErrShuttingDown)}
+		reply <- response{err: w.errShuttingDown()}
 	}
 	w.fullScrub = nil
 }
@@ -796,20 +659,6 @@ func (w *worker) handleLocked(req request) response {
 	w.gate.Lock()
 	defer w.gate.Unlock()
 	return w.handle(req)
-}
-
-// storeKind maps a BatchOp kind to its store.Op kind.
-func storeKind(kind uint8) (uint8, error) {
-	switch kind {
-	case BatchGet:
-		return store.OpGet, nil
-	case BatchPut:
-		return store.OpPut, nil
-	case BatchDel:
-		return store.OpDel, nil
-	default:
-		return 0, fmt.Errorf("unknown batch kind %d", kind)
-	}
 }
 
 // commitWindow sizes the adaptive wait for the current group, from the
@@ -830,24 +679,13 @@ func (w *worker) commitWindow() time.Duration {
 // flattenGroup lowers a group of requests into one store.Apply batch,
 // appending to ops (the worker's reusable scratch).
 func flattenGroup(ops []store.Op, group []request) ([]store.Op, error) {
-	for _, r := range group {
-		switch r.op {
-		case opPut:
-			ops = append(ops, store.Op{Kind: store.OpPut, K: r.k, V: r.v})
-		case opGet:
-			ops = append(ops, store.Op{Kind: store.OpGet, K: r.k})
-		case opDel:
-			ops = append(ops, store.Op{Kind: store.OpDel, K: r.k})
-		case opBatch:
-			for _, op := range r.ops {
-				kind, err := storeKind(op.Kind)
-				if err != nil {
-					return nil, err
-				}
-				ops = append(ops, store.Op{Kind: kind, K: op.K, V: op.V})
+	var one [1]BatchOp
+	for i := range group {
+		for _, op := range group[i].dataOps(&one) {
+			if op.Kind != BatchGet && op.Kind != BatchPut && op.Kind != BatchDel {
+				return nil, fmt.Errorf("unknown batch kind %d", op.Kind)
 			}
-		default:
-			return nil, fmt.Errorf("op %d inside a group", r.op)
+			ops = append(ops, store.Op{Kind: op.Kind, K: op.K, V: op.V})
 		}
 	}
 	return ops, nil
@@ -860,7 +698,7 @@ func flattenGroup(ops []store.Op, group []request) ([]store.Op, error) {
 func (w *worker) runGroup(group []request) {
 	// A batch request larger than the group window arrives alone in its
 	// group (opCount(req) ≥ maxBatch keeps the drain from adding to it):
-	// execute it in window-sized batch chunks and merge the per-op
+	// run it as window-sized groups of one chunk each and merge the per-op
 	// results, so the documented MaxBatch bound holds for client batches
 	// too. Atomicity is then per chunk, which is what doc.go promises
 	// for batches beyond the window.
@@ -868,25 +706,25 @@ func (w *worker) runGroup(group []request) {
 		req := group[0]
 		out := make([]BatchResult, 0, len(req.ops))
 		for start := 0; start < len(req.ops); start += w.maxBatch {
-			end := min(start+w.maxBatch, len(req.ops))
-			br := w.execBatchChunk(req.ops[start:end])
-			out = append(out, br...)
-			putBatchResults(br) // copied above; the chunk slice is free
+			w.runGroup([]request{{
+				op:  opBatch,
+				ops: req.ops[start:min(start+w.maxBatch, len(req.ops))],
+				done: func(r response) {
+					out = append(out, r.batch...)
+					putBatchResults(r.batch) // copied; the chunk's slice is free
+				},
+			}})
 		}
 		req.deliver(response{batch: out})
 		return
 	}
+	var one [1]BatchOp
 	muts, total := 0, 0
-	for _, r := range group {
-		total += opCount(r)
-		switch r.op {
-		case opPut, opDel:
-			muts++
-		case opBatch:
-			for _, op := range r.ops {
-				if op.Kind != BatchGet {
-					muts++
-				}
+	for i := range group {
+		for _, op := range group[i].dataOps(&one) {
+			total++
+			if op.Kind != BatchGet {
+				muts++
 			}
 		}
 	}
@@ -907,105 +745,82 @@ func (w *worker) runGroup(group []request) {
 	// fine — they are copied into responses below, before this worker
 	// touches the store again.
 	w.opsBuf = ops[:0]
-	if err == nil {
-		w.batches++
-		w.batchedOps += uint64(total)
-		ri := 0
+	if err != nil {
+		// The group's batch aborted (nothing was applied). Retry each
+		// request on its own so one bad op can't poison its batchmates;
+		// each waiter gets its op's own verdict.
+		w.c.GroupFallbacks++
 		for _, r := range group {
-			var resp response
-			switch r.op {
-			case opPut:
-				ri++
-			case opGet:
-				resp = response{v: results[ri].V, ok: results[ri].OK}
-				ri++
-			case opDel:
-				resp = response{ok: results[ri].OK}
-				ri++
-			case opBatch:
-				br := getBatchResults(len(r.ops))
-				for j := range r.ops {
-					br[j] = BatchResult{V: results[ri].V, OK: results[ri].OK}
-					ri++
-				}
-				resp = response{batch: br}
-			}
-			w.countGroup(r, resp)
-			r.deliver(resp)
+			r.deliver(w.handle(r))
 		}
 		return
 	}
-	// The group's batch aborted (nothing was applied). Retry each
-	// request on its own so one bad op can't poison its batchmates; each
-	// waiter gets its op's own verdict.
-	w.groupFallbacks++
+	w.c.Batches++
+	w.c.BatchedOps += uint64(total)
 	for _, r := range group {
-		r.deliver(w.handle(r))
+		res := results[:opCount(r)]
+		results = results[len(res):]
+		for j, op := range r.dataOps(&one) {
+			w.count(op.Kind, res[j].OK)
+		}
+		if r.op != opBatch {
+			r.deliver(response{v: res[0].V, ok: res[0].OK})
+			continue
+		}
+		br := getBatchResults(len(res))
+		for j := range res {
+			br[j] = BatchResult{V: res[j].V, OK: res[j].OK}
+		}
+		r.deliver(response{batch: br})
 	}
 }
 
-// execBatchChunk runs one window-sized slice of an oversized batch as a
-// single atomic store batch, with the same per-op fallback as a group.
-func (w *worker) execBatchChunk(ops []BatchOp) []BatchResult {
-	sub := request{op: opBatch, ops: ops}
-	muts := 0
-	for _, op := range ops {
-		if op.Kind != BatchGet {
-			muts++
+// count tallies one executed data operation.
+func (w *worker) count(kind uint8, ok bool) {
+	switch kind {
+	case BatchGet:
+		w.c.Gets++
+		if ok {
+			w.c.Hits++
 		}
+	case BatchPut:
+		w.c.Puts++
+	case BatchDel:
+		w.c.Dels++
 	}
-	if muts == 0 || len(ops) == 1 {
-		return w.handle(sub).batch
-	}
-	w.oneReq[0] = sub
-	sops, err := flattenGroup(w.opsBuf[:0], w.oneReq[:])
-	var results []store.Result
-	if err == nil {
-		results, err = w.st.Apply(sops)
-	}
-	w.opsBuf = sops[:0]
-	if err == nil {
-		w.batches++
-		w.batchedOps += uint64(len(ops))
-		br := getBatchResults(len(ops))
-		for i := range ops {
-			br[i] = BatchResult{V: results[i].V, OK: results[i].OK}
-		}
-		resp := response{batch: br}
-		w.countGroup(sub, resp)
-		return br
-	}
-	w.groupFallbacks++
-	return w.handle(sub).batch
 }
 
-// countGroup applies the op counters for one group-committed request.
-func (w *worker) countGroup(req request, resp response) {
-	switch req.op {
-	case opPut:
-		w.puts++
-	case opGet:
-		w.gets++
-		if resp.ok {
-			w.hits++
-		}
-	case opDel:
-		w.dels++
-	case opBatch:
-		for i, op := range req.ops {
-			switch op.Kind {
-			case BatchPut:
-				w.puts++
-			case BatchGet:
-				w.gets++
-				if resp.batch[i].OK {
-					w.hits++
-				}
-			case BatchDel:
-				w.dels++
-			}
-		}
+// execOp runs one data operation as its own store access — the per-op
+// path of read-only and single-op groups and of a group whose batch
+// failed — with the one-heal retry, its counters, and its own verdict.
+func (w *worker) execOp(op BatchOp) BatchResult {
+	var r BatchResult
+	switch op.Kind {
+	case BatchGet:
+		r.Err = w.withHeal(func() (err error) {
+			r.V, r.OK, err = w.st.Get(op.K)
+			return err
+		})
+	case BatchPut:
+		r.Err = w.withHeal(func() error {
+			_, err := w.applyOne(store.Op{Kind: store.OpPut, K: op.K, V: op.V})
+			return err
+		})
+		r.OK = r.Err == nil
+	case BatchDel:
+		r.Err = w.withHeal(func() error {
+			res, err := w.applyOne(store.Op{Kind: store.OpDel, K: op.K})
+			r.OK = res.OK
+			return err
+		})
+	default:
+		r.Err = fmt.Errorf("shard %d: unknown batch kind %d", w.idx, op.Kind)
 	}
+	w.count(op.Kind, r.OK)
+	if r.Err != nil {
+		w.c.Errors++
+	}
+	return r
 }
 
 // healCooldown suppresses repeat heal passes after a futile one: truly
@@ -1049,14 +864,14 @@ func (w *worker) withHeal(fn func() error) error {
 		return err
 	}
 	rep, herr := w.healPass()
-	w.bgRepairs += uint64(rep.Fixed())
+	w.c.BgRepairs += uint64(rep.Fixed())
 	if herr != nil || rep.Fixed() == 0 {
 		w.noteFutileHeal(key)
 	} else {
 		delete(w.futileHeals, key)
 	}
 	if herr != nil {
-		w.scrubErrs++
+		w.c.ScrubErrors++
 		return err
 	}
 	return fn()
@@ -1109,7 +924,7 @@ func (w *worker) healPass() (pangolin.ScrubReport, error) {
 	for {
 		rep, done, err := sc.Step()
 		total.Add(rep)
-		w.scrubSteps++
+		w.c.ScrubSteps++
 		if err != nil || done {
 			return total, err
 		}
@@ -1133,105 +948,36 @@ func (w *worker) applyOne(op store.Op) (store.Result, error) {
 
 func (w *worker) handle(req request) response {
 	switch req.op {
-	case opPut:
-		w.puts++
-		err := w.withHeal(func() error {
-			_, e := w.applyOne(store.Op{Kind: store.OpPut, K: req.k, V: req.v})
-			return e
-		})
-		if err != nil {
-			w.errs++
-		}
-		return response{err: err}
-	case opGet:
-		w.gets++
-		var v uint64
-		var ok bool
-		err := w.withHeal(func() (e error) {
-			v, ok, e = w.st.Get(req.k)
-			return e
-		})
-		if err != nil {
-			w.errs++
-		}
-		if ok {
-			w.hits++
-		}
-		return response{v: v, ok: ok, err: err}
-	case opDel:
-		w.dels++
-		var ok bool
-		err := w.withHeal(func() (e error) {
-			res, e := w.applyOne(store.Op{Kind: store.OpDel, K: req.k})
-			ok = res.OK
-			return e
-		})
-		if err != nil {
-			w.errs++
-		}
-		return response{ok: ok, err: err}
+	case opGet, opPut, opDel:
+		r := w.execOp(BatchOp{Kind: req.op, K: req.k, V: req.v})
+		return response{v: r.V, ok: r.OK, err: r.Err}
 	case opBatch:
-		// Per-op execution of a batch request: each op on its own with
-		// its own verdict.
 		res := getBatchResults(len(req.ops))
 		for i, op := range req.ops {
-			switch op.Kind {
-			case BatchPut:
-				w.puts++
-				err := w.withHeal(func() error {
-					_, e := w.applyOne(store.Op{Kind: store.OpPut, K: op.K, V: op.V})
-					return e
-				})
-				if err != nil {
-					w.errs++
-				}
-				res[i] = BatchResult{OK: err == nil, Err: err}
-			case BatchGet:
-				w.gets++
-				var v uint64
-				var ok bool
-				err := w.withHeal(func() (e error) {
-					v, ok, e = w.st.Get(op.K)
-					return e
-				})
-				if err != nil {
-					w.errs++
-				}
-				if ok {
-					w.hits++
-				}
-				res[i] = BatchResult{V: v, OK: ok, Err: err}
-			case BatchDel:
-				w.dels++
-				var ok bool
-				err := w.withHeal(func() (e error) {
-					r, e := w.applyOne(store.Op{Kind: store.OpDel, K: op.K})
-					ok = r.OK
-					return e
-				})
-				if err != nil {
-					w.errs++
-				}
-				res[i] = BatchResult{OK: ok, Err: err}
-			default:
-				w.errs++
-				res[i] = BatchResult{Err: fmt.Errorf("shard %d: unknown batch kind %d", w.idx, op.Kind)}
-			}
+			res[i] = w.execOp(op)
 		}
 		return response{batch: res}
 	case opScan:
 		// The worker-path scan chunk: the owner store's repairing reads,
-		// serialized with batches like every worker op.
-		w.scans++
+		// serialized with batches like every worker op, with the pinned-
+		// generation overlay applied when the chunk belongs to a snapshot.
+		// A typed snapshot verdict is final; read faults get the usual
+		// one-heal retry.
 		var pairs []Pair
 		err := w.withHeal(func() (e error) {
-			pairs, e = scanCollect(w.st, w.ordered, req.k, req.v, req.max)
+			pairs, e = scanCollect(w.st, w.ordered, req.snap, req.k, req.v, req.max)
 			return e
 		})
-		if err != nil {
-			w.errs++
+		if req.snap == nil {
+			w.c.Scans++
+			w.c.ScanPairs += uint64(len(pairs))
+		} else if err == nil {
+			w.snapReads.served.Add(1)
+			w.snapReads.items.Add(uint64(len(pairs)))
 		}
-		w.scanPairs += uint64(len(pairs))
+		if err != nil && !errors.Is(err, store.ErrSnapshotTooOld) {
+			w.c.Errors++
+		}
 		return response{pairs: pairs, err: err}
 	case opSnapOpen:
 		// Pin the shard's current committed generation. Routed through the
@@ -1243,73 +989,36 @@ func (w *worker) handle(req request) response {
 		}
 		sn, err := w.snapper.OpenSnapshot()
 		if err != nil {
-			w.errs++
+			w.c.Errors++
 			return response{err: fmt.Errorf("shard %d: %w", w.idx, err)}
 		}
 		return response{snap: sn}
-	case opSnapScan:
-		// The worker-path snapshot chunk: pinned-generation resolution over
-		// the owner store's repairing reads. A typed snapshot verdict is
-		// final; read faults get the usual one-heal retry.
-		var pairs []Pair
-		err := w.withHeal(func() (e error) {
-			pairs, e = scanCollect(snapScanner{sn: req.snap, live: w.st}, req.snap.Ordered(), req.k, req.v, req.max)
-			return e
-		})
-		if err != nil {
-			if !errors.Is(err, store.ErrSnapshotTooOld) {
-				w.errs++
-			}
-			return response{err: err}
-		}
-		w.snapScans.Add(1)
-		w.snapScanPairs.Add(uint64(len(pairs)))
-		return response{pairs: pairs}
 	case opStats:
+		c := w.c
+		c.FastGets, c.FastHits, c.FastFallbacks, c.FastFaults = w.getReads.load()
+		c.FastScans, c.FastScanPairs, c.ScanFallbacks, c.ScanFaults = w.scanReads.load()
+		// Snapshot chunks bounce under the scan counters.
+		var snapFallbacks, snapFaults uint64
+		c.SnapScans, c.SnapScanPairs, snapFallbacks, snapFaults = w.snapReads.load()
+		c.ScanFallbacks += snapFallbacks
+		c.ScanFaults += snapFaults
+		c.ScrubBackoffs = w.scrubBackoffs.Load()
 		sst := w.st.Stats()
-		return response{stats: ShardStats{
-			Index:          w.idx,
-			Backend:        sst.Backend,
-			Gets:           w.gets,
-			Puts:           w.puts,
-			Dels:           w.dels,
-			Hits:           w.hits,
-			FastGets:       w.fastGets.Load(),
-			FastHits:       w.fastHits.Load(),
-			FastFallbacks:  w.fastFallbacks.Load(),
-			FastFaults:     w.fastFaults.Load(),
-			Errors:         w.errs,
-			Batches:        w.batches,
-			BatchedOps:     w.batchedOps,
-			GroupFallbacks: w.groupFallbacks,
-			CommitWaits:    w.commitWaits,
-			Scans:          w.scans,
-			ScanPairs:      w.scanPairs,
-			FastScans:      w.fastScans.Load(),
-			FastScanPairs:  w.fastScanPairs.Load(),
-			ScanFallbacks:  w.scanFallbacks.Load(),
-			ScanFaults:     w.scanFaults.Load(),
-			ScrubSteps:     w.scrubSteps,
-			BgRepairs:      w.bgRepairs,
-			ScrubBackoffs:  w.scrubBackoffs.Load(),
-			ScrubErrors:    w.scrubErrs,
-			LastFullPass:   w.lastFullPassUnix,
-			SnapScans:      w.snapScans.Load(),
-			SnapScanPairs:  w.snapScanPairs.Load(),
-			Objects:        sst.Objects,
-			Bytes:          sst.Bytes,
-			Segments:       sst.Segments,
-			Compactions:    sst.Compactions,
-			MergedRecords:  sst.MergedRecords,
-			DeadRecords:    sst.DeadRecords,
-			Quarantined:    sst.QuarantinedSegments,
-			SnapshotPins:   sst.SnapshotPins,
-			VersionsHeld:   sst.VersionsRetained,
-		}}
+		c.Objects = sst.Objects
+		c.Bytes = sst.Bytes
+		c.Segments = sst.Segments
+		c.Compactions = sst.Compactions
+		c.MergedRecords = sst.MergedRecords
+		c.DeadRecords = sst.DeadRecords
+		c.Quarantined = sst.QuarantinedSegments
+		c.SnapshotPins = sst.SnapshotPins
+		c.VersionsHeld = sst.VersionsRetained
+		return response{stats: ShardStats{Index: w.idx, Backend: sst.Backend, Counters: c}}
 	case opSync:
 		return response{err: w.st.Save()}
 	case opCrash:
-		return response{err: w.st.CrashSave(req.seed)}
+		// Each shard's crash image draws from its own seed.
+		return response{err: w.st.CrashSave(req.seed + int64(w.idx))}
 	case opScrubStep:
 		// One bounded step of the shard's background maintenance — the
 		// maintenance scheduler's unit of work. Repairs it makes count
@@ -1320,13 +1029,13 @@ func (w *worker) handle(req request) response {
 			// The scheduler fires and forgets; the error must not vanish
 			// with the reply — scrub_errors is the operator's signal that
 			// steps are failing (and the cursor is stuck).
-			w.scrubErrs++
+			w.c.ScrubErrors++
 			return response{scrub: rep, err: err}
 		}
-		w.scrubSteps++
-		w.bgRepairs += uint64(rep.Fixed())
+		w.c.ScrubSteps++
+		w.c.BgRepairs += uint64(rep.Fixed())
 		if done {
-			w.lastFullPassUnix = time.Now().Unix()
+			w.c.LastFullPass = time.Now().Unix()
 		}
 		return response{scrub: rep, ok: done}
 	case opInject:

@@ -455,7 +455,8 @@ func (s *Server) dispatch(pc *pipeConn, seq uint64, req Request, cs *connSnaps) 
 	}
 }
 
-// handleReq executes one decoded request, appending its response to out;
+// handleReq executes one decoded request that is not a single-key data
+// op (dispatch completes those itself), appending its response to out;
 // the bool reports a successful OpCrash. Failures carry the status
 // errStatus classifies, so the client rebuilds the typed error.
 func (s *Server) handleReq(out []byte, req Request, cs *connSnaps) ([]byte, bool) {
@@ -463,31 +464,6 @@ func (s *Server) handleReq(out []byte, req Request, cs *connSnaps) ([]byte, bool
 		return EncodeResponse(out, errStatus(err), []byte(err.Error()))
 	}
 	switch req.Op {
-	case OpGet:
-		v, ok, err := s.set.Get(req.Key)
-		if err != nil {
-			return fail(err), false
-		}
-		if !ok {
-			return EncodeResponse(out, StatusNotFound, nil), false
-		}
-		var body [8]byte
-		binary.BigEndian.PutUint64(body[:], v)
-		return EncodeResponse(out, StatusOK, body[:]), false
-	case OpPut:
-		if err := s.set.Put(req.Key, req.Val); err != nil {
-			return fail(err), false
-		}
-		return EncodeResponse(out, StatusOK, nil), false
-	case OpDel:
-		ok, err := s.set.Del(req.Key)
-		if err != nil {
-			return fail(err), false
-		}
-		if !ok {
-			return EncodeResponse(out, StatusNotFound, nil), false
-		}
-		return EncodeResponse(out, StatusOK, nil), false
 	case OpMGet, OpMPut, OpMDel:
 		return s.handleBatch(out, req), false
 	case OpScan:
