@@ -1,7 +1,7 @@
 # Same commands CI runs — `make ci` is exactly the PR gate.
 GO ?= go
 
-.PHONY: all build vet lint test short race bench bench-alloc ledger-smoke cover loadtest nightly ci clean
+.PHONY: all build vet lint test short race bench bench-alloc ledger-smoke cover nightly ci clean
 
 all: build vet lint test
 
@@ -50,10 +50,6 @@ ledger-smoke:
 cover:
 	$(GO) test -short -covermode atomic -coverprofile coverage.out ./...
 	$(GO) tool cover -func coverage.out | tail -n 1
-
-# The serve → load → crash → check acceptance loop (see scripts/loadtest.sh).
-loadtest:
-	./scripts/loadtest.sh
 
 # What the nightly workflow runs: everything un-shortened, then race.
 nightly:

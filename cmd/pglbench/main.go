@@ -17,9 +17,7 @@
 //	mem     §4.2 storage overheads, pool-init latency, µ-buffer DRAM
 //	recover §4.6 error injection, repair latency, canary detection
 //	xover   hybrid parity atomic/vectorized crossover sweep (ablation)
-//	alloc   group-commit heap allocations per op vs batch depth
 //	ext     §3.5 extension: undo logging with parity (Pmemobj-P)
-//	readpath  concurrent verified-read fast path vs worker-serialized reads
 //	scrub   incremental scrub step latency; commit p99 with scrubber on/off
 //	all     everything above
 package main
@@ -37,7 +35,7 @@ func main() {
 	ops := flag.Int("ops", 0, "override per-cell operation count")
 	kvops := flag.Int("kvops", 0, "override KV operation count")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pglbench [-full] [-ops N] [-kvops N] {fig3|fig4|fig5|fig6|table2|table3|table4|mem|recover|xover|ext|readpath|scrub|alloc|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: pglbench [-full] [-ops N] [-kvops N] {fig3|fig4|fig5|fig6|table2|table3|table4|mem|recover|xover|ext|scrub|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -81,12 +79,8 @@ func main() {
 			return bench.Xover(w, cfg)
 		case "ext":
 			return bench.Ext(w, cfg)
-		case "readpath":
-			return bench.ReadPath(w, cfg)
 		case "scrub":
 			return bench.Scrub(w, cfg)
-		case "alloc":
-			return bench.Alloc(w, cfg)
 		case "all":
 			bench.Table2(w)
 			for _, f := range []func() error{
@@ -100,9 +94,7 @@ func main() {
 				func() error { return bench.Recover(w, cfg) },
 				func() error { return bench.Xover(w, cfg) },
 				func() error { return bench.Ext(w, cfg) },
-				func() error { return bench.ReadPath(w, cfg) },
 				func() error { return bench.Scrub(w, cfg) },
-				func() error { return bench.Alloc(w, cfg) },
 			} {
 				if err := f(); err != nil {
 					return err

@@ -3,35 +3,35 @@
 //
 //	pglserve -dir /tmp/kvset -shards 4 -structure hashmap -addr :7499
 //
-// If dir holds no shard files the set is created with -shards shards of
-// -structure; otherwise the existing set is opened (crash-recovering every
-// shard) and -shards / -structure are ignored. GETs are served on the
-// concurrent verified-read fast path (checksum-verified lookups from the
-// connection handlers' goroutines, no worker hop) unless -serial-reads
-// forces the old worker-serialized read path — scripts/loadtest.sh uses
-// that switch to A/B the two, and STATS reports fast_gets/fast_fallbacks
-// so either run can prove which path served it. With -scrub-interval the
-// background maintenance scheduler runs: every interval one shard
-// executes one bounded scrub step (skipped while the shard is busy —
-// traffic always wins), so injected or latent corruption is found and
-// repaired while the server keeps serving; STATS and the SCRUB op report
-// scrub_steps/bg_repairs/scrub_backoffs/last_full_pass_unix, and
-// scripts/loadtest.sh's corruption phase gates on the scheduler healing
-// live injected faults with zero client errors. On SIGINT/SIGTERM the
-// server syncs every shard snapshot and exits cleanly. A CRASH request
-// instead makes the process die abruptly after writing per-shard crash
-// images — the hook the load generator uses to exercise recovery.
+// If dir is missing or holds no shard files the set is created with
+// -shards shards of -structure; otherwise the existing set is opened
+// (crash-recovering every shard) and -shards / -structure are ignored. A
+// directory whose shard files do not form a set (a shard missing, or one
+// in both backend forms) is an error, never a reason to create over it.
+// GETs are served on the concurrent verified-read fast path
+// (checksum-verified lookups from the connection handlers' goroutines,
+// no worker hop); STATS reports fast_gets/fast_fallbacks. With
+// -scrub-interval the background maintenance scheduler runs: every
+// interval one shard executes one bounded scrub step (skipped while the
+// shard is busy — traffic always wins), so injected or latent corruption
+// is found and repaired while the server keeps serving; STATS and the
+// SCRUB op report scrub_steps/bg_repairs/scrub_backoffs/
+// last_full_pass_unix. On SIGINT/SIGTERM the server syncs every shard
+// snapshot and exits cleanly. A CRASH request instead makes the process
+// die abruptly after writing per-shard crash images — the hook pglload
+// -crash-after and the benchmark ledger's oracle use to exercise
+// recovery.
 //
 // Startup prints one JSON line to stdout, e.g.
 //
 //	{"addr":"127.0.0.1:7499","shards":4,"structure":"hashmap","recovered":false}
 //
-// so scripts (and cmd/pglload wrappers) can discover the bound port when
-// -addr uses port 0.
+// so scripts can discover the bound port when -addr uses port 0.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -59,12 +59,8 @@ func main() {
 	mode := flag.String("mode", "pangolin-mlpc",
 		fmt.Sprintf("pool operation mode: %v (the unprotected pmemobj baseline is rejected)", shard.ModeNames()))
 	zones := flag.Uint64("zones", 8, "zones per shard pool when creating (capacity)")
-	serialReads := flag.Bool("serial-reads", false,
-		"route every GET through the shard worker (disable the concurrent verified-read fast path); for A/B measurement")
 	scrubInterval := flag.Duration("scrub-interval", 0,
 		"background maintenance cadence: every interval one shard (round-robin) runs one bounded scrub step, skipped while that shard is busy; 0 disables (scrub then runs only on SCRUB requests)")
-	commitWait := flag.Duration("commit-wait", 0,
-		"adaptive group-commit window cap: a hot shard worker may wait up to this long for more ops before committing (scaled by recent batch depth; idle load never waits); 0 selects the default (100µs), negative disables the wait")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	flag.Parse()
@@ -85,9 +81,7 @@ func main() {
 		Mode:            *mode,
 		Pangolin:        pangolin.Config{Geometry: geo},
 		LogSegmentBytes: *logSegBytes,
-		SerialReads:     *serialReads,
 		ScrubInterval:   *scrubInterval,
-		CommitWait:      *commitWait,
 	}
 
 	if *pprofAddr != "" {
@@ -101,16 +95,16 @@ func main() {
 		}()
 	}
 
-	// An existing set is detected by its shard-0000 entry in either
-	// on-disk form — the pangolin pool file or the logstore directory —
-	// so a logstore-only set reopens instead of failing creation.
+	// Only a directory with no shard files in either on-disk form (pool
+	// file or logstore directory) is created; any other discovery failure
+	// is a damaged set and stops the server before it writes anything.
 	var set *shard.Set
-	var err error
-	recovered := false
-	if existing, _ := shard.DiscoverBackends(*dir); len(existing) > 0 {
+	_, err := shard.DiscoverBackends(*dir)
+	recovered := err == nil
+	switch {
+	case recovered:
 		set, err = shard.Open(*dir, opts)
-		recovered = true
-	} else {
+	case errors.Is(err, shard.ErrNoShards):
 		set, err = shard.Create(*dir, *shards, opts)
 	}
 	if err != nil {
@@ -127,7 +121,6 @@ func main() {
 		"structure":      set.Structure(),
 		"backends":       set.Stats().Backends,
 		"recovered":      recovered,
-		"serial_reads":   *serialReads,
 		"scrub_interval": scrubInterval.String(),
 	})
 

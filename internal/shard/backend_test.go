@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"errors"
+	"io/fs"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -296,4 +300,64 @@ func TestDiscoverBackendsRejectsGaps(t *testing.T) {
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("Open accepted a set with a missing shard")
 	}
+}
+
+// TestCreateRefusesExistingShards: Create must not write a new set beside
+// the surviving shards of a damaged one (the result never reopens: the
+// same index would appear in both forms), nor over a whole set, and the
+// refusal must leave the directory exactly as it was. Only a missing or
+// shard-free directory reports ErrNoShards, the state Create accepts.
+func TestCreateRefusesExistingShards(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := DiscoverBackends(dir); !errors.Is(err, ErrNoShards) {
+		t.Fatalf("DiscoverBackends(empty) = %v, want ErrNoShards", err)
+	}
+	if _, err := DiscoverBackends(filepath.Join(dir, "missing")); !errors.Is(err, ErrNoShards) {
+		t.Fatalf("DiscoverBackends(missing) = %v, want ErrNoShards", err)
+	}
+	s := newSet(t, dir, 3, Options{Backend: "logstore"})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Create(dir, 3, Options{Backend: "logstore"}); err == nil {
+		t.Fatal("Create wrote a new set over a whole one")
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "shard-0001.log")); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	if s, err := Create(dir, 4, Options{}); err == nil {
+		s.Abandon()
+		t.Fatal("Create wrote a new set beside a damaged one")
+	}
+	if after := dirImage(t, dir); !maps.Equal(before, after) {
+		t.Fatalf("refused Create changed the directory:\nbefore %v\nafter  %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
+	}
+	if _, err := DiscoverBackends(dir); err == nil || errors.Is(err, ErrNoShards) {
+		t.Fatalf("DiscoverBackends(damaged) = %v, want the gap error", err)
+	}
+}
+
+// dirImage maps every path under dir to its mode and contents.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		img[path] = d.Type().String()
+		if !d.IsDir() {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			img[path] += string(b)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }

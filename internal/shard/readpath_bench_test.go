@@ -4,15 +4,14 @@ import (
 	"testing"
 )
 
-// Benchmarks comparing the concurrent verified-read fast path against
-// the worker-serialized read path, with and without a write mix. Run
-// with -cpu 1,4,8 to see the scaling axis: serial reads pay a channel
-// round-trip per Get regardless of cores, fast reads run on the
-// callers' goroutines.
+// Benchmarks of the concurrent verified-read fast path, with and without
+// a write mix. Run with -cpu 1,4,8 to see the scaling axis: fast reads
+// run on the callers' goroutines, and the write mix shows what commits
+// cost them through gate fallbacks.
 
-func benchSet(b *testing.B, serial bool) *Set {
+func benchSet(b *testing.B) *Set {
 	b.Helper()
-	s, err := Create(b.TempDir(), 2, Options{SerialReads: serial})
+	s, err := Create(b.TempDir(), 2, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,9 +45,5 @@ func benchGets(b *testing.B, s *Set, writeEvery int) {
 	})
 }
 
-func BenchmarkReadFastPure(b *testing.B)   { benchGets(b, benchSet(b, false), 0) }
-func BenchmarkReadSerialPure(b *testing.B) { benchGets(b, benchSet(b, true), 0) }
-func BenchmarkReadFastMixed(b *testing.B)  { benchGets(b, benchSet(b, false), 10) }
-func BenchmarkReadSerialMixed(b *testing.B) {
-	benchGets(b, benchSet(b, true), 10)
-}
+func BenchmarkReadFastPure(b *testing.B)  { benchGets(b, benchSet(b), 0) }
+func BenchmarkReadFastMixed(b *testing.B) { benchGets(b, benchSet(b), 10) }

@@ -327,27 +327,6 @@ func TestGetShuttingDownTyped(t *testing.T) {
 	}
 }
 
-// TestSerialReadsOption: with SerialReads every read goes through the
-// worker; the fast-path counters stay zero.
-func TestSerialReadsOption(t *testing.T) {
-	s := newSet(t, t.TempDir(), 2, Options{SerialReads: true})
-	for k := uint64(0); k < 32; k++ {
-		if err := s.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok, err := s.Get(k); err != nil || !ok || v != k {
-			t.Fatalf("serial get %d = (%d,%v,%v)", k, v, ok, err)
-		}
-	}
-	st := s.Stats()
-	if st.FastGets != 0 || st.FastFallbacks != 0 {
-		t.Fatalf("serial mode used the fast path: %+v", st)
-	}
-	if st.Gets != 32 {
-		t.Fatalf("serial gets = %d, want 32", st.Gets)
-	}
-}
-
 // TestReadWriteTorture is the -race reader/writer torture: concurrent
 // Get storms (single and MGET-shaped) run against group-committing
 // writers, delete churn, and a chaos goroutine cycling Sync, Scrub, and

@@ -131,8 +131,7 @@ func TestScanLimitAndCursor(t *testing.T) {
 }
 
 // TestScanFastPathEngages: with no writer running every chunk must be
-// served on the fast path, and SerialReads must force every chunk to the
-// worker instead.
+// served on the fast path.
 func TestScanFastPathEngages(t *testing.T) {
 	s := newSet(t, t.TempDir(), 2, Options{Structure: "btree"})
 	defer s.Abandon()
@@ -153,22 +152,6 @@ func TestScanFastPathEngages(t *testing.T) {
 	if st.FastScanPairs != 64 {
 		t.Fatalf("fast scan pairs = %d, want 64", st.FastScanPairs)
 	}
-
-	ser := newSet(t, t.TempDir(), 2, Options{Structure: "btree", SerialReads: true})
-	defer ser.Abandon()
-	for k := uint64(0); k < 64; k++ {
-		if err := ser.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pairs, _, _, err := ser.Scan(0, ^uint64(0), 1000)
-	if err != nil || len(pairs) != 64 {
-		t.Fatalf("serial scan = %d pairs, err=%v", len(pairs), err)
-	}
-	st = ser.Stats()
-	if st.FastScans != 0 || st.Scans == 0 {
-		t.Fatalf("serial-reads scan used the fast path: fast=%d worker=%d", st.FastScans, st.Scans)
-	}
 }
 
 // TestScanShuttingDownTyped: after Abandon, Scan reports the typed
@@ -182,13 +165,6 @@ func TestScanShuttingDownTyped(t *testing.T) {
 	s.Abandon()
 	if _, _, _, err := s.Scan(0, ^uint64(0), 10); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Scan after Abandon = %v, want ErrShuttingDown", err)
-	}
-	// The serial path (no ReadView instance) must report the same typed
-	// error through the worker queue.
-	ser := newSet(t, t.TempDir(), 2, Options{Structure: "btree", SerialReads: true})
-	ser.Abandon()
-	if _, _, _, err := ser.Scan(0, ^uint64(0), 10); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("serial Scan after Abandon = %v, want ErrShuttingDown", err)
 	}
 }
 

@@ -9,8 +9,8 @@
 // concurrency scales with the shard count while each store keeps the
 // single-writer discipline.
 //
-// Reads do not funnel through the workers when the backend offers a
-// read view (store.ReadViewer): Pangolin's design point is that readers
+// Reads do not funnel through the workers: every backend offers a read
+// view (store.ReadViewer), and Pangolin's design point is that readers
 // verify per-object checksums straight from NVMM and run concurrently
 // with each other (§3.3), so Get executes a verified read on the
 // caller's goroutine against the store's view, gated by a per-shard
@@ -36,6 +36,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"reflect"
 	"slices"
@@ -94,30 +95,15 @@ type Options struct {
 	Pangolin pangolin.Config
 	// LogSegmentBytes is the log backend's segment rotation threshold;
 	// 0 selects the logstore default. Small values force rotation and
-	// compaction traffic (tests, the loadtest's backend phase).
+	// compaction traffic (tests, the ledger's log_batch workload).
 	LogSegmentBytes int64
 	// QueueLen is the per-shard request queue depth; default 128.
 	QueueLen int
 	// MaxBatch caps how many operations a shard worker folds into one
 	// group-committed store batch; default 64. A worker only waits to
-	// fill a group within the bounded adaptive window below, so this
-	// bounds batch size, not latency.
+	// fill a group within a bounded adaptive window (at most 100µs), so
+	// this bounds batch size, not latency.
 	MaxBatch int
-	// CommitWait caps the adaptive group-commit window: when a shard's
-	// queue has been running deep (recent group depth EWMA ≥ 2), the
-	// worker may wait up to this long — scaled down by how shallow the
-	// recent groups actually were — for more ops before committing, so
-	// per-commit transaction costs amortize over deeper batches exactly
-	// when traffic can fill them. Idle or lockstep load never waits: the
-	// EWMA sits at 1 and the window is zero. 0 selects the default
-	// (100µs); negative disables the wait entirely (the pre-adaptive
-	// drain-only behavior).
-	CommitWait time.Duration
-	// SerialReads disables the concurrent verified-read fast path and
-	// routes every Get through the shard's worker goroutine (the
-	// pre-fast-path behavior). Mainly for A/B measurement (pglserve
-	// -serial-reads) and tests; leave false in production.
-	SerialReads bool
 	// ScrubInterval enables the background maintenance scheduler: every
 	// interval one shard (round-robin) is offered one bounded scrub
 	// step, skipped with a backoff whenever that shard's worker is busy.
@@ -184,22 +170,6 @@ func (o *Options) maxBatch() int {
 	return o.MaxBatch
 }
 
-// defaultCommitWait is the adaptive group-commit window cap when
-// Options.CommitWait is zero: a few store round trips' worth of grace,
-// far below any client-visible latency budget.
-const defaultCommitWait = 100 * time.Microsecond
-
-func (o *Options) commitWait() time.Duration {
-	switch {
-	case o.CommitWait == 0:
-		return defaultCommitWait
-	case o.CommitWait < 0:
-		return 0
-	default:
-		return o.CommitWait
-	}
-}
-
 // logOptions builds the log backend's per-shard options.
 func (o *Options) logOptions(structure string, i, n int) logstore.Options {
 	return logstore.Options{
@@ -224,8 +194,17 @@ type Set struct {
 
 // Create builds a new n-shard set in dir and starts its workers. The
 // per-shard backends come from opts.Backend; pangolin shards of the set
-// share one pangolin.PoolSet (sparse when backends are mixed).
+// share one pangolin.PoolSet (sparse when backends are mixed). Create
+// refuses a directory that already holds any shard file, whole set or
+// damaged: a new set written beside a surviving shard would never
+// reopen.
 func Create(dir string, n int, opts Options) (*Set, error) {
+	switch _, err := DiscoverBackends(dir); {
+	case err == nil:
+		return nil, fmt.Errorf("shard: %s already holds a shard set", dir)
+	case !errors.Is(err, ErrNoShards):
+		return nil, fmt.Errorf("shard: refusing to create over %s: %w", dir, err)
+	}
 	structure, err := registry.ByName(opts.structure())
 	if err != nil {
 		return nil, err
@@ -365,22 +344,30 @@ func (o *opening) fail(upto int, err error) (*Set, error) {
 func (o *opening) start(dir string, structure registry.Structure, opts Options) (*Set, error) {
 	s := &Set{dir: dir, stores: o.stores, structure: structure}
 	for i, st := range o.stores {
-		view, err := readView(st, opts)
+		view, err := st.ReadView()
 		if err != nil {
 			s.Abandon()
 			return nil, fmt.Errorf("shard %d: attach read view: %w", i, err)
 		}
-		s.workers = append(s.workers, newWorker(i, st, view, opts.queueLen(), opts.maxBatch(), opts.commitWait()))
+		s.workers = append(s.workers, newWorker(i, st, view, opts.queueLen(), opts.maxBatch()))
 	}
 	return s, nil
 }
 
+// ErrNoShards reports a set directory that is missing or holds no shard
+// files: the one state in which Create may build a set there.
+var ErrNoShards = errors.New("no shard files")
+
 // DiscoverBackends reads a set directory's per-shard backend layout:
 // shard i is pangolin when shard-%04d.pgl (a file) is present and
 // logstore when shard-%04d.log (a directory) is. Every index in
-// [0, max] must appear in exactly one form.
+// [0, max] must appear in exactly one form. A missing directory, or one
+// without shard files, fails with ErrNoShards.
 func DiscoverBackends(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("shard: %w: %w", ErrNoShards, err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +400,7 @@ func DiscoverBackends(dir string) ([]string, error) {
 		}
 	}
 	if max < 0 {
-		return nil, fmt.Errorf("shard: no shard files in %s", dir)
+		return nil, fmt.Errorf("shard: %s: %w", dir, ErrNoShards)
 	}
 	out := make([]string, max+1)
 	for i := range out {
@@ -424,20 +411,6 @@ func DiscoverBackends(dir string) ([]string, error) {
 		out[i] = b
 	}
 	return out, nil
-}
-
-// readView attaches the concurrent-read handle the fast path runs its
-// verified reads against. Returns nil — fast path off — under
-// SerialReads or when the backend lacks the capability.
-func readView(st store.Store, opts Options) (store.View, error) {
-	if opts.SerialReads {
-		return nil, nil
-	}
-	rv, ok := st.(store.ReadViewer)
-	if !ok {
-		return nil, nil
-	}
-	return rv.ReadView()
 }
 
 // mix is the splitmix64 finalizer: it decorrelates shard choice from key
@@ -668,9 +641,9 @@ func (s *Set) Scrub() (pangolin.ScrubReport, error) {
 
 // InjectFaults corrupts count pseudo-randomly chosen live objects,
 // spread round-robin across the shards starting at a seed-chosen shard
-// — so repeated count=1 calls with advancing seeds (how pglload drives
-// it) still exercise every shard, not just shard 0 (§4.6 fault
-// injection; the server's INJECT op). It returns how many objects were
+// — so repeated count=1 calls with advancing seeds still exercise every
+// shard, not just shard 0 (§4.6 fault injection; the server's INJECT
+// op). It returns how many objects were
 // actually corrupted, plus how many of the set's shards carry the
 // injection hook at all (store.FaultInjector) — the capability count
 // that lets an operator tell "nothing live to corrupt yet" (capable >
@@ -816,7 +789,7 @@ type Counters struct {
 	// retried individually.
 	GroupFallbacks uint64 `json:"group_fallbacks"`
 	// CommitWaits counts group commits that held the adaptive commit
-	// window open (Options.CommitWait) to gather a deeper batch.
+	// window open (up to 100µs) to gather a deeper batch.
 	CommitWaits uint64 `json:"commit_waits"`
 	// Scan chunk accounting, mirroring the Get split: FastScans counts
 	// chunks served on the concurrent fast path (view scans under the

@@ -189,12 +189,11 @@ type worker struct {
 	snapper  store.SnapshotViewer
 
 	// Concurrent verified-read fast path (gatedRead). view is the store's
-	// ReadView capability handle; callers' goroutines run verified reads
+	// ReadView handle; callers' goroutines run verified reads
 	// on it directly, holding gate's read side. The worker takes the
 	// write side around every store access (batches, saves, crash images,
 	// scrubs), so readers run in parallel with each other and never
-	// overlap a mutation. view is nil when Options.SerialReads disabled
-	// the fast path or the backend lacks store.ReadViewer.
+	// overlap a mutation.
 	gate sync.RWMutex
 	view store.View
 
@@ -227,14 +226,12 @@ type worker struct {
 	opsBuf  []store.Op // flattenGroup scratch, reused per group
 	oneOp   [1]store.Op
 
-	// Adaptive group commit (see the loop): commitWait caps the bounded
-	// micro-window the drain may wait for more ops when the queue has
-	// been running deep; ewma tracks recent group depth and tunes the
-	// window — near 1 under lockstep load, so an idle or
+	// Adaptive group commit (see the loop): ewma tracks recent group
+	// depth and tunes the bounded micro-window the drain may wait for
+	// more ops — near 1 under lockstep load, so an idle or
 	// latency-sensitive connection never waits at all.
-	commitWait time.Duration
-	ewma       float64
-	waitTimer  *time.Timer
+	ewma      float64
+	waitTimer *time.Timer
 
 	fullScrub *fullScrubJob // touched only by the worker goroutine
 
@@ -261,17 +258,16 @@ type fullScrubJob struct {
 	waiters []chan response
 }
 
-func newWorker(idx int, st store.Store, view store.View, queueLen, maxBatch int, commitWait time.Duration) *worker {
+func newWorker(idx int, st store.Store, view store.View, queueLen, maxBatch int) *worker {
 	w := &worker{
-		idx:        idx,
-		st:         st,
-		view:       view,
-		ordered:    st.Ordered(),
-		maxBatch:   maxBatch,
-		commitWait: commitWait,
-		ewma:       1,
-		reqs:       make(chan request, queueLen),
-		exited:     make(chan struct{}),
+		idx:      idx,
+		st:       st,
+		view:     view,
+		ordered:  st.Ordered(),
+		maxBatch: maxBatch,
+		ewma:     1,
+		reqs:     make(chan request, queueLen),
+		exited:   make(chan struct{}),
 	}
 	w.scrubber, _ = st.(store.ScrubRunner)
 	w.injector, _ = st.(store.FaultInjector)
@@ -291,17 +287,14 @@ func (w *worker) errShuttingDown() error {
 // reads or chunks it served and the hits or pairs they carried.
 //
 // served=false sends the caller to the worker queue, whose repairing
-// read path serializes with everything else: the fast path is off (no
-// view), the worker holds or wants the gate (a group commit, save,
-// scrub or recovery window), or read failed — busy (a freeze) or on a
-// fault only the worker may repair. Readers only ever TryRLock, which
-// is what keeps the fast path deadlock-free. A stopped worker is served
+// read path serializes with everything else: the worker holds or wants
+// the gate (a group commit, save, scrub or recovery window), or read
+// failed — busy (a freeze) or on a fault only the worker may repair.
+// Readers only ever TryRLock, which is what keeps the fast path
+// deadlock-free. A stopped worker is served
 // with the typed ErrShuttingDown, and a typed snapshot verdict
 // (ErrSnapshotTooOld) as is: the worker cannot improve on either.
 func (w *worker) gatedRead(g *readGroup, read func(store.View) (n, items uint64, err error)) (served bool, err error) {
-	if w.view == nil {
-		return false, nil
-	}
 	if w.closed.Load() {
 		return true, w.errShuttingDown()
 	}
@@ -559,7 +552,7 @@ func (w *worker) loop() {
 		// deep (the queue is hot), the instantaneous drain above often
 		// catches requests mid-flight between the submitter and the
 		// queue. Waiting a bounded micro-window — scaled by the depth
-		// EWMA, capped by commitWait — lets those land and deepens the
+		// EWMA, capped by maxCommitWait — lets those land and deepens the
 		// batch exactly when it pays: the per-commit transaction cost
 		// amortizes over more ops. Lockstep load keeps the EWMA near 1,
 		// so an idle connection's op commits with zero added latency.
@@ -661,19 +654,20 @@ func (w *worker) handleLocked(req request) response {
 	return w.handle(req)
 }
 
+// maxCommitWait caps the adaptive group-commit window: a few store
+// round trips' worth of grace, far below any client-visible latency
+// budget.
+const maxCommitWait = 100 * time.Microsecond
+
 // commitWindow sizes the adaptive wait for the current group, from the
 // recent-depth EWMA: zero (no wait) until batches have actually been
 // forming (EWMA ≥ 2), then a window that grows with the typical depth,
-// capped at commitWait.
+// capped at maxCommitWait.
 func (w *worker) commitWindow() time.Duration {
-	if w.commitWait <= 0 || w.ewma < 2 {
+	if w.ewma < 2 {
 		return 0
 	}
-	win := time.Duration(float64(w.commitWait) * w.ewma / float64(w.maxBatch))
-	if win > w.commitWait {
-		win = w.commitWait
-	}
-	return win
+	return min(time.Duration(float64(maxCommitWait)*w.ewma/float64(w.maxBatch)), maxCommitWait)
 }
 
 // flattenGroup lowers a group of requests into one store.Apply batch,
@@ -1040,8 +1034,7 @@ func (w *worker) handle(req request) response {
 		return response{scrub: rep, ok: done}
 	case opInject:
 		// Fault-injection hook (§4.6): corrupt one random live object so
-		// tests and the loadtest corruption phase can prove the
-		// maintenance subsystem heals a live shard. Backends without the
+		// tests can prove the maintenance subsystem heals a live shard. Backends without the
 		// capability (nothing to heal with) inject nothing.
 		ok := false
 		if w.injector != nil {

@@ -56,7 +56,7 @@ func harnessesStruct(t *testing.T, structureName string) []harness {
 			name:    "pangolin",
 			injects: true,
 			create: func(t *testing.T, dir string) store.Store {
-				pools, err := pangolin.NewPoolSet(dir, 1, pgConfig())
+				pools, err := pangolin.NewPoolSetShards(dir, 1, []int{0}, pgConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,7 +67,7 @@ func harnessesStruct(t *testing.T, structureName string) []harness {
 				return st
 			},
 			open: func(t *testing.T, dir string) store.Store {
-				pools, err := pangolin.OpenPoolSet(dir, pgConfig())
+				pools, err := pangolin.OpenPoolSetShards(dir, 1, []int{0}, pgConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -387,7 +387,7 @@ func TestContractTypedCorruption(t *testing.T) {
 		// construction), but an already-attached read-only view must
 		// surface it TYPED — that's what routes faulting fast-path reads
 		// to the worker's repairing path.
-		view, err := st.(store.ReadViewer).ReadView()
+		view, err := st.ReadView()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,9 +413,6 @@ func TestContractCapabilities(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, h harness) {
 		st := h.create(t, t.TempDir())
 		defer st.Close()
-		if _, ok := st.(store.ReadViewer); !ok {
-			t.Fatal("backend lacks ReadViewer (both in-repo backends provide it)")
-		}
 		if _, ok := st.(store.ScrubRunner); !ok {
 			t.Fatal("backend lacks ScrubRunner (both in-repo backends provide it)")
 		}
@@ -435,7 +432,7 @@ func TestContractReadViewMatchesOwner(t *testing.T) {
 		for k := uint64(0); k < 50; k++ {
 			mustApply(t, st, store.Op{Kind: store.OpPut, K: k, V: k * 7})
 		}
-		view, err := st.(store.ReadViewer).ReadView()
+		view, err := st.ReadView()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,8 +80,9 @@ const recSize = 29
 const hintMagic uint64 = 0x50474c48494e5431 // "PGLHINT1"
 
 // defaultSegmentBytes is the rotation threshold when Options leaves it
-// zero: small enough that tests and the loadtest actually rotate and
-// compact, large enough that rotation stays off the per-batch path.
+// zero: small enough that tests and the ledger's log_batch workload
+// actually rotate and compact, large enough that rotation stays off the
+// per-batch path.
 const defaultSegmentBytes = 1 << 20
 
 const (
@@ -186,7 +187,6 @@ type Store struct {
 
 var (
 	_ store.Store          = (*Store)(nil)
-	_ store.ReadViewer     = (*Store)(nil)
 	_ store.ScrubRunner    = (*Store)(nil)
 	_ store.SnapshotViewer = (*Store)(nil)
 )

@@ -3,8 +3,8 @@
 // device — to the store.Store interface. This is the integrity-heavy
 // backend: every commit maintains per-object checksums and zone parity,
 // reads verify what they return, and corruption heals online, so it
-// implements every optional capability (ReadViewer, FaultInjector,
-// ScrubRunner).
+// implements every optional capability (FaultInjector, ScrubRunner,
+// SnapshotViewer).
 //
 // Each shard's pool carries a persistent root object recording which kv
 // structure the shard holds, the shard's index and the set size, and
@@ -54,7 +54,6 @@ type Store struct {
 
 var (
 	_ store.Store          = (*Store)(nil)
-	_ store.ReadViewer     = (*Store)(nil)
 	_ store.FaultInjector  = (*Store)(nil)
 	_ store.ScrubRunner    = (*Store)(nil)
 	_ store.SnapshotViewer = (*Store)(nil)

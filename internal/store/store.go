@@ -29,19 +29,18 @@
 // Save, CrashSave, ScrubStep, Stats, and Close are never called
 // concurrently. Get and Scan on the Store itself are owner-path reads
 // (they may repair online where the backend can). Concurrent reads go
-// through the optional ReadViewer capability: a View's Get/Scan must be
-// pure reads, safe from any number of goroutines provided the caller
-// excludes Apply/Save/CrashSave/ScrubStep for the duration of each call
-// — the shard layer's per-shard reader gate is the canonical provider.
+// through the Store's ReadView: a View's Get/Scan must be pure reads,
+// safe from any number of goroutines provided the caller excludes
+// Apply/Save/CrashSave/ScrubStep for the duration of each call — the
+// shard layer's per-shard reader gate is the canonical provider.
 //
 // # Capability interfaces
 //
-// Backends opt into features instead of stubbing them: a Store that
-// also implements ReadViewer serves the lock-free read fast path, a
-// FaultInjector serves the INJECT wire op, and a ScrubRunner serves
-// full SCRUB passes and the worker's repair-and-retry heal path. The
-// shard layer type-asserts and degrades gracefully when a capability is
-// absent.
+// Backends opt into features instead of stubbing them: a FaultInjector
+// serves the INJECT wire op, a ScrubRunner serves full SCRUB passes and
+// the worker's repair-and-retry heal path, and a SnapshotViewer serves
+// pinned-generation scans. The shard layer type-asserts and degrades
+// gracefully when a capability is absent.
 package store
 
 import (
@@ -151,6 +150,8 @@ type Store interface {
 	Stats() Stats
 	// Close releases the store without saving.
 	Close() error
+	// ReadView returns the store's concurrent read handle.
+	ReadViewer
 }
 
 // View is a concurrent read handle: pure reads, safe from any number of
@@ -163,16 +164,16 @@ type View interface {
 	Scan(lo, hi uint64, fn func(k, v uint64) bool) error
 }
 
-// ReadViewer is the lock-free read fast-path capability: backends that
-// implement it serve Get/Scan from callers' goroutines under the shard
-// reader gate, no worker hop.
+// ReadViewer is the lock-free read fast path every Store provides: its
+// View serves Get/Scan from callers' goroutines under the shard reader
+// gate, no worker hop.
 type ReadViewer interface {
 	ReadView() (View, error)
 }
 
 // FaultInjector is the INJECT capability (§4.6 fault injection):
-// corrupt a pseudo-randomly chosen live object so tests and the
-// loadtest's corruption phase can prove maintenance heals a live shard.
+// corrupt a pseudo-randomly chosen live object so tests can prove
+// maintenance heals a live shard.
 // Returns false when nothing could be injected (no live objects).
 // Backends without self-repair deliberately do not implement it —
 // injected corruption they cannot heal would read as client errors, not

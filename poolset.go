@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 )
 
 // PoolSet manages a family of sibling pools ("shards") that persist as one
@@ -14,21 +12,17 @@ import (
 // per-goroutine and two concurrent transactions must not touch the same
 // object (§3.4), so a service that wants parallel commits partitions its
 // data across independent pools and gives each pool a single owner
-// goroutine. internal/shard builds that worker layer; PoolSet supplies the
-// storage substrate: create/open/close of the whole set and
-// snapshot-per-shard durability.
+// goroutine. internal/shard builds that worker layer and discovers a
+// set's layout; PoolSet supplies the storage substrate: per-shard
+// create/open/close and snapshot-per-shard durability.
 //
-// Shard files are named shard-0000.pgl, shard-0001.pgl, … so a set's
-// directory is self-describing: OpenPoolSet discovers the shard count from
-// the files present.
-//
-// A set may be SPARSE: in a mixed-backend service (internal/store) only
-// some shard indices are Pangolin pools — the rest belong to other
-// engines that keep their own files in the same directory — so
-// NewPoolSetShards/OpenPoolSetShards populate just those indices and
-// leave nil holes. Len still reports the full set size; Shards lists the
-// populated indices; the per-index operations must only be called on
-// populated slots.
+// Shard files are named shard-0000.pgl, shard-0001.pgl, … A set may be
+// SPARSE: in a mixed-backend service (internal/store) only some shard
+// indices are Pangolin pools — the rest belong to other engines that
+// keep their own files in the same directory — so NewPoolSetShards and
+// OpenPoolSetShards populate just the indices they are given and leave
+// nil holes. Len reports the full set size; the per-index operations
+// must only be called on populated slots.
 type PoolSet struct {
 	dir   string
 	pools []*Pool
@@ -39,30 +33,12 @@ func ShardFile(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.pgl", i))
 }
 
-// NewPoolSet creates n fresh pools for dir (created if missing) without
-// writing any shard files: the set is not durable until Save. It refuses
-// to overwrite an existing set. Callers that initialize pool contents
-// right after creation (as internal/shard does with its roots) use this to
-// pay for one snapshot write instead of two.
-func NewPoolSet(dir string, n int, cfg Config) (*PoolSet, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("pangolin: pool set needs at least 1 shard, got %d", n)
-	}
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return nil, err
-	}
-	if existing, err := shardFiles(dir); err != nil {
-		return nil, err
-	} else if len(existing) > 0 {
-		return nil, fmt.Errorf("pangolin: pool set already exists in %s (%d shard files)", dir, len(existing))
-	}
-	return NewPoolSetShards(dir, n, allIndices(n), cfg)
-}
-
-// NewPoolSetShards is NewPoolSet for a sparse set: it creates fresh
-// pools only at the given indices of an n-shard set, leaving the other
-// slots nil for a different engine's shards. Not durable until Save; it
-// refuses to overwrite existing shard files at the requested indices.
+// NewPoolSetShards creates fresh pools at the given indices of an
+// n-shard set in dir (created if missing), leaving the other slots nil
+// for a different engine's shards. No shard file is written until
+// SaveShard, so a caller that initializes pool contents right away pays
+// for one snapshot write, not two. It refuses to overwrite an existing
+// shard file at a requested index.
 func NewPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pangolin: pool set needs at least 1 shard, got %d", n)
@@ -94,53 +70,11 @@ func NewPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, e
 	return s, nil
 }
 
-func allIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-// CreatePoolSet is NewPoolSet followed by Save: the returned set is
-// immediately durable.
-func CreatePoolSet(dir string, n int, cfg Config) (*PoolSet, error) {
-	s, err := NewPoolSet(dir, n, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Save(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// OpenPoolSet opens every shard file in dir, running crash recovery on
-// each pool. The shard count comes from the files present; they must be
-// contiguously numbered from zero.
-func OpenPoolSet(dir string, cfg Config) (*PoolSet, error) {
-	files, err := shardFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("pangolin: no shard files in %s", dir)
-	}
-	for i := range files {
-		if want := ShardFile(dir, i); files[i] != want {
-			return nil, fmt.Errorf("pangolin: shard files not contiguous: have %s, want %s", files[i], want)
-		}
-	}
-	return OpenPoolSetShards(dir, len(files), allIndices(len(files)), cfg)
-}
-
-// OpenPoolSetShards is OpenPoolSet for a sparse set: it opens the shard
-// files at the given indices of an n-shard set (running crash recovery
-// on each) and leaves the other slots nil. The caller supplies the set
-// size and membership — in a mixed-backend directory the other indices
-// belong to other engines, so there is no file count to discover it
-// from.
+// OpenPoolSetShards opens the shard files at the given indices of an
+// n-shard set (running crash recovery on each) and leaves the other
+// slots nil. The caller supplies the set size and membership — in a
+// mixed-backend directory the other indices belong to other engines, so
+// there is no file count to discover it from.
 func OpenPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pangolin: pool set needs at least 1 shard, got %d", n)
@@ -161,81 +95,18 @@ func OpenPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, 
 	return s, nil
 }
 
-func shardFiles(dir string) ([]string, error) {
-	files, err := filepath.Glob(filepath.Join(dir, "shard-*.pgl"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(files)
-	return files, nil
-}
-
 // Len returns the number of shards in the set, populated or not.
 func (s *PoolSet) Len() int { return len(s.pools) }
-
-// Shards returns the populated shard indices in ascending order (all of
-// [0,Len) for a dense set).
-func (s *PoolSet) Shards() []int {
-	idx := make([]int, 0, len(s.pools))
-	for i, p := range s.pools {
-		if p != nil {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
 
 // Pool returns shard i's pool (nil for an unpopulated index of a sparse
 // set).
 func (s *PoolSet) Pool(i int) *Pool { return s.pools[i] }
-
-// Dir returns the set's directory.
-func (s *PoolSet) Dir() string { return s.dir }
 
 // SaveShard persists shard i to its snapshot file. The shard must have no
 // transaction in flight; in a sharded service, call from the shard's owner
 // goroutine.
 func (s *PoolSet) SaveShard(i int) error {
 	return s.pools[i].SaveFile(ShardFile(s.dir, i))
-}
-
-// Save persists every populated shard. No transactions may be in flight
-// on any shard. Shards save concurrently — each snapshot write touches
-// only its own shard's device and file — and the first error (by shard
-// index) wins; later shards still run to completion, so a failure never
-// leaves saves silently unattempted.
-func (s *PoolSet) Save() error {
-	return s.eachShard(func(i int) error {
-		if err := s.SaveShard(i); err != nil {
-			return fmt.Errorf("pangolin: save shard %d: %w", i, err)
-		}
-		return nil
-	})
-}
-
-// eachShard runs fn(i) for every populated shard concurrently and
-// returns the lowest-indexed shard's error, keeping the verdict
-// deterministic where "first error wins" on racing goroutines is not.
-func (s *PoolSet) eachShard(fn func(i int) error) error {
-	errs := make([]error, len(s.pools))
-	var wg sync.WaitGroup
-	for i, p := range s.pools {
-		if p == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CrashSaveShard simulates a power failure on shard i: it writes a crash
@@ -247,48 +118,8 @@ func (s *PoolSet) CrashSaveShard(i int, mode CrashMode, seed int64) error {
 	return img.SaveFile(ShardFile(s.dir, i))
 }
 
-// CrashSave simulates a whole-machine power failure: every populated
-// shard file is replaced by a crash image of its device, the images
-// written concurrently (first error by shard index wins). Each shard's
-// image derives from seed+index regardless of scheduling, so a given
-// seed reproduces the same crash state as the old sequential loop.
-func (s *PoolSet) CrashSave(mode CrashMode, seed int64) error {
-	return s.eachShard(func(i int) error {
-		if err := s.CrashSaveShard(i, mode, seed+int64(i)); err != nil {
-			return fmt.Errorf("pangolin: crash-save shard %d: %w", i, err)
-		}
-		return nil
-	})
-}
-
-// Scrub runs a scrubbing pass over every populated shard, returning one
-// report per shard (zero reports for unpopulated indices). No
-// transactions may be in flight. Each shard's pass runs as a sequence
-// of bounded incremental steps (see Pool.Scrub).
-func (s *PoolSet) Scrub() ([]ScrubReport, error) {
-	reports := make([]ScrubReport, len(s.pools))
-	for i, p := range s.pools {
-		if p == nil {
-			continue
-		}
-		rep, err := p.Scrub()
-		if err != nil {
-			return reports, fmt.Errorf("pangolin: scrub shard %d: %w", i, err)
-		}
-		reports[i] = rep
-	}
-	return reports, nil
-}
-
-// ScrubStep advances shard i's built-in incremental scrubber by one
-// bounded step; see Pool.ScrubStep. In a sharded service, call from the
-// shard's owner goroutine (internal/shard's maintenance scheduler does).
-func (s *PoolSet) ScrubStep(i int) (ScrubReport, bool, error) {
-	return s.pools[i].ScrubStep()
-}
-
-// Close shuts every shard pool down without saving. Call Save first for a
-// clean shutdown; skip it to model a crash.
+// Close shuts every shard pool down without saving. Call SaveShard first
+// for a clean shutdown; skip it to model a crash.
 func (s *PoolSet) Close() {
 	for _, p := range s.pools {
 		if p != nil {

@@ -803,10 +803,10 @@ type InjectReport struct {
 
 // Inject asks the server to corrupt count pseudo-randomly chosen live
 // objects across the shards (scribbles and media-error poison,
-// alternating by seed) — the fault-injection hook behind the loadtest's
-// corruption-healing phase. The report says how many objects were
-// corrupted and how many shards could inject at all. Like CRASH, this
-// is a test harness op, not a production verb.
+// alternating by seed) — the fault-injection hook the corruption-healing
+// tests drive. The report says how many objects were corrupted and how
+// many shards could inject at all. Like CRASH, this is a test harness
+// op, not a production verb.
 func (c *Client) Inject(seed int64, count int) (InjectReport, error) {
 	status, body, err := c.call(context.Background(), Request{Op: OpInject, Key: uint64(seed), Val: uint64(count)})
 	if err != nil {

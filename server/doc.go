@@ -2,7 +2,8 @@
 // structures of §4.5, hash-partitioned across independent Pangolin pools —
 // as a concurrent network service, with a matching Client. It is the
 // serving layer the ROADMAP's production trajectory builds on: cmd/pglserve
-// wraps it in a binary and cmd/pglload drives it closed-loop.
+// wraps it in a binary, bench/ledger measures it, and cmd/pglload drives
+// it closed-loop for manual runs.
 //
 // # Why sharding
 //
@@ -64,9 +65,7 @@
 // with one gate hold for the slice. STATS separates the populations:
 // fast_gets/fast_hits count fast-path reads, gets counts worker reads,
 // and fast_fallbacks/fast_faults count bounced reads by cause, so a
-// load run can prove the fast path actually engaged (pglserve
-// -serial-reads disables it entirely for A/B runs; scripts/loadtest.sh
-// measures both and emits the ratio in compare.json).
+// load run can prove the fast path actually engaged.
 //
 // # Ordered range scans
 //
@@ -175,9 +174,9 @@
 // snapshot reads per shard, and the gauges snapshot_pins and
 // versions_retained expose the live cost of open pins, so an operator
 // can see a leaked or long-lived snapshot as a versions_retained
-// plateau. scripts/loadtest.sh gates on the whole path: a Backup taken
-// under sustained writes is restored into a fresh set and must pass
-// `pglpool check`.
+// plateau. TestBackupUnderWritesRestores holds the whole path: a Backup
+// taken under sustained writes is restored into a fresh set whose
+// shards must all scrub clean.
 //
 // # Background maintenance (online scrubbing)
 //
@@ -224,15 +223,14 @@
 // protocol is backend-agnostic — the same verbs run against either —
 // but capability edges show through honestly: INJECT's reply counts
 // the injection-capable shards alongside the injected faults (log
-// shards have no fault-injection layer beneath them, so a pglload
-// -faults run against an all-log set fails fast instead of timing out
-// on a heal gate that can never pass), and a log shard's scrub step is
+// shards have no fault-injection layer beneath them, so an injector
+// aimed at an all-log set can fail fast instead of timing out on a
+// heal it can never see), and a log shard's scrub step is
 // a CRC verify sweep or a compaction merge rather than a parity
 // repair. STATS carries the per-shard "backend"
 // name, the set-level "backends" list, and the log engine's counters
 // (segments, compactions, merged_records, dead_records), so an
-// operator — or the loadtest's A/B phase, via pglload -backend — can
-// prove which engine served a run.
+// operator can prove which engine served a run.
 //
 // # Background scrub wire verb
 //
@@ -247,8 +245,8 @@
 // clean". INJECT (op 12) is the matching test-harness verb (like
 // CRASH): it corrupts count pseudo-randomly chosen live objects —
 // alternating software scribbles and media-error poison by seed — so
-// the loadtest's corruption-healing phase can prove injected faults are
-// healed under live traffic with zero client-visible errors.
+// TestScrubBackgroundHealsOverTCP can prove injected faults are healed
+// under live traffic with zero client-visible errors.
 //
 // Durability is snapshot-per-shard (pangolin.PoolSet): shard i persists as
 // dir/shard-000i.pgl. SYNC saves every shard from its own worker, so a
@@ -451,12 +449,11 @@
 // flight between the submitters and the queue, deepening the batch
 // exactly when traffic can fill it: per-commit costs (log persist,
 // fence, parity) amortize over more operations. The window is the
-// EWMA's fraction of the batch cap scaled into shard.Options.CommitWait
-// (default 100µs; pglserve -commit-wait), capped there, and skipped
-// entirely when the group is already full, a barrier op is pending, or
-// the load is lockstep (EWMA ~1) — an idle connection's single op
-// always commits immediately, so the knob trades at most CommitWait of
-// latency for depth only under pipelined load. STATS reports
+// EWMA's fraction of the batch cap scaled into 100µs, capped there, and
+// skipped entirely when the group is already full, a barrier op is
+// pending, or the load is lockstep (EWMA ~1) — an idle connection's
+// single op always commits immediately, so the window trades at most
+// 100µs of latency for depth only under pipelined load. STATS reports
 // commit_waits alongside batches/batched_ops so a run can show how
 // often the window engaged.
 //

@@ -13,16 +13,19 @@ import (
 )
 
 // TestEndToEndCrashUnderBatchLoad crashes the server over TCP while
-// batch clients are mid-MPUT: every batch acknowledged before the crash
-// snapshot must survive recovery whole (each shard slice is one
-// transaction), and every shard file must pass the pglpool-check pass.
+// batch clients are mid-MPUT and the background scrubber is stepping
+// every 2ms, so the crash images land with batch transactions in flight
+// and scrub steps interleaved between them: every batch acknowledged
+// before the crash snapshot must survive recovery whole (each shard
+// slice is one transaction), and every shard file must pass the
+// pglpool-check pass.
 func TestEndToEndCrashUnderBatchLoad(t *testing.T) {
 	dir := t.TempDir()
 	const clients = 8
 	const shards = 4
 	const batch = 16
 
-	set, err := shard.Create(dir, shards, shard.Options{})
+	set, err := shard.Create(dir, shards, shard.Options{ScrubInterval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +73,9 @@ func TestEndToEndCrashUnderBatchLoad(t *testing.T) {
 			}
 		}(id)
 	}
-	for deadline := time.Now().Add(30 * time.Second); acked.Load() < 2000; {
+	for deadline := time.Now().Add(30 * time.Second); acked.Load() < 2000 || set.ScrubHealth().ScrubSteps == 0; {
 		if time.Now().After(deadline) {
-			t.Fatal("batch clients never reached 2000 acked ops")
+			t.Fatalf("never reached 2000 acked ops (%d) with scrub steps running (%+v)", acked.Load(), set.ScrubHealth())
 		}
 		time.Sleep(time.Millisecond)
 	}

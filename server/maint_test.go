@@ -1,6 +1,9 @@
 package server
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,8 +103,10 @@ func TestScrubOpEndToEnd(t *testing.T) {
 }
 
 // TestScrubBackgroundHealsOverTCP: with the maintenance scheduler on,
-// injected corruption is healed with no client request asking for it —
-// the bg_repairs counter the loadtest corruption phase gates on.
+// injected corruption is healed with no client request asking for it
+// (bg_repairs rises), while four connections keep GET/PUT/SCAN traffic
+// running over the corrupted shards: no client may see an error or a
+// wrong value.
 func TestScrubBackgroundHealsOverTCP(t *testing.T) {
 	addr, _ := startMaintServer(t, shard.Options{ScrubInterval: time.Millisecond})
 	c, err := Dial(t.Context(), addr)
@@ -109,11 +114,81 @@ func TestScrubBackgroundHealsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for k := uint64(0); k < 512; k++ {
+	const keys = 512
+	for k := uint64(0); k < keys; k++ {
 		if err := c.Put(k, k); err != nil {
 			t.Fatal(err)
 		}
 	}
+
+	// Every key holds its own value throughout, so any read can check
+	// what it got.
+	var served atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for id := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tc, err := Dial(t.Context(), addr)
+			if err != nil {
+				t.Errorf("traffic %d: %v", id, err)
+				return
+			}
+			defer tc.Close()
+			rng := rand.New(rand.NewSource(int64(id)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := rng.Uint64() % keys
+				switch rng.Intn(3) {
+				case 0:
+					if v, ok, err := tc.Get(k); err != nil || !ok || v != k {
+						t.Errorf("traffic %d: get %d = (%d,%v,%v)", id, k, v, ok, err)
+						return
+					}
+				case 1:
+					if err := tc.Put(k, k); err != nil {
+						t.Errorf("traffic %d: put %d: %v", id, k, err)
+						return
+					}
+				case 2:
+					ps, _, _, err := tc.Scan(k, ^uint64(0), 16, 0)
+					if err != nil {
+						t.Errorf("traffic %d: scan from %d: %v", id, k, err)
+						return
+					}
+					for _, p := range ps {
+						if p.K < k || p.V != p.K {
+							t.Errorf("traffic %d: scan from %d returned (%d,%d)", id, k, p.K, p.V)
+							return
+						}
+					}
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	// waitServed blocks until the traffic has completed n more ops, so
+	// the injections and the heals both land under live load.
+	waitServed := func(n uint64) {
+		t.Helper()
+		want := served.Load() + n
+		for deadline := time.Now().Add(10 * time.Second); served.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("traffic stalled at %d ops", served.Load())
+			}
+		}
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	waitServed(200)
 	if _, err := c.Inject(10, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +221,7 @@ func TestScrubBackgroundHealsOverTCP(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	waitServed(200)
 }
 
 // TestScrubUnknownMode: a bad mode is rejected with ERR, not silently

@@ -259,7 +259,7 @@ func TestBackupCancelled(t *testing.T) {
 // stream one generation-consistent image — every record satisfies the
 // writers' per-key invariant, no key twice, ascending — and replaying
 // it into a fresh set reproduces exactly that image, which then scrubs
-// clean. This is the in-process form of the loadtest's backup gate.
+// clean: backup under writes, restore, scrub-clean, equal pair counts.
 func TestBackupUnderWritesRestores(t *testing.T) {
 	addr, set := startMaintServer(t, shard.Options{Structure: "btree", Backend: "pangolin,logstore"})
 	c, err := Dial(t.Context(), addr)
@@ -385,8 +385,8 @@ func TestBackupUnderWritesRestores(t *testing.T) {
 	if restored != len(image) {
 		t.Fatalf("restored set has %d pairs, image has %d", restored, len(image))
 	}
-	// The restored shards scrub clean — the test-level stand-in for the
-	// loadtest's `pglpool check` gate.
+	// The restored shards scrub clean, the check `pglpool check` runs on
+	// each shard file.
 	rep, err := rset.Scrub()
 	if err != nil {
 		t.Fatal(err)
