@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,10 @@ func TestFig5Smoke(t *testing.T) {
 	}
 }
 
+// TestFig6AndTable4Smoke runs both experiments and holds Table 4 to its
+// shape: in every structure's column the unverified share does not grow
+// down the rows, from Pmemobj (1.00) through Pgl-MLPC and the Scrub rows
+// to Conservative (0.00).
 func TestFig6AndTable4Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Fig6(&buf, tiny()); err != nil {
@@ -75,23 +80,34 @@ func TestFig6AndTable4Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "Pmemobj") || !strings.Contains(out, "1.00") {
-		t.Fatalf("table4 output:\n%s", out)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	rows := lines[3:] // title, header, separator
+	if len(rows) != len(policyCells(tiny())) {
+		t.Fatalf("%d policy rows:\n%s", len(rows), out)
 	}
-	// Conservative mode must report zero vulnerability for every
-	// structure.
-	lines := strings.Split(out, "\n")
-	foundCons := false
-	for _, l := range lines {
-		if strings.HasPrefix(l, "Conservative") {
-			foundCons = true
-			if strings.Contains(l, "0.00") == false {
-				t.Fatalf("conservative row not zero: %s", l)
+	prev := make([]float64, len(Factories))
+	for ri, l := range rows {
+		f := strings.Fields(l)
+		cells := f[len(f)-len(Factories):]
+		name := strings.Join(f[:len(f)-len(Factories)], " ")
+		for ci, c := range cells {
+			v, err := strconv.ParseFloat(c, 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", name, err)
 			}
+			switch {
+			case ri == 0 && v != 1:
+				t.Errorf("%s: %s row reads %.2f, want 1.00", Factories[ci].name, name, v)
+			case ri == len(rows)-1 && v != 0:
+				t.Errorf("%s: %s row reads %.2f, want 0.00", Factories[ci].name, name, v)
+			case ri > 0 && v > prev[ci]:
+				t.Errorf("%s: %s row reads %.2f, above the row before it (%.2f)", Factories[ci].name, name, v, prev[ci])
+			}
+			prev[ci] = v
 		}
 	}
-	if !foundCons {
-		t.Fatal("no Conservative row")
+	if t.Failed() {
+		t.Logf("table4 output:\n%s", out)
 	}
 }
 

@@ -704,21 +704,79 @@ func TestConservativeGetVerifies(t *testing.T) {
 	}
 }
 
-func TestDefaultGetCountsUnverified(t *testing.T) {
+// TestOwnerGetVerifiesOncePerModification is the owner-path twin of the
+// read view's test: Get verifies an object on its first read after a
+// modification and not again until the next, so a commit to one of n
+// objects costs exactly that object's re-verification, and a scribble into
+// an object not verified since its last commit is repaired by Get.
+func TestOwnerGetVerifiesOncePerModification(t *testing.T) {
 	e := mkEngine(t, PangolinMLPC)
-	var oid layout.OID
-	if err := e.Run(func(tx *Tx) error {
-		var err error
-		oid, _, err = tx.Alloc(100, 1)
-		return err
-	}); err != nil {
-		t.Fatal(err)
+	const n, size = 1_000, 100
+	oids := make([]layout.OID, 0, n)
+	for len(oids) < n {
+		if err := e.Run(func(tx *Tx) error {
+			for i := 0; i < 200; i++ {
+				oid, data, err := tx.Alloc(size, 1)
+				if err != nil {
+					return err
+				}
+				data[0] = byte(len(oids))
+				oids = append(oids, oid)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.stats.ResetAccounting()
-	if _, err := e.Get(oid); err != nil {
-		t.Fatal(err)
+	readAll := func() uint64 {
+		t.Helper()
+		before := e.stats.VerifiedBytes.Load()
+		for i, oid := range oids {
+			got, err := e.Get(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != byte(i) {
+				t.Fatalf("object %d reads %d", i, got[0])
+			}
+		}
+		return e.stats.VerifiedBytes.Load() - before
 	}
-	if e.stats.UnverifiedBytes.Load() != 100 {
-		t.Fatalf("unverified = %d, want 100", e.stats.UnverifiedBytes.Load())
+	write := func(i int, v byte) {
+		t.Helper()
+		if err := e.Run(func(tx *Tx) error {
+			data, err := tx.AddRange(oids[i], 1, 1)
+			if err == nil {
+				data[1] = v
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := readAll(); got != n*size {
+		t.Fatalf("first pass verified %d B, want %d", got, n*size)
+	}
+	if got := readAll(); got != 0 {
+		t.Fatalf("second pass re-verified %d B of unmodified objects", got)
+	}
+	write(777, 1)
+	if got := readAll(); got != size {
+		t.Fatalf("after one commit %d B were verified, want exactly the written object's %d", got, size)
+	}
+	// A scribble after the last commit, before any read verified it.
+	const b = 123
+	write(b, 2)
+	e.InjectScribble(oids[b].Off, 8, 5)
+	recovered := e.stats.Recovered.Load()
+	got, err := e.Get(oids[b])
+	if err != nil {
+		t.Fatalf("get of a scribbled object: %v", err)
+	}
+	if got[0] != b || got[1] != 2 {
+		t.Fatalf("get of a scribbled object reads % x, want 7b 02", got[:2])
+	}
+	if e.stats.Recovered.Load() == recovered {
+		t.Fatal("the scribble was served without a repair")
 	}
 }

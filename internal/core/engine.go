@@ -115,14 +115,16 @@ type Engine struct {
 
 	// verified is the verified-read table: one bit per 64-byte heap slot
 	// (pool size / 512 bytes), indexed by an object's header offset. A
-	// concurrent reader (GetRO) sets an object's bit once it has checked
-	// the object's checksum, and later reads of the object skip the check
+	// read (Get or GetRO) sets an object's bit once it has checked the
+	// object's checksum, and later reads of the object skip the check
 	// while the bit stands; a commit clears the bit of every object it
 	// writes, allocates or frees (noteModified). Object bytes change only
-	// inside commits, and GetRO's contract excludes commits while it runs,
-	// so a set bit means exactly "verified since the last modification":
-	// no commit to another object ever clears it and no commit to this one
-	// leaves it set. All read views share the table. Nil in modes without
+	// inside commits, and no read of an object overlaps a commit to it
+	// (GetRO's contract excludes commits; Get's caller does not read an
+	// object another goroutine is committing), so a set bit means exactly
+	// "verified since the last modification": no commit to another object
+	// ever clears it and no commit to this one leaves it set. The owner
+	// path and every read view share the table. Nil in modes without
 	// checksums.
 	verified []atomic.Uint64
 

@@ -127,10 +127,13 @@ type VerifyPolicy int
 
 const (
 	// VerifyDefault checks an object's checksum when its micro-buffer is
-	// created, before any modification.
+	// created, before any modification, and on the first read-only Get or
+	// GetRO after each modification: a read verifies only what a commit
+	// changed since the last verification. Objects over 16 KB are read
+	// with header and poison checks only and rely on scrubbing.
 	VerifyDefault VerifyPolicy = iota
-	// VerifyConservative additionally verifies on every access,
-	// including read-only Get.
+	// VerifyConservative verifies on every access, including every
+	// read-only Get and GetRO, whatever the object's size.
 	VerifyConservative
 )
 
@@ -147,27 +150,4 @@ type Options struct {
 	// Zero forces zeroing the device at create time — required when the
 	// device may hold prior contents, and the §4.2 pool-init cost.
 	Zero bool
-	// ReadVerifyLimit bounds per-read checksum verification on the
-	// concurrent read path (GetRO): objects larger than this many bytes
-	// are served with header sanity + poison checks only, like the
-	// default verify policy, and rely on scrubbing — verifying a
-	// multi-kilobyte array object (e.g. a hash table) on every read
-	// would make reads cost O(object) instead of O(access), the same
-	// trap §3.5's incremental checksums avoid on the write side. 0
-	// selects the 16 KB default (covers every per-key node of the six
-	// paper structures, rtree's 4 KB nodes included); negative means
-	// no limit.
-	ReadVerifyLimit int
-}
-
-// roVerifyLimit resolves the ReadVerifyLimit option.
-func (o Options) roVerifyLimit() uint64 {
-	switch {
-	case o.ReadVerifyLimit < 0:
-		return ^uint64(0)
-	case o.ReadVerifyLimit == 0:
-		return 16 << 10
-	default:
-		return uint64(o.ReadVerifyLimit)
-	}
 }

@@ -136,34 +136,81 @@ func (e *Engine) loadBuf(oid layout.OID) (*mbuf.Buf, error) {
 	return b, nil
 }
 
+// readVerifyLimit bounds per-read checksum verification: a larger object
+// is read with header sanity and poison checks only and relies on
+// scrubbing. Verifying a multi-kilobyte array object on every read would
+// make reads cost O(object) instead of O(access), the trap §3.5's
+// incremental checksums avoid on the write side. 16 KB covers every
+// per-key node of the six paper structures, rtree's 4 KB nodes included.
+const readVerifyLimit = 16 << 10
+
+// read is the engine's one read rule (pgl_get, §3.3–3.4), behind both the
+// owner path (Get) and the read view (GetRO). It checks the header and
+// the poison map, then checksums the live bytes of a checksummed object
+// unless the verified-read table (Engine.verified) shows it verified since
+// its last modification; VerifyConservative ignores the table and verifies
+// every access. A scribble landing after a verification is windowed: the
+// object's next modification or a scrub pass catches it (Table 4).
+//
+// On a fault the owner path (repair) runs online recovery and retries;
+// the read view fails fast with the typed error and never mutates the
+// pool.
+func (e *Engine) read(oid layout.OID, repair bool) ([]byte, error) {
+	hoff := oid.HeaderOff()
+	for attempt := 0; ; attempt++ {
+		hdr, err := e.readHeaderChecked(oid, repair)
+		if err != nil {
+			return nil, err
+		}
+		if err = e.dev.CheckPoison(hoff, hdr.Size); err == nil {
+			err = e.verifyLive(oid, hdr)
+		}
+		if err == nil {
+			return e.dev.Slice(oid.Off, hdr.UserSize()), nil
+		}
+		if !repair || attempt >= 2 {
+			return nil, err
+		}
+		if rerr := e.faultRepair(hoff, hdr.Size, err); rerr != nil {
+			return nil, rerr
+		}
+	}
+}
+
+// verifyLive applies read's checksum rule to the object's live bytes and
+// counts the access as verified or not (Table 4). The caller keeps the
+// range stable: the read view excludes commits and repairs, and the owner
+// is the goroutine that commits. Checksumming in place needs no image
+// copy; a mismatch is retried from the top after repair.
+func (e *Engine) verifyLive(oid layout.OID, hdr layout.ObjHeader) error {
+	conservative := e.opts.Policy == VerifyConservative
+	if !e.mode.Checksums() || (!conservative && hdr.Size > readVerifyLimit) {
+		e.stats.UnverifiedBytes.Add(hdr.UserSize())
+		return nil
+	}
+	hoff := oid.HeaderOff()
+	w, bit := e.verifiedBit(hoff)
+	if !conservative && w.Load()&bit != 0 {
+		e.stats.UnverifiedBytes.Add(hdr.UserSize())
+		return nil
+	}
+	if got := layout.ObjChecksum(e.dev.Slice(hoff, hdr.Size)); got != hdr.Csum {
+		return &CorruptionError{OID: oid, Reason: fmt.Sprintf("checksum %#x, stored %#x", got, hdr.Csum)}
+	}
+	w.Or(bit)
+	e.stats.VerifiedBytes.Add(hdr.UserSize())
+	return nil
+}
+
 // Get returns read-only direct access to an object's user data without
-// micro-buffering (pgl_get, §3.4). Under VerifyConservative the checksum
-// is verified first; otherwise the access is counted as unverified
-// (Table 4) and relies on scrubbing for eventual detection.
+// micro-buffering (pgl_get, §3.4), under read's rule: verified once per
+// modification (every access under VerifyConservative), with online
+// recovery on a fault.
 func (e *Engine) Get(oid layout.OID) ([]byte, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	verify := e.opts.Policy == VerifyConservative && e.mode.Checksums()
-	if verify {
-		// The verification pass reads a copy; hand out the live bytes.
-		hdr, err := e.verifyImage(oid)
-		if err != nil {
-			return nil, err
-		}
-		return e.dev.Slice(oid.Off, hdr.UserSize()), nil
-	}
-	hdr, err := e.readHeaderChecked(oid, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.dev.CheckPoison(oid.HeaderOff(), hdr.Size); err != nil {
-		if rerr := e.faultRepair(oid.HeaderOff(), hdr.Size, err); rerr != nil {
-			return nil, rerr
-		}
-	}
-	e.stats.UnverifiedBytes.Add(hdr.UserSize())
-	return e.dev.Slice(oid.Off, hdr.UserSize()), nil
+	return e.read(oid, true)
 }
 
 // ErrReadBusy reports that a concurrent read (GetRO) could not proceed
@@ -176,13 +223,7 @@ var ErrReadBusy = errors.New("core: pool frozen or freezing; route the read thro
 // GetRO is the concurrent verified-read fast path (§3.3: readers verify
 // per-object checksums straight from NVMM and do not serialize against
 // each other). It returns read-only direct access to an object's user
-// data, verifying the object checksum first unless the verified-read
-// table (Engine.verified) shows the object verified since it was last
-// modified, or the object exceeds Options.ReadVerifyLimit (whole-object
-// verification of large array objects would make reads cost O(object);
-// they keep header + poison checks and rely on scrubbing, as under the
-// default verify policy). A scribble landing after a verification is
-// windowed the same way: the next modification or scrub pass catches it.
+// data under read's rule, the same as Get's.
 //
 // Unlike Get it NEVER mutates the pool: media faults, checksum
 // mismatches, and freeze windows fail fast — poison and corruption with
@@ -208,31 +249,7 @@ func (e *Engine) GetRO(oid layout.OID) ([]byte, error) {
 	if e.frozen.Load() {
 		return nil, ErrReadBusy
 	}
-	hdr, err := e.readHeaderChecked(oid, false)
-	if err != nil {
-		return nil, err
-	}
-	hoff := oid.HeaderOff()
-	if err := e.dev.CheckPoison(hoff, hdr.Size); err != nil {
-		return nil, err
-	}
-	if e.mode.Checksums() && hdr.Size <= e.opts.roVerifyLimit() {
-		if w, bit := e.verifiedBit(hoff); w.Load()&bit == 0 {
-			// Checksum the live bytes in place: the caller excludes
-			// commits and the commit gate excludes repairs, so the range
-			// is stable — no image copy needed (the repairing readImage
-			// must copy because it may retry; this path fails fast).
-			if got := layout.ObjChecksum(e.dev.Slice(hoff, hdr.Size)); got != hdr.Csum {
-				return nil, &CorruptionError{OID: oid,
-					Reason: fmt.Sprintf("checksum %#x, stored %#x", got, hdr.Csum)}
-			}
-			w.Or(bit)
-			e.stats.VerifiedBytes.Add(hdr.UserSize())
-			return e.dev.Slice(oid.Off, hdr.UserSize()), nil
-		}
-	}
-	e.stats.UnverifiedBytes.Add(hdr.UserSize())
-	return e.dev.Slice(oid.Off, hdr.UserSize()), nil
+	return e.read(oid, false)
 }
 
 // ObjectType returns the stored type of an object.

@@ -499,9 +499,7 @@ func insertSpan(covered []span, s span) []span {
 // Get returns read-only access to an object's user data. Inside a
 // transaction that has the object open, it returns the micro-buffer view
 // (isolation, §3.4); otherwise it returns the NVMM bytes directly without
-// copying. Under VerifyConservative the object checksum is verified on
-// every Get; under VerifyDefault it is not, and the bytes count toward the
-// vulnerability accounting of Table 4.
+// copying, under Engine.Get's rule.
 func (tx *Tx) Get(oid layout.OID) ([]byte, error) {
 	if err := tx.checkActive(); err != nil {
 		return nil, err

@@ -257,14 +257,68 @@ func TestFastPathFaultFallsBackToRepair(t *testing.T) {
 	}
 }
 
+// TestScribbledNodeRepairedOnOwnerPath: a scribble over a btree node's
+// value word after its last commit, before anything verified the node, is
+// caught by the read view, whose fallback must not serve it either: the
+// worker's owner-path reads verify once per modification too, so both a
+// Get's fallback and a mixed batch's in-transaction lookup repair the node
+// and return the committed value.
+func TestScribbledNodeRepairedOnOwnerPath(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{Structure: "btree"})
+	defer s.Abandon()
+	ps := s.workers[0].st.(*pangolinstore.Store)
+	p := ps.Pool()
+	const k = 7
+	// scribbleValue commits v under k, the tree's only key, and scribbles
+	// the value word of the root leaf, located without a verifying read:
+	// the anchor starts with the root's OID, and the leaf's first item
+	// {key, value} follows its 8-byte count.
+	scribbleValue := func(v uint64, seed int64) {
+		t.Helper()
+		if err := s.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		anchor := p.Device().Slice(ps.Map().Anchor().Off, 16)
+		root := binary.LittleEndian.Uint64(anchor[8:])
+		p.InjectScribble(root+16, 8, seed)
+		if binary.LittleEndian.Uint64(p.Device().Slice(root+16, 8)) == v {
+			t.Fatal("scribble left the value intact")
+		}
+		settle(s)
+	}
+	scribbleValue(0x1111, 1)
+	recovered := p.Stats().Recovered.Load()
+	if v, ok, err := s.Get(k); err != nil || !ok || v != 0x1111 {
+		t.Fatalf("get through a scribbled node = (%#x,%v,%v), want 0x1111", v, ok, err)
+	}
+	if st := s.Stats(); st.FastFaults == 0 {
+		t.Fatal("the read view did not catch the scribble")
+	}
+	if p.Stats().Recovered.Load() == recovered {
+		t.Fatal("the fallback repaired nothing")
+	}
+	scribbleValue(0x2222, 2)
+	recovered = p.Stats().Recovered.Load()
+	res := s.Batch([]BatchOp{{Kind: BatchGet, K: k}, {Kind: BatchPut, K: k + 1, V: 1}})
+	if r := res[0]; r.Err != nil || !r.OK || r.V != 0x2222 {
+		t.Fatalf("batch get through a scribbled node = %+v, want 0x2222", r)
+	}
+	if res[1].Err != nil {
+		t.Fatalf("batch put: %v", res[1].Err)
+	}
+	if p.Stats().Recovered.Load() == recovered {
+		t.Fatal("the batch's lookup repaired nothing")
+	}
+}
+
 // TestScribbledPointerHealsOnPut: a scribble over the pool word of a
 // written hashmap directory slot makes its segment pointer a foreign
-// pool's. A PUT routed to that segment follows the pointer unverified
-// inside its transaction (VerifyDefault checks a directory only when it is
-// opened — Table 4's window), so the transaction's OID check is what meets
-// it. That must be typed corruption: the worker runs a heal pass, which
-// rebuilds the directory from parity, and the retried PUT succeeds. The
-// client sees no error and the repair is counted.
+// pool's. It lands in the window: after the test's own reads verified the
+// directory, so a PUT routed to that segment follows the pointer without
+// verifying the directory again, and the transaction's OID check is what
+// meets it. That must be typed corruption: the worker runs a heal pass,
+// which rebuilds the directory from parity, and the retried PUT succeeds.
+// The client sees no error and the repair is counted.
 func TestScribbledPointerHealsOnPut(t *testing.T) {
 	s := newSet(t, t.TempDir(), 1, Options{})
 	defer s.Abandon()

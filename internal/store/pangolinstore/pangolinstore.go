@@ -161,11 +161,10 @@ func (s *Store) Scan(lo, hi uint64, fn func(k, v uint64) bool) error {
 	return s.m.Scan(lo, hi, fn)
 }
 
-// Apply implements store.Store. Mutating multi-op batches run inside a
+// Apply implements store.Store. A batch with any mutation runs inside a
 // single pool transaction — one log persist, one fence, one parity pass
-// — whose commit is the batch's linearization point; read-only or
-// single-op batches take the plain per-op path (GETs need no
-// transaction at all, and a single op is its own transaction already).
+// — whose commit is the batch's linearization point; a read-only batch
+// runs the owner Lookup per op and needs no transaction.
 func (s *Store) Apply(ops []store.Op) ([]store.Result, error) {
 	muts := 0
 	for _, op := range ops {
@@ -180,42 +179,18 @@ func (s *Store) Apply(ops []store.Op) ([]store.Result, error) {
 		s.resBuf = make([]store.Result, len(ops))
 	}
 	res := s.resBuf[:len(ops)]
-	recording := muts > 0 && s.vb.Recording()
-	if recording {
-		s.stagePreStates(ops)
-	}
-	if muts == 0 || len(ops) == 1 {
+	if muts == 0 {
 		for i, op := range ops {
-			switch op.Kind {
-			case store.OpPut:
-				if err := s.m.Insert(op.K, op.V); err != nil {
-					s.vb.Abort()
-					return nil, err
-				}
-				res[i] = store.Result{OK: true}
-			case store.OpGet:
-				v, ok, err := s.m.Lookup(op.K)
-				if err != nil {
-					s.vb.Abort()
-					return nil, err
-				}
-				res[i] = store.Result{V: v, OK: ok}
-			case store.OpDel:
-				ok, err := s.m.Remove(op.K)
-				if err != nil {
-					s.vb.Abort()
-					return nil, err
-				}
-				res[i] = store.Result{OK: ok}
-			default:
-				s.vb.Abort()
-				return nil, fmt.Errorf("pangolinstore: unknown op kind %d", op.Kind)
+			v, ok, err := s.m.Lookup(op.K)
+			if err != nil {
+				return nil, err
 			}
-		}
-		if muts > 0 {
-			s.vb.Commit()
+			res[i] = store.Result{V: v, OK: ok}
 		}
 		return res, nil
+	}
+	if s.vb.Recording() {
+		s.stagePreStates(ops)
 	}
 	err := s.pool.Run(func(tx *pangolin.Tx) error {
 		for i, op := range ops {

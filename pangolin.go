@@ -83,7 +83,7 @@ type VerifyPolicy = core.VerifyPolicy
 
 // Verification policies.
 const (
-	VerifyDefault      = core.VerifyDefault      // verify at micro-buffer creation
+	VerifyDefault      = core.VerifyDefault      // verify at micro-buffer creation and once per modification on Get
 	VerifyConservative = core.VerifyConservative // verify every access incl. Get
 )
 
@@ -142,13 +142,6 @@ type Config struct {
 	// devices with prior contents, and the one-time pool-init cost the
 	// paper measures in §4.2 (fresh devices are already zero).
 	Zero bool
-	// ReadVerifyLimit bounds per-read checksum verification on the
-	// concurrent read path (ReadView): objects larger than this many
-	// bytes keep header sanity + poison checks and rely on scrubbing
-	// instead of being checksummed on every read. 0 selects the 16 KB
-	// default (covers every per-key node of the six paper structures);
-	// negative verifies regardless of size.
-	ReadVerifyLimit int
 	// Scrub bounds the work of one incremental scrub step for the pool's
 	// built-in scrubber (Pool.ScrubStep) and any maintenance scheduler
 	// driving it. Zero values select the defaults.
@@ -199,7 +192,6 @@ func CreateOnDevice(dev *Device, cfg Config) (*Pool, error) {
 		Policy:          cfg.Policy,
 		ScrubEvery:      cfg.ScrubEvery,
 		ParityThreshold: cfg.ParityThreshold,
-		ReadVerifyLimit: cfg.ReadVerifyLimit,
 		Zero:            cfg.Zero,
 	})
 	if err != nil {
@@ -217,7 +209,6 @@ func OpenDevice(dev *Device, cfg Config, replica *Device) (*Pool, error) {
 		Policy:          cfg.Policy,
 		ScrubEvery:      cfg.ScrubEvery,
 		ParityThreshold: cfg.ParityThreshold,
-		ReadVerifyLimit: cfg.ReadVerifyLimit,
 	}, replica)
 	if err != nil {
 		return nil, err
@@ -276,10 +267,12 @@ func (p *Pool) Run(fn func(*Tx) error) error {
 }
 
 // Get returns read-only access to an object's user data without
-// micro-buffering (pgl_get). See VerifyPolicy for the checking rules.
-// On a ReadView handle, Get instead runs the concurrent verified-read
-// path: each object's checksum verified once per modification, no online
-// recovery, ErrReadBusy during freeze windows.
+// micro-buffering (pgl_get). Each object's checksum is verified once per
+// modification (every access under VerifyConservative; objects over 16
+// KB get header and poison checks only), and a fault is repaired online.
+// On a ReadView handle, Get runs the concurrent verified-read path under
+// the same rule, with no online recovery and ErrReadBusy during freeze
+// windows.
 func (p *Pool) Get(oid OID) ([]byte, error) {
 	if p.readView {
 		return p.e.GetRO(oid)

@@ -56,9 +56,10 @@ func IsPoison(err error) bool {
 // commit clears for exactly the objects it wrote, allocated or freed.
 // Object bytes only change inside commits — the view requires the
 // caller's writer exclusion — so an unmodified object needs no second
-// verification, and a view holds no state of its own. Scribbles that land
-// after a verification are windowed exactly like the default verify
-// policy: the next modification or scrub pass catches them.
+// verification, and a view holds no state of its own. The owner path's
+// Get reads under the same rule and shares the table. Scribbles that land
+// after a verification are windowed: the next modification or scrub pass
+// catches them.
 //
 // Concurrency contract: any number of goroutines may read through the
 // view simultaneously, and view reads may overlap Scrub and online

@@ -54,8 +54,9 @@
 // Verification is remembered per object in the engine's verified-read
 // table, one bit per heap slot that a reader sets and a commit clears
 // for exactly the objects it wrote (an object is re-verified only after
-// a commit actually wrote it), and capped by size (very large array objects keep header + poison
-// checks and rely on scrubbing, as under the default verify policy).
+// a commit actually wrote it), and capped by size (objects over 16 KB
+// keep header + poison checks and rely on scrubbing). The worker's reads
+// follow the same rule, so a fault a GET bounces is repaired, not served.
 //
 // Readers never block on the gate. If it is unavailable — a commit,
 // save, crash image, scrub, or recovery window — or the read hits a

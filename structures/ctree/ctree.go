@@ -82,51 +82,37 @@ func msbDiff(a, b uint64) uint32 {
 // read (no pool writes, no handle state), honoring the kv.Map
 // concurrent-read contract: on a ReadView instance it may run
 // concurrently with other Lookups, gated against commits by the caller.
-func (t *Tree) Lookup(k uint64) (uint64, bool, error) {
-	a, err := pangolin.GetFromPool[anchor](t.p, t.anchor)
-	if err != nil {
-		return 0, false, err
-	}
-	cur := a.Root
-	for !cur.IsNil() {
-		n, err := pangolin.GetFromPool[node](t.p, cur)
-		if err != nil {
-			return 0, false, err
-		}
-		if n.Diff == leafDiff {
-			if n.Key == k {
-				return n.Value, true, nil
-			}
-			return 0, false, nil
-		}
-		cur = n.Child[bit(k, n.Diff)]
-	}
-	return 0, false, nil
-}
+func (t *Tree) Lookup(k uint64) (uint64, bool, error) { return t.lookup(t.p.Get, k) }
 
 // LookupTx is Lookup inside the caller's transaction: reads come from the
 // transaction's micro-buffers when it has nodes open, so the caller's own
 // uncommitted inserts and removes are visible.
 func (t *Tree) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
-	a, err := pangolin.Get[anchor](tx, t.anchor)
-	if err != nil {
+	return t.lookup(tx.Get, k)
+}
+
+// lookup finds k, reading each node through get.
+func (t *Tree) lookup(get pangolin.Getter, k uint64) (uint64, bool, error) {
+	a, err := pangolin.Read[anchor](get, t.anchor)
+	if err != nil || a.Root.IsNil() {
 		return 0, false, err
 	}
-	cur := a.Root
-	for !cur.IsNil() {
-		n, err := pangolin.Get[node](tx, cur)
-		if err != nil {
-			return 0, false, err
-		}
-		if n.Diff == leafDiff {
-			if n.Key == k {
-				return n.Value, true, nil
-			}
-			return 0, false, nil
+	_, leaf, err := leafFor(get, a.Root, k)
+	if err != nil || leaf.Key != k {
+		return 0, false, err
+	}
+	return leaf.Value, true, nil
+}
+
+// leafFor walks from the non-nil root to the leaf k's bits lead to.
+func leafFor(get pangolin.Getter, root pangolin.OID, k uint64) (pangolin.OID, *node, error) {
+	for cur := root; ; {
+		n, err := pangolin.Read[node](get, cur)
+		if err != nil || n.Diff == leafDiff {
+			return cur, n, err
 		}
 		cur = n.Child[bit(k, n.Diff)]
 	}
-	return 0, false, nil
 }
 
 // Insert adds or updates k in one transaction.
@@ -151,18 +137,7 @@ func (t *Tree) InsertTx(tx *pangolin.Tx, k, v uint64) error {
 		return nil
 	}
 	// Find the leaf the key would reach.
-	cur := a.Root
-	for {
-		n, err := pangolin.Get[node](tx, cur)
-		if err != nil {
-			return err
-		}
-		if n.Diff == leafDiff {
-			break
-		}
-		cur = n.Child[bit(k, n.Diff)]
-	}
-	leaf, err := pangolin.Get[node](tx, cur)
+	cur, leaf, err := leafFor(tx.Get, a.Root, k)
 	if err != nil {
 		return err
 	}

@@ -17,10 +17,12 @@
 // fill a 1,024-byte allocator slot exactly and one word maps them; 62 would
 // spill into the next size class. A segment is allocated by the first
 // transaction that writes it; until then its directory slot is nil and
-// reads as empty. The bitmap's complement is a check word: reads that skip
-// checksum verification (VerifyDefault, §3.3) still refuse a segment whose
-// words disagree, so a scribbled bitmap fails as typed corruption instead
-// of reviving the stale pairs removals and migrations leave in free slots.
+// reads as empty. The bitmap's complement is a check word: a read that
+// skips checksum verification, because the segment was verified since its
+// last modification (§3.3), still refuses a segment whose words disagree,
+// so a bitmap scribbled after that verification fails as typed corruption
+// instead of reviving the stale pairs removals and migrations leave in
+// free slots.
 //
 // This departs from the paper's 40-byte chain entries (Table 3): each cost
 // a 64-byte allocator slot and header, pgl_alloc and its log records on
@@ -284,9 +286,6 @@ func probe(seg []byte, k, home uint64) (uint64, bool) {
 	return segSlots, false
 }
 
-// getFn reads an object: Pool.Get outside a transaction, Tx.Get inside one.
-type getFn func(pangolin.OID) ([]byte, error)
-
 // table is a directory as read for one operation.
 type table struct {
 	oid pangolin.OID
@@ -296,7 +295,7 @@ type table struct {
 
 // readTable reads the directory at oid. A pointer that lands on some other
 // object is reported as corruption naming it, like any other unusable OID.
-func readTable(get getFn, oid pangolin.OID) (table, error) {
+func readTable(get pangolin.Getter, oid pangolin.OID) (table, error) {
 	dir, err := get(oid)
 	if err != nil {
 		return table{}, err
@@ -309,7 +308,7 @@ func readTable(get getFn, oid pangolin.OID) (table, error) {
 }
 
 // readSeg reads the segment at oid, checked the same way and by its check word.
-func readSeg(get getFn, oid pangolin.OID) ([]byte, error) {
+func readSeg(get pangolin.Getter, oid pangolin.OID) ([]byte, error) {
 	seg, err := get(oid)
 	if err != nil {
 		return nil, err
@@ -337,7 +336,7 @@ type spot struct {
 
 // locate finds k's chain — in the old table while its old segment has not
 // migrated yet, in the current table otherwise — and walks it for k.
-func locate(get getFn, a *anchor, k uint64) (sp spot, err error) {
+func locate(get pangolin.Getter, a *anchor, k uint64) (sp spot, err error) {
 	h := hash(k)
 	if !a.Old.IsNil() {
 		if sp.t, err = readTable(get, a.Old); err != nil {
@@ -370,12 +369,8 @@ func locate(get getFn, a *anchor, k uint64) (sp spot, err error) {
 }
 
 // lookup finds k with get.
-func (m *Map) lookup(get getFn, k uint64) (uint64, bool, error) {
-	data, err := get(m.anchor)
-	if err != nil {
-		return 0, false, err
-	}
-	a, err := pangolin.View[anchor](data)
+func (m *Map) lookup(get pangolin.Getter, k uint64) (uint64, bool, error) {
+	a, err := pangolin.Read[anchor](get, m.anchor)
 	if err != nil {
 		return 0, false, err
 	}

@@ -1012,9 +1012,12 @@ func TestOverflow(t *testing.T) {
 }
 
 // TestScribbledBitmapIsCorruption scribbles a segment's occupancy bitmap.
-// Unverified reads (the default policy's Lookup and Scan) must not serve
-// the stale or zeroed pairs it marks occupied: the check word turns the
-// scribble into typed corruption, and a scrub rebuilds the segment.
+// A scribble landing after the segment's last verification is the window
+// where reads skip the checksum (§3.3): Lookup and Scan must not serve the
+// stale or zeroed pairs it marks occupied, the check word turns it into
+// typed corruption, and a scrub rebuilds the segment. A scribble before
+// any read verified the segment since its last commit is caught by the
+// checksum, and the owner Lookup repairs it inline.
 func TestScribbledBitmapIsCorruption(t *testing.T) {
 	p, err := pangolin.Create(pangolin.Config{Mode: pangolin.ModePangolinMLPC})
 	if err != nil {
@@ -1036,6 +1039,9 @@ func TestScribbledBitmapIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := oidAt(tb.dir, segOff(hash(k)%tb.n))
+	if _, err := p.Get(seg); err != nil { // verified: the window opens
+		t.Fatal(err)
+	}
 	p.InjectScribble(seg.Off, 8, 3)
 	if _, _, err := m.Lookup(k); !pangolin.IsCorruption(err) {
 		t.Fatalf("lookup through a scribbled bitmap: %v, want corruption", err)
@@ -1048,6 +1054,18 @@ func TestScribbledBitmapIsCorruption(t *testing.T) {
 	}
 	if v, ok, err := m.Lookup(k); err != nil || !ok || v != k+1 {
 		t.Fatalf("lookup after scrub = (%d,%v,%v)", v, ok, err)
+	}
+	// A commit to the segment closes the window until its next read.
+	if err := m.Insert(k, k+2); err != nil {
+		t.Fatal(err)
+	}
+	p.InjectScribble(seg.Off, 8, 4)
+	recovered := p.Stats().Recovered.Load()
+	if v, ok, err := m.Lookup(k); err != nil || !ok || v != k+2 {
+		t.Fatalf("lookup through a never-verified scribbled bitmap = (%d,%v,%v), want it repaired", v, ok, err)
+	}
+	if p.Stats().Recovered.Load() == recovered {
+		t.Fatal("the lookup repaired nothing")
 	}
 }
 

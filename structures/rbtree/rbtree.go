@@ -97,14 +97,23 @@ func (t *Tree) Len() (uint64, error) {
 // pool writes, no handle state), honoring the kv.Map concurrent-read
 // contract: on a ReadView instance it may run concurrently with other
 // Lookups, gated against commits by the caller.
-func (t *Tree) Lookup(k uint64) (uint64, bool, error) {
-	a, err := pangolin.GetFromPool[anchor](t.p, t.anchor)
+func (t *Tree) Lookup(k uint64) (uint64, bool, error) { return t.lookup(t.p.Get, k) }
+
+// LookupTx is Lookup inside the caller's transaction, observing the
+// transaction's own uncommitted writes.
+func (t *Tree) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
+	return t.lookup(tx.Get, k)
+}
+
+// lookup finds k, reading each node through get.
+func (t *Tree) lookup(get pangolin.Getter, k uint64) (uint64, bool, error) {
+	a, err := pangolin.Read[anchor](get, t.anchor)
 	if err != nil {
 		return 0, false, err
 	}
 	cur := a.Root
 	for cur != t.sentinel {
-		n, err := pangolin.GetFromPool[node](t.p, cur)
+		n, err := pangolin.Read[node](get, cur)
 		if err != nil {
 			return 0, false, err
 		}
@@ -191,31 +200,6 @@ func (t *w) rotateRight(x pangolin.OID) {
 	}
 	yn.Right = x
 	xn.Parent = y
-}
-
-// LookupTx is Lookup inside the caller's transaction, observing the
-// transaction's own uncommitted writes.
-func (t *Tree) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
-	a, err := pangolin.Get[anchor](tx, t.anchor)
-	if err != nil {
-		return 0, false, err
-	}
-	cur := a.Root
-	for cur != t.sentinel {
-		n, err := pangolin.Get[node](tx, cur)
-		if err != nil {
-			return 0, false, err
-		}
-		switch {
-		case k == n.Key:
-			return n.Value, true, nil
-		case k < n.Key:
-			cur = n.Left
-		default:
-			cur = n.Right
-		}
-	}
-	return 0, false, nil
 }
 
 // Insert adds or updates k in one transaction.

@@ -109,39 +109,23 @@ const depth = 8
 // no handle state), honoring the kv.Map concurrent-read contract: on a
 // ReadView instance it may run concurrently with other Lookups, gated
 // against commits by the caller.
-func (t *Tree) Lookup(k uint64) (uint64, bool, error) {
-	a, err := pangolin.GetFromPool[anchor](t.p, t.anchor)
-	if err != nil {
-		return 0, false, err
-	}
-	cur := a.Root
-	for d := 0; d < depth; d++ {
-		n, err := pangolin.GetFromPool[node](t.p, cur)
-		if err != nil {
-			return 0, false, err
-		}
-		cur = n.Children[keyByte(k, d)]
-		if cur.IsNil() {
-			return 0, false, nil
-		}
-	}
-	leaf, err := pangolin.GetFromPool[node](t.p, cur)
-	if err != nil {
-		return 0, false, err
-	}
-	return leaf.Value, true, nil
-}
+func (t *Tree) Lookup(k uint64) (uint64, bool, error) { return t.lookup(t.p.Get, k) }
 
 // LookupTx is Lookup inside the caller's transaction, observing the
 // transaction's own uncommitted writes.
 func (t *Tree) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
-	a, err := pangolin.Get[anchor](tx, t.anchor)
+	return t.lookup(tx.Get, k)
+}
+
+// lookup finds k, reading each node through get.
+func (t *Tree) lookup(get pangolin.Getter, k uint64) (uint64, bool, error) {
+	a, err := pangolin.Read[anchor](get, t.anchor)
 	if err != nil {
 		return 0, false, err
 	}
 	cur := a.Root
 	for d := 0; d < depth; d++ {
-		n, err := pangolin.Get[node](tx, cur)
+		n, err := pangolin.Read[node](get, cur)
 		if err != nil {
 			return 0, false, err
 		}
@@ -150,7 +134,7 @@ func (t *Tree) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
 			return 0, false, nil
 		}
 	}
-	leaf, err := pangolin.Get[node](tx, cur)
+	leaf, err := pangolin.Read[node](get, cur)
 	if err != nil {
 		return 0, false, err
 	}

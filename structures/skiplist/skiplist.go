@@ -92,108 +92,61 @@ func (l *List) randLevel() uint64 {
 	return lv
 }
 
-// seek descends the tower pointers to the last node (possibly the head
-// sentinel) whose key is strictly below k: seek(k).Next[0] is the first
-// node with key >= k. Direct, pure reads (the concurrent-read contract);
-// shared by Lookup and Scan.
-func (l *List) seek(head pangolin.OID, k uint64) (*node, error) {
-	cur, err := pangolin.GetFromPool[node](l.p, head)
+// seek descends the tower pointers, reading through get, to the last node
+// (possibly the head sentinel) whose key is strictly below k at every
+// level: update[lv] is that node at level lv, and pred, the one at level
+// 0, has pred.Next[0] the first node with key >= k. Pure reads (the
+// concurrent-read contract); Lookup, LookupTx, Scan, InsertTx and
+// RemoveTx all descend here.
+func seek(get pangolin.Getter, head pangolin.OID, k uint64) (pred *node, update [maxLevel]pangolin.OID, err error) {
+	curOID := head
+	cur, err := pangolin.Read[node](get, head)
 	if err != nil {
-		return nil, err
+		return nil, update, err
 	}
 	for lv := maxLevel - 1; lv >= 0; lv-- {
 		for !cur.Next[lv].IsNil() {
-			nxt, err := pangolin.GetFromPool[node](l.p, cur.Next[lv])
+			nxt, err := pangolin.Read[node](get, cur.Next[lv])
 			if err != nil {
-				return nil, err
+				return nil, update, err
 			}
 			if nxt.Key >= k {
 				break
 			}
-			cur = nxt
+			curOID, cur = cur.Next[lv], nxt
 		}
+		update[lv] = curOID
 	}
-	return cur, nil
+	return cur, update, nil
 }
 
 // Lookup finds k with direct reads. It is a pure read (no pool writes,
 // no handle state), honoring the kv.Map concurrent-read contract: on a
 // ReadView instance it may run concurrently with other Lookups, gated
 // against commits by the caller.
-func (l *List) Lookup(k uint64) (uint64, bool, error) {
-	a, err := pangolin.GetFromPool[anchor](l.p, l.anchor)
-	if err != nil {
-		return 0, false, err
-	}
-	cur, err := l.seek(a.Head, k)
-	if err != nil {
-		return 0, false, err
-	}
-	if cur.Next[0].IsNil() {
-		return 0, false, nil
-	}
-	cand, err := pangolin.GetFromPool[node](l.p, cur.Next[0])
-	if err != nil {
-		return 0, false, err
-	}
-	if cand.Key == k {
-		return cand.Value, true, nil
-	}
-	return 0, false, nil
-}
-
-// findUpdate returns, inside a transaction, the predecessors of k at every
-// level (read-only traversal).
-func (l *List) findUpdate(tx *pangolin.Tx, head pangolin.OID, k uint64) ([maxLevel]pangolin.OID, error) {
-	var update [maxLevel]pangolin.OID
-	curOID := head
-	cur, err := pangolin.Get[node](tx, curOID)
-	if err != nil {
-		return update, err
-	}
-	for lv := maxLevel - 1; lv >= 0; lv-- {
-		for !cur.Next[lv].IsNil() {
-			nxt, err := pangolin.Get[node](tx, cur.Next[lv])
-			if err != nil {
-				return update, err
-			}
-			if nxt.Key >= k {
-				break
-			}
-			curOID = cur.Next[lv]
-			cur = nxt
-		}
-		update[lv] = curOID
-	}
-	return update, nil
-}
+func (l *List) Lookup(k uint64) (uint64, bool, error) { return l.lookup(l.p.Get, k) }
 
 // LookupTx is Lookup inside the caller's transaction, observing the
 // transaction's own uncommitted writes.
 func (l *List) LookupTx(tx *pangolin.Tx, k uint64) (uint64, bool, error) {
-	a, err := pangolin.Get[anchor](tx, l.anchor)
+	return l.lookup(tx.Get, k)
+}
+
+// lookup finds k, reading each node through get.
+func (l *List) lookup(get pangolin.Getter, k uint64) (uint64, bool, error) {
+	a, err := pangolin.Read[anchor](get, l.anchor)
 	if err != nil {
 		return 0, false, err
 	}
-	update, err := l.findUpdate(tx, a.Head, k)
-	if err != nil {
+	pred, _, err := seek(get, a.Head, k)
+	if err != nil || pred.Next[0].IsNil() {
 		return 0, false, err
 	}
-	pred0, err := pangolin.Get[node](tx, update[0])
-	if err != nil {
+	cand, err := pangolin.Read[node](get, pred.Next[0])
+	if err != nil || cand.Key != k {
 		return 0, false, err
 	}
-	if pred0.Next[0].IsNil() {
-		return 0, false, nil
-	}
-	cand, err := pangolin.Get[node](tx, pred0.Next[0])
-	if err != nil {
-		return 0, false, err
-	}
-	if cand.Key == k {
-		return cand.Value, true, nil
-	}
-	return 0, false, nil
+	return cand.Value, true, nil
 }
 
 // Insert adds or updates k in one transaction.
@@ -208,11 +161,7 @@ func (l *List) InsertTx(tx *pangolin.Tx, k, v uint64) error {
 	if err != nil {
 		return err
 	}
-	update, err := l.findUpdate(tx, a.Head, k)
-	if err != nil {
-		return err
-	}
-	pred0, err := pangolin.Get[node](tx, update[0])
+	pred0, update, err := seek(tx.Get, a.Head, k)
 	if err != nil {
 		return err
 	}
@@ -282,11 +231,7 @@ func (l *List) RemoveTx(tx *pangolin.Tx, k uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	update, err := l.findUpdate(tx, a.Head, k)
-	if err != nil {
-		return false, err
-	}
-	pred0, err := pangolin.Get[node](tx, update[0])
+	pred0, update, err := seek(tx.Get, a.Head, k)
 	if err != nil {
 		return false, err
 	}
@@ -344,11 +289,11 @@ func (l *List) Scan(lo, hi uint64, fn func(k, v uint64) bool) error {
 	if err != nil {
 		return err
 	}
-	cur, err := l.seek(a.Head, lo)
+	pred, _, err := seek(l.p.Get, a.Head, lo)
 	if err != nil {
 		return err
 	}
-	oid := cur.Next[0]
+	oid := pred.Next[0]
 	for !oid.IsNil() {
 		n, err := pangolin.GetFromPool[node](l.p, oid)
 		if err != nil {

@@ -129,24 +129,26 @@ func Open[T any](tx *Tx, oid OID) (*T, error) {
 	return View[T](data)
 }
 
-// Get returns a typed read-only view of the object (pgl_get semantics: no
-// checksum verification under VerifyDefault).
-func Get[T any](tx *Tx, oid OID) (*T, error) {
-	data, err := tx.Get(oid)
+// Getter reads an object's user data: Pool.Get outside a transaction,
+// Tx.Get inside one. A structure's lookup walk takes one, so its Lookup
+// and LookupTx share one descent.
+type Getter func(OID) ([]byte, error)
+
+// Read returns a typed read-only view of the object read through get.
+func Read[T any](get Getter, oid OID) (*T, error) {
+	data, err := get(oid)
 	if err != nil {
 		return nil, err
 	}
 	return View[T](data)
 }
 
+// Get returns a typed read-only view of the object (pgl_get semantics:
+// see Pool.Get for the verification rule).
+func Get[T any](tx *Tx, oid OID) (*T, error) { return Read[T](tx.Get, oid) }
+
 // GetFromPool is Get without a transaction.
-func GetFromPool[T any](p *Pool, oid OID) (*T, error) {
-	data, err := p.Get(oid)
-	if err != nil {
-		return nil, err
-	}
-	return View[T](data)
-}
+func GetFromPool[T any](p *Pool, oid OID) (*T, error) { return Read[T](p.Get, oid) }
 
 // Root returns the pool's root object as type T, allocating it on first
 // use.
