@@ -25,17 +25,43 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"github.com/pangolin-go/pangolin/internal/bench"
 )
+
+// experiments in the order "all" runs them.
+var experiments = []struct {
+	name string
+	run  func(io.Writer, bench.Config) error
+}{
+	{"table2", func(w io.Writer, _ bench.Config) error { bench.Table2(w); return nil }},
+	{"fig3", bench.Fig3},
+	{"fig4", bench.Fig4},
+	{"fig5", bench.Fig5},
+	{"fig6", bench.Fig6},
+	{"table3", bench.Table3},
+	{"table4", bench.Table4},
+	{"mem", bench.Mem},
+	{"recover", bench.Recover},
+	{"xover", bench.Xover},
+	{"ext", bench.Ext},
+	{"scrub", bench.Scrub},
+}
 
 func main() {
 	full := flag.Bool("full", false, "paper-scale workloads (1M KV ops; takes much longer)")
 	ops := flag.Int("ops", 0, "override per-cell operation count")
 	kvops := flag.Int("kvops", 0, "override KV operation count")
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pglbench [-full] [-ops N] [-kvops N] {fig3|fig4|fig5|fig6|table2|table3|table4|mem|recover|xover|ext|scrub|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: pglbench [-full] [-ops N] [-kvops N] {%s}\n", strings.Join(names, "|"))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -53,60 +79,19 @@ func main() {
 	if *kvops > 0 {
 		cfg.KVOps = *kvops
 	}
-	w := os.Stdout
-	run := func(name string) error {
-		switch name {
-		case "fig3":
-			return bench.Fig3(w, cfg)
-		case "fig4":
-			return bench.Fig4(w, cfg)
-		case "fig5":
-			return bench.Fig5(w, cfg)
-		case "fig6":
-			return bench.Fig6(w, cfg)
-		case "table2":
-			bench.Table2(w)
-			return nil
-		case "table3":
-			return bench.Table3(w, cfg)
-		case "table4":
-			return bench.Table4(w, cfg)
-		case "mem":
-			return bench.Mem(w, cfg)
-		case "recover":
-			return bench.Recover(w, cfg)
-		case "xover":
-			return bench.Xover(w, cfg)
-		case "ext":
-			return bench.Ext(w, cfg)
-		case "scrub":
-			return bench.Scrub(w, cfg)
-		case "all":
-			bench.Table2(w)
-			for _, f := range []func() error{
-				func() error { return bench.Fig3(w, cfg) },
-				func() error { return bench.Fig4(w, cfg) },
-				func() error { return bench.Fig5(w, cfg) },
-				func() error { return bench.Fig6(w, cfg) },
-				func() error { return bench.Table3(w, cfg) },
-				func() error { return bench.Table4(w, cfg) },
-				func() error { return bench.Mem(w, cfg) },
-				func() error { return bench.Recover(w, cfg) },
-				func() error { return bench.Xover(w, cfg) },
-				func() error { return bench.Ext(w, cfg) },
-				func() error { return bench.Scrub(w, cfg) },
-			} {
-				if err := f(); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
+	name, ran := flag.Arg(0), false
+	for _, e := range experiments {
+		if name != "all" && name != e.name {
+			continue
+		}
+		ran = true
+		if err := e.run(os.Stdout, cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "pglbench: %v\n", err)
+			os.Exit(1)
 		}
 	}
-	if err := run(flag.Arg(0)); err != nil {
-		fmt.Fprintf(os.Stderr, "pglbench: %v\n", err)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "pglbench: unknown experiment %q\n", name)
 		os.Exit(1)
 	}
 }

@@ -6,8 +6,9 @@
 // If dir is missing or holds no shard files the set is created with
 // -shards shards of -structure; otherwise the existing set is opened
 // (crash-recovering every shard) and -shards / -structure are ignored. A
-// directory whose shard files do not form a set (a shard missing, or one
-// in both backend forms) is an error, never a reason to create over it.
+// directory whose shard files do not form a set (a shard missing, or
+// shards in both backend forms) is an error, never a reason to create
+// over it.
 // GETs are served on the concurrent verified-read fast path
 // (checksum-verified lookups from the connection handlers' goroutines,
 // no worker hop); STATS reports fast_gets/fast_fallbacks. With
@@ -53,7 +54,7 @@ func main() {
 	shards := flag.Int("shards", 4, "shard count when creating a new set")
 	structure := flag.String("structure", "hashmap", fmt.Sprintf("kv structure when creating: %v", registry.Names()))
 	backend := flag.String("backend", "",
-		"per-shard storage backend when creating: pangolin (default), logstore, or a comma list cycled across shards (\"pangolin,logstore\" alternates); opening an existing set rediscovers each shard's backend from disk")
+		"storage backend every shard runs when creating: pangolin (default) or logstore; opening an existing set rediscovers it from disk")
 	logSegBytes := flag.Int64("log-segment-bytes", 0,
 		"logstore shards' segment rotation threshold in bytes when creating; 0 selects the engine default (small values force compaction traffic, for tests and A/B runs)")
 	mode := flag.String("mode", "pangolin-mlpc",
@@ -69,17 +70,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// ParseMode rejects "pmemobj" with a typed error (and unknown names
+	// with a naming error) instead of silently serving another mode.
+	m, err := shard.ParseMode(*mode)
+	if err != nil {
+		log.Fatalf("pglserve: -mode: %v", err)
+	}
 	geo := pangolin.DefaultGeometry()
 	geo.NumZones = *zones
-	// The mode name goes through shard.Options.Mode, the explicit
-	// channel: shard rejects "pmemobj" with a typed error (and unknown
-	// names with a naming error) instead of silently serving another
-	// mode.
 	opts := shard.Options{
 		Structure:       *structure,
 		Backend:         *backend,
-		Mode:            *mode,
-		Pangolin:        pangolin.Config{Geometry: geo},
+		Pangolin:        pangolin.Config{Mode: m, Geometry: geo},
 		LogSegmentBytes: *logSegBytes,
 		ScrubInterval:   *scrubInterval,
 	}
@@ -96,15 +98,12 @@ func main() {
 	}
 
 	// Only a directory with no shard files in either on-disk form (pool
-	// file or logstore directory) is created; any other discovery failure
-	// is a damaged set and stops the server before it writes anything.
-	var set *shard.Set
-	_, err := shard.DiscoverBackends(*dir)
+	// file or logstore directory) is created; any other Open failure —
+	// a damaged set included — stops the server before it writes
+	// anything.
+	set, err := shard.Open(*dir, opts)
 	recovered := err == nil
-	switch {
-	case recovered:
-		set, err = shard.Open(*dir, opts)
-	case errors.Is(err, shard.ErrNoShards):
+	if errors.Is(err, shard.ErrNoShards) {
 		set, err = shard.Create(*dir, *shards, opts)
 	}
 	if err != nil {

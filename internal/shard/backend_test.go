@@ -116,55 +116,6 @@ func TestLogstoreSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedBackendSet alternates pangolin and logstore shards in one
-// set: both kinds must serve the same data path, stats must name both
-// backends in shard order, and reopen must rediscover the layout.
-func TestMixedBackendSet(t *testing.T) {
-	dir := t.TempDir()
-	s := newSet(t, dir, 4, Options{Backend: "pangolin,logstore"})
-	for k := uint64(0); k < 400; k++ {
-		if err := s.Put(k, k*3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	// Backends lists the distinct backends serving (shard order of first
-	// appearance); per-shard assignment is in Shards[].Backend.
-	if st.Backends != "pangolin,logstore" {
-		t.Fatalf("Backends = %q", st.Backends)
-	}
-	for i, sh := range st.Shards {
-		want := "pangolin"
-		if i%2 == 1 {
-			want = "logstore"
-		}
-		if sh.Backend != want {
-			t.Fatalf("shard %d backend %q, want %q", i, sh.Backend, want)
-		}
-	}
-	if st.Segments == 0 {
-		t.Fatal("mixed set reports zero log segments")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Abandon()
-	if got := s2.Stats().Backends; got != "pangolin,logstore" {
-		t.Fatalf("reopened Backends = %q", got)
-	}
-	for k := uint64(0); k < 400; k++ {
-		v, ok, err := s2.Get(k)
-		if err != nil || !ok || v != k*3 {
-			t.Fatalf("key %d = (%d,%v,%v)", k, v, ok, err)
-		}
-	}
-}
-
 // TestLogstoreCrashReopen crashes a log-backed set mid-load: everything
 // synced must survive, the unsynced tail must recover to a prefix-
 // consistent state per shard, and the recovered set must accept writes.
@@ -272,33 +223,68 @@ func TestLogstoreMaintCompacts(t *testing.T) {
 	}
 }
 
-// TestDiscoverBackendsRejectsGaps pins the layout validation: a missing
-// middle shard (or a shard present in both forms) must fail Open with a
-// message naming the problem instead of silently renumbering.
+// TestDiscoverBackendsRejectsGaps pins the layout validation in both
+// on-disk forms: a missing middle shard must fail Open with a message
+// naming the problem instead of silently renumbering.
 func TestDiscoverBackendsRejectsGaps(t *testing.T) {
+	for _, tc := range []struct{ backend, middle string }{
+		{"pangolin", "shard-0001.pgl"},
+		{"logstore", "shard-0001.log"},
+	} {
+		t.Run(tc.backend, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := newSet(t, dir, 3, Options{Backend: tc.backend}).Close(); err != nil {
+				t.Fatal(err)
+			}
+			if backend, n, err := discover(dir); err != nil || backend != tc.backend || n != 3 {
+				t.Fatalf("discover = (%q, %d, %v), want (%q, 3, nil)", backend, n, err, tc.backend)
+			}
+			if err := os.RemoveAll(filepath.Join(dir, tc.middle)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := discover(dir); err == nil || !strings.Contains(err.Error(), "no shard 1") {
+				t.Fatalf("gap not detected: %v", err)
+			}
+			if s, err := Open(dir, Options{}); err == nil {
+				s.Abandon()
+				t.Fatal("Open accepted a set with a missing shard")
+			}
+		})
+	}
+}
+
+// TestMixedBackendDirRefused: a set runs one backend, so a directory
+// holding shard-0000.pgl beside shard-0001.log (each moved in from a
+// whole set of its own backend) is refused by Open with an error naming
+// both forms, and by Create without touching the directory.
+func TestMixedBackendDirRefused(t *testing.T) {
 	dir := t.TempDir()
-	s := newSet(t, dir, 3, Options{Backend: "pangolin,logstore,pangolin"})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	for _, f := range []struct{ backend, name string }{
+		{"pangolin", "shard-0000.pgl"},
+		{"logstore", "shard-0001.log"},
+	} {
+		src := t.TempDir()
+		if err := newSet(t, src, 2, Options{Backend: f.backend}).Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(filepath.Join(src, f.name), filepath.Join(dir, f.name)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	backends, err := DiscoverBackends(dir)
-	if err != nil {
-		t.Fatal(err)
+	s, err := Open(dir, Options{})
+	if err == nil {
+		s.Abandon()
 	}
-	if want := []string{"pangolin", "logstore", "pangolin"}; len(backends) != 3 ||
-		backends[0] != want[0] || backends[1] != want[1] || backends[2] != want[2] {
-		t.Fatalf("DiscoverBackends = %v, want %v", backends, want)
+	if err == nil || !strings.Contains(err.Error(), "shard-0000.pgl") || !strings.Contains(err.Error(), "shard-0001.log") {
+		t.Fatalf("Open(mixed directory) = %v, want an error naming shard-0000.pgl and shard-0001.log", err)
 	}
-	// Knock out the middle shard's on-disk form: discovery must fail.
-	if err := os.RemoveAll(filepath.Join(dir, "shard-0001.log")); err != nil {
-		t.Fatal(err)
+	before := dirImage(t, dir)
+	if s, err := Create(dir, 2, Options{}); err == nil {
+		s.Abandon()
+		t.Fatal("Create wrote a set over a mixed directory")
 	}
-	if _, err := DiscoverBackends(dir); err == nil ||
-		!strings.Contains(err.Error(), "1") {
-		t.Fatalf("gap not detected: %v", err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a set with a missing shard")
+	if after := dirImage(t, dir); !maps.Equal(before, after) {
+		t.Fatalf("refused Create changed the directory:\nbefore %v\nafter  %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
 	}
 }
 
@@ -309,11 +295,25 @@ func TestDiscoverBackendsRejectsGaps(t *testing.T) {
 // shard-free directory reports ErrNoShards, the state Create accepts.
 func TestCreateRefusesExistingShards(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := DiscoverBackends(dir); !errors.Is(err, ErrNoShards) {
-		t.Fatalf("DiscoverBackends(empty) = %v, want ErrNoShards", err)
+	// A backend name Create does not know (a comma list included) is
+	// refused before anything is written.
+	for _, name := range []string{"bitcask", "pangolin,logstore"} {
+		sub := filepath.Join(dir, "unknown")
+		if s, err := Create(sub, 2, Options{Backend: name}); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+			if err == nil {
+				s.Abandon()
+			}
+			t.Fatalf("Create(Backend=%q) = %v, want an unknown-backend error", name, err)
+		}
+		if _, err := os.Stat(sub); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("refused Create(Backend=%q) left %s behind: %v", name, sub, err)
+		}
 	}
-	if _, err := DiscoverBackends(filepath.Join(dir, "missing")); !errors.Is(err, ErrNoShards) {
-		t.Fatalf("DiscoverBackends(missing) = %v, want ErrNoShards", err)
+	if _, _, err := discover(dir); !errors.Is(err, ErrNoShards) {
+		t.Fatalf("discover(empty) = %v, want ErrNoShards", err)
+	}
+	if _, err := Open(filepath.Join(dir, "missing"), Options{}); !errors.Is(err, ErrNoShards) {
+		t.Fatalf("Open(missing) = %v, want ErrNoShards", err)
 	}
 	s := newSet(t, dir, 3, Options{Backend: "logstore"})
 	if err := s.Close(); err != nil {
@@ -333,8 +333,8 @@ func TestCreateRefusesExistingShards(t *testing.T) {
 	if after := dirImage(t, dir); !maps.Equal(before, after) {
 		t.Fatalf("refused Create changed the directory:\nbefore %v\nafter  %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
 	}
-	if _, err := DiscoverBackends(dir); err == nil || errors.Is(err, ErrNoShards) {
-		t.Fatalf("DiscoverBackends(damaged) = %v, want the gap error", err)
+	if _, _, err := discover(dir); err == nil || errors.Is(err, ErrNoShards) {
+		t.Fatalf("discover(damaged) = %v, want the gap error", err)
 	}
 }
 

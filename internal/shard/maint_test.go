@@ -238,7 +238,7 @@ func TestSetScrubMergedReport(t *testing.T) {
 	}
 
 	// A checksum-less mode says so in the merged report.
-	s2 := newSet(t, t.TempDir(), 2, Options{Mode: "pangolin-mlp"})
+	s2 := newSet(t, t.TempDir(), 2, Options{Pangolin: pangolin.Config{Mode: pangolin.ModePangolinMLP}})
 	defer s2.Abandon()
 	if err := s2.Put(1, 1); err != nil {
 		t.Fatal(err)

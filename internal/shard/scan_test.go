@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/pangolin-go/pangolin"
 )
 
 // Tests for the cross-shard ordered scan: global ordering and
@@ -168,50 +170,80 @@ func TestScanShuttingDownTyped(t *testing.T) {
 	}
 }
 
-// TestModePmemobjRejectedExplicitly: the named mode channel rejects the
-// unprotected baseline with the typed error instead of silently serving
-// full protection, while the zero-value default still selects MLPC and
-// the other names select what they say.
+// TestModePmemobjRejectedExplicitly: ParseMode, the name channel,
+// rejects the unprotected baseline with the typed error instead of
+// letting it read as the zero-value default, gives an unknown name a
+// distinct naming error, and resolves the servable names to their modes.
 func TestModePmemobjRejectedExplicitly(t *testing.T) {
-	if _, err := Create(t.TempDir(), 1, Options{Mode: "pmemobj"}); !errors.Is(err, ErrUnprotectedMode) {
-		t.Fatalf("Create(Mode=pmemobj) = %v, want ErrUnprotectedMode", err)
+	if _, err := ParseMode("pmemobj"); !errors.Is(err, ErrUnprotectedMode) {
+		t.Fatalf("ParseMode(pmemobj) = %v, want ErrUnprotectedMode", err)
 	}
-	if _, err := Open(t.TempDir(), Options{Mode: "pmemobj"}); !errors.Is(err, ErrUnprotectedMode) {
-		t.Fatalf("Open(Mode=pmemobj) = %v, want ErrUnprotectedMode", err)
+	if _, err := ParseMode("protect-me-not"); err == nil || errors.Is(err, ErrUnprotectedMode) {
+		t.Fatalf("ParseMode(unknown) = %v, want a distinct naming error", err)
 	}
-	if _, err := Create(t.TempDir(), 1, Options{Mode: "protect-me-not"}); err == nil || errors.Is(err, ErrUnprotectedMode) {
-		t.Fatalf("Create(unknown mode) = %v, want a distinct naming error", err)
+	want := []pangolin.Mode{pangolin.ModePangolin, pangolin.ModePangolinML, pangolin.ModePangolinMLP, pangolin.ModePangolinMLPC}
+	for i, name := range ModeNames() {
+		if m, err := ParseMode(name); err != nil || m != want[i] {
+			t.Fatalf("ParseMode(%q) = (%v, %v), want %v", name, m, err, want[i])
+		}
 	}
-	// Zero-value default: full protection.
-	opts := Options{}
-	cfg, err := opts.config()
-	if err != nil || cfg.Mode != 4 { // ModePangolinMLPC
-		t.Fatalf("zero-value config = (%v mode %d), want MLPC", err, cfg.Mode)
-	}
-	// Named weaker-but-protected modes resolve to themselves.
-	opts = Options{Mode: "pangolin-ml"}
-	if cfg, err := opts.config(); err != nil || cfg.Mode != 2 {
-		t.Fatalf("pangolin-ml config = (%v mode %d)", err, cfg.Mode)
-	}
-	// The named channel and a working set: create/open round-trips.
-	dir := t.TempDir()
-	s, err := Create(dir, 2, Options{Mode: "pangolin-mlp", Structure: "ctree"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Options{Mode: "pangolin-mlp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Abandon()
-	if v, ok, err := s2.Get(1); err != nil || !ok || v != 2 {
-		t.Fatalf("get after reopen = (%d,%v,%v)", v, ok, err)
+}
+
+// TestNumericModesRefuseOrRoundTrip: every numeric mode is either
+// refused by Create and Open with ErrUnprotectedMode, or serves a set
+// that round-trips Create → Put → Close → Open → Get. A mode that
+// creates but cannot reopen (a pmemobj replica pool's snapshot files
+// carry no replica) would strand every write. Zero serves MLPC.
+func TestNumericModesRefuseOrRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		mode, serves pangolin.Mode
+		refused      bool
+	}{
+		{mode: pangolin.ModePmemobj, serves: pangolin.ModePangolinMLPC},
+		{mode: pangolin.ModePangolin, serves: pangolin.ModePangolin},
+		{mode: pangolin.ModePangolinML, serves: pangolin.ModePangolinML},
+		{mode: pangolin.ModePangolinMLP, serves: pangolin.ModePangolinMLP},
+		{mode: pangolin.ModePangolinMLPC, serves: pangolin.ModePangolinMLPC},
+		{mode: pangolin.ModePmemobjR, refused: true},
+		{mode: pangolin.ModePmemobjP, refused: true},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Structure: "ctree", Pangolin: pangolin.Config{Mode: tc.mode}}
+			s, err := Create(dir, 2, opts)
+			if tc.refused {
+				if err == nil {
+					s.Abandon()
+				}
+				if !errors.Is(err, ErrUnprotectedMode) {
+					t.Fatalf("Create = %v, want ErrUnprotectedMode", err)
+				}
+				if _, err := Open(dir, opts); !errors.Is(err, ErrUnprotectedMode) {
+					t.Fatalf("Open = %v, want ErrUnprotectedMode", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg, err := opts.config(); err != nil || cfg.Mode != tc.serves {
+				t.Fatalf("config = (mode %v, %v), want mode %v", cfg.Mode, err, tc.serves)
+			}
+			if err := s.Put(1, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer s2.Abandon()
+			if v, ok, err := s2.Get(1); err != nil || !ok || v != 2 {
+				t.Fatalf("get after reopen = (%d,%v,%v)", v, ok, err)
+			}
+		})
 	}
 }
 

@@ -23,14 +23,14 @@
 // the worker queue, whose repairing path serializes with everything
 // else.
 //
-// Backends are selected per shard (Options.Backend): the pangolin
+// A set runs one backend on every shard (Options.Backend): the pangolin
 // backend persists as one snapshot file per shard (shard-%04d.pgl, via
 // pangolin.PoolSet) and the log backend as one segment directory per
-// shard (shard-%04d.log), side by side in the set directory — Open
-// rediscovers each shard's backend from which form is present. Each
-// shard records its structure, index, and set size (the pangolin root /
-// the log manifest) so Open can reattach and can reject a directory
-// whose shards disagree (e.g. a file restored from the wrong set).
+// shard (shard-%04d.log) — Open rediscovers the backend from which form
+// is present. Each shard records its structure, index, and set size
+// (the pangolin root / the log manifest) so Open can reattach and can
+// reject a directory whose shards disagree (e.g. a file restored from
+// the wrong set).
 package shard
 
 import (
@@ -39,7 +39,6 @@ import (
 	"io/fs"
 	"os"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -57,41 +56,28 @@ import (
 // lifecycle event rather than data-path corruption.
 var ErrShuttingDown = errors.New("shard set shutting down")
 
-// ErrUnprotectedMode reports an explicit request for the unprotected
-// pmemobj baseline through a service set. The baseline is numerically
-// the zero Mode, so the numeric Config field cannot distinguish "asked
-// for pmemobj" from "left at the default"; Options.Mode can, and an
-// explicit "pmemobj" is rejected with this error instead of being
-// silently upgraded to full protection (the pre-fix behavior, which
-// served a different mode than the operator asked for).
-var ErrUnprotectedMode = errors.New("shard: the unprotected pmemobj mode is not servable (a serving layer that silently dropped every protection would be a footgun)")
+// ErrUnprotectedMode reports a request for one of the pmemobj baselines
+// through a service set: ModePmemobjR or ModePmemobjP in
+// Options.Pangolin.Mode, or the name "pmemobj" given to ParseMode. The
+// plain baseline is numerically the zero Mode, which Options reads as
+// the default, so only the name can ask for it.
+var ErrUnprotectedMode = errors.New("shard: the unprotected pmemobj modes are not servable (a serving layer that silently dropped every protection would be a footgun)")
 
 // Options configures a shard set.
 type Options struct {
 	// Structure selects the kv structure by registry name; default
 	// "hashmap".
 	Structure string
-	// Backend selects each shard's storage backend: "pangolin" (the
-	// paper's engine; default), "logstore" (the append-only log
-	// baseline), or a comma list cycled across the shards ("pangolin,
-	// logstore" alternates) so one set can mix backends for A/B runs.
-	// Open ignores it — each shard's backend is rediscovered from its
-	// on-disk form.
+	// Backend selects the storage engine every shard runs: "pangolin"
+	// (the paper's engine; default) or "logstore" (the append-only log
+	// baseline). Open ignores it: the backend is rediscovered from the
+	// shards' on-disk form.
 	Backend string
-	// Mode selects each shard pool's operation mode BY NAME ("pangolin",
-	// "pangolin-ml", "pangolin-mlp", "pangolin-mlpc"), overriding
-	// Pangolin.Mode. Empty defers to Pangolin.Mode. This is the explicit
-	// channel: requesting "pmemobj" fails with ErrUnprotectedMode, and an
-	// unknown name is an error, where the numeric field below cannot tell
-	// an explicit pmemobj request from the zero-value default. Pangolin
-	// shards only; the log backend has no modes.
-	Mode string
-	// Pangolin configures each pangolin shard pool. A zero (pmemobj)
-	// Mode always selects ModePangolinMLPC, the fully protected system:
-	// the unprotected baseline is numerically zero, so this field cannot
-	// carry an explicit pmemobj request — use Mode, which rejects it
-	// with a typed error instead of silently upgrading. Pangolin.Scrub
-	// also bounds every backend's maintenance steps.
+	// Pangolin configures each pangolin shard pool. A zero Mode selects
+	// ModePangolinMLPC, the fully protected system; the four Pangolin
+	// modes select themselves; ModePmemobjR and ModePmemobjP fail with
+	// ErrUnprotectedMode. Pangolin.Scrub also bounds every backend's
+	// maintenance steps.
 	Pangolin pangolin.Config
 	// LogSegmentBytes is the log backend's segment rotation threshold;
 	// 0 selects the logstore default. Small values force rotation and
@@ -135,23 +121,31 @@ func ModeNames() []string {
 	return []string{"pangolin", "pangolin-ml", "pangolin-mlp", "pangolin-mlpc"}
 }
 
+// ParseMode resolves a servable mode name (ModeNames) for
+// Options.Pangolin.Mode. "pmemobj" fails with ErrUnprotectedMode, and an
+// unknown name with an error naming the choices.
+func ParseMode(name string) (pangolin.Mode, error) {
+	if name == "pmemobj" {
+		return 0, ErrUnprotectedMode
+	}
+	m, ok := modeNames[name]
+	if !ok {
+		return 0, fmt.Errorf("shard: unknown mode %q (have %v)", name, ModeNames())
+	}
+	return m, nil
+}
+
 func (o *Options) config() (pangolin.Config, error) {
 	cfg := o.Pangolin
-	switch o.Mode {
-	case "":
-		// Numeric path: zero (== ModePmemobj) is indistinguishable from
-		// "unset" and means the fully protected default.
-		if cfg.Mode == pangolin.ModePmemobj {
-			cfg.Mode = pangolin.ModePangolinMLPC
-		}
-	case "pmemobj":
-		return cfg, ErrUnprotectedMode
+	switch cfg.Mode {
+	case pangolin.ModePmemobj:
+		// Zero is indistinguishable from unset: the protected default.
+		cfg.Mode = pangolin.ModePangolinMLPC
+	case pangolin.ModePangolin, pangolin.ModePangolinML, pangolin.ModePangolinMLP, pangolin.ModePangolinMLPC:
+	case pangolin.ModePmemobjR, pangolin.ModePmemobjP:
+		return cfg, fmt.Errorf("%w: got %v", ErrUnprotectedMode, cfg.Mode)
 	default:
-		m, ok := modeNames[o.Mode]
-		if !ok {
-			return cfg, fmt.Errorf("shard: unknown mode %q (have %v)", o.Mode, ModeNames())
-		}
-		cfg.Mode = m
+		return cfg, fmt.Errorf("shard: unknown mode %v", cfg.Mode)
 	}
 	return cfg, nil
 }
@@ -192,14 +186,18 @@ type Set struct {
 	maint     *maintenance // background scrub scheduler; nil when disabled
 }
 
-// Create builds a new n-shard set in dir and starts its workers. The
-// per-shard backends come from opts.Backend; pangolin shards of the set
-// share one pangolin.PoolSet (sparse when backends are mixed). Create
-// refuses a directory that already holds any shard file, whole set or
-// damaged: a new set written beside a surviving shard would never
-// reopen.
+// makeStore makes shard i's store and reports the structure it holds.
+type makeStore func(i int) (store.Store, string, error)
+
+// Create builds a new n-shard set in dir on opts.Backend and starts its
+// workers. Create refuses a directory that already holds any shard
+// file, whole set or damaged: a new set written beside a surviving
+// shard would never reopen.
 func Create(dir string, n int, opts Options) (*Set, error) {
-	switch _, err := DiscoverBackends(dir); {
+	if n < 1 {
+		return nil, fmt.Errorf("shard: a set needs at least 1 shard, got %d", n)
+	}
+	switch _, _, err := discover(dir); {
 	case err == nil:
 		return nil, fmt.Errorf("shard: %s already holds a shard set", dir)
 	case !errors.Is(err, ErrNoShards):
@@ -213,34 +211,33 @@ func Create(dir string, n int, opts Options) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	backends, err := store.ParseBackendSpec(opts.Backend, n)
-	if err != nil {
-		return nil, err
-	}
-	o := newOpening(backends)
-	// NewPoolSetShards defers the snapshot writes: the Sync below
-	// persists the pools once, with their roots already initialized.
-	if len(o.pgIdx) > 0 {
-		if o.pools, err = pangolin.NewPoolSetShards(dir, n, o.pgIdx, cfg); err != nil {
+	var mk makeStore
+	release := func() {}
+	switch opts.Backend {
+	case "", store.BackendPangolin:
+		// NewPoolSetShards defers the snapshot writes: the Sync below
+		// persists the pools once, with their roots already initialized.
+		pools, err := pangolin.NewPoolSetShards(dir, n, shardIndexes(n), cfg)
+		if err != nil {
 			return nil, err
 		}
-	} else if err := os.MkdirAll(dir, 0o777); err != nil {
-		return nil, err
-	}
-	for i := range o.stores {
-		var st store.Store
-		switch backends[i] {
-		case store.BackendPangolin:
-			st, err = pangolinstore.Create(o.pools, i, structure, cfg.Scrub)
-		case store.BackendLog:
-			st, err = logstore.Create(logstore.ShardDir(dir, i), opts.logOptions(structure.Name, i, n))
+		release = pools.Close
+		mk = func(i int) (store.Store, string, error) {
+			st, err := pangolinstore.Create(pools, i, structure, cfg.Scrub)
+			return st, structure.Name, err
 		}
-		if err != nil {
-			return o.fail(i, fmt.Errorf("shard %d (%s): %w", i, backends[i], err))
+	case store.BackendLog:
+		if err := os.MkdirAll(dir, 0o777); err != nil {
+			return nil, err
 		}
-		o.stores[i] = st
+		mk = func(i int) (store.Store, string, error) {
+			st, err := logstore.Create(logstore.ShardDir(dir, i), opts.logOptions(structure.Name, i, n))
+			return st, structure.Name, err
+		}
+	default:
+		return nil, fmt.Errorf("shard: unknown backend %q (have %v)", opts.Backend, store.Backends())
 	}
-	s, err := o.start(dir, structure, opts)
+	s, err := build(dir, n, opts, mk, release)
 	if err != nil {
 		return nil, err
 	}
@@ -254,52 +251,47 @@ func Create(dir string, n int, opts Options) (*Set, error) {
 	return s, nil
 }
 
-// Open reopens the set in dir — rediscovering each shard's backend from
-// its on-disk form, running crash recovery on every shard — reattaches
-// each shard's structure, and starts the workers. opts.Structure and
-// opts.Backend are ignored; both are read from the shards themselves.
+// Open reopens the set in dir — rediscovering its backend from the
+// shards' on-disk form, running crash recovery on every shard —
+// reattaches each shard's structure, and starts the workers.
+// opts.Structure and opts.Backend are ignored; both are read from the
+// shards themselves. A directory without shard files fails with
+// ErrNoShards.
 func Open(dir string, opts Options) (*Set, error) {
 	cfg, err := opts.config()
 	if err != nil {
 		return nil, err
 	}
-	backends, err := DiscoverBackends(dir)
+	backend, n, err := discover(dir)
 	if err != nil {
 		return nil, err
 	}
-	n := len(backends)
-	o := newOpening(backends)
-	if len(o.pgIdx) > 0 {
-		if o.pools, err = pangolin.OpenPoolSetShards(dir, n, o.pgIdx, cfg); err != nil {
+	var mk makeStore
+	release := func() {}
+	switch backend {
+	case store.BackendPangolin:
+		pools, err := pangolin.OpenPoolSetShards(dir, n, shardIndexes(n), cfg)
+		if err != nil {
 			return nil, err
 		}
-	}
-	var structure registry.Structure
-	for i := range o.stores {
-		var name string
-		switch backends[i] {
-		case store.BackendPangolin:
-			st, err := pangolinstore.Open(o.pools, i, cfg.Scrub)
+		release = pools.Close
+		mk = func(i int) (store.Store, string, error) {
+			st, err := pangolinstore.Open(pools, i, cfg.Scrub)
 			if err != nil {
-				return o.fail(i, fmt.Errorf("shard %d: %w", i, err))
+				return nil, "", err
 			}
-			o.stores[i], name = st, st.Structure().Name
-		case store.BackendLog:
+			return st, st.Structure().Name, nil
+		}
+	case store.BackendLog:
+		mk = func(i int) (store.Store, string, error) {
 			st, err := logstore.Open(logstore.ShardDir(dir, i), opts.logOptions("", i, n))
 			if err != nil {
-				return o.fail(i, fmt.Errorf("shard %d: %w", i, err))
+				return nil, "", err
 			}
-			o.stores[i], name = st, st.Structure()
-		}
-		if i == 0 {
-			if structure, err = registry.ByName(name); err != nil {
-				return o.fail(i+1, fmt.Errorf("shard %d: %w", i, err))
-			}
-		} else if name != structure.Name {
-			return o.fail(i+1, fmt.Errorf("shard %d holds %s but shard 0 holds %s", i, name, structure.Name))
+			return st, st.Structure(), nil
 		}
 	}
-	s, err := o.start(dir, structure, opts)
+	s, err := build(dir, n, opts, mk, release)
 	if err != nil {
 		return nil, err
 	}
@@ -307,47 +299,44 @@ func Open(dir string, opts Options) (*Set, error) {
 	return s, nil
 }
 
-// opening is a set's storage while Create or Open brings it up.
-type opening struct {
-	stores []store.Store
-	pools  *pangolin.PoolSet // the pangolin shards' pools; nil when there are none
-	pgIdx  []int             // the pangolin shards' indexes
+func shardIndexes(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
 
-func newOpening(backends []string) *opening {
-	o := &opening{stores: make([]store.Store, len(backends))}
-	for i, b := range backends {
-		if b == store.BackendPangolin {
-			o.pgIdx = append(o.pgIdx, i)
+// build makes the set's n stores with mk, checks that every shard holds
+// shard 0's structure, and starts one worker per store. On a failure it
+// closes the stores already made and calls release, which frees what mk
+// had not yet wrapped in a store (the pangolin pools).
+func build(dir string, n int, opts Options, mk makeStore, release func()) (*Set, error) {
+	s := &Set{dir: dir}
+	fail := func(i int, err error) (*Set, error) {
+		s.Abandon()
+		release()
+		return nil, fmt.Errorf("shard %d: %w", i, err)
+	}
+	for i := range n {
+		st, name, err := mk(i)
+		if err != nil {
+			return fail(i, err)
+		}
+		s.stores = append(s.stores, st)
+		if i == 0 {
+			s.structure, err = registry.ByName(name)
+		} else if name != s.structure.Name {
+			err = fmt.Errorf("holds %s but shard 0 holds %s", name, s.structure.Name)
+		}
+		if err != nil {
+			return fail(i, err)
 		}
 	}
-	return o
-}
-
-// fail closes the first upto stores, and the pangolin pools not yet
-// wrapped in a store, and returns err.
-func (o *opening) fail(upto int, err error) (*Set, error) {
-	for _, st := range o.stores[:upto] {
-		st.Close()
-	}
-	if o.pools != nil {
-		for _, pi := range o.pgIdx {
-			if pi >= upto {
-				o.pools.Pool(pi).Close()
-			}
-		}
-	}
-	return nil, err
-}
-
-// start attaches each store's read view and starts its worker.
-func (o *opening) start(dir string, structure registry.Structure, opts Options) (*Set, error) {
-	s := &Set{dir: dir, stores: o.stores, structure: structure}
-	for i, st := range o.stores {
+	for i, st := range s.stores {
 		view, err := st.ReadView()
 		if err != nil {
-			s.Abandon()
-			return nil, fmt.Errorf("shard %d: attach read view: %w", i, err)
+			return fail(i, fmt.Errorf("attach read view: %w", err))
 		}
 		s.workers = append(s.workers, newWorker(i, st, view, opts.queueLen(), opts.maxBatch()))
 	}
@@ -358,32 +347,32 @@ func (o *opening) start(dir string, structure registry.Structure, opts Options) 
 // files: the one state in which Create may build a set there.
 var ErrNoShards = errors.New("no shard files")
 
-// DiscoverBackends reads a set directory's per-shard backend layout:
-// shard i is pangolin when shard-%04d.pgl (a file) is present and
-// logstore when shard-%04d.log (a directory) is. Every index in
-// [0, max] must appear in exactly one form. A missing directory, or one
+// discover reads a set directory's layout: its backend — pangolin when
+// the shards are shard-%04d.pgl files, logstore when they are
+// shard-%04d.log directories — and its shard count. Every index in
+// [0, n) must be present, all in one form. A missing directory, or one
 // without shard files, fails with ErrNoShards.
-func DiscoverBackends(dir string) ([]string, error) {
+func discover(dir string) (backend string, n int, err error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("shard: %w: %w", ErrNoShards, err)
+		return "", 0, fmt.Errorf("shard: %w: %w", ErrNoShards, err)
 	}
 	if err != nil {
-		return nil, err
+		return "", 0, err
 	}
-	backendAt := make(map[int]string)
-	max := -1
+	present := make(map[int]bool)
+	var first string // the first shard file, in backend's form
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, "shard-") || len(name) < len("shard-")+4 {
 			continue
 		}
-		var backend string
+		var b string
 		switch {
 		case strings.HasSuffix(name, ".pgl") && !e.IsDir():
-			backend = store.BackendPangolin
+			b = store.BackendPangolin
 		case strings.HasSuffix(name, ".log") && e.IsDir():
-			backend = store.BackendLog
+			b = store.BackendLog
 		default:
 			continue
 		}
@@ -391,26 +380,24 @@ func DiscoverBackends(dir string) ([]string, error) {
 		if err != nil {
 			continue
 		}
-		if prev, dup := backendAt[i]; dup {
-			return nil, fmt.Errorf("shard: %s holds both %s and %s files for shard %d", dir, prev, backend, i)
+		if backend == "" {
+			backend, first = b, name
+		} else if b != backend {
+			return "", 0, fmt.Errorf("shard: %s holds both %s (%s) and %s (%s) shards; a set runs one backend",
+				dir, backend, first, b, name)
 		}
-		backendAt[i] = backend
-		if i > max {
-			max = i
+		present[i] = true
+		n = max(n, i+1)
+	}
+	if n == 0 {
+		return "", 0, fmt.Errorf("shard: %s: %w", dir, ErrNoShards)
+	}
+	for i := range n {
+		if !present[i] {
+			return "", 0, fmt.Errorf("shard: shard files not contiguous: %s has no shard %d", dir, i)
 		}
 	}
-	if max < 0 {
-		return nil, fmt.Errorf("shard: %s: %w", dir, ErrNoShards)
-	}
-	out := make([]string, max+1)
-	for i := range out {
-		b, ok := backendAt[i]
-		if !ok {
-			return nil, fmt.Errorf("shard: shard files not contiguous: %s has no shard %d", dir, i)
-		}
-		out[i] = b
-	}
-	return out, nil
+	return backend, n, nil
 }
 
 // mix is the splitmix64 finalizer: it decorrelates shard choice from key
@@ -684,14 +671,10 @@ func (s *Set) Stats() Stats {
 		NumShards: len(s.workers),
 		Shards:    make([]ShardStats, len(s.workers)),
 	}
-	var backends []string
 	var oldest int64
 	for i, r := range s.broadcast(request{op: opStats}) {
 		sh := r.stats
 		st.Shards[i] = sh
-		if !slices.Contains(backends, sh.Backend) {
-			backends = append(backends, sh.Backend)
-		}
 		st.add(&sh.Counters)
 		if i == 0 || sh.LastFullPass < oldest {
 			oldest = sh.LastFullPass
@@ -701,7 +684,7 @@ func (s *Set) Stats() Stats {
 	// whole set is only as freshly verified as its most stale shard, and
 	// 0 (never) while any shard has yet to complete a pass.
 	st.LastFullPass = oldest
-	st.Backends = strings.Join(backends, ",")
+	st.Backends = st.Shards[0].Backend
 	return st
 }
 
@@ -859,8 +842,8 @@ type ShardStats struct {
 // Stats aggregates the set's counters.
 type Stats struct {
 	Structure string `json:"structure"`
-	// Backends lists the distinct shard backends in shard order
-	// ("pangolin", "logstore", or "pangolin,logstore" for a mixed set).
+	// Backends names the backend every shard runs ("pangolin" or
+	// "logstore").
 	Backends  string `json:"backends"`
 	NumShards int    `json:"num_shards"`
 	Counters

@@ -36,13 +36,10 @@ type SetSnapshot struct {
 // inside one — and the shards pin in parallel, so the snapshot vector
 // is acquired in one queue round-trip per shard, not a set-wide freeze.
 //
-// The set snapshot is all-or-nothing: if any shard's backend lacks the
-// store.SnapshotViewer capability the open fails with a typed
-// store.ErrSnapshotUnsupported naming that shard and backend, and every
-// pin already taken is released. A set mixing snapshot-capable and
-// incapable backends therefore cannot serve snapshots at all — the
-// alternative, a "snapshot" that pins some shards and reads the others
-// live, is exactly the silent downgrade this API exists to forbid.
+// The set snapshot is all-or-nothing: if any shard fails to pin (it is
+// shutting down) the open fails and every pin already taken is
+// released, never a "snapshot" that pins some shards and reads the
+// others live.
 func (s *Set) OpenSnapshot() (*SetSnapshot, error) {
 	snaps := make([]*store.Snapshot, len(s.workers))
 	var first error

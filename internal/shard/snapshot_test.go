@@ -46,7 +46,13 @@ func collectSnap(t *testing.T, sn *SetSnapshot, limit int) []Pair {
 // serves the new state; Release is idempotent and fails later pages with
 // the typed staleness error.
 func TestSetSnapshotPinnedImage(t *testing.T) {
-	s := newSet(t, t.TempDir(), 3, Options{Structure: "btree", Backend: "pangolin,logstore"})
+	for _, backend := range store.Backends() {
+		t.Run(backend, func(t *testing.T) { testSetSnapshotPinnedImage(t, backend) })
+	}
+}
+
+func testSetSnapshotPinnedImage(t *testing.T, backend string) {
+	s := newSet(t, t.TempDir(), 3, Options{Structure: "btree", Backend: backend})
 	defer s.Close()
 	const n = 200
 	for k := uint64(0); k < n; k++ {
@@ -125,7 +131,13 @@ func TestSetSnapshotPinnedImage(t *testing.T) {
 // the set-level proof that the snapshot vector pins one committed state
 // across shards for its whole lifetime. Run with -race.
 func TestSetSnapshotStableUnderWrites(t *testing.T) {
-	s := newSet(t, t.TempDir(), 4, Options{Structure: "btree", Backend: "pangolin,logstore"})
+	for _, backend := range store.Backends() {
+		t.Run(backend, func(t *testing.T) { testSetSnapshotStableUnderWrites(t, backend) })
+	}
+}
+
+func testSetSnapshotStableUnderWrites(t *testing.T, backend string) {
+	s := newSet(t, t.TempDir(), 4, Options{Structure: "btree", Backend: backend})
 	defer s.Close()
 	const keys = 512
 	for k := uint64(0); k < keys; k++ {
@@ -180,31 +192,5 @@ func TestSetSnapshotStableUnderWrites(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("repeated snapshot scans diverged at %d: %+v vs %+v", i, first[i], second[i])
 		}
-	}
-}
-
-// TestSetSnapshotUnsupportedShard: a set containing one shard whose
-// backend lacks the snapshot capability refuses to open a snapshot at
-// all — typed error, no shard left pinned — rather than pinning some
-// shards and silently reading the rest live.
-func TestSetSnapshotUnsupportedShard(t *testing.T) {
-	s := newSet(t, t.TempDir(), 3, Options{Structure: "btree"})
-	defer s.Close()
-	for k := uint64(0); k < 50; k++ {
-		if err := s.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Strip one shard's capability; the worker then answers opSnapOpen
-	// with the typed refusal, exactly as for a backend that never
-	// type-asserted to store.SnapshotViewer.
-	s.workers[1].snapper = nil
-	_, err := s.OpenSnapshot()
-	if !errors.Is(err, store.ErrSnapshotUnsupported) {
-		t.Fatalf("OpenSnapshot over a capability-stripped shard = %v, want ErrSnapshotUnsupported", err)
-	}
-	// All-or-nothing: the capable shards' pins were released on failure.
-	if st := s.Stats(); st.SnapshotPins != 0 {
-		t.Fatalf("failed open left %d pins held", st.SnapshotPins)
 	}
 }

@@ -36,7 +36,7 @@ const (
 	opScrub     // a full pass: bounded steps interleaved with requests
 	opScrubStep // one bounded step of the shard's background maintenance
 	opInject    // corrupt a random live object (fault-injection hook)
-	opSnapOpen  // pin the shard's current generation (store.SnapshotViewer)
+	opSnapOpen  // pin the shard's current generation (Store.OpenSnapshot)
 )
 
 // BatchOp is one operation inside a batch.
@@ -178,15 +178,9 @@ type worker struct {
 	maxBatch int
 	ordered  bool // the store's Scan yields ascending keys
 
-	// Optional backend capabilities, type-asserted once at construction;
-	// nil when the backend does not provide them. scrubber serves full
-	// SCRUB passes and the repair-retry heal path; injector serves
-	// INJECT (nil reports "nothing injected"); snapper serves pinned-
-	// generation snapshots (nil answers opSnapOpen with the typed
-	// store.ErrSnapshotUnsupported — never a silently weaker scan).
-	scrubber store.ScrubRunner
+	// injector serves INJECT, type-asserted once at construction; nil
+	// when the backend cannot inject (reported as "nothing injected").
 	injector store.FaultInjector
-	snapper  store.SnapshotViewer
 
 	// Concurrent verified-read fast path (gatedRead). view is the store's
 	// ReadView handle; callers' goroutines run verified reads
@@ -269,9 +263,7 @@ func newWorker(idx int, st store.Store, view store.View, queueLen, maxBatch int)
 		reqs:     make(chan request, queueLen),
 		exited:   make(chan struct{}),
 	}
-	w.scrubber, _ = st.(store.ScrubRunner)
 	w.injector, _ = st.(store.FaultInjector)
-	w.snapper, _ = st.(store.SnapshotViewer)
 	go w.loop()
 	return w
 }
@@ -592,18 +584,12 @@ func (w *worker) loop() {
 
 // startFullScrub begins (or joins) a full scrub pass for the waiter. The
 // loop steps the pass whenever the queue is idle; every waiter gets the
-// completed pass's merged report. A backend without the ScrubRunner
-// capability answers immediately with an empty report whose
-// ChecksumsVerified is false — "nothing was verified", not an error.
+// completed pass's merged report.
 func (w *worker) startFullScrub(reply chan response) {
-	if w.scrubber == nil {
-		reply <- response{scrub: pangolin.ScrubReport{}}
-		return
-	}
 	if w.fullScrub == nil {
 		w.fullScrub = &fullScrubJob{
-			sc:    w.scrubber.NewScrubPass(),
-			total: pangolin.ScrubReport{ChecksumsVerified: w.scrubber.ChecksumsVerified()},
+			sc:    w.st.NewScrubPass(),
+			total: pangolin.ScrubReport{ChecksumsVerified: w.st.ChecksumsVerified()},
 		}
 	}
 	w.fullScrub.waiters = append(w.fullScrub.waiters, reply)
@@ -847,9 +833,6 @@ func (w *worker) withHeal(fn func() error) error {
 	if err == nil || (!pangolin.IsCorruption(err) && !pangolin.IsPoison(err)) {
 		return err
 	}
-	if w.scrubber == nil {
-		return err // no pass to heal with
-	}
 	key := faultKey(err)
 	if time.Since(w.healsThrottle) < healCooldown {
 		return err
@@ -913,8 +896,8 @@ func faultKey(err error) uint64 {
 // again on return) — the shard never reverts to a stop-the-world pass,
 // even on the repair path.
 func (w *worker) healPass() (pangolin.ScrubReport, error) {
-	sc := w.scrubber.NewScrubPass()
-	total := pangolin.ScrubReport{ChecksumsVerified: w.scrubber.ChecksumsVerified()}
+	sc := w.st.NewScrubPass()
+	total := pangolin.ScrubReport{ChecksumsVerified: w.st.ChecksumsVerified()}
 	for {
 		rep, done, err := sc.Step()
 		total.Add(rep)
@@ -978,10 +961,7 @@ func (w *worker) handle(req request) response {
 		// worker so the pin lands between group commits, never mid-batch —
 		// the version buffer's staging decision is then stable for every
 		// whole batch after the pin.
-		if w.snapper == nil {
-			return response{err: fmt.Errorf("shard %d (%s): %w", w.idx, w.st.Backend(), store.ErrSnapshotUnsupported)}
-		}
-		sn, err := w.snapper.OpenSnapshot()
+		sn, err := w.st.OpenSnapshot()
 		if err != nil {
 			w.c.Errors++
 			return response{err: fmt.Errorf("shard %d: %w", w.idx, err)}

@@ -413,14 +413,8 @@ func TestContractCapabilities(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, h harness) {
 		st := h.create(t, t.TempDir())
 		defer st.Close()
-		if _, ok := st.(store.ScrubRunner); !ok {
-			t.Fatal("backend lacks ScrubRunner (both in-repo backends provide it)")
-		}
 		if _, ok := st.(store.FaultInjector); ok != h.injects {
 			t.Fatalf("FaultInjector presence = %v, want %v", ok, h.injects)
-		}
-		if _, ok := st.(store.SnapshotViewer); !ok {
-			t.Fatal("backend lacks SnapshotViewer (both in-repo backends provide it)")
 		}
 	})
 }
@@ -459,7 +453,7 @@ func TestContractScrubPassCleanStore(t *testing.T) {
 		for k := uint64(0); k < 200; k++ {
 			mustApply(t, st, store.Op{Kind: store.OpPut, K: k, V: k})
 		}
-		sc := st.(store.ScrubRunner).NewScrubPass()
+		sc := st.NewScrubPass()
 		total := pangolin.ScrubReport{ChecksumsVerified: true}
 		for i := 0; ; i++ {
 			rep, done, err := sc.Step()
@@ -483,42 +477,9 @@ func TestContractScrubPassCleanStore(t *testing.T) {
 	})
 }
 
-func TestParseBackendSpec(t *testing.T) {
-	cases := []struct {
-		spec   string
-		shards int
-		want   []string
-		err    bool
-	}{
-		{"", 3, []string{"pangolin", "pangolin", "pangolin"}, false},
-		{"pangolin", 2, []string{"pangolin", "pangolin"}, false},
-		{"logstore", 2, []string{"logstore", "logstore"}, false},
-		{"pangolin,logstore", 4, []string{"pangolin", "logstore", "pangolin", "logstore"}, false},
-		{" logstore , pangolin ", 3, []string{"logstore", "pangolin", "logstore"}, false},
-		{"bitcask", 1, nil, true},
-		{"pangolin,,logstore", 2, nil, true},
-	}
-	for _, c := range cases {
-		got, err := store.ParseBackendSpec(c.spec, c.shards)
-		if c.err {
-			if err == nil {
-				t.Fatalf("ParseBackendSpec(%q) succeeded, want error", c.spec)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("ParseBackendSpec(%q): %v", c.spec, err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Fatalf("ParseBackendSpec(%q) = %v, want %v", c.spec, got, c.want)
-		}
-	}
-}
-
 // --- Snapshot contract -------------------------------------------------
 //
-// Both in-repo engines implement store.SnapshotViewer; these tests pin
-// its semantics: reads resolve at exactly the pinned generation while
+// Every store implements OpenSnapshot; these tests pin its semantics: reads resolve at exactly the pinned generation while
 // commits proceed, release (or eviction) fails reads with the typed
 // ErrSnapshotTooOld, and the version-buffer gauges account for the pins.
 
@@ -538,14 +499,10 @@ func TestContractSnapshotPinnedReads(t *testing.T) {
 	forEachBackendSnap(t, func(t *testing.T, h harness) {
 		st := h.create(t, t.TempDir())
 		defer st.Close()
-		sv, ok := st.(store.SnapshotViewer)
-		if !ok {
-			t.Fatal("backend lacks SnapshotViewer")
-		}
 		for k := uint64(0); k < 50; k++ {
 			mustApply(t, st, store.Op{Kind: store.OpPut, K: k, V: k * 10})
 		}
-		sn, err := sv.OpenSnapshot()
+		sn, err := st.OpenSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -642,11 +599,10 @@ func TestContractSnapshotPinEviction(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, h harness) {
 		st := h.create(t, t.TempDir())
 		defer st.Close()
-		sv := st.(store.SnapshotViewer)
 		mustApply(t, st, store.Op{Kind: store.OpPut, K: 0, V: 0})
 		snaps := make([]*store.Snapshot, 0, store.DefaultMaxPins+1)
 		for i := 0; i <= store.DefaultMaxPins; i++ {
-			sn, err := sv.OpenSnapshot()
+			sn, err := st.OpenSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -683,7 +639,6 @@ func TestContractSnapshotTorture(t *testing.T) {
 	forEachBackendSnap(t, func(t *testing.T, h harness) {
 		st := h.create(t, t.TempDir())
 		defer st.Close()
-		sv := st.(store.SnapshotViewer)
 		const nKeys = 96
 		batch := func(r uint64) []store.Op {
 			ops := make([]store.Op, nKeys)
@@ -730,7 +685,7 @@ func TestContractSnapshotTorture(t *testing.T) {
 				defer readerWG.Done()
 				for i := 0; i < 15; i++ {
 					gate.RLock()
-					sn, err := sv.OpenSnapshot()
+					sn, err := st.OpenSnapshot()
 					gate.RUnlock()
 					if err != nil {
 						errc <- err

@@ -99,7 +99,7 @@ func ShardDir(dir string, i int) string {
 // Options configures a log store.
 type Options struct {
 	// Structure is the set's kv structure name, recorded in the manifest
-	// so mixed-backend sets can verify agreement on open (the log engine
+	// so a set can verify its shards agree on open (the log engine
 	// itself is structure-less; scans are unordered).
 	Structure string
 	// Index / Count are this shard's position and the set size, recorded
@@ -185,11 +185,7 @@ type Store struct {
 	closed bool
 }
 
-var (
-	_ store.Store          = (*Store)(nil)
-	_ store.ScrubRunner    = (*Store)(nil)
-	_ store.SnapshotViewer = (*Store)(nil)
-)
+var _ store.Store = (*Store)(nil)
 
 func segPath(dir string, id int) string  { return filepath.Join(dir, fmt.Sprintf("%06d.seg", id)) }
 func hintPath(dir string, id int) string { return filepath.Join(dir, fmt.Sprintf("%06d.hint", id)) }

@@ -273,10 +273,10 @@ type view struct{ s *Store }
 // ReadView implements store.ReadViewer.
 func (s *Store) ReadView() (store.View, error) { return view{s: s}, nil }
 
-// OpenSnapshot implements store.SnapshotViewer: pin the current
-// committed generation (the batch counter) in the version buffer.
-// Subsequent batches preserve overwritten pre-states there, so the
-// snapshot resolves every read at exactly the pinned generation.
+// OpenSnapshot pins the current committed generation (the batch
+// counter) in the version buffer. Subsequent batches preserve
+// overwritten pre-states there, so the snapshot resolves every read at
+// exactly the pinned generation.
 func (s *Store) OpenSnapshot() (*store.Snapshot, error) {
 	if s.closed {
 		return nil, fmt.Errorf("logstore: store closed")

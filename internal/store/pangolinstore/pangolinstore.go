@@ -3,8 +3,7 @@
 // device — to the store.Store interface. This is the integrity-heavy
 // backend: every commit maintains per-object checksums and zone parity,
 // reads verify what they return, and corruption heals online, so it
-// implements every optional capability (FaultInjector, ScrubRunner,
-// SnapshotViewer).
+// also implements the optional store.FaultInjector.
 //
 // Each shard's pool carries a persistent root object recording which kv
 // structure the shard holds, the shard's index and the set size, and
@@ -40,7 +39,7 @@ type shardRoot struct {
 
 // Store is one shard's Pangolin engine: the pool, the kv structure
 // instance attached to it, and the PoolSet slot its snapshots persist
-// through. It satisfies store.Store plus all three capabilities.
+// through. It satisfies store.Store and store.FaultInjector.
 type Store struct {
 	pools     *pangolin.PoolSet
 	idx       int
@@ -53,10 +52,8 @@ type Store struct {
 }
 
 var (
-	_ store.Store          = (*Store)(nil)
-	_ store.FaultInjector  = (*Store)(nil)
-	_ store.ScrubRunner    = (*Store)(nil)
-	_ store.SnapshotViewer = (*Store)(nil)
+	_ store.Store         = (*Store)(nil)
+	_ store.FaultInjector = (*Store)(nil)
 )
 
 // Create initializes shard idx of pools with a fresh structure instance
@@ -299,11 +296,11 @@ func (s *Store) ReadView() (store.View, error) {
 	return roView{m: m}, nil
 }
 
-// OpenSnapshot implements store.SnapshotViewer: pin the current
-// committed generation (the store's applied-batch count) in the
-// version buffer. Subsequent commits preserve each overwritten key's
-// prior state there, so the snapshot resolves every read at exactly
-// the pinned generation while group commits proceed.
+// OpenSnapshot pins the current committed generation (the store's
+// applied-batch count) in the version buffer. Subsequent commits
+// preserve each overwritten key's prior state there, so the snapshot
+// resolves every read at exactly the pinned generation while group
+// commits proceed.
 func (s *Store) OpenSnapshot() (*store.Snapshot, error) {
 	return s.vb.Open(s.Ordered()), nil
 }
@@ -318,11 +315,11 @@ type scrubPass struct{ sc *pangolin.Scrubber }
 
 func (p scrubPass) Step() (pangolin.ScrubReport, bool, error) { return p.sc.Step() }
 
-// NewScrubPass implements store.ScrubRunner: a fresh full-pass scrubber
+// NewScrubPass returns a fresh full-pass scrubber
 // over the pool, stepped to its fixpoint by the owner.
 func (s *Store) NewScrubPass() store.ScrubPass {
 	return scrubPass{sc: s.pool.NewScrubber(s.scrubCfg)}
 }
 
-// ChecksumsVerified implements store.ScrubRunner.
+// ChecksumsVerified follows the pool's mode.
 func (s *Store) ChecksumsVerified() bool { return s.pool.Mode().Checksums() }

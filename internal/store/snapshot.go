@@ -7,18 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// Typed snapshot errors. ErrSnapshotTooOld surfaces on a snapshot whose
-// pinned generation was evicted from the version buffer (pin cap or
-// retention cap exceeded, or the buffer invalidated after an unreadable
-// pre-state): the snapshot can no longer prove its generation's bytes,
-// so it refuses to answer rather than degrade to live reads.
-// ErrSnapshotUnsupported is the capability-absent verdict the shard
-// layer returns for backends without SnapshotViewer — an explicit "this
-// backend cannot do that", never a silent downgrade.
-var (
-	ErrSnapshotTooOld      = errors.New("store: snapshot too old: pinned generation evicted from the version buffer")
-	ErrSnapshotUnsupported = errors.New("store: backend does not support MVCC snapshots")
-)
+// ErrSnapshotTooOld surfaces on a snapshot whose pinned generation was
+// evicted from the version buffer (pin cap or retention cap exceeded,
+// or the buffer invalidated after an unreadable pre-state): the
+// snapshot can no longer prove its generation's bytes, so it refuses to
+// answer rather than degrade to live reads.
+var ErrSnapshotTooOld = errors.New("store: snapshot too old: pinned generation evicted from the version buffer")
 
 // Version-buffer bounds. The buffer is strictly bounded: at most
 // DefaultMaxPins distinct pinned generations (opening past the cap
@@ -43,7 +37,7 @@ type version struct {
 }
 
 // VersionBuffer is the bounded undo/version buffer behind a backend's
-// SnapshotViewer capability, shared by both in-repo engines. The engine
+// OpenSnapshot, shared by both in-repo engines. The engine
 // drives it from its owner goroutine around every Apply:
 //
 //	if vb.Recording() { vb.Stage(k, preVal, wasPresent) } // per mutated key

@@ -5,10 +5,9 @@
 // crash-image persistence, one bounded background-maintenance step (the
 // maintenance scheduler's tick unit), stats, and lifecycle. Everything
 // above this interface — worker goroutines, the reader gate, group
-// commit, the wire protocol — is backend-agnostic, so one server can
-// mix shards of different engines and the benchmarks can race the
-// paper's protections against an unprotected in-repo baseline instead
-// of a fork.
+// commit, the wire protocol — is backend-agnostic, so a set can run on
+// either engine and the benchmarks can race the paper's protections
+// against an unprotected in-repo baseline instead of a fork.
 //
 // Two backends ship in-repo:
 //
@@ -34,21 +33,16 @@
 // Apply/Save/CrashSave/ScrubStep for the duration of each call — the
 // shard layer's per-shard reader gate is the canonical provider.
 //
-// # Capability interfaces
+// # Capabilities
 //
-// Backends opt into features instead of stubbing them: a FaultInjector
-// serves the INJECT wire op, a ScrubRunner serves full SCRUB passes and
-// the worker's repair-and-retry heal path, and a SnapshotViewer serves
-// pinned-generation scans. The shard layer type-asserts and degrades
-// gracefully when a capability is absent.
+// Every Store runs full scrub passes and pins MVCC snapshots: both are
+// part of the contract, so a set can never serve a weaker snapshot than
+// it was asked for. The one optional interface is FaultInjector, which
+// serves the INJECT wire op; a backend that cannot heal what it would
+// inject (logstore) leaves it out, and INJECT reports the capable count.
 package store
 
-import (
-	"fmt"
-	"strings"
-
-	"github.com/pangolin-go/pangolin"
-)
+import "github.com/pangolin-go/pangolin"
 
 // Op kinds, the operation vocabulary of Apply.
 const (
@@ -96,7 +90,7 @@ type Stats struct {
 	// not routine housekeeping (logstore only).
 	QuarantinedSegments int
 
-	// MVCC snapshot counters (backends implementing SnapshotViewer).
+	// MVCC snapshot counters (OpenSnapshot's version buffer).
 	SnapshotPins     int // distinct generations currently pinned
 	VersionsRetained int // superseded versions held for pinned snapshots
 }
@@ -146,6 +140,21 @@ type Store interface {
 	// cursor otherwise. done reports a completed full cycle over the
 	// store's state, after which the cursor starts over.
 	ScrubStep() (pangolin.ScrubReport, bool, error)
+	// NewScrubPass starts one full integrity pass: the SCRUB wire op and
+	// the worker's repair-and-retry heal path step it to its fixpoint.
+	NewScrubPass() ScrubPass
+	// ChecksumsVerified reports whether scrub passes actually verify
+	// per-object integrity (false for checksum-less pangolin modes), so
+	// a merged report cannot pass "0 bad objects" off as "verified
+	// clean".
+	ChecksumsVerified() bool
+	// OpenSnapshot pins the store's current committed generation and
+	// returns a Snapshot whose reads resolve at exactly that generation
+	// while commits proceed (overwritten versions stay in the store's
+	// VersionBuffer for as long as the pin is held). Called from the
+	// owner goroutine only, so a pin never lands mid-batch; Release is
+	// safe from any goroutine.
+	OpenSnapshot() (*Snapshot, error)
 	// Stats snapshots occupancy and engine counters.
 	Stats() Stats
 	// Close releases the store without saving.
@@ -189,30 +198,6 @@ type ScrubPass interface {
 	Step() (rep pangolin.ScrubReport, done bool, err error)
 }
 
-// ScrubRunner is the full-pass scrub capability: the SCRUB wire op and
-// the worker's repair-and-retry heal path. ChecksumsVerified reports
-// whether passes actually verify per-object integrity (false for
-// checksum-less pangolin modes), so a merged report cannot pass "0 bad
-// objects" off as "verified clean".
-type ScrubRunner interface {
-	NewScrubPass() ScrubPass
-	ChecksumsVerified() bool
-}
-
-// SnapshotViewer is the MVCC snapshot capability: OpenSnapshot pins the
-// store's current committed generation and returns a Snapshot whose
-// reads resolve at exactly that generation while commits proceed (the
-// backend preserves overwritten versions in its VersionBuffer for as
-// long as the pin is held). Backends that cannot provide this MUST NOT
-// implement the interface — the shard layer then fails snapshot
-// requests with ErrSnapshotUnsupported rather than silently serving
-// weaker consistency. Called from the owner goroutine only (the shard
-// worker serializes it with Apply so a pin never lands mid-batch);
-// Release is safe from any goroutine.
-type SnapshotViewer interface {
-	OpenSnapshot() (*Snapshot, error)
-}
-
 // Backend names.
 const (
 	BackendPangolin = "pangolin"
@@ -221,29 +206,3 @@ const (
 
 // Backends returns the selectable backend names.
 func Backends() []string { return []string{BackendPangolin, BackendLog} }
-
-// ParseBackendSpec expands a backend spec into one backend name per
-// shard. The spec is a comma-separated list cycled across the shards —
-// "" and "pangolin" give every shard the paper's engine, "logstore"
-// gives every shard the log engine, and "pangolin,logstore" alternates,
-// so one set mixes integrity-heavy and raw-speed shards. Names are
-// validated against Backends().
-func ParseBackendSpec(spec string, shards int) ([]string, error) {
-	if spec == "" {
-		spec = BackendPangolin
-	}
-	names := strings.Split(spec, ",")
-	for i, n := range names {
-		names[i] = strings.TrimSpace(n)
-		switch names[i] {
-		case BackendPangolin, BackendLog:
-		default:
-			return nil, fmt.Errorf("store: unknown backend %q (have %v)", names[i], Backends())
-		}
-	}
-	out := make([]string, shards)
-	for i := range out {
-		out[i] = names[i%len(names)]
-	}
-	return out, nil
-}

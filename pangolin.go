@@ -121,8 +121,9 @@ var ErrNeedReopen = core.ErrNeedReopen
 
 // Config configures pool creation and opening.
 type Config struct {
-	// Mode is the operation mode; the zero value is ModePangolinMLPC,
-	// the fully protected system.
+	// Mode is the operation mode. The zero value is ModePmemobj, the
+	// unprotected baseline; DefaultConfig selects ModePangolinMLPC, the
+	// fully protected system.
 	Mode Mode
 	// Policy selects checksum verification timing.
 	Policy VerifyPolicy
@@ -135,9 +136,6 @@ type Config struct {
 	// ParityThreshold overrides the hybrid parity crossover in bytes
 	// (default 8 KB, §3.5).
 	ParityThreshold int
-	// TrackPersistence enables crash simulation on the new device
-	// (default on; disable only for pure throughput benchmarking).
-	DisableTracking bool
 	// Zero forces zeroing the device at create time: required for
 	// devices with prior contents, and the one-time pool-init cost the
 	// paper measures in §4.2 (fresh devices are already zero).
@@ -176,7 +174,7 @@ type Pool struct {
 // DefaultConfig() or set Mode explicitly for the protected modes.
 func Create(cfg Config) (*Pool, error) {
 	geo := cfg.geometry()
-	dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: !cfg.DisableTracking})
+	dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
 	return CreateOnDevice(dev, cfg)
 }
 

@@ -16,13 +16,7 @@ import (
 // set's layout; PoolSet supplies the storage substrate: per-shard
 // create/open/close and snapshot-per-shard durability.
 //
-// Shard files are named shard-0000.pgl, shard-0001.pgl, … A set may be
-// SPARSE: in a mixed-backend service (internal/store) only some shard
-// indices are Pangolin pools — the rest belong to other engines that
-// keep their own files in the same directory — so NewPoolSetShards and
-// OpenPoolSetShards populate just the indices they are given and leave
-// nil holes. Len reports the full set size; the per-index operations
-// must only be called on populated slots.
+// Shard files are named shard-0000.pgl, shard-0001.pgl, …
 type PoolSet struct {
 	dir   string
 	pools []*Pool
@@ -34,8 +28,8 @@ func ShardFile(dir string, i int) string {
 }
 
 // NewPoolSetShards creates fresh pools at the given indices of an
-// n-shard set in dir (created if missing), leaving the other slots nil
-// for a different engine's shards. No shard file is written until
+// n-shard set in dir (created if missing), leaving the other slots nil.
+// No shard file is written until
 // SaveShard, so a caller that initializes pool contents right away pays
 // for one snapshot write, not two. It refuses to overwrite an existing
 // shard file at a requested index.
@@ -72,9 +66,7 @@ func NewPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, e
 
 // OpenPoolSetShards opens the shard files at the given indices of an
 // n-shard set (running crash recovery on each) and leaves the other
-// slots nil. The caller supplies the set size and membership — in a
-// mixed-backend directory the other indices belong to other engines, so
-// there is no file count to discover it from.
+// slots nil. The caller supplies the set size and membership.
 func OpenPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pangolin: pool set needs at least 1 shard, got %d", n)
@@ -98,8 +90,7 @@ func OpenPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, 
 // Len returns the number of shards in the set, populated or not.
 func (s *PoolSet) Len() int { return len(s.pools) }
 
-// Pool returns shard i's pool (nil for an unpopulated index of a sparse
-// set).
+// Pool returns shard i's pool (nil for an index not populated).
 func (s *PoolSet) Pool(i int) *Pool { return s.pools[i] }
 
 // SaveShard persists shard i to its snapshot file. The shard must have no

@@ -15,9 +15,8 @@ import (
 // Backup is a SNAPSCAN loop over full pages on a Client it dials and
 // closes itself; closing the connection (on completion, early stop, or
 // failure) releases any pins the server still holds for it.
-// Server-side failures arrive as typed errors (ErrSnapshotUnsupported
-// when a shard backend cannot snapshot, ErrSnapshotTooOld when the pins
-// were evicted mid-stream); either way the stream ends with the error,
+// Server-side failures arrive as typed errors (ErrSnapshotTooOld when
+// the pins were evicted mid-stream); the stream ends with the error,
 // never with a silently truncated image. ctx bounds the whole stream:
 // cancelling it closes the connection, and the error wraps ctx.Err().
 func Backup(ctx context.Context, addr string, fn func(k, v uint64) bool) error {

@@ -155,13 +155,9 @@
 //     evicted — or released — snapshot fail with SNAP_TOO_OLD
 //     (ErrSnapshotTooOld via errors.Is): reopen and rescan, never a
 //     page of mixed-generation data.
-//   - Capability. A backend that cannot preserve versions must not
-//     pretend: opening a snapshot over a set with any
-//     snapshot-incapable shard fails whole with SNAP_UNSUPPORTED
-//     (ErrSnapshotUnsupported), releasing any pins already taken,
-//     rather than pinning some shards and silently reading the rest
-//     live. Both in-repo backends (pangolin, logstore) implement the
-//     capability.
+//   - Contract. Pinning is a store.Store method (OpenSnapshot), so
+//     every backend preserves versions and a set never serves a
+//     weaker snapshot than was asked for.
 //   - Cursor modes. A snapshot cursor continues its snapshot (the
 //     request carries the snapshot id the first page returned); a live
 //     SCAN cursor continues a live scan. Presenting a continuation
@@ -216,11 +212,11 @@
 //
 // # Storage backends
 //
-// Each shard's engine is selected at creation (pglserve -backend):
-// "pangolin" (the paper's engine) or "logstore" (the append-only,
-// bitcask-style baseline), or a comma list cycled across shards so one
-// server mixes both. Reopening a directory rediscovers every shard's
-// backend from its on-disk form; no flag is consulted. The wire
+// A set's engine is selected at creation (pglserve -backend) and every
+// shard runs it: "pangolin" (the paper's engine) or "logstore" (the
+// append-only, bitcask-style baseline). Reopening a directory
+// rediscovers the engine from the shards' on-disk form; no flag is
+// consulted, and a directory holding both forms is refused. The wire
 // protocol is backend-agnostic — the same verbs run against either —
 // but capability edges show through honestly: INJECT's reply counts
 // the injection-capable shards alongside the injected faults (log
@@ -229,7 +225,7 @@
 // heal it can never see), and a log shard's scrub step is
 // a CRC verify sweep or a compaction merge rather than a parity
 // repair. STATS carries the per-shard "backend"
-// name, the set-level "backends" list, and the log engine's counters
+// name, the set-level "backends" name, and the log engine's counters
 // (segments, compactions, merged_records, dead_records), so an
 // operator can prove which engine served a run.
 //
@@ -332,8 +328,7 @@
 //	SHUTDOWN  (5)  the shard set is shutting down
 //	SNAP_TOO_OLD     (6)  the snapshot's pinned generation was evicted
 //	                      or released (ErrSnapshotTooOld)
-//	SNAP_UNSUPPORTED (7)  a shard backend lacks the snapshot capability
-//	                      (ErrSnapshotUnsupported)
+//	(7)                   retired: never sent, never reused
 //	CURSOR_MODE      (8)  cursor presented to the wrong scan mode
 //	                      (ErrCursorMode)
 //

@@ -34,12 +34,6 @@ var ErrShuttingDown = shard.ErrShuttingDown
 // with errors.Is.
 var ErrSnapshotTooOld = store.ErrSnapshotTooOld
 
-// ErrSnapshotUnsupported reports that a shard backend on the server
-// lacks the MVCC snapshot capability. The server refuses the snapshot
-// outright instead of silently serving per-chunk consistency where
-// one committed state was asked for. Compare with errors.Is.
-var ErrSnapshotUnsupported = store.ErrSnapshotUnsupported
-
 // ErrCursorMode reports a cursor presented to the wrong scan mode: a
 // snapshot continuation without its snapshot id, a snapshot id nobody
 // opened, or (client-side, by construction) a snapshot scanner's cursor
@@ -71,8 +65,6 @@ func errStatus(err error) uint8 {
 		return StatusShutdown
 	case errors.Is(err, store.ErrSnapshotTooOld):
 		return StatusSnapTooOld
-	case errors.Is(err, store.ErrSnapshotUnsupported):
-		return StatusSnapUnsupported
 	case errors.Is(err, ErrCursorMode):
 		return StatusCursorMode
 	case pangolin.IsCorruption(err):
@@ -98,8 +90,6 @@ func statusError(status uint8, body []byte) error {
 		return &remoteError{msg: fmt.Sprintf("server: %s", body), cause: ErrShuttingDown}
 	case StatusSnapTooOld:
 		return &remoteError{msg: fmt.Sprintf("server: %s", body), cause: ErrSnapshotTooOld}
-	case StatusSnapUnsupported:
-		return &remoteError{msg: fmt.Sprintf("server: %s", body), cause: ErrSnapshotUnsupported}
 	case StatusCursorMode:
 		return &remoteError{msg: fmt.Sprintf("server: %s", body), cause: ErrCursorMode}
 	case StatusCorrupt:

@@ -92,14 +92,12 @@ const (
 	StatusShutdown uint8 = 5 // the shard set is shutting down
 	// Snapshot statuses. SnapTooOld: the pinned generation was evicted
 	// (caps, release, engine invalidation) — reopen and rescan.
-	// SnapUnsupported: a shard backend lacks the snapshot capability; the
-	// server refuses rather than silently serving a weaker scan.
 	// CursorMode: a cursor was presented to the wrong scan mode (a
 	// snapshot continuation without its snapid, or a snapid nobody
-	// opened).
-	StatusSnapTooOld      uint8 = 6
-	StatusSnapUnsupported uint8 = 7
-	StatusCursorMode      uint8 = 8
+	// opened). Status 7 is retired (it refused snapshots on a backend
+	// without them; every backend has them now) and is never reused.
+	StatusSnapTooOld uint8 = 6
+	StatusCursorMode uint8 = 8
 )
 
 // MaxConnSnapshots caps the snapshots one connection may hold open at

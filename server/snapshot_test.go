@@ -10,13 +10,20 @@ import (
 	"time"
 
 	"github.com/pangolin-go/pangolin/internal/shard"
+	"github.com/pangolin-go/pangolin/internal/store"
 )
 
 // TestSnapScanPinnedOverTCP: a paginated SNAPSCAN observes exactly the
 // committed state at its first page, no matter what commits land while
 // it pages — the wire-level form of the pinned-generation contract.
 func TestSnapScanPinnedOverTCP(t *testing.T) {
-	addr, _ := startMaintServer(t, shard.Options{Structure: "btree", Backend: "pangolin,logstore"})
+	for _, backend := range store.Backends() {
+		t.Run(backend, func(t *testing.T) { testSnapScanPinnedOverTCP(t, backend) })
+	}
+}
+
+func testSnapScanPinnedOverTCP(t *testing.T, backend string) {
+	addr, _ := startMaintServer(t, shard.Options{Structure: "btree", Backend: backend})
 	c, err := Dial(t.Context(), addr)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +268,13 @@ func TestBackupCancelled(t *testing.T) {
 // it into a fresh set reproduces exactly that image, which then scrubs
 // clean: backup under writes, restore, scrub-clean, equal pair counts.
 func TestBackupUnderWritesRestores(t *testing.T) {
-	addr, set := startMaintServer(t, shard.Options{Structure: "btree", Backend: "pangolin,logstore"})
+	for _, backend := range store.Backends() {
+		t.Run(backend, func(t *testing.T) { testBackupUnderWritesRestores(t, backend) })
+	}
+}
+
+func testBackupUnderWritesRestores(t *testing.T, backend string) {
+	addr, set := startMaintServer(t, shard.Options{Structure: "btree", Backend: backend})
 	c, err := Dial(t.Context(), addr)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +357,7 @@ func TestBackupUnderWritesRestores(t *testing.T) {
 	}
 
 	// Restore into a fresh set and verify it IS the image.
-	raddr, rset := startMaintServer(t, shard.Options{Structure: "btree"})
+	raddr, rset := startMaintServer(t, shard.Options{Structure: "btree", Backend: backend})
 	rc, err := Dial(t.Context(), raddr)
 	if err != nil {
 		t.Fatal(err)

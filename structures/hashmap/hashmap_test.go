@@ -209,7 +209,7 @@ func TestManyKeys(t *testing.T) {
 	}
 	geo := pangolin.DefaultGeometry()
 	geo.NumZones = 8
-	p, err := pangolin.Create(pangolin.Config{Mode: pangolin.ModePangolinMLPC, Geometry: geo, DisableTracking: true})
+	p, err := pangolin.Create(pangolin.Config{Mode: pangolin.ModePangolinMLPC, Geometry: geo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestBoundedWork(t *testing.T) {
 	geo := pangolin.DefaultGeometry() // 32 KB lanes, 64 KB overflow extents, as pglserve
 	geo.ChunkSize, geo.ChunksPerRow, geo.NumZones = 64<<10, 8, 4
 	maxLog := geo.LaneSize + geo.OverflowExtSize
-	p, err := pangolin.Create(pangolin.Config{Mode: pangolin.ModePangolinMLPC, Geometry: geo, DisableTracking: true})
+	p, err := pangolin.Create(pangolin.Config{Mode: pangolin.ModePangolinMLPC, Geometry: geo})
 	if err != nil {
 		t.Fatal(err)
 	}
