@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/pangolin-go/pangolin"
 	"github.com/pangolin-go/pangolin/internal/store/pangolinstore"
@@ -417,4 +419,186 @@ func TestStopUnderLoadTinyQueue(t *testing.T) {
 		// A second stop is a no-op, not a hang.
 		s.Abandon()
 	}
+}
+
+// keysOn returns the n smallest keys at or above from that s routes to
+// shard sh.
+func keysOn(s *Set, sh, n int, from uint64) []uint64 {
+	var ks []uint64
+	for k := from; len(ks) < n; k++ {
+		if s.ShardOf(k) == sh {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// interleave takes one key from each list in turn, so consecutive ops
+// land on different shards.
+func interleave(lists ...[]uint64) []uint64 {
+	var out []uint64
+	for i := 0; ; i++ {
+		took := false
+		for _, l := range lists {
+			if i < len(l) {
+				out = append(out, l[i])
+				took = true
+			}
+		}
+		if !took {
+			return out
+		}
+	}
+}
+
+// TestBatchPartition: Batch groups its ops by shard and puts every
+// result back at its op's request position — for batches over zero, one
+// and all shards, with repeated keys, on the read fast path and on the
+// worker (mixed slices, and all-GET slices bounced off a held gate) —
+// and a stopped shard answers each of its ops with ErrShuttingDown.
+func TestBatchPartition(t *testing.T) {
+	s := newSet(t, t.TempDir(), 3, Options{})
+	defer s.Abandon()
+	type batch struct {
+		ops  []BatchOp
+		want []BatchResult
+	}
+	check := func(what string, b batch) {
+		t.Helper()
+		res := s.Batch(b.ops)
+		if len(res) != len(b.want) {
+			t.Fatalf("%s: %d results for %d ops", what, len(res), len(b.want))
+		}
+		for i := range b.want {
+			if res[i] != b.want[i] {
+				t.Fatalf("%s: op %d (%+v) = %+v, want %+v", what, i, b.ops[i], res[i], b.want[i])
+			}
+		}
+	}
+	puts := func(ks []uint64) batch {
+		b := batch{make([]BatchOp, len(ks)), make([]BatchResult, len(ks))}
+		for i, k := range ks {
+			b.ops[i], b.want[i] = BatchOp{Kind: BatchPut, K: k, V: k * 7}, BatchResult{OK: true}
+		}
+		return b
+	}
+	// gets reads ks; keys in absent miss, every other key holds k*7.
+	gets := func(ks []uint64, absent map[uint64]bool) batch {
+		b := batch{make([]BatchOp, len(ks)), make([]BatchResult, len(ks))}
+		for i, k := range ks {
+			b.ops[i] = BatchOp{Kind: BatchGet, K: k}
+			if !absent[k] {
+				b.want[i] = BatchResult{V: k * 7, OK: true}
+			}
+		}
+		return b
+	}
+
+	check("zero shards", batch{})
+
+	one := keysOn(s, 1, 5, 1)
+	check("one shard, puts", puts(one))
+	check("one shard, gets", gets(one, nil))
+
+	all := interleave(keysOn(s, 0, 6, 1000), keysOn(s, 1, 3, 1000), keysOn(s, 2, 5, 1000))
+	check("all shards, puts", puts(all))
+	missing := keysOn(s, 2, 2, 5000)
+	absent := map[uint64]bool{missing[0]: true, missing[1]: true}
+	mixedKeys := append([]uint64{missing[0]}, all...)
+	mixedKeys = append(mixedKeys, missing[1], all[0], all[0])
+	check("all shards, gets", gets(mixedKeys, absent))
+
+	// Repeated keys in a mixed slice: each shard's slice keeps request
+	// order, so every GET sees the ops before it.
+	a, b, c := keysOn(s, 0, 1, 9000)[0], keysOn(s, 1, 1, 9000)[0], keysOn(s, 2, 1, 9000)[0]
+	check("repeated keys", batch{[]BatchOp{
+		{Kind: BatchPut, K: a, V: 1}, {Kind: BatchGet, K: b}, {Kind: BatchPut, K: c, V: 3},
+		{Kind: BatchGet, K: a}, {Kind: BatchPut, K: a, V: 2}, {Kind: BatchPut, K: b, V: 5},
+		{Kind: BatchGet, K: a}, {Kind: BatchDel, K: a}, {Kind: BatchGet, K: b},
+		{Kind: BatchGet, K: a}, {Kind: BatchDel, K: a}, {Kind: BatchGet, K: c},
+	}, []BatchResult{
+		{OK: true}, {}, {OK: true},
+		{V: 1, OK: true}, {OK: true}, {OK: true},
+		{V: 2, OK: true}, {OK: true}, {V: 5, OK: true},
+		{}, {}, {V: 3, OK: true},
+	}})
+
+	// An all-GET slice that bounces off a held gate goes to the worker,
+	// which answers once the gate is free.
+	w := s.workers[0]
+	w.gate.Lock()
+	done := make(chan []BatchResult, 1)
+	bounced := gets(all, nil)
+	go func() { done <- s.Batch(bounced.ops) }()
+	waitFor(t, 10*time.Second, "the GET slice to bounce off the held gate", func() bool {
+		return w.getReads.fallbacks.Load() > 0
+	})
+	w.gate.Unlock()
+	if res := <-done; !slices.Equal(res, bounced.want) {
+		t.Fatalf("gets through the worker = %+v, want %+v", res, bounced.want)
+	}
+
+	// A stopped shard refuses its ops, on the read path and the worker
+	// path alike; the other shards answer theirs.
+	s.workers[1].stop()
+	for _, kind := range []uint8{BatchGet, BatchPut} {
+		ops := make([]BatchOp, len(all))
+		for i, k := range all {
+			ops[i] = BatchOp{Kind: kind, K: k, V: k * 7}
+		}
+		for i, r := range s.Batch(ops) {
+			stopped := s.ShardOf(all[i]) == 1
+			switch {
+			case stopped && !errors.Is(r.Err, ErrShuttingDown):
+				t.Fatalf("kind %d op %d on the stopped shard: %+v, want ErrShuttingDown", kind, i, r)
+			case !stopped && (r.Err != nil || !r.OK):
+				t.Fatalf("kind %d op %d on a live shard: %+v", kind, i, r)
+			}
+		}
+	}
+}
+
+// TestBatchConcurrentCallers: concurrent Batch calls each get their own
+// results, so no partition scratch is shared between two calls (run
+// under -race).
+func TestBatchConcurrentCallers(t *testing.T) {
+	s := newSet(t, t.TempDir(), 3, Options{})
+	defer s.Abandon()
+	const callers, rounds = 8, 40
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for r := 0; r < rounds; r++ {
+				n := 1 + rng.Intn(40)
+				ops := make([]BatchOp, n)
+				for i := range ops {
+					// Disjoint keys per caller; the value names the round.
+					ops[i] = BatchOp{Kind: BatchPut, K: uint64(g)<<32 | uint64(rng.Intn(64)), V: uint64(r)<<8 | uint64(i)}
+				}
+				for i, res := range s.Batch(ops) {
+					if res.Err != nil || !res.OK {
+						t.Errorf("caller %d round %d put %d: %+v", g, r, i, res)
+						return
+					}
+				}
+				last := map[uint64]uint64{}
+				for _, op := range ops {
+					last[op.K] = op.V
+				}
+				for i := range ops {
+					ops[i].Kind = BatchGet
+				}
+				for i, res := range s.Batch(ops) {
+					if want := last[ops[i].K]; res.Err != nil || !res.OK || res.V != want {
+						t.Errorf("caller %d round %d get %d of key %#x: %+v, want %d", g, r, i, ops[i].K, res, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -41,6 +41,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/pangolin-go/pangolin"
@@ -507,54 +508,113 @@ func (s *Set) Batch(ops []BatchOp) []BatchResult {
 	if len(ops) == 0 {
 		return out
 	}
-	perShard := make([][]BatchOp, len(s.workers))
-	perIdx := make([][]int, len(s.workers))
+	sc := getBatchScratch(len(ops), len(s.workers))
+	// A counting sort by shard: count each shard's ops, turn the counts
+	// into start offsets, then place every op at its shard's cursor,
+	// which leaves end[sh] at the end of shard sh's run.
 	for i, op := range ops {
 		sh := s.ShardOf(op.K)
-		perShard[sh] = append(perShard[sh], op)
-		perIdx[sh] = append(perIdx[sh], i)
+		sc.shard[i] = sh
+		sc.end[sh]++
 	}
-	// settle copies shard sh's per-op results into out; a shard that
-	// rejected its slice outright (closed) gives every op err.
-	settle := func(sh int, res []BatchResult, err error) {
-		for j, i := range perIdx[sh] {
-			if err != nil {
-				out[i] = BatchResult{Err: err}
-			} else {
-				out[i] = res[j]
-			}
-		}
-		putBatchResults(res)
+	next := 0
+	for sh, n := range sc.end {
+		sc.end[sh] = next
+		next += n
 	}
-	results := make([]chan response, len(s.workers))
-	for sh, sub := range perShard {
-		if len(sub) == 0 {
-			continue
-		}
-		// All-GET slices take the read fast path: one reader-gate hold
-		// per shard slice, no worker hop. Read-only batches have no
-		// transaction even on the worker path (runGroup executes them
-		// per-op), so the semantics are identical; mixed or mutating
-		// slices go to the worker as before.
-		if allGets(sub) {
+	for i, op := range ops {
+		j := sc.end[sc.shard[i]]
+		sc.end[sc.shard[i]]++
+		sc.ops[j], sc.idx[j] = op, i
+	}
+	lo := 0
+	for sh, hi := range sc.end {
+		sub := sc.ops[lo:hi]
+		sc.replies[sh] = nil
+		switch {
+		case len(sub) == 0:
+		case allGets(sub):
+			// All-GET slices take the read fast path: one reader-gate
+			// hold per shard slice, no worker hop. Read-only batches
+			// have no transaction even on the worker path (runGroup
+			// executes them per-op), so the semantics are identical;
+			// mixed or mutating slices go to the worker.
 			res := getBatchResults(len(sub))
 			if served, err := s.workers[sh].readGets(sub, res); served {
-				settle(sh, res, err)
-				continue
+				sc.settle(out, lo, hi, res, err)
+				break
 			}
 			putBatchResults(res)
+			fallthrough
+		default:
+			sc.replies[sh] = s.workers[sh].send(request{op: opBatch, ops: sub})
 		}
-		results[sh] = s.workers[sh].send(request{op: opBatch, ops: sub})
+		lo = hi
 	}
-	for sh, ch := range results {
-		if ch == nil {
-			continue
+	lo = 0
+	for sh, hi := range sc.end {
+		if ch := sc.replies[sh]; ch != nil {
+			r := <-ch
+			putReply(ch)
+			sc.settle(out, lo, hi, r.batch, r.err)
 		}
-		r := <-ch
-		putReply(ch)
-		settle(sh, r.batch, r.err)
+		lo = hi
 	}
+	putBatchScratch(sc)
 	return out
+}
+
+// batchScratch is one Batch call's partition of its ops by shard. Shard
+// sh's ops are ops[end[sh-1]:end[sh]] (from 0 for shard 0), and idx
+// maps each back to its request position. The workers read their
+// slices of ops until they reply, so a scratch returns to the pool only
+// after every reply is in.
+type batchScratch struct {
+	shard   []int           // per request op: its shard
+	ops     []BatchOp       // the ops grouped by shard
+	idx     []int           // per grouped op: its request position
+	end     []int           // per shard: the end of its run in ops
+	replies []chan response // per shard: the worker's reply, nil if none
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// getBatchScratch returns a scratch sized for n ops over shards
+// shards, with end zeroed for the counting pass.
+func getBatchScratch(n, shards int) *batchScratch {
+	sc := batchScratchPool.Get().(*batchScratch)
+	if cap(sc.ops) < n {
+		sc.shard, sc.ops, sc.idx = make([]int, n), make([]BatchOp, n), make([]int, n)
+	}
+	if cap(sc.end) < shards {
+		sc.end, sc.replies = make([]int, shards), make([]chan response, shards)
+	}
+	sc.shard, sc.ops, sc.idx = sc.shard[:n], sc.ops[:n], sc.idx[:n]
+	sc.end, sc.replies = sc.end[:shards], sc.replies[:shards]
+	clear(sc.end)
+	return sc
+}
+
+// putBatchScratch recycles sc unless an oversized batch grew it past
+// what the pool keeps.
+func putBatchScratch(sc *batchScratch) {
+	if cap(sc.ops) <= maxPooledBatchResults {
+		batchScratchPool.Put(sc)
+	}
+}
+
+// settle copies the results of the grouped ops lo..hi into their
+// request positions in out; a shard that rejected its slice outright
+// (closed) gives every op err.
+func (sc *batchScratch) settle(out []BatchResult, lo, hi int, res []BatchResult, err error) {
+	for j := lo; j < hi; j++ {
+		if err != nil {
+			out[sc.idx[j]] = BatchResult{Err: err}
+		} else {
+			out[sc.idx[j]] = res[j-lo]
+		}
+	}
+	putBatchResults(res)
 }
 
 // allGets reports whether every op in the slice is a read.

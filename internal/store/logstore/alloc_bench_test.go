@@ -8,10 +8,10 @@ import (
 
 // BenchmarkAllocLogAppend measures the log engine's committed-batch
 // append: one iteration is one 64-op Apply (encode the run, one
-// WriteAt, fold into the index). The encode and offset scratch are
-// store-owned and reused, so allocs/op should stay near the result
-// slice alone; the number is gated by make bench-alloc against
-// bench/alloc_budgets.txt.
+// WriteAt, fold into the index). The encode, offset and result scratch
+// are store-owned and reused, and records are encoded in place, so an
+// Apply allocates nothing but index growth; the number is gated by
+// make bench-alloc against bench/alloc_budgets.txt.
 func BenchmarkAllocLogAppend(b *testing.B) {
 	st, err := Create(b.TempDir()+"/shard-0000.log", Options{Structure: "hashmap", Index: 0, Count: 1})
 	if err != nil {

@@ -546,15 +546,19 @@ func syncDir(dir string) error {
 	return err
 }
 
-// encodeRecord appends one record to buf.
+// encodeRecord appends one record to buf, encoding and checksumming it
+// in place at buf's tail: a record staged in a local array escapes to
+// the heap through the checksum call, one allocation per record.
 func encodeRecord(buf []byte, kind byte, batch, key, val uint64) []byte {
-	var rec [recSize]byte
+	n := len(buf)
+	buf = append(buf, make([]byte, recSize)...)
+	rec := buf[n:]
 	rec[4] = kind
 	binary.LittleEndian.PutUint64(rec[5:], batch)
 	binary.LittleEndian.PutUint64(rec[13:], key)
 	binary.LittleEndian.PutUint64(rec[21:], val)
 	binary.LittleEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[4:]))
-	return append(buf, rec[:]...)
+	return buf
 }
 
 // decodeRecord parses and CRC-verifies one record.

@@ -1,6 +1,8 @@
 package logstore
 
 import (
+	"bytes"
+	"encoding/hex"
 	"os"
 	"testing"
 
@@ -264,5 +266,36 @@ func TestRotationFailureDefersOutOfApply(t *testing.T) {
 	checkAll(t, s, 0, 210)
 	if _, _, err := s.ScrubStep(); err != nil {
 		t.Fatalf("scrub step after recovery: %v", err)
+	}
+}
+
+// TestRecordEncodingGolden pins the on-disk record format: a put, a
+// delete and a commit record encode to the exact bytes existing
+// segments hold, at the tail of a non-empty buffer, and decode back to
+// their fields.
+func TestRecordEncodingGolden(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		kind            byte
+		batch, key, val uint64
+		hex             string
+	}{
+		{"put", recPut, 7, 0x0102030405060708, 0xdeadbeefcafef00d, "1e4091b101070000000000000008070605040302010df0fecaefbeadde"},
+		{"del", recDel, 7, 42, 0, "f4de3dab0207000000000000002a000000000000000000000000000000"},
+		{"commit", recCommit, 7, 2, 0, "c8aa9a6a03070000000000000002000000000000000000000000000000"},
+	} {
+		want, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte{0xAA, 0xBB, 0xCC}
+		buf := encodeRecord(append([]byte(nil), prefix...), c.kind, c.batch, c.key, c.val)
+		if !bytes.Equal(buf[:len(prefix)], prefix) || !bytes.Equal(buf[len(prefix):], want) {
+			t.Fatalf("%s encodes to %x after %x, want %x", c.name, buf[len(prefix):], buf[:len(prefix)], want)
+		}
+		kind, batch, key, val, ok := decodeRecord(want)
+		if !ok || kind != c.kind || batch != c.batch || key != c.key || val != c.val {
+			t.Fatalf("%s decodes to kind %d batch %d key %#x val %#x ok %v", c.name, kind, batch, key, val, ok)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"github.com/pangolin-go/pangolin"
 	"github.com/pangolin-go/pangolin/internal/store"
@@ -28,6 +29,11 @@ func (s *Store) Get(k uint64) (uint64, bool, error) {
 	return v, true, nil
 }
 
+// recPool recycles readVerified's record buffers. A buffer handed to
+// ReadAt escapes to the heap, and the read view's concurrent readers
+// cannot share a store-owned one.
+var recPool = sync.Pool{New: func() any { return new([recSize]byte) }}
+
 // readVerified reads the record backing e and checks frame integrity
 // and that it really is a put of k.
 func (s *Store) readVerified(e entry, k uint64) (uint64, error) {
@@ -41,7 +47,8 @@ func (s *Store) readVerified(e entry, k uint64) (uint64, error) {
 	if sg == nil {
 		return 0, corrupt("index points at a missing segment")
 	}
-	var rec [recSize]byte
+	rec := recPool.Get().(*[recSize]byte)
+	defer recPool.Put(rec)
 	if _, err := sg.f.ReadAt(rec[:], e.off); err != nil {
 		return 0, corrupt("record read failed: " + err.Error())
 	}

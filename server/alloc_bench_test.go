@@ -94,3 +94,51 @@ func BenchmarkAllocPipelinedGetPut(b *testing.B) {
 		i += n
 	}
 }
+
+// BenchmarkAllocBatchFrame is the multi-shard verb's round trip: one
+// connection to a logstore-backed 2-shard set, alternating 16-key MPUT
+// and MGET frames, so each frame is partitioned across both shards and
+// the log engine encodes a record per put. One iteration is one frame.
+func BenchmarkAllocBatchFrame(b *testing.B) {
+	set, err := shard.Create(b.TempDir(), 2, shard.Options{Backend: "logstore"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(set)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve() }()
+	b.Cleanup(func() {
+		srv.Shutdown()
+		if err := <-done; err != nil {
+			b.Errorf("Serve: %v", err)
+		}
+		set.Abandon()
+	})
+	c, err := Dial(context.Background(), srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const frame = 16
+	keys := make([]uint64, frame)
+	vals := make([]uint64, frame)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range keys {
+			keys[j] = uint64((i/2*frame + j) % benchKeys)
+			vals[j] = uint64(i)
+		}
+		if i%2 == 0 {
+			err = c.MPut(keys, vals)
+		} else {
+			_, _, err = c.MGet(keys)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

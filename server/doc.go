@@ -374,8 +374,12 @@
 //     once — this is what multiplies group-commit depth); GET runs the
 //     concurrent verified-read fast path inline, falling back to the
 //     worker queue; the multi-shard verbs (batches, SCAN, SNAPSCAN,
-//     STATS, SYNC, SCRUB, INJECT, CRASH) each run on their own bounded
-//     goroutine;
+//     STATS, SYNC, SCRUB, INJECT, CRASH) run on the connection's
+//     handler goroutines. A handler lives as long as its connection and
+//     serves one verb at a time; the reader hands each verb to an idle
+//     handler and starts another only when none is idle, so a slow
+//     verb never delays the next, and handlers never outnumber the
+//     window;
 //   - a writer goroutine streams completed replies to the wire in
 //     completion order, flushing when the queue goes empty, so replies
 //     coalesce into few syscalls under load.

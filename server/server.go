@@ -261,11 +261,32 @@ type completion struct {
 // window slot, so completing an op NEVER blocks — a shard worker
 // goroutine invoking a completion callback cannot be stalled by a slow
 // connection.
+//
+// The multi-shard verbs run on the connection's handler goroutines.
+// A handler is long-lived, so its stack stays grown across requests;
+// the reader hands it a task with a non-blocking send and starts a new
+// handler only when none is idle, so a slow verb never queues another
+// behind it. Each busy handler serves one request that holds a window
+// slot, and the reader holds another for the task it hands off, so the
+// reader stops spawning at the window size: from then on at least one
+// handler is idle or about to be, and a blocking send waits only for
+// it to get back to its receive.
 type pipeConn struct {
 	s           *Server
+	cs          *connSnaps
 	sem         chan struct{}
 	completions chan completion
 	inflight    sync.WaitGroup
+
+	tasks    chan task // unbuffered: a send succeeds only into an idle handler
+	handlers sync.WaitGroup
+	spawned  int // handlers started; touched only by the reader
+}
+
+// task is one request for a handler goroutine.
+type task struct {
+	seq uint64
+	req Request
 }
 
 // complete finishes one request with a status and body, encoding the
@@ -370,8 +391,10 @@ func (s *Server) servePipelined(br *bufio.Reader, bw *bufio.Writer, win int, cs 
 	}
 	pc := &pipeConn{
 		s:           s,
+		cs:          cs,
 		sem:         make(chan struct{}, win),
 		completions: make(chan completion, win),
+		tasks:       make(chan task),
 	}
 	writerDone := make(chan struct{})
 	go pc.writeLoop(bw, writerDone)
@@ -392,11 +415,13 @@ func (s *Server) servePipelined(br *bufio.Reader, bw *bufio.Writer, win int, cs 
 			pc.complete(seq, StatusErr, []byte(err.Error()))
 			continue
 		}
-		s.dispatch(pc, seq, req, cs)
+		pc.dispatch(seq, req)
 	}
 	// No more requests (EOF, broken conn, or corrupt stream). Every
-	// dispatched op still completes; wait for them, then let the writer
-	// drain its queue and exit.
+	// dispatched op still completes: the handlers finish theirs and
+	// exit, then the writer drains its queue and exits.
+	close(pc.tasks)
+	pc.handlers.Wait()
 	pc.inflight.Wait()
 	close(pc.completions)
 	<-writerDone
@@ -407,10 +432,11 @@ func (s *Server) servePipelined(br *bufio.Reader, bw *bufio.Writer, win int, cs 
 // shard worker queue (whose group-commit drain folds queued ops into
 // one transaction — the reason deep pipelines produce big groups), and
 // GETs run the concurrent verified-read fast path inline on this
-// handler goroutine, falling back to the queue. The remaining verbs
-// block on multi-shard fan-outs, so each runs on its own goroutine,
-// bounded by the in-flight window.
-func (s *Server) dispatch(pc *pipeConn, seq uint64, req Request, cs *connSnaps) {
+// reader goroutine, falling back to the queue. The remaining verbs
+// block on multi-shard fan-outs, so they go to the connection's
+// handlers (see pipeConn).
+func (pc *pipeConn) dispatch(seq uint64, req Request) {
+	s := pc.s
 	switch req.Op {
 	case OpGet:
 		s.set.SubmitGet(req.Key, func(r shard.BatchResult) {
@@ -445,13 +471,31 @@ func (s *Server) dispatch(pc *pipeConn, seq uint64, req Request, cs *connSnaps) 
 			}
 		})
 	default:
-		go func() {
-			f := getFrame()
-			b := appendU64(beginFrame(f), seq)
-			b, crashed := s.handleReq(b, req, cs)
-			f.b = finishFrame(b)
-			pc.push(f, crashed)
-		}()
+		t := task{seq: seq, req: req}
+		select {
+		case pc.tasks <- t:
+		default:
+			if pc.spawned == cap(pc.sem) {
+				pc.tasks <- t
+				return
+			}
+			pc.spawned++
+			pc.handlers.Add(1)
+			go pc.handle(t)
+		}
+	}
+}
+
+// handle is one handler goroutine: it serves t, then every task handed
+// to it, until the reader closes the task channel.
+func (pc *pipeConn) handle(t task) {
+	defer pc.handlers.Done()
+	for ok := true; ok; t, ok = <-pc.tasks {
+		f := getFrame()
+		b := appendU64(beginFrame(f), t.seq)
+		b, crashed := pc.s.handleReq(b, t.req, pc.cs)
+		f.b = finishFrame(b)
+		pc.push(f, crashed)
 	}
 }
 
