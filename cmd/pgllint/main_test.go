@@ -15,17 +15,10 @@ import (
 var seeded = map[string]string{
 	"internal/store/store.go": `package store
 
-import (
-	"os"
-	"sync"
-)
-
 type Tx struct{}
 
 func (*Tx) Get(oid uint64) ([]byte, error) { return make([]byte, 8), nil }
 func (*Tx) Commit() error                  { return nil }
-
-type shard struct{ gate sync.RWMutex }
 
 func scribble(tx *Tx) error {
 	b, err := tx.Get(1)
@@ -34,14 +27,6 @@ func scribble(tx *Tx) error {
 	}
 	b[0] = 1
 	return tx.Commit()
-}
-
-func (s *shard) leak() {
-	s.gate.RLock()
-}
-
-func replace(tmp, path string) error {
-	return os.Rename(tmp, path)
 }
 
 func walk(fn func(int) bool) {
@@ -78,12 +63,10 @@ func TestSeededFindings(t *testing.T) {
 	stdout, stderr, code := lintModule(t, seeded)
 	want := []string{
 		"internal/store/ext_test.go:6:8: stopbool: callback fn called via go/defer discards its bool (continue) result: the early stop can never be propagated",
-		"internal/store/store.go:20:2: txwrite: write to read-only Tx.Get snapshot \"b\"; open the object for writing with Open or AddRange instead",
-		"internal/store/store.go:25:2: gatepair: gate acquired here is not released on every path (add the missing Unlock/RUnlock or a defer)",
-		"internal/store/store.go:29:9: fsyncrename: raw os.Rename of a data file: fsync the temp file before the rename and the parent directory after it (see nvm.Device.SaveFile)",
-		"internal/store/store.go:33:2: stopbool: callback fn's bool (continue) result discarded: false means the caller asked the iteration to stop",
-		"internal/store/store.go:43:2: txwrite: //pgllint:ignore txwrite is missing its reason: intentional exceptions must say why (not suppressing)",
-		"internal/store/store.go:43:2: txwrite: Tx.Commit error discarded: commit can fail (log full, media fault) and the transaction is not durable until it returns nil",
+		"internal/store/store.go:13:2: txwrite: write to read-only Tx.Get snapshot \"b\"; open the object for writing with Open or AddRange instead",
+		"internal/store/store.go:18:2: stopbool: callback fn's bool (continue) result discarded: false means the caller asked the iteration to stop",
+		"internal/store/store.go:28:2: txwrite: //pgllint:ignore txwrite is missing its reason: intentional exceptions must say why (not suppressing)",
+		"internal/store/store.go:28:2: txwrite: Tx.Commit error discarded: commit can fail (log full, media fault) and the transaction is not durable until it returns nil",
 		"internal/store/store_test.go:5:61: errwrap: error formatted with %v instead of %w: the cause is severed and errors.Is/IsCorruption/IsPoison stop matching through this wrap",
 	}
 	if w := strings.Join(want, "\n") + "\n"; stdout != w {

@@ -5,11 +5,10 @@
 // Pangolin's correctness rests on discipline: every write inside a
 // transaction must go through a logged view so commit can update the
 // object, its checksum, and zone parity together (the paper's §4
-// contract); the shard reader/writer gate must never leak or block;
-// renames of data files must be crash-durable; typed errors must stay
-// matchable through wraps; and iteration callbacks must honor their
-// stop signal. The last several PRs each shipped review-fix commits
-// for hand-found violations of exactly these rules. View-Based
+// contract); typed errors must stay matchable through wraps; and
+// iteration callbacks must honor their stop signal. Each rule is spread
+// over many call sites in several packages, and review-fix commits for
+// hand-found violations of each once shipped. View-Based
 // Owicki-Gries Reasoning for Persistent x86-TSO shows persistency
 // invariants are precise enough to check mechanically, and FliT shows
 // a tiny annotation/flag discipline suffices to catch missed-persist
@@ -25,20 +24,6 @@
 // Tx.Commit errors are flagged. Bug class: silent checksum/parity
 // corruption — the §4 contract the whole fault model rests on.
 //
-// gatepair — shard gate discipline. Every Lock/RLock/TryRLock/TryLock
-// on a "gate" mutex must be released on every path with the matching
-// kind, and no channel operation may run while the gate is held (the
-// gate serializes readers against group commits; a blocking send under
-// it can wedge the shard worker). Checked as a forward may-analysis
-// over the function's CFG. Bug class: reader-gate leaks and
-// worker-loop deadlocks (the gate protocol introduced in PR 3).
-//
-// fsyncrename — crash-durable renames. os.Rename of a data file
-// without an fsync of the temp file before and of the parent
-// directory after leaves a torn or missing file on a host crash: the
-// rename orders the directory entry, not the data. Bug class: the
-// unfsynced-rename PR 7's review fixed in nvm.Device.SaveFile.
-//
 // errwrap — error identity. In internal/... and server/, fmt.Errorf
 // must wrap error causes with %w, and errors must be compared with
 // errors.Is (or pangolin.IsCorruption / pangolin.IsPoison), never
@@ -51,6 +36,18 @@
 // the iteration to stop. Bug class: scans delivering pairs after the
 // callback returned false — fixed twice in PR 8's snapshot merge
 // paths.
+//
+// # When a rule is an analyzer
+//
+// An invariant one helper can own is enforced by construction and a
+// test, not by an analyzer. Durable file replacement lives in
+// internal/durable (durable.WriteFile), and its TestNoRawRename fails on
+// any other non-test os.Rename; the shard reader gate is touched only in
+// the worker's gatedRead, withGate and healPass, and
+// TestGateReleasedOnEveryPath drives each path that takes it. A future
+// analyzer stays only if it guards at least three sites in at least two
+// packages, or if a seeded violation at a real site is caught by no
+// test.
 //
 // # Suppression
 //

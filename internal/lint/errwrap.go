@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -73,6 +74,17 @@ func checkErrorfWrap(r *reporter, call *ast.CallExpr) {
 			r.reportf(call.Args[argIdx].Pos(), "error formatted with %%%c instead of %%w: the cause is severed and errors.Is/IsCorruption/IsPoison stop matching through this wrap", verb)
 		}
 	}
+}
+
+// isPkgFunc reports whether call invokes the package-level function
+// pkgPath.name.
+func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
 }
 
 // formatVerbs returns the verb letter consuming each successive

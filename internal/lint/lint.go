@@ -49,8 +49,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		ErrWrap,
-		FsyncRename,
-		GatePair,
 		StopBool,
 		TxWrite,
 	}
@@ -161,20 +159,4 @@ func (r *reporter) reportf(pos token.Pos, format string, args ...any) {
 		return
 	}
 	r.pass.Reportf(pos, format, args...)
-}
-
-// funcsOf yields every function body in the file with its defining
-// node: FuncDecls and FuncLits.
-func funcsOf(f *ast.File, fn func(node ast.Node, body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				fn(n, n.Body)
-			}
-		case *ast.FuncLit:
-			fn(n, n.Body)
-		}
-		return true
-	})
 }

@@ -11,14 +11,6 @@ func TestTxWrite(t *testing.T) {
 	linttest.Run(t, linttest.TestData(), lint.TxWrite, "txwrite")
 }
 
-func TestGatePair(t *testing.T) {
-	linttest.Run(t, linttest.TestData(), lint.GatePair, "gatepair")
-}
-
-func TestFsyncRename(t *testing.T) {
-	linttest.Run(t, linttest.TestData(), lint.FsyncRename, "fsyncrename")
-}
-
 func TestErrWrap(t *testing.T) {
 	linttest.Run(t, linttest.TestData(), lint.ErrWrap, "errwrap")
 }

@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"github.com/pangolin-go/pangolin/internal/durable"
 )
 
 // snapshotMagic identifies a device snapshot stream.
@@ -90,44 +91,8 @@ func ReadSnapshot(r io.Reader) (*Device, error) {
 }
 
 // SaveFile writes a snapshot to path, replacing any existing file
-// atomically and durably: write to temp, fsync the file, rename, fsync
-// the parent directory. Without the syncs a host crash shortly after
-// SaveFile could leave the path pointing at a torn or missing snapshot
-// — the rename orders the directory entry, not the data.
-func (d *Device) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := d.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = dir.Sync()
-	if cerr := dir.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// atomically and durably (durable.WriteFile).
+func (d *Device) SaveFile(path string) error { return durable.WriteFile(path, d.WriteSnapshot) }
 
 // LoadFile reads a snapshot from path.
 func LoadFile(path string) (*Device, error) {

@@ -311,26 +311,22 @@ func TestScribbledNodeRepairedOnOwnerPath(t *testing.T) {
 	}
 }
 
-// TestScribbledPointerHealsOnPut: a scribble over the pool word of a
-// written hashmap directory slot makes its segment pointer a foreign
-// pool's. It lands in the window: after the test's own reads verified the
+// scribbleSegmentPointer writes k to a fresh one-shard hashmap set as
+// its only key, so one directory slot is written, and scribbles the pool
+// word of that slot, making its segment pointer a foreign pool's. The
+// scribble lands in the window: after the reads here verified the
 // directory, so a PUT routed to that segment follows the pointer without
 // verifying the directory again, and the transaction's OID check is what
-// meets it. That must be typed corruption: the worker runs a heal pass,
-// which rebuilds the directory from parity, and the retried PUT succeeds.
-// The client sees no error and the repair is counted.
-func TestScribbledPointerHealsOnPut(t *testing.T) {
-	s := newSet(t, t.TempDir(), 1, Options{})
-	defer s.Abandon()
-	const k = 7
-	if err := s.Put(k, 1); err != nil { // the map's only key: one directory slot written
-		t.Fatal(err)
+// meets it.
+func scribbleSegmentPointer(s *Set, k uint64) error {
+	if err := s.Put(k, 1); err != nil {
+		return err
 	}
 	ps := s.workers[0].st.(*pangolinstore.Store)
 	p := ps.Pool()
 	anchor, err := p.Get(ps.Map().Anchor())
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	// The anchor starts with the directory's OID; the directory's 16-byte
 	// header is followed by one OID per segment.
@@ -338,18 +334,33 @@ func TestScribbledPointerHealsOnPut(t *testing.T) {
 	dirOID := pangolin.OID{Pool: le.Uint64(anchor), Off: le.Uint64(anchor[8:])}
 	dir, err := p.Get(dirOID)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	var slot uint64
 	for slot = 16; slot < uint64(len(dir)) && le.Uint64(dir[slot:]) == 0; slot += 16 {
 	}
 	if slot == uint64(len(dir)) {
-		t.Fatal("no directory slot written")
+		return errors.New("no directory slot written")
 	}
 	settle(s)
 	p.InjectScribble(dirOID.Off+slot, 8, 1)
 	if le.Uint64(dir[slot:]) == p.UUID() {
-		t.Fatal("scribble left the pool word intact")
+		return errors.New("scribble left the pool word intact")
+	}
+	return nil
+}
+
+// TestScribbledPointerHealsOnPut: a PUT through a scribbled segment
+// pointer (scribbleSegmentPointer) must meet typed corruption: the worker
+// runs a heal pass, which rebuilds the directory from parity, and the
+// retried PUT succeeds. The client sees no error and the repair is
+// counted.
+func TestScribbledPointerHealsOnPut(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{})
+	defer s.Abandon()
+	const k = 7
+	if err := scribbleSegmentPointer(s, k); err != nil {
+		t.Fatal(err)
 	}
 	before := s.Stats().BgRepairs
 	if err := s.Put(k, 2); err != nil {

@@ -185,9 +185,10 @@ type worker struct {
 	// Concurrent verified-read fast path (gatedRead). view is the store's
 	// ReadView handle; callers' goroutines run verified reads
 	// on it directly, holding gate's read side. The worker takes the
-	// write side around every store access (batches, saves, crash images,
-	// scrubs), so readers run in parallel with each other and never
-	// overlap a mutation.
+	// write side (withGate) around every store access (batches, saves,
+	// crash images, scrubs), so readers run in parallel with each other
+	// and never overlap a mutation. gatedRead, withGate and healPass are
+	// the only functions that touch gate.
 	gate sync.RWMutex
 	view store.View
 
@@ -506,7 +507,9 @@ func (w *worker) loop() {
 			if req.op == opScrub {
 				w.startFullScrub(req.reply)
 			} else {
-				req.deliver(w.handleLocked(req))
+				var resp response
+				w.withGate(func() { resp = w.handle(req) })
+				req.deliver(resp)
 			}
 			continue
 		}
@@ -574,9 +577,7 @@ func (w *worker) loop() {
 				}
 			}
 		}
-		w.gate.Lock()
-		w.runGroup(group)
-		w.gate.Unlock()
+		w.withGate(func() { w.runGroup(group) })
 		w.ewma = 0.75*w.ewma + 0.25*float64(n)
 		w.scratch = group[:0]
 	}
@@ -596,13 +597,14 @@ func (w *worker) startFullScrub(reply chan response) {
 }
 
 // stepFullScrub advances the in-progress pass one bounded step under the
-// reader gate's write side, answering the waiters when the pass
-// completes (or fails).
+// reader gate's write side, answering the waiters once the gate is
+// released when the pass completes (or fails).
 func (w *worker) stepFullScrub() {
 	job := w.fullScrub
-	w.gate.Lock()
-	rep, done, err := job.sc.Step()
-	w.gate.Unlock()
+	var rep pangolin.ScrubReport
+	var done bool
+	var err error
+	w.withGate(func() { rep, done, err = job.sc.Step() })
 	job.total.Add(rep)
 	if err == nil {
 		w.c.ScrubSteps++
@@ -630,14 +632,16 @@ func (w *worker) failScrubWaiters() {
 	w.fullScrub = nil
 }
 
-// handleLocked runs one request with the reader gate's write side held,
-// excluding fast-path readers for the duration of the store access. The
-// gate is taken here — around execution only, never around the queue
-// receive — so readers get the gate back between every request.
-func (w *worker) handleLocked(req request) response {
+// withGate runs one unit of the worker's work — a group, a non-groupable
+// request, a full-scrub step — with the reader gate's write side held,
+// excluding fast-path readers for the duration of the store access. It
+// is the only place the worker takes the write side (healPass cycles it
+// within a unit): around execution only, never around the queue
+// receive, so readers get the gate back between every unit.
+func (w *worker) withGate(fn func()) {
 	w.gate.Lock()
 	defer w.gate.Unlock()
-	return w.handle(req)
+	fn()
 }
 
 // maxCommitWait caps the adaptive group-commit window: a few store
@@ -825,9 +829,9 @@ const maxFutileLoci = 64
 // Non-corruption failures (out of space, shutdown) return as-is: a pass
 // can't help them and must not become their per-op tax.
 //
-// The caller holds the reader gate's write side (every handle() path
-// does); the heal releases it between steps so fast-path readers keep
-// their bounded gate windows even while a pass runs.
+// The caller holds the reader gate's write side (handle runs inside
+// withGate); the heal releases it between steps so fast-path readers
+// keep their bounded gate windows even while a pass runs.
 func (w *worker) withHeal(fn func() error) error {
 	err := fn()
 	if err == nil || (!pangolin.IsCorruption(err) && !pangolin.IsPoison(err)) {
@@ -892,9 +896,9 @@ func faultKey(err error) uint64 {
 }
 
 // healPass steps one full scrub pass with the reader gate's write side
-// released between steps (the caller holds it on entry; it is held
-// again on return) — the shard never reverts to a stop-the-world pass,
-// even on the repair path.
+// released between steps (it runs inside withGate, so the gate is held
+// on entry and again on return) — the shard never reverts to a
+// stop-the-world pass, even on the repair path.
 func (w *worker) healPass() (pangolin.ScrubReport, error) {
 	sc := w.st.NewScrubPass()
 	total := pangolin.ScrubReport{ChecksumsVerified: w.st.ChecksumsVerified()}
@@ -906,7 +910,6 @@ func (w *worker) healPass() (pangolin.ScrubReport, error) {
 			return total, err
 		}
 		w.gate.Unlock()
-		//pgllint:ignore gatepair caller holds the gate on entry and return; the loop cycles it between scrub steps
 		w.gate.Lock()
 	}
 }

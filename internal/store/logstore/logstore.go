@@ -56,6 +56,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -63,6 +64,7 @@ import (
 	"strings"
 
 	"github.com/pangolin-go/pangolin"
+	"github.com/pangolin-go/pangolin/internal/durable"
 	"github.com/pangolin-go/pangolin/internal/store"
 )
 
@@ -200,11 +202,10 @@ func Create(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("logstore: store already exists in %s", dir)
 	}
 	m := manifest{Magic: manifestMagic, Structure: opts.Structure, Index: opts.Index, Count: opts.Count}
-	data, err := json.Marshal(m)
+	err := durable.WriteFile(filepath.Join(dir, manifestName), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(m)
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
 		return nil, err
 	}
 	s := &Store{
@@ -387,7 +388,7 @@ func (s *Store) addSegment(id int) error {
 	}
 	s.segs = append(s.segs, &segment{id: id, f: f})
 	s.synced = 0
-	return syncDir(s.dir)
+	return durable.SyncDir(s.dir)
 }
 
 // segmentIDs lists the segment ids present in dir, ascending.
@@ -452,7 +453,7 @@ func applyCrashCut(dir string) error {
 	if err := os.Remove(filepath.Join(dir, crashName)); err != nil {
 		return fmt.Errorf("logstore: %w", err)
 	}
-	return syncDir(dir)
+	return durable.SyncDir(dir)
 }
 
 // Structure returns the kv structure name recorded in the manifest.
@@ -501,49 +502,6 @@ func (s *Store) Close() error {
 	s.segs = nil
 	s.idx = nil
 	return nil
-}
-
-// writeFileAtomic writes data via temp-file, fsync, rename, and parent
-// directory fsync, so the path never holds a torn file.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so renames and file creations within it
-// are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // encodeRecord appends one record to buf, encoding and checksumming it

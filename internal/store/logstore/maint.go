@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"github.com/pangolin-go/pangolin"
+	"github.com/pangolin-go/pangolin/internal/durable"
 	"github.com/pangolin-go/pangolin/internal/store"
 )
 
@@ -166,7 +167,7 @@ func (s *Store) mergeStep() (pangolin.ScrubReport, error) {
 		}
 	}
 	s.compactions++
-	return rep, syncDir(s.dir)
+	return rep, durable.SyncDir(s.dir)
 }
 
 // verifyStep CRC-checks up to recordsPerStep records from the sweep

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"github.com/pangolin-go/pangolin"
+	"github.com/pangolin-go/pangolin/internal/durable"
 	"github.com/pangolin-go/pangolin/internal/store"
 )
 
@@ -235,7 +237,7 @@ func (s *Store) Save() error {
 		}
 		s.crashPending = false
 	}
-	return syncDir(s.dir)
+	return durable.SyncDir(s.dir)
 }
 
 // CrashSave implements store.Store: record the crash image as a sidecar
@@ -249,11 +251,10 @@ func (s *Store) CrashSave(seed int64) error {
 	act := s.active()
 	unsynced := act.size - s.synced
 	cut := crashCut{Seg: act.id, Off: s.synced + int64(mix64(uint64(seed))%uint64(unsynced+1))}
-	data, err := json.Marshal(cut)
+	err := durable.WriteFile(filepath.Join(s.dir, crashName), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(cut)
+	})
 	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(filepath.Join(s.dir, crashName), data); err != nil {
 		return fmt.Errorf("logstore: crash save: %w", err)
 	}
 	s.crashPending = true
@@ -344,7 +345,10 @@ func (s *Store) writeHint(seg *segment) error {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
 	buf = append(buf, crc[:]...)
-	return writeFileAtomic(hintPath(s.dir, seg.id), buf)
+	return durable.WriteFile(hintPath(s.dir, seg.id), func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 }
 
 // loadHint replays a sealed segment's hint into the index. ok=false —
