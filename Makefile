@@ -1,7 +1,7 @@
 # Same commands CI runs — `make ci` is exactly the PR gate.
 GO ?= go
 
-.PHONY: all build vet lint test short race bench bench-alloc ledger-smoke cover nightly ci clean
+.PHONY: all build vet lint test short race bench bench-alloc ledger-smoke cover loc nightly ci clean
 
 all: build vet lint test
 
@@ -50,6 +50,13 @@ ledger-smoke:
 cover:
 	$(GO) test -short -covermode atomic -coverprofile coverage.out ./...
 	$(GO) tool cover -func coverage.out | tail -n 1
+
+# Non-test Go lines outside bench/ledger and testdata (ROADMAP's size
+# count), per package directory and in total. Informational: no gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/ledger/*' ! -path '*/testdata/*' | \
+		xargs awk 'FNR == 1 { d = FILENAME; sub("/[^/]*$$", "", d) } { n[d]++; t++ } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # What the nightly workflow runs: everything un-shortened, then race.
 nightly:

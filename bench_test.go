@@ -53,7 +53,7 @@ func mustPool(b *testing.B, mode pangolin.Mode, geo pangolin.Geometry) *pangolin
 // BenchmarkFig3Alloc measures single-object allocation transactions
 // (paper Figure 3, "alloc" panels).
 func BenchmarkFig3Alloc(b *testing.B) {
-	for _, mode := range bench.Modes {
+	for _, mode := range pangolin.Modes() {
 		for _, size := range benchSizes {
 			b.Run(fmt.Sprintf("%s/%dB", mode, size), func(b *testing.B) {
 				const batch = 4096
@@ -93,7 +93,7 @@ func BenchmarkFig3Alloc(b *testing.B) {
 // BenchmarkFig3Overwrite measures whole-object overwrite transactions
 // (Figure 3, "overwrite" panels).
 func BenchmarkFig3Overwrite(b *testing.B) {
-	for _, mode := range bench.Modes {
+	for _, mode := range pangolin.Modes() {
 		for _, size := range benchSizes {
 			b.Run(fmt.Sprintf("%s/%dB", mode, size), func(b *testing.B) {
 				p := mustPool(b, mode, benchGeo(size, 64))
@@ -130,7 +130,7 @@ func BenchmarkFig3Overwrite(b *testing.B) {
 // BenchmarkFig3Free measures deallocation transactions (Figure 3, "free"
 // panels). Objects are pre-allocated outside the timer in batches.
 func BenchmarkFig3Free(b *testing.B) {
-	for _, mode := range bench.Modes {
+	for _, mode := range pangolin.Modes() {
 		size := uint64(1024)
 		b.Run(fmt.Sprintf("%s/%dB", mode, size), func(b *testing.B) {
 			const batch = 4096

@@ -17,7 +17,6 @@
 //	mem     §4.2 storage overheads, pool-init latency, µ-buffer DRAM
 //	recover §4.6 error injection, repair latency, canary detection
 //	xover   hybrid parity atomic/vectorized crossover sweep (ablation)
-//	ext     §3.5 extension: undo logging with parity (Pmemobj-P)
 //	scrub   incremental scrub step latency; commit p99 with scrubber on/off
 //	all     everything above
 package main
@@ -47,7 +46,6 @@ var experiments = []struct {
 	{"mem", bench.Mem},
 	{"recover", bench.Recover},
 	{"xover", bench.Xover},
-	{"ext", bench.Ext},
 	{"scrub", bench.Scrub},
 }
 

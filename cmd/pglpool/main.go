@@ -19,14 +19,6 @@ import (
 	"github.com/pangolin-go/pangolin"
 )
 
-var modeNames = map[string]pangolin.Mode{
-	"pmemobj":       pangolin.ModePmemobj,
-	"pangolin":      pangolin.ModePangolin,
-	"pangolin-ml":   pangolin.ModePangolinML,
-	"pangolin-mlp":  pangolin.ModePangolinMLP,
-	"pangolin-mlpc": pangolin.ModePangolinMLPC,
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -57,13 +49,14 @@ func usage() {
 }
 
 // openPool loads a pool snapshot, trying each mode until the header
-// matches (the mode is stored in the pool header).
+// matches (the mode is stored in the pool header). A Pmemobj-R pool needs
+// its replica device, so it is never a snapshot file.
 func openPool(path string) (*pangolin.Pool, pangolin.Mode, error) {
 	var lastErr error
-	for _, m := range []pangolin.Mode{
-		pangolin.ModePangolinMLPC, pangolin.ModePangolinMLP, pangolin.ModePangolinML,
-		pangolin.ModePangolin, pangolin.ModePmemobj,
-	} {
+	for _, m := range pangolin.Modes() {
+		if m.ReplicaPool() {
+			continue
+		}
 		p, err := pangolin.LoadFile(path, pangolin.Config{Mode: m})
 		if err == nil {
 			return p, m, nil
@@ -82,8 +75,8 @@ func create(args []string) error {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	m, ok := modeNames[*mode]
-	if !ok {
+	m, err := pangolin.ParseMode(*mode)
+	if err != nil || m.ReplicaPool() {
 		return fmt.Errorf("unknown mode %q (pmemobj-r pools cannot be snapshot files)", *mode)
 	}
 	geo := pangolin.DefaultGeometry()
@@ -168,6 +161,17 @@ func inject(args []string) error {
 		return err
 	}
 	defer p.Close()
+	size := p.Device().Size()
+	if *page >= 0 {
+		if err := checkRange(size, uint64(*page), 1); err != nil {
+			return err
+		}
+	}
+	if *scribble >= 0 {
+		if err := checkRange(size, uint64(*scribble), *n); err != nil {
+			return err
+		}
+	}
 	if *page >= 0 {
 		p.InjectMediaError(uint64(*page))
 		fmt.Printf("poisoned page at %#x\n", *page)
@@ -177,4 +181,13 @@ func inject(args []string) error {
 		fmt.Printf("scribbled %d bytes at %#x\n", *n, *scribble)
 	}
 	return p.SaveFile(fs.Arg(0))
+}
+
+// checkRange refuses an injection into [off, off+n) unless it lies inside
+// the pool's size bytes; off+n may not wrap.
+func checkRange(size, off, n uint64) error {
+	if off >= size || n > size-off {
+		return fmt.Errorf("offset %#x length %d is outside the %#x-byte pool", off, n, size)
+	}
+	return nil
 }

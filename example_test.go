@@ -1,9 +1,4 @@
-// Quickstart mirrors the paper's Listings 1 and 2: build a persistent
-// linked list with transactions, update a node atomic-style with
-// pgl_open/pgl_commit, and survive a simulated power failure.
-//
-//	go run ./examples/quickstart
-package main
+package pangolin_test
 
 import (
 	"fmt"
@@ -19,14 +14,16 @@ type Node struct {
 	Val  uint64
 }
 
-func main() {
+// Example_quickstart mirrors the paper's Listings 1 and 2: build a
+// persistent linked list with transactions, update a node atomic-style
+// with pgl_open/pgl_commit, and survive a simulated power failure.
+func Example_quickstart() {
 	// Create a pool with full protection: micro-buffering, replicated
-	// metadata/logs, ~parity, and object checksums (Pangolin-MLPC).
+	// metadata/logs, parity, and object checksums (Pangolin-MLPC).
 	pool, err := pangolin.Create(pangolin.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer pool.Close()
 
 	// The root object anchors all reachable data (§2.3).
 	root, err := pangolin.Root[Node](pool, 1)
@@ -66,40 +63,37 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	obj.Value().Val = 11 // value update beyond 8 bytes would work too
+	obj.Value().Val = 11
 	if err := obj.Commit(); err != nil {
 		log.Fatal(err)
 	}
 
-	// Walk the list read-only (pgl_get: direct NVMM reads).
-	fmt.Print("list:")
-	for oid := root; !oid.IsNil(); {
-		n, err := pangolin.GetFromPool[Node](pool, oid)
-		if err != nil {
-			log.Fatal(err)
+	// Walk the list read-only (pgl_get: verified NVMM reads).
+	walk := func(p *pangolin.Pool) []uint64 {
+		var vals []uint64
+		for oid := root; !oid.IsNil(); {
+			n, err := pangolin.GetFromPool[Node](p, oid)
+			if err != nil {
+				log.Fatal(err)
+			}
+			vals = append(vals, n.Val)
+			oid = n.Next
 		}
-		fmt.Printf(" %d", n.Val)
-		oid = n.Next
+		return vals
 	}
-	fmt.Println()
+	fmt.Println("list:", walk(pool))
 
 	// Simulate a power failure: every cache line that was not flushed
 	// and fenced reverts. Reopen runs crash recovery.
 	crashed := pool.Device().CrashCopy(pangolin.CrashStrict, 1)
 	pool.Close()
-	pool2, err := pangolin.OpenDevice(crashed, pangolin.DefaultConfig(), nil)
+	pool, err = pangolin.OpenDevice(crashed, pangolin.DefaultConfig(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer pool2.Close()
-	sum := uint64(0)
-	for oid := root; !oid.IsNil(); {
-		n, err := pangolin.GetFromPool[Node](pool2, oid)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sum += n.Val
-		oid = n.Next
-	}
-	fmt.Printf("after crash+recovery, list sum = %d (want 101)\n", sum)
+	defer pool.Close()
+	fmt.Println("after crash and recovery:", walk(pool))
+	// Output:
+	// list: [11 20 30 40]
+	// after crash and recovery: [11 20 30 40]
 }

@@ -19,16 +19,6 @@ import (
 	"github.com/pangolin-go/pangolin"
 )
 
-// Modes lists the Table 2 operation modes in the paper's order.
-var Modes = []pangolin.Mode{
-	pangolin.ModePmemobj,
-	pangolin.ModePangolin,
-	pangolin.ModePangolinML,
-	pangolin.ModePangolinMLP,
-	pangolin.ModePangolinMLPC,
-	pangolin.ModePmemobjR,
-}
-
 // Config scales the experiments.
 type Config struct {
 	// Ops is the per-cell operation count for figure 3 style latency

@@ -163,13 +163,3 @@ func TestXoverSmoke(t *testing.T) {
 		t.Fatalf("output:\n%s", buf.String())
 	}
 }
-
-func TestExtSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Ext(&buf, tiny()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Pmemobj-P") {
-		t.Fatalf("output:\n%s", buf.String())
-	}
-}

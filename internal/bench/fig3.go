@@ -18,7 +18,7 @@ func Fig3(w io.Writer, cfg Config) error {
 		t := &Table{Header: append([]string{"size(B)"}, modeNames()...)}
 		for _, size := range cfg.Sizes {
 			row := []string{fmt.Sprintf("%d", size)}
-			for _, mode := range Modes {
+			for _, mode := range pangolin.Modes() {
 				d, err := fig3Cell(mode, op, size, cfg.Ops)
 				if err != nil {
 					return fmt.Errorf("fig3 %s %s %d: %w", mode, op, size, err)
@@ -34,9 +34,9 @@ func Fig3(w io.Writer, cfg Config) error {
 }
 
 func modeNames() []string {
-	names := make([]string, len(Modes))
-	for i, m := range Modes {
-		names[i] = m.String()
+	var names []string
+	for _, m := range pangolin.Modes() {
+		names = append(names, m.String())
 	}
 	return names
 }

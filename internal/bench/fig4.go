@@ -20,7 +20,7 @@ func Fig4(w io.Writer, cfg Config) error {
 		t := &Table{Header: append([]string{"threads"}, modeNames()...)}
 		for _, threads := range cfg.Threads {
 			row := []string{fmt.Sprintf("%d", threads)}
-			for _, mode := range Modes {
+			for _, mode := range pangolin.Modes() {
 				kops, err := fig4Cell(mode, size, threads, cfg.Ops)
 				if err != nil {
 					return fmt.Errorf("fig4 %v %dB %dthr: %w", mode, size, threads, err)

@@ -81,7 +81,7 @@ func Fig5(w io.Writer, cfg Config) error {
 		n := min(cfg.KVOps, f.opCap)
 		insRow := []string{f.name}
 		remRow := []string{f.name}
-		for _, mode := range Modes {
+		for _, mode := range pangolin.Modes() {
 			ins, rem, err := fig5Cell(f, mode, n)
 			if err != nil {
 				return fmt.Errorf("fig5 %s %v: %w", f.name, mode, err)

@@ -16,7 +16,7 @@ func Table2(w io.Writer) {
 		}
 		return "-"
 	}
-	for _, m := range Modes {
+	for _, m := range pangolin.Modes() {
 		t.Add(m.String(), yn(m.MicroBuffered()), yn(m.ReplicateMeta()), yn(m.Parity()), yn(m.Checksums()), yn(m.ReplicaPool()))
 	}
 	fmt.Fprintf(w, "\nTable 2 — library operation modes\n")

@@ -217,7 +217,7 @@ func TestFreshZeroRunsNotLogged(t *testing.T) {
 // seed failed here with "extent … not yet committed"); the transaction's
 // own reservation can.
 func TestOwnExtentInUndoModes(t *testing.T) {
-	for _, mode := range []Mode{Pmemobj, PmemobjR, PmemobjP} {
+	for _, mode := range []Mode{Pmemobj, PmemobjR} {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := mkEngine(t, mode)
 			size := e.geo.ChunkSize * 2

@@ -431,23 +431,6 @@ func (tx *Tx) commitPmemobj() error {
 		}
 		e.replica.Fence()
 	}
-	// Pmemobj-P (§3.5 extension): fold snapshot⊕current patches into
-	// zone parity. Snapshots are deduplicated, so each byte pairs its
-	// first logged image with its final contents exactly once. A crash
-	// before the commit flag rolls the data back and recomputes parity
-	// for these columns; after the flag both are already consistent.
-	if e.mode.Parity() {
-		for _, rec := range tx.undoRecs {
-			loc, ok := e.lay.Locate(rec.off)
-			if !ok {
-				continue
-			}
-			delta := make([]byte, len(rec.old))
-			xor.Delta(delta, rec.old, e.dev.Slice(rec.off, uint64(len(rec.old))))
-			e.foldParity(loc, delta)
-		}
-		e.dev.Fence()
-	}
 	// Metadata ops ride the same lane: appending them and flipping the
 	// lane to redo-committed makes them atomic with the data commit.
 	for _, res := range tx.allocs {

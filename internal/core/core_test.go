@@ -10,8 +10,6 @@ import (
 	"github.com/pangolin-go/pangolin/internal/nvm"
 )
 
-var allModes = []Mode{Pmemobj, Pangolin, PangolinML, PangolinMLP, PangolinMLPC, PmemobjR, PmemobjP}
-
 func mkEngine(t *testing.T, mode Mode) *Engine {
 	t.Helper()
 	geo := layout.Default()
@@ -73,7 +71,7 @@ func verifyChecksums(t *testing.T, e *Engine) {
 }
 
 func TestAllocCommitReadAllModes(t *testing.T) {
-	for _, mode := range allModes {
+	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := mkEngine(t, mode)
 			var oid layout.OID
@@ -117,7 +115,7 @@ func TestAllocCommitReadAllModes(t *testing.T) {
 }
 
 func TestOverwriteAllModes(t *testing.T) {
-	for _, mode := range allModes {
+	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := mkEngine(t, mode)
 			var oid layout.OID
@@ -194,7 +192,7 @@ func TestStoredChecksumMatchesFullRecompute(t *testing.T) {
 }
 
 func TestAbortLeavesNoTrace(t *testing.T) {
-	for _, mode := range allModes {
+	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := mkEngine(t, mode)
 			var oid layout.OID
@@ -252,8 +250,69 @@ func TestAbortLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestOverlappingRanges: overlapping AddRange calls, each followed by
+// writes, commit the last write to every byte, and an abort after them
+// restores every byte's first image (an undo range is snapshotted once).
+func TestOverlappingRanges(t *testing.T) {
+	for _, mode := range Modes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := mkEngine(t, mode)
+			var oid layout.OID
+			if err := e.Run(func(tx *Tx) error {
+				var err error
+				oid, _, err = tx.Alloc(256, 1)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// Three overlapping ranges, written between declarations.
+			write := func(tx *Tx) error {
+				for _, r := range []struct {
+					off, n, lo, hi int
+					v              byte
+				}{{0, 100, 0, 100, 1}, {50, 100, 50, 150, 2}, {0, 256, 150, 256, 3}} {
+					data, err := tx.AddRange(oid, uint64(r.off), uint64(r.n))
+					if err != nil {
+						return err
+					}
+					for i := r.lo; i < r.hi; i++ {
+						data[i] = r.v
+					}
+				}
+				return nil
+			}
+			tx, err := e.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := write(tx); err != nil {
+				t.Fatal(err)
+			}
+			tx.Abort()
+			got, err := e.Get(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:256], make([]byte, 256)) {
+				t.Fatalf("abort left writes behind: %v", got[:256])
+			}
+			if err := e.Run(write); err != nil {
+				t.Fatal(err)
+			}
+			if got, err = e.Get(oid); err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != 1 || got[60] != 2 || got[200] != 3 {
+				t.Fatalf("data wrong: %d %d %d", got[0], got[60], got[200])
+			}
+			verifyParity(t, e)
+			verifyChecksums(t, e)
+		})
+	}
+}
+
 func TestFreeAllModes(t *testing.T) {
-	for _, mode := range allModes {
+	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := mkEngine(t, mode)
 			var oid layout.OID
@@ -289,7 +348,7 @@ func TestFreeAllModes(t *testing.T) {
 }
 
 func TestRootPersistsAcrossReopen(t *testing.T) {
-	for _, mode := range allModes {
+	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := mkEngine(t, mode)
 			root, err := e.Root(128, 42)
@@ -415,7 +474,7 @@ func TestCanaryAbortsCommit(t *testing.T) {
 }
 
 func TestEmptyTransaction(t *testing.T) {
-	for _, mode := range allModes {
+	for _, mode := range Modes() {
 		e := mkEngine(t, mode)
 		if err := e.Run(func(tx *Tx) error { return nil }); err != nil {
 			t.Fatalf("%v: empty tx: %v", mode, err)
@@ -594,6 +653,43 @@ func TestScrubRepairsScribbles(t *testing.T) {
 		}
 	}
 	verifyParity(t, e)
+}
+
+// TestOpenRepairsPoisonFromParity: a page lost before a crash is rebuilt
+// from parity while the pool opens, before any read touches it.
+func TestOpenRepairsPoisonFromParity(t *testing.T) {
+	for _, mode := range []Mode{PangolinMLP, PangolinMLPC} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := mkEngine(t, mode)
+			var oid layout.OID
+			if err := e.Run(func(tx *Tx) error {
+				var err error
+				var data []byte
+				oid, data, err = tx.Alloc(500, 1)
+				if err != nil {
+					return err
+				}
+				copy(data, "parity-protected")
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			e.InjectMediaError(oid.Off)
+			e2 := reopenEngine(t, e, true, 1)
+			if e2.Device().IsPoisoned(oid.Off) {
+				t.Fatal("page still poisoned after open")
+			}
+			got, err := e2.Get(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got[:16]) != "parity-protected" {
+				t.Fatalf("restored %q", got[:16])
+			}
+			verifyParity(t, e2)
+			verifyChecksums(t, e2)
+		})
+	}
 }
 
 func TestPmemobjROfflineRepair(t *testing.T) {

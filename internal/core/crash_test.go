@@ -42,9 +42,8 @@ func runUntilCrash(dev *nvm.Device, crashAt int, fn func()) (crashed, completed 
 }
 
 // crashModes are the modes whose crash recovery we sweep. One
-// representative per commit protocol family plus the fully protected mode
-// and the §3.5 undo+parity extension.
-var crashModes = []Mode{Pmemobj, PmemobjR, Pangolin, PangolinMLPC, PmemobjP}
+// representative per commit protocol family plus the fully protected mode.
+var crashModes = []Mode{Pmemobj, PmemobjR, Pangolin, PangolinMLPC}
 
 // TestCommitCrashSweep is invariant P3: for every crash point in an
 // overwrite transaction's commit and for multiple random cache-eviction
@@ -411,7 +410,7 @@ func TestRecoveryDuringLoad(t *testing.T) {
 // TestReopenAfterManyTransactions exercises the full reopen path with a
 // populated heap.
 func TestReopenAfterManyTransactions(t *testing.T) {
-	for _, mode := range allModes {
+	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := mkEngine(t, mode)
 			type obj struct {

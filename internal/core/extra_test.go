@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,6 +234,34 @@ func TestWrongModeOpenRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2.Close()
+}
+
+// TestParityImpliesMicroBuffered: the redo commit is the one path that
+// folds parity, so every parity mode is micro-buffered, and Open refuses
+// a header whose flags ask for parity over direct in-place writes.
+func TestParityImpliesMicroBuffered(t *testing.T) {
+	for _, m := range Modes() {
+		if m.Parity() && !m.MicroBuffered() {
+			t.Errorf("%v keeps parity without micro-buffering", m)
+		}
+	}
+	e := mkEngine(t, Pmemobj)
+	dev := e.Device()
+	e.Close()
+	hdr, err := layout.DecodePoolHeader(dev.Slice(0, layout.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr.Flags |= layout.FlagParity
+	img := layout.EncodePoolHeader(hdr)
+	dev.WriteAt(0, img)
+	dev.WriteAt(layout.PageSize, img)
+	for _, m := range Modes() {
+		_, err := Open(dev, Options{Mode: m}, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", hdr.Flags)) {
+			t.Fatalf("Open(%v) of a parity header without micro-buffering = %v, want an error naming flags %#x", m, err, hdr.Flags)
+		}
+	}
 }
 
 // TestOpenGarbageRejected: a device that is not a pool fails cleanly.

@@ -34,14 +34,12 @@ const (
 	// PmemobjR is libpmemobj with a full replica pool (100% space
 	// overhead), the paper's fault-tolerant comparison point.
 	PmemobjR
-	// PmemobjP is the §3.5 extension the paper sketches but does not
-	// build: an undo-logging system adopting Pangolin's hybrid parity
-	// scheme. Parity patches are computed from the XOR of the logged
-	// snapshot (old) and the in-place data (new) at commit. Media
-	// errors are repairable offline (at open) for ~1% space instead of
-	// Pmemobj-R's 100%; there are no checksums and no online recovery.
-	PmemobjP
 )
+
+// Modes returns the six operation modes in Table 2 order.
+func Modes() []Mode {
+	return []Mode{Pmemobj, Pangolin, PangolinML, PangolinMLP, PangolinMLPC, PmemobjR}
+}
 
 // String returns the paper's abbreviation for the mode.
 func (m Mode) String() string {
@@ -58,8 +56,6 @@ func (m Mode) String() string {
 		return "Pangolin-MLPC"
 	case PmemobjR:
 		return "Pmemobj-R"
-	case PmemobjP:
-		return "Pmemobj-P"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -77,8 +73,10 @@ func (m Mode) ReplicateMeta() bool {
 	return m == PangolinML || m == PangolinMLP || m == PangolinMLPC
 }
 
-// Parity reports whether zone parity is maintained ("+P").
-func (m Mode) Parity() bool { return m == PangolinMLP || m == PangolinMLPC || m == PmemobjP }
+// Parity reports whether zone parity is maintained ("+P"). Only
+// micro-buffered modes keep it: the redo commit is the one path that
+// folds parity.
+func (m Mode) Parity() bool { return m == PangolinMLP || m == PangolinMLPC }
 
 // Checksums reports whether object checksums are maintained ("+C").
 func (m Mode) Checksums() bool { return m == PangolinMLPC }
@@ -114,7 +112,7 @@ func headerFlags(m Mode) uint32 {
 
 // modeFromFlags recovers the mode from pool-header flags.
 func modeFromFlags(f uint32) (Mode, error) {
-	for _, m := range []Mode{Pmemobj, Pangolin, PangolinML, PangolinMLP, PangolinMLPC, PmemobjR, PmemobjP} {
+	for _, m := range Modes() {
 		if headerFlags(m) == f {
 			return m, nil
 		}

@@ -288,9 +288,9 @@ func (e *Engine) CheckObject(oid layout.OID) error {
 //
 // Online recovery requires a micro-buffered mode: the freeze protocol
 // quiesces commits, and micro-buffered transactions touch NVMM only
-// inside commits. Direct-write modes (Pmemobj-P) mutate NVMM mid-
-// transaction, so their parity is repair-safe only offline — the same
-// restriction libpmemobj's replication has (§2.3).
+// inside commits. The direct-write modes keep no parity, and Pmemobj-R
+// repairs from its replica only offline, as libpmemobj's replication
+// does (§2.3).
 func (e *Engine) faultRepair(off, n uint64, cause error) error {
 	if !e.mode.MicroBuffered() {
 		return fmt.Errorf("core: %w: %w", cause, ErrNeedReopen)

@@ -26,7 +26,7 @@ type ScrubReport struct {
 	// escape hatch for the page itself.
 	PagesUnrecovered int `json:"pages_unrecovered"`
 	// ChecksumsVerified reports whether object checksums were actually
-	// verified: false in checksum-less modes (pmemobj, pmemobj-p, and the
+	// verified: false in checksum-less modes (pmemobj, pmemobj-r, and the
 	// non-C Pangolin modes), where scrubbing covers pages and parity only
 	// and "0 bad objects" must not be mistaken for "verified clean".
 	ChecksumsVerified bool `json:"checksums_verified"`

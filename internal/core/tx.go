@@ -168,17 +168,8 @@ func (tx *Tx) Alloc(size uint64, typ uint32) (layout.OID, []byte, error) {
 		return oid, b.UserData(), nil
 	}
 	// pmemobj: initialize the object in place (it is unreachable until
-	// the allocator op commits, so no undo is needed for fresh space —
-	// except under Pmemobj-P, whose commit-time parity patches need the
-	// pre-init bytes, and whose rollback must restore them to keep
-	// parity consistent).
+	// the allocator op commits, so no undo is needed for fresh space).
 	d := tx.e.dev
-	if tx.e.mode.Parity() {
-		if err := tx.snapshot(res.Base, hdr.Size); err != nil {
-			tx.e.heap.Release(res)
-			return layout.NilOID, nil, err
-		}
-	}
 	d.MarkDirty(res.Base, hdr.Size)
 	img := d.Slice(res.Base, hdr.Size)
 	for i := range img {
@@ -293,10 +284,8 @@ func (tx *Tx) openBuf(oid layout.OID) (*mbuf.Buf, error) {
 // ownDirect returns the in-place user data of an object this transaction
 // allocated (pmemobj modes). Its size comes from the transaction's own
 // reservation — the allocator cannot size an extent before its op commits
-// — and it needs no undo snapshot: fresh space is unreachable until then
-// (Pmemobj-P, whose parity patches need the pre-init bytes, snapshotted it
-// at Alloc), and Alloc already queued the whole object for commit-time
-// persistence.
+// — and it needs no undo snapshot: fresh space is unreachable until then,
+// and Alloc already queued the whole object for commit-time persistence.
 func (tx *Tx) ownDirect(oid layout.OID) ([]byte, bool) {
 	if tx.bufs != nil {
 		return nil, false
@@ -398,8 +387,7 @@ func (tx *Tx) AddRange(oid layout.OID, off, n uint64) ([]byte, error) {
 // snapshot durably appends undo records for the not-yet-covered parts of
 // [off, off+n) before the caller writes in place (§2.3), activating the
 // lane on first use. Re-snapshotting a covered range is free, as with
-// libpmemobj's range tree — and necessary for Pmemobj-P, whose parity
-// patches pair each byte's first snapshot with its final contents.
+// libpmemobj's range tree: rollback needs only each byte's first image.
 func (tx *Tx) snapshot(off, n uint64) error {
 	if tx.w == nil {
 		return fmt.Errorf("core: transaction log unavailable")

@@ -100,3 +100,39 @@ func TestInsertSpanSubtractCoveredAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotIntervalLogic exercises the covered-interval helpers
+// directly.
+func TestSnapshotIntervalLogic(t *testing.T) {
+	var covered []span
+	sub := func(off, n uint64) []span { return subtractCovered(covered, span{off, n}) }
+	if got := sub(10, 5); len(got) != 1 || got[0] != (span{10, 5}) {
+		t.Fatalf("empty covered: %+v", got)
+	}
+	covered = insertSpan(covered, span{10, 5}) // [10,15)
+	if got := sub(10, 5); len(got) != 0 {
+		t.Fatalf("fully covered: %+v", got)
+	}
+	if got := sub(8, 10); len(got) != 2 || got[0] != (span{8, 2}) || got[1] != (span{15, 3}) {
+		t.Fatalf("straddling: %+v", got)
+	}
+	covered = insertSpan(covered, span{20, 5}) // [10,15) [20,25)
+	if got := sub(12, 10); len(got) != 1 || got[0] != (span{15, 5}) {
+		t.Fatalf("between: %+v", got)
+	}
+	covered = insertSpan(covered, span{15, 5}) // merge → [10,25)
+	if len(covered) != 1 || covered[0] != (span{10, 15}) {
+		t.Fatalf("merge failed: %+v", covered)
+	}
+	// Adjacent-left merge.
+	covered = insertSpan(covered, span{5, 5})
+	if len(covered) != 1 || covered[0] != (span{5, 20}) {
+		t.Fatalf("left merge failed: %+v", covered)
+	}
+	// Disjoint insert stays sorted.
+	covered = insertSpan(covered, span{100, 1})
+	covered = insertSpan(covered, span{50, 1})
+	if len(covered) != 3 || covered[1] != (span{50, 1}) {
+		t.Fatalf("sorted insert failed: %+v", covered)
+	}
+}

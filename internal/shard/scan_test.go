@@ -171,17 +171,22 @@ func TestScanShuttingDownTyped(t *testing.T) {
 }
 
 // TestModePmemobjRejectedExplicitly: ParseMode, the name channel,
-// rejects the unprotected baseline with the typed error instead of
+// rejects both pmemobj baselines with the typed error instead of
 // letting it read as the zero-value default, gives an unknown name a
 // distinct naming error, and resolves the servable names to their modes.
 func TestModePmemobjRejectedExplicitly(t *testing.T) {
-	if _, err := ParseMode("pmemobj"); !errors.Is(err, ErrUnprotectedMode) {
-		t.Fatalf("ParseMode(pmemobj) = %v, want ErrUnprotectedMode", err)
+	for _, name := range []string{"pmemobj", "pmemobj-r"} {
+		if _, err := ParseMode(name); !errors.Is(err, ErrUnprotectedMode) {
+			t.Fatalf("ParseMode(%s) = %v, want ErrUnprotectedMode", name, err)
+		}
 	}
 	if _, err := ParseMode("protect-me-not"); err == nil || errors.Is(err, ErrUnprotectedMode) {
 		t.Fatalf("ParseMode(unknown) = %v, want a distinct naming error", err)
 	}
 	want := []pangolin.Mode{pangolin.ModePangolin, pangolin.ModePangolinML, pangolin.ModePangolinMLP, pangolin.ModePangolinMLPC}
+	if len(ModeNames()) != len(want) {
+		t.Fatalf("ModeNames() = %v, want %d names", ModeNames(), len(want))
+	}
 	for i, name := range ModeNames() {
 		if m, err := ParseMode(name); err != nil || m != want[i] {
 			t.Fatalf("ParseMode(%q) = (%v, %v), want %v", name, m, err, want[i])
@@ -205,7 +210,6 @@ func TestNumericModesRefuseOrRoundTrip(t *testing.T) {
 		{mode: pangolin.ModePangolinMLP, serves: pangolin.ModePangolinMLP},
 		{mode: pangolin.ModePangolinMLPC, serves: pangolin.ModePangolinMLPC},
 		{mode: pangolin.ModePmemobjR, refused: true},
-		{mode: pangolin.ModePmemobjP, refused: true},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			dir := t.TempDir()

@@ -58,11 +58,11 @@ import (
 var ErrShuttingDown = errors.New("shard set shutting down")
 
 // ErrUnprotectedMode reports a request for one of the pmemobj baselines
-// through a service set: ModePmemobjR or ModePmemobjP in
-// Options.Pangolin.Mode, or the name "pmemobj" given to ParseMode. The
-// plain baseline is numerically the zero Mode, which Options reads as
-// the default, so only the name can ask for it.
-var ErrUnprotectedMode = errors.New("shard: the unprotected pmemobj modes are not servable (a serving layer that silently dropped every protection would be a footgun)")
+// through a service set: ModePmemobjR in Options.Pangolin.Mode, or the
+// name "pmemobj" or "pmemobj-r" given to ParseMode. The plain baseline
+// is numerically the zero Mode, which Options reads as the default, so
+// only the name can ask for it.
+var ErrUnprotectedMode = errors.New("shard: the pmemobj baselines (pmemobj, pmemobj-r) are not servable: a set runs one of the micro-buffered Pangolin modes")
 
 // Options configures a shard set.
 type Options struct {
@@ -76,7 +76,7 @@ type Options struct {
 	Backend string
 	// Pangolin configures each pangolin shard pool. A zero Mode selects
 	// ModePangolinMLPC, the fully protected system; the four Pangolin
-	// modes select themselves; ModePmemobjR and ModePmemobjP fail with
+	// modes select themselves; ModePmemobjR fails with
 	// ErrUnprotectedMode. Pangolin.Scrub also bounds every backend's
 	// maintenance steps.
 	Pangolin pangolin.Config
@@ -108,30 +108,29 @@ func (o *Options) structure() string {
 	return o.Structure
 }
 
-// modeNames maps the servable mode names. "pmemobj" is deliberately
-// absent: an explicit request for it is rejected, not coerced.
-var modeNames = map[string]pangolin.Mode{
-	"pangolin":      pangolin.ModePangolin,
-	"pangolin-ml":   pangolin.ModePangolinML,
-	"pangolin-mlp":  pangolin.ModePangolinMLP,
-	"pangolin-mlpc": pangolin.ModePangolinMLPC,
-}
-
-// ModeNames returns the servable mode names in protection order.
+// ModeNames returns the servable mode names (the micro-buffered
+// Pangolin modes) in protection order.
 func ModeNames() []string {
-	return []string{"pangolin", "pangolin-ml", "pangolin-mlp", "pangolin-mlpc"}
+	var names []string
+	for _, m := range pangolin.Modes() {
+		if m.MicroBuffered() {
+			names = append(names, strings.ToLower(m.String()))
+		}
+	}
+	return names
 }
 
 // ParseMode resolves a servable mode name (ModeNames) for
-// Options.Pangolin.Mode. "pmemobj" fails with ErrUnprotectedMode, and an
-// unknown name with an error naming the choices.
+// Options.Pangolin.Mode. A pmemobj baseline's name fails with
+// ErrUnprotectedMode, and an unknown name with an error naming the
+// choices: an explicit request for a baseline is rejected, not coerced.
 func ParseMode(name string) (pangolin.Mode, error) {
-	if name == "pmemobj" {
-		return 0, ErrUnprotectedMode
-	}
-	m, ok := modeNames[name]
-	if !ok {
+	m, err := pangolin.ParseMode(name)
+	if err != nil {
 		return 0, fmt.Errorf("shard: unknown mode %q (have %v)", name, ModeNames())
+	}
+	if !m.MicroBuffered() {
+		return 0, ErrUnprotectedMode
 	}
 	return m, nil
 }
@@ -143,7 +142,7 @@ func (o *Options) config() (pangolin.Config, error) {
 		// Zero is indistinguishable from unset: the protected default.
 		cfg.Mode = pangolin.ModePangolinMLPC
 	case pangolin.ModePangolin, pangolin.ModePangolinML, pangolin.ModePangolinMLP, pangolin.ModePangolinMLPC:
-	case pangolin.ModePmemobjR, pangolin.ModePmemobjP:
+	case pangolin.ModePmemobjR:
 		return cfg, fmt.Errorf("%w: got %v", ErrUnprotectedMode, cfg.Mode)
 	default:
 		return cfg, fmt.Errorf("shard: unknown mode %v", cfg.Mode)

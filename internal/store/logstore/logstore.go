@@ -174,8 +174,8 @@ type Store struct {
 	mergedRecords uint64
 
 	merge       *mergeJob
-	cursor      verifyCursor
-	quarantined map[int]bool // segments a merge found corruption in: never re-merged
+	verify      store.ScrubPass // ScrubStep's background CRC pass; nil between passes
+	quarantined map[int]bool    // segments a merge found corruption in: never re-merged
 
 	vb      *store.VersionBuffer // pinned-snapshot version retention
 	merging bool                 // inside mergeStep's copy-forward Apply: no staging

@@ -173,6 +173,56 @@ func TestMergeRefusesCorruptRecord(t *testing.T) {
 	}
 }
 
+// TestScrubStepSweepsLikeAPass pins the single CRC walker: with one
+// record corrupt in a sealed segment that no merge is due for, the
+// maintenance sweep (ScrubStep until done) and a NewScrubPass run to
+// completion report the same objects and the same bad one.
+func TestScrubStepSweepsLikeAPass(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fill(t, s, 0, 400) // distinct keys: every record live, no merge due
+	if len(s.segs) < 3 || s.mergeDue() {
+		t.Fatalf("want >=3 segments and no merge due, have %d (due %v)", len(s.segs), s.mergeDue())
+	}
+	f, err := os.OpenFile(segPath(dir, s.segs[1].id), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, 6); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	run := func(step func() (pangolin.ScrubReport, bool, error)) pangolin.ScrubReport {
+		var total pangolin.ScrubReport
+		for i := 0; i < 1000; i++ {
+			rep, done, err := step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total.Add(rep)
+			if done {
+				return total
+			}
+		}
+		t.Fatal("scrub never completed")
+		return total
+	}
+	sweep := run(s.ScrubStep)
+	pass := run(s.NewScrubPass().Step)
+	if sweep.Objects != pass.Objects || sweep.BadObjects != pass.BadObjects {
+		t.Fatalf("sweep %d objects, %d bad; pass %d objects, %d bad",
+			sweep.Objects, sweep.BadObjects, pass.Objects, pass.BadObjects)
+	}
+	if pass.Objects != 400 || pass.BadObjects != 1 {
+		t.Fatalf("pass counted %d objects, %d bad; want 400, 1", pass.Objects, pass.BadObjects)
+	}
+}
+
 // TestCrashSaveSuspendsInflightMerge pins the crash-image contract
 // against an *already running* merge: once CrashSave records its
 // sidecar, subsequent ScrubSteps must drop the in-flight job rather

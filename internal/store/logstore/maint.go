@@ -16,12 +16,6 @@ type mergeJob struct {
 	off   int64
 }
 
-// verifyCursor is the background CRC sweep's position.
-type verifyCursor struct {
-	segID int
-	off   int64
-}
-
 // recordsPerStep bounds one ScrubStep's work, reusing the pangolin
 // scrubber's per-step object budget.
 func (s *Store) recordsPerStep() int {
@@ -33,10 +27,10 @@ func (s *Store) recordsPerStep() int {
 
 // ScrubStep implements store.Store: the maintenance scheduler's tick
 // unit. When compaction is due (or already underway) the step advances
-// the merge; otherwise it advances a CRC-verify cursor over the
-// segments, the log engine's detect-only analog of the pangolin
-// scrubber. done reports a completed verify wrap (merge steps are
-// housekeeping, never "a pass").
+// the merge; otherwise it steps a background scrub pass (NewScrubPass),
+// the log engine's detect-only analog of the pangolin scrubber, and
+// starts a new pass once that one completes or fails. done reports a
+// completed pass (merge steps are housekeeping, never "a pass").
 func (s *Store) ScrubStep() (pangolin.ScrubReport, bool, error) {
 	if s.rotateErr != nil {
 		// A rotation deferred out of Apply (which must not report errors
@@ -59,7 +53,14 @@ func (s *Store) ScrubStep() (pangolin.ScrubReport, bool, error) {
 		rep, err := s.mergeStep()
 		return rep, false, err
 	}
-	return s.verifyStep()
+	if s.verify == nil {
+		s.verify = s.NewScrubPass()
+	}
+	rep, done, err := s.verify.Step()
+	if done || err != nil {
+		s.verify = nil
+	}
+	return rep, done, err
 }
 
 // mergeDue reports whether the oldest sealed segment has enough dead
@@ -170,73 +171,29 @@ func (s *Store) mergeStep() (pangolin.ScrubReport, error) {
 	return rep, durable.SyncDir(s.dir)
 }
 
-// verifyStep CRC-checks up to recordsPerStep records from the sweep
-// cursor. Mismatches are counted (BadObjects/Unrecovered — detect-only,
-// nothing to repair from) rather than erroring, matching the pangolin
-// scrubber's "count and keep sweeping" behavior; done reports a full
-// wrap over every segment, after which the cursor starts over.
-func (s *Store) verifyStep() (pangolin.ScrubReport, bool, error) {
-	rep := pangolin.ScrubReport{ChecksumsVerified: true}
-	// Find the cursor's segment, or the next surviving one (merges
-	// delete segments out from under the sweep).
-	pos := len(s.segs) - 1
-	for i, sg := range s.segs {
-		if sg.id >= s.cursor.segID {
-			pos = i
-			break
-		}
-	}
-	if s.segs[pos].id != s.cursor.segID {
-		s.cursor = verifyCursor{segID: s.segs[pos].id}
-	}
-	for rep.Objects < s.recordsPerStep() {
-		seg := s.segs[pos]
-		if s.cursor.off+recSize > seg.size {
-			if pos == len(s.segs)-1 {
-				// Wrapped: the whole log verified since the last reset.
-				s.cursor = verifyCursor{segID: s.segs[0].id}
-				return rep, true, nil
-			}
-			pos++
-			s.cursor = verifyCursor{segID: s.segs[pos].id}
-			continue
-		}
-		var rec [recSize]byte
-		if _, err := seg.f.ReadAt(rec[:], s.cursor.off); err != nil {
-			return rep, false, fmt.Errorf("logstore: verify segment %d: %w", seg.id, err)
-		}
-		kind, _, _, _, ok := decodeRecord(rec[:])
-		if !ok {
-			rep.BadObjects++
-			rep.Unrecovered++
-			rep.Objects++
-		} else if kind != recCommit {
-			rep.Objects++
-		}
-		s.cursor.off += recSize
-	}
-	return rep, false, nil
-}
-
 // scrubPass is one full CRC sweep (store.ScrubPass): the segment list
 // is planned at pass start and swept with an independent cursor, so
 // client batches and even merges can interleave between steps (a
 // segment deleted mid-pass is skipped; records appended after the plan
 // are the next pass's work).
 type scrubPass struct {
-	s     *Store
-	ids   []int
-	sizes map[int]int64
-	pos   int
-	off   int64
+	s    *Store
+	plan []plannedSeg
+	pos  int
+	off  int64
+}
+
+// plannedSeg is one segment of a pass's plan and its size at pass start.
+type plannedSeg struct {
+	id   int
+	size int64
 }
 
 // NewScrubPass starts a CRC-verify pass over the current segments.
 func (s *Store) NewScrubPass() store.ScrubPass {
-	p := &scrubPass{s: s, sizes: make(map[int]int64)}
-	for _, sg := range s.segs {
-		p.ids = append(p.ids, sg.id)
-		p.sizes[sg.id] = sg.size
+	p := &scrubPass{s: s, plan: make([]plannedSeg, len(s.segs))}
+	for i, sg := range s.segs {
+		p.plan[i] = plannedSeg{id: sg.id, size: sg.size}
 	}
 	return p
 }
@@ -245,17 +202,29 @@ func (s *Store) NewScrubPass() store.ScrubPass {
 // CRC-framed, so a completed pass really did verify the whole log.
 func (s *Store) ChecksumsVerified() bool { return true }
 
+// Step CRC-checks up to recordsPerStep records. Mismatches are counted
+// (BadObjects/Unrecovered: detect-only, nothing to repair from) rather
+// than erroring, as the pangolin scrubber counts and keeps sweeping. It
+// looks each segment up once per step it reaches, not per record: a
+// merge may delete a segment between steps, never within one.
 func (p *scrubPass) Step() (pangolin.ScrubReport, bool, error) {
 	rep := pangolin.ScrubReport{ChecksumsVerified: true}
+	var seg *segment
+	var end int64
 	for rep.Objects < p.s.recordsPerStep() {
-		if p.pos >= len(p.ids) {
+		if p.pos >= len(p.plan) {
 			return rep, true, nil
 		}
-		seg := p.s.segByID(p.ids[p.pos])
-		size := p.sizes[p.ids[p.pos]]
-		if seg == nil || p.off+recSize > min(size, seg.size) {
+		if seg == nil {
+			pl := p.plan[p.pos]
+			if seg = p.s.segByID(pl.id); seg != nil {
+				end = min(pl.size, seg.size)
+			}
+		}
+		if seg == nil || p.off+recSize > end {
 			p.pos++
 			p.off = 0
+			seg = nil
 			continue
 		}
 		var rec [recSize]byte

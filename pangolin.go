@@ -35,6 +35,7 @@ package pangolin
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"github.com/pangolin-go/pangolin/internal/core"
@@ -63,7 +64,7 @@ func PaperGeometry(zones uint64) Geometry { return layout.Paper(zones) }
 // Mode selects the operation mode (paper Table 2).
 type Mode = core.Mode
 
-// Operation modes (Table 2), plus the §3.5 extension mode.
+// Operation modes (Table 2).
 const (
 	ModePmemobj      = core.Pmemobj      // libpmemobj baseline: undo log, no protection
 	ModePangolin     = core.Pangolin     // micro-buffering + redo only
@@ -71,12 +72,24 @@ const (
 	ModePangolinMLP  = core.PangolinMLP  // + zone parity
 	ModePangolinMLPC = core.PangolinMLPC // + object checksums (full system)
 	ModePmemobjR     = core.PmemobjR     // libpmemobj + full replica pool
-	// ModePmemobjP is the extension §3.5 sketches for other transaction
-	// systems: undo logging with commit-time parity patches computed
-	// from snapshot⊕current. Offline repair at ~1% space; no checksums,
-	// no online recovery.
-	ModePmemobjP = core.PmemobjP
 )
+
+// Modes returns the six operation modes in Table 2 order.
+func Modes() []Mode { return core.Modes() }
+
+// ParseMode resolves a mode by its lower-cased name ("pmemobj",
+// "pangolin-mlpc", ...): the inverse of strings.ToLower(m.String()).
+func ParseMode(name string) (Mode, error) {
+	var names []string
+	for _, m := range Modes() {
+		n := strings.ToLower(m.String())
+		if n == name {
+			return m, nil
+		}
+		names = append(names, n)
+	}
+	return 0, fmt.Errorf("pangolin: unknown mode %q (have %v)", name, names)
+}
 
 // VerifyPolicy selects checksum verification timing (§3.3).
 type VerifyPolicy = core.VerifyPolicy

@@ -2,6 +2,7 @@ package pangolin
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -212,8 +213,7 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 }
 
 func TestAllModesThroughPublicAPI(t *testing.T) {
-	for _, mode := range []Mode{ModePmemobj, ModePangolin, ModePangolinML,
-		ModePangolinMLP, ModePangolinMLPC, ModePmemobjR} {
+	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			p := newPool(t, mode)
 			root, err := Root[listNode](p, 1)
@@ -238,6 +238,22 @@ func TestAllModesThroughPublicAPI(t *testing.T) {
 				t.Fatalf("val %d", n.Val)
 			}
 		})
+	}
+}
+
+// TestModeNamesRoundTrip: every mode's lower-cased String parses back to
+// itself, and a name outside the list is refused.
+func TestModeNamesRoundTrip(t *testing.T) {
+	if len(Modes()) != 6 {
+		t.Fatalf("Modes() = %v, want Table 2's six", Modes())
+	}
+	for _, m := range Modes() {
+		if got, err := ParseMode(strings.ToLower(m.String())); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = (%v, %v), want %v", strings.ToLower(m.String()), got, err, m)
+		}
+	}
+	if _, err := ParseMode("Pangolin-MLPC"); err == nil {
+		t.Error("ParseMode accepted a name that is not lower case")
 	}
 }
 

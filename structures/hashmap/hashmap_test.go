@@ -66,7 +66,7 @@ func TestConformanceWhileMigrating(t *testing.T) {
 
 // TestGrowthAllModes takes the default table through three doublings (at
 // 778, 1,556 and 3,112 keys; the last migration ends by 3,180) under all
-// seven modes. Each migration step writes the new segments as objects of
+// six modes. Each migration step writes the new segments as objects of
 // its own transaction, whose later inserts modify them — objects the
 // undo-log modes must open in the transaction that allocated them — and
 // frees an old chain, the last step the old directory; the short run

@@ -7,12 +7,6 @@ import (
 	"github.com/pangolin-go/pangolin/structures/kv"
 )
 
-// allModes lists the seven operation modes (Table 2 plus Pmemobj-P).
-var allModes = []pangolin.Mode{
-	pangolin.ModePmemobj, pangolin.ModePangolin, pangolin.ModePangolinML, pangolin.ModePangolinMLP,
-	pangolin.ModePangolinMLPC, pangolin.ModePmemobjR, pangolin.ModePmemobjP,
-}
-
 // RunGrowth takes the structure from empty to n keys and part of the way
 // back under every operation mode, in group-committed batches — so a
 // structure that reorganises itself as it grows (the hashmap doubles its
@@ -23,7 +17,7 @@ var allModes = []pangolin.Mode{
 // says and Scan must visit each exactly once.
 func RunGrowth(t *testing.T, h Harness, n int) {
 	const batch = 16
-	for _, mode := range allModes {
+	for _, mode := range pangolin.Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			p, err := pangolin.Create(pangolin.Config{Mode: mode, Geometry: testGeometry()})
 			if err != nil {
