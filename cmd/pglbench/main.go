@@ -10,14 +10,13 @@
 //	fig3    single-object transaction latency (alloc/overwrite/free)
 //	fig4    concurrent overwrite scalability
 //	fig5    key-value store insert/remove throughput
-//	fig6    checksum verification policy cost
+//	fig6    checksum verification policy cost, and from the same runs
+//	        Table 4's vulnerability (bytes accessed unverified, normalized)
 //	table2  operation-mode matrix
 //	table3  per-transaction allocation/modification sizes
-//	table4  vulnerability (bytes accessed unverified, normalized)
 //	mem     §4.2 storage overheads, pool-init latency, µ-buffer DRAM
 //	recover §4.6 error injection, repair latency, canary detection
 //	xover   hybrid parity atomic/vectorized crossover sweep (ablation)
-//	scrub   incremental scrub step latency; commit p99 with scrubber on/off
 //	all     everything above
 package main
 
@@ -42,11 +41,9 @@ var experiments = []struct {
 	{"fig5", bench.Fig5},
 	{"fig6", bench.Fig6},
 	{"table3", bench.Table3},
-	{"table4", bench.Table4},
 	{"mem", bench.Mem},
 	{"recover", bench.Recover},
 	{"xover", bench.Xover},
-	{"scrub", bench.Scrub},
 }
 
 func main() {

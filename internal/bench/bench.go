@@ -1,8 +1,8 @@
 // Package bench is the harness that regenerates every table and figure of
-// the paper's evaluation (§4). Each experiment prints rows in the shape
-// the paper reports; cmd/pglbench drives it from the command line and the
-// repository-root bench_test.go exposes the same workloads as testing.B
-// benchmarks.
+// the paper's evaluation (§4), and the only place each experiment is
+// written. Each experiment prints rows in the shape the paper reports;
+// cmd/pglbench drives it from the command line and this package's smoke
+// tests run every experiment at a tiny scale.
 //
 // Absolute numbers differ from the paper — the substrate is a simulated
 // NVMM device, not Optane silicon — but the comparative shape (which mode
@@ -31,7 +31,8 @@ type Config struct {
 	Threads []int
 	// Sizes lists the object sizes (bytes) swept in figures 3 and 4.
 	Sizes []uint64
-	// ScrubIntervals lists the "Scrub N" policies of figure 6/table 4.
+	// ScrubIntervals lists the "Scrub N" policies of figure 6 and
+	// table 4.
 	ScrubIntervals []uint64
 }
 

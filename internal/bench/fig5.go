@@ -27,17 +27,8 @@ type kvFactory struct {
 	make  func(p *pangolin.Pool, n int) (kv.Map, error)
 }
 
-// Name returns the structure's name.
-func (f kvFactory) Name() string { return f.name }
-
-// PerObj returns the estimated allocated bytes per insert (pool sizing).
-func (f kvFactory) PerObj() uint64 { return f.perObj }
-
-// Make builds the structure in a pool sized for n operations.
-func (f kvFactory) Make(p *pangolin.Pool, n int) (kv.Map, error) { return f.make(p, n) }
-
-// Factories lists the paper's six structures.
-var Factories = []kvFactory{
+// factories lists the paper's six structures.
+var factories = []kvFactory{
 	{"ctree", 128, 1 << 31, func(p *pangolin.Pool, n int) (kv.Map, error) { return ctree.New(p) }},
 	{"rbtree", 128, 1 << 31, func(p *pangolin.Pool, n int) (kv.Map, error) { return rbtree.New(p) }},
 	{"btree", 128, 1 << 31, func(p *pangolin.Pool, n int) (kv.Map, error) { return btree.New(p) }},
@@ -77,7 +68,7 @@ func kvKeys(n int) []uint64 {
 func Fig5(w io.Writer, cfg Config) error {
 	insert := &Table{Header: append([]string{"structure"}, modeNames()...)}
 	remove := &Table{Header: append([]string{"structure"}, modeNames()...)}
-	for _, f := range Factories {
+	for _, f := range factories {
 		n := min(cfg.KVOps, f.opCap)
 		insRow := []string{f.name}
 		remRow := []string{f.name}

@@ -8,8 +8,8 @@ import (
 	"github.com/pangolin-go/pangolin"
 )
 
-// policyCell describes one verification policy column of Figure 6 /
-// Table 4.
+// policyCell describes one verification policy: a column of Figure 6
+// and a row of Table 4.
 type policyCell struct {
 	name       string
 	mode       pangolin.Mode
@@ -37,30 +37,62 @@ func policyCells(cfg Config) []policyCell {
 	return cells
 }
 
-// Fig6 reproduces Figure 6: insert throughput under the checksum
-// verification policies (§3.3). The MLPC column already verifies each
+// Fig6 reproduces Figure 6 and Table 4 from one sweep: inserts under
+// each checksum verification policy (§3.3), timed for Figure 6 and
+// counted for Table 4.
+//
+// Figure 6 is insert throughput. The MLPC column already verifies each
 // object on its first read after a modification, so Conservative adds
 // only the re-verification of objects no commit touched since: nearly
 // free for small-object structures (ctree, rbtree, hashmap), expensive
 // for large-object ones (btree, skiplist, rtree). Scrub modes sit between
 // MLPC and Conservative, trading throughput for bounded vulnerability.
+//
+// Table 4 is the object bytes accessed without checksum verification,
+// normalized to Pmemobj (which verifies nothing). Shape targets,
+// non-increasing down every column: Pmemobj 1.0; MLPC below it, counting
+// only reads of objects already verified since their last modification
+// (micro-buffer opens and the first read after each commit verify); scrub
+// modes lower again (window-bounded); Conservative 0.
 func Fig6(w io.Writer, cfg Config) error {
 	cells := policyCells(cfg)
-	t := &Table{Header: append([]string{"structure"}, cellNames(cells)...)}
-	for _, f := range Factories {
+	fig6 := &Table{Header: append([]string{"structure"}, cellNames(cells)...)}
+	// unverified[ci][fi]: policy ci's unverified bytes on structure fi.
+	unverified := make([][]uint64, len(cells))
+	for ci := range cells {
+		unverified[ci] = make([]uint64, len(factories))
+	}
+	for fi, f := range factories {
 		n := min(cfg.KVOps, f.opCap)
 		row := []string{f.name}
-		for _, c := range cells {
-			kops, _, err := fig6Cell(f, c, n)
+		for ci, c := range cells {
+			kops, unv, err := fig6Cell(f, c, n)
 			if err != nil {
 				return fmt.Errorf("fig6 %s %s: %w", f.name, c.name, err)
 			}
 			row = append(row, kops)
+			unverified[ci][fi] = unv
 		}
-		t.Add(row...)
+		fig6.Add(row...)
 	}
 	fmt.Fprintf(w, "\nFigure 6 — insert throughput under verification policies (Kops/s), %d ops\n", cfg.KVOps)
-	t.Print(w)
+	fig6.Print(w)
+
+	table4 := &Table{Header: append([]string{"policy"}, factoryNames()...)}
+	base := unverified[0] // Pmemobj
+	for ci, c := range cells {
+		row := []string{c.name}
+		for fi := range factories {
+			if base[fi] == 0 {
+				row = append(row, "0.00")
+				continue
+			}
+			row = append(row, fmt.Sprintf("%.2f", float64(unverified[ci][fi])/float64(base[fi])))
+		}
+		table4.Add(row...)
+	}
+	fmt.Fprintf(w, "\nTable 4 — bytes accessed without checksum verification (normalized to Pmemobj)\n")
+	table4.Print(w)
 	return nil
 }
 
@@ -105,51 +137,9 @@ func fig6Cell(f kvFactory, c policyCell, n int) (string, uint64, error) {
 	return fmtKops(n, d), unverified, nil
 }
 
-// Table4 reproduces Table 4: object bytes accessed without checksum
-// verification, normalized to Pmemobj (which verifies nothing). Shape
-// targets, non-increasing down every column: Pmemobj 1.0; MLPC below it,
-// counting only reads of objects already verified since their last
-// modification (micro-buffer opens and the first read after each commit
-// verify); scrub modes lower again (window-bounded); Conservative 0.
-func Table4(w io.Writer, cfg Config) error {
-	cells := policyCells(cfg)
-	t := &Table{Header: append([]string{"policy"}, factoryNames()...)}
-	base := make([]uint64, len(Factories))
-	rows := make([][]uint64, len(cells))
-	for ci, c := range cells {
-		rows[ci] = make([]uint64, len(Factories))
-		for fi, f := range Factories {
-			n := min(cfg.KVOps, f.opCap)
-			_, unverified, err := fig6Cell(f, c, n)
-			if err != nil {
-				return fmt.Errorf("table4 %s %s: %w", f.name, c.name, err)
-			}
-			rows[ci][fi] = unverified
-			if ci == 0 {
-				base[fi] = unverified
-			}
-		}
-	}
-	for ci, c := range cells {
-		row := []string{c.name}
-		for fi := range Factories {
-			if base[fi] == 0 {
-				row = append(row, "0.00")
-				continue
-			}
-			ratio := float64(rows[ci][fi]) / float64(base[fi])
-			row = append(row, fmt.Sprintf("%.2f", ratio))
-		}
-		t.Add(row...)
-	}
-	fmt.Fprintf(w, "\nTable 4 — bytes accessed without checksum verification (normalized to Pmemobj)\n")
-	t.Print(w)
-	return nil
-}
-
 func factoryNames() []string {
-	names := make([]string, len(Factories))
-	for i, f := range Factories {
+	names := make([]string, len(factories))
+	for i, f := range factories {
 		names[i] = f.name
 	}
 	return names

@@ -47,7 +47,7 @@ func Mem(w io.Writer, cfg Config) error {
 		float64(poolSize)/(1<<20)/initD.Seconds())
 
 	// DRAM: µ-buffer high-water during a KV workload.
-	f := Factories[1] // rbtree: multi-object transactions
+	f := factories[1] // rbtree: multi-object transactions
 	m, err := f.make(p, cfg.KVOps)
 	if err != nil {
 		p.Close()

@@ -33,7 +33,7 @@ func Table2(w io.Writer) {
 // 1,008-byte segment and modifies about 32 bytes of it and the anchor.
 func Table3(w io.Writer, cfg Config) error {
 	t := &Table{Header: []string{"structure", "op", "new B/tx (objs)", "mod B/tx (objs/tx)"}}
-	for _, f := range Factories {
+	for _, f := range factories {
 		n := min(cfg.KVOps, f.opCap)
 		pool, err := kvPool(f, pangolin.ModePangolinMLPC, n, pangolin.VerifyDefault, 0)
 		if err != nil {

@@ -296,7 +296,7 @@ func newEngineForRecovery(dev *nvm.Device, hdr layout.PoolHeader, opts Options, 
 		return nil, err
 	}
 	e.canary = binary.LittleEndian.Uint64(cb[:]) | 1
-	e.par = parity.New(dev, hdr.Geo, opts.ParityThreshold)
+	e.par = parity.New(dev, hdr.Geo, 0) // the paper's 8 KB hybrid crossover (§3.5)
 	lm, err := logrec.NewManager(dev, hdr.Geo, opts.Mode.ReplicateMeta())
 	if err != nil {
 		return nil, err

@@ -142,9 +142,6 @@ type Options struct {
 	// ScrubEvery, when nonzero, runs a scrubbing pass after every
 	// ScrubEvery committed transactions ("Scrub" mode, §3.3).
 	ScrubEvery uint64
-	// ParityThreshold overrides the hybrid atomic/vectorized XOR
-	// crossover (bytes); 0 selects the paper's 8 KB.
-	ParityThreshold int
 	// Zero forces zeroing the device at create time — required when the
 	// device may hold prior contents, and the §4.2 pool-init cost.
 	Zero bool

@@ -2,6 +2,7 @@ package csum
 
 import (
 	"bytes"
+	"fmt"
 	"hash/adler32"
 	"math/rand"
 	"testing"
@@ -212,21 +213,36 @@ func TestCRC32Known(t *testing.T) {
 	}
 }
 
-func BenchmarkAdlerFull4K(b *testing.B) {
-	buf := make([]byte, 4096)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		Adler32(buf)
-	}
-}
+// sink keeps the benchmarked checksums live.
+var sink uint32
 
-func BenchmarkAdlerUpdate64of4K(b *testing.B) {
-	buf := make([]byte, 4096)
-	sum := Adler32(buf)
-	old := buf[1000:1064]
-	new_ := bytes.Repeat([]byte{9}, 64)
-	b.SetBytes(64)
-	for i := 0; i < b.N; i++ {
-		Update(sum, 4096, 1000, old, new_)
+// BenchmarkChecksum is the §3.5 ablation behind choosing Adler32: a
+// 64-byte update to an object folded in incrementally, against
+// recomputing the whole object's Adler32 or CRC32, for a page-sized and
+// a large object.
+func BenchmarkChecksum(b *testing.B) {
+	for _, size := range []int{4 << 10, 64 << 10} {
+		obj := make([]byte, size)
+		sum := Adler32(obj)
+		old := obj[1000:1064]
+		new_ := bytes.Repeat([]byte{9}, 64)
+		b.Run(fmt.Sprintf("AdlerUpdate64of%dK", size>>10), func(b *testing.B) {
+			b.SetBytes(64)
+			for i := 0; i < b.N; i++ {
+				sink = Update(sum, uint64(size), 1000, old, new_)
+			}
+		})
+		b.Run(fmt.Sprintf("AdlerFull%dK", size>>10), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				sink = Adler32(obj)
+			}
+		})
+		b.Run(fmt.Sprintf("CRCFull%dK", size>>10), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				sink = CRC32(obj)
+			}
+		})
 	}
 }

@@ -56,8 +56,11 @@ func (d *Device) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot reconstructs a device from a snapshot produced by
-// WriteSnapshot.
-func ReadSnapshot(r io.Reader) (*Device, error) {
+// WriteSnapshot. n is the stream's length in bytes: a header whose sizes
+// do not add up to it is refused before the device is allocated, so a
+// corrupt or truncated file fails the load instead of sizing memory from
+// garbage.
+func ReadSnapshot(r io.Reader, n int64) (*Device, error) {
 	br := bufio.NewReader(r)
 	var hdr [24]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -70,6 +73,10 @@ func ReadSnapshot(r io.Reader) (*Device, error) {
 	nPoison := binary.LittleEndian.Uint64(hdr[16:])
 	if size%PageSize != 0 || size == 0 {
 		return nil, fmt.Errorf("nvm: corrupt snapshot: size %#x", size)
+	}
+	// Overflow-safe form of 24 + 8*nPoison + size == n.
+	if n < 24 || nPoison > uint64(n-24)/8 || size != uint64(n-24)-8*nPoison {
+		return nil, fmt.Errorf("nvm: corrupt snapshot: header (size %#x, %d poisoned pages) does not match its %d-byte stream", size, nPoison, n)
 	}
 	d := New(size, Options{TrackPersistence: true})
 	var pb [8]byte
@@ -101,5 +108,9 @@ func LoadFile(path string) (*Device, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadSnapshot(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return ReadSnapshot(f, fi.Size())
 }

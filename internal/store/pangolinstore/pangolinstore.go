@@ -47,6 +47,7 @@ type Store struct {
 	m         kv.Map
 	structure registry.Structure
 	scrubCfg  pangolin.ScrubberConfig
+	scrub     *pangolin.Scrubber   // ScrubStep's background cursor, with scrubCfg's bounds
 	vb        *store.VersionBuffer // pinned-snapshot version retention
 	resBuf    []store.Result       // Apply's result scratch; valid until the next Apply
 }
@@ -74,7 +75,7 @@ func Create(pools *pangolin.PoolSet, idx int, structure registry.Structure, scru
 		return nil, fmt.Errorf("root: %w", err)
 	}
 	return &Store{pools: pools, idx: idx, pool: p, m: m, structure: structure, scrubCfg: scrubCfg,
-		vb: store.NewVersionBuffer()}, nil
+		scrub: p.NewScrubber(scrubCfg), vb: store.NewVersionBuffer()}, nil
 }
 
 // Open reattaches shard idx of pools from its persistent root,
@@ -100,7 +101,7 @@ func Open(pools *pangolin.PoolSet, idx int, scrubCfg pangolin.ScrubberConfig) (*
 		return nil, fmt.Errorf("attach %s: %w", structure.Name, err)
 	}
 	return &Store{pools: pools, idx: idx, pool: p, m: m, structure: structure, scrubCfg: scrubCfg,
-		vb: store.NewVersionBuffer()}, nil
+		scrub: p.NewScrubber(scrubCfg), vb: store.NewVersionBuffer()}, nil
 }
 
 func writeRoot(p *pangolin.Pool, r shardRoot) error {
@@ -254,9 +255,10 @@ func (s *Store) CrashSave(seed int64) error {
 	return s.pools.CrashSaveShard(s.idx, pangolin.CrashEvictRandom, seed)
 }
 
-// ScrubStep implements store.Store: one bounded step of the pool's
-// built-in incremental scrubber.
-func (s *Store) ScrubStep() (pangolin.ScrubReport, bool, error) { return s.pool.ScrubStep() }
+// ScrubStep implements store.Store: one bounded step of the store's
+// background scrubber. done reports a completed full pass, after which
+// the cursor starts over.
+func (s *Store) ScrubStep() (pangolin.ScrubReport, bool, error) { return s.scrub.Step() }
 
 // Stats implements store.Store.
 func (s *Store) Stats() store.Stats {

@@ -12,7 +12,7 @@
 //
 // # Quick start
 //
-//	pool, _ := pangolin.Create(pangolin.Config{})          // full protection
+//	pool, _ := pangolin.Create(pangolin.DefaultConfig())   // full protection
 //	root, _ := pangolin.Root[MyRoot](pool, 1)
 //	_ = pool.Run(func(tx *pangolin.Tx) error {
 //	    node, _ := pangolin.Open[MyRoot](tx, root)          // micro-buffer
@@ -28,15 +28,14 @@
 //
 // NVMM is simulated (see internal/nvm): pools live on a byte-addressable
 // device with an explicit flush/fence persistence model, 4 KB media-error
-// poisoning, and crash simulation. SaveSnapshot/LoadSnapshot persist pools
-// across process runs.
+// poisoning, and crash simulation. SaveFile and LoadFile persist pools
+// across process runs; SaveSnapshot streams the same image to a writer.
 package pangolin
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"github.com/pangolin-go/pangolin/internal/core"
 	"github.com/pangolin-go/pangolin/internal/layout"
@@ -146,16 +145,14 @@ type Config struct {
 	// Geometry fixes the pool shape; zero value selects
 	// DefaultGeometry.
 	Geometry Geometry
-	// ParityThreshold overrides the hybrid parity crossover in bytes
-	// (default 8 KB, §3.5).
-	ParityThreshold int
 	// Zero forces zeroing the device at create time: required for
 	// devices with prior contents, and the one-time pool-init cost the
 	// paper measures in §4.2 (fresh devices are already zero).
 	Zero bool
-	// Scrub bounds the work of one incremental scrub step for the pool's
-	// built-in scrubber (Pool.ScrubStep) and any maintenance scheduler
-	// driving it. Zero values select the defaults.
+	// Scrub bounds the work of one incremental scrub step for the
+	// scrubbers a shard store builds over the pool with NewScrubber (its
+	// background cursor and full passes); the pool itself does not read
+	// it. Zero values select the defaults.
 	Scrub ScrubberConfig
 }
 
@@ -172,13 +169,6 @@ func (c *Config) geometry() Geometry {
 type Pool struct {
 	e        *core.Engine
 	readView bool // a ReadView handle: Get runs the concurrent verified-read path
-
-	// Built-in incremental scrubber (ScrubStep), created lazily with the
-	// Config.Scrub bounds. Guarded by scrubMu: steps are serialized, per
-	// the Scrubber contract.
-	scrubCfg ScrubberConfig
-	scrubMu  sync.Mutex
-	scrub    *Scrubber
 }
 
 // Create builds a new pool on a fresh simulated NVMM device.
@@ -199,16 +189,15 @@ func DefaultConfig() Config { return Config{Mode: ModePangolinMLPC} }
 // zeroed — fresh devices are).
 func CreateOnDevice(dev *Device, cfg Config) (*Pool, error) {
 	e, err := core.Create(dev, cfg.geometry(), core.Options{
-		Mode:            cfg.Mode,
-		Policy:          cfg.Policy,
-		ScrubEvery:      cfg.ScrubEvery,
-		ParityThreshold: cfg.ParityThreshold,
-		Zero:            cfg.Zero,
+		Mode:       cfg.Mode,
+		Policy:     cfg.Policy,
+		ScrubEvery: cfg.ScrubEvery,
+		Zero:       cfg.Zero,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{e: e, scrubCfg: cfg.Scrub}, nil
+	return &Pool{e: e}, nil
 }
 
 // OpenDevice opens an existing pool on dev, running crash recovery.
@@ -216,15 +205,14 @@ func CreateOnDevice(dev *Device, cfg Config) (*Pool, error) {
 // otherwise.
 func OpenDevice(dev *Device, cfg Config, replica *Device) (*Pool, error) {
 	e, err := core.Open(dev, core.Options{
-		Mode:            cfg.Mode,
-		Policy:          cfg.Policy,
-		ScrubEvery:      cfg.ScrubEvery,
-		ParityThreshold: cfg.ParityThreshold,
+		Mode:       cfg.Mode,
+		Policy:     cfg.Policy,
+		ScrubEvery: cfg.ScrubEvery,
 	}, replica)
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{e: e, scrubCfg: cfg.Scrub}, nil
+	return &Pool{e: e}, nil
 }
 
 // Close shuts the pool down. In-flight transactions must be finished.
@@ -310,22 +298,6 @@ func (p *Pool) Scrub() (ScrubReport, error) { return p.e.Scrub() }
 // Steps must be serialized by the caller (the pool's owner goroutine is
 // the canonical driver); everything else interleaves between steps.
 func (p *Pool) NewScrubber(cfg ScrubberConfig) *Scrubber { return p.e.NewScrubber(cfg) }
-
-// ScrubStep advances the pool's built-in incremental scrubber by one
-// bounded step (configured by Config.Scrub) and returns that step's
-// report. done reports that the step completed a full pass — every
-// known-bad page, live object, and parity zone covered since the cursor
-// last reset — after which the cursor starts over. Steps are serialized
-// internally; a maintenance scheduler calls this between transactions to
-// make full-pool integrity the fixpoint of many cheap steps.
-func (p *Pool) ScrubStep() (rep ScrubReport, done bool, err error) {
-	p.scrubMu.Lock()
-	defer p.scrubMu.Unlock()
-	if p.scrub == nil {
-		p.scrub = p.e.NewScrubber(p.scrubCfg)
-	}
-	return p.scrub.Step()
-}
 
 // InjectRandomFault corrupts a pseudo-randomly chosen live object (§4.6
 // fault injection): even seeds scribble the object's checksummed bytes,

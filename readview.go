@@ -72,7 +72,7 @@ func IsPoison(err error) bool {
 // Only Get/ObjectSize/ObjectType-style reads are meaningful on a view;
 // transactional methods still work but follow the owner-path rules.
 func (p *Pool) ReadView() *Pool {
-	return &Pool{e: p.e, readView: true, scrubCfg: p.scrubCfg}
+	return &Pool{e: p.e, readView: true}
 }
 
 // IsReadView reports whether this handle is a concurrent read view.
