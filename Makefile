@@ -8,8 +8,11 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# bench/ledger is its own module, so ./... does not reach it: vet it
+# too, which also fails when a change breaks the ledger's build.
 vet:
 	$(GO) vet ./...
+	cd bench/ledger && $(GO) vet ./...
 
 # Project-specific invariants (see internal/lint/doc.go). go run builds
 # pgllint from the current source, so an edit anywhere is picked up.

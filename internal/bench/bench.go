@@ -79,12 +79,11 @@ func geoFor(dataBytes uint64) pangolin.Geometry {
 
 // newPool builds a pool for a benchmark cell. Persistence tracking stays
 // on: its bookkeeping plays the role of NVMM write latency.
-func newPool(mode pangolin.Mode, geo pangolin.Geometry, policy pangolin.VerifyPolicy, scrubEvery uint64) (*pangolin.Pool, error) {
+func newPool(mode pangolin.Mode, geo pangolin.Geometry, policy pangolin.VerifyPolicy) (*pangolin.Pool, error) {
 	return pangolin.Create(pangolin.Config{
-		Mode:       mode,
-		Geometry:   geo,
-		Policy:     policy,
-		ScrubEvery: scrubEvery,
+		Mode:     mode,
+		Geometry: geo,
+		Policy:   policy,
 	})
 }
 

@@ -23,6 +23,8 @@ func tiny() Config {
 		cfg.KVOps = 40
 		cfg.Threads = []int{2}
 		cfg.Sizes = []uint64{64}
+		// Below KVOps, so the Scrub cell's trigger fires.
+		cfg.ScrubIntervals = []uint64{20}
 	}
 	return cfg
 }

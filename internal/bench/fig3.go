@@ -45,7 +45,7 @@ func modeNames() []string {
 // touching one object of the given size.
 func fig3Cell(mode pangolin.Mode, op string, size uint64, ops int) (time.Duration, error) {
 	need := (size + 64*1024) * uint64(ops) // generous: slot rounding + metadata
-	pool, err := newPool(mode, geoFor(need), pangolin.VerifyDefault, 0)
+	pool, err := newPool(mode, geoFor(need), pangolin.VerifyDefault)
 	if err != nil {
 		return 0, err
 	}

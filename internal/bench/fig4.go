@@ -41,7 +41,7 @@ func Fig4(w io.Writer, cfg Config) error {
 func fig4Cell(mode pangolin.Mode, size uint64, threads, opsPerThread int) (string, error) {
 	perThread := 32
 	need := (size + 64*1024) * uint64(threads*perThread)
-	pool, err := newPool(mode, geoFor(need), pangolin.VerifyDefault, 0)
+	pool, err := newPool(mode, geoFor(need), pangolin.VerifyDefault)
 	if err != nil {
 		return "", err
 	}

@@ -44,9 +44,9 @@ var factories = []kvFactory{
 }
 
 // kvPool builds a pool sized for n operations of factory f.
-func kvPool(f kvFactory, mode pangolin.Mode, n int, policy pangolin.VerifyPolicy, scrubEvery uint64) (*pangolin.Pool, error) {
+func kvPool(f kvFactory, mode pangolin.Mode, n int, policy pangolin.VerifyPolicy) (*pangolin.Pool, error) {
 	need := f.perObj*uint64(n) + uint64(n)*16 // objects + slack
-	return newPool(mode, geoFor(need), policy, scrubEvery)
+	return newPool(mode, geoFor(need), policy)
 }
 
 // kvKeys returns a deterministic shuffled key set.
@@ -91,7 +91,7 @@ func Fig5(w io.Writer, cfg Config) error {
 }
 
 func fig5Cell(f kvFactory, mode pangolin.Mode, n int) (string, string, error) {
-	pool, err := kvPool(f, mode, n, pangolin.VerifyDefault, 0)
+	pool, err := kvPool(f, mode, n, pangolin.VerifyDefault)
 	if err != nil {
 		return "", "", err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -105,9 +106,11 @@ func cellNames(cells []policyCell) []string {
 }
 
 // fig6Cell runs inserts under one policy and also returns the unverified
-// object bytes (Table 4's vulnerability measure).
+// object bytes (Table 4's vulnerability measure). A Scrub N cell scrubs
+// as the paper's "Scrub" mode does (§3.3): a goroutine runs a pass after
+// every N inserts (one transaction each), with at most one pass queued.
 func fig6Cell(f kvFactory, c policyCell, n int) (string, uint64, error) {
-	pool, err := kvPool(f, c.mode, n, c.policy, c.scrubEvery)
+	pool, err := kvPool(f, c.mode, n, c.policy)
 	if err != nil {
 		return "", 0, err
 	}
@@ -118,15 +121,46 @@ func fig6Cell(f kvFactory, c policyCell, n int) (string, uint64, error) {
 	}
 	keys := kvKeys(n)
 	pool.Stats().ResetAccounting()
+	var scrubReq chan struct{}
+	var scrubDone chan error
+	if c.scrubEvery > 0 {
+		scrubReq, scrubDone = make(chan struct{}, 1), make(chan error, 1)
+		go func() {
+			var err error
+			for range scrubReq {
+				if _, perr := pool.Scrub(); err == nil {
+					err = perr
+				}
+			}
+			scrubDone <- err
+		}()
+	}
 	start := time.Now()
-	for _, k := range keys {
-		if err := m.Insert(k, k); err != nil {
-			return "", 0, err
+	for i, k := range keys {
+		if err = m.Insert(k, k); err != nil {
+			break
+		}
+		if scrubReq != nil && uint64(i+1)%c.scrubEvery == 0 {
+			select {
+			case scrubReq <- struct{}{}:
+			default: // a pass is already queued
+			}
 		}
 	}
 	d := time.Since(start)
+	if scrubReq != nil {
+		// The deferred Close must not overlap a pass.
+		close(scrubReq)
+		err = errors.Join(err, <-scrubDone)
+	}
+	if err != nil {
+		return "", 0, err
+	}
 	unverified := pool.Stats().UnverifiedBytes.Load()
 	if c.scrubEvery > 0 {
+		if uint64(n) >= c.scrubEvery && pool.Stats().ScrubRuns.Load() == 0 {
+			return "", 0, fmt.Errorf("no scrub pass in %d inserts", n)
+		}
 		// Table 4 counts the window between two scrub passes, not the
 		// whole run.
 		txs := pool.Stats().TxCount.Load()

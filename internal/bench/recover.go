@@ -17,7 +17,7 @@ import (
 func Recover(w io.Writer, cfg Config) error {
 	const objSize = 1024
 	const objs = 512
-	pool, err := newPool(pangolin.ModePangolinMLPC, geoFor(objs*8*1024), pangolin.VerifyDefault, 0)
+	pool, err := newPool(pangolin.ModePangolinMLPC, geoFor(objs*8*1024), pangolin.VerifyDefault)
 	if err != nil {
 		return err
 	}

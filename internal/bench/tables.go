@@ -35,7 +35,7 @@ func Table3(w io.Writer, cfg Config) error {
 	t := &Table{Header: []string{"structure", "op", "new B/tx (objs)", "mod B/tx (objs/tx)"}}
 	for _, f := range factories {
 		n := min(cfg.KVOps, f.opCap)
-		pool, err := kvPool(f, pangolin.ModePangolinMLPC, n, pangolin.VerifyDefault, 0)
+		pool, err := kvPool(f, pangolin.ModePangolinMLPC, n, pangolin.VerifyDefault)
 		if err != nil {
 			return err
 		}

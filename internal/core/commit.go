@@ -56,7 +56,6 @@ func (tx *Tx) Commit() error {
 		e.stats.TxFreeBytes.Add(tx.statFreeBytes)
 		e.stats.TxAllocObjs.Add(uint64(len(tx.allocs)))
 		e.stats.TxObjects.Add(uint64(len(tx.statObjs)))
-		e.maybeScrub()
 	}
 	return err
 }

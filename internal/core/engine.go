@@ -100,18 +100,16 @@ type Engine struct {
 	par  *parity.Parity
 
 	// Freeze protocol (§3.6): frozen blocks new transactions and new
-	// commit applies; commitGate drains in-flight applies. recoverMu
-	// makes online recovery single-flight.
+	// commit applies; commitGate drains in-flight applies and keeps
+	// commits out of a freeze (reads take no part in it). recoverMu makes
+	// online recovery single-flight.
 	frozen     atomic.Bool
 	frozenMu   sync.Mutex
 	frozenCond *sync.Cond
 	commitGate sync.RWMutex
 	recoverMu  sync.Mutex
 
-	txCounter atomic.Uint64
-	scrubReq  chan struct{}
-	scrubDone chan struct{}
-	closed    atomic.Bool
+	closed atomic.Bool
 
 	// verified is the verified-read table: one bit per 64-byte heap slot
 	// (pool size / 512 bytes), indexed by an object's header offset. A
@@ -120,8 +118,9 @@ type Engine struct {
 	// while the bit stands; a commit clears the bit of every object it
 	// writes, allocates or frees (noteModified). Object bytes change only
 	// inside commits, and no read of an object overlaps a commit to it
-	// (GetRO's contract excludes commits; Get's caller does not read an
-	// object another goroutine is committing), so a set bit means exactly
+	// (a read view's caller excludes every mutation for the length of the
+	// read; Get's caller does not read an object another goroutine is
+	// committing), so a set bit means exactly
 	// "verified since the last modification": no commit to another object
 	// ever clears it and no commit to this one leaves it set. The owner
 	// path and every read view share the table. Nil in modes without
@@ -214,7 +213,6 @@ func Create(dev *nvm.Device, geo layout.Geometry, opts Options) (*Engine, error)
 		e.replica.Persist(0, dev.Size())
 		e.lm.SetMirror(e.replica) // whole-pool mirroring includes logs
 	}
-	e.startScrubber()
 	return e, nil
 }
 
@@ -269,7 +267,6 @@ func Open(dev *nvm.Device, opts Options, replica *nvm.Device) (*Engine, error) {
 	if err := e.finishOpen(); err != nil {
 		return nil, err
 	}
-	e.startScrubber()
 	return e, nil
 }
 
@@ -366,10 +363,7 @@ func (e *Engine) Allocator() *alloc.Allocator { return e.heap }
 
 // Close shuts the engine down. Outstanding transactions must be finished.
 func (e *Engine) Close() {
-	if e.closed.Swap(true) {
-		return
-	}
-	e.stopScrubber()
+	e.closed.Store(true)
 }
 
 // freeze blocks new transactions and waits for in-flight commit applies to

@@ -6,108 +6,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/pangolin-go/pangolin/internal/layout"
 	"github.com/pangolin-go/pangolin/internal/logrec"
 	"github.com/pangolin-go/pangolin/internal/nvm"
 )
-
-// TestScrubPolicyTriggers verifies the background scrubbing thread fires
-// every ScrubEvery transactions ("Scrub" mode, §3.3).
-func TestScrubPolicyTriggers(t *testing.T) {
-	geo := layout.Default()
-	dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
-	e, err := Create(dev, geo, Options{Mode: PangolinMLPC, ScrubEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	var oid layout.OID
-	if err := e.Run(func(tx *Tx) error {
-		var err error
-		oid, _, err = tx.Alloc(64, 1)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		if err := e.Run(func(tx *Tx) error {
-			data, err := tx.AddRange(oid, 0, 8)
-			if err != nil {
-				return err
-			}
-			data[0] = byte(i)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.stats.ScrubRuns.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("scrubber never ran")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestScrubPolicyRepairsInBackground: a scribble is healed by the
-// scrubbing thread without any explicit verification call.
-func TestScrubPolicyRepairsInBackground(t *testing.T) {
-	geo := layout.Default()
-	dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
-	e, err := Create(dev, geo, Options{Mode: PangolinMLPC, ScrubEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	var victim, other layout.OID
-	if err := e.Run(func(tx *Tx) error {
-		var err error
-		var data []byte
-		victim, data, err = tx.Alloc(100, 1)
-		if err != nil {
-			return err
-		}
-		copy(data, "healed by scrubbing")
-		other, _, err = tx.Alloc(100, 2)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e.InjectScribble(victim.Off, 8, 3)
-	var ce *CorruptionError
-	if _, err := e.GetRO(victim); !errors.As(err, &ce) {
-		t.Fatalf("read of the scribbled object: %v, want a checksum mismatch", err)
-	}
-	// Commit enough unrelated transactions to trigger a scrub.
-	for i := 0; i < 10; i++ {
-		if err := e.Run(func(tx *Tx) error {
-			data, err := tx.AddRange(other, 0, 8)
-			if err != nil {
-				return err
-			}
-			data[0] = byte(i)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Poll with GetRO: it never repairs, so a success is the scrubber's
-	// work, and it holds the commit gate a repair's freeze excludes — a
-	// raw device read here would race the scrubber rewriting the page.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if data, err := e.GetRO(victim); err == nil && string(data[:19]) == "healed by scrubbing" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("scrubber did not repair the scribble")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // TestMultiPageLossRecovers: losing several pages in DIFFERENT page
 // columns is recoverable (the paper's "in many cases, it can recover from

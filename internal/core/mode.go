@@ -139,9 +139,6 @@ const (
 type Options struct {
 	Mode   Mode
 	Policy VerifyPolicy
-	// ScrubEvery, when nonzero, runs a scrubbing pass after every
-	// ScrubEvery committed transactions ("Scrub" mode, §3.3).
-	ScrubEvery uint64
 	// Zero forces zeroing the device at create time — required when the
 	// device may hold prior contents, and the §4.2 pool-init cost.
 	Zero bool

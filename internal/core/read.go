@@ -213,41 +213,21 @@ func (e *Engine) Get(oid layout.OID) ([]byte, error) {
 	return e.read(oid, true)
 }
 
-// ErrReadBusy reports that a concurrent read (GetRO) could not proceed
-// because the pool is frozen — or a freeze is pending — for online
-// recovery or scrubbing. The caller should route the read through the
-// pool's owner goroutine, whose repairing read path will wait the freeze
-// out.
-var ErrReadBusy = errors.New("core: pool frozen or freezing; route the read through the owner path")
-
 // GetRO is the concurrent verified-read fast path (§3.3: readers verify
 // per-object checksums straight from NVMM and do not serialize against
 // each other). It returns read-only direct access to an object's user
-// data under read's rule, the same as Get's.
+// data under read's rule, the same as Get's, and takes no lock.
 //
-// Unlike Get it NEVER mutates the pool: media faults, checksum
-// mismatches, and freeze windows fail fast — poison and corruption with
-// their typed errors, freezes with ErrReadBusy — instead of triggering
+// Unlike Get it NEVER mutates the pool: media faults and checksum
+// mismatches fail fast with their typed errors instead of triggering
 // online recovery, so any number of GetRO calls may run concurrently
-// with each other and with Scrub/online recovery. The caller must
-// guarantee no transaction commits concurrently (internal/shard's reader
-// gate provides that exclusion) and, on any error, retry through the
-// owning goroutine's repairing path.
+// with each other. The caller must exclude every mutation — commits,
+// scrub steps, online repairs — for the length of the read
+// (internal/shard's reader gate provides that exclusion) and, on any
+// error, retry through the owning goroutine's repairing path.
 func (e *Engine) GetRO(oid layout.OID) ([]byte, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
-	}
-	// The commit gate's read side is shared with commit applies and
-	// excluded by freeze (recovery, scrub). Holding it for the read means
-	// a repair can never rewrite pages under us; TryRLock (rather than
-	// RLock) keeps the fast path non-blocking — a pending freeze bounces
-	// the read to the owner path instead of queueing readers behind it.
-	if !e.commitGate.TryRLock() {
-		return nil, ErrReadBusy
-	}
-	defer e.commitGate.RUnlock()
-	if e.frozen.Load() {
-		return nil, ErrReadBusy
 	}
 	return e.read(oid, false)
 }

@@ -537,45 +537,3 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// startScrubber launches the background scrubbing goroutine when the
-// engine runs with a scrub interval (§3.3 "Scrub" mode). Each triggered
-// pass runs as a sequence of bounded steps, so even the engine-level
-// scrubber no longer freezes the pool for a whole pass.
-func (e *Engine) startScrubber() {
-	if e.opts.ScrubEvery == 0 {
-		return
-	}
-	e.scrubReq = make(chan struct{}, 1)
-	e.scrubDone = make(chan struct{})
-	go func() {
-		defer close(e.scrubDone)
-		for range e.scrubReq {
-			if e.closed.Load() {
-				return
-			}
-			_, _ = e.Scrub()
-		}
-	}()
-}
-
-func (e *Engine) stopScrubber() {
-	if e.scrubReq != nil {
-		close(e.scrubReq)
-		<-e.scrubDone
-	}
-}
-
-// maybeScrub triggers the scrubbing thread every ScrubEvery committed
-// transactions.
-func (e *Engine) maybeScrub() {
-	if e.opts.ScrubEvery == 0 {
-		return
-	}
-	if n := e.txCounter.Add(1); n%e.opts.ScrubEvery == 0 {
-		select {
-		case e.scrubReq <- struct{}{}:
-		default: // a pass is already queued
-		}
-	}
-}

@@ -162,10 +162,6 @@ func (b *Buf) Ranges() []Range { return b.ranges }
 // Modified reports whether any byte of the image was marked modified.
 func (b *Buf) Modified() bool { return len(b.ranges) > 0 }
 
-// ResetRanges clears modification tracking (after a commit recycles the
-// buffer).
-func (b *Buf) ResetRanges() { b.ranges = b.ranges[:0] }
-
 // Table is a transaction's micro-buffer collection: the paper's
 // thread-local hashmap (§3.4), keyed by the object's pool offset, with the
 // buffers also linked in open order.

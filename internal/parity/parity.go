@@ -34,7 +34,6 @@ type Parity struct {
 	lay       layout.Resolved // geo's zone arithmetic, for the per-commit Update
 	threshold uint64
 	locks     [][]sync.RWMutex // [zone][rangeLock]
-	nLocks    uint64
 }
 
 // New creates the parity manager. threshold ≤ 0 selects DefaultThreshold.
@@ -48,11 +47,8 @@ func New(dev *nvm.Device, geo layout.Geometry, threshold int) *Parity {
 	for z := range locks {
 		locks[z] = make([]sync.RWMutex, n)
 	}
-	return &Parity{dev: dev, geo: geo, lay: geo.Resolve(), threshold: t, locks: locks, nLocks: n}
+	return &Parity{dev: dev, geo: geo, lay: geo.Resolve(), threshold: t, locks: locks}
 }
-
-// NumRangeLocks returns the number of parity range-locks per zone.
-func (p *Parity) NumRangeLocks() uint64 { return p.nLocks }
 
 // Threshold returns the hybrid crossover in bytes.
 func (p *Parity) Threshold() uint64 { return p.threshold }

@@ -838,7 +838,7 @@ type Counters struct {
 	// reader gate, no worker hop) and Scans counts chunks served by the
 	// worker's repairing path; ScanFallbacks/ScanFaults count chunks —
 	// live and snapshot — bounced to the worker by cause (gate
-	// busy/freeze vs a fault needing repair). Pairs are the key/value
+	// busy vs a fault needing repair). Pairs are the key/value
 	// pairs the chunks returned. Tests assert FastScans > 0 to prove
 	// fast-path scans engage.
 	Scans         uint64 `json:"scans"`

@@ -114,7 +114,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 		t.Fatalf("stats gets = %d worker + %d fast, want 300 total", st.Gets, st.FastGets)
 	}
 	// With no writer running, an idle set must serve reads on the fast
-	// path; only fault/freeze windows may bounce reads to the worker.
+	// path; only a busy gate or a fault may bounce reads to the worker.
 	if st.FastGets == 0 {
 		t.Fatal("fast path never engaged on an idle set")
 	}

@@ -150,7 +150,7 @@ func putBatchResults(s []BatchResult) {
 type readGroup struct {
 	served    atomic.Uint64 // reads or chunks served on the fast path
 	items     atomic.Uint64 // what they carried: hits (GETs) or pairs (chunks)
-	fallbacks atomic.Uint64 // bounced to the worker: gate busy / freeze
+	fallbacks atomic.Uint64 // bounced to the worker: gate busy
 	faults    atomic.Uint64 // bounced to the worker: fault needing repair
 }
 
@@ -282,7 +282,7 @@ func (w *worker) errShuttingDown() error {
 // served=false sends the caller to the worker queue, whose repairing
 // read path serializes with everything else: the worker holds or wants
 // the gate (a group commit, save, scrub or recovery window), or read
-// failed — busy (a freeze) or on a fault only the worker may repair.
+// failed on a fault only the worker may repair.
 // Readers only ever TryRLock, which is what keeps the fast path
 // deadlock-free. A stopped worker is served
 // with the typed ErrShuttingDown, and a typed snapshot verdict
@@ -304,8 +304,6 @@ func (w *worker) gatedRead(g *readGroup, read func(store.View) (n, items uint64,
 		return true, nil
 	case errors.Is(err, store.ErrSnapshotTooOld):
 		return true, err
-	case pangolin.ReadBusy(err):
-		g.fallbacks.Add(1)
 	default:
 		g.faults.Add(1)
 	}

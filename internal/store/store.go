@@ -29,9 +29,11 @@
 // concurrently. Get and Scan on the Store itself are owner-path reads
 // (they may repair online where the backend can). Concurrent reads go
 // through the Store's ReadView: a View's Get/Scan must be pure reads,
-// safe from any number of goroutines provided the caller excludes
-// Apply/Save/CrashSave/ScrubStep for the duration of each call — the
-// shard layer's per-shard reader gate is the canonical provider.
+// safe from any number of goroutines provided the caller excludes every
+// owner-path call — Apply, Save, CrashSave, ScrubStep, and the owner's
+// repairing Get and Scan — for the duration of each call. That is the
+// one rule a view needs; the shard layer's per-shard reader gate is the
+// canonical provider.
 //
 // # Capabilities
 //
@@ -166,8 +168,8 @@ type Store interface {
 // View is a concurrent read handle: pure reads, safe from any number of
 // goroutines while the owner is quiescent (the reader-gate discipline —
 // see the package comment). Faults surface as typed errors
-// (pangolin.ErrReadBusy, *pangolin.CorruptionError, poison) instead of
-// being repaired; the caller routes failed reads through the owner.
+// (*pangolin.CorruptionError, poison) instead of being repaired; the
+// caller routes failed reads through the owner.
 type View interface {
 	Get(k uint64) (uint64, bool, error)
 	Scan(lo, hi uint64, fn func(k, v uint64) bool) error

@@ -139,9 +139,6 @@ type Config struct {
 	Mode Mode
 	// Policy selects checksum verification timing.
 	Policy VerifyPolicy
-	// ScrubEvery, when nonzero, runs a scrubbing pass after every N
-	// committed transactions ("Scrub" mode).
-	ScrubEvery uint64
 	// Geometry fixes the pool shape; zero value selects
 	// DefaultGeometry.
 	Geometry Geometry
@@ -189,10 +186,9 @@ func DefaultConfig() Config { return Config{Mode: ModePangolinMLPC} }
 // zeroed — fresh devices are).
 func CreateOnDevice(dev *Device, cfg Config) (*Pool, error) {
 	e, err := core.Create(dev, cfg.geometry(), core.Options{
-		Mode:       cfg.Mode,
-		Policy:     cfg.Policy,
-		ScrubEvery: cfg.ScrubEvery,
-		Zero:       cfg.Zero,
+		Mode:   cfg.Mode,
+		Policy: cfg.Policy,
+		Zero:   cfg.Zero,
 	})
 	if err != nil {
 		return nil, err
@@ -205,9 +201,8 @@ func CreateOnDevice(dev *Device, cfg Config) (*Pool, error) {
 // otherwise.
 func OpenDevice(dev *Device, cfg Config, replica *Device) (*Pool, error) {
 	e, err := core.Open(dev, core.Options{
-		Mode:       cfg.Mode,
-		Policy:     cfg.Policy,
-		ScrubEvery: cfg.ScrubEvery,
+		Mode:   cfg.Mode,
+		Policy: cfg.Policy,
 	}, replica)
 	if err != nil {
 		return nil, err
@@ -270,8 +265,9 @@ func (p *Pool) Run(fn func(*Tx) error) error {
 // modification (every access under VerifyConservative; objects over 16
 // KB get header and poison checks only), and a fault is repaired online.
 // On a ReadView handle, Get runs the concurrent verified-read path under
-// the same rule, with no online recovery and ErrReadBusy during freeze
-// windows.
+// the same rule, takes no lock and runs no online recovery: the caller
+// excludes every mutation for the length of the read, and a fault
+// surfaces as a typed error.
 func (p *Pool) Get(oid OID) ([]byte, error) {
 	if p.readView {
 		return p.e.GetRO(oid)

@@ -26,18 +26,19 @@ import "github.com/pangolin-go/pangolin"
 // to the pool, no mutation of the Map handle's own state. That makes a
 // second instance of the structure, attached to the pool's ReadView
 // (pangolin.Pool.ReadView), safe for concurrent Lookups and Scans from
-// any number of goroutines, provided the caller excludes transaction
-// commits for the duration of each call (internal/shard's per-shard
-// reader gate is the canonical provider; a plain RWMutex — readers
-// R-side around each Lookup or Scan, writers W-side around each
-// transaction — satisfies it too). Under that discipline a concurrent
-// read observes either the pre-image or the post-image of any in-flight
-// transaction, never a torn value: object bytes change only inside
-// commits, and commits are excluded. On a ReadView, faults surface as
-// errors (including pangolin.ErrReadBusy during freeze windows) instead
-// of triggering online recovery; the caller retries via the owner
-// goroutine. structures/kvtest's RunConcurrent suite enforces this
-// contract for every registered structure.
+// any number of goroutines, provided the caller excludes every mutation
+// of the pool — transaction commits, scrubs, and the owner instance's
+// repairing reads — for the duration of each call (internal/shard's
+// per-shard reader gate is the canonical provider; a plain RWMutex —
+// readers R-side around each Lookup or Scan, writers W-side around each
+// transaction and owner call — satisfies it too). Under that discipline
+// a concurrent read observes either the pre-image or the post-image of
+// any in-flight transaction, never a torn value: object bytes change
+// only inside commits and repairs, and both are excluded. On a ReadView,
+// faults surface as typed errors instead of triggering online recovery;
+// the caller retries via the owner goroutine. structures/kvtest's
+// RunConcurrent suite enforces this contract for every registered
+// structure.
 //
 // # Iteration contract
 //
@@ -49,10 +50,9 @@ import "github.com/pangolin-go/pangolin"
 // pairs: any read failure mid-iteration aborts the walk and returns that
 // error, so a nil error from Scan means fn saw every in-range pair (up
 // to an early stop fn itself requested). On a ReadView instance the
-// error is typed and retryable — pangolin.ErrReadBusy for freeze
-// windows, *pangolin.CorruptionError (or a poison error) for faults that
-// need the owner path's online repair — never a partial iteration that
-// looks complete. Range is Scan over the full key space.
+// error is typed and retryable — *pangolin.CorruptionError or a poison
+// error, for faults that need the owner path's online repair — never a
+// partial iteration that looks complete. Range is Scan over the full key space.
 type Map interface {
 	// Insert adds or updates a key in one transaction.
 	Insert(k, v uint64) error
