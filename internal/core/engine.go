@@ -208,7 +208,7 @@ func Create(dev *nvm.Device, geo layout.Geometry, opts Options) (*Engine, error)
 		}
 	}
 	if opts.Mode.ReplicaPool() {
-		e.replica = nvm.New(dev.Size(), nvm.Options{TrackPersistence: true})
+		e.replica = nvm.New(dev.Size(), dev.Options())
 		e.replica.WriteAt(0, dev.Slice(0, dev.Size()))
 		e.replica.Persist(0, dev.Size())
 		e.lm.SetMirror(e.replica) // whole-pool mirroring includes logs

@@ -9,9 +9,11 @@ import (
 
 // TestQuiescentAfterEveryStep: once a pool call returns, every line it
 // stored is flushed and fenced — the device holds no dirty line after
-// create, each kind of commit (alloc, update, free, root), an abort, a
-// scrub pass, and, in the parity modes, an online repair. A crash between
-// two calls then loses nothing a call reported done.
+// create, each kind of commit (alloc, update, free, root), an abort of an
+// update and of an alloc, a scrub pass, and, in the parity modes, an
+// online repair. A crash between two calls then loses nothing a call
+// reported done, and a device that keeps no persistence tracking (a
+// served shard) can be saved at any of these points as its crash image.
 //
 // The media error is injected in the parity modes only: nvm.Poison zeroes
 // the page through a tracked store, so a page no mode can repair online
@@ -77,7 +79,17 @@ func TestQuiescentAfterEveryStep(t *testing.T) {
 			}
 			copy(data, "aborted!")
 			tx.Abort()
-			quiet("abort")
+			quiet("update abort")
+
+			if tx, err = e.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if _, data, err = tx.Alloc(64, 4); err != nil {
+				t.Fatal(err)
+			}
+			copy(data, "aborted!")
+			tx.Abort()
+			quiet("alloc abort")
 
 			if _, err := e.Scrub(); err != nil {
 				t.Fatal(err)

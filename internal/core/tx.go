@@ -535,13 +535,18 @@ func (tx *Tx) releaseLate() {
 
 // rollbackDirect restores pmemobj in-place writes from the snapshots taken
 // during this transaction (abort path; the crash path replays the same
-// records from media).
+// records from media). One fence persists them and every in-place span,
+// an aborted Alloc's initialisation included.
 func (tx *Tx) rollbackDirect() {
 	for i := len(tx.undoRecs) - 1; i >= 0; i-- {
 		r := tx.undoRecs[i]
 		tx.e.dev.WriteAt(r.off, r.old)
-		tx.e.dev.Persist(r.off, uint64(len(r.old)))
+		tx.e.dev.Flush(r.off, uint64(len(r.old)))
 	}
+	for _, s := range tx.undoSpan {
+		tx.e.dev.Flush(s.off, s.n)
+	}
+	tx.e.dev.Fence()
 	if tx.e.replica != nil {
 		// Resync the replica over the rolled-back ranges.
 		for _, s := range tx.undoSpan {

@@ -19,7 +19,8 @@
 // pre-image of every line stored to since it was last persistent, and
 // whether it has been flushed since — lives in a table indexed by page
 // (track.go), so tracking costs a store, flush or fence one lock and mask
-// arithmetic per 4 KB page, not a map operation per line.
+// arithmetic per 4 KB page, not a map operation per line; an untracked
+// device (a served shard) pays none of it.
 //
 // The package also models the error machinery of §2.2 of the paper:
 //
@@ -125,14 +126,15 @@ type Device struct {
 // Options configures a Device.
 type Options struct {
 	// TrackPersistence enables dirty-line tracking (see tracker) so
-	// CrashCopy can compute post-crash states. Disabling it makes
-	// Flush/Fence pure counters; use only for throughput experiments that
-	// never simulate crashes.
+	// CrashCopy can compute post-crash states. It is for crash
+	// simulation mid-transaction: library pools, tests and the
+	// benchmark's kernels. A served shard is untracked and imaged only at
+	// quiescence, where memory as it is is the one post-crash image.
 	TrackPersistence bool
 }
 
 // New creates a zeroed device of the given size in bytes, rounded up to a
-// whole page. Persistence tracking is enabled unless opts disables it.
+// whole page. The zero Options build an untracked device.
 func New(size uint64, opts Options) *Device {
 	size = (size + PageSize - 1) &^ uint64(PageSize-1)
 	d := &Device{
@@ -146,6 +148,9 @@ func New(size uint64, opts Options) *Device {
 	}
 	return d
 }
+
+// Options returns the options the device was built with.
+func (d *Device) Options() Options { return Options{TrackPersistence: d.trk != nil} }
 
 // Size returns the device capacity in bytes.
 func (d *Device) Size() uint64 { return d.size }
@@ -176,13 +181,16 @@ func (d *Device) checkRange(off, n uint64) {
 }
 
 // capture saves the persistent image of every line in [off, off+n) that
-// is not already dirty, and marks those lines dirty, ahead of a plain store.
-func (d *Device) capture(off, n uint64) { d.trk.capture(d.mem, nil, off, n) }
-
-// captureAtomic is capture ahead of the atomic 8-byte stores, which may be
-// running on the same line from another goroutine: the image is read with
-// the primitive they write with.
-func (d *Device) captureAtomic(off, n uint64) { d.trk.capture(d.mem, d.words, off, n) }
+// is not already dirty, and marks those lines dirty, ahead of a store. The
+// atomic 8-byte stores, which may be running on the same line from another
+// goroutine, pass d.words: the image is then read with the primitive they
+// write with. On the store, flush and fence paths an untracked device
+// makes no tracker call at all.
+func (d *Device) capture(words []uint64, off, n uint64) {
+	if d.trk != nil {
+		d.trk.capture(d.mem, words, off, n)
+	}
+}
 
 // ReadAt copies len(buf) bytes at off into buf. It fails with *PoisonError
 // if any page in the range is poisoned, without transferring data — the
@@ -204,7 +212,7 @@ func (d *Device) ReadAt(buf []byte, off uint64) error {
 func (d *Device) WriteAt(off uint64, data []byte) {
 	n := uint64(len(data))
 	d.checkRange(off, n)
-	d.capture(off, n)
+	d.capture(nil, off, n)
 	copy(d.mem[off:off+n], data)
 	d.stats.Writes.Add(1)
 	d.stats.BytesWritten.Add(n)
@@ -215,7 +223,9 @@ func (d *Device) WriteAt(off uint64, data []byte) {
 // persistence). Pangolin uses NT stores for object write-back (§4.3).
 func (d *Device) WriteNT(off uint64, data []byte) {
 	d.WriteAt(off, data)
-	d.trk.markFlushed(off, uint64(len(data)))
+	if d.trk != nil {
+		d.trk.markFlushed(off, uint64(len(data)))
+	}
 	d.stats.Flushes.Add(1)
 	d.stats.BytesFlushed.Add(uint64(len(data)))
 }
@@ -223,7 +233,7 @@ func (d *Device) WriteNT(off uint64, data []byte) {
 // Memset fills [off, off+n) with b.
 func (d *Device) Memset(off uint64, b byte, n uint64) {
 	d.checkRange(off, n)
-	d.capture(off, n)
+	d.capture(nil, off, n)
 	s := d.mem[off : off+n]
 	for i := range s {
 		s[i] = b
@@ -260,7 +270,7 @@ func (d *Device) Slice(off, n uint64) []byte {
 // mutates the range through a Slice view.
 func (d *Device) MarkDirty(off, n uint64) {
 	d.checkRange(off, n)
-	d.capture(off, n)
+	d.capture(nil, off, n)
 	d.stats.Writes.Add(1)
 	d.stats.BytesWritten.Add(n)
 }
@@ -270,7 +280,9 @@ func (d *Device) MarkDirty(off, n uint64) {
 func (d *Device) Flush(off, n uint64) {
 	d.checkRange(off, n)
 	d.runHook()
-	d.trk.markFlushed(off, n)
+	if d.trk != nil {
+		d.trk.markFlushed(off, n)
+	}
 	d.stats.Flushes.Add(1)
 	d.stats.BytesFlushed.Add(n)
 }
@@ -279,7 +291,9 @@ func (d *Device) Flush(off, n uint64) {
 func (d *Device) Fence() {
 	d.runHook()
 	d.stats.Fences.Add(1)
-	d.trk.fence()
+	if d.trk != nil {
+		d.trk.fence()
+	}
 }
 
 // Persist flushes [off, off+n) and fences: the common "make this range
@@ -309,7 +323,7 @@ func (d *Device) Load64(off uint64) uint64 {
 // 8-byte stores update NVMM atomically (§2.3); this is the primitive
 // libpmemobj's atomic-style updates and Pangolin's commit flags rely on.
 func (d *Device) Store64(off uint64, v uint64) {
-	d.captureAtomic(off, 8)
+	d.capture(d.words, off, 8)
 	atomic.StoreUint64(d.word(off), v)
 	d.stats.Writes.Add(1)
 	d.stats.BytesWritten.Add(8)
@@ -319,7 +333,7 @@ func (d *Device) Store64(off uint64, v uint64) {
 // the atomic XOR instruction Pangolin uses for lock-free small parity
 // updates (§3.5).
 func (d *Device) Xor64(off uint64, v uint64) {
-	d.captureAtomic(off, 8)
+	d.capture(d.words, off, 8)
 	d.xorWord(off, v)
 	d.stats.Writes.Add(1)
 	d.stats.BytesWritten.Add(8)
@@ -347,7 +361,7 @@ func (d *Device) AtomicXorRange(off uint64, delta []byte) {
 		panic("nvm: AtomicXorRange requires 8-byte alignment")
 	}
 	d.checkRange(off, n)
-	d.captureAtomic(off, n)
+	d.capture(d.words, off, n)
 	for i := uint64(0); i < n; i += 8 {
 		w := uint64(delta[i]) | uint64(delta[i+1])<<8 | uint64(delta[i+2])<<16 |
 			uint64(delta[i+3])<<24 | uint64(delta[i+4])<<32 | uint64(delta[i+5])<<40 |
@@ -395,7 +409,7 @@ func (d *Device) Poison(off uint64) {
 	}
 	d.poisonMu.Unlock()
 	base := page * PageSize
-	d.capture(base, PageSize)
+	d.capture(nil, base, PageSize)
 	s := d.mem[base : base+PageSize]
 	for i := range s {
 		s[i] = 0
@@ -461,8 +475,8 @@ func (d *Device) Scribble(off, n uint64, rng *rand.Rand) {
 }
 
 // DirtyLines reports how many cache lines are currently tracked as not yet
-// persistent. Useful in tests asserting that commit paths persist
-// everything they write.
+// persistent; on an untracked device it is always 0. Useful in tests
+// asserting that commit paths persist everything they write.
 func (d *Device) DirtyLines() int { return d.trk.dirtyLines() }
 
 // CrashCopy returns a new Device holding the state the media would have

@@ -488,7 +488,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := d.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	nd, err := ReadSnapshot(&buf, int64(buf.Len()))
+	nd, err := ReadSnapshot(&buf, int64(buf.Len()), Options{TrackPersistence: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
 	garbage := []byte("not a snapshot stream")
-	if _, err := ReadSnapshot(bytes.NewReader(garbage), int64(len(garbage))); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(garbage), int64(len(garbage)), Options{}); err == nil {
 		t.Fatal("expected error for garbage input")
 	}
 }
@@ -529,7 +529,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 // header claiming 1<<62 bytes and a snapshot cut short in its image.
 func FuzzReadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ReadSnapshot(bytes.NewReader(data), int64(len(data)))
+		d, err := ReadSnapshot(bytes.NewReader(data), int64(len(data)), Options{})
 		if err != nil {
 			return
 		}
@@ -541,7 +541,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if !bytes.Equal(w1.Bytes()[w1.Len()-size:], data[len(data)-size:]) {
 			t.Fatal("saved media image differs from the loaded one")
 		}
-		d2, err := ReadSnapshot(bytes.NewReader(w1.Bytes()), int64(w1.Len()))
+		d2, err := ReadSnapshot(bytes.NewReader(w1.Bytes()), int64(w1.Len()), Options{})
 		if err != nil {
 			t.Fatalf("reloading a saved snapshot: %v", err)
 		}
@@ -573,7 +573,7 @@ func TestLoadFileRefusesShortFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"header-only", "truncated"} {
-		if _, err := LoadFile(dir + "/" + name); err == nil {
+		if _, err := LoadFile(dir+"/"+name, Options{}); err == nil {
 			t.Errorf("%s: loaded", name)
 		}
 	}
@@ -587,7 +587,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := d.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	nd, err := LoadFile(path)
+	nd, err := LoadFile(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,6 +598,72 @@ func TestSaveLoadFile(t *testing.T) {
 	if string(got) != "file-backed" {
 		t.Fatalf("got %q", got)
 	}
+}
+
+// TestUntrackedSnapshotMatchesTracked: a served shard's device keeps no
+// persistence tracking and is saved only once every line it stored is
+// flushed and fenced. There the tracker has nothing to revert, so an
+// untracked device and a tracked one driven through the same seeded
+// stores, flushes and fences must save byte-identical snapshots. The
+// untracked one reports no dirty line at any point and refuses CrashCopy,
+// the image it cannot compute.
+func TestUntrackedSnapshotMatchesTracked(t *testing.T) {
+	const size = 16 * PageSize
+	tracked, untracked := New(size, Options{TrackPersistence: true}), New(size, Options{})
+	if untracked.Options().TrackPersistence || !tracked.Options().TrackPersistence {
+		t.Fatal("Options does not report how the device was built")
+	}
+	rng := rand.New(rand.NewSource(43))
+	buf := make([]byte, 3*CacheLineSize)
+	for i := 0; i < 2000; i++ {
+		n := 8 * uint64(1+rng.Intn(len(buf)/8))
+		off := 8 * uint64(rng.Intn(int(size-n)/8))
+		rng.Read(buf[:n])
+		op := rng.Intn(7)
+		for _, d := range []*Device{tracked, untracked} {
+			switch op {
+			case 0:
+				d.WriteAt(off, buf[:n])
+			case 1:
+				d.WriteNT(off, buf[:n])
+			case 2:
+				d.Store64(off, binary.LittleEndian.Uint64(buf))
+			case 3:
+				d.AtomicXorRange(off, buf[:n])
+			case 4:
+				d.Flush(off, n)
+			case 5:
+				d.Fence()
+			case 6:
+				d.Persist(off, n)
+			}
+		}
+		if untracked.DirtyLines() != 0 {
+			t.Fatalf("op %d: untracked device reports %d dirty lines", i, untracked.DirtyLines())
+		}
+	}
+	for _, d := range []*Device{tracked, untracked} {
+		d.Persist(0, size)
+	}
+	if n := tracked.DirtyLines(); n != 0 {
+		t.Fatalf("tracked device holds %d dirty lines after a full persist", n)
+	}
+	var a, b bytes.Buffer
+	if err := tracked.WriteSnapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := untracked.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("untracked snapshot differs from the tracked one at quiescence")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CrashCopy on an untracked device did not panic")
+		}
+	}()
+	untracked.CrashCopy(CrashStrict, 0)
 }
 
 // Property: a persisted write always survives a crash, under any crash mode

@@ -20,11 +20,9 @@ const snapshotMagic = 0x50474c4e564d3031 // "PGLNVM01"
 // as if the machine lost power now. This is how example programs keep pools
 // across process runs, standing in for a real NVMM-backed file. The image
 // is streamed from the device's own bytes (tracker.writeStrict), not built
-// as a second device first. Like CrashCopy it requires TrackPersistence.
+// as a second device first. An untracked device writes its bytes as they
+// are: its owner saves it only when every store is flushed and fenced.
 func (d *Device) WriteSnapshot(w io.Writer) error {
-	if d.trk == nil {
-		panic("nvm: WriteSnapshot requires TrackPersistence")
-	}
 	d.poisonMu.RLock()
 	pages := make([]uint64, 0, len(d.poisoned))
 	for p := range d.poisoned {
@@ -56,11 +54,11 @@ func (d *Device) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot reconstructs a device from a snapshot produced by
-// WriteSnapshot. n is the stream's length in bytes: a header whose sizes
-// do not add up to it is refused before the device is allocated, so a
-// corrupt or truncated file fails the load instead of sizing memory from
-// garbage.
-func ReadSnapshot(r io.Reader, n int64) (*Device, error) {
+// WriteSnapshot into a device built with opts. n is the stream's length in
+// bytes: a header whose sizes do not add up to it is refused before the
+// device is allocated, so a corrupt or truncated file fails the load
+// instead of sizing memory from garbage.
+func ReadSnapshot(r io.Reader, n int64, opts Options) (*Device, error) {
 	br := bufio.NewReader(r)
 	var hdr [24]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -78,7 +76,7 @@ func ReadSnapshot(r io.Reader, n int64) (*Device, error) {
 	if n < 24 || nPoison > uint64(n-24)/8 || size != uint64(n-24)-8*nPoison {
 		return nil, fmt.Errorf("nvm: corrupt snapshot: header (size %#x, %d poisoned pages) does not match its %d-byte stream", size, nPoison, n)
 	}
-	d := New(size, Options{TrackPersistence: true})
+	d := New(size, opts)
 	var pb [8]byte
 	for i := uint64(0); i < nPoison; i++ {
 		if _, err := io.ReadFull(br, pb[:]); err != nil {
@@ -101,8 +99,8 @@ func ReadSnapshot(r io.Reader, n int64) (*Device, error) {
 // atomically and durably (durable.WriteFile).
 func (d *Device) SaveFile(path string) error { return durable.WriteFile(path, d.WriteSnapshot) }
 
-// LoadFile reads a snapshot from path.
-func LoadFile(path string) (*Device, error) {
+// LoadFile reads a snapshot from path into a device built with opts.
+func LoadFile(path string, opts Options) (*Device, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -112,5 +110,5 @@ func LoadFile(path string) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ReadSnapshot(f, fi.Size())
+	return ReadSnapshot(f, fi.Size(), opts)
 }

@@ -30,18 +30,14 @@ func (r *pageRec) oldBytes() []byte {
 // megabyte per device. A commit dirties a page or so per object it writes
 // (plus its parity page and the log lane) and its Fences retire them all, so
 // records cycle between the table and this list and the commit path
-// allocates — and zeroes — nothing once the list is warm. Under pglserve's
-// bulk load a deep group commit peaks near 350 pages; the list still serves
-// 99.7% of the records taken. A lower bound hands the work to the allocator:
-// at 16 the same load cost 6-20% more server CPU per op over three pairs,
-// for 7 MB less peak RSS.
+// allocates — and zeroes — nothing once the list is warm.
 const maxFreeRecs = 128
 
 // tracker is the persistence bookkeeping behind Options.TrackPersistence:
 // one table indexed by page number, a record only for pages that hold a
 // dirty line. Every operation is one lock plus mask arithmetic per page it
-// touches. A nil tracker tracks nothing: a device without the option calls
-// the same methods and they return at once.
+// touches. A device without the option has a nil tracker: it never calls
+// the store, flush and fence methods, and the others return at once.
 type tracker struct {
 	mu      sync.Mutex
 	pages   []*pageRec // by page number; nil: every line of the page is persistent
@@ -100,9 +96,6 @@ func eachPage(off, n uint64, fn func(p, mask uint64)) {
 // hardware could have produced. Plain writes keep a plain copy: two of
 // those overlapping on a line race on real memory too.
 func (t *tracker) capture(mem []byte, words []uint64, off, n uint64) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	eachPage(off, n, func(p, mask uint64) {
 		rec := t.pages[p]
@@ -140,9 +133,6 @@ func (t *tracker) capture(mem []byte, words []uint64, off, n uint64) {
 
 // markFlushed records a flush of the dirty lines in [off, off+n).
 func (t *tracker) markFlushed(off, n uint64) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	eachPage(off, n, func(p, mask uint64) {
 		rec := t.pages[p]
@@ -165,9 +155,6 @@ func (t *tracker) markFlushed(off, n uint64) {
 // pending may name a page twice, or one whose record has since been retired
 // or reused; the masks decide, the list only says where to look.
 func (t *tracker) fence() {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	for _, p := range t.pending {
 		if rec := t.pages[p]; rec != nil && rec.flushed != 0 {
@@ -261,13 +248,13 @@ func (t *tracker) revert(img []byte, mode CrashMode, seed int64) {
 
 // writeStrict writes to w what revert(CrashStrict) would make of a copy of
 // mem, a page at a time: runs of pages with no dirty line go out straight
-// from mem, a page with one through a 4 KB buffer. Saving a device then
-// allocates nothing its size, which matters beyond the bytes: pglserve saves
-// its shards side by side at start-up, and with a 16 MB CrashCopy each, how
-// many of them a collection found alive would set the heap goal the bulk
-// load then fills, and the process's peak resident set would fall anywhere
-// between 100 and 220 MB from one start to the next.
+// from mem, a page with one through a 4 KB buffer, so a save allocates
+// nothing the device's size. A nil tracker writes mem as it is.
 func (t *tracker) writeStrict(w io.Writer, mem []byte) error {
+	if t == nil {
+		_, err := w.Write(mem)
+		return err
+	}
 	var page [PageSize]byte
 	next := uint64(0) // first page not yet written
 	for p := range uint64(len(t.pages)) {

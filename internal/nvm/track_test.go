@@ -239,7 +239,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 			if err := drv.d.WriteSnapshot(&snap); err != nil {
 				t.Fatal(err)
 			}
-			saved, err := ReadSnapshot(&snap, int64(snap.Len()))
+			saved, err := ReadSnapshot(&snap, int64(snap.Len()), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -655,10 +655,10 @@ func firstErr(rs []response) error {
 // goroutine, so it never races a batch; shards save in parallel.
 func (s *Set) Sync() error { return firstErr(s.broadcast(request{op: opSync})) }
 
-// CrashSave simulates a whole-machine power failure: every shard
-// records a crash image of its state (unpersisted writes randomly
-// evicted, reverted, or cut, per backend). The live set keeps running;
-// reopening the directory recovers the crash state.
+// CrashSave simulates a whole-machine power failure: each shard's owner
+// records a crash image between groups (pangolin: its saved image;
+// logstore: a seeded cut of its unsynced tail). The live set keeps
+// running; reopening the directory recovers the crash state.
 func (s *Set) CrashSave(seed int64) error {
 	return firstErr(s.broadcast(request{op: opCrash, seed: seed}))
 }

@@ -10,7 +10,8 @@
 // the structure's anchor OID, so Open can reattach and can reject a
 // snapshot restored from the wrong set. Pool snapshot files live in a
 // pangolin.PoolSet; the Store's Save/CrashSave delegate to the set's
-// per-shard persistence so saves stay on the owner goroutine.
+// per-shard persistence so saves stay on the owner goroutine. A crash
+// image is the saved image (see CrashSave).
 package pangolinstore
 
 import (
@@ -248,12 +249,10 @@ func (s *Store) stagePreStates(ops []store.Op) {
 // Save implements store.Store: persist this shard's snapshot file.
 func (s *Store) Save() error { return s.pools.SaveShard(s.idx) }
 
-// CrashSave implements store.Store: replace the shard file with a crash
-// image of the device (unpersisted cache lines randomly evicted or
-// reverted), leaving the live pool untouched.
-func (s *Store) CrashSave(seed int64) error {
-	return s.pools.CrashSaveShard(s.idx, pangolin.CrashEvictRandom, seed)
-}
+// CrashSave implements store.Store. It runs on the owner between
+// transactions, where every store has been flushed and fenced, so the
+// crash image is the saved image: seed has no line to choose among.
+func (s *Store) CrashSave(int64) error { return s.Save() }
 
 // ScrubStep implements store.Store: one bounded step of the store's
 // background scrubber. done reports a completed full pass, after which

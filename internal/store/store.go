@@ -133,7 +133,9 @@ type Store interface {
 	// CrashSave simulates a power failure: it persists a crash image —
 	// what the media would hold if the machine died now, unpersisted
 	// writes lost per the backend's model — WITHOUT disturbing the live
-	// store. Reopening the shard then recovers exactly that image.
+	// store. Reopening the shard then recovers exactly that image. The
+	// owner calls it between transactions, where pangolin has flushed and
+	// fenced every store, so its crash image is its saved image.
 	CrashSave(seed int64) error
 	// ScrubStep runs one bounded background-maintenance step: the
 	// maintenance scheduler's tick unit. For pangolin this advances the

@@ -168,7 +168,8 @@ type Pool struct {
 	readView bool // a ReadView handle: Get runs the concurrent verified-read path
 }
 
-// Create builds a new pool on a fresh simulated NVMM device.
+// Create builds a new pool on a fresh simulated NVMM device that tracks
+// persistence (see Device.CrashCopy).
 //
 // Note the zero Config selects ModePmemobj numerically; use
 // DefaultConfig() or set Mode explicitly for the protected modes.
@@ -332,9 +333,14 @@ func (p *Pool) SaveSnapshot(w io.Writer) error { return p.e.Device().WriteSnapsh
 // SaveFile persists the pool's durable state to a file.
 func (p *Pool) SaveFile(path string) error { return p.e.Device().SaveFile(path) }
 
-// LoadFile opens a pool previously saved with SaveFile.
+// LoadFile opens a pool previously saved with SaveFile, tracked as Create's.
 func LoadFile(path string, cfg Config) (*Pool, error) {
-	dev, err := nvm.LoadFile(path)
+	return loadFile(path, cfg, nvm.Options{TrackPersistence: true})
+}
+
+// loadFile opens the pool saved at path on a device built with opts.
+func loadFile(path string, cfg Config, opts nvm.Options) (*Pool, error) {
+	dev, err := nvm.LoadFile(path, opts)
 	if err != nil {
 		return nil, err
 	}

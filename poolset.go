@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"github.com/pangolin-go/pangolin/internal/nvm"
 )
 
 // PoolSet manages a family of sibling pools ("shards") that persist as one
@@ -15,6 +17,10 @@ import (
 // goroutine. internal/shard builds that worker layer and discovers a
 // set's layout; PoolSet supplies the storage substrate: per-shard
 // create/open/close and snapshot-per-shard durability.
+//
+// A shard's device keeps no persistence tracking: its owner saves it only
+// between transactions, where every store is flushed and fenced, so the
+// save is also its crash image. Device().CrashCopy panics on a shard.
 //
 // Shard files are named shard-0000.pgl, shard-0001.pgl, …
 type PoolSet struct {
@@ -54,7 +60,7 @@ func NewPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, e
 			s.Close()
 			return nil, fmt.Errorf("pangolin: shard file %s already exists", ShardFile(dir, i))
 		}
-		p, err := Create(cfg)
+		p, err := CreateOnDevice(nvm.New(cfg.geometry().PoolSize(), nvm.Options{}), cfg)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("pangolin: create shard %d: %w", i, err)
@@ -77,7 +83,7 @@ func OpenPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, 
 			s.Close()
 			return nil, fmt.Errorf("pangolin: shard index %d out of range [0,%d)", i, n)
 		}
-		p, err := LoadFile(ShardFile(dir, i), cfg)
+		p, err := loadFile(ShardFile(dir, i), cfg, nvm.Options{})
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("pangolin: open shard %d: %w", i, err)
@@ -98,15 +104,6 @@ func (s *PoolSet) Pool(i int) *Pool { return s.pools[i] }
 // goroutine.
 func (s *PoolSet) SaveShard(i int) error {
 	return s.pools[i].SaveFile(ShardFile(s.dir, i))
-}
-
-// CrashSaveShard simulates a power failure on shard i: it writes a crash
-// image of the shard's device — unpersisted cache lines treated per mode —
-// to the shard file, without disturbing the live pool. Reopening the file
-// runs crash recovery, exactly as a machine restart would.
-func (s *PoolSet) CrashSaveShard(i int, mode CrashMode, seed int64) error {
-	img := s.pools[i].Device().CrashCopy(mode, seed)
-	return img.SaveFile(ShardFile(s.dir, i))
 }
 
 // Close shuts every shard pool down without saving. Call SaveShard first

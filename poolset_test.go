@@ -98,8 +98,11 @@ func TestPoolSetLifecycle(t *testing.T) {
 	}
 }
 
-// TestPoolSetCrashSave: crash images must reopen through recovery and keep
-// committed data.
+// TestPoolSetCrashSave: a shard's crash image is its saved image. Shard
+// devices keep no persistence tracking, created or opened, so a crash
+// image is taken as a save between transactions, where every line is
+// flushed and fenced; it reopens through recovery with every committed
+// value.
 func TestPoolSetCrashSave(t *testing.T) {
 	dir := t.TempDir()
 	cfg := pangolin.DefaultConfig()
@@ -108,6 +111,9 @@ func TestPoolSetCrashSave(t *testing.T) {
 	oids := make([]pangolin.OID, s.Len())
 	for i := 0; i < s.Len(); i++ {
 		p := s.Pool(i)
+		if p.Device().Options().TrackPersistence {
+			t.Fatalf("created shard %d tracks persistence", i)
+		}
 		var err error
 		oids[i], err = pangolin.Root[root](p, 7)
 		if err != nil {
@@ -123,11 +129,11 @@ func TestPoolSetCrashSave(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.CrashSaveShard(i, pangolin.CrashEvictRandom, 99+int64(i)); err != nil {
+		if err := s.SaveShard(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Close() // no Save: the crash images must stand on their own
+	s.Close()
 
 	s2, err := pangolin.OpenPoolSetShards(dir, 2, allShards(2), cfg)
 	if err != nil {
@@ -135,6 +141,9 @@ func TestPoolSetCrashSave(t *testing.T) {
 	}
 	defer s2.Close()
 	for i := 0; i < s2.Len(); i++ {
+		if s2.Pool(i).Device().Options().TrackPersistence {
+			t.Fatalf("opened shard %d tracks persistence", i)
+		}
 		r, err := pangolin.GetFromPool[root](s2.Pool(i), oids[i])
 		if err != nil {
 			t.Fatal(err)

@@ -248,10 +248,11 @@
 // Durability is snapshot-per-shard (pangolin.PoolSet): shard i persists as
 // dir/shard-000i.pgl. SYNC saves every shard from its own worker, so a
 // save never races a transaction. CRASH writes a *crash image* of every
-// shard instead — unpersisted cache lines randomly evicted or reverted,
-// exactly like a power failure — after which the process is expected to
-// exit without syncing; reopening the directory runs per-shard crash
-// recovery. Every shard file is a standard pool snapshot, so
+// shard instead — what a power failure would leave — after which the
+// process is expected to exit without syncing; reopening the directory
+// runs per-shard crash recovery. Each worker takes its image between
+// groups, where every store is flushed and fenced, so a pangolin shard's
+// crash image is its saved image; logstore cuts its unsynced tail. Every shard file is a standard pool snapshot, so
 // `pglpool check` can verify and repair each one independently.
 //
 // # Wire protocol

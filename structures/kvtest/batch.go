@@ -74,6 +74,7 @@ func applyBatch(t *testing.T, m kv.Map, p *pangolin.Pool, model map[uint64]uint6
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiet(t, p, "after batch")
 	for k, v := range scratch {
 		model[k] = v
 	}
@@ -88,10 +89,7 @@ func applyBatch(t *testing.T, m kv.Map, p *pangolin.Pool, model map[uint64]uint6
 // mirroring everything against a volatile map.
 func testBatchModel(t *testing.T, h Harness, mode pangolin.Mode, seed int64) {
 	p := newPool(t, mode)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	rng := rand.New(rand.NewSource(seed))
 	model := make(map[uint64]uint64)
 	const rounds = 250
@@ -156,14 +154,11 @@ func testBatchModel(t *testing.T, h Harness, mode pangolin.Mode, seed int64) {
 // sequence: insert → lookup → remove → lookup → reinsert.
 func testBatchRYW(t *testing.T, h Harness) {
 	p := newPool(t, pangolin.ModePangolinMLPC)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	if err := m.Insert(1, 100); err != nil {
 		t.Fatal(err)
 	}
-	err = p.Run(func(tx *pangolin.Tx) error {
+	err := p.Run(func(tx *pangolin.Tx) error {
 		if v, ok, err := m.LookupTx(tx, 1); err != nil || !ok || v != 100 {
 			return fmt.Errorf("pre-existing key inside tx: (%d,%v,%v)", v, ok, err)
 		}
@@ -187,6 +182,7 @@ func testBatchRYW(t *testing.T, h Harness) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiet(t, p, "after batch")
 	if _, ok, _ := m.Lookup(1); ok {
 		t.Fatal("key 1 survived its in-batch remove")
 	}
@@ -202,10 +198,7 @@ func testBatchRYW(t *testing.T, h Harness) {
 // structure must be exactly as before the batch.
 func testBatchAbort(t *testing.T, h Harness, mode pangolin.Mode) {
 	p := newPool(t, mode)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	model := make(map[uint64]uint64)
 	for k := uint64(0); k < 40; k++ {
 		if err := m.Insert(k, k*11); err != nil {
@@ -214,7 +207,7 @@ func testBatchAbort(t *testing.T, h Harness, mode pangolin.Mode) {
 		model[k] = k * 11
 	}
 	boom := fmt.Errorf("boom")
-	err = p.Run(func(tx *pangolin.Tx) error {
+	err := p.Run(func(tx *pangolin.Tx) error {
 		for k := uint64(0); k < 10; k++ {
 			if err := m.InsertTx(tx, 100+k, k); err != nil {
 				return err
@@ -231,6 +224,7 @@ func testBatchAbort(t *testing.T, h Harness, mode pangolin.Mode) {
 	if err != boom {
 		t.Fatalf("doomed batch returned %v, want the injected error", err)
 	}
+	quiet(t, p, "after an aborted batch")
 	for k := uint64(0); k < 150; k++ {
 		v, ok, err := m.Lookup(k)
 		if err != nil {
@@ -253,10 +247,7 @@ func testBatchCrash(t *testing.T, h Harness) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	model := make(map[uint64]uint64)
 	rng := rand.New(rand.NewSource(31))
 	for batch := 0; batch < 10; batch++ {
@@ -292,6 +283,7 @@ func testBatchCrash(t *testing.T, h Harness) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiet(t, p, "after batch")
 	anchor := m.Anchor()
 	p.Close()
 
@@ -300,6 +292,7 @@ func testBatchCrash(t *testing.T, h Harness) {
 		t.Fatalf("recovery from mid-batch crash image: %v", err)
 	}
 	defer p2.Close()
+	quiet(t, p2, "after recovery")
 	m2, err := h.Attach(p2, anchor)
 	if err != nil {
 		t.Fatal(err)
@@ -323,4 +316,5 @@ func testBatchCrash(t *testing.T, h Harness) {
 	if rep, err := p2.Scrub(); err != nil || rep.Unrecovered != 0 {
 		t.Fatalf("scrub after mid-batch crash: %+v, %v", rep, err)
 	}
+	quiet(t, p2, "after scrub")
 }

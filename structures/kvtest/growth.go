@@ -24,10 +24,7 @@ func RunGrowth(t *testing.T, h Harness, n int) {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			m, err := h.Make(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := h.newMap(t, p)
 			model := make(map[uint64]uint64, n)
 			key := func(i int) uint64 { return uint64(i)*0x9E3779B1 + 7 }
 			for i := 0; i < n; i += batch {
@@ -42,6 +39,7 @@ func RunGrowth(t *testing.T, h Harness, n int) {
 				}); err != nil {
 					t.Fatalf("insert batch at %d: %v", i, err)
 				}
+				quiet(t, p, "after insert batch at %d", i)
 			}
 			checkAgainst(t, m, model, "after fill")
 			for i := 0; i < n; i += 3 * batch {
@@ -57,6 +55,7 @@ func RunGrowth(t *testing.T, h Harness, n int) {
 				}); err != nil {
 					t.Fatalf("remove batch at %d: %v", i, err)
 				}
+				quiet(t, p, "after remove batch at %d", i)
 			}
 			checkAgainst(t, m, model, "after removes")
 

@@ -5,6 +5,7 @@
 package kvtest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,6 +42,46 @@ func newPool(t *testing.T, mode pangolin.Mode) *pangolin.Pool {
 	return p
 }
 
+// quiet fails t unless every line p stored, on its device and any
+// replica, is flushed and fenced: a served shard's untracked device is
+// saved between calls as its crash image, so every call must leave this.
+func quiet(t *testing.T, p *pangolin.Pool, when string, args ...any) {
+	t.Helper()
+	for _, d := range []*pangolin.Device{p.Device(), p.ReplicaDevice()} {
+		if d != nil && d.DirtyLines() != 0 {
+			t.Fatalf("%s: %d dirty lines", fmt.Sprintf(when, args...), d.DirtyLines())
+		}
+	}
+}
+
+// quietMap is a Map whose single-op commits each check that p is quiet.
+type quietMap struct {
+	kv.Map
+	t *testing.T
+	p *pangolin.Pool
+}
+
+func (m quietMap) Insert(k, v uint64) error {
+	defer quiet(m.t, m.p, "after Insert(%d)", k)
+	return m.Map.Insert(k, v)
+}
+
+func (m quietMap) Remove(k uint64) (bool, error) {
+	defer quiet(m.t, m.p, "after Remove(%d)", k)
+	return m.Map.Remove(k)
+}
+
+// newMap makes the structure in p and returns it as a quietMap.
+func (h Harness) newMap(t *testing.T, p *pangolin.Pool) kv.Map {
+	t.Helper()
+	m, err := h.Make(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet(t, p, "after Make")
+	return quietMap{Map: m, t: t, p: p}
+}
+
 // RunAll runs the full conformance suite.
 func RunAll(t *testing.T, h Harness) {
 	t.Run("Basic", func(t *testing.T) { testBasic(t, h) })
@@ -57,10 +98,7 @@ func RunAll(t *testing.T, h Harness) {
 
 func testBasic(t *testing.T, h Harness) {
 	p := newPool(t, pangolin.ModePangolinMLPC)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	if _, ok, _ := m.Lookup(1); ok {
 		t.Fatal("empty map contains key")
 	}
@@ -85,10 +123,7 @@ func testBasic(t *testing.T, h Harness) {
 
 func testUpdate(t *testing.T, h Harness) {
 	p := newPool(t, pangolin.ModePangolinMLPC)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	if err := m.Insert(7, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +138,7 @@ func testUpdate(t *testing.T, h Harness) {
 
 func testRemove(t *testing.T, h Harness) {
 	p := newPool(t, pangolin.ModePangolinMLPC)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	for k := uint64(0); k < 30; k++ {
 		if err := m.Insert(k, k); err != nil {
 			t.Fatal(err)
@@ -172,10 +204,7 @@ func descending(n int) []uint64 {
 
 func testSequence(t *testing.T, h Harness, keys []uint64) {
 	p := newPool(t, pangolin.ModePangolinMLPC)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	for _, k := range keys {
 		if err := m.Insert(k, k^0xFFFF); err != nil {
 			t.Fatalf("insert %d: %v", k, err)
@@ -193,10 +222,7 @@ func testSequence(t *testing.T, h Harness, keys []uint64) {
 // persistent structure must agree at every step.
 func testModel(t *testing.T, h Harness, mode pangolin.Mode, seed int64) {
 	p := newPool(t, mode)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	rng := rand.New(rand.NewSource(seed))
 	model := make(map[uint64]uint64)
 	const ops = 1500
@@ -250,10 +276,7 @@ func testReopen(t *testing.T, h Harness) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	model := make(map[uint64]uint64)
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 300; i++ {
@@ -299,10 +322,7 @@ func testReopen(t *testing.T, h Harness) {
 // answering correctly through online recovery.
 func testMediaError(t *testing.T, h Harness) {
 	p := newPool(t, pangolin.ModePangolinMLPC)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	for k := uint64(0); k < 100; k++ {
 		if err := m.Insert(k, k+1000); err != nil {
 			t.Fatal(err)
@@ -326,10 +346,7 @@ func testMediaError(t *testing.T, h Harness) {
 // scrub pass restores the structure.
 func testScribble(t *testing.T, h Harness) {
 	p := newPool(t, pangolin.ModePangolinMLPC)
-	m, err := h.Make(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.newMap(t, p)
 	for k := uint64(0); k < 64; k++ {
 		if err := m.Insert(k, k*7); err != nil {
 			t.Fatal(err)
@@ -339,6 +356,7 @@ func testScribble(t *testing.T, h Harness) {
 	if _, err := p.Scrub(); err != nil {
 		t.Fatal(err)
 	}
+	quiet(t, p, "after scrub")
 	for k := uint64(0); k < 64; k++ {
 		v, ok, err := m.Lookup(k)
 		if err != nil {
