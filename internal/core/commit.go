@@ -11,16 +11,6 @@ import (
 	"github.com/pangolin-go/pangolin/internal/xor"
 )
 
-// applyRange is one committed byte-range update: new bytes from the
-// micro-buffer and the matching old NVMM bytes (for parity deltas and
-// incremental checksums).
-type applyRange struct {
-	off   uint64
-	new   []byte
-	old   []byte
-	fresh bool // range of an object this transaction allocated
-}
-
 // zeroRunMin is the block size at which a fresh object's zero bytes are
 // logged as a recZero run instead of data, so allocating a large zeroed
 // object (a hash table, a sparse node) costs log space in proportion to
@@ -28,14 +18,22 @@ type applyRange struct {
 // log bytes; below a few hundred bytes eliding saves little.
 const zeroRunMin = 256
 
+// csumOff is the offset of an object header's checksum field.
+const csumOff = 12
+
 // Commit makes the transaction durable and applies it. For Pangolin modes
 // this is the paper's protocol (§3.4): verify canaries, refresh checksums
 // incrementally, persist + replicate the redo log, set the commit flag
 // (durability point), write back objects with non-temporal stores, fold
 // old⊕new deltas into zone parity, apply allocator metadata ops, then
-// garbage-collect the log and micro-buffers. For pmemobj modes it
-// persists the in-place writes, mirrors them to the replica (Pmemobj-R),
-// flips the lane from undo to committed, and applies metadata ops.
+// garbage-collect the log and micro-buffers. The old side of an opened
+// object's checksum refresh and parity delta is the first image of each
+// declared range — the bytes Open verified, kept by AddRange — and never
+// a re-read of NVMM, so a scribble between Open and Commit reaches
+// neither the checksum nor parity, and the next verification of the
+// object repairs it. For pmemobj modes it persists the in-place writes,
+// mirrors them to the replica (Pmemobj-R), flips the lane from undo to
+// committed, and applies metadata ops.
 func (tx *Tx) Commit() error {
 	if err := tx.checkActive(); err != nil {
 		return err
@@ -80,12 +78,8 @@ func (tx *Tx) commitPangolin() error {
 		e.stats.EmptyTxs.Add(1)
 		return nil
 	}
-
-	// Read the old NVMM bytes for every modified range: the inputs to
-	// incremental checksums and parity deltas. This happens before the
-	// commit point, so media faults here still recover online.
-	ranges, err := tx.collectRanges(work)
-	if err != nil {
+	// Before the commit point, so media faults here still recover online.
+	if err := tx.prepare(work); err != nil {
 		tx.abortReleasing()
 		return err
 	}
@@ -97,63 +91,48 @@ func (tx *Tx) commitPangolin() error {
 
 	// Log: data records, allocator ops, root update; then the commit
 	// flag — the durability point.
-	for _, r := range ranges {
-		if err := tx.logRange(r); err != nil {
+	for _, b := range work {
+		if err := tx.logBuf(b); err != nil {
 			tx.abortReleasing()
 			return err
 		}
 	}
-	for _, res := range tx.allocs {
-		if err := tx.w.Append(recAllocOp, alloc.EncodeOp(res.Op)); err != nil {
-			tx.abortReleasing()
-			return err
-		}
-	}
-	for _, op := range tx.frees {
-		if err := tx.w.Append(recAllocOp, alloc.EncodeOp(op)); err != nil {
-			tx.abortReleasing()
-			return err
-		}
-	}
-	if tx.root != nil {
-		var p [24]byte
-		binary.LittleEndian.PutUint64(p[0:], tx.root.oid.Pool)
-		binary.LittleEndian.PutUint64(p[8:], tx.root.oid.Off)
-		binary.LittleEndian.PutUint64(p[16:], tx.root.size)
-		if err := tx.w.Append(recRoot, p[:]); err != nil {
-			tx.abortReleasing()
-			return err
-		}
+	if err := tx.logMeta(); err != nil {
+		tx.abortReleasing()
+		return err
 	}
 	tx.w.Commit()
 
 	// Apply: object write-back with NT stores, one fence, then parity.
-	for _, r := range ranges {
-		e.dev.WriteNT(r.off, r.new)
+	for _, b := range work {
+		base, img := b.OID.HeaderOff(), b.Image()
+		for _, r := range b.Ranges() {
+			e.dev.WriteNT(base+r.Off, img[r.Off:r.Off+r.Len])
+		}
+		if tx.refreshesCsum(b) {
+			e.dev.WriteNT(base+csumOff, img[csumOff:csumOff+4])
+		}
 	}
 	e.dev.Fence()
 	if e.mode.Parity() {
-		for _, r := range ranges {
-			// The old bytes have served the checksum refresh; turn
-			// them into the parity patch in place.
-			xor.Delta(r.old, r.old, r.new)
-			e.updateParitySegments(r.off, r.old)
+		for _, b := range work {
+			base, img := b.OID.HeaderOff(), b.Image()
+			for _, r := range b.Ranges() {
+				// The first image has served the checksum refresh;
+				// turn it into the parity patch in place.
+				xor.Delta(r.Old, r.Old, img[r.Off:r.Off+r.Len])
+				e.updateParitySegments(base+r.Off, r.Old)
+			}
+			if tx.refreshesCsum(b) {
+				var d [4]byte // the checksum field's old⊕new
+				binary.LittleEndian.PutUint32(d[:], b.OrigCsum^b.Header().Csum)
+				e.updateParitySegments(base+csumOff, d[:])
+			}
 		}
 		e.dev.Fence()
 	}
-	// Allocator metadata (CM entries are parity-covered).
-	for _, res := range tx.allocs {
-		if err := e.applyAllocOp(res.Op); err != nil {
-			return fmt.Errorf("core: applying alloc op: %w (%w)", err, ErrNeedReopen)
-		}
-	}
-	for _, op := range tx.frees {
-		if err := e.applyAllocOp(op); err != nil {
-			return fmt.Errorf("core: applying free op: %w (%w)", err, ErrNeedReopen)
-		}
-	}
-	if tx.root != nil {
-		e.applyRoot(tx.root.oid, tx.root.size)
+	if err := tx.applyMeta(); err != nil {
+		return err
 	}
 	// Clear the verified-read bit of every object whose bytes this commit
 	// changed (freed slots count: a later allocation may reuse them).
@@ -187,107 +166,99 @@ func (tx *Tx) gatherWork() []*mbuf.Buf {
 	return work
 }
 
-// collectRanges materializes every modified range with its old NVMM bytes
-// and, in checksumming modes, refreshes each buffer's stored checksum
-// incrementally from its own ranges (§3.5: cost proportional to the
-// modified size, not the object size), adding the checksum field itself as
-// a modified range. The whole pass is linear in the ranges: each buffer's
-// ranges are emitted contiguously, so its checksum folds exactly that
-// slice, and the range list and every old-byte copy come from two
-// allocations sized up front.
-func (tx *Tx) collectRanges(work []*mbuf.Buf) ([]applyRange, error) {
-	e := tx.e
-	csums := e.mode.Checksums()
-	var nRanges int
-	var nBytes uint64
-	for _, b := range work {
-		nRanges += len(b.Ranges())
-		for _, r := range b.Ranges() {
-			nBytes += r.Len
-		}
-		if csums && b.Flags&mbuf.FlagAllocated == 0 {
-			nRanges++
-			nBytes += 4
-		}
-	}
-	out := make([]applyRange, 0, nRanges)
-	arena := make([]byte, nBytes)
-	// take carves the next n old bytes at off out of the arena. Freshly
-	// allocated slots hold arbitrary prior bytes, read for the parity
-	// delta all the same; a media fault is repaired like any other.
-	take := func(off, n uint64) ([]byte, error) {
-		old := arena[:n:n]
-		arena = arena[n:]
-		return old, e.readRepairing(old, off)
-	}
-	var err error
-	for _, b := range work {
-		base := b.OID.HeaderOff()
-		img := b.Image()
-		fresh := b.Flags&mbuf.FlagAllocated != 0
-		for _, r := range b.Ranges() {
-			ar := applyRange{off: base + r.Off, new: img[r.Off : r.Off+r.Len], fresh: fresh}
-			if ar.old, err = take(ar.off, r.Len); err != nil {
-				return nil, err
-			}
-			out = append(out, ar)
-		}
-	}
-	if !csums {
-		return out, nil
-	}
-	start := 0
-	for _, b := range work {
-		mine := out[start : start+len(b.Ranges())]
-		start += len(mine)
-		img := b.Image()
-		hdr := b.Header()
-		if b.Flags&mbuf.FlagAllocated != 0 {
-			hdr.Csum = layout.ObjChecksum(img)
-			b.SetHeader(hdr)
-			continue
-		}
-		base := b.OID.HeaderOff()
-		sum := b.OrigCsum
-		for _, ar := range mine {
-			sum = csum.Update(sum, b.Size(), ar.off-base, ar.old, ar.new)
-		}
-		hdr.Csum = sum
-		b.SetHeader(hdr)
-		// The checksum field (image bytes [12,16)) becomes part of the
-		// write-back set. It is excluded from the checksum domain, so no
-		// recursive refresh is needed. The old bytes feed the parity
-		// delta, so a failed read must go through online recovery like
-		// any other — substituting zeros would fold a wrong delta into
-		// the zone's parity column.
-		ar := applyRange{off: base + 12, new: img[12:16]}
-		if ar.old, err = take(ar.off, 4); err != nil {
-			return nil, err
-		}
-		out = append(out, ar)
-	}
-	return out, nil
+// refreshesCsum reports whether b's checksum field is a write-back range
+// of its own: an opened object's in checksumming modes. A fresh object's
+// one range is its whole image, field included.
+func (tx *Tx) refreshesCsum(b *mbuf.Buf) bool {
+	return tx.e.mode.Checksums() && b.Flags&mbuf.FlagAllocated == 0
 }
 
-// readRepairing reads NVMM bytes at off into buf, running online recovery
-// and retrying once on a fault.
-func (e *Engine) readRepairing(buf []byte, off uint64) error {
-	err := e.dev.ReadAt(buf, off)
+// prepare readies the write-back set before the commit point, healing
+// the poisoned pages under every write-back range first, so write-back
+// never lands on a lost page whose parity it has not seen. A fresh
+// object's range takes its slot's prior bytes from NVMM (the old side of
+// its parity delta) and, in checksumming modes, a checksum over the whole
+// image. An opened object's checksum is refreshed incrementally from its
+// ranges' first images (§3.5: cost proportional to the declared bytes,
+// not the object); its NVMM bytes are not read.
+func (tx *Tx) prepare(work []*mbuf.Buf) error {
+	e := tx.e
+	csums := e.mode.Checksums()
+	for _, b := range work {
+		base, img := b.OID.HeaderOff(), b.Image()
+		hdr := b.Header()
+		if b.Flags&mbuf.FlagAllocated != 0 {
+			r := &b.Ranges()[0]
+			r.Old = tx.first.Alloc(r.Len)
+			if err := e.healPoison(base, r.Len); err != nil {
+				return err
+			}
+			if err := e.dev.ReadAt(r.Old, base); err != nil {
+				return err
+			}
+			if csums {
+				hdr.Csum = layout.ObjChecksum(img)
+				b.SetHeader(hdr)
+			}
+			continue
+		}
+		sum := b.OrigCsum
+		for _, r := range b.Ranges() {
+			if err := e.healPoison(base+r.Off, r.Len); err != nil {
+				return err
+			}
+			if csums {
+				sum = csum.Update(sum, b.Size(), r.Off, r.Old, img[r.Off:r.Off+r.Len])
+			}
+		}
+		if csums {
+			// The checksum field is excluded from the checksum domain,
+			// so no recursive refresh is needed; its old bytes are
+			// OrigCsum.
+			if err := e.healPoison(base+csumOff, 4); err != nil {
+				return err
+			}
+			hdr.Csum = sum
+			b.SetHeader(hdr)
+		}
+	}
+	return nil
+}
+
+// healPoison runs online recovery on the poisoned pages under [off,
+// off+n), if any, without reading the bytes.
+func (e *Engine) healPoison(off, n uint64) error {
+	err := e.dev.CheckPoison(off, n)
 	if err == nil {
 		return nil
 	}
-	if rerr := e.faultRepair(off, uint64(len(buf)), err); rerr != nil {
+	if rerr := e.faultRepair(off, n, err); rerr != nil {
 		return rerr
 	}
-	return e.dev.ReadAt(buf, off)
+	return e.dev.CheckPoison(off, n)
+}
+
+// logBuf appends b's redo records: its declared ranges, then its
+// refreshed checksum field when that is a range of its own.
+func (tx *Tx) logBuf(b *mbuf.Buf) error {
+	base, img := b.OID.HeaderOff(), b.Image()
+	fresh := b.Flags&mbuf.FlagAllocated != 0
+	for _, r := range b.Ranges() {
+		if err := tx.logRange(base+r.Off, img[r.Off:r.Off+r.Len], fresh); err != nil {
+			return err
+		}
+	}
+	if tx.refreshesCsum(b) {
+		return tx.logData(base+csumOff, img[csumOff:csumOff+4])
+	}
+	return nil
 }
 
 // logRange appends the redo records for one range: data records of at most
 // one log payload each, with a fresh object's long zero runs elided to
 // recZero records.
-func (tx *Tx) logRange(r applyRange) error {
-	off, data := r.off, r.new
-	if !r.fresh || len(data) < zeroRunMin {
+func (tx *Tx) logRange(off uint64, data []byte, fresh bool) error {
+	if !fresh || len(data) < zeroRunMin {
 		return tx.logData(off, data)
 	}
 	for len(data) > 0 {
@@ -432,29 +403,46 @@ func (tx *Tx) commitPmemobj() error {
 	}
 	// Metadata ops ride the same lane: appending them and flipping the
 	// lane to redo-committed makes them atomic with the data commit.
+	if err := tx.logMeta(); err != nil {
+		tx.abortReleasing()
+		return err
+	}
+	tx.w.Commit() // durability point: undo discarded, metadata committed
+	if err := tx.applyMeta(); err != nil {
+		return err
+	}
+	tx.releaseLate()
+	tx.w.Clear()
+	return nil
+}
+
+// logMeta appends the transaction's metadata records, which both engine
+// families commit with their data: allocator ops, frees, the root update.
+func (tx *Tx) logMeta() error {
 	for _, res := range tx.allocs {
 		if err := tx.w.Append(recAllocOp, alloc.EncodeOp(res.Op)); err != nil {
-			tx.abortReleasing()
 			return err
 		}
 	}
 	for _, op := range tx.frees {
 		if err := tx.w.Append(recAllocOp, alloc.EncodeOp(op)); err != nil {
-			tx.abortReleasing()
 			return err
 		}
 	}
-	if tx.root != nil {
-		var p [24]byte
-		binary.LittleEndian.PutUint64(p[0:], tx.root.oid.Pool)
-		binary.LittleEndian.PutUint64(p[8:], tx.root.oid.Off)
-		binary.LittleEndian.PutUint64(p[16:], tx.root.size)
-		if err := tx.w.Append(recRoot, p[:]); err != nil {
-			tx.abortReleasing()
-			return err
-		}
+	if tx.root == nil {
+		return nil
 	}
-	tx.w.Commit() // durability point: undo discarded, metadata committed
+	var p [24]byte
+	binary.LittleEndian.PutUint64(p[0:], tx.root.oid.Pool)
+	binary.LittleEndian.PutUint64(p[8:], tx.root.oid.Off)
+	binary.LittleEndian.PutUint64(p[16:], tx.root.size)
+	return tx.w.Append(recRoot, p[:])
+}
+
+// applyMeta applies what logMeta logged, after the durability point. A
+// failure leaves the committed log for reopen to replay.
+func (tx *Tx) applyMeta() error {
+	e := tx.e
 	for _, res := range tx.allocs {
 		if err := e.applyAllocOp(res.Op); err != nil {
 			return fmt.Errorf("core: applying alloc op: %w (%w)", err, ErrNeedReopen)
@@ -468,7 +456,5 @@ func (tx *Tx) commitPmemobj() error {
 	if tx.root != nil {
 		e.applyRoot(tx.root.oid, tx.root.size)
 	}
-	tx.releaseLate()
-	tx.w.Clear()
 	return nil
 }

@@ -146,6 +146,20 @@ func (e *Engine) noteModified(off uint64) {
 	}
 }
 
+// ForgetVerified clears the verified-read table, so the next read of each
+// object verifies its checksum afresh — and, on the owner path, repairs
+// it from parity on a mismatch. A caller that met corruption behind an
+// object verified before the damage (a scribbled pointer, followed
+// unverified) re-verifies its path this way instead of scrubbing the
+// pool. It reports false in modes without checksums: nothing is
+// re-verified there.
+func (e *Engine) ForgetVerified() bool {
+	for i := range e.verified {
+		e.verified[i].Store(0)
+	}
+	return e.verified != nil
+}
+
 // Create formats a pool on dev with the given geometry and opens it.
 // dev must be zeroed unless opts.Zero is set (zone parity starts from the
 // all-zero invariant; zeroing cost is the §4.2 one-time pool-init

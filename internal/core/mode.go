@@ -127,11 +127,10 @@ const (
 	// VerifyDefault checks an object's checksum when its micro-buffer is
 	// created, before any modification, and on the first read-only Get or
 	// GetRO after each modification: a read verifies only what a commit
-	// changed since the last verification. Objects over 16 KB are read
-	// with header and poison checks only and rely on scrubbing.
+	// changed since the last verification.
 	VerifyDefault VerifyPolicy = iota
 	// VerifyConservative verifies on every access, including every
-	// read-only Get and GetRO, whatever the object's size.
+	// read-only Get and GetRO.
 	VerifyConservative
 )
 

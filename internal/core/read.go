@@ -136,21 +136,15 @@ func (e *Engine) loadBuf(oid layout.OID) (*mbuf.Buf, error) {
 	return b, nil
 }
 
-// readVerifyLimit bounds per-read checksum verification: a larger object
-// is read with header sanity and poison checks only and relies on
-// scrubbing. Verifying a multi-kilobyte array object on every read would
-// make reads cost O(object) instead of O(access), the trap §3.5's
-// incremental checksums avoid on the write side. 16 KB covers every
-// per-key node of the six paper structures, rtree's 4 KB nodes included.
-const readVerifyLimit = 16 << 10
-
 // read is the engine's one read rule (pgl_get, §3.3–3.4), behind both the
 // owner path (Get) and the read view (GetRO). It checks the header and
 // the poison map, then checksums the live bytes of a checksummed object
 // unless the verified-read table (Engine.verified) shows it verified since
 // its last modification; VerifyConservative ignores the table and verifies
-// every access. A scribble landing after a verification is windowed: the
-// object's next modification or a scrub pass catches it (Table 4).
+// every access. Size sets no limit: a large object costs one checksum per
+// modification, no more than the Open that modified it paid. A scribble
+// landing after a verification is windowed: the object's next
+// modification, a scrub pass or ForgetVerified catches it (Table 4).
 //
 // On a fault the owner path (repair) runs online recovery and retries;
 // the read view fails fast with the typed error and never mutates the
@@ -184,7 +178,7 @@ func (e *Engine) read(oid layout.OID, repair bool) ([]byte, error) {
 // copy; a mismatch is retried from the top after repair.
 func (e *Engine) verifyLive(oid layout.OID, hdr layout.ObjHeader) error {
 	conservative := e.opts.Policy == VerifyConservative
-	if !e.mode.Checksums() || (!conservative && hdr.Size > readVerifyLimit) {
+	if !e.mode.Checksums() {
 		e.stats.UnverifiedBytes.Add(hdr.UserSize())
 		return nil
 	}

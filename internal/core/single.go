@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/pangolin-go/pangolin/internal/layout"
@@ -10,36 +11,39 @@ import (
 // OpenSingle creates a standalone micro-buffer for an object outside any
 // transaction — the paper's pgl_open (§3.2, Listing 2). The object's
 // integrity is verified (and restored if needed) exactly as at
-// transactional open. The buffer is later committed atomically with
-// CommitSingle or simply dropped.
-func (e *Engine) OpenSingle(oid layout.OID) (*mbuf.Buf, error) {
+// transactional open. It returns the buffer and a copy of the image it
+// verified, which CommitSingle diffs against. The buffer is later
+// committed atomically with CommitSingle or simply dropped.
+func (e *Engine) OpenSingle(oid layout.OID) (*mbuf.Buf, []byte, error) {
 	if e.closed.Load() {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	if !e.mode.MicroBuffered() {
-		return nil, fmt.Errorf("core: OpenSingle requires a micro-buffered mode, not %v", e.mode)
+		return nil, nil, fmt.Errorf("core: OpenSingle requires a micro-buffered mode, not %v", e.mode)
 	}
 	b, err := e.loadBuf(oid)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.stats.mbufAdd(int64(b.Footprint()))
-	return b, nil
+	return b, bytes.Clone(b.Image()), nil
 }
 
 // CommitSingle atomically commits a buffer from OpenSingle — the paper's
 // pgl_commit: it starts a transaction, determines the modified ranges by
-// diffing the buffer against NVMM (the single-object API has no
-// AddRange), and runs the normal commit protocol. This keeps the simple
-// atomic-style programming model while supporting updates beyond 8 bytes
-// (§3.2).
-func (e *Engine) CommitSingle(b *mbuf.Buf) error {
+// diffing the buffer against orig, the image OpenSingle verified (the
+// single-object API has no AddRange), and runs the normal commit protocol
+// with orig's bytes as the ranges' first images. NVMM is not read back,
+// so a scribble since OpenSingle is neither mistaken for a modification
+// nor folded into parity. This keeps the simple atomic-style programming
+// model while supporting updates beyond 8 bytes (§3.2).
+func (e *Engine) CommitSingle(b *mbuf.Buf, orig []byte) error {
 	defer e.stats.mbufAdd(-int64(b.Footprint()))
 	if err := b.CheckCanaries(); err != nil {
 		return err
 	}
-	old := make([]byte, b.Size())
-	if err := e.readRepairing(old, b.OID.HeaderOff()); err != nil {
+	tx, err := e.Begin()
+	if err != nil {
 		return err
 	}
 	img := b.Image()
@@ -47,11 +51,10 @@ func (e *Engine) CommitSingle(b *mbuf.Buf) error {
 	// owns the checksum field).
 	const gran = 8
 	size := b.Size()
-	var modified uint64
 	i := uint64(layout.ObjHeaderSize)
 	for i < size {
 		end := min(i+gran, size)
-		if bytesEqual(old[i:end], img[i:end]) {
+		if bytes.Equal(orig[i:end], img[i:end]) {
 			i = end
 			continue
 		}
@@ -59,33 +62,16 @@ func (e *Engine) CommitSingle(b *mbuf.Buf) error {
 		j := end
 		for j < size {
 			je := min(j+gran, size)
-			if bytesEqual(old[j:je], img[j:je]) {
+			if bytes.Equal(orig[j:je], img[j:je]) {
 				break
 			}
 			j = je
 		}
-		modified += b.MarkModified(i, j-i)
+		tx.statModBytes += b.MarkModified(i, j-i, orig, &tx.first)
 		i = j
-	}
-	tx, err := e.Begin()
-	if err != nil {
-		return err
 	}
 	tx.bufs.Insert(b)
 	e.stats.mbufAdd(int64(b.Footprint())) // table ownership (released at commit)
-	tx.statModBytes = modified
 	tx.statObjs[b.OID.Off] = true
 	return tx.Commit()
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -28,7 +28,8 @@ type Tx struct {
 	e *Engine
 	w *logrec.Writer
 
-	bufs *mbuf.Table // pangolin modes
+	bufs  *mbuf.Table // pangolin modes
+	first mbuf.Arena  // pangolin modes: the declared ranges' first images
 
 	allocs      []alloc.Reservation
 	allocIdx    map[uint64]txAlloc  // user-off → this tx's live allocation
@@ -247,7 +248,10 @@ func (tx *Tx) Free(oid layout.OID) error {
 // slice is the user data.
 //
 // Pangolin callers that modify the buffer must declare the modified ranges
-// with AddRange (pgl_tx_add_range); whole-object modification can be
+// with AddRange (pgl_tx_add_range) before writing them — declare, then
+// write, as pmemobj_tx_add_range requires: the declaration keeps the
+// bytes Open verified as the range's first image, and Commit folds that
+// image into the checksum and parity. Whole-object modification can be
 // declared with AddRange(oid, 0, len).
 func (tx *Tx) Open(oid layout.OID) ([]byte, error) {
 	if err := tx.checkActive(); err != nil {
@@ -328,9 +332,12 @@ func (tx *Tx) openDirect(oid layout.OID) ([]byte, error) {
 }
 
 // AddRange declares that user-data bytes [off, off+n) of the object will
-// be modified (pgl_tx_add_range / pmemobj_tx_add_range). In Pangolin
-// modes this bounds logging, checksum refresh, and parity updates to the
-// declared ranges; in pmemobj modes it snapshots just that range.
+// be modified (pgl_tx_add_range / pmemobj_tx_add_range), and must come
+// before the writes it covers. In Pangolin modes this bounds logging,
+// checksum refresh, and parity updates to the declared ranges, and keeps
+// each newly declared byte's first image — copied from the verified
+// micro-buffer, once, however often a later declaration overlaps it; in
+// pmemobj modes it snapshots just that range.
 func (tx *Tx) AddRange(oid layout.OID, off, n uint64) ([]byte, error) {
 	if err := tx.checkActive(); err != nil {
 		return nil, err
@@ -346,11 +353,11 @@ func (tx *Tx) AddRange(oid layout.OID, off, n uint64) ([]byte, error) {
 		if off+n > b.Header().UserSize() {
 			return nil, fmt.Errorf("core: range [%d,%d) exceeds object size %d", off, off+n, b.Header().UserSize())
 		}
-		added := b.MarkModified(layout.ObjHeaderSize+off, n)
 		if b.Flags&mbuf.FlagAllocated == 0 {
-			// Count only newly declared bytes (re-adding a range is
-			// free, like pmemobj_tx_add_range on a snapshotted range).
-			tx.statModBytes += added
+			// A fresh object is declared whole. Count only newly
+			// declared bytes (re-adding a range is free, like
+			// pmemobj_tx_add_range on a snapshotted range).
+			tx.statModBytes += b.MarkModified(layout.ObjHeaderSize+off, n, b.Image(), &tx.first)
 		}
 		return b.UserData(), nil
 	}

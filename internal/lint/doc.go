@@ -43,8 +43,8 @@
 // test, not by an analyzer. Durable file replacement lives in
 // internal/durable (durable.WriteFile), and its TestNoRawRename fails on
 // any other non-test os.Rename; the shard reader gate is touched only in
-// the worker's gatedRead, withGate and healPass, and
-// TestGateReleasedOnEveryPath drives each path that takes it. A future
+// the worker's gatedRead and withGate, and TestGateReleasedOnEveryPath
+// drives each path that takes it. A future
 // analyzer stays only if it guards at least three sites in at least two
 // packages, or if a seeded violation at a real site is caught by no
 // test.

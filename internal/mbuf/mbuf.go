@@ -7,6 +7,13 @@
 // caught instead of propagated (the paper's canary mechanism). Modified
 // ranges are tracked so commit can log, checksum, and parity-update only
 // the bytes that changed.
+//
+// Each declared range carries its first image: the bytes it held when
+// first declared, copied out of the buffer (or out of the verified image
+// a caller diffs against) into the transaction's Arena. Under
+// declare-then-write those are the bytes the object was verified with at
+// open, so commit folds them into the incremental checksum and the
+// parity delta (old ⊕ new, §3.5) without reading NVMM back.
 package mbuf
 
 import (
@@ -32,6 +39,35 @@ const (
 // layout.ObjHeaderSize).
 type Range struct {
 	Off, Len uint64
+	// Old is the range's first image (Len bytes). MarkAllModified leaves
+	// it nil: a fresh object's prior bytes are its slot's, which commit
+	// reads from NVMM into it.
+	Old []byte
+}
+
+// arenaMin is an Arena's first chunk: a few declared words, so a small
+// transaction's first images cost one small allocation.
+const arenaMin = 64
+
+// Arena carves first images for one transaction's buffers. A chunk is
+// never reused, so a carved slice stays valid for the transaction's
+// life; a full chunk is replaced, not grown, and the slices carved from
+// it keep it alive.
+type Arena struct{ chunk []byte }
+
+// Alloc returns n bytes carved from the arena. A request larger than the
+// next chunk would be gets an allocation of its own.
+func (a *Arena) Alloc(n uint64) []byte {
+	if uint64(cap(a.chunk)-len(a.chunk)) < n {
+		next := max(2*uint64(cap(a.chunk)), arenaMin)
+		if n > next {
+			return make([]byte, n)
+		}
+		a.chunk = make([]byte, 0, next)
+	}
+	at := len(a.chunk)
+	a.chunk = a.chunk[:at+int(n)]
+	return a.chunk[at:len(a.chunk):len(a.chunk)]
 }
 
 // Buf is one micro-buffer.
@@ -111,13 +147,16 @@ func (b *Buf) CheckCanaries() error {
 	return nil
 }
 
-// MarkModified records that image bytes [off, off+n) changed and returns
-// how many of them were not marked before. Overlapping and adjacent ranges
-// coalesce. The range is merged into the sorted list in place —
-// binary-search the merge window, fold every overlapping or adjacent
-// range into one, shift the tail once — so a buffer collecting k ranges
-// costs O(k log k) plus the shifts, not a re-sort per call.
-func (b *Buf) MarkModified(off, n uint64) (added uint64) {
+// MarkModified declares that image bytes [off, off+n) will change and
+// returns how many of them were not declared before. Each newly declared
+// byte's first image is copied from from (an image of the object, indexed
+// like Image) into a; bytes declared before keep the first image they
+// have. Overlapping and adjacent ranges coalesce. The range is merged into
+// the sorted list in place — binary-search the merge window, fold every
+// overlapping or adjacent range into one, shift the tail once — so a
+// buffer collecting k ranges costs O(k log k) plus the shifts and the
+// merged first images, not a re-sort per call.
+func (b *Buf) MarkModified(off, n uint64, from []byte, a *Arena) (added uint64) {
 	if n == 0 {
 		return 0
 	}
@@ -136,7 +175,14 @@ func (b *Buf) MarkModified(off, n uint64) (added uint64) {
 		had += rs[hi].Len
 		hi++
 	}
-	merged := Range{Off: start, Len: end - start}
+	if had == end-start {
+		return 0 // one declared range covers it all
+	}
+	merged := Range{Off: start, Len: end - start, Old: a.Alloc(end - start)}
+	copy(merged.Old, from[start:end])
+	for _, r := range rs[lo:hi] {
+		copy(merged.Old[r.Off-start:], r.Old)
+	}
 	if hi == lo {
 		rs = append(rs, Range{})
 		copy(rs[lo+1:], rs[lo:])
@@ -149,14 +195,16 @@ func (b *Buf) MarkModified(off, n uint64) (added uint64) {
 	return merged.Len - had
 }
 
-// MarkAllModified marks the entire image modified (allocations).
+// MarkAllModified marks the entire image modified (allocations), with no
+// first image.
 func (b *Buf) MarkAllModified() {
 	b.ranges = b.ranges[:0]
 	b.ranges = append(b.ranges, Range{Off: 0, Len: b.size})
 }
 
 // Ranges returns the modified ranges, sorted and coalesced. The slice is
-// owned by the buffer.
+// owned by the buffer; commit spends each range's first image as the
+// parity patch.
 func (b *Buf) Ranges() []Range { return b.ranges }
 
 // Modified reports whether any byte of the image was marked modified.

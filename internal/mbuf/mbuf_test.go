@@ -68,20 +68,21 @@ func TestHeadCanaryDetectsUnderrun(t *testing.T) {
 }
 
 func TestMarkModifiedCoalescing(t *testing.T) {
+	var a Arena
 	b := New(layout.OID{Off: 64}, 200, testCanary)
-	b.MarkModified(10, 10) // [10,20)
-	b.MarkModified(30, 5)  // [30,35)
-	b.MarkModified(18, 12) // bridges to [10,35)? overlaps first, touches second
+	b.MarkModified(10, 10, b.Image(), &a) // [10,20)
+	b.MarkModified(30, 5, b.Image(), &a)  // [30,35)
+	b.MarkModified(18, 12, b.Image(), &a) // bridges to [10,35)? overlaps first, touches second
 	rs := b.Ranges()
 	if len(rs) != 1 || rs[0].Off != 10 || rs[0].Len != 25 {
 		t.Fatalf("coalesced ranges: %+v", rs)
 	}
-	b.MarkModified(100, 1)
+	b.MarkModified(100, 1, b.Image(), &a)
 	if len(b.Ranges()) != 2 {
 		t.Fatalf("disjoint range merged: %+v", b.Ranges())
 	}
 	// Adjacent ranges coalesce.
-	b.MarkModified(101, 4)
+	b.MarkModified(101, 4, b.Image(), &a)
 	rs = b.Ranges()
 	if len(rs) != 2 || rs[1].Len != 5 {
 		t.Fatalf("adjacent not coalesced: %+v", rs)
@@ -89,26 +90,29 @@ func TestMarkModifiedCoalescing(t *testing.T) {
 }
 
 func TestMarkModifiedZeroLen(t *testing.T) {
+	var a Arena
 	b := New(layout.OID{Off: 64}, 100, testCanary)
-	b.MarkModified(50, 0)
+	b.MarkModified(50, 0, b.Image(), &a)
 	if b.Modified() {
 		t.Fatal("zero-length range marked")
 	}
 }
 
 func TestMarkModifiedOutOfRangePanics(t *testing.T) {
+	var a Arena
 	b := New(layout.OID{Off: 64}, 100, testCanary)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	b.MarkModified(90, 20)
+	b.MarkModified(90, 20, b.Image(), &a)
 }
 
 func TestMarkAllModified(t *testing.T) {
+	var a Arena
 	b := New(layout.OID{Off: 64}, 333, testCanary)
-	b.MarkModified(5, 5)
+	b.MarkModified(5, 5, b.Image(), &a)
 	b.MarkAllModified()
 	rs := b.Ranges()
 	if len(rs) != 1 || rs[0].Off != 0 || rs[0].Len != 333 {
@@ -117,12 +121,20 @@ func TestMarkAllModified(t *testing.T) {
 }
 
 // Property: after any sequence of MarkModified calls, ranges are sorted,
-// non-overlapping, and cover exactly the union of the marked bytes.
+// non-overlapping, and cover exactly the union of the marked bytes, and
+// each range's first image holds its bytes as they were before the first
+// declaration that covered them, though every declaration is followed by
+// a write (declare-then-write).
 func TestCoalesceCorrectness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const size = 512
 		b := New(layout.OID{Off: 64}, size, testCanary)
+		var a Arena
+		img := b.Image()
+		for j := range img {
+			img[j] = byte(j)
+		}
 		model := make([]bool, size)
 		for i := 0; i < 20; i++ {
 			off := uint64(rng.Intn(size))
@@ -137,8 +149,11 @@ func TestCoalesceCorrectness(t *testing.T) {
 				}
 				model[j] = true
 			}
-			if added := b.MarkModified(off, n); added != fresh {
+			if added := b.MarkModified(off, n, b.Image(), &a); added != fresh {
 				return false // must report exactly the newly marked bytes
+			}
+			for j := off; j < off+n; j++ {
+				img[j] = ^byte(j)
 			}
 		}
 		got := make([]bool, size)
@@ -148,8 +163,14 @@ func TestCoalesceCorrectness(t *testing.T) {
 				return false // overlap or touching (should have merged)
 			}
 			prevEnd = r.Off + r.Len
+			if uint64(len(r.Old)) != r.Len {
+				return false
+			}
 			for j := r.Off; j < r.Off+r.Len; j++ {
 				got[j] = true
+				if r.Old[j-r.Off] != byte(j) {
+					return false // a first image taken after a write
+				}
 			}
 		}
 		for i := range model {

@@ -112,12 +112,12 @@ func TestBatchBadOpDoesNotPoisonBatchmates(t *testing.T) {
 }
 
 // TestOversizedBatchSplitsIntoWindows sends one shard a batch far larger
-// than its group-commit window: it must execute in MaxBatch-sized
+// than its group-commit window: it must execute in maxBatch-sized
 // transactions (never one giant transaction), produce per-op results for
 // everything, and account each chunk as a group commit.
 func TestOversizedBatchSplitsIntoWindows(t *testing.T) {
 	dir := t.TempDir()
-	s := newSet(t, dir, 1, Options{MaxBatch: 8})
+	s := newSet(t, dir, 1, Options{maxBatch: 8})
 	defer s.Abandon()
 	const n = 100
 	ops := make([]BatchOp, n)
@@ -148,7 +148,7 @@ func TestOversizedBatchSplitsIntoWindows(t *testing.T) {
 	}
 }
 
-// TestMigrationGroupFitsLog commits one full MaxBatch group of new keys
+// TestMigrationGroupFitsLog commits one full maxBatch group of new keys
 // right after the default hashmap doubled from 68 to 136 segments, so every
 // op of the group migrates an old chain and logs two fresh segments whole:
 // the largest log a group writes, well past one lane. It must spill into
@@ -233,7 +233,7 @@ func TestMigrationGroupFitsLog(t *testing.T) {
 // with the per-goroutine model and group commits must happen.
 func TestGroupCommitUnderConcurrency(t *testing.T) {
 	dir := t.TempDir()
-	s := newSet(t, dir, 2, Options{QueueLen: 256})
+	s := newSet(t, dir, 2, Options{queueLen: 256})
 	defer s.Abandon()
 	const goroutines = 8
 	rounds := 60
@@ -391,7 +391,7 @@ func TestCrashDuringBatchLoadRecovers(t *testing.T) {
 func TestStopUnderLoadTinyQueue(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		dir := t.TempDir()
-		s := newSet(t, dir, 1, Options{QueueLen: 1})
+		s := newSet(t, dir, 1, Options{queueLen: 1})
 		const senders = 16
 		var wg sync.WaitGroup
 		start := make(chan struct{})

@@ -168,7 +168,7 @@ func TestMaintHealsInjectedFaults(t *testing.T) {
 // backoff; it never silently wedges — and traffic always wins (client
 // ops never error or block on scrub work).
 func TestMaintSchedulerAliveUnderLoad(t *testing.T) {
-	s := newSet(t, t.TempDir(), 2, Options{ScrubInterval: time.Millisecond, QueueLen: 16})
+	s := newSet(t, t.TempDir(), 2, Options{ScrubInterval: time.Millisecond, queueLen: 16})
 	defer s.Abandon()
 	for k := uint64(0); k < 256; k++ {
 		if err := s.Put(k, k); err != nil {
@@ -258,7 +258,7 @@ func TestSetScrubMergedReport(t *testing.T) {
 // read may observe a torn or stale value, and the set must still scrub
 // clean at the end.
 func TestMaintTorture(t *testing.T) {
-	s := newSet(t, t.TempDir(), 3, Options{ScrubInterval: time.Millisecond, QueueLen: 32})
+	s := newSet(t, t.TempDir(), 3, Options{ScrubInterval: time.Millisecond, queueLen: 32})
 	defer s.Abandon()
 	const keySpace = 512
 	for k := uint64(0); k < keySpace; k++ {

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"github.com/pangolin-go/pangolin"
+	"github.com/pangolin-go/pangolin/internal/layout"
+	"github.com/pangolin-go/pangolin/internal/store"
 	"github.com/pangolin-go/pangolin/internal/store/pangolinstore"
 )
 
@@ -352,8 +354,8 @@ func scribbleSegmentPointer(s *Set, k uint64) error {
 
 // TestScribbledPointerHealsOnPut: a PUT through a scribbled segment
 // pointer (scribbleSegmentPointer) must meet typed corruption: the worker
-// runs a heal pass, which rebuilds the directory from parity, and the
-// retried PUT succeeds. The client sees no error and the repair is
+// forgets what it verified and retries, the retry's re-verified read
+// rebuilds the directory from parity, and the retried PUT succeeds. The client sees no error and the repair is
 // counted.
 func TestScribbledPointerHealsOnPut(t *testing.T) {
 	s := newSet(t, t.TempDir(), 1, Options{})
@@ -371,6 +373,143 @@ func TestScribbledPointerHealsOnPut(t *testing.T) {
 	}
 	if after := s.Stats().BgRepairs; after <= before {
 		t.Fatalf("bg_repairs %d -> %d: the heal pass repaired nothing", before, after)
+	}
+}
+
+// TestScribbledPointerInLargeDirectoryHeals is
+// TestScribbledPointerHealsOnPut on a directory of 1,088 segments, larger
+// than one 16 KB read ever verified: the retry re-verifies the directory
+// whatever its size, so every PUT through the scribbled slot heals and
+// none reaches the client as an error.
+func TestScribbledPointerInLargeDirectoryHeals(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{})
+	defer s.Abandon()
+	const n = 26_000 // past the hashmap's growth to 1,088 segments
+	for k := uint64(0); k < n; k++ {
+		if err := s.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps := s.workers[0].st.(*pangolinstore.Store)
+	p := ps.Pool()
+	le := binary.LittleEndian
+	anchor, err := p.Get(ps.Map().Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirOID := pangolin.OID{Pool: le.Uint64(anchor), Off: le.Uint64(anchor[8:])}
+	if size, err := p.ObjectSize(dirOID); err != nil || size <= 16<<10 {
+		t.Fatalf("directory of %d bytes (%v), want more than 16 KB", size, err)
+	}
+	settle(s)
+	p.InjectScribble(dirOID.Off+16+5*16, 8, 1) // segment 5's pool word
+	for k := uint64(0); k < n; k++ {
+		if err := s.Put(k, k+2); err != nil {
+			t.Fatalf("put %d through a scribbled directory: %v", k, err)
+		}
+	}
+	if st := s.Stats(); st.BgRepairs == 0 || st.ScrubSteps != 0 {
+		t.Fatalf("%d repairs, %d scrub steps: want a repair and no scrub step", st.BgRepairs, st.ScrubSteps)
+	}
+}
+
+// countingHealer counts the repair-retries a worker starts.
+type countingHealer struct {
+	store.Reverifier
+	forgets atomic.Int64
+}
+
+func (h *countingHealer) ForgetVerified() bool {
+	h.forgets.Add(1)
+	return h.Reverifier.ForgetVerified()
+}
+
+// TestHealBeyondParityRetriesOnce loses two pages of one parity column,
+// which single parity cannot rebuild. An op that reads a lost page
+// returns its typed error after exactly one re-verified retry and no
+// scrub step, and so does the next op on it, while keys elsewhere keep
+// serving.
+func TestHealBeyondParityRetriesOnce(t *testing.T) {
+	s := newSet(t, t.TempDir(), 1, Options{})
+	defer s.Abandon()
+	for k := uint64(0); k < 200; k++ {
+		if err := s.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := s.workers[0]
+	ps := w.st.(*pangolinstore.Store)
+	p := ps.Pool()
+	le := binary.LittleEndian
+	anchor, err := p.Get(ps.Map().Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirOID := pangolin.OID{Pool: le.Uint64(anchor), Off: le.Uint64(anchor[8:])}
+	dir, err := p.Get(dirOID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg uint64
+	for slot := 16; seg == 0 && slot < len(dir); slot += 16 {
+		seg = le.Uint64(dir[slot+8:])
+	}
+	// Lose the segment's page and the page one parity column shares with
+	// it in another row, away from the anchor's and the directory's.
+	geo := pangolin.DefaultGeometry()
+	page := func(off uint64) uint64 { return off &^ (layout.PageSize - 1) }
+	loc := geo.Locate(seg)
+	lost := []uint64{page(seg)}
+	for row := uint64(0); row < geo.DataRows() && len(lost) < 2; row++ {
+		other := page(geo.RowByteOff(loc.Zone, row, loc.Col))
+		if row != loc.Row && other != page(ps.Map().Anchor().Off) && other != page(dirOID.Off) {
+			lost = append(lost, other)
+		}
+	}
+	settle(s)
+	for _, off := range lost {
+		p.InjectMediaError(off)
+	}
+	h := &countingHealer{Reverifier: w.healer}
+	w.healer = h // read by the worker only after the sends below
+
+	var bad, good []uint64
+	for k := uint64(0); k < 200; k++ {
+		before := h.forgets.Load()
+		v, ok, err := s.Get(k)
+		switch {
+		case err == nil && ok && v == k+1:
+			good = append(good, k)
+		case pangolin.IsPoison(err) || pangolin.IsCorruption(err):
+			if n := h.forgets.Load() - before; n != 1 {
+				t.Fatalf("get %d failed after %d retries, want 1: %v", k, n, err)
+			}
+			bad = append(bad, k)
+		default:
+			t.Fatalf("get %d = (%d,%v,%v)", k, v, ok, err)
+		}
+	}
+	if len(bad) == 0 || len(good) == 0 {
+		t.Fatalf("%d keys lost, %d served: want some of each", len(bad), len(good))
+	}
+	// The next op on a lost key pays the same single retry, no more and
+	// no later: nothing throttles or defers it.
+	before := h.forgets.Load()
+	start := time.Now()
+	if _, _, err := s.Get(bad[0]); !pangolin.IsPoison(err) && !pangolin.IsCorruption(err) {
+		t.Fatalf("second get of lost key %d: %v, want a typed error", bad[0], err)
+	}
+	if n := h.forgets.Load() - before; n != 1 {
+		t.Fatalf("second get of a lost key ran %d retries, want 1", n)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("second get of a lost key took %v", d)
+	}
+	if v, ok, err := s.Get(good[0]); err != nil || !ok || v != good[0]+1 {
+		t.Fatalf("get %d beside the lost pages = (%d,%v,%v)", good[0], v, ok, err)
+	}
+	if st := s.Stats(); st.ScrubSteps != 0 {
+		t.Fatalf("%d scrub steps ran; a retry runs none", st.ScrubSteps)
 	}
 }
 
@@ -401,7 +540,7 @@ func TestGetShuttingDownTyped(t *testing.T) {
 // the nightly workflow runs the full version.
 func TestReadWriteTorture(t *testing.T) {
 	dir := t.TempDir()
-	s := newSet(t, dir, 3, Options{QueueLen: 32})
+	s := newSet(t, dir, 3, Options{queueLen: 32})
 
 	const keySpace = 512 // writers: [0,256), delete churn: [256,512)
 	for k := uint64(0); k < keySpace; k++ {

@@ -256,7 +256,7 @@ func TestNumericModesRefuseOrRoundTrip(t *testing.T) {
 // stay ordered, in-bounds, duplicate-free, and made of committed values
 // (value == key*2+1 at any generation, or the prefill key*2).
 func TestScanStormVsCommits(t *testing.T) {
-	s := newSet(t, t.TempDir(), 4, Options{Structure: "rbtree", QueueLen: 16})
+	s := newSet(t, t.TempDir(), 4, Options{Structure: "rbtree", queueLen: 16})
 	defer s.Abandon()
 	const keys = 256
 	for k := uint64(0); k < keys; k++ {

@@ -34,6 +34,7 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -84,13 +85,6 @@ type Options struct {
 	// 0 selects the logstore default. Small values force rotation and
 	// compaction traffic (tests, the ledger's log_batch workload).
 	LogSegmentBytes int64
-	// QueueLen is the per-shard request queue depth; default 128.
-	QueueLen int
-	// MaxBatch caps how many operations a shard worker folds into one
-	// group-committed store batch; default 64. A worker only waits to
-	// fill a group within a bounded adaptive window (at most 100µs), so
-	// this bounds batch size, not latency.
-	MaxBatch int
 	// ScrubInterval enables the background maintenance scheduler: every
 	// interval one shard (round-robin) is offered one bounded scrub
 	// step, skipped with a backoff whenever that shard's worker is busy.
@@ -99,6 +93,15 @@ type Options struct {
 	// Pangolin.Scrub. On log shards the step doubles as the compaction
 	// driver: merges run through the same tick.
 	ScrubInterval time.Duration
+
+	// queueLen is the per-shard request queue depth; 0 selects 128.
+	queueLen int
+	// maxBatch caps how many operations a shard worker folds into one
+	// group-committed store batch; 0 selects 64. A worker only waits to
+	// fill a group within a bounded adaptive window (at most 100µs), so
+	// this bounds batch size, not latency. Both are set only by this
+	// package's tests.
+	maxBatch int
 }
 
 func (o *Options) structure() string {
@@ -148,20 +151,6 @@ func (o *Options) config() (pangolin.Config, error) {
 		return cfg, fmt.Errorf("shard: unknown mode %v", cfg.Mode)
 	}
 	return cfg, nil
-}
-
-func (o *Options) queueLen() int {
-	if o.QueueLen <= 0 {
-		return 128
-	}
-	return o.QueueLen
-}
-
-func (o *Options) maxBatch() int {
-	if o.MaxBatch <= 0 {
-		return 64
-	}
-	return o.MaxBatch
 }
 
 // logOptions builds the log backend's per-shard options.
@@ -338,7 +327,7 @@ func build(dir string, n int, opts Options, mk makeStore, release func()) (*Set,
 		if err != nil {
 			return fail(i, fmt.Errorf("attach read view: %w", err))
 		}
-		s.workers = append(s.workers, newWorker(i, st, view, opts.queueLen(), opts.maxBatch()))
+		s.workers = append(s.workers, newWorker(i, st, view, cmp.Or(opts.queueLen, 128), cmp.Or(opts.maxBatch, 64)))
 	}
 	return s, nil
 }
@@ -776,14 +765,15 @@ func (s *Set) Abandon() {
 // shard's (the "verified clean as of" bound — 0 while any shard has yet
 // to finish a pass) and every other field sums over the shards.
 type ScrubHealth struct {
-	// ScrubSteps counts bounded scrub steps executed (scheduler ticks,
-	// full passes, and heal-retry passes); BgRepairs counts the
-	// objects/pages/parity columns repaired without a client asking for
-	// a scrub — by the scheduler's steps and by the heal passes a
-	// corrupt read or write triggers; ScrubBackoffs counts steps skipped
-	// because the worker was busy (traffic wins); ScrubErrors counts
-	// steps and passes that FAILED — a growing value with a stuck
-	// LastFullPass is the signal that the cursor cannot advance;
+	// ScrubSteps counts bounded scrub steps executed (scheduler ticks
+	// and full passes; an op's repair-retry runs none); BgRepairs counts
+	// the objects/pages/parity columns repaired without a client asking
+	// for a scrub — by the scheduler's steps, and the pages the
+	// re-verified retry of a corrupt read or write repairs; ScrubBackoffs
+	// counts steps skipped because the worker was busy (traffic wins);
+	// ScrubErrors counts steps and passes that FAILED — a growing value
+	// with a stuck LastFullPass is the signal that the cursor cannot
+	// advance;
 	// LastFullPass is the unix time of the last completed full pass (0 =
 	// never).
 	ScrubSteps    uint64 `json:"scrub_steps"`

@@ -180,15 +180,18 @@ type worker struct {
 
 	// injector serves INJECT, type-asserted once at construction; nil
 	// when the backend cannot inject (reported as "nothing injected").
+	// healer serves withHeal's retry the same way; nil when the backend
+	// has nothing to re-verify.
 	injector store.FaultInjector
+	healer   store.Reverifier
 
 	// Concurrent verified-read fast path (gatedRead). view is the store's
 	// ReadView handle; callers' goroutines run verified reads
 	// on it directly, holding gate's read side. The worker takes the
 	// write side (withGate) around every store access (batches, saves,
 	// crash images, scrubs), so readers run in parallel with each other
-	// and never overlap a mutation. gatedRead, withGate and healPass are
-	// the only functions that touch gate.
+	// and never overlap a mutation. gatedRead and withGate are the only
+	// functions that touch gate.
 	gate sync.RWMutex
 	view store.View
 
@@ -229,17 +232,6 @@ type worker struct {
 	waitTimer *time.Timer
 
 	fullScrub *fullScrubJob // touched only by the worker goroutine
-
-	// withHeal futility throttle: when a heal pass fixes nothing, the
-	// corruption at that locus is beyond the backend's redundancy and
-	// re-running a pass per failing op would stall the shard; heals for
-	// the same locus are suppressed for a cooldown. Keyed per failing
-	// object/page (so unrelated, recoverable corruption elsewhere still
-	// heals immediately), with a bounded map — at the cap, the throttle
-	// degrades to shard-global so a storm of distinct unhealable loci
-	// cannot turn every op into a full pass either.
-	futileHeals   map[uint64]time.Time
-	healsThrottle time.Time // shard-global fallback once futileHeals is full
 }
 
 // fullScrubJob is an in-progress SCRUB pass: a fresh scrub pass stepped
@@ -265,6 +257,7 @@ func newWorker(idx int, st store.Store, view store.View, queueLen, maxBatch int)
 		exited:   make(chan struct{}),
 	}
 	w.injector, _ = st.(store.FaultInjector)
+	w.healer, _ = st.(store.Reverifier)
 	go w.loop()
 	return w
 }
@@ -633,9 +626,9 @@ func (w *worker) failScrubWaiters() {
 // withGate runs one unit of the worker's work — a group, a non-groupable
 // request, a full-scrub step — with the reader gate's write side held,
 // excluding fast-path readers for the duration of the store access. It
-// is the only place the worker takes the write side (healPass cycles it
-// within a unit): around execution only, never around the queue
-// receive, so readers get the gate back between every unit.
+// is the only place the worker takes the write side: around execution
+// only, never around the queue receive, so readers get the gate back
+// between every unit.
 func (w *worker) withGate(fn func()) {
 	w.gate.Lock()
 	defer w.gate.Unlock()
@@ -681,7 +674,7 @@ func (w *worker) runGroup(group []request) {
 	// A batch request larger than the group window arrives alone in its
 	// group (opCount(req) ≥ maxBatch keeps the drain from adding to it):
 	// run it as window-sized groups of one chunk each and merge the per-op
-	// results, so the documented MaxBatch bound holds for client batches
+	// results, so the documented maxBatch bound holds for client batches
 	// too. Atomicity is then per chunk, which is what doc.go promises
 	// for batches beyond the window.
 	if len(group) == 1 && group[0].op == opBatch && len(group[0].ops) > w.maxBatch {
@@ -805,111 +798,32 @@ func (w *worker) execOp(op BatchOp) BatchResult {
 	return r
 }
 
-// healCooldown suppresses repeat heal passes after a futile one: truly
-// unrecoverable corruption on a hot key must not turn every op into a
-// full-pool pass.
-const healCooldown = time.Second
-
-// maxFutileLoci bounds the futility map; past it the throttle turns
-// shard-global for a cooldown.
-const maxFutileLoci = 64
-
 // withHeal runs one data operation with a single repair-retry: if the
 // op fails on CORRUPTION — a checksum mismatch, a poison hit, or the
 // typed invalid-OID failure a scribbled pointer produces when a
 // traversal follows it before any verification could flag its object
-// (the Table 4 vulnerability window) — one full scrub pass runs and the
-// op retries. On a backend with redundancy (pangolin) the pass restores
-// the scribbled object from parity, so the retry serves repaired data
-// and the client never sees the corruption; on a detect-only backend
-// the pass fixes nothing and the futility cooldown turns the damage
-// into a cheap typed error instead of a per-op full pass.
-// Non-corruption failures (out of space, shutdown) return as-is: a pass
-// can't help them and must not become their per-op tax.
+// (the Table 4 vulnerability window) — the store forgets which objects
+// it has verified and the op runs once more. The retry verifies every
+// object on its path, so the owner path's read-verify-repair restores
+// the damaged object from parity and the client never sees the
+// corruption; damage beyond the redundancy fails the retry too, and its
+// typed error returns after that one re-verified traversal. A backend
+// with nothing to re-verify (logstore checks a CRC on every read; a
+// pangolin mode without checksums) returns its error as is, as do
+// non-corruption failures (out of space, shutdown).
 //
 // The caller holds the reader gate's write side (handle runs inside
-// withGate); the heal releases it between steps so fast-path readers
-// keep their bounded gate windows even while a pass runs.
+// withGate) for both attempts.
 func (w *worker) withHeal(fn func() error) error {
 	err := fn()
-	if err == nil || (!pangolin.IsCorruption(err) && !pangolin.IsPoison(err)) {
+	if err == nil || (!pangolin.IsCorruption(err) && !pangolin.IsPoison(err)) ||
+		w.healer == nil || !w.healer.ForgetVerified() {
 		return err
 	}
-	key := faultKey(err)
-	if time.Since(w.healsThrottle) < healCooldown {
-		return err
-	}
-	if t, ok := w.futileHeals[key]; ok && time.Since(t) < healCooldown {
-		return err
-	}
-	rep, herr := w.healPass()
-	w.c.BgRepairs += uint64(rep.Fixed())
-	if herr != nil || rep.Fixed() == 0 {
-		w.noteFutileHeal(key)
-	} else {
-		delete(w.futileHeals, key)
-	}
-	if herr != nil {
-		w.c.ScrubErrors++
-		return err
-	}
-	return fn()
-}
-
-// noteFutileHeal records a heal pass that fixed nothing for this locus,
-// pruning expired entries and degrading to a shard-global throttle when
-// too many distinct loci are futile at once.
-func (w *worker) noteFutileHeal(key uint64) {
-	if w.futileHeals == nil {
-		w.futileHeals = make(map[uint64]time.Time)
-	}
-	if len(w.futileHeals) >= maxFutileLoci {
-		for k, t := range w.futileHeals {
-			if time.Since(t) >= healCooldown {
-				delete(w.futileHeals, k)
-			}
-		}
-		if len(w.futileHeals) >= maxFutileLoci {
-			w.healsThrottle = time.Now()
-			return
-		}
-	}
-	w.futileHeals[key] = time.Now()
-}
-
-// faultKey extracts the failing locus from a corruption/poison error:
-// the corrupt object's offset or the poisoned page. It keys the
-// futility cooldown so one unhealable locus doesn't suppress heals for
-// the rest of the shard.
-func faultKey(err error) uint64 {
-	var ce *pangolin.CorruptionError
-	if errors.As(err, &ce) {
-		return ce.OID.Off
-	}
-	var pe *pangolin.PoisonError
-	if errors.As(err, &pe) {
-		return pe.Off
-	}
-	return 0
-}
-
-// healPass steps one full scrub pass with the reader gate's write side
-// released between steps (it runs inside withGate, so the gate is held
-// on entry and again on return) — the shard never reverts to a
-// stop-the-world pass, even on the repair path.
-func (w *worker) healPass() (pangolin.ScrubReport, error) {
-	sc := w.st.NewScrubPass()
-	total := pangolin.ScrubReport{ChecksumsVerified: w.st.ChecksumsVerified()}
-	for {
-		rep, done, err := sc.Step()
-		total.Add(rep)
-		w.c.ScrubSteps++
-		if err != nil || done {
-			return total, err
-		}
-		w.gate.Unlock()
-		w.gate.Lock()
-	}
+	before := w.healer.Repaired()
+	err = fn()
+	w.c.BgRepairs += w.healer.Repaired() - before
+	return err
 }
 
 // applyOne runs a single mutation as its own one-op store batch,

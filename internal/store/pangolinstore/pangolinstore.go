@@ -311,6 +311,14 @@ func (s *Store) OpenSnapshot() (*store.Snapshot, error) {
 // poison its page.
 func (s *Store) InjectFault(seed int64) bool { return s.pool.InjectRandomFault(seed) }
 
+// ForgetVerified implements store.Reverifier: the pool's next reads
+// verify every object afresh, in checksummed modes.
+func (s *Store) ForgetVerified() bool { return s.pool.ForgetVerified() }
+
+// Repaired implements store.Reverifier: the pages the pool has repaired
+// online.
+func (s *Store) Repaired() uint64 { return s.pool.Stats().Recovered.Load() }
+
 // scrubPass adapts a pangolin.Scrubber to store.ScrubPass.
 type scrubPass struct{ sc *pangolin.Scrubber }
 

@@ -39,9 +39,11 @@
 //
 // Every Store runs full scrub passes and pins MVCC snapshots: both are
 // part of the contract, so a set can never serve a weaker snapshot than
-// it was asked for. The one optional interface is FaultInjector, which
-// serves the INJECT wire op; a backend that cannot heal what it would
-// inject (logstore) leaves it out, and INJECT reports the capable count.
+// it was asked for. Two interfaces are optional. FaultInjector serves
+// the INJECT wire op; a backend that cannot heal what it would inject
+// (logstore) leaves it out, and INJECT reports the capable count.
+// Reverifier serves the shard worker's repair-retry; a backend that
+// verifies every read (logstore) leaves it out.
 package store
 
 import "github.com/pangolin-go/pangolin"
@@ -144,8 +146,8 @@ type Store interface {
 	// cursor otherwise. done reports a completed full cycle over the
 	// store's state, after which the cursor starts over.
 	ScrubStep() (pangolin.ScrubReport, bool, error)
-	// NewScrubPass starts one full integrity pass: the SCRUB wire op and
-	// the worker's repair-and-retry heal path step it to its fixpoint.
+	// NewScrubPass starts one full integrity pass: the SCRUB wire op
+	// steps it to its fixpoint.
 	NewScrubPass() ScrubPass
 	// ChecksumsVerified reports whether scrub passes actually verify
 	// per-object integrity (false for checksum-less pangolin modes), so
@@ -193,6 +195,23 @@ type ReadViewer interface {
 // as a maintenance proof.
 type FaultInjector interface {
 	InjectFault(seed int64) bool
+}
+
+// Reverifier is the repair-retry capability of a backend whose
+// owner-path reads verify each object against its checksum, repair a
+// mismatch from redundancy, and skip an object verified since its last
+// modification (pangolin). An op that met corruption behind such an
+// object — a pointer scribbled after its node was verified, followed
+// unverified — is retried once after ForgetVerified, and the retry
+// re-verifies, and so repairs, its whole path.
+type Reverifier interface {
+	// ForgetVerified makes the next owner-path reads verify every object
+	// they visit. It reports false when the store keeps no checksums, so
+	// a retry would verify nothing.
+	ForgetVerified() bool
+	// Repaired counts the pages the store has repaired online since it
+	// opened.
+	Repaired() uint64
 }
 
 // ScrubPass is one full integrity pass in progress, stepped to its

@@ -286,6 +286,11 @@ func (p *Pool) ObjectType(oid OID) (uint32, error) { return p.e.ObjectType(oid) 
 // parity on mismatch.
 func (p *Pool) CheckObject(oid OID) error { return p.e.CheckObject(oid) }
 
+// ForgetVerified makes the next read of each object verify its checksum
+// afresh, as its first read after a modification does; Get then repairs
+// what fails from parity. It reports false in modes without checksums.
+func (p *Pool) ForgetVerified() bool { return p.e.ForgetVerified() }
+
 // Scrub verifies and restores the whole pool's integrity (§3.3) as one
 // full pass of incremental steps: the pool is frozen per bounded step,
 // never for the whole pass, so transactions and reads interleave.

@@ -54,9 +54,8 @@
 // Verification is remembered per object in the engine's verified-read
 // table, one bit per heap slot that a reader sets and a commit clears
 // for exactly the objects it wrote (an object is re-verified only after
-// a commit actually wrote it), and capped by size (objects over 16 KB
-// keep header + poison checks and rely on scrubbing). The worker's reads
-// follow the same rule, so a fault a GET bounces is repaired, not served.
+// a commit actually wrote it). The worker's reads follow the same rule,
+// so a fault a GET bounces is repaired, not served.
 //
 // Readers never block on the gate. If it is unavailable — a commit,
 // save, crash image, scrub, or recovery window — or the read hits a
@@ -299,8 +298,8 @@
 // Batch ops carry no explicit count — the frame length delimits them — but
 // the payload must be a whole number of ops, at least 1 and at most
 // MaxBatchOps (4096); a batch larger than each shard's group-commit
-// window (shard.Options.MaxBatch, default 64) still executes, split into
-// several transactions per shard.
+// window (64 ops) still executes, split into several transactions per
+// shard.
 //
 // Responses:
 //

@@ -14,11 +14,12 @@ import (
 //	err := obj.Commit()                            // pgl_commit
 //
 // Commit atomically updates the NVMM object, its checksum, and parity; the
-// modified ranges are discovered by diffing, so no AddRange calls are
-// needed. Discarding the Obj without Commit abandons the changes.
+// modified ranges are discovered by diffing against the image OpenSingle
+// verified, so no AddRange calls are needed. Discarding the Obj without Commit abandons the changes.
 type Obj[T any] struct {
 	pool *Pool
 	buf  *mbuf.Buf
+	orig []byte // the image OpenSingle verified, which Commit diffs against
 	v    *T
 	done bool
 }
@@ -26,7 +27,7 @@ type Obj[T any] struct {
 // OpenSingle opens an object into a standalone micro-buffer with integrity
 // verification (pgl_open).
 func OpenSingle[T any](p *Pool, oid OID) (*Obj[T], error) {
-	b, err := p.e.OpenSingle(oid)
+	b, orig, err := p.e.OpenSingle(oid)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +35,7 @@ func OpenSingle[T any](p *Pool, oid OID) (*Obj[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Obj[T]{pool: p, buf: b, v: v}, nil
+	return &Obj[T]{pool: p, buf: b, orig: orig, v: v}, nil
 }
 
 // Value returns the typed view of the buffered object.
@@ -53,5 +54,5 @@ func (o *Obj[T]) Commit() error {
 		return fmt.Errorf("pangolin: object already committed")
 	}
 	o.done = true
-	return o.pool.e.CommitSingle(o.buf)
+	return o.pool.e.CommitSingle(o.buf, o.orig)
 }

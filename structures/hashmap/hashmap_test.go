@@ -1069,6 +1069,50 @@ func TestScribbledBitmapIsCorruption(t *testing.T) {
 	}
 }
 
+// TestCommitFoldsVerifiedSegment scribbles the value slot an update
+// declared, after InsertTx and before Commit. The commit folds the slot's
+// verified first image into the segment's checksum and parity, so the
+// committed value reads back and nothing is left for a scrub.
+func TestCommitFoldsVerifiedSegment(t *testing.T) {
+	p, err := pangolin.Create(pangolin.Config{Mode: pangolin.ModePangolinMLPC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k++ {
+		if err := m.Insert(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const k = 42
+	a := readAnchor(t, m)
+	sp, err := locate(p.Get, &a, k)
+	if err != nil || !sp.found {
+		t.Fatalf("locate(%d) = %+v, %v", k, sp, err)
+	}
+	tx, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InsertTx(tx, k, 7); err != nil {
+		t.Fatal(err)
+	}
+	p.InjectScribble(sp.seg.Off+slotOff(sp.slot)+8, 8, 5)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := m.Lookup(k); err != nil || !ok || v != 7 {
+		t.Fatalf("lookup after the commit = (%d,%v,%v), want (7,true,nil)", v, ok, err)
+	}
+	if rep, err := p.Scrub(); err != nil || rep.Fixed() != 0 || rep.BadObjects != 0 || rep.Unrecovered != 0 {
+		t.Fatalf("scrub after the commit: %+v, %v", rep, err)
+	}
+}
+
 func TestRangeUnordered(t *testing.T) {
 	kvtest.RunRange(t, harness(InitialBuckets), false)
 }

@@ -26,11 +26,16 @@ func (tx *Tx) Alloc(size uint64, typ uint32) (OID, []byte, error) {
 func (tx *Tx) Free(oid OID) error { return tx.t.Free(oid) }
 
 // Open gives write access to an object's user data (micro-buffered in
-// Pangolin modes, with checksum verification on first open).
+// Pangolin modes, with checksum verification on first open). Declare a
+// range with AddRange before writing it: Commit folds the bytes the
+// declaration kept, not whatever NVMM holds at commit time.
 func (tx *Tx) Open(oid OID) ([]byte, error) { return tx.t.Open(oid) }
 
 // AddRange declares bytes [off, off+n) of the object's user data as
-// modified and returns the full user-data view.
+// modified and returns the full user-data view. Declare, then write, as
+// with pmemobj_tx_add_range: in Pangolin modes the declaration keeps the
+// range's verified bytes as its first image, the old side of the
+// commit's checksum refresh and parity delta.
 func (tx *Tx) AddRange(oid OID, off, n uint64) ([]byte, error) {
 	return tx.t.AddRange(oid, off, n)
 }
@@ -39,7 +44,9 @@ func (tx *Tx) AddRange(oid OID, off, n uint64) ([]byte, error) {
 // micro-buffer if it has one open).
 func (tx *Tx) Get(oid OID) ([]byte, error) { return tx.t.Get(oid) }
 
-// Commit makes the transaction durable and applies it (§3.4).
+// Commit makes the transaction durable and applies it (§3.4). In
+// Pangolin modes the checksum refresh and the parity delta fold the
+// declared ranges' first images, never bytes read back from NVMM.
 func (tx *Tx) Commit() error { return tx.t.Commit() }
 
 // Abort discards the transaction; in Pangolin modes NVMM is untouched.
