@@ -135,6 +135,15 @@ type Op struct {
 	NChunks  uint64 // extent length (extent ops)
 }
 
+// Entries returns how many consecutive CM entries, from op.Chunk's, op
+// updates.
+func (op Op) Entries() uint64 {
+	if op.Kind == OpAllocChunks || op.Kind == OpFreeChunks {
+		return op.NChunks
+	}
+	return 1
+}
+
 // OpEncodedSize is the fixed wire size of an encoded Op.
 const OpEncodedSize = 2 + 6 + 8 + 8 + 4 + 4 + 8
 

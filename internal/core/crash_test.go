@@ -261,6 +261,53 @@ func TestAllocCrashSweep(t *testing.T) {
 	}
 }
 
+// TestFreeCrashSweepRebuildsParity: a crash while a free is applied can
+// persist a CM entry's new image ahead of its parity fold, and replay
+// then finds nothing to rewrite. Recovery must still rebuild the parity
+// of every entry the committed op covers. Swept for a slot free that
+// collapses its run and for an extent free, with several eviction
+// outcomes per crash point.
+func TestFreeCrashSweepRebuildsParity(t *testing.T) {
+	geo := layout.Default()
+	for _, size := range []uint64{200, 2 * geo.ChunkSize} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			for crashAt := 1; ; crashAt++ {
+				dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
+				e, err := Create(dev, geo, Options{Mode: PangolinMLPC})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var oid layout.OID
+				if err := e.Run(func(tx *Tx) error {
+					oid, _, err = tx.Alloc(size, 9)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				crashed, _ := runUntilCrash(dev, crashAt, func() {
+					_ = e.Run(func(tx *Tx) error { return tx.Free(oid) })
+				})
+				for seed := int64(0); seed < 8; seed++ {
+					e2, err := Open(dev.CrashCopy(nvm.CrashEvictRandom, seed), Options{Mode: PangolinMLPC}, nil)
+					if err != nil {
+						t.Fatalf("crashAt=%d seed=%d: reopen: %v", crashAt, seed, err)
+					}
+					for z := uint64(0); z < e2.geo.NumZones; z++ {
+						if bad, err := e2.par.VerifyZone(z); err != nil || bad != -1 {
+							t.Fatalf("crashAt=%d seed=%d: zone %d parity stale at column %d (%v)", crashAt, seed, z, bad, err)
+						}
+					}
+					e2.Close()
+				}
+				e.Close()
+				if !crashed {
+					return
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentCommitsKeepInvariants hammers the engine with concurrent
 // transactions and verifies parity/checksum invariants afterwards.
 func TestConcurrentCommitsKeepInvariants(t *testing.T) {

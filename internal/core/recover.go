@@ -252,15 +252,15 @@ func (e *Engine) recoverAtOpen() error {
 					if err != nil {
 						return fmt.Errorf("core: corrupt alloc op in committed log: %w", err)
 					}
-					if err := alloc.ApplyToDevice(e.dev, e.geo, op, func(off uint64, old, new_ []byte) {
-						noteRange(off, uint64(len(new_)))
-						if e.replica != nil {
-							e.replica.WriteAt(off, new_)
-							e.replica.Persist(off, uint64(len(new_)))
-						}
-					}); err != nil {
+					if err := alloc.ApplyToDevice(e.dev, e.geo, op, nil); err != nil {
 						return fmt.Errorf("core: replaying alloc op: %w", err)
 					}
+					// A crash can persist an entry's new image ahead of
+					// its parity fold, and replay, being idempotent,
+					// then leaves the entry as it is: note every entry
+					// the op covers, rewritten or not, so its parity
+					// columns and replica copy are rebuilt.
+					noteRange(e.geo.CMEntryOff(op.Zone, op.Chunk), op.Entries()*layout.CMEntrySize)
 				case recRoot:
 					oid := layout.OID{
 						Pool: binary.LittleEndian.Uint64(rec.Payload[0:]),

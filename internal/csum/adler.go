@@ -100,28 +100,23 @@ func Continue(sum uint32, data []byte) uint32 {
 //	a = 1 + Σ d_i            (mod 65521)
 //	b = n + Σ (n-i)·d_i      (mod 65521)
 //
-// so replacing d_j..d_{j+m-1} shifts a by Σ(new-old) and b by
-// Σ (n-i)·(new_i-old_i), all mod 65521.
+// Over an m-byte range at off, Continue(1, range) yields a_r = 1 + Σ d and
+// b_r = m + Σ (m-j)·d_j (j the index within the range), and byte j's
+// weight in the whole buffer is n-off-j = (n-off-m) + (m-j). So replacing
+// the range shifts a by Δa = a_new − a_old and b by
+// (n-off-m)·Δa + (b_new − b_old), all mod 65521: two runs of the block
+// kernel instead of a multiply and a reduction per byte.
 func Update(sum uint32, total uint64, off uint64, old, new_ []byte) uint32 {
 	if len(old) != len(new_) {
 		panic("csum: Update requires equal-length old and new ranges")
 	}
-	if off+uint64(len(old)) > total {
+	m := uint64(len(old))
+	if off+m > total {
 		panic("csum: Update range exceeds buffer length")
 	}
-	n := total % adlerMod
-	var da, db uint64 // accumulated shifts; each term < 65521², reduce rarely
-	for i := range old {
-		idx := (off + uint64(i)) % adlerMod
-		w := (n + adlerMod - idx) % adlerMod
-		diff := (uint64(new_[i]) + adlerMod - uint64(old[i])) % adlerMod
-		da += diff
-		db += w * diff
-		if i&0xFFFFFFF == 0xFFFFFFF { // guard against (absurdly) long ranges
-			da %= adlerMod
-			db %= adlerMod
-		}
-	}
+	ro, rn := Continue(1, old), Continue(1, new_)
+	da := (uint64(rn&0xffff) + adlerMod - uint64(ro&0xffff)) % adlerMod
+	db := ((total-off-m)%adlerMod*da + uint64(rn>>16) + adlerMod - uint64(ro>>16)) % adlerMod
 	a := (uint64(sum&0xffff) + da) % adlerMod
 	b := (uint64(sum>>16) + db) % adlerMod
 	return uint32(b)<<16 | uint32(a)

@@ -206,6 +206,55 @@ func TestUpdateLargeBufferSmallRange(t *testing.T) {
 	}
 }
 
+// updateBytewise is the per-byte form of Update, straight from its
+// derivation: each replaced byte shifts a by new−old and b by its weight
+// n−i times that. It is FuzzUpdate's oracle for the block-kernel form.
+func updateBytewise(sum uint32, total, off uint64, old, new_ []byte) uint32 {
+	n := total % adlerMod
+	var da, db uint64
+	for i := range old {
+		w := (n + adlerMod - (off+uint64(i))%adlerMod) % adlerMod
+		diff := (uint64(new_[i]) + adlerMod - uint64(old[i])) % adlerMod
+		da = (da + diff) % adlerMod
+		db = (db + w*diff) % adlerMod
+	}
+	a := (uint64(sum&0xffff) + da) % adlerMod
+	b := (uint64(sum>>16) + db) % adlerMod
+	return uint32(b)<<16 | uint32(a)
+}
+
+// FuzzUpdate: Update agrees with the per-byte oracle and with
+// recomputing Adler32 over the edited buffer, for any buffer, any range
+// in it and any replacement bytes. The buffer is data repeated up to a
+// fuzzed length, so ranges run past the block kernel's 32-byte blocks
+// and objects reach 70 KB.
+func FuzzUpdate(f *testing.F) {
+	f.Add([]byte("the quick brown fox"), uint32(43), uint32(4), uint32(5), byte(7))
+	f.Add([]byte{0xff}, uint32(70000), uint32(1000), uint32(65000), byte(0x80))
+	f.Add([]byte{1, 2, 3}, uint32(304), uint32(0), uint32(304), byte(0))
+	f.Fuzz(func(t *testing.T, data []byte, n, off, m uint32, salt byte) {
+		if len(data) == 0 {
+			return
+		}
+		size := int(n%70000) + 1
+		buf := bytes.Repeat(data, size/len(data)+1)[:size]
+		o := int(off) % size
+		k := int(m) % (size - o + 1)
+		mod := append([]byte(nil), buf...)
+		for i := o; i < o+k; i++ {
+			mod[i] = buf[i]*31 + salt + byte(i)
+		}
+		sum := Adler32(buf)
+		got := Update(sum, uint64(size), uint64(o), buf[o:o+k], mod[o:o+k])
+		if want := updateBytewise(sum, uint64(size), uint64(o), buf[o:o+k], mod[o:o+k]); got != want {
+			t.Fatalf("Update(size %d, off %d, len %d) = %#x, per-byte %#x", size, o, k, got, want)
+		}
+		if want := Adler32(mod); got != want {
+			t.Fatalf("Update(size %d, off %d, len %d) = %#x, recomputed %#x", size, o, k, got, want)
+		}
+	})
+}
+
 func TestCRC32Known(t *testing.T) {
 	// CRC32C("123456789") = 0xE3069283, the canonical check value.
 	if got := CRC32([]byte("123456789")); got != 0xE3069283 {

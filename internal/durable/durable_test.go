@@ -8,10 +8,12 @@ import (
 	"go/token"
 	"io"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -81,6 +83,104 @@ func TestWriteFileFailedRenameRemovesTemp(t *testing.T) {
 		t.Fatal("WriteFile onto a directory succeeded")
 	}
 	noTemp(t, path)
+}
+
+// holesSupported reports whether files in dir can have holes: a file
+// extended by Truncate alone allocates no blocks there.
+func holesSupported(t *testing.T, dir string) bool {
+	t.Helper()
+	f, err := os.CreateTemp(dir, "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.Remove(f.Name())
+	defer f.Close()
+	if err := f.Truncate(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	return allocated(t, f.Name()) < 1<<20
+}
+
+// allocated returns the bytes of disk the file at path occupies, or -1
+// where the platform does not report it.
+func allocated(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := fi.Sys().(*syscall.Stat_t)
+	if !ok {
+		return -1
+	}
+	return st.Blocks * 512
+}
+
+// TestWriteFileSparseRoundTrip: streams that mix whole zero blocks,
+// zero runs that start or end inside a block, short non-zero writes and
+// writes of every length at unaligned offsets read back byte for byte —
+// including a stream that ends in zeros, whose length only Truncate
+// sets. On a filesystem with holes, a stream with a long zero run
+// occupies less disk than its length.
+func TestWriteFileSparseRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	holes := holesSupported(t, dir)
+	if !holes {
+		t.Log("filesystem reports no holes: checking contents only")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := range 200 {
+		var want []byte
+		for range 1 + rng.Intn(12) {
+			n := rng.Intn(3 * blockSize)
+			switch rng.Intn(4) {
+			case 0: // whole zero blocks, often many
+				n = blockSize * (1 + rng.Intn(16))
+				want = append(want, make([]byte, n)...)
+			case 1: // a zero run of any length
+				want = append(want, make([]byte, n)...)
+			case 2: // a short non-zero write
+				want = append(want, byte(1+rng.Intn(255)))
+			default:
+				seg := make([]byte, n)
+				rng.Read(seg)
+				want = append(want, seg...)
+			}
+		}
+		if i%2 == 0 { // a long aligned-or-not zero run ends every other stream
+			want = append(want, make([]byte, 16*blockSize+rng.Intn(blockSize))...)
+		}
+		path := filepath.Join(dir, "f")
+		err := WriteFile(path, func(w io.Writer) error {
+			for rest := want; len(rest) > 0; {
+				n := min(len(rest), 1+rng.Intn(3*blockSize))
+				if rng.Intn(4) == 0 {
+					n = min(len(rest), 1+rng.Intn(16))
+				}
+				if _, err := w.Write(rest[:n]); err != nil {
+					return err
+				}
+				rest = rest[n:]
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("stream %d: read back %d bytes, wrote %d, contents differ", i, len(got), len(want))
+		}
+		if holes && i%2 == 0 {
+			if a := allocated(t, path); a >= int64(len(want)) {
+				t.Fatalf("stream %d: %d bytes allocated for a %d-byte file ending in 64 KB of zeros", i, a, len(want))
+			}
+		}
+		noTemp(t, path)
+	}
 }
 
 // TestNoRawRename: every non-test os.Rename in the module is the one in

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -599,6 +600,57 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+// TestSparseSaveLoadEqual: a device whose data pages are scattered
+// across mostly zero capacity — straddling ReadSnapshot's read chunks,
+// one byte at a page's end, the last page — saves to a file that holds
+// exactly the snapshot stream (zero pages as holes) and loads back equal
+// in every byte and poisoned page. A dense file of the same stream, as
+// a plain write leaves it, loads to the same device.
+func TestSparseSaveLoadEqual(t *testing.T) {
+	const pages = 2*loadChunk/PageSize + 37
+	d := New(pages*PageSize, Options{})
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range []uint64{0, 1, 2, loadChunk/PageSize - 1, loadChunk / PageSize, 300, 301, pages - 1} {
+		buf := make([]byte, PageSize)
+		rng.Read(buf)
+		d.WriteAt(p*PageSize, buf)
+	}
+	d.WriteAt(100*PageSize-1, []byte{0x80}) // the last byte of page 99
+	d.WriteAt(500*PageSize+7, []byte("a short run"))
+	for _, p := range []uint64{5, 400, 401} { // the poison table shifts the image off block boundaries
+		d.Poison(p * PageSize)
+	}
+	var stream bytes.Buffer
+	if err := d.WriteSnapshot(&stream); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sparse, dense := dir+"/sparse", dir+"/dense"
+	if err := d.SaveFile(sparse); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(sparse); err != nil || !bytes.Equal(got, stream.Bytes()) {
+		t.Fatalf("saved file differs from the snapshot stream (%v)", err)
+	}
+	if err := os.WriteFile(dense, stream.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{sparse, dense} {
+		nd, err := LoadFile(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(nd.Slice(0, nd.Size()), d.Slice(0, d.Size())) {
+			t.Fatalf("%s: loaded media differs from the saved device", path)
+		}
+		if got, want := nd.PoisonedPages(), d.PoisonedPages(); !slices.Equal(sorted(got), sorted(want)) {
+			t.Fatalf("%s: poisoned pages %v, want %v", path, got, want)
+		}
+	}
+}
+
+func sorted(s []uint64) []uint64 { return slices.Sorted(slices.Values(s)) }
 
 // TestUntrackedSnapshotMatchesTracked: a served shard's device keeps no
 // persistence tracking and is saved only once every line it stored is

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,6 +23,12 @@ const snapshotMagic = 0x50474c4e564d3031 // "PGLNVM01"
 // is streamed from the device's own bytes (tracker.writeStrict), not built
 // as a second device first. An untracked device writes its bytes as they
 // are: its owner saves it only when every store is flushed and fenced.
+//
+// The format is a 24-byte header, the sorted poison table and the whole
+// media image, zero pages included. Written through SaveFile the zero
+// pages cost nothing: durable.WriteFile leaves every whole zero 4 KB
+// block of the file as a hole, so a save writes and fsyncs the pages
+// that hold data and a pool's unused capacity takes no disk space.
 func (d *Device) WriteSnapshot(w io.Writer) error {
 	d.poisonMu.RLock()
 	pages := make([]uint64, 0, len(d.poisoned))
@@ -58,6 +65,12 @@ func (d *Device) WriteSnapshot(w io.Writer) error {
 // bytes: a header whose sizes do not add up to it is refused before the
 // device is allocated, so a corrupt or truncated file fails the load
 // instead of sizing memory from garbage.
+//
+// The new device starts zeroed, and only the image's non-zero pages are
+// copied into it, so a loaded pool's untouched capacity is never
+// written and stays unmapped until the pool allocates it: a load costs
+// reading the stream (a hole reads without disk I/O) plus copying the
+// pages that hold data.
 func ReadSnapshot(r io.Reader, n int64, opts Options) (*Device, error) {
 	br := bufio.NewReader(r)
 	var hdr [24]byte
@@ -89,17 +102,36 @@ func ReadSnapshot(r io.Reader, n int64, opts Options) (*Device, error) {
 		d.poisoned[p] = struct{}{}
 		d.nPoison.Add(1)
 	}
-	if _, err := io.ReadFull(br, d.mem); err != nil {
-		return nil, fmt.Errorf("nvm: reading media image: %w", err)
+	// Copy only the pages that hold data: d is freshly zeroed, so a zero
+	// page left alone reads the same and its memory is never touched.
+	buf := make([]byte, min(loadChunk, size))
+	var zero [PageSize]byte
+	for off := uint64(0); off < size; off += uint64(len(buf)) {
+		chunk := buf[:min(uint64(len(buf)), size-off)]
+		if _, err := io.ReadFull(br, chunk); err != nil {
+			return nil, fmt.Errorf("nvm: reading media image: %w", err)
+		}
+		for i := 0; i < len(chunk); i += PageSize {
+			if pg := chunk[i : i+PageSize]; !bytes.Equal(pg, zero[:]) {
+				copy(d.mem[off+uint64(i):], pg)
+			}
+		}
 	}
 	return d, nil
 }
 
+// loadChunk is how much of a media image ReadSnapshot reads per call: a
+// whole number of pages.
+const loadChunk = 256 * PageSize
+
 // SaveFile writes a snapshot to path, replacing any existing file
-// atomically and durably (durable.WriteFile).
+// atomically and durably (durable.WriteFile), as a sparse file whose
+// zero pages are holes.
 func (d *Device) SaveFile(path string) error { return durable.WriteFile(path, d.WriteSnapshot) }
 
-// LoadFile reads a snapshot from path into a device built with opts.
+// LoadFile reads a snapshot from path into a device built with opts. It
+// reads sparse files written by SaveFile and dense ones alike; either
+// way only the pages that hold data become resident (ReadSnapshot).
 func LoadFile(path string, opts Options) (*Device, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -3,7 +3,6 @@ package shard
 import (
 	"container/heap"
 	"fmt"
-	"sync"
 
 	"github.com/pangolin-go/pangolin/internal/store"
 )
@@ -14,8 +13,8 @@ type Pair struct {
 	V uint64 `json:"v"`
 }
 
-// ScanChunkPairs is how many pairs a shard-level scan pulls per reader-
-// gate hold. Chunking is what keeps long scans off the single-writer
+// ScanChunkPairs is the most pairs a shard-level scan pulls per reader-
+// gate hold; a page asks for less when it can use less. Chunking is what keeps long scans off the single-writer
 // commit path: the gate is released and re-acquired every chunk, so a
 // scan over millions of keys never excludes the worker's group commits
 // for longer than one chunk's traversal.
@@ -88,8 +87,9 @@ func (h *scanHeap) Pop() any          { old := *h; n := len(old); x := old[n-1];
 // duplicate-free output). next is the key to pass as lo to continue a
 // paginated scan, meaningful only when more is true.
 //
-// Each shard is consumed in ScanChunkPairs-sized chunks: the concurrent
-// fast path scans the shard's ReadView on this goroutine under the
+// Each shard is consumed in chunks of at most ScanChunkPairs, sized to
+// what the page can still use, so a short page reads little more than
+// it returns: the concurrent fast path scans the shard's ReadView on this goroutine under the
 // shard's reader gate, releasing it between chunks, and a gate-busy or
 // faulting chunk falls back to that shard's worker queue. Consistency is
 // therefore per chunk — every chunk observes a single committed image of
@@ -108,34 +108,24 @@ func (s *Set) Scan(lo, hi uint64, limit int) (pairs []Pair, next uint64, more bo
 
 // scan runs the k-way heap merge over every shard's ascending stream —
 // at snaps' pinned generations when snaps is set: the page assembly
-// shared by live scans and snapshot scans. Initial fills run in
-// parallel across shards; refills happen inline as the merge drains a
-// stream.
+// shared by live scans and snapshot scans. Every fill runs on the
+// caller's goroutine and asks for no more than the page can use: the
+// first fill about twice a shard's even share of the page, a refill no
+// more than the page still lacks.
 func (s *Set) scan(snaps []*store.Snapshot, lo, hi uint64, limit int) (pairs []Pair, next uint64, more bool, err error) {
 	if limit <= 0 || lo > hi {
 		return nil, 0, false, nil
 	}
 	streams := make([]*shardStream, len(s.workers))
+	share := (limit-1)/len(streams) + 1 // ⌈limit/n⌉, without overflow
+	first := min(ScanChunkPairs, limit, 2*min(share, ScanChunkPairs))
 	for i, w := range s.workers {
 		streams[i] = &shardStream{w: w, next: lo, hi: hi}
 		if snaps != nil {
 			streams[i].snap = snaps[i]
 		}
-	}
-	chunk := min(ScanChunkPairs, limit)
-	errs := make([]error, len(streams))
-	var wg sync.WaitGroup
-	for i := range streams {
-		wg.Add(1)
-		go func(i int) { // initial fills run in parallel across shards
-			defer wg.Done()
-			errs[i] = streams[i].fill(chunk)
-		}(i)
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			return nil, 0, false, fmt.Errorf("shard %d: %w", i, e)
+		if err := streams[i].fill(first); err != nil {
+			return nil, 0, false, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	h := make(scanHeap, 0, len(streams))
@@ -160,7 +150,7 @@ func (s *Set) scan(snaps []*store.Snapshot, lo, hi uint64, limit int) (pairs []P
 				// end exactly at the chunk boundary, the follow-up call
 				// returns an empty terminal page.
 				pending = true
-			} else if err := st.fill(chunk); err != nil {
+			} else if err := st.fill(min(ScanChunkPairs, limit-len(pairs))); err != nil {
 				// Mid-page the error is authoritative: the page is
 				// genuinely incomplete, so surface it rather than hand
 				// back a truncated range that looks done.

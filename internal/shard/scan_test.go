@@ -3,7 +3,10 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,6 +156,40 @@ func TestScanFastPathEngages(t *testing.T) {
 	}
 	if st.FastScanPairs != 64 {
 		t.Fatalf("fast scan pairs = %d, want 64", st.FastScanPairs)
+	}
+}
+
+// TestScanPageReadsItsShare: a 64-pair page over a 4-shard set asks
+// each shard for about twice its even share of the page, not a whole
+// ScanChunkPairs chunk, so it reads at most 128 pairs where it used to
+// read 256 — for an ordered structure and for the unordered hashmap.
+// The page itself is the first 64 keys of the set.
+func TestScanPageReadsItsShare(t *testing.T) {
+	for _, structure := range []string{"btree", "hashmap"} {
+		t.Run(structure, func(t *testing.T) {
+			s := newSet(t, t.TempDir(), 4, Options{Structure: structure})
+			defer s.Abandon()
+			model := fillSet(t, s, 1000, 9)
+			settle(s)
+			before := s.Stats().FastScanPairs
+			pairs, _, more, err := s.Scan(0, ^uint64(0), 64)
+			if err != nil || len(pairs) != 64 || !more {
+				t.Fatalf("scan = %d pairs, more=%v, err=%v; want 64, true", len(pairs), more, err)
+			}
+			keys := slices.Sorted(maps.Keys(model))
+			for i, pr := range pairs {
+				if pr.K != keys[i] || pr.V != model[pr.K] {
+					t.Fatalf("pair %d = %+v, want {%d %d}", i, pr, keys[i], model[keys[i]])
+				}
+			}
+			if read := s.Stats().FastScanPairs - before; read > 128 {
+				t.Fatalf("a 64-pair page read %d pairs, want at most 128", read)
+			}
+			// A limit with no room for the share's arithmetic.
+			if pairs, _, more, err := s.Scan(0, ^uint64(0), math.MaxInt); err != nil || len(pairs) != len(model) || more {
+				t.Fatalf("unlimited scan = %d pairs, more=%v, err=%v; want %d", len(pairs), more, err, len(model))
+			}
+		})
 	}
 }
 

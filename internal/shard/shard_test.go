@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 
 	"github.com/pangolin-go/pangolin"
@@ -56,6 +57,65 @@ func newSet(t *testing.T, dir string, n int, opts Options) *Set {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestFreshSetFootprint: a fresh set of pglserve's default shape — four
+// pangolin shards of eight zones — occupies at most a tenth of its
+// logical size on disk, because a save writes only the pages that hold
+// data and leaves the rest of the capacity as holes. Skipped where the
+// filesystem keeps no holes or reports no block counts.
+func TestFreshSetFootprint(t *testing.T) {
+	dir := t.TempDir()
+	probe := filepath.Join(dir, "probe")
+	if err := os.WriteFile(probe, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(probe, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if a, ok := diskBytes(t, probe); !ok || a >= 1<<20 {
+		t.Skip("filesystem keeps no holes or reports no block counts")
+	}
+	os.Remove(probe)
+	geo := pangolin.DefaultGeometry()
+	geo.NumZones = 8
+	s := newSet(t, dir, 4, Options{Pangolin: pangolin.Config{Geometry: geo}})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.pgl"))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("shard files %v, %v; want 4", files, err)
+	}
+	var logical, disk int64
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := diskBytes(t, f)
+		logical += fi.Size()
+		disk += a
+	}
+	t.Logf("fresh set: %d bytes logical, %d on disk", logical, disk)
+	if disk > logical/10 {
+		t.Fatalf("fresh set occupies %d bytes of disk for %d logical, want at most a tenth", disk, logical)
+	}
+}
+
+// diskBytes returns the bytes of disk the file at path occupies, and
+// false where the platform does not report it.
+func diskBytes(t *testing.T, path string) (int64, bool) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := fi.Sys().(*syscall.Stat_t)
+	if !ok {
+		return 0, false
+	}
+	return st.Blocks * 512, true
 }
 
 // TestCreateOpenRoundTrip covers the clean path: create, populate, close,

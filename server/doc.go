@@ -76,9 +76,10 @@
 // heap-merges the streams into globally ordered, duplicate-free output
 // (the unordered hashmap still scans completely: its per-shard chunks
 // are k-smallest selections over a full pass, so merged output is
-// ordered for every structure). Shards are consumed in fixed-size
-// chunks under the per-shard reader gate — the gate is released and
-// re-acquired every chunk (shard.ScanChunkPairs pairs), so a long scan
+// ordered for every structure). Shards are consumed in chunks sized to
+// what the page still needs under the per-shard reader gate — the gate
+// is released and re-acquired every chunk (at most
+// shard.ScanChunkPairs pairs), so a long scan
 // never starves a shard's group commits — with the same two-population
 // split as GET: chunks run checksum-verified on the connection
 // handler's goroutine against the shard's ReadView when the gate is

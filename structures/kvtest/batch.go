@@ -313,7 +313,7 @@ func testBatchCrash(t *testing.T, h Harness) {
 			t.Fatalf("uncommitted batch key %d visible after crash", k)
 		}
 	}
-	if rep, err := p2.Scrub(); err != nil || rep.Unrecovered != 0 {
+	if rep, err := p2.Scrub(); err != nil || !clean(p2, rep) {
 		t.Fatalf("scrub after mid-batch crash: %+v, %v", rep, err)
 	}
 	quiet(t, p2, "after scrub")

@@ -250,7 +250,7 @@ func RunCrashSequence(t *testing.T, h Harness, seq CrashSequence) {
 					t.Fatalf("crashAt=%d mode=%d seed=%d: scan after recovery disagrees with lookups (%v):\n scan %v\n  get %v",
 						crashAt, mode, seed, err, scanned, got)
 				}
-				if rep, err := p2.Scrub(); err != nil || rep.Unrecovered != 0 {
+				if rep, err := p2.Scrub(); err != nil || !clean(p2, rep) {
 					t.Fatalf("crashAt=%d mode=%d seed=%d: scrub after recovery: %+v, %v", crashAt, mode, seed, rep, err)
 				}
 				p2.Close()
