@@ -298,12 +298,13 @@ func (c *Client) submit(ctx context.Context, req Request) *clientOp {
 }
 
 // writeLoop is the connection's writer goroutine: it streams queued
-// frames to the wire, flushing whenever the queue goes empty so a lone
-// request never sits in the buffer while deep pipelines coalesce into
-// few syscalls. Each frame (length prefix included, so it is a single
-// Write) returns to the pool the moment its bytes reach the bufio
-// layer; ops still queued when the connection dies just drop their
-// frames to the GC.
+// frames into the bufio layer and flushes once the queue has settled —
+// empty, and still empty after one yield (see settled) — so the
+// re-submissions a burst of replies wakes leave in one write, while a
+// lone request costs one uncontended yield and is never held. Each
+// frame (length prefix included, so it is a single Write) returns to
+// the pool the moment its bytes reach the bufio layer; ops still
+// queued when the connection dies just drop their frames to the GC.
 func (c *Client) writeLoop() {
 	defer close(c.writerDone)
 	for {
@@ -316,7 +317,7 @@ func (c *Client) writeLoop() {
 				c.fail(err)
 				return
 			}
-			if len(c.sendq) == 0 {
+			if settled(c.sendq) {
 				if err := c.bw.Flush(); err != nil {
 					c.fail(err)
 					return

@@ -1,0 +1,204 @@
+package server
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"net"
+	"os"
+	"os/exec"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/pangolin-go/pangolin/internal/shard"
+)
+
+// countingListener hands out conns that count their Read and Write
+// calls: below a bufio layer, each call is one syscall.
+type countingListener struct {
+	net.Listener
+	reads, writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, l: l}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	l *countingListener
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.l.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+const (
+	burstCallers = 32
+	burstGets    = 2000
+	burstKeys    = 1024
+	// The bounds sit between the two flush rules' costs on an otherwise
+	// idle two-core host: flushing as soon as the queue goes empty gave
+	// 0.26–0.36 server reads and 0.14–0.21 server writes per GET,
+	// flushing once the queue has settled 0.04–0.07 of each. A host
+	// busy with other work coalesces under either rule (0.06–0.09 with
+	// the first), so the test can only pass there, never fail.
+	burstMaxReadsPerOp  = 0.12
+	burstMaxWritesPerOp = 0.10
+)
+
+// burstClientArg marks the re-executed test binary as the client
+// process; the server's address follows it.
+const burstClientArg = "burst-client"
+
+// TestBurstCoalescesSyscalls drives 32 synchronous callers of one
+// Client against a server whose listener counts the conn's Read and
+// Write calls. Each reply burst wakes many callers at once, and their
+// re-submissions must leave the client in one write and reach the
+// server as one read; the server's replies to one read must leave in
+// one write. The client runs in a second process (the test binary
+// re-executed): sharing one scheduler with the server would hide the
+// per-frame writes this test exists to catch.
+func TestBurstCoalescesSyscalls(t *testing.T) {
+	if args := flag.Args(); len(args) == 2 && args[0] == burstClientArg {
+		runBurstClient(t, args[1])
+		return
+	}
+	if raceEnabled {
+		t.Skip("the race detector's scheduling hides the difference between the writers")
+	}
+	set, err := shard.Create(t.TempDir(), 2, shard.Options{Structure: "btree"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Abandon()
+	ops := make([]shard.BatchOp, burstKeys)
+	for k := range ops {
+		ops[k] = shard.BatchOp{Kind: shard.BatchPut, K: uint64(k), V: uint64(k) * 3}
+	}
+	for _, r := range set.Batch(ops) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	srv := New(set)
+	srv.ln = cl
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve() }()
+	defer func() {
+		srv.Shutdown()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBurstCoalescesSyscalls$", "-test.count=1",
+		burstClientArg, ln.Addr().String())
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("client process: %v\n%s", err, out)
+	}
+	n := float64(burstCallers * burstGets)
+	reads, writes := float64(cl.reads.Load())/n, float64(cl.writes.Load())/n
+	t.Logf("server syscalls per GET: %.3f reads, %.3f writes", reads, writes)
+	if reads > burstMaxReadsPerOp || writes > burstMaxWritesPerOp {
+		t.Fatalf("server syscalls per GET = %.3f reads, %.3f writes; want at most %.2f and %.2f",
+			reads, writes, burstMaxReadsPerOp, burstMaxWritesPerOp)
+	}
+}
+
+// runBurstClient is the client process: burstCallers goroutines each
+// issue burstGets synchronous GETs on one shared Client and check every
+// answer.
+func runBurstClient(t *testing.T, addr string) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	c, err := Dial(ctx, addr, WithRequestTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, burstCallers)
+	for g := range burstCallers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range burstGets {
+				k := uint64((g*burstGets + i) % burstKeys)
+				v, ok, err := c.Get(k)
+				if err == nil && (!ok || v != k*3) {
+					err = fmt.Errorf("GET %d = (%d, %v), want (%d, true)", k, v, ok, k*3)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestLoneRequestNeverWaits runs one caller on one processor: with no
+// other goroutine to yield to, each writer's yield before its flush
+// returns at once, so every lone frame is flushed and no round trip
+// waits for company, let alone for the request timeout.
+func TestLoneRequestNeverWaits(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, addr := startServer(t, t.TempDir(), 2)
+	c, err := Dial(t.Context(), addr, WithRequestTimeout(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := range uint64(1000) {
+		k := i % 17
+		switch i % 3 {
+		case 0:
+			if err := c.Put(k, i); err != nil {
+				t.Fatalf("round trip %d: PUT: %v", i, err)
+			}
+		case 1:
+			if _, _, err := c.Get(k); err != nil {
+				t.Fatalf("round trip %d: GET: %v", i, err)
+			}
+		default:
+			if _, err := c.Del(k); err != nil {
+				t.Fatalf("round trip %d: DEL: %v", i, err)
+			}
+		}
+	}
+	if err := c.Put(99, 990); err != nil {
+		t.Fatal(err)
+	}
+	p := c.Pipeline(t.Context())
+	f := p.Get(99)
+	if err := p.Wait(); err != nil {
+		t.Fatalf("one-op pipeline: %v", err)
+	}
+	if v, ok, err := f.Result(t.Context()); err != nil || !ok || v != 990 {
+		t.Fatalf("one-op pipeline GET 99 = (%d, %v, %v), want (990, true, nil)", v, ok, err)
+	}
+}

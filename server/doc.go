@@ -382,8 +382,14 @@
 //     verb never delays the next, and handlers never outnumber the
 //     window;
 //   - a writer goroutine streams completed replies to the wire in
-//     completion order, flushing when the queue goes empty, so replies
-//     coalesce into few syscalls under load.
+//     completion order. It flushes only once its queue has settled:
+//     when the queue is empty it yields the processor once and flushes
+//     if the queue is still empty, so the replies to every GET the
+//     reader completed from one read, and the completions of one group
+//     commit, leave in one write. The client's writer follows the same
+//     rule, so the callers one reply burst wakes re-submit in one
+//     write. An idle connection pays one uncontended yield (about
+//     100 ns) per flush; no timer runs and no frame waits for company.
 //
 // The granted window bounds everything: the reader stops reading while
 // window ops are in flight, so overload behavior is plain TCP

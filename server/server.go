@@ -316,55 +316,38 @@ func (pc *pipeConn) push(f *frameBuf, crash bool) {
 
 // writeLoop is the per-connection writer goroutine: it streams
 // completions to the wire in the order they land — which is completion
-// order, not request order. Ready completions coalesce: the inner loop
-// drains everything already queued into the bufio layer and pays one
-// Flush when the queue goes empty, so a burst of completions costs one
-// syscall, not one wakeup+flush each. Each completion's window slot is
-// released once its reply is written, and its frame returns to the
-// pool. A write error marks the connection dead but the loop keeps
-// draining (and discarding), so in-flight completion callbacks can
-// never block on a broken connection.
+// order, not request order. Ready completions coalesce: each one goes
+// into the bufio layer, and the writer flushes once the queue has
+// settled — empty, and still empty after one yield (see settled) — so
+// the replies to the GETs the reader completes inline from one read,
+// and a burst of shard completions, cost one syscall rather than one
+// each; an idle connection pays one uncontended yield per reply. Each
+// completion's window slot is released once its reply is written, and
+// its frame returns to the pool. A write error marks the connection
+// dead but the loop keeps draining (and discarding), so in-flight
+// completion callbacks can never block on a broken connection.
 func (pc *pipeConn) writeLoop(bw *bufio.Writer, done chan struct{}) {
 	defer close(done)
 	dead := false
 	for c := range pc.completions {
-		for {
-			if !dead {
-				if _, err := bw.Write(c.f.b); err != nil {
-					dead = true
-				}
-			}
-			crash := c.crash
-			putFrame(c.f)
-			if crash && !dead {
-				// Announce only after the OK response is on the wire,
-				// so the requesting client sees its answer before the
-				// process owner starts killing connections.
-				if err := bw.Flush(); err != nil {
-					dead = true
-				} else {
-					pc.s.crashOnce.Do(func() { close(pc.s.crashed) })
-				}
-			}
-			<-pc.sem
-			var ok bool
-			select {
-			case c, ok = <-pc.completions:
-				if ok {
-					continue
-				}
-				// Channel closed while draining: everything is written,
-				// flush and exit.
-				if !dead {
-					bw.Flush()
-				}
-				return
-			default:
-			}
-			break
-		}
-		// Queue drained: one Flush covers the whole run of completions.
 		if !dead {
+			if _, err := bw.Write(c.f.b); err != nil {
+				dead = true
+			}
+		}
+		putFrame(c.f)
+		if c.crash && !dead {
+			// Announce only after the OK response is on the wire, so
+			// the requesting client sees its answer before the process
+			// owner starts killing connections.
+			if err := bw.Flush(); err != nil {
+				dead = true
+			} else {
+				pc.s.crashOnce.Do(func() { close(pc.s.crashed) })
+			}
+		}
+		<-pc.sem
+		if !dead && settled(pc.completions) {
 			if err := bw.Flush(); err != nil {
 				dead = true
 			}
