@@ -112,7 +112,7 @@ func TestBatchBadOpDoesNotPoisonBatchmates(t *testing.T) {
 }
 
 // TestOversizedBatchSplitsIntoWindows sends one shard a batch far larger
-// than its group-commit window: it must execute in maxBatch-sized
+// than its group cap: it must execute in maxBatch-sized
 // transactions (never one giant transaction), produce per-op results for
 // everything, and account each chunk as a group commit.
 func TestOversizedBatchSplitsIntoWindows(t *testing.T) {

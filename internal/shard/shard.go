@@ -97,10 +97,9 @@ type Options struct {
 	// queueLen is the per-shard request queue depth; 0 selects 128.
 	queueLen int
 	// maxBatch caps how many operations a shard worker folds into one
-	// group-committed store batch; 0 selects 64. A worker only waits to
-	// fill a group within a bounded adaptive window (at most 100µs), so
-	// this bounds batch size, not latency. Both are set only by this
-	// package's tests.
+	// group-committed store batch; 0 selects 64. A worker never waits to
+	// fill a group (it yields at most once, see Settled), so this bounds
+	// batch size, not latency. Both are set only by this package's tests.
 	maxBatch int
 }
 
@@ -820,8 +819,8 @@ type Counters struct {
 	// GroupFallbacks counts groups whose batch failed and whose ops were
 	// retried individually.
 	GroupFallbacks uint64 `json:"group_fallbacks"`
-	// CommitWaits counts group commits that held the adaptive commit
-	// window open (up to 100µs) to gather a deeper batch.
+	// CommitWaits counts groups the worker's one yield deepened: the
+	// queue ran dry, and after the yield (Settled) more requests joined.
 	CommitWaits uint64 `json:"commit_waits"`
 	// Scan chunk accounting, mirroring the Get split: FastScans counts
 	// chunks served on the concurrent fast path (view scans under the

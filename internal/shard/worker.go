@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -224,13 +225,6 @@ type worker struct {
 	opsBuf  []store.Op // flattenGroup scratch, reused per group
 	oneOp   [1]store.Op
 
-	// Adaptive group commit (see the loop): ewma tracks recent group
-	// depth and tunes the bounded micro-window the drain may wait for
-	// more ops — near 1 under lockstep load, so an idle or
-	// latency-sensitive connection never waits at all.
-	ewma      float64
-	waitTimer *time.Timer
-
 	fullScrub *fullScrubJob // touched only by the worker goroutine
 }
 
@@ -252,7 +246,6 @@ func newWorker(idx int, st store.Store, view store.View, queueLen, maxBatch int)
 		view:     view,
 		ordered:  st.Ordered(),
 		maxBatch: maxBatch,
-		ewma:     1,
 		reqs:     make(chan request, queueLen),
 		exited:   make(chan struct{}),
 	}
@@ -506,72 +499,64 @@ func (w *worker) loop() {
 		}
 		// Opportunistic group: drain whatever is already queued, up to
 		// maxBatch ops. A barrier op ends the group and, like a request
-		// that would push the group past the window, starts the next
+		// that would push the group past maxBatch, starts the next
 		// round instead — so the barrier runs after the group, and no
-		// transaction ever exceeds maxBatch operations.
+		// transaction ever exceeds maxBatch operations. When the queue
+		// runs dry first and the group already holds two or more ops (a
+		// burst is under way), the worker yields once (Settled) unless a
+		// full scrub pass is waiting for idle moments: submitters the
+		// same burst made runnable then join this group, and their
+		// per-commit costs (log persist, fence, parity fold) amortize
+		// over it. A lone op commits at once: nothing hints at company,
+		// and a yield with a processor idle wakes a thread to take it.
 		group := append(w.scratch[:0], req)
 		n := opCount(req)
-		admit := func(r request, open bool) bool {
-			if !open {
-				return false
-			}
-			if !groupable(r.op) || n+opCount(r) > w.maxBatch {
-				next, hasNext = r, true
-				return false
-			}
-			group = append(group, r)
-			n += opCount(r)
-			return true
-		}
+		yieldedAt := 0 // the group's op count when the worker yielded
 	drain:
 		for n < w.maxBatch {
 			select {
 			case r, open := <-w.reqs:
-				if !admit(r, open) {
+				if !open {
 					break drain
 				}
+				if !groupable(r.op) || n+opCount(r) > w.maxBatch {
+					next, hasNext = r, true
+					break drain
+				}
+				group = append(group, r)
+				n += opCount(r)
 			default:
-				break drain
+				if yieldedAt > 0 || n == 1 || w.fullScrub != nil || Settled(w.reqs) {
+					break drain
+				}
+				yieldedAt = n
 			}
 		}
-		// Adaptive group commit: when recent groups have been running
-		// deep (the queue is hot), the instantaneous drain above often
-		// catches requests mid-flight between the submitter and the
-		// queue. Waiting a bounded micro-window — scaled by the depth
-		// EWMA, capped by maxCommitWait — lets those land and deepens the
-		// batch exactly when it pays: the per-commit transaction cost
-		// amortizes over more ops. Lockstep load keeps the EWMA near 1,
-		// so an idle connection's op commits with zero added latency.
-		if !hasNext && n < w.maxBatch && w.fullScrub == nil {
-			if win := w.commitWindow(); win > 0 {
-				w.c.CommitWaits++
-				if w.waitTimer == nil {
-					w.waitTimer = time.NewTimer(win)
-				} else {
-					w.waitTimer.Reset(win)
-				}
-				fired := false
-			await:
-				for n < w.maxBatch {
-					select {
-					case r, open := <-w.reqs:
-						if !admit(r, open) {
-							break await
-						}
-					case <-w.waitTimer.C:
-						fired = true
-						break await
-					}
-				}
-				if !fired && !w.waitTimer.Stop() {
-					<-w.waitTimer.C
-				}
-			}
+		if yieldedAt > 0 && n > yieldedAt {
+			w.c.CommitWaits++
 		}
 		w.withGate(func() { w.runGroup(group) })
-		w.ewma = 0.75*w.ewma + 0.25*float64(n)
 		w.scratch = group[:0]
 	}
+}
+
+// Settled is the one batching rule of this module's three queue
+// consumers — a shard worker gathering its group commit, and the wire
+// writers (server.Client's and the server connection's writeLoop)
+// deciding when to flush: stop gathering only once the queue has gone
+// quiet. A non-empty queue means more work is coming. An empty one gets
+// one yield of the processor first: the goroutines the same burst made
+// runnable (callers woken by a burst of replies, the submitters of one
+// read's requests) then queue their work and join the same group or
+// write, so a burst pays one commit or one syscall instead of one each.
+// A yield is one runtime.Gosched, about 100 ns uncontended; no timer
+// runs and nothing waits for company.
+func Settled[T any](q chan T) bool {
+	if len(q) > 0 {
+		return false
+	}
+	runtime.Gosched()
+	return len(q) == 0
 }
 
 // startFullScrub begins (or joins) a full scrub pass for the waiter. The
@@ -635,22 +620,6 @@ func (w *worker) withGate(fn func()) {
 	fn()
 }
 
-// maxCommitWait caps the adaptive group-commit window: a few store
-// round trips' worth of grace, far below any client-visible latency
-// budget.
-const maxCommitWait = 100 * time.Microsecond
-
-// commitWindow sizes the adaptive wait for the current group, from the
-// recent-depth EWMA: zero (no wait) until batches have actually been
-// forming (EWMA ≥ 2), then a window that grows with the typical depth,
-// capped at maxCommitWait.
-func (w *worker) commitWindow() time.Duration {
-	if w.ewma < 2 {
-		return 0
-	}
-	return min(time.Duration(float64(maxCommitWait)*w.ewma/float64(w.maxBatch)), maxCommitWait)
-}
-
 // flattenGroup lowers a group of requests into one store.Apply batch,
 // appending to ops (the worker's reusable scratch).
 func flattenGroup(ops []store.Op, group []request) ([]store.Op, error) {
@@ -671,12 +640,12 @@ func flattenGroup(ops []store.Op, group []request) ([]store.Op, error) {
 // batch; read-only or single-op groups take the plain per-op path (GETs
 // need no transaction at all).
 func (w *worker) runGroup(group []request) {
-	// A batch request larger than the group window arrives alone in its
+	// A batch request larger than the group cap arrives alone in its
 	// group (opCount(req) ≥ maxBatch keeps the drain from adding to it):
-	// run it as window-sized groups of one chunk each and merge the per-op
-	// results, so the documented maxBatch bound holds for client batches
-	// too. Atomicity is then per chunk, which is what doc.go promises
-	// for batches beyond the window.
+	// run it as maxBatch-sized groups of one chunk each and merge the
+	// per-op results, so the documented maxBatch bound holds for client
+	// batches too. Atomicity is then per chunk, which is what doc.go
+	// promises for batches beyond the cap.
 	if len(group) == 1 && group[0].op == opBatch && len(group[0].ops) > w.maxBatch {
 		req := group[0]
 		out := make([]BatchResult, 0, len(req.ops))

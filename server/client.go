@@ -10,6 +10,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"github.com/pangolin-go/pangolin/internal/shard"
 )
 
 // options collects the dial-time knobs; see the With… Option helpers.
@@ -299,7 +301,7 @@ func (c *Client) submit(ctx context.Context, req Request) *clientOp {
 
 // writeLoop is the connection's writer goroutine: it streams queued
 // frames into the bufio layer and flushes once the queue has settled —
-// empty, and still empty after one yield (see settled) — so the
+// empty, and still empty after one yield (see shard.Settled) — so the
 // re-submissions a burst of replies wakes leave in one write, while a
 // lone request costs one uncontended yield and is never held. Each
 // frame (length prefix included, so it is a single Write) returns to
@@ -317,7 +319,7 @@ func (c *Client) writeLoop() {
 				c.fail(err)
 				return
 			}
-			if settled(c.sendq) {
+			if shard.Settled(c.sendq) {
 				if err := c.bw.Flush(); err != nil {
 					c.fail(err)
 					return

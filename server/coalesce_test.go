@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,5 +201,61 @@ func TestLoneRequestNeverWaits(t *testing.T) {
 	}
 	if v, ok, err := f.Result(t.Context()); err != nil || !ok || v != 990 {
 		t.Fatalf("one-op pipeline GET 99 = (%d, %v, %v), want (990, true, nil)", v, ok, err)
+	}
+}
+
+const (
+	loneBatchKeys   = 16
+	loneBatchWarmup = 400
+	loneBatchRounds = 1200
+	// netpollTick is the runtime's timer granularity with every
+	// processor idle: a goroutine parked on a shorter timer sleeps about
+	// this long. On a two-core host, a worker that held a timed commit
+	// window for small groups put 22–42% of lone MPUTs past it in most
+	// runs of 400 (7% in one of 34), for a p90 of 1.27–1.86 ms; the
+	// single yield put at most 0.3% past it idle and 4.3% with a
+	// concurrent test run loading both cores (p90 133–343 µs). So the
+	// p90 of 1,200 separates the two. Relative bounds did not hold:
+	// against the MPUTs' own p50, a run where most of them slept
+	// passed; against a lone PUT's p90, a loaded host failed, as the
+	// PUT's latency fell while the MPUT's tail rose.
+	netpollTick = time.Millisecond
+)
+
+// TestLoneBatchNeverSleeps issues lone 16-key MPUTs on a 4-shard set,
+// one at a time. Each MPUT splits into a few ops per shard, so every
+// shard worker sees a small group and no traffic behind it: the group
+// must commit at once, not wait for company on a timer the runtime
+// rounds up to its 1 ms netpoll.
+func TestLoneBatchNeverSleeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's slowdown swamps the latencies compared")
+	}
+	_, addr := startServer(t, t.TempDir(), 4)
+	c, err := Dial(t.Context(), addr, WithRequestTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys, vals := make([]uint64, loneBatchKeys), make([]uint64, loneBatchKeys)
+	var lat []time.Duration
+	for i := range loneBatchWarmup + loneBatchRounds {
+		for j := range keys {
+			keys[j] = uint64((i*loneBatchKeys + j) % 4096)
+			vals[j] = uint64(i)
+		}
+		start := time.Now()
+		if err := c.MPut(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		if i >= loneBatchWarmup {
+			lat = append(lat, time.Since(start))
+		}
+	}
+	slices.Sort(lat)
+	p50, p90 := lat[len(lat)/2], lat[len(lat)*9/10]
+	t.Logf("lone %d-key MPUT p50 %v, p90 %v", loneBatchKeys, p50, p90)
+	if p90 >= netpollTick {
+		t.Fatalf("lone MPUT p90 %v ≥ %v: small groups slept waiting for company", p90, netpollTick)
 	}
 }

@@ -298,8 +298,8 @@
 //
 // Batch ops carry no explicit count — the frame length delimits them — but
 // the payload must be a whole number of ops, at least 1 and at most
-// MaxBatchOps (4096); a batch larger than each shard's group-commit
-// window (64 ops) still executes, split into several transactions per
+// MaxBatchOps (4096); a batch larger than each shard's group cap (64
+// ops) still executes, split into several transactions per
 // shard.
 //
 // Responses:
@@ -382,14 +382,16 @@
 //     verb never delays the next, and handlers never outnumber the
 //     window;
 //   - a writer goroutine streams completed replies to the wire in
-//     completion order. It flushes only once its queue has settled:
-//     when the queue is empty it yields the processor once and flushes
-//     if the queue is still empty, so the replies to every GET the
-//     reader completed from one read, and the completions of one group
-//     commit, leave in one write. The client's writer follows the same
-//     rule, so the callers one reply burst wakes re-submit in one
-//     write. An idle connection pays one uncontended yield (about
-//     100 ns) per flush; no timer runs and no frame waits for company.
+//     completion order. It flushes only once its queue has settled
+//     (the one batching rule, shard.Settled, which the shard workers'
+//     group commit follows too): when the queue is empty it yields the
+//     processor once and flushes if the queue is still empty, so the
+//     replies to every GET the reader completed from one read, and the
+//     completions of one group commit, leave in one write. The
+//     client's writer follows the same rule, so the callers one reply
+//     burst wakes re-submit in one write. An idle connection pays one
+//     uncontended yield (about 100 ns) per flush; no timer runs and no
+//     frame waits for company.
 //
 // The granted window bounds everything: the reader stops reading while
 // window ops are in flight, so overload behavior is plain TCP
@@ -447,22 +449,21 @@
 // while GET/MGET/SNAPSCAN storms verify returned values against a known
 // model under -race, so a retained alias fails deterministically.
 //
-// # Adaptive group commit
+// # Group commit
 //
-// A shard worker first drains whatever is already queued into one
-// group. When the queue has been running deep — the worker keeps an
-// EWMA of recent group depth, and the window engages once it reaches 2
-// — the worker then waits a bounded micro-window for requests still in
-// flight between the submitters and the queue, deepening the batch
-// exactly when traffic can fill it: per-commit costs (log persist,
-// fence, parity) amortize over more operations. The window is the
-// EWMA's fraction of the batch cap scaled into 100µs, capped there, and
-// skipped entirely when the group is already full, a barrier op is
-// pending, or the load is lockstep (EWMA ~1) — an idle connection's
-// single op always commits immediately, so the window trades at most
-// 100µs of latency for depth only under pipelined load. STATS reports
-// commit_waits alongside batches/batched_ops so a run can show how
-// often the window engaged.
+// A shard worker takes one request, then drains whatever else is
+// already queued for its shard — up to 64 ops, stopping at a barrier
+// such as SYNC or STATS — into one group: one store batch, one
+// transaction, so per-commit costs (log persist, fence, parity fold)
+// amortize over the group. When the queue runs dry first and the group
+// already holds two or more ops, the worker applies the wire writers'
+// rule (shard.Settled): it yields the processor once and drains again
+// if that let new requests land, so the submitters one burst made
+// runnable join the same group. A lone op commits at once, with no
+// yield: nothing hints at company, and a yield with a processor idle
+// wakes a thread to take it. No timer runs, so nothing ever sleeps
+// waiting for company. STATS reports commit_waits, the groups that
+// yield deepened, alongside batches and batched_ops.
 //
 // # Client
 //

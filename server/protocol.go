@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 )
 
 // Wire protocol: every message is a length-prefixed frame.
@@ -72,7 +71,7 @@ const (
 )
 
 // MaxBatchOps caps the ops in one MGET/MPUT/MDEL request: enough to keep
-// every shard's group-commit window full, small enough that one frame
+// every shard's group commit full, small enough that one frame
 // can't pin megabytes per connection.
 const MaxBatchOps = 4096
 
@@ -144,24 +143,6 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// settled is the flush rule of both wire writers (the client's and the
-// server's writeLoop): flush only once the queue has gone quiet. A
-// non-empty queue means more frames are coming, so the writer keeps
-// filling its buffer. An empty one gets one yield of the processor
-// first: the goroutines the same burst made runnable (callers woken by
-// a burst of replies, the server reader completing the GETs of one
-// read inline) then queue their frames and leave in the same write, so
-// a burst costs one syscall instead of one per frame. An idle
-// connection pays one uncontended runtime.Gosched, about 100 ns, per
-// flush; no timer runs and no frame waits for company.
-func settled[T any](q chan T) bool {
-	if len(q) > 0 {
-		return false
-	}
-	runtime.Gosched()
-	return len(q) == 0
 }
 
 func appendU64(b []byte, v uint64) []byte {

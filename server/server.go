@@ -318,7 +318,7 @@ func (pc *pipeConn) push(f *frameBuf, crash bool) {
 // completions to the wire in the order they land — which is completion
 // order, not request order. Ready completions coalesce: each one goes
 // into the bufio layer, and the writer flushes once the queue has
-// settled — empty, and still empty after one yield (see settled) — so
+// settled — empty, and still empty after one yield (see shard.Settled) — so
 // the replies to the GETs the reader completes inline from one read,
 // and a burst of shard completions, cost one syscall rather than one
 // each; an idle connection pays one uncontended yield per reply. Each
@@ -347,7 +347,7 @@ func (pc *pipeConn) writeLoop(bw *bufio.Writer, done chan struct{}) {
 			}
 		}
 		<-pc.sem
-		if !dead && settled(pc.completions) {
+		if !dead && shard.Settled(pc.completions) {
 			if err := bw.Flush(); err != nil {
 				dead = true
 			}
