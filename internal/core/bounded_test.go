@@ -126,68 +126,67 @@ func TestFreshZeroRunsNotLogged(t *testing.T) {
 	if testing.Short() {
 		stride = 7
 	}
-	for crashAt := 1; ; crashAt += stride {
-		geo := layout.Default()
-		dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
-		e, err := Create(dev, geo, Options{Mode: PangolinMLPC})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Dirty the space first: an object of the same size in every
-		// zone, filled, committed, freed — the next allocation reuses
-		// one's chunks.
-		dirtied := make(map[uint64]bool)
-		if err := e.Run(func(tx *Tx) error {
-			for z := uint64(0); z < geo.NumZones; z++ {
-				oid, d, err := tx.Alloc(size, 1)
-				if err != nil {
-					return err
-				}
-				copy(d, bytes.Repeat([]byte{0xAA}, size))
-				dirtied[oid.Off] = true
+	geo := layout.Default()
+	dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
+	e, err := Create(dev, geo, Options{Mode: PangolinMLPC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Dirty the space first: an object of the same size in every zone,
+	// filled, committed, freed — the next allocation reuses one's chunks.
+	dirtied := make(map[uint64]bool)
+	if err := e.Run(func(tx *Tx) error {
+		for z := uint64(0); z < geo.NumZones; z++ {
+			oid, d, err := tx.Alloc(size, 1)
+			if err != nil {
+				return err
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+			copy(d, bytes.Repeat([]byte{0xAA}, size))
+			dirtied[oid.Off] = true
 		}
-		if err := e.Run(func(tx *Tx) error {
-			for off := range dirtied {
-				if err := tx.Free(layout.OID{Pool: e.uuid, Off: off}); err != nil {
-					return err
-				}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(func(tx *Tx) error {
+		for off := range dirtied {
+			if err := tx.Free(layout.OID{Pool: e.uuid, Off: off}); err != nil {
+				return err
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 
-		var oid layout.OID
-		logged := e.stats.LoggedBytes.Load()
-		crashed, completed := runUntilCrash(dev, crashAt, func() {
-			if err := e.Run(func(tx *Tx) error {
-				var d []byte
-				oid, d, err = tx.Alloc(size, 2)
-				if err != nil {
-					return err
-				}
-				copy(d[markAt:], mark)
-				return nil
-			}); err != nil {
-				t.Errorf("crashAt=%d: commit: %v", crashAt, err)
+	var oid layout.OID
+	logged := e.stats.LoggedBytes.Load()
+	im := newImages(e)
+	sweep(t, dev, stride, func() {
+		if err := e.Run(func(tx *Tx) error {
+			var d []byte
+			oid, d, err = tx.Alloc(size, 2)
+			if err != nil {
+				return err
 			}
-		})
-		if completed {
-			if !dirtied[oid.Off] {
-				t.Fatalf("allocation at %#x did not reuse dirtied space", oid.Off)
-			}
-			if n := e.stats.LoggedBytes.Load() - logged; n > 4*zeroRunMin {
-				t.Fatalf("allocating %d zeroed bytes logged %d", size, n)
-			}
+			copy(d[markAt:], mark)
+			return nil
+		}); err != nil {
+			t.Errorf("commit: %v", err)
 		}
-		e2, err := Open(dev.CrashCopy(nvm.CrashEvictRandom, int64(crashAt)), Options{Mode: PangolinMLPC}, nil)
+		if !dirtied[oid.Off] {
+			t.Fatalf("allocation at %#x did not reuse dirtied space", oid.Off)
+		}
+		if n := e.stats.LoggedBytes.Load() - logged; n > 4*zeroRunMin {
+			t.Fatalf("allocating %d zeroed bytes logged %d", size, n)
+		}
+	}, func(crashAt int, completed bool) {
+		e2, err := im.open(e, nvm.CrashEvictRandom, int64(crashAt))
 		if err != nil {
 			t.Fatalf("crashAt=%d: reopen: %v", crashAt, err)
 		}
+		defer e2.Close()
 		if !oid.IsNil() { // else the crash came before Alloc
 			got, err := e2.Get(oid)
 			switch {
@@ -200,15 +199,7 @@ func TestFreshZeroRunsNotLogged(t *testing.T) {
 			}
 		}
 		assertPoolInvariants(t, e2)
-		e2.Close()
-		e.Close()
-		if !crashed {
-			return
-		}
-		if crashAt > 3000 {
-			t.Fatal("sweep did not terminate")
-		}
-	}
+	})
 }
 
 // TestOwnExtentInUndoModes: under the undo-log modes a transaction can

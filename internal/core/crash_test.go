@@ -11,34 +11,54 @@ import (
 	"github.com/pangolin-go/pangolin/internal/nvm"
 )
 
-// crashSignal aborts execution at a chosen persistence point.
-type crashSignal struct{}
-
-// runUntilCrash executes fn, crashing (via the device persist hook) at the
-// crashAt-th persistence operation. It reports whether the hook fired and
-// whether fn completed.
-func runUntilCrash(dev *nvm.Device, crashAt int, fn func()) (crashed, completed bool) {
-	count := 0
+// sweep runs fn once on dev and checks the crash images of its
+// persistence points as it goes: the device persist hook calls check with
+// the point's number at the first point and every stride-th after it,
+// before the flush or fence there takes effect, and the run goes on. A
+// crash image leaves the device untouched, so it is the one a crash
+// stopping the run there would leave. Once fn returns, check runs with
+// completed set, at the first sampled point past the last. A run that
+// passes no persistence point fails the test.
+func sweep(t *testing.T, dev *nvm.Device, stride int, fn func(), check func(point int, completed bool)) {
+	t.Helper()
+	points := 0
 	dev.SetPersistHook(func() {
-		count++
-		if count == crashAt {
-			panic(crashSignal{})
+		if points++; (points-1)%stride == 0 && !t.Failed() {
+			check(points, false)
 		}
 	})
-	defer dev.SetPersistHook(nil)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		fn()
-		completed = true
-	}()
-	return crashed, completed
+	fn()
+	dev.SetPersistHook(nil)
+	if points == 0 {
+		t.Fatal("the persist hook never fired: no crash point was checked")
+	}
+	check(points-(points-1)%stride+stride, true)
+}
+
+// images are the devices a sweep reverts its crash images into, reused
+// check after check: the pool's and, in PmemobjR, the replica's.
+type images struct{ dev, replica *nvm.Device }
+
+func newImages(e *Engine) images {
+	im := images{dev: nvm.New(e.dev.Size(), nvm.Options{TrackPersistence: true})}
+	if e.replica != nil {
+		im.replica = nvm.New(e.replica.Size(), nvm.Options{TrackPersistence: true})
+	}
+	return im
+}
+
+// open reverts e's crash image under mode and seed and opens it. The image
+// keeps the replica of the original engine: replica pools are separate
+// media, unaffected by the primary's crash image (a conservative model —
+// the replica's own unflushed lines are a separate concern exercised
+// elsewhere), so it gets the replica's strict image. Recovery resyncs the
+// replica it is given, so a check never opens the live one.
+func (im images) open(e *Engine, mode nvm.CrashMode, seed int64) (*Engine, error) {
+	e.dev.CrashCopyInto(im.dev, mode, seed)
+	if im.replica != nil {
+		e.replica.CrashCopyInto(im.replica, nvm.CrashStrict, 0)
+	}
+	return Open(im.dev, Options{Mode: e.mode}, im.replica)
 }
 
 // crashModes are the modes whose crash recovery we sweep. One
@@ -63,46 +83,41 @@ func TestCommitCrashSweep(t *testing.T) {
 				// visits every crash point with every seed.
 				stride, seeds = 5, 2
 			}
-			for crashAt := 1; ; crashAt += stride {
-				geo := layout.Default()
-				dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
-				e, err := Create(dev, geo, Options{Mode: mode})
+			geo := layout.Default()
+			dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
+			e, err := Create(dev, geo, Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var oid layout.OID
+			if err := e.Run(func(tx *Tx) error {
+				var err error
+				var data []byte
+				oid, data, err = tx.Alloc(300, 1)
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
-				var oid layout.OID
+				copy(data, oldData)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			im := newImages(e)
+			sweep(t, dev, stride, func() {
 				if err := e.Run(func(tx *Tx) error {
-					var err error
-					var data []byte
-					oid, data, err = tx.Alloc(300, 1)
+					data, err := tx.AddRange(oid, 0, 300)
 					if err != nil {
 						return err
 					}
-					copy(data, oldData)
+					copy(data, newData)
 					return nil
 				}); err != nil {
-					t.Fatal(err)
+					t.Errorf("commit error: %v", err)
 				}
-
-				crashed, completed := runUntilCrash(dev, crashAt, func() {
-					err := e.Run(func(tx *Tx) error {
-						data, err := tx.AddRange(oid, 0, 300)
-						if err != nil {
-							return err
-						}
-						copy(data, newData)
-						return nil
-					})
-					if err != nil {
-						t.Errorf("crashAt=%d: commit error: %v", crashAt, err)
-					}
-				})
-				if !crashed && !completed {
-					t.Fatalf("crashAt=%d: neither crashed nor completed", crashAt)
-				}
+			}, func(crashAt int, completed bool) {
 				for seed := int64(0); seed < seeds; seed++ {
-					img := dev.CrashCopy(nvm.CrashEvictRandom, seed)
-					e2, err := Open(img, Options{Mode: mode}, replicaFor(e, mode))
+					e2, err := im.open(e, nvm.CrashEvictRandom, seed)
 					if err != nil {
 						t.Fatalf("crashAt=%d seed=%d: reopen: %v", crashAt, seed, err)
 					}
@@ -119,28 +134,9 @@ func TestCommitCrashSweep(t *testing.T) {
 					assertPoolInvariants(t, e2)
 					e2.Close()
 				}
-				e.Close()
-				if !crashed {
-					return // swept past the last persistence point
-				}
-				if crashAt > 3000 {
-					t.Fatal("sweep did not terminate")
-				}
-			}
+			})
 		})
 	}
-}
-
-// replicaFor returns the replica device to pass to Open, if the mode needs
-// one. The crash image shares the replica of the original engine: replica
-// pools are separate media, unaffected by the primary's crash image (a
-// conservative model — the replica's own unflushed lines are a separate
-// concern exercised elsewhere).
-func replicaFor(e *Engine, mode Mode) *nvm.Device {
-	if !mode.ReplicaPool() {
-		return nil
-	}
-	return e.ReplicaDevice().CrashCopy(nvm.CrashStrict, 0)
 }
 
 // assertPoolInvariants checks P1 and P2 on a freshly recovered engine.
@@ -181,29 +177,30 @@ func TestAllocCrashSweep(t *testing.T) {
 			if testing.Short() {
 				stride = 5 // nightly sweeps every crash point
 			}
-			for crashAt := 1; ; crashAt += stride {
-				geo := layout.Default()
-				dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
-				e, err := Create(dev, geo, Options{Mode: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				baseline := e.heap.CountLive()
-				crashed, completed := runUntilCrash(dev, crashAt, func() {
-					_ = e.Run(func(tx *Tx) error {
-						_, data, err := tx.Alloc(200, 9)
-						if err != nil {
-							return err
-						}
-						copy(data, payload)
-						return nil
-					})
+			geo := layout.Default()
+			dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
+			e, err := Create(dev, geo, Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			baseline := e.heap.CountLive()
+			im := newImages(e)
+			sweep(t, dev, stride, func() {
+				_ = e.Run(func(tx *Tx) error {
+					_, data, err := tx.Alloc(200, 9)
+					if err != nil {
+						return err
+					}
+					copy(data, payload)
+					return nil
 				})
-				img := dev.CrashCopy(nvm.CrashEvictRandom, int64(crashAt))
-				e2, err := Open(img, Options{Mode: mode}, replicaFor(e, mode))
+			}, func(crashAt int, completed bool) {
+				e2, err := im.open(e, nvm.CrashEvictRandom, int64(crashAt))
 				if err != nil {
 					t.Fatalf("crashAt=%d: reopen: %v", crashAt, err)
 				}
+				defer e2.Close()
 				live := e2.heap.CountLive()
 				switch {
 				case completed && live != baseline+1:
@@ -248,15 +245,7 @@ func TestAllocCrashSweep(t *testing.T) {
 						}
 					}
 				}
-				e2.Close()
-				e.Close()
-				if !crashed {
-					return
-				}
-				if crashAt > 3000 {
-					t.Fatal("sweep did not terminate")
-				}
-			}
+			})
 		})
 	}
 }
@@ -271,24 +260,25 @@ func TestFreeCrashSweepRebuildsParity(t *testing.T) {
 	geo := layout.Default()
 	for _, size := range []uint64{200, 2 * geo.ChunkSize} {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
-			for crashAt := 1; ; crashAt++ {
-				dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
-				e, err := Create(dev, geo, Options{Mode: PangolinMLPC})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var oid layout.OID
-				if err := e.Run(func(tx *Tx) error {
-					oid, _, err = tx.Alloc(size, 9)
-					return err
-				}); err != nil {
-					t.Fatal(err)
-				}
-				crashed, _ := runUntilCrash(dev, crashAt, func() {
-					_ = e.Run(func(tx *Tx) error { return tx.Free(oid) })
-				})
+			dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
+			e, err := Create(dev, geo, Options{Mode: PangolinMLPC})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var oid layout.OID
+			if err := e.Run(func(tx *Tx) error {
+				oid, _, err = tx.Alloc(size, 9)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			im := newImages(e)
+			sweep(t, dev, 1, func() {
+				_ = e.Run(func(tx *Tx) error { return tx.Free(oid) })
+			}, func(crashAt int, _ bool) {
 				for seed := int64(0); seed < 8; seed++ {
-					e2, err := Open(dev.CrashCopy(nvm.CrashEvictRandom, seed), Options{Mode: PangolinMLPC}, nil)
+					e2, err := im.open(e, nvm.CrashEvictRandom, seed)
 					if err != nil {
 						t.Fatalf("crashAt=%d seed=%d: reopen: %v", crashAt, seed, err)
 					}
@@ -299,11 +289,7 @@ func TestFreeCrashSweepRebuildsParity(t *testing.T) {
 					}
 					e2.Close()
 				}
-				e.Close()
-				if !crashed {
-					return
-				}
-			}
+			})
 		})
 	}
 }

@@ -214,8 +214,8 @@ func (e *Engine) recoverAtOpen() error {
 
 	// Logs: replay committed redo, roll back active undo.
 	type colRange struct{ zone, col, n uint64 }
-	var touched []colRange
-	var absSpans []span // absolute ranges, for replica resync
+	var touched []colRange // this log's ranges, by parity column
+	var absSpans []span    // and as absolute ranges, for replica resync
 	noteRange := func(off, n uint64) {
 		absSpans = append(absSpans, span{off: off, n: n})
 		for n > 0 {
@@ -227,6 +227,7 @@ func (e *Engine) recoverAtOpen() error {
 		}
 	}
 	for _, log := range e.lm.Recover() {
+		touched, absSpans = touched[:0], absSpans[:0]
 		switch log.State {
 		case logrec.StateRedoCommitted:
 			for _, rec := range log.Records {
@@ -287,25 +288,24 @@ func (e *Engine) recoverAtOpen() error {
 				}
 			}
 		}
-		if err := e.lm.ClearRecovered(log); err != nil {
-			return err
-		}
-	}
-
-	// Parity is not logged (§3.6): recompute it for every column the
-	// replayed or rolled-back ranges touched.
-	if e.mode.Parity() {
-		for _, c := range touched {
-			if err := e.par.RecomputeColumn(c.zone, c.col, c.n); err != nil {
-				return err
+		// Parity is not logged (§3.6): recompute the columns the log's
+		// ranges touched, and resync the replica over them, before the
+		// clear, so a crash in between finds the log and redoes both.
+		if e.mode.Parity() {
+			for _, c := range touched {
+				if err := e.par.RecomputeColumn(c.zone, c.col, c.n); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	// Pmemobj-R: resync the replica over every range recovery touched.
-	if e.replica != nil {
-		for _, s := range absSpans {
-			e.replica.WriteAt(s.off, e.dev.Slice(s.off, s.n))
-			e.replica.Persist(s.off, s.n)
+		if e.replica != nil {
+			for _, s := range absSpans {
+				e.replica.WriteAt(s.off, e.dev.Slice(s.off, s.n))
+				e.replica.Persist(s.off, s.n)
+			}
+		}
+		if err := e.lm.ClearRecovered(log); err != nil {
+			return err
 		}
 	}
 	return nil

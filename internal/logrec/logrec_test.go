@@ -400,52 +400,26 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-// Crash-point sweep over the redo commit path: at every persistence point
-// the recovered state must be all-or-nothing.
+// Crash-point sweep over the redo commit path: the commit runs once, and
+// at every persistence point the persist hook checks that the crash image
+// recovers all-or-nothing, while the run goes on. After the commit, the
+// point past the last is checked the same way.
 func TestRedoCrashSweep(t *testing.T) {
 	payloads := [][]byte{
 		[]byte("alpha"), bytes.Repeat([]byte{2}, 700), []byte("gamma"),
 	}
-	for crashAt := 1; ; crashAt++ {
-		geo := layout.Default()
-		dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
-		Format(dev, geo)
-		m, err := NewManager(dev, geo, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		type crashSignal struct{}
-		count := 0
-		crashed := false
-		dev.SetPersistHook(func() {
-			count++
-			if count == crashAt {
-				panic(crashSignal{})
-			}
-		})
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(crashSignal); !ok {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
-			w, err := m.Begin()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range payloads {
-				if err := w.Append(kindData, p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			w.Commit()
-		}()
-		dev.SetPersistHook(nil)
+	geo := layout.Default()
+	dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
+	img := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
+	Format(dev, geo)
+	m, err := NewManager(dev, geo, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashAt := 0
+	check := func() {
 		for seed := int64(0); seed < 3; seed++ {
-			img := dev.CrashCopy(nvm.CrashEvictRandom, seed)
+			dev.CrashCopyInto(img, nvm.CrashEvictRandom, seed)
 			m2, err := NewManager(img, geo, true)
 			if err != nil {
 				t.Fatalf("crashAt=%d seed=%d: open: %v", crashAt, seed, err)
@@ -467,16 +441,28 @@ func TestRedoCrashSweep(t *testing.T) {
 				}
 			}
 		}
-		if !crashed {
-			if crashAt == 1 {
-				t.Fatal("hook never fired")
-			}
-			return // swept past the last persistence point
+	}
+	dev.SetPersistHook(func() {
+		if crashAt++; !t.Failed() {
+			check()
 		}
-		if crashAt > 10000 {
-			t.Fatal("sweep did not terminate")
+	})
+	w, err := m.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := w.Append(kindData, p); err != nil {
+			t.Fatal(err)
 		}
 	}
+	w.Commit()
+	dev.SetPersistHook(nil)
+	if crashAt == 0 {
+		t.Fatal("hook never fired")
+	}
+	crashAt++
+	check()
 }
 
 func TestMaxPayloadPositive(t *testing.T) {

@@ -14,13 +14,14 @@
 // produces the device state after a power failure, reverting lines that were
 // never made persistent (or, in CrashEvictRandom mode, keeping an arbitrary
 // subset of them — legal on real hardware because caches may evict lines at
-// any time). Crash-consistency tests sweep crash points systematically via
-// the persist hook. What it takes to know which lines those are — the
-// pre-image of every line stored to since it was last persistent, and
-// whether it has been flushed since — lives in a table indexed by page
-// (track.go), so tracking costs a store, flush or fence one lock and mask
-// arithmetic per 4 KB page, not a map operation per line; an untracked
-// device (a served shard) pays none of it.
+// any time). The device is left untouched, so a crash sweep checks each
+// persist point's image from the persist hook of one forward run, reverted
+// into a reused device (CrashCopyInto). What it takes to know which lines
+// are not persistent — the pre-image of every line stored to since it was
+// last persistent, and whether it has been flushed since — lives in a table
+// indexed by page (track.go), so tracking costs a store, flush or fence one
+// lock and mask arithmetic per 4 KB page, not a map operation per line; an
+// untracked device (a served shard) pays none of it.
 //
 // The package also models the error machinery of §2.2 of the paper:
 //
@@ -34,6 +35,7 @@ package nvm
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -116,8 +118,8 @@ type Device struct {
 	nPoison  atomic.Int64
 
 	// persistHook, when set, runs before every Flush and Fence takes
-	// effect. Crash-sweep tests use it to stop the world at a chosen
-	// persistence point.
+	// effect. Crash-sweep tests use it to check the crash image of a
+	// chosen persistence point while the run goes on.
 	persistHook atomic.Pointer[func()]
 
 	stats Stats
@@ -480,24 +482,40 @@ func (d *Device) Scribble(off, n uint64, rng *rand.Rand) {
 func (d *Device) DirtyLines() int { return d.trk.dirtyLines() }
 
 // CrashCopy returns a new Device holding the state the media would have
-// after a power failure at this instant. In CrashStrict mode every
-// non-persistent line reverts to its last persistent image; in
-// CrashEvictRandom mode each such line independently either reverts or
-// keeps its new contents (cache evictions are unordered), driven by seed.
-// Poison marks survive the crash, as real bad-page records do. The source
-// device is not modified.
+// after a power failure at this instant: CrashCopyInto a fresh device.
 func (d *Device) CrashCopy(mode CrashMode, seed int64) *Device {
-	if d.trk == nil {
-		panic("nvm: CrashCopy requires TrackPersistence")
-	}
 	nd := New(d.size, Options{TrackPersistence: true})
-	copy(nd.mem, d.mem)
-	d.trk.revert(nd.mem, mode, seed)
-	d.poisonMu.RLock()
-	for p := range d.poisoned {
-		nd.poisoned[p] = struct{}{}
-		nd.nPoison.Add(1)
-	}
-	d.poisonMu.RUnlock()
+	d.CrashCopyInto(nd, mode, seed)
 	return nd
+}
+
+// CrashCopyInto overwrites dst, another tracked device of d's size that
+// nothing is using, with the state the media would have after a power
+// failure at this instant. In CrashStrict mode every non-persistent line
+// reverts to its last persistent image; in CrashEvictRandom mode each such
+// line independently either reverts or keeps its new contents (cache
+// evictions are unordered), driven by seed. Poison marks survive the crash,
+// as real bad-page records do. Of dst's past only its Stats stay; d is not
+// modified.
+func (d *Device) CrashCopyInto(dst *Device, mode CrashMode, seed int64) {
+	if d.trk == nil || dst.trk == nil || dst == d || dst.size != d.size {
+		panic("nvm: CrashCopy needs two tracked devices of one size (TrackPersistence)")
+	}
+	d.trk.mu.Lock()
+	for p, stored := range d.trk.stored { // a page neither device stored to is zero in both
+		if stored || dst.trk.stored[p] {
+			copy(dst.mem[uint64(p)*PageSize:][:PageSize], d.mem[uint64(p)*PageSize:])
+		}
+	}
+	copy(dst.trk.stored, d.trk.stored)
+	d.trk.mu.Unlock()
+	d.trk.revert(dst.mem, mode, seed)
+	dst.trk.reset()
+	dst.persistHook.Store(nil)
+	d.poisonMu.RLock()
+	dst.poisonMu.Lock()
+	dst.poisoned = maps.Clone(d.poisoned)
+	dst.nPoison.Store(int64(len(dst.poisoned)))
+	dst.poisonMu.Unlock()
+	d.poisonMu.RUnlock()
 }

@@ -114,6 +114,9 @@ func ReadSnapshot(r io.Reader, n int64, opts Options) (*Device, error) {
 		for i := 0; i < len(chunk); i += PageSize {
 			if pg := chunk[i : i+PageSize]; !bytes.Equal(pg, zero[:]) {
 				copy(d.mem[off+uint64(i):], pg)
+				if d.trk != nil {
+					d.trk.stored[(off+uint64(i))/PageSize] = true
+				}
 			}
 		}
 	}

@@ -41,13 +41,14 @@ const maxFreeRecs = 128
 type tracker struct {
 	mu      sync.Mutex
 	pages   []*pageRec // by page number; nil: every line of the page is persistent
+	stored  []bool     // by page number: stored to since the device was made; if not, all zero
 	pending []uint64   // pages that may hold flushed lines; drained by Fence
 	free    []*pageRec // retired records, at most maxFreeRecs
 	nDirty  int        // dirty lines over all pages
 }
 
 func newTracker(size uint64) *tracker {
-	return &tracker{pages: make([]*pageRec, size/PageSize)}
+	return &tracker{pages: make([]*pageRec, size/PageSize), stored: make([]bool, size/PageSize)}
 }
 
 // retire returns page p's record to the free list once no line of it is
@@ -98,6 +99,7 @@ func eachPage(off, n uint64, fn func(p, mask uint64)) {
 func (t *tracker) capture(mem []byte, words []uint64, off, n uint64) {
 	t.mu.Lock()
 	eachPage(off, n, func(p, mask uint64) {
+		t.stored[p] = true
 		rec := t.pages[p]
 		if rec == nil {
 			if k := len(t.free); k > 0 {
@@ -176,6 +178,7 @@ func (t *tracker) drop(off, n uint64) {
 	}
 	t.mu.Lock()
 	eachPage(off, n, func(p, mask uint64) {
+		t.stored[p] = true
 		if rec := t.pages[p]; rec != nil {
 			t.nDirty -= bits.OnesCount64(rec.dirty & mask)
 			rec.dirty &^= mask

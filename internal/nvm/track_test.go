@@ -217,8 +217,9 @@ func (t *trackerDriver) step() string {
 // TestTrackerMatchesReference drives the page-granular tracker and the
 // per-line reference through the same random operations and requires, after
 // every one, the same contents, the same number of dirty lines and a
-// byte-identical strict crash image, both as CrashCopy builds it and as
-// WriteSnapshot streams it.
+// byte-identical strict crash image, as CrashCopy builds it, as
+// CrashCopyInto rebuilds it in one device stored over between steps, and
+// as WriteSnapshot streams it.
 func TestTrackerMatchesReference(t *testing.T) {
 	steps := 1500
 	if testing.Short() {
@@ -226,6 +227,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		drv := newTrackerDriver(8, seed)
+		reused := New(drv.d.Size(), Options{TrackPersistence: true})
 		for i := 0; i < steps; i++ {
 			op := drv.step()
 			size := drv.d.Size()
@@ -244,7 +246,8 @@ func TestTrackerMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := drv.m.strict()
-			for name, dev := range map[string]*Device{"strict crash image": drv.d.CrashCopy(CrashStrict, 0), "snapshot": saved} {
+			drv.d.CrashCopyInto(reused, CrashStrict, 0)
+			for name, dev := range map[string]*Device{"strict crash image": drv.d.CrashCopy(CrashStrict, 0), "reused crash image": reused, "snapshot": saved} {
 				img := dev.Slice(0, size)
 				for l := uint64(0); l < size; l += CacheLineSize {
 					if !bytes.Equal(img[l:l+CacheLineSize], want[l:l+CacheLineSize]) {
@@ -253,6 +256,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 					}
 				}
 			}
+			reused.Memset(uint64(i)*977%(size-300), 0xEE, 300)
 		}
 	}
 }
@@ -294,6 +298,54 @@ func TestCrashCopySeeded(t *testing.T) {
 	}
 	if kept == 0 || reverted == 0 {
 		t.Fatalf("%d dirty lines kept, %d reverted: the coin never fell both ways", kept, reverted)
+	}
+
+	// CrashCopyInto a device that has been used — dirty and flushed lines,
+	// a poisoned page, a persist hook, the stores, persists and repair an
+	// engine's open and close leave — gives the image a fresh CrashCopy
+	// gives, and keeps nothing of what was there.
+	used := newTrackerDriver(8, 43)
+	for used.d.DirtyLines() < 64 {
+		used.step()
+	}
+	used.d.Poison(3 * PageSize)
+	used.d.Poison(6 * PageSize)
+	if err := used.d.RepairPage(6*PageSize, make([]byte, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	used.d.SetPersistHook(func() { t.Error("the image kept its old persist hook") })
+	drv.d.Poison(5 * PageSize)
+	for _, mode := range []CrashMode{CrashStrict, CrashEvictRandom} {
+		fresh := drv.d.CrashCopy(mode, 7)
+		drv.d.CrashCopyInto(used.d, mode, 7)
+		if !bytes.Equal(used.d.Slice(0, size), fresh.Slice(0, size)) {
+			t.Fatalf("mode %d: CrashCopyInto a used device differs from a fresh CrashCopy", mode)
+		}
+		for p := uint64(0); p < size; p += PageSize {
+			if used.d.IsPoisoned(p) != fresh.IsPoisoned(p) {
+				t.Fatalf("mode %d: page %d poisoned %v in the reused image, %v in a fresh one",
+					mode, p/PageSize, used.d.IsPoisoned(p), fresh.IsPoisoned(p))
+			}
+		}
+		if n := used.d.DirtyLines(); n != 0 {
+			t.Fatalf("mode %d: the reused image has %d dirty lines", mode, n)
+		}
+		used.d.Fence()
+	}
+
+	// A tracked device loaded from a snapshot images the pages it loaded.
+	var snap bytes.Buffer
+	if err := drv.d.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadSnapshot(&snap, int64(snap.Len()), Options{TrackPersistence: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := New(size, Options{TrackPersistence: true})
+	loaded.CrashCopyInto(img, CrashStrict, 0)
+	if !bytes.Equal(img.Slice(0, size), loaded.Slice(0, size)) {
+		t.Fatal("the crash image of a loaded device differs from what it loaded")
 	}
 }
 

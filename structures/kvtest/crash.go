@@ -1,8 +1,9 @@
 package kvtest
 
 import (
+	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"testing"
 
 	"github.com/pangolin-go/pangolin"
@@ -13,43 +14,14 @@ import (
 // crash sweeps: instead of sweeping a synthetic overwrite transaction,
 // it sweeps every persistence point (every Flush and Fence the simulated
 // NVMM sees) of real structure operations — Insert of a new key, update
-// in place, Remove, and a multi-op batch commit — crashes there via the
-// device persist hook, reopens a random-eviction crash image, and
-// verifies the recovered structure against a model. The invariant is the
-// paper's atomicity guarantee lifted to the kv.Map level: after recovery
-// the structure holds exactly the pre-image or exactly the post-image of
-// the interrupted operation — never a mix, never a torn node — and a
-// scrub pass finds nothing unrecoverable.
-
-// crashSignal aborts execution at a chosen persistence point.
-type crashSignal struct{}
-
-// runUntilCrash executes fn, crashing (via the device persist hook) at
-// the crashAt-th persistence operation. It reports whether the hook
-// fired and whether fn completed.
-func runUntilCrash(dev *pangolin.Device, crashAt int, fn func()) (crashed, completed bool) {
-	count := 0
-	dev.SetPersistHook(func() {
-		count++
-		if count == crashAt {
-			panic(crashSignal{})
-		}
-	})
-	defer dev.SetPersistHook(nil)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		fn()
-		completed = true
-	}()
-	return crashed, completed
-}
+// in place, Remove, and a multi-op batch commit. The operations run
+// forward once; at each sampled point the device persist hook reverts a
+// random-eviction crash image into a second device, reopens it and
+// verifies the recovered structure against a model, and the run goes on.
+// The invariant is the paper's atomicity guarantee lifted to the kv.Map
+// level: after recovery the structure holds exactly the pre-image or
+// exactly the post-image of the interrupted operation — never a mix,
+// never a torn node — and a scrub pass finds nothing unrecoverable.
 
 // crashPrefill is the committed base state every sweep starts from.
 const crashPrefill = 16
@@ -108,14 +80,14 @@ func crashCases() []CrashStep {
 }
 
 // RunCrashSweep is the exhaustive crash-point sweep: for each operation
-// kind it crashes at every persistence point (sampled with a stride in
-// -short mode; the nightly workflow visits every point), reopens
-// random-eviction crash images, and verifies pre-/post-image atomicity
-// plus scrub cleanliness. Run it for every registered structure — the
+// kind it checks the crash image of every persistence point (sampled with
+// a stride in -short mode; the nightly workflow visits every point) under
+// random eviction, for pre-/post-image atomicity plus scrub cleanliness.
+// The batch commit's sweep also crashes inside the recovery of each image
+// that needs recovery writes. Run it for every registered structure — the
 // registry-wide driver lives in structures/kv's tests.
 func RunCrashSweep(t *testing.T, h Harness) {
 	for _, c := range crashCases() {
-		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			sweepCase(t, h, c)
@@ -133,30 +105,41 @@ func sweepCase(t *testing.T, h Harness, c CrashStep) {
 			}
 			return nil
 		},
-		Base:  crashPreModel(),
-		Steps: []CrashStep{c},
-		Modes: []pangolin.CrashMode{pangolin.CrashEvictRandom},
+		Base:          crashPreModel(),
+		Steps:         []CrashStep{c},
+		Modes:         []pangolin.CrashMode{pangolin.CrashEvictRandom},
+		crashRecovery: c.Name == "BatchCommit",
 	})
 }
 
 // CrashSequence describes a window of a structure's life to sweep: the
 // committed starting state (Prefill builds it inside one transaction, Base
 // is its model), the operations that follow, and the crash modes to reopen
-// under.
+// under. Steps run on the live pool: a Run never sees a crash image.
 type CrashSequence struct {
 	Geometry pangolin.Geometry // zero value: the suite's 12-zone pool
 	Prefill  func(tx *pangolin.Tx, m kv.Map) error
 	Base     map[uint64]uint64
 	Steps    []CrashStep
 	Modes    []pangolin.CrashMode
+
+	// crashRecovery also sweeps the persistence points of each image's
+	// recovery (RunCrashSweep's batch commit).
+	crashRecovery bool
 }
 
 // RunCrashSequence sweeps every persistence point of a whole sequence of
 // operations — a window that spans transactions, such as a table growth,
 // the migration steps after it, and the transaction that frees the old
-// table. A crash during step i must recover to the model after i steps or
-// after i+1, under every listed crash mode, with Scan agreeing with
-// Lookup key for key, and scrub clean.
+// table. The steps run once, forward, on one pool. At each sampled point
+// the persist hook reverts the crash image under every listed mode into a
+// second device and checks it there, while the live pool, which the image
+// leaves untouched, waits; so a step's Run never sees the image, and the
+// image is the one a crash stopping the run there would leave. A crash
+// during step i must recover to the model after i steps or after i+1, with
+// Scan agreeing with Lookup key for key, and scrub clean; the first
+// sampled point past the last step must recover to the final model. A
+// sequence that passes no persistence point fails.
 func RunCrashSequence(t *testing.T, h Harness, seq CrashSequence) {
 	steps := seq.Steps
 	// models[i] is the state after i completed steps.
@@ -170,7 +153,7 @@ func RunCrashSequence(t *testing.T, h Harness, seq CrashSequence) {
 	for _, mod := range models {
 		maps.Copy(everKey, mod)
 	}
-	keys := unionKeys(everKey, nil)
+	keys := slices.Sorted(maps.Keys(everKey))
 
 	stride, seeds := 1, int64(2)
 	if testing.Short() {
@@ -181,106 +164,110 @@ func RunCrashSequence(t *testing.T, h Harness, seq CrashSequence) {
 	if cfg.Geometry == (pangolin.Geometry{}) {
 		cfg.Geometry = testGeometry()
 	}
-	for crashAt := 1; ; crashAt += stride {
-		p, err := pangolin.Create(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := h.Make(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Deterministic prefill (one transaction) so the swept
-		// operations see the same structure shape — and the same
-		// persist-point sequence — at every crashAt.
-		if err := p.Run(func(tx *pangolin.Tx) error { return seq.Prefill(tx, m) }); err != nil {
-			t.Fatal(err)
-		}
-		anchor := m.Anchor()
+	p, err := pangolin.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	m, err := h.Make(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(func(tx *pangolin.Tx) error { return seq.Prefill(tx, m) }); err != nil {
+		t.Fatal(err)
+	}
+	anchor := m.Anchor()
+	dev := p.Device()
+	// Every check reverts its image into img, and a crash inside that
+	// image's recovery into rec.
+	img, rec := dev.CrashCopy(pangolin.CrashStrict, 0), dev.CrashCopy(pangolin.CrashStrict, 0)
 
-		done := 0 // steps completed before the crash
-		var opErr error
-		crashed, completed := runUntilCrash(p.Device(), crashAt, func() {
-			for _, st := range steps {
-				if opErr = st.Run(p, m); opErr != nil {
-					return
-				}
-				done++
+	// reopen recovers the image on d, with hook as d's persist hook while
+	// recovery runs.
+	reopen := func(at string, d *pangolin.Device, hook func()) *pangolin.Pool {
+		d.SetPersistHook(hook)
+		p2, err := pangolin.OpenDevice(d, pangolin.Config{Mode: pangolin.ModePangolinMLPC}, nil)
+		d.SetPersistHook(nil)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", at, err)
+		}
+		return p2
+	}
+	// verify requires the recovered pool to hold the pre- or post-image,
+	// and closes it.
+	verify := func(at string, p2 *pangolin.Pool, pre, post map[uint64]uint64) {
+		defer p2.Close()
+		m2, err := h.Attach(p2, anchor)
+		if err != nil {
+			t.Fatalf("%s: attach: %v", at, err)
+		}
+		got := readState(t, m2, keys)
+		if !maps.Equal(got, pre) && !maps.Equal(got, post) {
+			t.Fatalf("%s: recovered state is neither pre- nor post-image:\n got %v\n pre %v\npost %v", at, got, pre, post)
+		}
+		scanned := make(map[uint64]uint64)
+		if err := m2.Scan(0, ^uint64(0), func(k, v uint64) bool {
+			if _, dup := scanned[k]; dup {
+				t.Fatalf("%s: scan visited key %d twice", at, k)
 			}
-		})
-		if completed && opErr != nil {
-			t.Fatalf("crashAt=%d: step %d (%s) failed without crashing: %v", crashAt, done, steps[done].Name, opErr)
+			scanned[k] = v
+			return true
+		}); err != nil || !maps.Equal(scanned, got) {
+			t.Fatalf("%s: scan after recovery disagrees with lookups (%v):\n scan %v\n  get %v", at, err, scanned, got)
 		}
-		if !crashed && !completed {
-			t.Fatalf("crashAt=%d: neither crashed nor completed", crashAt)
+		if rep, err := p2.Scrub(); err != nil || !clean(p2, rep) {
+			t.Fatalf("%s: scrub after recovery: %+v, %v", at, rep, err)
 		}
+	}
+	// check verifies the crash images of point, done steps in. Where the
+	// first image's recovery writes, it recovers that image again and
+	// crashes the recovery at its first, middle and last persistence
+	// point: recovery must be idempotent, so recovering that second image
+	// reaches the pre- or post-image too.
+	check := func(point, done int) {
 		pre, post := models[done], models[min(done+1, len(steps))]
-
 		for _, mode := range seq.Modes {
 			for seed := int64(0); seed < seeds; seed++ {
 				if mode == pangolin.CrashStrict && seed > 0 {
 					break // a strict image does not depend on the seed
 				}
-				img := p.Device().CrashCopy(mode, int64(crashAt)*31+seed)
-				p2, err := pangolin.OpenDevice(img, pangolin.Config{Mode: pangolin.ModePangolinMLPC}, nil)
-				if err != nil {
-					t.Fatalf("crashAt=%d mode=%d seed=%d: reopen: %v", crashAt, mode, seed, err)
+				at := fmt.Sprintf("point %d (step %d) mode %d seed %d", point, done, mode, seed)
+				dev.CrashCopyInto(img, mode, int64(point)*31+seed)
+				n := 0
+				verify(at, reopen(at, img, func() { n++ }), pre, post)
+				if !seq.crashRecovery || n == 0 || seed > 0 {
+					continue
 				}
-				m2, err := h.Attach(p2, anchor)
-				if err != nil {
-					t.Fatalf("crashAt=%d mode=%d seed=%d: attach: %v", crashAt, mode, seed, err)
-				}
-				got := readState(t, m2, keys)
-				switch {
-				case completed && !modelsEqual(got, post):
-					t.Fatalf("crashAt=%d mode=%d seed=%d: committed op lost or mangled:\n got %v\nwant %v",
-						crashAt, mode, seed, got, post)
-				case !completed && !modelsEqual(got, pre) && !modelsEqual(got, post):
-					t.Fatalf("crashAt=%d mode=%d seed=%d: crash in step %d: recovered state is neither pre- nor post-image:\n got %v\n pre %v\npost %v",
-						crashAt, mode, seed, done, got, pre, post)
-				}
-				scanned := make(map[uint64]uint64)
-				if err := m2.Scan(0, ^uint64(0), func(k, v uint64) bool {
-					if _, dup := scanned[k]; dup {
-						t.Fatalf("crashAt=%d mode=%d seed=%d: scan visited key %d twice", crashAt, mode, seed, k)
+				dev.CrashCopyInto(img, mode, int64(point)*31)
+				k := 0
+				reopen(at, img, func() {
+					if k++; k == 1 || k == (n+1)/2 || k == n {
+						at := fmt.Sprintf("%s, recovery point %d of %d", at, k, n)
+						img.CrashCopyInto(rec, mode, int64(k))
+						verify(at, reopen(at, rec, nil), pre, post)
 					}
-					scanned[k] = v
-					return true
-				}); err != nil || !modelsEqual(scanned, got) {
-					t.Fatalf("crashAt=%d mode=%d seed=%d: scan after recovery disagrees with lookups (%v):\n scan %v\n  get %v",
-						crashAt, mode, seed, err, scanned, got)
-				}
-				if rep, err := p2.Scrub(); err != nil || !clean(p2, rep) {
-					t.Fatalf("crashAt=%d mode=%d seed=%d: scrub after recovery: %+v, %v", crashAt, mode, seed, rep, err)
-				}
-				p2.Close()
+				}).Close()
 			}
 		}
-		p.Close()
-		if !crashed {
-			return // swept past the last operation's last persistence point
-		}
-		if crashAt > 20000 {
-			t.Fatal("sweep did not terminate")
-		}
 	}
-}
 
-// unionKeys returns the sorted union of both models' key sets.
-func unionKeys(a, b map[uint64]uint64) []uint64 {
-	set := make(map[uint64]struct{}, len(a)+len(b))
-	for k := range a {
-		set[k] = struct{}{}
+	points, done := 0, 0
+	dev.SetPersistHook(func() {
+		if points++; (points-1)%stride == 0 && !t.Failed() {
+			check(points, done)
+		}
+	})
+	for _, st := range steps {
+		if err := st.Run(p, m); err != nil {
+			t.Fatalf("step %d (%s): %v", done, st.Name, err)
+		}
+		done++
 	}
-	for k := range b {
-		set[k] = struct{}{}
+	dev.SetPersistHook(nil)
+	if points == 0 {
+		t.Fatal("the persist hook never fired: no crash point was checked")
 	}
-	keys := make([]uint64, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	check(points-(points-1)%stride+stride, done)
 }
 
 // readState reads every key in keys from the structure into a model map.
@@ -297,16 +284,4 @@ func readState(t *testing.T, m kv.Map, keys []uint64) map[uint64]uint64 {
 		}
 	}
 	return got
-}
-
-func modelsEqual(a, b map[uint64]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }
