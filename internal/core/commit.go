@@ -43,6 +43,7 @@ func (tx *Tx) Commit() error {
 	var err error
 	if e.mode.MicroBuffered() {
 		err = tx.commitPangolin()
+		tx.release()
 	} else {
 		err = tx.commitPmemobj()
 	}
@@ -72,7 +73,7 @@ func (tx *Tx) commitPangolin() error {
 			return err
 		}
 	}
-	work := tx.gatherWork()
+	work := tx.bufs.Modified()
 	if len(work) == 0 && len(tx.allocs) == 0 && len(tx.frees) == 0 && tx.root == nil {
 		tx.w.Clear()
 		e.stats.EmptyTxs.Add(1)
@@ -152,20 +153,6 @@ func (tx *Tx) commitPangolin() error {
 	return nil
 }
 
-// gatherWork returns the micro-buffers with changes to persist.
-func (tx *Tx) gatherWork() []*mbuf.Buf {
-	var work []*mbuf.Buf
-	for _, b := range tx.bufs.All() {
-		if b.Flags&mbuf.FlagFreed != 0 {
-			continue
-		}
-		if b.Modified() {
-			work = append(work, b)
-		}
-	}
-	return work
-}
-
 // refreshesCsum reports whether b's checksum field is a write-back range
 // of its own: an opened object's in checksumming modes. A fresh object's
 // one range is its whole image, field included.
@@ -189,7 +176,7 @@ func (tx *Tx) prepare(work []*mbuf.Buf) error {
 		hdr := b.Header()
 		if b.Flags&mbuf.FlagAllocated != 0 {
 			r := &b.Ranges()[0]
-			r.Old = tx.first.Alloc(r.Len)
+			r.Old = tx.bufs.Arena().Alloc(r.Len)
 			if err := e.healPoison(base, r.Len); err != nil {
 				return err
 			}

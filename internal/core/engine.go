@@ -11,6 +11,7 @@ import (
 	"github.com/pangolin-go/pangolin/internal/alloc"
 	"github.com/pangolin-go/pangolin/internal/layout"
 	"github.com/pangolin-go/pangolin/internal/logrec"
+	"github.com/pangolin-go/pangolin/internal/mbuf"
 	"github.com/pangolin-go/pangolin/internal/nvm"
 	"github.com/pangolin-go/pangolin/internal/parity"
 	"github.com/pangolin-go/pangolin/internal/striped"
@@ -98,6 +99,9 @@ type Engine struct {
 	lm   *logrec.Manager
 	heap *alloc.Allocator
 	par  *parity.Parity
+
+	// scratch recycles transactions' micro-buffer tables (mbuf.Cache).
+	scratch mbuf.Cache
 
 	// Freeze protocol (§3.6): frozen blocks new transactions and new
 	// commit applies; commitGate drains in-flight applies and keeps
@@ -375,9 +379,16 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // Allocator exposes the heap for pool statistics and scrubbing tools.
 func (e *Engine) Allocator() *alloc.Allocator { return e.heap }
 
-// Close shuts the engine down. Outstanding transactions must be finished.
+// Close shuts the engine down and closes its device and, for PmemobjR,
+// the replica it built: an untracked device's mapping is released, so
+// every view into the pool is invalid afterwards (nvm.Device.Close).
+// Outstanding transactions and reads must be finished.
 func (e *Engine) Close() {
 	e.closed.Store(true)
+	e.dev.Close()
+	if e.replica != nil {
+		e.replica.Close()
+	}
 }
 
 // freeze blocks new transactions and waits for in-flight commit applies to

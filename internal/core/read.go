@@ -118,13 +118,17 @@ func (e *Engine) verifyImage(oid layout.OID) (layout.ObjHeader, error) {
 	})
 }
 
-// loadBuf opens oid into a fresh micro-buffer (§3.2): the image is read
-// straight into the buffer and verified there — one allocation and one
-// copy of the object, however large.
-func (e *Engine) loadBuf(oid layout.OID) (*mbuf.Buf, error) {
+// loadBuf opens oid into a micro-buffer (§3.2) taken from t, or a fresh
+// one of the caller's own when t is nil: the image is read straight into
+// the buffer and verified there — one copy of the object, however large.
+func (e *Engine) loadBuf(oid layout.OID, t *mbuf.Table) (*mbuf.Buf, error) {
 	var b *mbuf.Buf
 	hdr, err := e.readImage(oid, e.mode.Checksums(), func(size uint64) []byte {
-		if b == nil || b.Size() != size {
+		switch {
+		case b != nil && b.Size() == size:
+		case t != nil:
+			b = t.Take(oid, size, e.canary)
+		default:
 			b = mbuf.New(oid, size, e.canary)
 		}
 		return b.Image()

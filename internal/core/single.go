@@ -21,7 +21,7 @@ func (e *Engine) OpenSingle(oid layout.OID) (*mbuf.Buf, []byte, error) {
 	if !e.mode.MicroBuffered() {
 		return nil, nil, fmt.Errorf("core: OpenSingle requires a micro-buffered mode, not %v", e.mode)
 	}
-	b, err := e.loadBuf(oid)
+	b, err := e.loadBuf(oid, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -67,7 +67,7 @@ func (e *Engine) CommitSingle(b *mbuf.Buf, orig []byte) error {
 			}
 			j = je
 		}
-		tx.statModBytes += b.MarkModified(i, j-i, orig, &tx.first)
+		tx.statModBytes += b.MarkModified(i, j-i, orig, tx.bufs.Arena())
 		i = j
 	}
 	tx.bufs.Insert(b)

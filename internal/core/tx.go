@@ -28,8 +28,7 @@ type Tx struct {
 	e *Engine
 	w *logrec.Writer
 
-	bufs  *mbuf.Table // pangolin modes
-	first mbuf.Arena  // pangolin modes: the declared ranges' first images
+	bufs *mbuf.Table // pangolin modes: the micro-buffers and first images, recycled at the end
 
 	allocs      []alloc.Reservation
 	allocIdx    map[uint64]txAlloc  // user-off → this tx's live allocation
@@ -91,7 +90,7 @@ func (e *Engine) Begin() (*Tx, error) {
 		statObjs: make(map[uint64]bool),
 	}
 	if e.mode.MicroBuffered() {
-		tx.bufs = mbuf.NewTable()
+		tx.bufs = e.scratch.Table()
 	} else {
 		tx.directOpen = make(map[uint64]bool)
 	}
@@ -160,7 +159,8 @@ func (tx *Tx) Alloc(size uint64, typ uint32) (layout.OID, []byte, error) {
 	tx.statObjs[oid.Off] = true
 
 	if tx.e.mode.MicroBuffered() {
-		b := mbuf.New(oid, hdr.Size, tx.e.canary)
+		b := tx.bufs.Take(oid, hdr.Size, tx.e.canary)
+		clear(b.Image())
 		b.Flags |= mbuf.FlagAllocated
 		b.SetHeader(hdr)
 		b.MarkAllModified()
@@ -275,7 +275,7 @@ func (tx *Tx) openBuf(oid layout.OID) (*mbuf.Buf, error) {
 	if b, ok := tx.bufs.Lookup(oid); ok {
 		return b, nil
 	}
-	b, err := tx.e.loadBuf(oid) // both Default and Conservative verify at open
+	b, err := tx.e.loadBuf(oid, tx.bufs) // both Default and Conservative verify at open
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +357,7 @@ func (tx *Tx) AddRange(oid layout.OID, off, n uint64) ([]byte, error) {
 			// A fresh object is declared whole. Count only newly
 			// declared bytes (re-adding a range is free, like
 			// pmemobj_tx_add_range on a snapshotted range).
-			tx.statModBytes += b.MarkModified(layout.ObjHeaderSize+off, n, b.Image(), &tx.first)
+			tx.statModBytes += b.MarkModified(layout.ObjHeaderSize+off, n, b.Image(), tx.bufs.Arena())
 		}
 		return b.UserData(), nil
 	}
@@ -531,6 +531,17 @@ func (tx *Tx) Abort() {
 		e.stats.mbufAdd(-int64(tx.bufs.Bytes()))
 	}
 	tx.abortReleasing()
+	tx.release()
+}
+
+// release recycles a finished transaction's micro-buffers and first
+// images (mbuf.Table.Release), after their last use: every slice Open,
+// AddRange or Alloc returned is invalid from here on.
+func (tx *Tx) release() {
+	if tx.bufs != nil {
+		tx.bufs.Release()
+		tx.bufs = nil
+	}
 }
 
 func (tx *Tx) releaseLate() {

@@ -22,7 +22,11 @@
 // they are logged and covered by checksum + parity on commit. Element
 // writes, copy/append/clear through a Get-derived slice, and discarded
 // Tx.Commit errors are flagged. Bug class: silent checksum/parity
-// corruption — the §4 contract the whole fault model rests on.
+// corruption — the §4 contract the whole fault model rests on. A
+// transaction's micro-buffers are recycled when it ends, so a slice (or
+// typed pointer) from Open, AddRange or Alloc used after its Commit or
+// Abort, or after the Run that committed it, is flagged too: it would
+// read another transaction's bytes.
 //
 // errwrap — error identity. In internal/... and server/, fmt.Errorf
 // must wrap error causes with %w, and errors must be compared with

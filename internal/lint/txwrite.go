@@ -7,7 +7,7 @@ import (
 
 var TxWrite = &Analyzer{
 	Name: "txwrite",
-	Doc: `flag undeclared stores to transaction snapshots and discarded commits
+	Doc: `flag undeclared stores to transaction snapshots, discarded commits, and micro-buffers used after their transaction
 
 Inside a transaction every write must go through Open/AddRange, which
 log the range so commit can update the object, its checksum, and zone
@@ -15,7 +15,10 @@ parity together (the paper's §4 write contract). Tx.Get hands out a
 read-only snapshot: writing through it corrupts checksums and parity
 silently. The analyzer flags element writes, copy/append/clear, through
 byte slices obtained from a Tx.Get call, and Commit calls whose error
-result is discarded.`,
+result is discarded. A transaction's micro-buffers are recycled once it
+commits or aborts, so it also flags a slice (or typed pointer) from
+Open, AddRange or Alloc used after its transaction's Commit or Abort,
+or after the Run call that committed it.`,
 	Run: runTxWrite,
 }
 
@@ -25,6 +28,7 @@ func runTxWrite(pass *Pass) {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				checkTxFunc(r, fd.Body)
+				checkTxEnd(r, fd.Body)
 			}
 		}
 	}

@@ -49,25 +49,74 @@ type Range struct {
 // transaction's first images cost one small allocation.
 const arenaMin = 64
 
-// Arena carves first images for one transaction's buffers. A chunk is
-// never reused, so a carved slice stays valid for the transaction's
-// life; a full chunk is replaced, not grown, and the slices carved from
-// it keep it alive.
-type Arena struct{ chunk []byte }
+// arenaKeep bounds the chunk bytes an Arena keeps across reset.
+const arenaKeep = 256 << 10
+
+// Arena carves first images for one transaction's buffers. A carved
+// slice stays valid until the arena's reset — its table's Release — so
+// it lasts the transaction; a full chunk is followed by one twice its
+// size, not grown. A reset arena carves its kept chunks again.
+type Arena struct {
+	chunks [][]byte // carve order; chunks[cur] is the one being carved
+	cur    int
+	filled bool // every uncarved byte holds PoisonByte (the poison hook)
+}
 
 // Alloc returns n bytes carved from the arena. A request larger than the
-// next chunk would be gets an allocation of its own.
+// next chunk would be gets an allocation of its own, which is not kept.
 func (a *Arena) Alloc(n uint64) []byte {
-	if uint64(cap(a.chunk)-len(a.chunk)) < n {
-		next := max(2*uint64(cap(a.chunk)), arenaMin)
-		if n > next {
-			return make([]byte, n)
+	for ; a.cur < len(a.chunks); a.cur++ {
+		if c := a.chunks[a.cur]; uint64(cap(c)-len(c)) >= n {
+			return a.carve(n)
 		}
-		a.chunk = make([]byte, 0, next)
 	}
-	at := len(a.chunk)
-	a.chunk = a.chunk[:at+int(n)]
-	return a.chunk[at:len(a.chunk):len(a.chunk)]
+	next := uint64(arenaMin)
+	if len(a.chunks) > 0 {
+		next = 2 * uint64(cap(a.chunks[len(a.chunks)-1]))
+	}
+	if n > next {
+		return make([]byte, n)
+	}
+	c := make([]byte, 0, next)
+	if a.filled {
+		fill(c[:next])
+	}
+	a.chunks = append(a.chunks, c)
+	return a.carve(n)
+}
+
+// carve takes n bytes off chunks[cur], which has room for them.
+func (a *Arena) carve(n uint64) []byte {
+	c := a.chunks[a.cur]
+	at := len(c)
+	c = c[:at+int(n)]
+	a.chunks[a.cur] = c
+	out := c[at:len(c):len(c)]
+	if a.filled {
+		checkFill(out, "first-image arena chunk")
+	}
+	return out
+}
+
+// reset makes every kept chunk carvable again, keeping the first ones up
+// to arenaKeep bytes. Slices carved before it must not be used after.
+func (a *Arena) reset() {
+	kept, poisoning := 0, poison.Load()
+	for i, c := range a.chunks {
+		if kept += cap(c); kept > arenaKeep {
+			clear(a.chunks[i:])
+			a.chunks = a.chunks[:i]
+			break
+		}
+		if a.filled {
+			checkFill(c[len(c):cap(c)], "first-image arena chunk")
+		}
+		if poisoning {
+			fill(c[:cap(c)])
+		}
+		a.chunks[i] = c[:0]
+	}
+	a.cur, a.filled = 0, poisoning
 }
 
 // Buf is one micro-buffer.
@@ -80,10 +129,12 @@ type Buf struct {
 	OrigCsum uint32
 
 	canary  uint64
-	backing []uint64 // head canary ⋯ image ⋯ tail canary, 8-aligned
+	backing []uint64 // head canary ⋯ image ⋯ tail canary, 8-aligned; cap is its size class
 	size    uint64   // image bytes (header + data)
 	ranges  []Range  // modified ranges, sorted, coalesced
 	pos     int      // index in the owning Table's open-order list
+	pooled  bool     // taken from a Table: recycled by its Release
+	filled  bool     // freed under the poison hook: backing holds PoisonByte
 }
 
 // CanaryError reports a clobbered canary: the application overran (or
@@ -104,20 +155,37 @@ func (e *CanaryError) Error() string {
 
 // New creates a micro-buffer of the given image size. canary is the
 // pool's secret canary value (per-object salted by the caller if desired).
+// The buffer is the caller's for as long as it holds it; a transaction's
+// buffers come from its Table (Table.Take) instead, and are recycled.
 func New(oid layout.OID, size uint64, canary uint64) *Buf {
-	words := 1 + (size+7)/8 + 1
-	b := &Buf{OID: oid, canary: canary, backing: make([]uint64, words), size: size}
+	b := &Buf{backing: make([]uint64, backingWords(size))}
+	b.reset(oid, size, canary)
+	return b
+}
+
+// backingWords is the backing a size-byte image needs: the image rounded
+// up to whole words, between two canary words.
+func backingWords(size uint64) int { return int(1 + (size+7)/8 + 1) }
+
+// reset readies b, whose backing has room, to hold a size-byte image of
+// oid between fresh canaries. The image bytes are left as they are.
+func (b *Buf) reset(oid layout.OID, size, canary uint64) {
+	words := backingWords(size)
+	b.OID, b.Flags, b.OrigCsum = oid, 0, 0
+	b.canary, b.size = canary, size
+	b.backing = b.backing[:words]
 	b.backing[0] = canary
 	b.backing[words-1] = canary
-	return b
+	b.ranges = b.ranges[:0]
 }
 
 // Size returns the image size (header + user data).
 func (b *Buf) Size() uint64 { return b.size }
 
 // Footprint returns the DRAM bytes this buffer occupies (for the §4.2
-// accounting).
-func (b *Buf) Footprint() uint64 { return uint64(len(b.backing)) * 8 }
+// accounting): its backing, rounded up to its size class when a Table
+// gave it out.
+func (b *Buf) Footprint() uint64 { return uint64(cap(b.backing)) * 8 }
 
 // Image returns the full object image (header + user data). The slice
 // aliases the buffer; writes must be followed by MarkModified.
@@ -212,18 +280,29 @@ func (b *Buf) Modified() bool { return len(b.ranges) > 0 }
 
 // Table is a transaction's micro-buffer collection: the paper's
 // thread-local hashmap (§3.4), keyed by the object's pool offset, with the
-// buffers also linked in open order.
+// buffers also linked in open order. It also carries the transaction's
+// first-image Arena, and, between transactions, the buffers it recycles
+// (see Cache).
 type Table struct {
 	bufs  map[uint64]*Buf
 	order []*Buf // open order; removed buffers leave nil holes until All compacts
 	holes int
 	bytes uint64
+	arena Arena
+	work  []*Buf // Modified's result, reused
+
+	cache *Cache             // where Release returns the table; nil for NewTable's
+	free  [numClasses][]*Buf // recycled buffers by size class
 }
 
-// NewTable creates an empty table.
+// NewTable creates an empty table that belongs to no Cache: Release
+// recycles its buffers into it, for it alone.
 func NewTable() *Table {
 	return &Table{bufs: make(map[uint64]*Buf)}
 }
+
+// Arena returns the table's first-image arena.
+func (t *Table) Arena() *Arena { return &t.arena }
 
 // Lookup returns the buffer for oid, if open in this transaction.
 func (t *Table) Lookup(oid layout.OID) (*Buf, bool) {
@@ -267,6 +346,18 @@ func (t *Table) All() []*Buf {
 		t.order, t.holes = live, 0
 	}
 	return t.order
+}
+
+// Modified returns the open buffers with declared ranges, in open order,
+// in a slice the table owns and reuses.
+func (t *Table) Modified() []*Buf {
+	t.work = t.work[:0]
+	for _, b := range t.All() {
+		if b.Modified() {
+			t.work = append(t.work, b)
+		}
+	}
+	return t.work
 }
 
 // Len returns the number of open buffers.

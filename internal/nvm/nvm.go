@@ -23,6 +23,15 @@
 // lock and mask arithmetic per 4 KB page, not a map operation per line; an
 // untracked device (a served shard) pays none of it.
 //
+// Memory comes in two kinds, by the same option. A tracked device is a Go
+// slice with Go's lifetime: library pools, tests, crash images and the
+// benchmark's kernels. An untracked device is a served shard's, and its
+// memory is an anonymous mapping outside the Go heap — the stand-in for
+// the paper's DAX-mapped NVMM — that its owner releases with Close; the
+// kernel backs only the pages stored to, so it costs what it holds, not
+// its capacity. A race build keeps untracked devices on the heap too,
+// where the race detector can see them.
+//
 // The package also models the error machinery of §2.2 of the paper:
 //
 //   - Poison marks a 4 KB page as having an uncorrectable media error;
@@ -34,9 +43,13 @@
 package nvm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -106,12 +119,17 @@ type Stats struct {
 // persistence-tracking structures are internally synchronized. Overlapping
 // concurrent plain writes race exactly as they would on real memory; use the
 // atomic 8-byte operations for shared words.
+//
+// An untracked device's memory is a mapping its owner releases with
+// Close, after which every view into it (Slice, and the views pools hand
+// out) is invalid; nothing unmaps it implicitly.
 type Device struct {
 	size  uint64
-	words []uint64 // backing store; kept as words to guarantee alignment
-	mem   []byte   // byte view of words
+	words []uint64 // word view of mem, for the atomic 8-byte operations
+	mem   []byte   // backing store: a Go slice when tracked, else mapMem's
 
-	trk *tracker // nil without Options.TrackPersistence
+	trk    *tracker // nil without Options.TrackPersistence
+	closed atomic.Bool
 
 	poisonMu sync.RWMutex
 	poisoned map[uint64]struct{} // page indices
@@ -132,23 +150,105 @@ type Options struct {
 	// simulation mid-transaction: library pools, tests and the
 	// benchmark's kernels. A served shard is untracked and imaged only at
 	// quiescence, where memory as it is is the one post-crash image.
+	//
+	// The option also decides where the memory lives. A tracked device is
+	// a Go slice. An untracked one is an anonymous mapping (a heap slice
+	// in race builds) that its owner must Close.
 	TrackPersistence bool
 }
 
+// unclosed holds the untracked devices built and not yet closed, each
+// with the call stack that built it: MappedBytes sums them and Unclosed
+// names their builders, so a test binary can fail on a device it never
+// released and say which test built it.
+var unclosed = struct {
+	sync.Mutex
+	devs map[*Device][]uintptr
+}{devs: make(map[*Device][]uintptr)}
+
+// MappedBytes returns the bytes of untracked devices built and not yet
+// closed, race builds included (where they are heap slices, released
+// all the same).
+func MappedBytes() int64 {
+	unclosed.Lock()
+	defer unclosed.Unlock()
+	var n int64
+	for d := range unclosed.devs {
+		n += int64(d.size)
+	}
+	return n
+}
+
+// Unclosed describes each untracked device not yet closed by the test,
+// benchmark or fuzz function that built it (or, outside one, New's
+// caller) and its size.
+func Unclosed() []string {
+	unclosed.Lock()
+	defer unclosed.Unlock()
+	var out []string
+	for d, pcs := range unclosed.devs {
+		frames := runtime.CallersFrames(pcs)
+		by := ""
+		for {
+			f, more := frames.Next()
+			if by == "" {
+				by = f.Function
+			}
+			if name := f.Function[strings.LastIndexByte(f.Function, '.')+1:]; strings.HasPrefix(name, "Test") ||
+				strings.HasPrefix(name, "Benchmark") || strings.HasPrefix(name, "Fuzz") {
+				by = f.Function
+				break
+			}
+			if !more {
+				break
+			}
+		}
+		out = append(out, fmt.Sprintf("%d-byte device built by %s", d.size, by))
+	}
+	slices.Sort(out)
+	return out
+}
+
 // New creates a zeroed device of the given size in bytes, rounded up to a
-// whole page. The zero Options build an untracked device.
+// whole page. The zero Options build an untracked device, whose memory
+// is a mapping the caller must release with Close.
 func New(size uint64, opts Options) *Device {
 	size = (size + PageSize - 1) &^ uint64(PageSize-1)
 	d := &Device{
 		size:     size,
-		words:    make([]uint64, size/8),
 		poisoned: make(map[uint64]struct{}),
 	}
-	d.mem = unsafe.Slice((*byte)(unsafe.Pointer(&d.words[0])), size)
 	if opts.TrackPersistence {
+		w := make([]uint64, size/8)
+		d.mem = unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), size)
 		d.trk = newTracker(size)
+	} else {
+		d.mem = mapMem(size)
+		pcs := make([]uintptr, 32)
+		pcs = pcs[:runtime.Callers(2, pcs)]
+		unclosed.Lock()
+		unclosed.devs[d] = pcs
+		unclosed.Unlock()
 	}
+	d.words = unsafe.Slice((*uint64)(unsafe.Pointer(&d.mem[0])), size/8)
 	return d
+}
+
+// Close releases an untracked device's memory. Afterwards the device must
+// not be read or written, and every slice into its memory is invalid: a
+// load through one faults. The owner closes the device only once nothing
+// can reach it. Close is idempotent, and on a tracked device it does
+// nothing: that memory is Go's and lives as long as a reference to it.
+func (d *Device) Close() {
+	if d.trk != nil || !d.closed.CompareAndSwap(false, true) {
+		return
+	}
+	mem := d.mem
+	d.mem, d.words = nil, nil
+	unmapMem(mem)
+	unclosed.Lock()
+	delete(unclosed.devs, d)
+	unclosed.Unlock()
 }
 
 // Options returns the options the device was built with.
@@ -352,28 +452,34 @@ func (d *Device) xorWord(off uint64, v uint64) {
 }
 
 // AtomicXorRange XORs delta into [off, off+len(delta)) using per-word
-// atomic XORs. off must be 8-aligned and len(delta) a multiple of 8 (pad
-// with zeros — XOR-ing zero is a no-op). Concurrent AtomicXorRange calls
-// over overlapping ranges commute, which is what lets small parity
-// updates share range-locks (§3.5). Persistence tracking is captured once
-// for the whole range, not per word.
+// atomic XORs over the 8-aligned words the range covers; the head and
+// tail words XOR only delta's bytes, zeros elsewhere (XOR-ing zero is a
+// no-op), so off and the length need no alignment and the caller builds
+// no padded copy. Concurrent AtomicXorRange calls over overlapping
+// ranges commute, which is what lets small parity updates share
+// range-locks (§3.5). Persistence tracking is captured once for the
+// whole aligned span, and the span is what the write counters record.
 func (d *Device) AtomicXorRange(off uint64, delta []byte) {
 	n := uint64(len(delta))
-	if off%8 != 0 || n%8 != 0 {
-		panic("nvm: AtomicXorRange requires 8-byte alignment")
-	}
 	d.checkRange(off, n)
-	d.capture(d.words, off, n)
-	for i := uint64(0); i < n; i += 8 {
-		w := uint64(delta[i]) | uint64(delta[i+1])<<8 | uint64(delta[i+2])<<16 |
-			uint64(delta[i+3])<<24 | uint64(delta[i+4])<<32 | uint64(delta[i+5])<<40 |
-			uint64(delta[i+6])<<48 | uint64(delta[i+7])<<56
-		if w != 0 {
-			d.xorWord(off+i, w)
+	lo, hi := off&^7, (off+n+7)&^7
+	d.checkRange(lo, hi-lo)
+	d.capture(d.words, lo, hi-lo)
+	for w := lo; w < hi; w += 8 {
+		var v uint64
+		if w >= off && w+8 <= off+n {
+			v = binary.LittleEndian.Uint64(delta[w-off:])
+		} else {
+			for b := max(w, off); b < min(w+8, off+n); b++ {
+				v |= uint64(delta[b-off]) << (8 * (b - w))
+			}
+		}
+		if v != 0 {
+			d.xorWord(w, v)
 		}
 	}
 	d.stats.Writes.Add(1)
-	d.stats.BytesWritten.Add(n)
+	d.stats.BytesWritten.Add(hi - lo)
 }
 
 // CheckPoison fails with *PoisonError if any page overlapping [off, off+n)

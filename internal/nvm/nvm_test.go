@@ -31,8 +31,40 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesUntrackedMemory: an untracked device counts in
+// MappedBytes until its Close, which is idempotent and leaves no byte
+// reachable; a tracked device's Close changes nothing.
+func TestCloseReleasesUntrackedMemory(t *testing.T) {
+	before := MappedBytes()
+	d := New(3*PageSize, Options{})
+	d.WriteAt(PageSize, []byte("mapped"))
+	if got := MappedBytes() - before; got != 3*PageSize {
+		t.Fatalf("MappedBytes rose %d, want %d", got, 3*PageSize)
+	}
+	d.Close()
+	d.Close()
+	if got := MappedBytes(); got != before {
+		t.Fatalf("MappedBytes %d after Close, %d before New", got, before)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a closed device still hands out its memory")
+			}
+		}()
+		d.Slice(PageSize, 6)
+	}()
+	tracked := newTestDev(t, PageSize)
+	tracked.WriteAt(0, []byte("heap"))
+	tracked.Close()
+	if string(tracked.Slice(0, 4)) != "heap" || MappedBytes() != before {
+		t.Fatal("Close changed a tracked device")
+	}
+}
+
 func TestSizeRoundsToPage(t *testing.T) {
 	d := New(PageSize+1, Options{})
+	defer d.Close()
 	if d.Size() != 2*PageSize {
 		t.Fatalf("size = %d, want %d", d.Size(), 2*PageSize)
 	}
@@ -335,6 +367,31 @@ func TestConcurrentXor64(t *testing.T) {
 	}
 }
 
+// TestAtomicXorRangeUnaligned: an XOR at any offset and length changes
+// exactly the bytes a plain XOR of the delta would, and counts the
+// 8-aligned words it covers as written, the span a zero-padded copy of
+// the delta used to cover.
+func TestAtomicXorRangeUnaligned(t *testing.T) {
+	d := newTestDev(t, PageSize)
+	f := func(seed int64, offHint uint16, n8 uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		off := uint64(offHint) % 2048
+		delta := make([]byte, int(n8%64)+1)
+		rng.Read(delta)
+		want := slices.Clone(d.Slice(0, PageSize))
+		for i, b := range delta {
+			want[off+uint64(i)] ^= b
+		}
+		before := d.Stats().BytesWritten.Load()
+		d.AtomicXorRange(off, delta)
+		span := (off+uint64(len(delta))+7)&^7 - off&^7
+		return bytes.Equal(d.Slice(0, PageSize), want) && d.Stats().BytesWritten.Load()-before == span
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentXorRangeAndPersist is small parity updates sharing a
 // range-lock (§3.5): workers XOR words of the same lines, and each one's
 // Persist retires lines the others are still XOR-ing, so the next update
@@ -534,6 +591,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
+		defer d.Close()
 		var w1 bytes.Buffer
 		if err := d.WriteSnapshot(&w1); err != nil {
 			t.Fatal(err)
@@ -546,6 +604,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reloading a saved snapshot: %v", err)
 		}
+		defer d2.Close()
 		var w2 bytes.Buffer
 		if err := d2.WriteSnapshot(&w2); err != nil {
 			t.Fatal(err)
@@ -592,6 +651,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nd.Close()
 	got := make([]byte, 11)
 	if err := nd.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
@@ -610,6 +670,7 @@ func TestSaveLoadFile(t *testing.T) {
 func TestSparseSaveLoadEqual(t *testing.T) {
 	const pages = 2*loadChunk/PageSize + 37
 	d := New(pages*PageSize, Options{})
+	defer d.Close()
 	rng := rand.New(rand.NewSource(3))
 	for _, p := range []uint64{0, 1, 2, loadChunk/PageSize - 1, loadChunk / PageSize, 300, 301, pages - 1} {
 		buf := make([]byte, PageSize)
@@ -641,6 +702,7 @@ func TestSparseSaveLoadEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(nd.Close)
 		if !bytes.Equal(nd.Slice(0, nd.Size()), d.Slice(0, d.Size())) {
 			t.Fatalf("%s: loaded media differs from the saved device", path)
 		}
@@ -662,6 +724,7 @@ func sorted(s []uint64) []uint64 { return slices.Sorted(slices.Values(s)) }
 func TestUntrackedSnapshotMatchesTracked(t *testing.T) {
 	const size = 16 * PageSize
 	tracked, untracked := New(size, Options{TrackPersistence: true}), New(size, Options{})
+	defer untracked.Close()
 	if untracked.Options().TrackPersistence || !tracked.Options().TrackPersistence {
 		t.Fatal("Options does not report how the device was built")
 	}

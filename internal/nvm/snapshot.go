@@ -66,6 +66,7 @@ func (d *Device) WriteSnapshot(w io.Writer) error {
 // device is allocated, so a corrupt or truncated file fails the load
 // instead of sizing memory from garbage.
 //
+// An untracked device is a mapping like New's, which the caller closes.
 // The new device starts zeroed, and only the image's non-zero pages are
 // copied into it, so a loaded pool's untouched capacity is never
 // written and stays unmapped until the pool allocates it: a load costs
@@ -90,14 +91,25 @@ func ReadSnapshot(r io.Reader, n int64, opts Options) (*Device, error) {
 		return nil, fmt.Errorf("nvm: corrupt snapshot: header (size %#x, %d poisoned pages) does not match its %d-byte stream", size, nPoison, n)
 	}
 	d := New(size, opts)
+	if err := d.readImage(br, nPoison); err != nil {
+		d.Close()
+		return nil, err
+	}
+	return d, nil
+}
+
+// readImage fills a fresh device from a snapshot stream positioned after
+// its header: the poison table, then the media image.
+func (d *Device) readImage(br *bufio.Reader, nPoison uint64) error {
+	size := d.size
 	var pb [8]byte
 	for i := uint64(0); i < nPoison; i++ {
 		if _, err := io.ReadFull(br, pb[:]); err != nil {
-			return nil, fmt.Errorf("nvm: reading poison table: %w", err)
+			return fmt.Errorf("nvm: reading poison table: %w", err)
 		}
 		p := binary.LittleEndian.Uint64(pb[:])
 		if p >= size/PageSize {
-			return nil, fmt.Errorf("nvm: corrupt snapshot: poison page %#x out of range", p)
+			return fmt.Errorf("nvm: corrupt snapshot: poison page %#x out of range", p)
 		}
 		d.poisoned[p] = struct{}{}
 		d.nPoison.Add(1)
@@ -109,7 +121,7 @@ func ReadSnapshot(r io.Reader, n int64, opts Options) (*Device, error) {
 	for off := uint64(0); off < size; off += uint64(len(buf)) {
 		chunk := buf[:min(uint64(len(buf)), size-off)]
 		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("nvm: reading media image: %w", err)
+			return fmt.Errorf("nvm: reading media image: %w", err)
 		}
 		for i := 0; i < len(chunk); i += PageSize {
 			if pg := chunk[i : i+PageSize]; !bytes.Equal(pg, zero[:]) {
@@ -120,7 +132,7 @@ func ReadSnapshot(r io.Reader, n int64, opts Options) (*Device, error) {
 			}
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // loadChunk is how much of a media image ReadSnapshot reads per call: a
@@ -132,7 +144,8 @@ const loadChunk = 256 * PageSize
 // zero pages are holes.
 func (d *Device) SaveFile(path string) error { return durable.WriteFile(path, d.WriteSnapshot) }
 
-// LoadFile reads a snapshot from path into a device built with opts. It
+// LoadFile reads a snapshot from path into a device built with opts (an
+// untracked one is a mapping the caller closes, as with New). It
 // reads sparse files written by SaveFile and dense ones alike; either
 // way only the pages that hold data become resident (ReadSnapshot).
 func LoadFile(path string, opts Options) (*Device, error) {

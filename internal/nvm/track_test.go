@@ -256,6 +256,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 					}
 				}
 			}
+			saved.Close()
 			reused.Memset(uint64(i)*977%(size-300), 0xEE, 300)
 		}
 	}

@@ -14,6 +14,7 @@
 package parity
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -34,7 +35,16 @@ type Parity struct {
 	lay       layout.Resolved // geo's zone arithmetic, for the per-commit Update
 	threshold uint64
 	locks     [][]sync.RWMutex // [zone][rangeLock]
+
+	// verifyAcc is VerifyRange's stripe accumulator, allocated on first
+	// use and kept, so a scrub step allocates nothing; verifyMu
+	// serializes its users.
+	verifyMu  sync.Mutex
+	verifyAcc []byte
 }
+
+// verifyStripe is how many columns VerifyRange checks at a time.
+const verifyStripe = 64 * 1024
 
 // New creates the parity manager. threshold ≤ 0 selects DefaultThreshold.
 func New(dev *nvm.Device, geo layout.Geometry, threshold int) *Parity {
@@ -81,9 +91,11 @@ func (p *Parity) Update(z, col uint64, delta []byte) {
 		for i := first; i <= last; i++ {
 			p.locks[z][i].RLock()
 		}
-		aoff, padded := xor.AlignPad(off, delta)
-		p.dev.AtomicXorRange(aoff, padded)
-		p.dev.Flush(aoff, uint64(len(padded)))
+		// The XOR covers, and the flush writes back, the 8-aligned words
+		// around the patch; their other bytes XOR with zero.
+		p.dev.AtomicXorRange(off, delta)
+		lo := off &^ 7
+		p.dev.Flush(lo, (off+n+7)&^7-lo)
 		for i := last + 1; i > first; i-- {
 			p.locks[z][i-1].RUnlock()
 		}
@@ -177,33 +189,48 @@ func (p *Parity) VerifyZone(z uint64) (int64, error) {
 // offset within the row), or -1 if the range verifies. The caller must
 // have quiesced transactions.
 func (p *Parity) VerifyRange(z uint64, start, span uint64) (int64, error) {
-	const stripe = 64 * 1024
 	rowSize := p.geo.RowSize()
 	if start >= rowSize {
 		return -1, nil
 	}
 	end := min(start+span, rowSize)
-	acc := make([]byte, stripe)
-	buf := make([]byte, stripe)
-	for col := start; col < end; col += stripe {
-		n := min(stripe, end-col)
-		for i := range acc[:n] {
-			acc[i] = 0
-		}
+	p.verifyMu.Lock()
+	defer p.verifyMu.Unlock()
+	if p.verifyAcc == nil {
+		p.verifyAcc = make([]byte, verifyStripe)
+	}
+	for col := start; col < end; col += verifyStripe {
+		n := min(verifyStripe, end-col)
+		acc := p.verifyAcc[:n]
+		clear(acc)
 		for r := uint64(0); r < p.geo.DataRows(); r++ {
-			if err := p.dev.ReadAt(buf[:n], p.geo.RowByteOff(z, r, col)); err != nil {
+			row, err := p.view(p.geo.RowByteOff(z, r, col), n)
+			if err != nil {
 				return 0, fmt.Errorf("parity: verify read row %d: %w", r, err)
 			}
-			xor.Into(acc[:n], buf[:n])
+			xor.Into(acc, row)
 		}
-		if err := p.dev.ReadAt(buf[:n], p.geo.ParityOff(z, col)); err != nil {
+		par, err := p.view(p.geo.ParityOff(z, col), n)
+		if err != nil {
 			return 0, fmt.Errorf("parity: verify read parity: %w", err)
 		}
-		for i := uint64(0); i < n; i++ {
-			if acc[i] != buf[i] {
-				return int64(col + i), nil
+		if bytes.Equal(acc, par) {
+			continue
+		}
+		for i := range acc {
+			if acc[i] != par[i] {
+				return int64(col) + int64(i), nil
 			}
 		}
 	}
 	return -1, nil
+}
+
+// view returns the device bytes [off, off+n) to read in place, failing
+// as ReadAt would on a poisoned page.
+func (p *Parity) view(off, n uint64) ([]byte, error) {
+	if err := p.dev.CheckPoison(off, n); err != nil {
+		return nil, err
+	}
+	return p.dev.Slice(off, n), nil
 }

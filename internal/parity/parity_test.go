@@ -74,6 +74,28 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifyRangeFindsFirstMismatchWithoutAllocating: a verify pass over
+// a warmed Parity allocates nothing, and reports the first stale column.
+func TestVerifyRangeFindsFirstMismatchWithoutAllocating(t *testing.T) {
+	dev, geo, p := testPool(t)
+	if _, err := p.VerifyZone(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if bad, err := p.VerifyZone(0); err != nil || bad != -1 {
+			t.Fatalf("clean zone: mismatch at %d (err %v)", bad, err)
+		}
+	}); n != 0 {
+		t.Fatalf("VerifyZone allocates %v times per call on a warmed parity", n)
+	}
+	col := geo.RowSize() - 100
+	dev.Scribble(geo.RowByteOff(0, 1, col), 1, rand.New(rand.NewSource(1)))
+	dev.Scribble(geo.RowByteOff(0, 2, col+50), 1, rand.New(rand.NewSource(2)))
+	if bad, err := p.VerifyRange(0, 10, geo.RowSize()); err != nil || bad != int64(col) {
+		t.Fatalf("mismatch at %d (err %v), want %d", bad, err, col)
+	}
+}
+
 func TestLargeUpdateTakesVectorizedPath(t *testing.T) {
 	dev, geo, p := testPool(t)
 	n := int(p.Threshold()) + 4096 // force exclusive/vectorized path
@@ -86,7 +108,7 @@ func TestLargeUpdateTakesVectorizedPath(t *testing.T) {
 
 func TestUnalignedSmallUpdates(t *testing.T) {
 	dev, geo, p := testPool(t)
-	// Odd offsets and lengths exercise the AlignPad path.
+	// Odd offsets and lengths exercise the masked head and tail words.
 	for _, tc := range []struct{ col, n uint64 }{
 		{1, 1}, {7, 3}, {13, 17}, {63, 65}, {4095, 2},
 	} {

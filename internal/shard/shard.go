@@ -744,13 +744,22 @@ func (s *Set) Close() error {
 
 // Abandon shuts the set down without saving, leaving the shard files as
 // they are — after CrashSave this completes the simulated machine death.
+//
+// A store is closed only after its worker has stopped, under the shard's
+// reader gate: a pangolin store's Close releases its pool's memory, so a
+// fast-path read racing the shutdown either finishes first or finds the
+// worker closed, and never reads a released pool.
 func (s *Set) Abandon() {
 	s.stopMaint()
 	for _, w := range s.workers {
 		w.stop()
 	}
-	for _, st := range s.stores {
-		if st != nil {
+	for i, st := range s.stores {
+		switch {
+		case st == nil:
+		case i < len(s.workers):
+			s.workers[i].withGate(func() { st.Close() })
+		default: // build failed before this store had a worker
 			st.Close()
 		}
 	}

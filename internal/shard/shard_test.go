@@ -56,6 +56,7 @@ func newSet(t *testing.T, dir string, n int, opts Options) *Set {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Abandon)
 	return s
 }
 

@@ -274,12 +274,16 @@ func (w *worker) errShuttingDown() error {
 // with the typed ErrShuttingDown, and a typed snapshot verdict
 // (ErrSnapshotTooOld) as is: the worker cannot improve on either.
 func (w *worker) gatedRead(g *readGroup, read func(store.View) (n, items uint64, err error)) (served bool, err error) {
-	if w.closed.Load() {
-		return true, w.errShuttingDown()
-	}
 	if !w.gate.TryRLock() {
 		g.fallbacks.Add(1)
 		return false, nil
+	}
+	// Checked under the gate: Set.Abandon closes the store (releasing
+	// the pool's memory) under the write side after flagging closed, so
+	// a reader past this check reads a live store.
+	if w.closed.Load() {
+		w.gate.RUnlock()
+		return true, w.errShuttingDown()
 	}
 	n, items, err := read(w.view)
 	w.gate.RUnlock()
@@ -609,11 +613,11 @@ func (w *worker) failScrubWaiters() {
 }
 
 // withGate runs one unit of the worker's work — a group, a non-groupable
-// request, a full-scrub step — with the reader gate's write side held,
-// excluding fast-path readers for the duration of the store access. It
-// is the only place the worker takes the write side: around execution
-// only, never around the queue receive, so readers get the gate back
-// between every unit.
+// request, a full-scrub step, and after the worker stops the store's
+// Close — with the reader gate's write side held, excluding fast-path
+// readers for the duration of the store access. It is the only place
+// the write side is taken: around execution only, never around the
+// queue receive, so readers get the gate back between every unit.
 func (w *worker) withGate(fn func()) {
 	w.gate.Lock()
 	defer w.gate.Unlock()

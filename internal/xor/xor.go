@@ -1,7 +1,7 @@
 // Package xor provides the XOR kernels behind Pangolin's parity scheme:
 // word-unrolled "vectorized" XOR (the ISA-L SIMD analog) and parity-delta
-// computation. Atomic per-word XOR lives on nvm.Device (Xor64); this
-// package supplies the plain-memory variants and alignment helpers.
+// computation. Atomic per-word XOR lives on nvm.Device (Xor64,
+// AtomicXorRange); this package supplies the plain-memory variants.
 package xor
 
 import "encoding/binary"
@@ -38,19 +38,4 @@ func Into(dst, src []byte) {
 	for ; i < len(src); i++ {
 		dst[i] ^= src[i]
 	}
-}
-
-// AlignPad returns a copy of delta widened to 8-byte alignment relative to
-// an absolute offset off: the returned slice starts at the aligned offset
-// alignedOff ≤ off and has a multiple-of-8 length, with zero padding at
-// both ends. XOR-ing zeros is a no-op, so the padded patch can be applied
-// with aligned atomic 8-byte XORs without touching neighbouring data.
-func AlignPad(off uint64, delta []byte) (alignedOff uint64, padded []byte) {
-	head := off & 7
-	alignedOff = off - head
-	n := head + uint64(len(delta))
-	n = (n + 7) &^ 7
-	padded = make([]byte, n)
-	copy(padded[head:], delta)
-	return alignedOff, padded
 }

@@ -72,55 +72,3 @@ func TestXorIdentities(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAlignPad(t *testing.T) {
-	off := uint64(13)
-	delta := []byte{1, 2, 3}
-	aoff, padded := AlignPad(off, delta)
-	if aoff != 8 {
-		t.Fatalf("alignedOff = %d, want 8", aoff)
-	}
-	if len(padded)%8 != 0 {
-		t.Fatalf("padded length %d not multiple of 8", len(padded))
-	}
-	// Padding is zero, payload lands at the right offset.
-	for i, b := range padded {
-		switch uint64(i) {
-		case off - aoff:
-			if b != 1 {
-				t.Fatalf("payload misplaced: %v", padded)
-			}
-		case off - aoff + 1, off - aoff + 2:
-		default:
-			if b != 0 {
-				t.Fatalf("nonzero padding at %d: %v", i, padded)
-			}
-		}
-	}
-}
-
-// Property: applying the padded patch over a wider buffer changes exactly
-// the bytes the raw delta would change.
-func TestAlignPadEquivalence(t *testing.T) {
-	f := func(seed int64, offHint uint16, n8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		buf := make([]byte, 4096)
-		rng.Read(buf)
-		off := uint64(offHint) % 2048
-		n := int(n8%64) + 1
-		delta := make([]byte, n)
-		rng.Read(delta)
-
-		want := append([]byte(nil), buf...)
-		Into(want[off:off+uint64(n)], delta)
-
-		got := append([]byte(nil), buf...)
-		aoff, padded := AlignPad(off, delta)
-		Into(got[aoff:aoff+uint64(len(padded))], padded)
-
-		return bytes.Equal(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}

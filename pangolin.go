@@ -211,7 +211,12 @@ func OpenDevice(dev *Device, cfg Config, replica *Device) (*Pool, error) {
 	return &Pool{e: e}, nil
 }
 
-// Close shuts the pool down. In-flight transactions must be finished.
+// Close shuts the pool down. In-flight transactions and reads must be
+// finished. A pool on an untracked device (a PoolSet shard's) releases
+// the device's memory, so every view into the pool — a Get or View
+// result, a read view's bytes — is invalid afterwards, as a
+// pmemobj_direct pointer is once its pool is closed. A tracked device
+// (Create, LoadFile) stays readable through Device.
 func (p *Pool) Close() { p.e.Close() }
 
 // Mode returns the pool's operation mode.
@@ -345,12 +350,17 @@ func LoadFile(path string, cfg Config) (*Pool, error) {
 
 // loadFile opens the pool saved at path on a device built with opts.
 func loadFile(path string, cfg Config, opts nvm.Options) (*Pool, error) {
+	if cfg.Mode == ModePmemobjR {
+		return nil, fmt.Errorf("pangolin: snapshot files do not carry replica pools; reconstruct with OpenDevice")
+	}
 	dev, err := nvm.LoadFile(path, opts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Mode == ModePmemobjR {
-		return nil, fmt.Errorf("pangolin: snapshot files do not carry replica pools; reconstruct with OpenDevice")
+	p, err := OpenDevice(dev, cfg, nil)
+	if err != nil {
+		dev.Close()
+		return nil, err
 	}
-	return OpenDevice(dev, cfg, nil)
+	return p, nil
 }

@@ -21,6 +21,8 @@ import (
 // A shard's device keeps no persistence tracking: its owner saves it only
 // between transactions, where every store is flushed and fenced, so the
 // save is also its crash image. Device().CrashCopy panics on a shard.
+// Its memory is a mapping outside the Go heap (nvm.Options), which the
+// set owns: Close releases it, and with it every view into the shard.
 //
 // Shard files are named shard-0000.pgl, shard-0001.pgl, …
 type PoolSet struct {
@@ -60,8 +62,10 @@ func NewPoolSetShards(dir string, n int, indices []int, cfg Config) (*PoolSet, e
 			s.Close()
 			return nil, fmt.Errorf("pangolin: shard file %s already exists", ShardFile(dir, i))
 		}
-		p, err := CreateOnDevice(nvm.New(cfg.geometry().PoolSize(), nvm.Options{}), cfg)
+		dev := nvm.New(cfg.geometry().PoolSize(), nvm.Options{})
+		p, err := CreateOnDevice(dev, cfg)
 		if err != nil {
+			dev.Close()
 			s.Close()
 			return nil, fmt.Errorf("pangolin: create shard %d: %w", i, err)
 		}
@@ -106,8 +110,10 @@ func (s *PoolSet) SaveShard(i int) error {
 	return s.pools[i].SaveFile(ShardFile(s.dir, i))
 }
 
-// Close shuts every shard pool down without saving. Call SaveShard first
-// for a clean shutdown; skip it to model a crash.
+// Close shuts every shard pool down without saving and releases its
+// device's memory, so nothing may still read a shard: in a sharded
+// service, stop each shard's owner and readers first. Call SaveShard
+// first for a clean shutdown; skip it to model a crash.
 func (s *PoolSet) Close() {
 	for _, p := range s.pools {
 		if p != nil {

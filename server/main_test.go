@@ -1,0 +1,22 @@
+package server
+
+import (
+	"fmt"
+	"os"
+	"testing"
+
+	"github.com/pangolin-go/pangolin/internal/nvm"
+)
+
+// TestMain fails the package when a test leaves an untracked device (a
+// memory mapping) unclosed, naming the test that built it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if nvm.MappedBytes() != 0 {
+		for _, leak := range nvm.Unclosed() {
+			fmt.Fprintf(os.Stderr, "FAIL: %s was never closed\n", leak)
+		}
+		code = 1
+	}
+	os.Exit(code)
+}

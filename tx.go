@@ -46,8 +46,12 @@ func (tx *Tx) Get(oid OID) ([]byte, error) { return tx.t.Get(oid) }
 
 // Commit makes the transaction durable and applies it (§3.4). In
 // Pangolin modes the checksum refresh and the parity delta fold the
-// declared ranges' first images, never bytes read back from NVMM.
+// declared ranges' first images, never bytes read back from NVMM. The
+// transaction's micro-buffers are then recycled: a slice Alloc, Open or
+// AddRange returned must not be used after Commit or Abort (pgllint's
+// txwrite flags one that is).
 func (tx *Tx) Commit() error { return tx.t.Commit() }
 
 // Abort discards the transaction; in Pangolin modes NVMM is untouched.
+// Its micro-buffers are recycled, as at Commit.
 func (tx *Tx) Abort() { tx.t.Abort() }

@@ -77,7 +77,11 @@ func validatePOD(t reflect.Type) error {
 
 // View reinterprets data as *T. T must be pointer-free and fit in data;
 // data must come from this library (micro-buffer or device views are
-// 8-byte aligned).
+// 8-byte aligned). The view lives as long as data does: a micro-buffer's
+// until its transaction commits or aborts (the buffer is then recycled),
+// and a pool's bytes until the pool's Close when the pool is on an
+// untracked device (a PoolSet shard's, whose memory Close releases), as a
+// pmemobj_direct pointer lives until pmemobj_close.
 func View[T any](data []byte) (*T, error) {
 	// Every object access of every structure comes through here, so T is
 	// named through a nil *T: no zero T is built or boxed per call.
@@ -105,7 +109,7 @@ func SizeOf[T any]() uint64 {
 }
 
 // Alloc allocates an object sized for T and returns a typed view of its
-// (zeroed) user data.
+// (zeroed) user data, valid until the transaction ends.
 func Alloc[T any](tx *Tx, typ uint32) (OID, *T, error) {
 	oid, data, err := tx.Alloc(SizeOf[T](), typ)
 	if err != nil {
@@ -147,7 +151,9 @@ func Read[T any](get Getter, oid OID) (*T, error) {
 // see Pool.Get for the verification rule).
 func Get[T any](tx *Tx, oid OID) (*T, error) { return Read[T](tx.Get, oid) }
 
-// GetFromPool is Get without a transaction.
+// GetFromPool is Get without a transaction. The view points into the
+// pool: on a PoolSet shard it is invalid after the pool's Close (see
+// View).
 func GetFromPool[T any](p *Pool, oid OID) (*T, error) { return Read[T](p.Get, oid) }
 
 // Root returns the pool's root object as type T, allocating it on first
