@@ -43,10 +43,11 @@ func (tx *Tx) Commit() error {
 	var err error
 	if e.mode.MicroBuffered() {
 		err = tx.commitPangolin()
-		tx.release()
 	} else {
 		err = tx.commitPmemobj()
 	}
+	objs := len(tx.statObjs)
+	tx.release()
 	if err == nil {
 		e.stats.Commits.Add(1)
 		e.stats.TxCount.Add(1)
@@ -54,7 +55,7 @@ func (tx *Tx) Commit() error {
 		e.stats.TxModBytes.Add(tx.statModBytes)
 		e.stats.TxFreeBytes.Add(tx.statFreeBytes)
 		e.stats.TxAllocObjs.Add(uint64(len(tx.allocs)))
-		e.stats.TxObjects.Add(uint64(len(tx.statObjs)))
+		e.stats.TxObjects.Add(uint64(objs))
 	}
 	return err
 }

@@ -100,8 +100,10 @@ type Engine struct {
 	heap *alloc.Allocator
 	par  *parity.Parity
 
-	// scratch recycles transactions' micro-buffer tables (mbuf.Cache).
+	// scratch recycles transactions' micro-buffer tables (mbuf.Cache);
+	// sets recycles their per-object maps (*txSets).
 	scratch mbuf.Cache
+	sets    sync.Pool
 
 	// Freeze protocol (§3.6): frozen blocks new transactions and new
 	// commit applies; commitGate drains in-flight applies and keeps

@@ -30,25 +30,46 @@ type Tx struct {
 
 	bufs *mbuf.Table // pangolin modes: the micro-buffers and first images, recycled at the end
 
+	*txSets // recycled at the end
+
 	allocs      []alloc.Reservation
-	allocIdx    map[uint64]txAlloc  // user-off → this tx's live allocation
 	lateRelease []alloc.Reservation // cancelled allocs, freed at tx end
 	frees       []alloc.Op
-	freed       map[uint64]bool
 
-	root       *rootRec
-	undoSpan   []span    // pmemobj: in-place ranges to persist at commit
-	undoRecs   []undoRec // pmemobj: in-memory rollback copies (abort path)
-	covered    []span    // pmemobj: snapshotted intervals (dedup, sorted)
-	directOpen map[uint64]bool
+	root     *rootRec
+	undoSpan []span    // pmemobj: in-place ranges to persist at commit
+	undoRecs []undoRec // pmemobj: in-memory rollback copies (abort path)
+	covered  []span    // pmemobj: snapshotted intervals (dedup, sorted)
 
 	// Table 3 accounting.
 	statAllocBytes uint64
 	statModBytes   uint64
 	statFreeBytes  uint64
-	statObjs       map[uint64]bool
 
 	done bool
+}
+
+// txSets are a transaction's per-object maps. An engine recycles them
+// between its transactions (Engine.sets), cleared, so a steady write load
+// makes no map per transaction.
+type txSets struct {
+	allocIdx   map[uint64]txAlloc // user-off → this tx's live allocation
+	freed      map[uint64]bool
+	directOpen map[uint64]bool // pmemobj: objects snapshotted whole
+	statObjs   map[uint64]bool // Table 3 accounting: objects touched
+}
+
+// takeSets returns a recycled, empty txSets, or a new one.
+func (e *Engine) takeSets() *txSets {
+	if s, ok := e.sets.Get().(*txSets); ok {
+		return s
+	}
+	return &txSets{
+		allocIdx:   make(map[uint64]txAlloc),
+		freed:      make(map[uint64]bool),
+		directOpen: make(map[uint64]bool),
+		statObjs:   make(map[uint64]bool),
+	}
 }
 
 // txAlloc locates one of the transaction's own allocations: its index in
@@ -82,17 +103,9 @@ func (e *Engine) Begin() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx := &Tx{
-		e:        e,
-		w:        w,
-		allocIdx: make(map[uint64]txAlloc),
-		freed:    make(map[uint64]bool),
-		statObjs: make(map[uint64]bool),
-	}
+	tx := &Tx{e: e, w: w, txSets: e.takeSets()}
 	if e.mode.MicroBuffered() {
 		tx.bufs = e.scratch.Table()
-	} else {
-		tx.directOpen = make(map[uint64]bool)
 	}
 	return tx, nil
 }
@@ -536,11 +549,20 @@ func (tx *Tx) Abort() {
 
 // release recycles a finished transaction's micro-buffers and first
 // images (mbuf.Table.Release), after their last use: every slice Open,
-// AddRange or Alloc returned is invalid from here on.
+// AddRange or Alloc returned is invalid from here on. Its maps go back
+// to the engine cleared.
 func (tx *Tx) release() {
 	if tx.bufs != nil {
 		tx.bufs.Release()
 		tx.bufs = nil
+	}
+	if s := tx.txSets; s != nil {
+		tx.txSets = nil
+		clear(s.allocIdx)
+		clear(s.freed)
+		clear(s.directOpen)
+		clear(s.statObjs)
+		tx.e.sets.Put(s)
 	}
 }
 

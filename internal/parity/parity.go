@@ -36,15 +36,24 @@ type Parity struct {
 	threshold uint64
 	locks     [][]sync.RWMutex // [zone][rangeLock]
 
-	// verifyAcc is VerifyRange's stripe accumulator, allocated on first
-	// use and kept, so a scrub step allocates nothing; verifyMu
-	// serializes its users.
-	verifyMu  sync.Mutex
-	verifyAcc []byte
+	// acc is the stripe accumulator of VerifyRange and RecomputeColumn,
+	// allocated on first use and kept, so a scrub step or a recovery
+	// allocates nothing; accMu serializes its users.
+	accMu sync.Mutex
+	acc   []byte
 }
 
-// verifyStripe is how many columns VerifyRange checks at a time.
-const verifyStripe = 64 * 1024
+// stripe is how many columns VerifyRange and RecomputeColumn XOR at a
+// time.
+const stripe = 64 * 1024
+
+// stripeAcc returns the stripe accumulator; the caller holds accMu.
+func (p *Parity) stripeAcc() []byte {
+	if p.acc == nil {
+		p.acc = make([]byte, stripe)
+	}
+	return p.acc
+}
 
 // New creates the parity manager. threshold ≤ 0 selects DefaultThreshold.
 func New(dev *nvm.Device, geo layout.Geometry, threshold int) *Parity {
@@ -132,15 +141,15 @@ func (p *Parity) ReconstructColumn(z uint64, col, n uint64, excludeRow uint64, d
 	if err := p.dev.ReadAt(dst, p.geo.ParityOff(z, col)); err != nil {
 		return fmt.Errorf("parity: reading parity row: %w", err)
 	}
-	buf := make([]byte, n)
 	for r := uint64(0); r < p.geo.DataRows(); r++ {
 		if r == excludeRow {
 			continue
 		}
-		if err := p.dev.ReadAt(buf, p.geo.RowByteOff(z, r, col)); err != nil {
+		row, err := p.view(p.geo.RowByteOff(z, r, col), n)
+		if err != nil {
 			return fmt.Errorf("parity: reading surviving row %d: %w", r, err)
 		}
-		xor.Into(dst, buf)
+		xor.Into(dst, row)
 	}
 	return nil
 }
@@ -154,23 +163,29 @@ func (p *Parity) RecomputeColumn(z, col, n uint64) error {
 	if col+n > p.geo.RowSize() {
 		return fmt.Errorf("parity: column range [%d,%d) exceeds row size", col, col+n)
 	}
-	acc := make([]byte, n)
-	buf := make([]byte, n)
-	for r := uint64(0); r < p.geo.DataRows(); r++ {
-		if err := p.dev.ReadAt(buf, p.geo.RowByteOff(z, r, col)); err != nil {
-			return fmt.Errorf("parity: reading row %d: %w", r, err)
+	p.accMu.Lock()
+	defer p.accMu.Unlock()
+	for end := col + n; col < end; col += stripe {
+		m := min(stripe, end-col)
+		acc := p.stripeAcc()[:m]
+		clear(acc)
+		for r := uint64(0); r < p.geo.DataRows(); r++ {
+			row, err := p.view(p.geo.RowByteOff(z, r, col), m)
+			if err != nil {
+				return fmt.Errorf("parity: reading row %d: %w", r, err)
+			}
+			xor.Into(acc, row)
 		}
-		xor.Into(acc, buf)
-	}
-	off := p.geo.ParityOff(z, col)
-	first, last := p.lockRange(col, n)
-	for i := first; i <= last; i++ {
-		p.locks[z][i].Lock()
-	}
-	p.dev.WriteAt(off, acc)
-	p.dev.Persist(off, n)
-	for i := last + 1; i > first; i-- {
-		p.locks[z][i-1].Unlock()
+		off := p.geo.ParityOff(z, col)
+		first, last := p.lockRange(col, m)
+		for i := first; i <= last; i++ {
+			p.locks[z][i].Lock()
+		}
+		p.dev.WriteAt(off, acc)
+		p.dev.Persist(off, m)
+		for i := last + 1; i > first; i-- {
+			p.locks[z][i-1].Unlock()
+		}
 	}
 	return nil
 }
@@ -194,14 +209,11 @@ func (p *Parity) VerifyRange(z uint64, start, span uint64) (int64, error) {
 		return -1, nil
 	}
 	end := min(start+span, rowSize)
-	p.verifyMu.Lock()
-	defer p.verifyMu.Unlock()
-	if p.verifyAcc == nil {
-		p.verifyAcc = make([]byte, verifyStripe)
-	}
-	for col := start; col < end; col += verifyStripe {
-		n := min(verifyStripe, end-col)
-		acc := p.verifyAcc[:n]
+	p.accMu.Lock()
+	defer p.accMu.Unlock()
+	for col := start; col < end; col += stripe {
+		n := min(stripe, end-col)
+		acc := p.stripeAcc()[:n]
 		clear(acc)
 		for r := uint64(0); r < p.geo.DataRows(); r++ {
 			row, err := p.view(p.geo.RowByteOff(z, r, col), n)

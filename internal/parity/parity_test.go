@@ -96,6 +96,42 @@ func TestVerifyRangeFindsFirstMismatchWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestRecoveryColumnsWithoutAllocating: on a warmed Parity, rebuilding a
+// lost page from the surviving rows and recomputing a zone's parity
+// (several stripes) allocate nothing, and both give back what the rows
+// hold.
+func TestRecoveryColumnsWithoutAllocating(t *testing.T) {
+	geo := layout.Default()
+	geo.ChunksPerRow = 8 // 128 KB rows: two stripes
+	dev := nvm.New(geo.PoolSize(), nvm.Options{TrackPersistence: true})
+	p := New(dev, geo, 0)
+	rng := rand.New(rand.NewSource(3))
+	for _, row := range []uint64{1, 4} {
+		data := make([]byte, 3*layout.PageSize)
+		rng.Read(data)
+		writeThroughParity(dev, geo, p, 0, row, layout.PageSize, data)
+	}
+	lost := make([]byte, layout.PageSize)
+	rebuild := func() {
+		if err := p.ReconstructColumn(0, 2*layout.PageSize, layout.PageSize, 1, lost); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.RecomputeColumn(0, 0, geo.RowSize()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuild()
+	if n := testing.AllocsPerRun(5, rebuild); n != 0 {
+		t.Fatalf("reconstruct and recompute allocate %v times per call on a warmed parity", n)
+	}
+	if want := dev.Slice(geo.RowByteOff(0, 1, 2*layout.PageSize), layout.PageSize); !bytes.Equal(lost, want) {
+		t.Fatal("reconstructed page differs from the row's bytes")
+	}
+	if bad, err := p.VerifyZone(0); err != nil || bad != -1 {
+		t.Fatalf("recomputed parity: mismatch at %d (err %v)", bad, err)
+	}
+}
+
 func TestLargeUpdateTakesVectorizedPath(t *testing.T) {
 	dev, geo, p := testPool(t)
 	n := int(p.Threshold()) + 4096 // force exclusive/vectorized path

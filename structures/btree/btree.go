@@ -1,14 +1,32 @@
 // Package btree implements a persistent B-tree over uint64 keys, one of
-// the six PMDK data-structure benchmarks (§4.5). Nodes are 304-byte
-// Pangolin objects (Table 3), order 8 (up to 7 items and 8 children per
-// node), like PMDK's btree_map.
+// the six PMDK data-structure benchmarks (§4.5), order 8 (up to 7 items
+// and 8 children per node) like PMDK's btree_map. Internal nodes are
+// 304-byte Pangolin objects (Table 3). Leaves are 120-byte objects that
+// hold only their count and items: PMDK's node keeps a child array in
+// every node, and a leaf — four in five nodes — would leave its 144 bytes
+// nil, yet reserve them, and copy, log and fold them into parity at every
+// write. This departs from Table 3 the way the hashmap's inline pairs do;
+// its btree row measures this layout.
+//
+// Every leaf sits at one depth, the tree's height, which the anchor keeps
+// beside the root. A descent counts levels down from it, so it knows
+// which layout each node has before it reads it. A leaf's layout is the
+// prefix of an internal node's (count, then items), so code that moves
+// items sees both through the leaf type.
 //
 // Insertion uses preemptive splitting (full children split during the
 // descent); deletion is the classic CLRS algorithm that guarantees
 // minimum degree on the way down via borrowing or merging.
+//
+// Attach refuses, with ErrAnchorFormat, an anchor of another size: a tree
+// written before the split layout has a 24-byte anchor with no height.
 package btree
 
 import (
+	"errors"
+	"fmt"
+	"unsafe"
+
 	"github.com/pangolin-go/pangolin"
 )
 
@@ -24,20 +42,44 @@ type item struct {
 	Value uint64
 }
 
-// node is the persistent layout: 304 bytes.
-type node struct {
-	N        uint64          // live items
-	Items    [8]item         // capacity 8; logical max 7
-	Children [9]pangolin.OID // Children[0..N] when internal
+// leaf is a leaf's persistent layout, 120 bytes, and the items view of
+// every node.
+type leaf struct {
+	N     uint64         // live items
+	Items [maxItems]item // Items[0..N)
+}
+
+// inner is an internal node's persistent layout, 304 bytes: PMDK's node
+// with a spare item slot (Table 3).
+type inner struct {
+	leaf
+	_        item
+	Children [9]pangolin.OID // Children[0..N]
 	_        [3]uint64
 }
 
-func (n *node) leaf() bool { return n.Children[0].IsNil() }
+// search returns the index of the first item whose key is at least k,
+// and whether that item's key is k.
+func (n *leaf) search(k uint64) (int, bool) {
+	i := 0
+	for i < int(n.N) && k > n.Items[i].Key {
+		i++
+	}
+	return i, i < int(n.N) && n.Items[i].Key == k
+}
 
 type anchor struct {
-	Root  pangolin.OID
-	Count uint64
+	Root   pangolin.OID
+	Count  uint64
+	Height uint64 // levels above the leaves: 0 while the root is a leaf
 }
+
+const anchorSize = uint64(unsafe.Sizeof(anchor{}))
+
+// ErrAnchorFormat reports an anchor that is not this version's — a tree
+// written before leaves dropped their child array, or not a btree at
+// all. Such a tree must be rebuilt.
+var ErrAnchorFormat = errors.New("btree: unsupported anchor format")
 
 // Tree is a handle to a persistent B-tree.
 type Tree struct {
@@ -45,7 +87,7 @@ type Tree struct {
 	anchor pangolin.OID
 }
 
-// New allocates a fresh tree.
+// New allocates a fresh tree: an anchor over an empty leaf.
 func New(p *pangolin.Pool) (*Tree, error) {
 	var aOID pangolin.OID
 	err := p.Run(func(tx *pangolin.Tx) error {
@@ -55,12 +97,8 @@ func New(p *pangolin.Pool) (*Tree, error) {
 		if err != nil {
 			return err
 		}
-		rOID, _, err := pangolin.Alloc[node](tx, typeNode)
-		if err != nil {
-			return err
-		}
-		a.Root = rOID
-		return nil
+		a.Root, _, err = pangolin.Alloc[leaf](tx, typeNode)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -68,10 +106,15 @@ func New(p *pangolin.Pool) (*Tree, error) {
 	return &Tree{p: p, anchor: aOID}, nil
 }
 
-// Attach reconnects to an existing tree.
+// Attach reconnects to an existing tree, or fails with ErrAnchorFormat if
+// the anchor is not this version's layout.
 func Attach(p *pangolin.Pool, anchorOID pangolin.OID) (*Tree, error) {
-	if _, err := p.ObjectSize(anchorOID); err != nil {
+	size, err := p.ObjectSize(anchorOID)
+	if err != nil {
 		return nil, err
+	}
+	if size != anchorSize {
+		return nil, fmt.Errorf("%w: anchor is %d bytes, want %d", ErrAnchorFormat, size, anchorSize)
 	}
 	return &Tree{p: p, anchor: anchorOID}, nil
 }
@@ -107,22 +150,23 @@ func (t *Tree) lookup(get pangolin.Getter, k uint64) (uint64, bool, error) {
 		return 0, false, err
 	}
 	cur := a.Root
-	for !cur.IsNil() {
-		n, err := pangolin.Read[node](get, cur)
+	for h := a.Height; h > 0; h-- {
+		n, err := pangolin.Read[inner](get, cur)
 		if err != nil {
 			return 0, false, err
 		}
-		i := 0
-		for i < int(n.N) && k > n.Items[i].Key {
-			i++
-		}
-		if i < int(n.N) && k == n.Items[i].Key {
+		i, found := n.search(k)
+		if found {
 			return n.Items[i].Value, true, nil
 		}
-		if n.leaf() {
-			return 0, false, nil
-		}
 		cur = n.Children[i]
+	}
+	n, err := pangolin.Read[leaf](get, cur)
+	if err != nil {
+		return 0, false, err
+	}
+	if i, found := n.search(k); found {
+		return n.Items[i].Value, true, nil
 	}
 	return 0, false, nil
 }
@@ -134,29 +178,49 @@ type w struct {
 	a  *anchor
 }
 
-func (t *w) n(oid pangolin.OID) *node {
-	p, err := pangolin.Open[node](t.tx, oid)
+// open returns a writable view of the object at oid as T.
+func open[T any](t *w, oid pangolin.OID) *T {
+	p, err := pangolin.Open[T](t.tx, oid)
 	if err != nil {
 		panic(treeErr{err})
 	}
 	return p
 }
 
-// r reads a node without declaring a write (pgl_get semantics).
-func (t *w) r(oid pangolin.OID) *node {
-	p, err := pangolin.Get[node](t.tx, oid)
+// get reads the object at oid as T without declaring a write (pgl_get
+// semantics).
+func get[T any](t *w, oid pangolin.OID) *T {
+	p, err := pangolin.Get[T](t.tx, oid)
 	if err != nil {
 		panic(treeErr{err})
 	}
 	return p
 }
 
-func (t *w) alloc() (pangolin.OID, *node) {
-	oid, n, err := pangolin.Alloc[node](t.tx, typeNode)
+func alloc[T any](t *w) (pangolin.OID, *T) {
+	oid, n, err := pangolin.Alloc[T](t.tx, typeNode)
 	if err != nil {
 		panic(treeErr{err})
 	}
 	return oid, n
+}
+
+// n opens the node at oid, of height h, for writing: its items, and the
+// node itself when it is internal (nil for a leaf).
+func (t *w) n(oid pangolin.OID, h uint64) (*leaf, *inner) {
+	if h == 0 {
+		return open[leaf](t, oid), nil
+	}
+	in := open[inner](t, oid)
+	return &in.leaf, in
+}
+
+// r reads the items of the node at oid, of height h.
+func (t *w) r(oid pangolin.OID, h uint64) *leaf {
+	if h == 0 {
+		return get[leaf](t, oid)
+	}
+	return &get[inner](t, oid).leaf
 }
 
 func (t *w) free(oid pangolin.OID) {
@@ -165,24 +229,32 @@ func (t *w) free(oid pangolin.OID) {
 	}
 }
 
-// splitChild splits the full child at index i of parent p (CLRS).
-func (t *w) splitChild(pOID pangolin.OID, i int) {
-	pn := t.n(pOID)
+// splitChild splits the full child at index i of internal node pOID
+// (CLRS); h is the child's height, and the new right sibling's.
+func (t *w) splitChild(pOID pangolin.OID, i int, h uint64) {
+	pn := open[inner](t, pOID)
 	cOID := pn.Children[i]
-	cn := t.n(cOID)
-	zOID, zn := t.alloc()
+	var zOID pangolin.OID
+	var cn, zn *leaf
 	// Right half (t..2t-2) moves to z; median (t-1) moves up.
 	const th = (maxItems + 1) / 2 // t = 4
+	if h == 0 {
+		cn = open[leaf](t, cOID)
+		zOID, zn = alloc[leaf](t)
+	} else {
+		ci := open[inner](t, cOID)
+		var zi *inner
+		zOID, zi = alloc[inner](t)
+		for j := 0; j <= minItems; j++ {
+			zi.Children[j] = ci.Children[th+j]
+			ci.Children[th+j] = pangolin.NilOID
+		}
+		cn, zn = &ci.leaf, &zi.leaf
+	}
 	zn.N = minItems
 	for j := 0; j < minItems; j++ {
 		zn.Items[j] = cn.Items[th+j]
 		cn.Items[th+j] = item{}
-	}
-	if !cn.leaf() {
-		for j := 0; j <= minItems; j++ {
-			zn.Children[j] = cn.Children[th+j]
-			cn.Children[th+j] = pangolin.NilOID
-		}
 	}
 	median := cn.Items[th-1]
 	cn.Items[th-1] = item{}
@@ -208,49 +280,49 @@ func (t *Tree) InsertTx(tx *pangolin.Tx, k, v uint64) error {
 }
 
 func (t *Tree) insertW(tw *w, k, v uint64) error {
-	root := tw.a.Root
-	if tw.r(root).N == maxItems {
-		// Grow: new root with the old root as child 0.
-		newOID, newRoot := tw.alloc()
-		newRoot.Children[0] = root
+	cur, h := tw.a.Root, tw.a.Height
+	if tw.r(cur, h).N == maxItems {
+		// Grow: a new internal root with the old root as child 0.
+		newOID, newRoot := alloc[inner](tw)
+		newRoot.Children[0] = cur
 		tw.a.Root = newOID
-		tw.splitChild(newOID, 0)
-		root = newOID
+		tw.a.Height++
+		tw.splitChild(newOID, 0, h)
+		cur, h = newOID, h+1
 	}
-	cur := root
-	for {
-		cn := tw.r(cur)
-		i := 0
-		for i < int(cn.N) && k > cn.Items[i].Key {
-			i++
-		}
-		if i < int(cn.N) && k == cn.Items[i].Key {
-			tw.n(cur).Items[i].Value = v
+	for ; h > 0; h-- {
+		cn := get[inner](tw, cur)
+		i, found := cn.search(k)
+		if found {
+			open[inner](tw, cur).Items[i].Value = v
 			return nil
 		}
-		if cn.leaf() {
-			wn := tw.n(cur)
-			for j := int(wn.N); j > i; j-- {
-				wn.Items[j] = wn.Items[j-1]
-			}
-			wn.Items[i] = item{Key: k, Value: v}
-			wn.N++
-			tw.a.Count++
-			return nil
-		}
-		if tw.r(cn.Children[i]).N == maxItems {
-			tw.splitChild(cur, i)
-			cn = tw.r(cur)
+		if tw.r(cn.Children[i], h-1).N == maxItems {
+			tw.splitChild(cur, i, h-1)
+			cn = get[inner](tw, cur)
 			if k == cn.Items[i].Key {
-				tw.n(cur).Items[i].Value = v
+				open[inner](tw, cur).Items[i].Value = v
 				return nil
 			}
 			if k > cn.Items[i].Key {
 				i++
 			}
 		}
-		cur = tw.r(cur).Children[i]
+		cur = cn.Children[i]
 	}
+	wn := open[leaf](tw, cur)
+	i, found := wn.search(k)
+	if found {
+		wn.Items[i].Value = v
+		return nil
+	}
+	for j := int(wn.N); j > i; j-- {
+		wn.Items[j] = wn.Items[j-1]
+	}
+	wn.Items[i] = item{Key: k, Value: v}
+	wn.N++
+	tw.a.Count++
+	return nil
 }
 
 // Remove deletes k, reporting whether it was present.
@@ -271,111 +343,105 @@ func (t *Tree) RemoveTx(tx *pangolin.Tx, k uint64) (bool, error) {
 func (t *Tree) removeW(tw *w, k uint64, foundp *bool) error {
 	found := false
 	defer func() { *foundp = found }()
-	found = tw.remove(tw.a.Root, k)
+	found = tw.remove(tw.a.Root, tw.a.Height, k)
 	if found {
 		tw.a.Count--
 	}
 	// Shrink: an empty internal root is replaced by its only child.
-	rn := tw.r(tw.a.Root)
-	if rn.N == 0 && !rn.leaf() {
-		old := tw.a.Root
-		tw.a.Root = rn.Children[0]
-		tw.free(old)
+	if tw.a.Height > 0 {
+		if rn := get[inner](tw, tw.a.Root); rn.N == 0 {
+			old := tw.a.Root
+			tw.a.Root = rn.Children[0]
+			tw.a.Height--
+			tw.free(old)
+		}
 	}
 	return nil
 }
 
-// remove deletes k from the subtree at oid; oid always has > minItems
-// items when descending (except the root), per CLRS.
-func (t *w) remove(oid pangolin.OID, k uint64) bool {
-	n := t.r(oid)
-	i := 0
-	for i < int(n.N) && k > n.Items[i].Key {
-		i++
-	}
-	if i < int(n.N) && k == n.Items[i].Key {
-		if n.leaf() {
-			wn := t.n(oid)
-			for j := i; j < int(wn.N)-1; j++ {
-				wn.Items[j] = wn.Items[j+1]
-			}
-			wn.Items[wn.N-1] = item{}
-			wn.N--
-			return true
+// remove deletes k from the subtree at oid, of height h; oid always has
+// > minItems items when descending (except the root), per CLRS.
+func (t *w) remove(oid pangolin.OID, h uint64, k uint64) bool {
+	i, found := t.r(oid, h).search(k)
+	if h > 0 {
+		if found {
+			return t.removeInternal(oid, h, i)
 		}
-		return t.removeInternal(oid, i)
+		return t.remove(t.ensureChild(oid, h, i), h-1, k)
 	}
-	if n.leaf() {
+	if !found {
 		return false
 	}
-	return t.remove(t.ensureChild(oid, i), k)
+	wn := open[leaf](t, oid)
+	for j := i; j < int(wn.N)-1; j++ {
+		wn.Items[j] = wn.Items[j+1]
+	}
+	wn.Items[wn.N-1] = item{}
+	wn.N--
+	return true
 }
 
-// removeInternal removes the item at index i of internal node oid (CLRS
-// cases 2a/2b/2c).
-func (t *w) removeInternal(oid pangolin.OID, i int) bool {
-	n := t.n(oid)
+// removeInternal removes the item at index i of internal node oid, of
+// height h (CLRS cases 2a/2b/2c).
+func (t *w) removeInternal(oid pangolin.OID, h uint64, i int) bool {
+	n := open[inner](t, oid)
 	k := n.Items[i].Key
 	left, right := n.Children[i], n.Children[i+1]
-	if t.n(left).N > minItems {
+	if t.r(left, h-1).N > minItems {
 		// Predecessor replaces the item.
-		pred := t.maxItem(left)
+		pred := t.maxItem(left, h-1)
 		n.Items[i] = pred
-		return t.remove(t.ensureChild(oid, i), pred.Key)
+		return t.remove(t.ensureChild(oid, h, i), h-1, pred.Key)
 	}
-	if t.n(right).N > minItems {
-		succ := t.minItem(right)
+	if t.r(right, h-1).N > minItems {
+		succ := t.minItem(right, h-1)
 		n.Items[i] = succ
-		return t.remove(t.ensureChild(oid, i+1), succ.Key)
+		return t.remove(t.ensureChild(oid, h, i+1), h-1, succ.Key)
 	}
 	// Merge left + item + right, then delete from the merged child.
-	t.mergeChildren(oid, i)
-	return t.remove(left, k)
+	t.mergeChildren(oid, h, i)
+	return t.remove(left, h-1, k)
 }
 
-func (t *w) maxItem(oid pangolin.OID) item {
-	for {
-		n := t.r(oid)
-		if n.leaf() {
-			return n.Items[n.N-1]
-		}
+func (t *w) maxItem(oid pangolin.OID, h uint64) item {
+	for ; h > 0; h-- {
+		n := get[inner](t, oid)
 		oid = n.Children[n.N]
 	}
+	n := get[leaf](t, oid)
+	return n.Items[n.N-1]
 }
 
-func (t *w) minItem(oid pangolin.OID) item {
-	for {
-		n := t.r(oid)
-		if n.leaf() {
-			return n.Items[0]
-		}
-		oid = n.Children[0]
+func (t *w) minItem(oid pangolin.OID, h uint64) item {
+	for ; h > 0; h-- {
+		oid = get[inner](t, oid).Children[0]
 	}
+	return get[leaf](t, oid).Items[0]
 }
 
-// ensureChild guarantees child i of oid has more than minItems items
-// before descending, borrowing from a sibling or merging (CLRS case 3).
-// It returns the (possibly merged) child to descend into.
-func (t *w) ensureChild(oid pangolin.OID, i int) pangolin.OID {
-	nr := t.r(oid)
-	c := nr.Children[i]
-	if t.r(c).N > minItems {
+// ensureChild guarantees child i of internal node oid, of height h, has
+// more than minItems items before descending, borrowing from a sibling or
+// merging (CLRS case 3). It returns the (possibly merged) child to
+// descend into.
+func (t *w) ensureChild(oid pangolin.OID, h uint64, i int) pangolin.OID {
+	c := get[inner](t, oid).Children[i]
+	if t.r(c, h-1).N > minItems {
 		return c
 	}
-	n := t.n(oid)
+	n := open[inner](t, oid)
 	// Borrow from the left sibling.
-	if i > 0 && t.r(n.Children[i-1]).N > minItems {
-		ln := t.n(n.Children[i-1])
-		cn := t.n(c)
+	if i > 0 && t.r(n.Children[i-1], h-1).N > minItems {
+		ln, li := t.n(n.Children[i-1], h-1)
+		cn, ci := t.n(c, h-1)
 		for j := int(cn.N); j > 0; j-- {
 			cn.Items[j] = cn.Items[j-1]
 		}
-		if !cn.leaf() {
+		if ci != nil {
 			for j := int(cn.N) + 1; j > 0; j-- {
-				cn.Children[j] = cn.Children[j-1]
+				ci.Children[j] = ci.Children[j-1]
 			}
-			cn.Children[0] = ln.Children[ln.N]
-			ln.Children[ln.N] = pangolin.NilOID
+			ci.Children[0] = li.Children[ln.N]
+			li.Children[ln.N] = pangolin.NilOID
 		}
 		cn.Items[0] = n.Items[i-1]
 		cn.N++
@@ -385,12 +451,12 @@ func (t *w) ensureChild(oid pangolin.OID, i int) pangolin.OID {
 		return c
 	}
 	// Borrow from the right sibling.
-	if i < int(n.N) && t.r(n.Children[i+1]).N > minItems {
-		rn := t.n(n.Children[i+1])
-		cn := t.n(c)
+	if i < int(n.N) && t.r(n.Children[i+1], h-1).N > minItems {
+		rn, ri := t.n(n.Children[i+1], h-1)
+		cn, ci := t.n(c, h-1)
 		cn.Items[cn.N] = n.Items[i]
-		if !cn.leaf() {
-			cn.Children[cn.N+1] = rn.Children[0]
+		if ci != nil {
+			ci.Children[cn.N+1] = ri.Children[0]
 		}
 		cn.N++
 		n.Items[i] = rn.Items[0]
@@ -398,37 +464,38 @@ func (t *w) ensureChild(oid pangolin.OID, i int) pangolin.OID {
 			rn.Items[j] = rn.Items[j+1]
 		}
 		rn.Items[rn.N-1] = item{}
-		if !rn.leaf() {
+		if ri != nil {
 			for j := 0; j < int(rn.N); j++ {
-				rn.Children[j] = rn.Children[j+1]
+				ri.Children[j] = ri.Children[j+1]
 			}
-			rn.Children[rn.N] = pangolin.NilOID
+			ri.Children[rn.N] = pangolin.NilOID
 		}
 		rn.N--
 		return c
 	}
 	// Merge with a sibling.
 	if i < int(n.N) {
-		t.mergeChildren(oid, i)
+		t.mergeChildren(oid, h, i)
 		return c
 	}
-	t.mergeChildren(oid, i-1)
+	t.mergeChildren(oid, h, i-1)
 	return n.Children[i-1]
 }
 
-// mergeChildren merges child i, item i, and child i+1 of oid into child i
-// and frees child i+1.
-func (t *w) mergeChildren(oid pangolin.OID, i int) {
-	n := t.n(oid)
+// mergeChildren merges child i, item i, and child i+1 of internal node
+// oid, of height h, into child i and frees child i+1.
+func (t *w) mergeChildren(oid pangolin.OID, h uint64, i int) {
+	n := open[inner](t, oid)
 	left, right := n.Children[i], n.Children[i+1]
-	ln, rn := t.n(left), t.n(right)
+	ln, li := t.n(left, h-1)
+	rn, ri := t.n(right, h-1)
 	ln.Items[ln.N] = n.Items[i]
 	for j := 0; j < int(rn.N); j++ {
 		ln.Items[int(ln.N)+1+j] = rn.Items[j]
 	}
-	if !ln.leaf() {
+	if li != nil {
 		for j := 0; j <= int(rn.N); j++ {
-			ln.Children[int(ln.N)+1+j] = rn.Children[j]
+			li.Children[int(ln.N)+1+j] = ri.Children[j]
 		}
 	}
 	ln.N += rn.N + 1
@@ -486,12 +553,20 @@ func (t *Tree) Scan(lo, hi uint64, fn func(k, v uint64) bool) error {
 	if err != nil {
 		return err
 	}
-	_, err = t.scanWalk(a.Root, lo, hi, fn)
+	_, err = t.scanWalk(a.Root, a.Height, lo, hi, fn)
 	return err
 }
 
-func (t *Tree) scanWalk(oid pangolin.OID, lo, hi uint64, fn func(k, v uint64) bool) (bool, error) {
-	n, err := pangolin.GetFromPool[node](t.p, oid)
+// scanWalk scans the subtree at oid, of height h.
+func (t *Tree) scanWalk(oid pangolin.OID, h uint64, lo, hi uint64, fn func(k, v uint64) bool) (bool, error) {
+	var n *leaf
+	var in *inner
+	var err error
+	if h == 0 {
+		n, err = pangolin.GetFromPool[leaf](t.p, oid)
+	} else if in, err = pangolin.GetFromPool[inner](t.p, oid); err == nil {
+		n = &in.leaf
+	}
 	if err != nil {
 		return false, err
 	}
@@ -502,8 +577,8 @@ func (t *Tree) scanWalk(oid pangolin.OID, lo, hi uint64, fn func(k, v uint64) bo
 		i++
 	}
 	for ; i < int(n.N); i++ {
-		if !n.leaf() {
-			if cont, err := t.scanWalk(n.Children[i], lo, hi, fn); err != nil || !cont {
+		if in != nil {
+			if cont, err := t.scanWalk(in.Children[i], h-1, lo, hi, fn); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -514,8 +589,8 @@ func (t *Tree) scanWalk(oid pangolin.OID, lo, hi uint64, fn func(k, v uint64) bo
 			return false, nil
 		}
 	}
-	if !n.leaf() {
-		return t.scanWalk(n.Children[n.N], lo, hi, fn)
+	if in != nil {
+		return t.scanWalk(in.Children[n.N], h-1, lo, hi, fn)
 	}
 	return true, nil
 }
